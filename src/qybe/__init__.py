@@ -10,7 +10,7 @@ from .rep import (CasimirReport, OperatorTriple, build_lax, build_spin_rep,
 from .tensorrep import (CasimirSpectrumReport, EigenSector, TwistedCoproduct,
                         casimir_matrix, coproduct_generators, lowest_weight_coeffs,
                         lowest_weight_vectors, tensor_casimir, weight_reversed)
-from .rop import (REigenvalues, RMatrix, assemble_R, closed_form_R,
+from .rop import (REigenvalues, RMatrix, assemble_R, assemble_R_pair, closed_form_R,
                   eigenvalue_ratios, eigenvalue_sequence, normalize_global)
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
                      build_cyclic_rep, central_elements, cyclic_R_eigenvalues,
@@ -28,8 +28,8 @@ __all__ = [
     "CasimirSpectrumReport", "EigenSector", "TwistedCoproduct", "casimir_matrix",
     "coproduct_generators", "lowest_weight_coeffs", "lowest_weight_vectors",
     "tensor_casimir", "weight_reversed",
-    "REigenvalues", "RMatrix", "assemble_R", "closed_form_R", "eigenvalue_ratios",
-    "eigenvalue_sequence", "normalize_global",
+    "REigenvalues", "RMatrix", "assemble_R", "assemble_R_pair", "closed_form_R",
+    "eigenvalue_ratios", "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",
     "build_cyclic_rep", "central_elements", "cyclic_R_eigenvalues", "cyclic_tensor",
     "eigenstate_family", "family_closure_defect", "family_ratio", "partial_R",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input validation,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .errors import (BadSpin, OrderMismatch, ParameterDomainError, PoleAtSector,
 from .qcore import DeformationParameter, ToleranceConfig
 from .rep import build_spin_rep
 from .rop import assemble_R
+from .verify import _c2l
 
 DEFAULT_SEED = 42
 
@@ -33,15 +35,19 @@ EXIT_DEGENERATE = 3
 
 
 def parse_complex(text: str) -> complex:
-    """Accepts 'a+bi' / 'a-bi' / 'a' / 'bi' / 'i' (also 'j' suffixes)."""
+    """Accepts 'a+bi' / 'a-bi' / 'a' / 'bi' / 'i' (also 'j' suffixes); the
+    value must be finite."""
     s = text.strip().replace(" ", "")
     s = s.replace("i", "j")
     if s.endswith("j") and s[:-1] in ("", "+", "-"):
         s = s[:-1] + "1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return z
 
 
 def parse_spin(text: str) -> float:
@@ -50,11 +56,6 @@ def parse_spin(text: str) -> float:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse spin {text!r}") from exc
-
-
-def _c2l(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def matrix_document(matrix: np.ndarray, metadata: dict) -> dict:
@@ -250,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except PoleAtSector as exc:
         print(f"error: spectral parameter at a pole (sector {exc.sector})", file=sys.stderr)
         return EXIT_DEGENERATE
-    except SingularBasis as exc:
+    except (SingularBasis, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ParameterDomainError, UnsupportedPair, BadSpin, WrongMode, OrderMismatch) as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, SingularBasis, UnsupportedPair
 from .qcore import DeformationParameter, qnum
-from .tensorrep import lowest_weight_vectors, weight_reversed
+from .tensorrep import EigenSector, kron, lowest_weight_vectors, weight_reversed
 
 POLE_TOL = 1e-8
 COND_LIMIT = 1e12
@@ -129,7 +129,7 @@ def _assemble_rational(ell1, ell2, u: complex, r0: complex) -> np.ndarray:
     sp1, _, _ = _classical_triple(ell1)
     sp2, _, _ = _classical_triple(ell2)
     d1, d2 = sp1.shape[0], sp2.shape[0]
-    sp = np.kron(sp1, np.eye(d2)) + np.kron(np.eye(d1), sp2)
+    sp = kron(sp1, np.eye(d2)) + kron(np.eye(d1), sp2)
     eig = eigenvalue_sequence(ell1, ell2, u, mode="xxx", r0=r0)
     cols, diag = [], []
     for n in range(min(d1, d2)):
@@ -145,6 +145,26 @@ def _assemble_rational(ell1, ell2, u: complex, r0: complex) -> np.ndarray:
     if np.linalg.cond(phi) > COND_LIMIT:
         raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
     return phi @ np.diag(diag) @ np.linalg.inv(phi)
+
+
+def _sector_solve(eig: REigenvalues, sec_u: list[EigenSector], sec_mu: list[EigenSector],
+                  q: DeformationParameter, basis: str, r0: complex) -> RMatrix:
+    """R(u) from R Phi(u) = PhiBar(-u) D, with Phi(u) the raising chains of
+    the sectors built at u and PhiBar(-u) the barred chains of those at -u."""
+    cols_u, cols_mu, diag = [], [], []
+    for s_u, s_mu in zip(sec_u, sec_mu):
+        if len(s_u.descendants) != len(s_mu.barred_descendants):
+            raise SingularBasis(f"chain lengths differ at sector {s_u.n}")
+        cols_u.extend(s_u.descendants)
+        cols_mu.extend(s_mu.barred_descendants)
+        diag.extend([eig.values[s_u.n]] * len(s_u.descendants))
+    phi = np.array(cols_u).T
+    phib = np.array(cols_mu).T
+    if np.linalg.cond(phi) > COND_LIMIT:
+        raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
+    m = phib @ np.diag(diag) @ np.linalg.inv(phi)
+    return RMatrix(matrix=m, u=eig.u, q=q, mode="xxz", ell1=eig.ell1, ell2=eig.ell2,
+                   basis_tag=basis, normalization=f"R_0 = {r0}")
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
@@ -166,20 +186,29 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     eig = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
     sec_u = lowest_weight_vectors(ell1, ell2, u, q, basis=basis)
     sec_mu = lowest_weight_vectors(ell1, ell2, -u, q, basis=basis)
-    cols_u, cols_mu, diag = [], [], []
-    for s_u, s_mu in zip(sec_u, sec_mu):
-        if len(s_u.descendants) != len(s_mu.barred_descendants):
-            raise SingularBasis(f"chain lengths differ at sector {s_u.n}")
-        cols_u.extend(s_u.descendants)
-        cols_mu.extend(s_mu.barred_descendants)
-        diag.extend([eig.values[s_u.n]] * len(s_u.descendants))
-    phi = np.array(cols_u).T
-    phib = np.array(cols_mu).T
-    if np.linalg.cond(phi) > COND_LIMIT:
-        raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
-    m = phib @ np.diag(diag) @ np.linalg.inv(phi)
-    return RMatrix(matrix=m, u=complex(u), q=q, mode="xxz", ell1=complex(ell1),
-                   ell2=complex(ell2), basis_tag=basis, normalization=f"R_0 = {r0}")
+    return _sector_solve(eig, sec_u, sec_mu, q, basis, r0)
+
+
+def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = None,
+                    mode: str = "xxz", r0: complex = 1.0,
+                    basis: str = "orthonormal") -> tuple[RMatrix, RMatrix]:
+    """(R(u), R(-u)), equal to two :func:`assemble_R` calls.
+
+    In xxz mode both solves share one sector build at u and one at -u.
+    The checks R(u) needs run before those only R(-u) needs, so the first
+    error raised is the one the two separate calls would raise.
+    """
+    if mode == "xxx":
+        return (assemble_R(ell1, ell2, u, q, mode, r0, basis),
+                assemble_R(ell1, ell2, -u, q, mode, r0, basis))
+    if q is None:
+        raise ParameterDomainError("xxz mode needs a deformation parameter")
+    eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
+    sec_u = lowest_weight_vectors(ell1, ell2, u, q, basis=basis)
+    sec_mu = lowest_weight_vectors(ell1, ell2, -u, q, basis=basis)
+    r_u = _sector_solve(eig_u, sec_u, sec_mu, q, basis, r0)
+    eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode="xxz", r0=r0)
+    return r_u, _sector_solve(eig_mu, sec_mu, sec_u, q, basis, r0)
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,

@@ -31,6 +31,19 @@ class TwistedCoproduct:
     parents: tuple[OperatorTriple, OperatorTriple]
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors or two matrices.
+
+    One broadcast product: every entry is the single product a_ij * b_kl
+    that ``np.kron`` forms, so the result is the same bit for bit, without
+    ``np.kron``'s generic axis handling, which dominates at these sizes.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).ravel()
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def coproduct_generators(rep1: OperatorTriple, rep2: OperatorTriple,
                          kind: str = "delta", u: complex = 0.0) -> TwistedCoproduct:
     """Assemble the twisted tensor generators on the d1*d2 product basis."""
@@ -41,21 +54,18 @@ def coproduct_generators(rep1: OperatorTriple, rep2: OperatorTriple,
         raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
     q = rep1.q
     qu = q.pow(u / 2)
-    i1 = np.eye(rep1.dim)
-    i2 = np.eye(rep2.dim)
     if kind == "delta":
-        sm = qu * np.kron(rep1.sm, rep2.qs(1)) + np.kron(rep1.qs(-1), rep2.sm) / qu
-        sp = np.kron(rep1.sp, rep2.qs(1)) / qu + qu * np.kron(rep1.qs(-1), rep2.sp)
+        sm = qu * kron(rep1.sm, rep2.qs(1)) + kron(rep1.qs(-1), rep2.sm) / qu
+        sp = kron(rep1.sp, rep2.qs(1)) / qu + qu * kron(rep1.qs(-1), rep2.sp)
     else:
-        sm = np.kron(rep1.sm, rep2.qs(-1)) / qu + qu * np.kron(rep1.qs(1), rep2.sm)
-        sp = qu * np.kron(rep1.sp, rep2.qs(-1)) + np.kron(rep1.qs(1), rep2.sp) / qu
-    weights = (np.kron(rep1.weights, np.diag(i2).astype(complex))
-               + np.kron(np.diag(i1).astype(complex), rep2.weights))
+        sm = kron(rep1.sm, rep2.qs(-1)) / qu + qu * kron(rep1.qs(1), rep2.sm)
+        sp = qu * kron(rep1.sp, rep2.qs(-1)) + kron(rep1.qs(1), rep2.sp) / qu
+    weights = np.add.outer(rep1.weights, rep2.weights).ravel()
     dm = None
     if rep1.from_monomial is not None or rep2.from_monomial is not None:
         d1 = rep1.from_monomial if rep1.from_monomial is not None else np.ones(rep1.dim)
         d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
-        dm = np.kron(d1, d2)
+        dm = kron(d1, d2)
     gens = OperatorTriple(sp=sp, sm=sm, weights=weights, q=q,
                           basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
                           ell=None, from_monomial=dm)

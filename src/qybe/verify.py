@@ -8,6 +8,7 @@ identity id and the seed in its tolerance configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -15,9 +16,9 @@ from . import cyclic as cy
 from .qcore import (DeformationParameter, ToleranceConfig, phi_product, qnum,
                     sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, fundamental_r, fundamental_r_rational
-from .rop import RMatrix, assemble_R, eigenvalue_ratios
+from .rop import RMatrix, assemble_R, assemble_R_pair, eigenvalue_ratios
 from .errors import PoleAtSector
-from .tensorrep import casimir_matrix, coproduct_generators, tensor_casimir
+from .tensorrep import casimir_matrix, coproduct_generators, kron, tensor_casimir
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,7 +31,7 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tolerance
+        return math.isfinite(self.max_residual) and self.max_residual < self.tolerance
 
     @property
     def verdict(self) -> str:
@@ -56,6 +57,14 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _nan_max(*values: float) -> float:
+    """max() that keeps a NaN: the builtin returns 0.0 for max(0.0, nan)."""
+    for v in values:
+        if math.isnan(v):
+            return v
+    return max(values)
+
+
 def residual(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> float:
     """Infinity-norm difference normalized by the largest input entry."""
     scale = max([1.0] + [np.abs(m).max() for m in inputs])
@@ -68,9 +77,9 @@ def residual(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> float:
 def embed_two_site(r4: np.ndarray, pos: str, dim3: int = 2) -> np.ndarray:
     """Embed a 4x4 two-site matrix into C2 x C2 x C^dim3 at the named slots."""
     if pos == "12":
-        return np.kron(r4, np.eye(dim3))
+        return kron(r4, np.eye(dim3))
     if pos == "23":
-        return np.kron(np.eye(2), r4)
+        return kron(np.eye(2), r4)
     if pos == "13":
         r = r4.reshape(2, 2, 2, 2)
         m = np.einsum("acbd,ef->aecbfd", r, np.eye(2)).reshape(8, 8)
@@ -103,7 +112,7 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         m23 = embed_two_site(r_of(v), "23")
         lhs = m12 @ m13 @ m23
         rhs = m23 @ m13 @ m12
-        worst = max(worst, residual(lhs, rhs, m12, m13, m23))
+        worst = _nan_max(worst, residual(lhs, rhs, m12, m13, m23))
         samples.append({"q": None if q is None else _c2l(q.value),
                         "u": _c2l(u), "v": _c2l(v)})
     return ResidualReport(f"fundamental_ybe[{mode}]", tuple(samples), worst, tol, cfg.rng_seed)
@@ -112,17 +121,8 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
 def _embed_lax(lax: np.ndarray, slot: int, dim: int) -> np.ndarray:
     """Put an (aux x quantum) Lax matrix on auxiliary slot 1 or 2 of
     C2 x C2 x C^dim."""
-    out = np.zeros((4 * dim, 4 * dim), complex)
-    for a in range(2):
-        for b in range(2):
-            blk = lax[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim]
-            e = np.zeros((2, 2))
-            e[a, b] = 1
-            if slot == 1:
-                out += np.kron(np.kron(e, np.eye(2)), blk)
-            else:
-                out += np.kron(np.kron(np.eye(2), e), blk)
-    return out
+    spec = "akbl,cd->ackbdl" if slot == 1 else "akbl,cd->cakdbl"
+    return np.einsum(spec, lax.reshape(2, dim, 2, dim), np.eye(2)).reshape(4 * dim, 4 * dim)
 
 
 def check_rll(quantum, cfg: ToleranceConfig | None = None,
@@ -147,10 +147,10 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
         u, v = sample_u(rng), sample_u(rng)
         l1 = _embed_lax(build_lax(rep, u), 1, rep.dim)
         l2 = _embed_lax(build_lax(rep, v), 2, rep.dim)
-        r12 = np.kron(fundamental_r(u - v, q), np.eye(rep.dim))
+        r12 = kron(fundamental_r(u - v, q), np.eye(rep.dim))
         lhs = r12 @ l1 @ l2
         rhs = l2 @ l1 @ r12
-        worst = max(worst, residual(lhs, rhs, r12, l1, l2))
+        worst = _nan_max(worst, residual(lhs, rhs, r12, l1, l2))
         samples.append({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)})
     return ResidualReport(ident, tuple(samples), worst, tol, cfg.rng_seed)
 
@@ -184,12 +184,12 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, flo
 
     qu = q.pow(u)
     c2 = (q.value - 1 / q.value) ** 2
-    qpm = qu * np.kron(rep1.qs(1), rep2.qs(-1)) + np.kron(rep1.qs(-1), rep2.qs(1)) / qu
-    qmp = qu * np.kron(rep1.qs(-1), rep2.qs(1)) + np.kron(rep1.qs(1), rep2.qs(-1)) / qu
-    k_pm = qpm - c2 * np.kron(rep1.sm, rep2.sp)
-    k_pm_bar = qpm - c2 * np.kron(rep1.sp, rep2.sm)
-    k_mp = qmp - c2 * np.kron(rep1.sp, rep2.sm)
-    k_mp_bar = qmp - c2 * np.kron(rep1.sm, rep2.sp)
+    qpm = qu * kron(rep1.qs(1), rep2.qs(-1)) + kron(rep1.qs(-1), rep2.qs(1)) / qu
+    qmp = qu * kron(rep1.qs(-1), rep2.qs(1)) + kron(rep1.qs(1), rep2.qs(-1)) / qu
+    k_pm = qpm - c2 * kron(rep1.sm, rep2.sp)
+    k_pm_bar = qpm - c2 * kron(rep1.sp, rep2.sm)
+    k_mp = qmp - c2 * kron(rep1.sp, rep2.sm)
+    k_mp_bar = qmp - c2 * kron(rep1.sm, rep2.sp)
     out["k_plus_minus"] = residual(r @ k_pm, k_pm_bar @ r, r, k_pm)
     out["k_minus_plus"] = residual(r @ k_mp, k_mp_bar @ r, r, k_mp)
 
@@ -216,7 +216,7 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
             m[0, 1] += perturb
             rm = dataclasses.replace(rm, matrix=m)
         for name, val in decomposed_residuals(rm).items():
-            worst[name] = max(worst.get(name, 0.0), val)
+            worst[name] = _nan_max(worst.get(name, 0.0), val)
         samples.append({"q": _c2l(q.value), "u": _c2l(u)})
     pair = f"({ell1},{ell2})"
     return [ResidualReport(f"decomposed[{name}]{pair}", tuple(samples), val, tol, cfg.rng_seed)
@@ -253,13 +253,12 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
                 u = sample_u(rng)
         else:
             q, u = _regular_point(ell1, ell2, rng)
-        r_u = assemble_R(ell1, ell2, u, q, mode=mode)
-        r_mu = assemble_R(ell1, ell2, -u, q, mode=mode)
+        r_u, r_mu = assemble_R_pair(ell1, ell2, u, q, mode=mode)
         m = r_u.matrix.copy()
         if perturb:
             m[0, 1] += perturb
         prod = m @ r_mu.matrix
-        worst = max(worst, residual(prod, np.eye(prod.shape[0]), prod))
+        worst = _nan_max(worst, residual(prod, np.eye(prod.shape[0]), prod))
         samples.append({"q": None if q is None else _c2l(q.value), "u": _c2l(u)})
     return ResidualReport(f"unitarity[{mode}]({ell1},{ell2})", tuple(samples), worst,
                           tol, cfg.rng_seed)
@@ -283,7 +282,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
                 break
             except PoleAtSector:
                 continue
-        worst = max(worst, float(np.abs(base - shifted).max() / max(1.0, np.abs(base).max())))
+        worst = _nan_max(worst, float(np.abs(base - shifted).max()
+                                      / max(1.0, np.abs(base).max())))
         samples.append({"q": _c2l(q.value), "u": _c2l(u),
                         "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)})
     return ResidualReport(f"branch_independence({ell1},{ell2})", tuple(samples), worst,
@@ -304,7 +304,7 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
         rep2 = build_spin_rep(ell2, q, basis)
         cop = coproduct_generators(rep1, rep2, "delta", u)
         _, report = tensor_casimir(cop)
-        worst = max(worst, report.max_residual, report.max_m_spread)
+        worst = _nan_max(worst, report.max_residual, report.max_m_spread)
         samples.append({"q": _c2l(q.value), "u": _c2l(u)})
     return ResidualReport(f"casimir_spectrum({ell1},{ell2})", tuple(samples), worst,
                           tol, cfg.rng_seed)
@@ -329,11 +329,11 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
         ce1 = cy.central_elements(s1, tol=1.0)
         ce2 = cy.central_elements(s2, tol=1.0)
         tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0)
-        worst = max(worst, ce1.max_offscalar_residual, ce2.max_offscalar_residual,
-                    tp.max_offscalar_residual,
-                    abs(ce1.alpha_minus - ce1.alpha_minus_product_route)
-                    / max(1.0, abs(ce1.alpha_minus)),
-                    max(tp.closed_form_errors.values()))
+        worst = _nan_max(worst, ce1.max_offscalar_residual, ce2.max_offscalar_residual,
+                         tp.max_offscalar_residual,
+                         abs(ce1.alpha_minus - ce1.alpha_minus_product_route)
+                         / max(1.0, abs(ce1.alpha_minus)),
+                         *tp.closed_form_errors.values())
         samples.append({"params1": [_c2l(z) for z in p1],
                         "params2": [_c2l(z) for z in p2], "u": _c2l(u)})
     return ResidualReport(f"cyclic_centrality[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
@@ -349,7 +349,7 @@ def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
     samples, worst = [], 0.0
     for _ in range(count):
         alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
-        worst = max(worst, phi_product(alpha, q).residual)
+        worst = _nan_max(worst, phi_product(alpha, q).residual)
         samples.append({"alpha": _c2l(alpha)})
     return ResidualReport(f"phi_product[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
 
@@ -364,7 +364,7 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None,
     for _ in range(cfg.sample_count):
         s1, s2, u = cy.sample_compatible_params(n, rng)
         fam = cy.eigenstate_family(s1, s2, u, tol=tol, enforce=False)
-        worst = max(worst, max(fam.shift_residuals.values()))
+        worst = _nan_max(worst, *fam.shift_residuals.values())
         samples.append({"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)})
     return ResidualReport(f"shift_laws[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
 
@@ -384,8 +384,9 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None,
         u = sample_u(rng, scale=0.6)
         vals = cy.cyclic_R_eigenvalues(s1, s2, u)
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
-        err = max(abs(vals[m] / vals[m - 1] - step) for m in range(1, n)) / max(1.0, abs(step))
-        worst = max(worst, float(err))
+        err = _nan_max(*(abs(vals[m] / vals[m - 1] - step) for m in range(1, n)))
+        err /= max(1.0, abs(step))
+        worst = _nan_max(worst, float(err))
         samples.append({"u": _c2l(u)})
     return ResidualReport(f"cyclic_r_ratio[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
 
@@ -400,6 +401,6 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None,
     for _ in range(cfg.sample_count):
         s1, s2, u = cy.sample_compatible_params(n, rng)
         pr = cy.partial_R(s1, s2, u)
-        worst = max(worst, pr.max_residual)
+        worst = _nan_max(worst, pr.max_residual)
         samples.append({"u": _c2l(u), "span_rank": pr.span_rank})
     return ResidualReport(f"partial_r[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)

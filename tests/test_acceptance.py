@@ -8,6 +8,7 @@ from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, closed_form_R,
                   coproduct_generators, build_spin_rep, eigenvalue_sequence,
                   lowest_weight_vectors, normalize_global, qnum,
                   cyclic_R_eigenvalues)
+from qybe.cli import GOLDEN_PAIRS
 from qybe.qcore import DeformationParameter, sample_generic_q, sample_u, sample_params
 from qybe.verify import (check_casimir_spectrum, check_cyclic_centrality,
                          check_decomposed_ybe, check_fundamental_ybe,
@@ -15,7 +16,6 @@ from qybe.verify import (check_casimir_spectrum, check_cyclic_centrality,
                          check_unitarity)
 
 SEED = 20250810
-GOLDEN_PAIRS = ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
 
 
 def _criterion(num: int, desc: str, worst: float, tol: float):

@@ -16,6 +16,29 @@ def test_parse_complex():
     assert parse_complex("1.5-2i") == pytest.approx(1.5 - 2j)
 
 
+@pytest.mark.parametrize("flag,value", [("--u", "nan"), ("--u", "inf"), ("--q", "nan"),
+                                        ("--q", "0.3+nani")])
+def test_rmatrix_nonfinite_input_is_validation_error(flag, value, tmp_path, capsys):
+    args = {"--u": "0.4-0.2i", "--q": "0.3+0.4i", flag: value}
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", args["--u"],
+              "--q", args["--q"], "--out", str(out)])
+    assert exc.value.code == 2
+    assert value in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_linalg_error_is_degeneracy(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("qybe.cli.assemble_R", fail)
+    code = main(["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "0.4",
+                 "--q", "0.3+0.4i", "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "SVD did not converge" in capsys.readouterr().err
+
+
 def test_parse_spin():
     assert parse_spin("1/2") == pytest.approx(0.5)
     assert parse_spin("0.5") == pytest.approx(0.5)

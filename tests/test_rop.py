@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import qybe.rop as rop
-from qybe import (assemble_R, closed_form_R, eigenvalue_ratios, eigenvalue_sequence,
-                  lowest_weight_vectors, normalize_global, qnum)
-from qybe.errors import PoleAtSector, SingularBasis, UnsupportedPair
+from qybe import (assemble_R, assemble_R_pair, closed_form_R, eigenvalue_ratios,
+                  eigenvalue_sequence, lowest_weight_vectors, normalize_global, qnum)
+from qybe.errors import PoleAtSector, QybeError, SingularBasis, UnsupportedPair
 from qybe.qcore import sample_generic_q, sample_u
+from qybe.verify import _regular_point
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
 
@@ -163,3 +164,52 @@ def test_normalize_global():
     out = normalize_global(m)
     assert out[1, 1] == pytest.approx(1.0)
     assert np.abs(out).max() == pytest.approx(1.0)
+
+
+def _assembled_or_error(build):
+    try:
+        return build()
+    except QybeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@pytest.mark.parametrize("ell1", SPINS)
+def test_pair_matches_two_assemblies(ell1):
+    """One sector build per +-u pair gives what two assemble_R calls give,
+    including the first error raised."""
+    rng = np.random.default_rng(int(4 * ell1))
+    for ell2 in SPINS:
+        if ell2 < ell1:
+            continue
+        for _ in range(2):
+            q, u = _regular_point(ell1, ell2, rng)
+            want = _assembled_or_error(lambda: (assemble_R(ell1, ell2, u, q),
+                                                assemble_R(ell1, ell2, -u, q)))
+            got = _assembled_or_error(lambda: assemble_R_pair(ell1, ell2, u, q))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.matrix, w.matrix)
+                    assert (g.u, g.ell1, g.ell2, g.basis_tag, g.normalization) \
+                        == (w.u, w.ell1, w.ell2, w.basis_tag, w.normalization)
+
+
+def test_pair_rational_mode():
+    got = assemble_R_pair(0.5, 1.0, 0.37 - 0.21j, mode="xxx")
+    want = (assemble_R(0.5, 1.0, 0.37 - 0.21j, mode="xxx"),
+            assemble_R(0.5, 1.0, -(0.37 - 0.21j), mode="xxx"))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix, w.matrix) and g.u == w.u and g.mode == "xxx"
+
+
+@pytest.mark.parametrize("u", [-1.0, 1.0])
+def test_pair_raises_the_first_error_of_two_assemblies(u, q_generic):
+    # u = -1 puts R(u) on the sector-1 pole of the (1/2, 1/2) pair, u = 1 puts R(-u) there
+    want = _assembled_or_error(lambda: (assemble_R(0.5, 0.5, u, q_generic),
+                                        assemble_R(0.5, 0.5, -u, q_generic)))
+    assert isinstance(want, str)
+    assert _assembled_or_error(lambda: assemble_R_pair(0.5, 0.5, u, q_generic)) == want

@@ -5,6 +5,7 @@ from qybe import (build_spin_rep, coproduct_generators, lowest_weight_coeffs,
                   lowest_weight_vectors, qnum, tensor_casimir, weight_reversed)
 from qybe.errors import DimensionMismatch
 from qybe.qcore import sample_generic_q, sample_u
+from qybe.tensorrep import kron
 
 
 def _pair(ell1, ell2, q, basis="monomial"):
@@ -302,3 +303,24 @@ def test_casimir_full_spectrum_oracle(rng):
     lam = [qnum(n - 1.5, q) * qnum(n - 2.5, q) for n in (0, 1)]
     expected = np.array([lam[0]] * 4 + [lam[1]] * 2)
     assert np.allclose(np.sort_complex(eigs), np.sort_complex(expected), atol=1e-8)
+
+
+def _cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_kron_matches_numpy_bit_for_bit(d, rng):
+    """np.kron stays the reference for the broadcast kernel."""
+    for e in range(1, 8):
+        v, w = _cplx(rng, d), _cplx(rng, e)
+        assert _same_bits(kron(v, w), np.kron(v, w))
+        a = _cplx(rng, d, d)
+        diag = np.diag(_cplx(rng, e))
+        for a_, b_ in ((a, np.eye(e)), (np.eye(e), a), (a, diag), (diag, a)):
+            assert _same_bits(kron(a_, b_), np.kron(a_, b_))

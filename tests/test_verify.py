@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qybe import CyclicRepSpec, ToleranceConfig, closed_form_R, fundamental_r
+from qybe import (CyclicRepSpec, ToleranceConfig, build_cyclic_rep, build_lax,
+                  build_spin_rep, closed_form_R, fundamental_r)
 from qybe.qcore import sample_generic_q, sample_u
-from qybe.verify import (ResidualReport, check_branch_independence,
+from qybe.verify import (ResidualReport, _embed_lax, check_branch_independence,
                          check_casimir_spectrum, check_cyclic_centrality,
                          check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity,
@@ -23,6 +24,17 @@ def test_report_verdict():
     r = ResidualReport("x", (), 1e-8, 1e-10)
     assert not r.passed and r.verdict == "fail"
     assert "max_residual" in r.to_dict()
+
+
+def test_nonfinite_residual_fails():
+    assert not ResidualReport("x", (), float("nan"), 1e-10).passed
+    assert not ResidualReport("x", (), float("inf"), 1e-10).passed
+
+
+def test_nan_point_is_not_dropped(q_generic):
+    rep = check_fundamental_ybe(points=[(q_generic, float("nan"), 0.3)])
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed and rep.line().startswith("[FAIL]")
 
 
 def test_fundamental_ybe_trigonometric():
@@ -54,6 +66,31 @@ def test_embedding_slots_consistent():
         assert e.shape == (8, 8)
     # slot 13 must reduce to slot 12 when the middle factor is trivial
     assert np.allclose(embed_two_site(np.kron(np.eye(2), np.eye(2)), "13"), np.eye(8))
+
+
+def _embed_lax_by_krons(lax, slot, dim):
+    """Reference: the aux-slot embedding as a sum of four Kronecker products."""
+    out = np.zeros((4 * dim, 4 * dim), complex)
+    for a in range(2):
+        for b in range(2):
+            blk = lax[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim]
+            e = np.zeros((2, 2))
+            e[a, b] = 1
+            if slot == 1:
+                out += np.kron(np.kron(e, np.eye(2)), blk)
+            else:
+                out += np.kron(np.kron(np.eye(2), e), blk)
+    return out
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_embed_lax_matches_kron_sum(slot, q_generic, rng):
+    reps = [build_spin_rep(ell, q_generic) for ell in (0.5, 1.0, 1.5, 3.0)]
+    reps.append(build_cyclic_rep(CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)))
+    for rep in reps:
+        lax = build_lax(rep, sample_u(rng))
+        assert np.array_equal(_embed_lax(lax, slot, rep.dim),
+                              _embed_lax_by_krons(lax, slot, rep.dim))
 
 
 @pytest.mark.parametrize("ell", [0.5, 1.0, 1.5])
