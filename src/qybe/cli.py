@@ -127,14 +127,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _valid_order(n: int) -> bool:
+    """A root-of-unity order must be odd and at least 3: N = 1 gives q = 1,
+    where q - 1/q vanishes.  Prints the error when it is not."""
+    if n % 2 == 0 or n < 3:
+        print("error: N must be odd and at least 3", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_rep(args) -> int:
     out: Path = args.out
     if args.cyclic:
         if args.N is None:
             print("error: --cyclic requires --N", file=sys.stderr)
             return EXIT_VALIDATION
-        if args.N % 2 == 0:
-            print("error: N must be odd", file=sys.stderr)
+        if not _valid_order(args.N):
             return EXIT_VALIDATION
         spec = cy.CyclicRepSpec(args.alpha, args.beta, args.lam, args.N)
         triple = cy.build_cyclic_rep(spec)
@@ -214,8 +222,7 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("QYBE_SEED", DEFAULT_SEED))
-    if args.N % 2 == 0:
-        print("error: N must be odd", file=sys.stderr)
+    if not _valid_order(args.N):
         return EXIT_VALIDATION
     kwargs = {"sample_count": args.samples, "rng_seed": seed}
     if args.tol is not None:

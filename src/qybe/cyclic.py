@@ -15,10 +15,10 @@ import dataclasses
 import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
-                     ParameterDomainError, ShiftLawViolation, WrongMode)
-from .qcore import DeformationParameter, phi_product, qnum
+                     ParameterDomainError, SamplerExhausted, ShiftLawViolation, WrongMode)
+from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum
 from .rep import OperatorTriple
-from .tensorrep import TwistedCoproduct, coproduct_generators
+from .tensorrep import ProductSpace, TwistedCoproduct
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,8 +116,8 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
     ap, rp = _scalar_part(np.linalg.matrix_power(rep.sp, n))
     am, rm = _scalar_part(np.linalg.matrix_power(rep.sm, n))
     aq, rq = _scalar_part(rep.qs(n))
-    worst = max(rp, rm, rq)
-    if worst > tol:
+    worst = _nan_max(rp, rm, rq)
+    if not worst <= tol:
         raise NotScalar(f"extended-center candidate has off-scalar residual {worst:.3e}")
     am_route = -spec.q.pow(-n * spec.lam / 2) * phi_product(spec.beta, spec.q).product
     return CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
@@ -125,13 +125,17 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
                            alpha_minus_product_route=complex(am_route))
 
 
+def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
+    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}."""
+    if spec1.n != spec2.n:
+        raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
+    return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
+
+
 def cyclic_tensor(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                   kind: str = "delta") -> TwistedCoproduct:
     """Twisted tensor generators on the N^2 basis theta_{k1,k2}."""
-    if spec1.n != spec2.n:
-        raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
-    return coproduct_generators(build_cyclic_rep(spec1), build_cyclic_rep(spec2),
-                                kind=kind, u=u)
+    return cyclic_space(spec1, spec2).coproduct(kind, u)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +146,7 @@ class TensorPowerReport:
 
     @property
     def max_offscalar_residual(self) -> float:
-        return max(self.offscalar_residuals.values())
+        return _nan_max(*self.offscalar_residuals.values())
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -155,8 +159,9 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     """
     n = spec1.n
     q = spec1.q
-    cop = cyclic_tensor(spec1, spec2, u, "delta")
-    cop_bar = cyclic_tensor(spec1, spec2, u, "deltabar")
+    space = cyclic_space(spec1, spec2)
+    cop = space.coproduct("delta", u)
+    cop_bar = space.coproduct("deltabar", u)
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
     den = (q.value - 1 / q.value) ** (-n)
@@ -173,7 +178,7 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         s, r = _scalar_part(np.linalg.matrix_power(mat, n))
         scalars[name] = s
         resids[name] = r
-        if r > tol:
+        if not r <= tol:
             raise NotScalar(f"(S^N) off-scalar residual {r:.3e} for {name}")
         if name in closed:
             errors[name] = abs(s - closed[name]) / max(1.0, abs(closed[name]))
@@ -244,7 +249,8 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                      tol: float = 1e-9, enforce: bool = True) -> CyclicEigenFamily:
+                      tol: float = 1e-9, enforce: bool = True, *,
+                      space: ProductSpace | None = None) -> CyclicEigenFamily:
     """The N + N vectors phi_m, phibar_m and their shift-relation residuals.
 
     phi_m lives on {theta_{(m-k) mod N, k}} with geometric coefficients;
@@ -252,10 +258,14 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     prefactors (see :func:`shift_prefactor`).  When the closure condition
     ratio^N = 1 fails the laws break at the cycle seam; with ``enforce``
     the first violation is raised, otherwise residuals are just reported.
+    ``space`` is :func:`cyclic_space` of the two specs, when the caller
+    shares one across several u; it is built here otherwise.
     """
     n = spec1.n
-    cop = cyclic_tensor(spec1, spec2, u, "delta")
-    cop_bar = cyclic_tensor(spec1, spec2, u, "deltabar")
+    if space is None:
+        space = cyclic_space(spec1, spec2)
+    cop = space.coproduct("delta", u)
+    cop_bar = space.coproduct("deltabar", u)
     rho = family_ratio(spec1, spec2, u, barred=False)
     sig = family_ratio(spec1, spec2, u, barred=True)
     phi = [_family_vector(n, rho, m) for m in range(n)]
@@ -298,7 +308,7 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
     rejected so the two families stay linearly independent.
     """
     a1, a2, b1, l1 = (complex(rng.normal(0, scale), rng.normal(0, scale)) for _ in range(4))
-    while True:
+    for _ in range(MAX_DRAWS):
         d = int(rng.integers(-2, 3))
         u = int(rng.integers(-3, 4)) / 2
         z = int(rng.integers(-1, 2))
@@ -308,6 +318,7 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
         l2 = l1 + d
         b2 = 2 * (z - u + 2 - (l2 - l1) / 2) - b1 + a1 + a2
         return (CyclicRepSpec(a1, b1, l1, n), CyclicRepSpec(a2, b2, l2, n), complex(u))
+    raise SamplerExhausted(f"compatible cyclic parameters at N={n}", MAX_DRAWS)
 
 
 def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -336,8 +347,9 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     contradict a linear dependence among the inputs.
     """
     n = spec1.n
-    fam_u = eigenstate_family(spec1, spec2, u, enforce=False)
-    fam_mu = eigenstate_family(spec1, spec2, -u, enforce=False)
+    space = cyclic_space(spec1, spec2)
+    fam_u = eigenstate_family(spec1, spec2, u, enforce=False, space=space)
+    fam_mu = eigenstate_family(spec1, spec2, -u, enforce=False, space=space)
     r_m = cyclic_R_eigenvalues(spec1, spec2, u, r0)
     v = np.array(fam_u.phi + fam_u.phibar).T
     w = np.array([r_m[m] * fam_mu.phibar[m] for m in range(n)]

@@ -9,6 +9,14 @@ class ParameterDomainError(QybeError):
     """An input value lies outside the domain an operation supports."""
 
 
+class SamplerExhausted(ParameterDomainError):
+    """A rejection sampler found no admissible point within its draw limit."""
+
+    def __init__(self, what: str, draws: int):
+        self.draws = draws
+        super().__init__(f"no admissible {what} in {draws} draws")
+
+
 class DegenerateDenominator(QybeError):
     """q - 1/q is numerically zero; q-numbers are undefined."""
 

@@ -6,7 +6,9 @@ lifetime of a parameter.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +16,12 @@ import numpy as np
 from .errors import DegenerateDenominator, ParameterDomainError, WrongMode
 
 GENERIC_GUARD_BOUND = 64
+MAX_DRAWS = 1000
 _ROOT_GUARD_TOL = 1e-8
 _BRANCH_TOL = 1e-12
+# Python numbers take the cmath route in pow and qnum; arrays and other
+# scalar types keep numpy's
+_SCALARS = (int, float, complex)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,6 +58,9 @@ class DeformationParameter:
     log_branch: complex = 0j
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.value) and cmath.isfinite(self.log_branch)):
+            raise ParameterDomainError(
+                f"q and its log branch must be finite (got {self.value}, {self.log_branch})")
         if self.value == 0:
             raise ParameterDomainError("q must be nonzero")
         if self.mode not in ("generic", "root_of_unity"):
@@ -96,7 +105,20 @@ class DeformationParameter:
         return self.mode == "root_of_unity"
 
     def pow(self, z):
-        """q^z computed through the fixed branch; accepts scalars or arrays."""
+        """q^z computed through the fixed branch; accepts scalars or arrays.
+
+        A Python number goes through ``cmath.exp``, which gives the same
+        bits as ``np.exp`` on finite input at a fraction of its dispatch
+        cost; the result keeps numpy's scalar type.
+        """
+        if isinstance(z, _SCALARS):
+            w = z * self.log_branch
+            if cmath.isfinite(w):
+                try:
+                    return np.complex128(cmath.exp(w))
+                except OverflowError:
+                    pass  # np.exp returns inf with a warning instead
+            return np.exp(w)
         return np.exp(np.asarray(z) * self.log_branch) if np.ndim(z) else np.exp(z * self.log_branch)
 
     def inverse(self) -> "DeformationParameter":
@@ -120,7 +142,17 @@ def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
     den = q.value - 1 / q.value
     if abs(den) < abs_tol:
         raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
-    return (q.pow(n) - q.pow(-np.asarray(n) if np.ndim(n) else -n)) / den
+    if not isinstance(n, _SCALARS) and np.ndim(n):
+        n = np.asarray(n)
+    return (q.pow(n) - q.pow(-n)) / den
+
+
+def _nan_max(*values: float) -> float:
+    """max() that keeps a NaN: the builtin returns 0.0 for max(0.0, nan)."""
+    for v in values:
+        if math.isnan(v):
+            return v
+    return max(values)
 
 
 class PhiProduct(NamedTuple):

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, qnum
+from .qcore import DeformationParameter, _nan_max, qnum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,9 +52,9 @@ class OperatorTriple:
         comm = self.sp @ self.sm - self.sm @ self.sp
         rhs = (self.qs(2) - self.qs(-2)) / (q - 1 / q)
         scale = max(1.0, np.abs(self.sp).max(), np.abs(self.sm).max(), np.abs(rhs).max())
-        r = np.abs(comm - rhs).max()
-        r = max(r, np.abs(self.qs(1) @ self.sp @ self.qs(-1) - q * self.sp).max())
-        r = max(r, np.abs(self.qs(1) @ self.sm @ self.qs(-1) - self.sm / q).max())
+        r = _nan_max(np.abs(comm - rhs).max(),
+                     np.abs(self.qs(1) @ self.sp @ self.qs(-1) - q * self.sp).max(),
+                     np.abs(self.qs(1) @ self.sm @ self.qs(-1) - self.sm / q).max())
         return float(r / scale)
 
 

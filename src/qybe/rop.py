@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, SingularBasis, UnsupportedPair
 from .qcore import DeformationParameter, qnum
-from .tensorrep import EigenSector, kron, lowest_weight_vectors, weight_reversed
+from .tensorrep import EigenSector, ProductSpace, kron, weight_reversed
 
 POLE_TOL = 1e-8
 COND_LIMIT = 1e12
@@ -168,13 +168,16 @@ def _sector_solve(eig: REigenvalues, sec_u: list[EigenSector], sec_mu: list[Eige
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-               mode: str = "xxz", r0: complex = 1.0,
-               basis: str = "orthonormal") -> RMatrix:
+               mode: str = "xxz", r0: complex = 1.0, basis: str = "orthonormal",
+               *, space: ProductSpace | None = None) -> RMatrix:
     """Solve the spectral problem for the R-matrix on the tensor product.
 
     Columns of the unbarred eigenvector family at u are mapped to the
     barred family at -u scaled by the sector eigenvalues; the barred
     counterpart relation is left as an independent check for the caller.
+    ``space`` is the :class:`ProductSpace` of the two spins in ``basis``
+    over q, when the caller shares one with other work at the same point;
+    it is built here otherwise.
     """
     if mode == "xxx":
         m = _assemble_rational(ell1, ell2, u, r0)
@@ -184,9 +187,9 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     if q is None:
         raise ParameterDomainError("xxz mode needs a deformation parameter")
     eig = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
-    sec_u = lowest_weight_vectors(ell1, ell2, u, q, basis=basis)
-    sec_mu = lowest_weight_vectors(ell1, ell2, -u, q, basis=basis)
-    return _sector_solve(eig, sec_u, sec_mu, q, basis, r0)
+    if space is None:
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    return _sector_solve(eig, space.sectors(u), space.sectors(-u), q, basis, r0)
 
 
 def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = None,
@@ -194,7 +197,8 @@ def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = Non
                     basis: str = "orthonormal") -> tuple[RMatrix, RMatrix]:
     """(R(u), R(-u)), equal to two :func:`assemble_R` calls.
 
-    In xxz mode both solves share one sector build at u and one at -u.
+    In xxz mode both solves share one product space and its sector builds
+    at u and at -u.
     The checks R(u) needs run before those only R(-u) needs, so the first
     error raised is the one the two separate calls would raise.
     """
@@ -204,8 +208,8 @@ def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = Non
     if q is None:
         raise ParameterDomainError("xxz mode needs a deformation parameter")
     eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
-    sec_u = lowest_weight_vectors(ell1, ell2, u, q, basis=basis)
-    sec_mu = lowest_weight_vectors(ell1, ell2, -u, q, basis=basis)
+    space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    sec_u, sec_mu = space.sectors(u), space.sectors(-u)
     r_u = _sector_solve(eig_u, sec_u, sec_mu, q, basis, r0)
     eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode="xxz", r0=r0)
     return r_u, _sector_solve(eig_mu, sec_mu, sec_u, q, basis, r0)

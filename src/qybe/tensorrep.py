@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
-from .qcore import DeformationParameter, qnum
+from .qcore import DeformationParameter, _nan_max, qnum
 from .rep import OperatorTriple, build_spin_rep
 
 
@@ -44,32 +44,111 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+class ProductSpace:
+    """The tensor product of two factor representations over one q.
+
+    Holds the product ``weights`` and ``from_monomial`` and, for each
+    coproduct kind, the four Kronecker pieces that do not depend on u
+    (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+), built the first time that kind
+    is used.  A twisted coproduct at any u is then two sums weighted by
+    q^{u/2}, so one space serves every u, every kind and every caller of
+    one sampled point.
+    """
+
+    def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
+        if abs(rep1.q.value - rep2.q.value) > 1e-12 or \
+                abs(rep1.q.log_branch - rep2.q.log_branch) > 1e-12:
+            raise DimensionMismatch("tensor factors must share the deformation parameter")
+        self.parents = (rep1, rep2)
+        self.q = rep1.q
+        self.weights = np.add.outer(rep1.weights, rep2.weights).ravel()
+        self.from_monomial = None
+        if rep1.from_monomial is not None or rep2.from_monomial is not None:
+            d1 = rep1.from_monomial if rep1.from_monomial is not None else np.ones(rep1.dim)
+            d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
+            self.from_monomial = kron(d1, d2)
+        self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
+
+    @classmethod
+    def of_spins(cls, ell1, ell2, q: DeformationParameter,
+                 basis: str = "monomial") -> "ProductSpace":
+        """The space of two finite spins in one single-spin basis."""
+        return cls(build_spin_rep(ell1, q, basis), build_spin_rep(ell2, q, basis))
+
+    def _kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
+        pieces = self._pieces.get(kind)
+        if pieces is None:
+            if kind not in ("delta", "deltabar"):
+                raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
+            rep1, rep2 = self.parents
+            s = 1 if kind == "delta" else -1
+            q2, q1 = rep2.qs(s), rep1.qs(-s)
+            pieces = (kron(rep1.sm, q2), kron(q1, rep2.sm),
+                      kron(rep1.sp, q2), kron(q1, rep2.sp))
+            self._pieces[kind] = pieces
+        return pieces
+
+    def coproduct(self, kind: str = "delta", u: complex = 0.0) -> TwistedCoproduct:
+        """The twisted tensor generators of ``kind`` at spectral parameter u."""
+        sm1, sm2, sp1, sp2 = self._kind_pieces(kind)
+        qu = self.q.pow(u / 2)
+        if kind == "delta":
+            sm = qu * sm1 + sm2 / qu
+            sp = sp1 / qu + qu * sp2
+        else:
+            sm = sm1 / qu + qu * sm2
+            sp = qu * sp1 + sp2 / qu
+        rep1, rep2 = self.parents
+        gens = OperatorTriple(sp=sp, sm=sm, weights=self.weights, q=self.q,
+                              basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
+                              ell=None, from_monomial=self.from_monomial)
+        return TwistedCoproduct(kind=kind, u=complex(u), gens=gens, parents=self.parents)
+
+    def sectors(self, u: complex, kind: str = "delta",
+                abs_tol: float = 1e-10) -> list[EigenSector]:
+        """All eigen-sectors at u; see :func:`lowest_weight_vectors`."""
+        rep1, rep2 = self.parents
+        ell1, ell2 = rep1.ell, rep2.ell
+        if ell1 is None or ell2 is None:
+            raise ParameterDomainError("eigen-sectors need two finite spins")
+        q = self.q
+        d1, d2 = rep1.dim, rep2.dim
+        barred = kind == "deltabar"
+        cop = self.coproduct(kind, u)
+        cop_bar = self.coproduct("delta" if barred else "deltabar", u)
+        dm = self.from_monomial
+
+        sectors = []
+        total = 0
+        for n in range(min(d1, d2)):
+            v = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=barred)
+            vb = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=not barred)
+            if dm is not None:
+                v = dm * v
+                vb = dm * vb
+            for vec, gen in ((v, cop.gens), (vb, cop_bar.gens)):
+                r = np.abs(gen.sm @ vec).max() / max(1.0, np.abs(vec).max())
+                if not r <= abs_tol:
+                    raise CompletenessFailure(
+                        f"lowest-weight condition fails at sector {n} (residual {r:.2e})")
+            limit = d1 + d2 - 2 * n - 1
+            chain = _descend(cop.gens.sp, v, limit, abs_tol)
+            chain_bar = _descend(cop_bar.gens.sp, vb, limit, abs_tol)
+            total += len(chain)
+            sectors.append(EigenSector(n=n, lw_vector=v, descendants=chain,
+                                       barred_lw_vector=vb, barred_descendants=chain_bar))
+        if total != d1 * d2:
+            raise CompletenessFailure(f"sector chains give {total} vectors, expected {d1 * d2}")
+        stack = np.array([vec for s in sectors for vec in s.descendants])
+        if np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())) < d1 * d2:
+            raise CompletenessFailure("sector vectors are numerically rank-deficient")
+        return sectors
+
+
 def coproduct_generators(rep1: OperatorTriple, rep2: OperatorTriple,
                          kind: str = "delta", u: complex = 0.0) -> TwistedCoproduct:
     """Assemble the twisted tensor generators on the d1*d2 product basis."""
-    if abs(rep1.q.value - rep2.q.value) > 1e-12 or \
-            abs(rep1.q.log_branch - rep2.q.log_branch) > 1e-12:
-        raise DimensionMismatch("tensor factors must share the deformation parameter")
-    if kind not in ("delta", "deltabar"):
-        raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
-    q = rep1.q
-    qu = q.pow(u / 2)
-    if kind == "delta":
-        sm = qu * kron(rep1.sm, rep2.qs(1)) + kron(rep1.qs(-1), rep2.sm) / qu
-        sp = kron(rep1.sp, rep2.qs(1)) / qu + qu * kron(rep1.qs(-1), rep2.sp)
-    else:
-        sm = kron(rep1.sm, rep2.qs(-1)) / qu + qu * kron(rep1.qs(1), rep2.sm)
-        sp = qu * kron(rep1.sp, rep2.qs(-1)) + kron(rep1.qs(1), rep2.sp) / qu
-    weights = np.add.outer(rep1.weights, rep2.weights).ravel()
-    dm = None
-    if rep1.from_monomial is not None or rep2.from_monomial is not None:
-        d1 = rep1.from_monomial if rep1.from_monomial is not None else np.ones(rep1.dim)
-        d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
-        dm = kron(d1, d2)
-    gens = OperatorTriple(sp=sp, sm=sm, weights=weights, q=q,
-                          basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
-                          ell=None, from_monomial=dm)
-    return TwistedCoproduct(kind=kind, u=complex(u), gens=gens, parents=(rep1, rep2))
+    return ProductSpace(rep1, rep2).coproduct(kind, u)
 
 
 def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter,
@@ -128,40 +207,7 @@ def lowest_weight_vectors(ell1, ell2, u: complex, q: DeformationParameter,
     until the chain terminates.  Completeness of the collected family is
     verified against the full dimension d1*d2.
     """
-    rep1 = build_spin_rep(ell1, q, basis)
-    rep2 = build_spin_rep(ell2, q, basis)
-    d1, d2 = rep1.dim, rep2.dim
-    cop = coproduct_generators(rep1, rep2, "delta", u)
-    cop_bar = coproduct_generators(rep1, rep2, "deltabar", u)
-    if kind == "deltabar":
-        cop, cop_bar = cop_bar, cop
-    dm = cop.gens.from_monomial
-
-    sectors = []
-    total = 0
-    for n in range(min(d1, d2)):
-        v = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=(kind == "deltabar"))
-        vb = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=(kind != "deltabar"))
-        if dm is not None:
-            v = dm * v
-            vb = dm * vb
-        for vec, gen in ((v, cop.gens), (vb, cop_bar.gens)):
-            r = np.abs(gen.sm @ vec).max() / max(1.0, np.abs(vec).max())
-            if r > abs_tol:
-                raise CompletenessFailure(
-                    f"lowest-weight condition fails at sector {n} (residual {r:.2e})")
-        limit = d1 + d2 - 2 * n - 1
-        chain = _descend(cop.gens.sp, v, limit, abs_tol)
-        chain_bar = _descend(cop_bar.gens.sp, vb, limit, abs_tol)
-        total += len(chain)
-        sectors.append(EigenSector(n=n, lw_vector=v, descendants=chain,
-                                   barred_lw_vector=vb, barred_descendants=chain_bar))
-    if total != d1 * d2:
-        raise CompletenessFailure(f"sector chains give {total} vectors, expected {d1 * d2}")
-    stack = np.array([vec for s in sectors for vec in s.descendants])
-    if np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())) < d1 * d2:
-        raise CompletenessFailure("sector vectors are numerically rank-deficient")
-    return sectors
+    return ProductSpace.of_spins(ell1, ell2, q, basis).sectors(u, kind, abs_tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,11 +224,11 @@ class CasimirSpectrumReport:
 
     @property
     def max_residual(self) -> float:
-        return max(s.max_residual for s in self.sectors)
+        return _nan_max(*(s.max_residual for s in self.sectors))
 
     @property
     def max_m_spread(self) -> float:
-        return max(s.m_spread for s in self.sectors)
+        return _nan_max(*(s.m_spread for s in self.sectors))
 
 
 def casimir_matrix(cop: TwistedCoproduct) -> np.ndarray:
@@ -218,9 +264,9 @@ def tensor_casimir(cop: TwistedCoproduct,
         rayleigh = []
         for v in chain:
             nv = np.vdot(v, v).real
-            resid = max(resid, np.abs(c @ v - lam * v).max() / max(1.0, np.abs(v).max()))
+            resid = _nan_max(resid, np.abs(c @ v - lam * v).max() / max(1.0, np.abs(v).max()))
             rayleigh.append(np.vdot(v, c @ v) / nv)
-        spread = max(abs(r - rayleigh[0]) for r in rayleigh)
+        spread = _nan_max(*(abs(r - rayleigh[0]) for r in rayleigh))
         entries.append(SectorEigenvalue(sec.n, complex(lam), float(resid), float(spread)))
     return c, CasimirSpectrumReport(entries)
 

@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from . import cyclic as cy
-from .qcore import (DeformationParameter, ToleranceConfig, phi_product, qnum,
-                    sample_generic_q, sample_params, sample_u)
+from .qcore import (MAX_DRAWS, DeformationParameter, ToleranceConfig, _nan_max,
+                    phi_product, qnum, sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, fundamental_r, fundamental_r_rational
 from .rop import RMatrix, assemble_R, assemble_R_pair, eigenvalue_ratios
-from .errors import PoleAtSector
-from .tensorrep import casimir_matrix, coproduct_generators, kron, tensor_casimir
+from .errors import PoleAtSector, SamplerExhausted
+from .tensorrep import ProductSpace, casimir_matrix, kron, tensor_casimir
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,14 +55,6 @@ class ResidualReport:
 def _c2l(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _nan_max(*values: float) -> float:
-    """max() that keeps a NaN: the builtin returns 0.0 for max(0.0, nan)."""
-    for v in values:
-        if math.isnan(v):
-            return v
-    return max(values)
 
 
 def residual(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> float:
@@ -158,17 +150,23 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
 # ---------------------------------------------------------------------------
 # decomposed relations for an assembled R
 
-def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, float]:
-    """Residuals of the eight relations an intertwining R must satisfy."""
+def decomposed_residuals(rm: RMatrix, basis: str | None = None, *,
+                         space: ProductSpace | None = None) -> dict[str, float]:
+    """Residuals of the eight relations an intertwining R must satisfy.
+
+    ``space`` is the :class:`ProductSpace` of R's spins in ``basis`` (R's
+    own basis by default), when the caller already has it; it is built
+    here otherwise.
+    """
     q = rm.q
     u = rm.u
-    basis = basis or rm.basis_tag
-    rep1 = build_spin_rep(rm.ell1, q, basis)
-    rep2 = build_spin_rep(rm.ell2, q, basis)
-    cop_u = coproduct_generators(rep1, rep2, "delta", u)
-    cop_mu = coproduct_generators(rep1, rep2, "delta", -u)
-    bar_u = coproduct_generators(rep1, rep2, "deltabar", u)
-    bar_mu = coproduct_generators(rep1, rep2, "deltabar", -u)
+    if space is None:
+        space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, basis or rm.basis_tag)
+    rep1, rep2 = space.parents
+    cop_u = space.coproduct("delta", u)
+    cop_mu = space.coproduct("delta", -u)
+    bar_u = space.coproduct("deltabar", u)
+    bar_mu = space.coproduct("deltabar", -u)
     r = rm.matrix
     out = {}
     qs = cop_u.gens.qs(1)
@@ -210,12 +208,13 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
     samples = []
     for _ in range(cfg.sample_count):
         q, u = _regular_point(ell1, ell2, rng)
-        rm = assemble_R(ell1, ell2, u, q, basis=basis)
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+        rm = assemble_R(ell1, ell2, u, q, basis=basis, space=space)
         if perturb:
             m = rm.matrix.copy()
             m[0, 1] += perturb
             rm = dataclasses.replace(rm, matrix=m)
-        for name, val in decomposed_residuals(rm).items():
+        for name, val in decomposed_residuals(rm, space=space).items():
             worst[name] = _nan_max(worst.get(name, 0.0), val)
         samples.append({"q": _c2l(q.value), "u": _c2l(u)})
     pair = f"({ell1},{ell2})"
@@ -227,12 +226,13 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05):
     """A sampled (q, u) with all eigenvalue denominators away from poles."""
     nmax = int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
     big_l = ell1 + ell2 + 1
-    while True:
+    for _ in range(MAX_DRAWS):
         q = sample_generic_q(rng)
         u = sample_u(rng)
         gaps = [abs(qnum(big_l - n + s * u, q)) for n in range(1, nmax + 1) for s in (1, -1)]
         if not gaps or min(gaps) > min_gap:
             return q, u
+    raise SamplerExhausted(f"regular (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
@@ -248,9 +248,14 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
     for _ in range(cfg.sample_count):
         if mode == "xxx":
             q = None
-            u = sample_u(rng)
-            while min(abs(big_l - n + s * u) for n in range(1, nmax + 1) for s in (1, -1)) < 0.05:
+            for _ in range(MAX_DRAWS):
                 u = sample_u(rng)
+                if min(abs(big_l - n + s * u)
+                       for n in range(1, nmax + 1) for s in (1, -1)) >= 0.05:
+                    break
+            else:
+                raise SamplerExhausted(f"regular rational u for spins ({ell1}, {ell2})",
+                                       MAX_DRAWS)
         else:
             q, u = _regular_point(ell1, ell2, rng)
         r_u, r_mu = assemble_R_pair(ell1, ell2, u, q, mode=mode)
@@ -273,7 +278,7 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
     rng = cfg.rng()
     samples, worst = [], 0.0
     for i in range(cfg.sample_count):
-        while True:
+        for _ in range(MAX_DRAWS):
             q = sample_generic_q(rng, on_circle=(i % 2 == 0))
             u = sample_u(rng)
             try:
@@ -282,6 +287,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
                 break
             except PoleAtSector:
                 continue
+        else:
+            raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
         worst = _nan_max(worst, float(np.abs(base - shifted).max()
                                       / max(1.0, np.abs(base).max())))
         samples.append({"q": _c2l(q.value), "u": _c2l(u),
@@ -300,10 +307,8 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
     samples, worst = [], 0.0
     for _ in range(cfg.sample_count):
         q, u = _regular_point(ell1, ell2, rng)
-        rep1 = build_spin_rep(ell1, q, basis)
-        rep2 = build_spin_rep(ell2, q, basis)
-        cop = coproduct_generators(rep1, rep2, "delta", u)
-        _, report = tensor_casimir(cop)
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+        _, report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
         worst = _nan_max(worst, report.max_residual, report.max_m_spread)
         samples.append({"q": _c2l(q.value), "u": _c2l(u)})
     return ResidualReport(f"casimir_spectrum({ell1},{ell2})", tuple(samples), worst,

@@ -76,6 +76,13 @@ def test_rep_even_order_rejected(tmp_path, capsys):
     assert "N must be odd" in capsys.readouterr().err
 
 
+def test_rep_order_below_three_rejected(tmp_path, capsys):
+    # N = 1 used to reach q = 1 and exit 1 on a DegenerateDenominator
+    code = main(["rep", "--cyclic", "--N", "1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "at least 3" in capsys.readouterr().err
+
+
 def test_rep_missing_arguments(tmp_path):
     assert main(["rep", "--out", str(tmp_path / "x")]) == 2
 
@@ -138,6 +145,11 @@ def test_verify_all_passes():
 def test_verify_even_order_rejected(capsys):
     assert main(["verify", "cyclic", "--N", "4"]) == 2
     assert "N must be odd" in capsys.readouterr().err
+
+
+def test_verify_order_below_three_rejected(capsys):
+    assert main(["verify", "cyclic", "--N", "1"]) == 2
+    assert "at least 3" in capsys.readouterr().err
 
 
 def test_verify_seed_env_default(tmp_path, monkeypatch):

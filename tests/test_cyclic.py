@@ -6,9 +6,12 @@ from qybe import (CyclicRepSpec, build_cyclic_rep, central_elements,
                   family_closure_defect, family_ratio, partial_R, qnum,
                   sample_compatible_params, shift_prefactor,
                   tensor_power_scalars, weight_degeneracy, weyl_generators)
-from qybe.errors import (InconsistentConstraints, OrderMismatch,
-                         ParameterDomainError, ShiftLawViolation, WrongMode)
-from qybe.qcore import DeformationParameter, sample_params, sample_u
+from qybe import cyclic
+from qybe.cyclic import TensorPowerReport
+from qybe.errors import (InconsistentConstraints, NotScalar, OrderMismatch,
+                         ParameterDomainError, SamplerExhausted, ShiftLawViolation,
+                         WrongMode)
+from qybe.qcore import MAX_DRAWS, DeformationParameter, sample_params, sample_u
 
 
 def _random_spec(n, rng, scale=0.5):
@@ -258,3 +261,50 @@ def test_partial_r_inconsistent_constraints(rng):
     assert abs(family_ratio(s1, s2, u) - family_ratio(s1, s2, u, barred=True)) < 1e-12
     with pytest.raises(InconsistentConstraints):
         partial_R(s1, s2, u)
+
+
+def test_sample_compatible_params_gives_up_at_order_one(rng):
+    # at N = 1 every integer choice makes the two families coincide
+    with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws") as info:
+        sample_compatible_params(1, rng)
+    assert info.value.draws == MAX_DRAWS
+
+
+def test_partial_r_shares_one_space_across_u(rng, monkeypatch):
+    s1, s2, u = sample_compatible_params(5, rng)
+    ref = partial_R(s1, s2, u)
+    built = []
+    real = cyclic.build_cyclic_rep
+    monkeypatch.setattr(cyclic, "build_cyclic_rep", lambda spec: built.append(spec) or real(spec))
+    assert np.array_equal(partial_R(s1, s2, u).matrix, ref.matrix)
+    assert built == [s1, s2]
+
+
+def test_tensor_power_report_fold_keeps_nan():
+    report = TensorPowerReport(scalars={}, offscalar_residuals={"a": 0.0, "b": float("nan")},
+                               closed_form_errors={})
+    assert np.isnan(report.max_offscalar_residual)
+
+
+def _nan_second_scalar_part(monkeypatch):
+    """Make the second off-scalar residual NaN; the others stay 0."""
+    calls = []
+
+    def fake(m):
+        calls.append(m)
+        return 0j, float("nan") if len(calls) == 2 else 0.0
+
+    monkeypatch.setattr(cyclic, "_scalar_part", fake)
+
+
+def test_central_elements_fails_on_nan_residual(rng, monkeypatch):
+    _nan_second_scalar_part(monkeypatch)
+    with pytest.raises(NotScalar):
+        central_elements(_random_spec(3, rng), tol=1.0)
+
+
+def test_tensor_power_scalars_fails_on_nan_residual(rng, monkeypatch):
+    s1, s2 = _random_spec(3, rng), _random_spec(3, rng)
+    _nan_second_scalar_part(monkeypatch)
+    with pytest.raises(NotScalar, match="sp_u"):
+        tensor_power_scalars(s1, s2, 0.3, tol=1.0)

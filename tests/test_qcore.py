@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,50 @@ def test_branch_consistency_invariant(q_generic):
     assert abs(np.exp(q_generic.log_branch) - q_generic.value) < 1e-12
     with pytest.raises(ParameterDomainError):
         DeformationParameter(value=2.0, mode="generic", log_branch=1j)
+
+
+def _pow_params():
+    generic = DeformationParameter.generic(np.exp(0.17 + 0.59j))
+    return (generic, generic.with_branch_shift(1), generic.with_branch_shift(-2),
+            generic.inverse(), DeformationParameter.generic(2.0),
+            DeformationParameter.root_of_unity(5),
+            DeformationParameter.root_of_unity(7).with_branch_shift(1))
+
+
+def test_scalar_pow_and_qnum_are_bit_identical_to_numpy():
+    rng = np.random.default_rng(11)
+    zs = [0, 1, -3, 7, 0.5, -2.25, 1e-300, 0.3 - 0.2j, -1.5 + 2j, complex(0, -0.0),
+          np.float64(0.7), np.complex128(-0.4 + 0.9j)]
+    zs += [complex(a, b) for a, b in rng.normal(0, 4, (500, 2))]
+    zs += [float(a) for a in rng.normal(0, 4, 200)]
+    for q in _pow_params():
+        lb = q.log_branch
+        den = q.value - 1 / q.value
+        for z in zs:
+            got = q.pow(z)
+            assert type(got) is np.complex128
+            assert got.tobytes() == np.exp(z * lb).tobytes()
+            ref = (np.exp(z * lb) - np.exp(-z * lb)) / den
+            assert qnum(z, q).tobytes() == ref.tobytes()
+
+
+def test_scalar_pow_overflow_falls_back_to_numpy():
+    q = DeformationParameter.generic(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in (1e5, -1e5 + 3j, 1e308):
+            assert q.pow(z).tobytes() == np.exp(z * q.log_branch).tobytes()
+
+
+@pytest.mark.parametrize("value,log_branch", [
+    (float("nan"), None), (float("inf"), None), (complex(1, float("nan")), None),
+    (complex(float("-inf"), 1), None), (0.5, complex("nan")), (0.5, complex("inf"))])
+def test_nonfinite_q_rejected(value, log_branch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="finite"):
+            DeformationParameter.generic(value, log_branch=log_branch)
+
+
+def test_nonfinite_q_rejected_on_direct_construction():
+    with pytest.raises(ParameterDomainError, match="finite"):
+        DeformationParameter(value=complex("nan"), mode="generic")

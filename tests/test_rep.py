@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qybe import (build_lax, build_spin_rep, casimir, fundamental_r, qnum,
-                  weight_reversed)
+from qybe import (OperatorTriple, build_lax, build_spin_rep, casimir, fundamental_r,
+                  qnum, weight_reversed)
 from qybe.errors import BadSpin
 from qybe.qcore import sample_generic_q, sample_u
 
@@ -154,3 +154,19 @@ def test_generic_spin_truncation(q_generic):
     defect[4, 4] = 0
     assert np.abs(defect).max() < 1e-10
     assert rep.algebra_residual() > 1e-3    # caveat is visible, not hidden
+
+
+class _NanConjugation(OperatorTriple):
+    """q^{S} is NaN, so only the two conjugation relations go NaN and the
+    commutator relation, checked first, stays finite."""
+
+    def qs(self, a):
+        m = super().qs(a)
+        return m * np.nan if a == 1 else m
+
+
+def test_algebra_residual_keeps_nan_after_finite_relation(q_generic):
+    rep = build_spin_rep(1.0, q_generic)
+    bad = _NanConjugation(sp=rep.sp, sm=rep.sm, weights=rep.weights, q=rep.q)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(bad.algebra_residual())

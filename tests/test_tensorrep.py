@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qybe import (build_spin_rep, coproduct_generators, lowest_weight_coeffs,
-                  lowest_weight_vectors, qnum, tensor_casimir, weight_reversed)
-from qybe.errors import DimensionMismatch
-from qybe.qcore import sample_generic_q, sample_u
-from qybe.tensorrep import kron
+from qybe import (CyclicRepSpec, build_cyclic_rep, build_spin_rep, coproduct_generators,
+                  lowest_weight_coeffs, lowest_weight_vectors, qnum, tensor_casimir,
+                  weight_reversed)
+from qybe.errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
+from qybe.qcore import sample_generic_q, sample_params, sample_u
+from qybe.tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace,
+                            SectorEigenvalue, kron)
 
 
 def _pair(ell1, ell2, q, basis="monomial"):
@@ -324,3 +328,111 @@ def test_kron_matches_numpy_bit_for_bit(d, rng):
         diag = np.diag(_cplx(rng, e))
         for a_, b_ in ((a, np.eye(e)), (np.eye(e), a), (a, diag), (diag, a)):
             assert _same_bits(kron(a_, b_), np.kron(a_, b_))
+
+
+def _four_kron_coproduct(rep1, rep2, kind, u):
+    """Reference: the twisted generators as four Kronecker products per call."""
+    qu = rep1.q.pow(u / 2)
+    if kind == "delta":
+        sm = qu * kron(rep1.sm, rep2.qs(1)) + kron(rep1.qs(-1), rep2.sm) / qu
+        sp = kron(rep1.sp, rep2.qs(1)) / qu + qu * kron(rep1.qs(-1), rep2.sp)
+    else:
+        sm = kron(rep1.sm, rep2.qs(-1)) / qu + qu * kron(rep1.qs(1), rep2.sm)
+        sp = qu * kron(rep1.sp, rep2.qs(-1)) + kron(rep1.qs(1), rep2.sp) / qu
+    return sm, sp
+
+
+def _assert_space_matches_reference(space, rep1, rep2, us):
+    weights = np.add.outer(rep1.weights, rep2.weights).ravel()
+    # both kinds interleaved over several u, so cached pieces of one kind
+    # or one u can never leak into another
+    for u in us:
+        for kind in ("deltabar", "delta"):
+            cop = space.coproduct(kind, u)
+            sm, sp = _four_kron_coproduct(rep1, rep2, kind, u)
+            assert np.array_equal(cop.gens.sm, sm)
+            assert np.array_equal(cop.gens.sp, sp)
+            assert np.array_equal(cop.gens.weights, weights)
+            assert cop.kind == kind and cop.u == complex(u)
+            assert cop.parents == (rep1, rep2)
+
+
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+def test_product_space_coproduct_matches_four_kron_reference(basis, rng):
+    for ell1 in SPINS:
+        for ell2 in SPINS:
+            q = sample_generic_q(rng)
+            u = sample_u(rng)
+            r1, r2 = _pair(ell1, ell2, q, basis)
+            space = ProductSpace(r1, r2)
+            _assert_space_matches_reference(space, r1, r2, (u, -u, 0.0))
+            if basis == "orthonormal":
+                assert np.array_equal(space.from_monomial,
+                                      kron(r1.from_monomial, r2.from_monomial))
+            else:
+                assert space.from_monomial is None
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_product_space_coproduct_matches_reference_on_cyclic_reps(n, rng):
+    for _ in range(3):
+        r1 = build_cyclic_rep(CyclicRepSpec(*sample_params(rng, 3), n))
+        r2 = build_cyclic_rep(CyclicRepSpec(*sample_params(rng, 3), n))
+        u = sample_u(rng)
+        _assert_space_matches_reference(ProductSpace(r1, r2), r1, r2, (u, -u))
+
+
+def test_product_space_sectors_match_lowest_weight_vectors(rng):
+    for ell1, ell2 in ((0.5, 1.0), (1.0, 1.5), (2.0, 2.0)):
+        q = sample_generic_q(rng)
+        u = sample_u(rng)
+        space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
+        for uu in (u, -u):
+            for kind in ("delta", "deltabar"):
+                ref = lowest_weight_vectors(ell1, ell2, uu, q, kind=kind, basis="orthonormal")
+                got = space.sectors(uu, kind)
+                assert [s.n for s in got] == [s.n for s in ref]
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a.descendants, b.descendants)
+                    assert np.array_equal(a.barred_descendants, b.barred_descendants)
+
+
+def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
+    space = ProductSpace.of_spins(0.5, 0.5, q_generic)
+    with pytest.raises(ParameterDomainError):
+        space.coproduct("twisted", 0.3)
+    # an unknown kind used to be served as "delta"
+    with pytest.raises(ParameterDomainError):
+        space.sectors(0.3, "twisted")
+    r = build_cyclic_rep(CyclicRepSpec(*sample_params(rng, 3), 3))
+    with pytest.raises(ParameterDomainError):
+        ProductSpace(r, r).sectors(0.3)
+
+
+def test_lowest_weight_condition_fails_on_nan(q_generic):
+    # a NaN residual used to pass the r > tol guard
+    with pytest.raises(CompletenessFailure, match="sector 0"), np.errstate(invalid="ignore"):
+        lowest_weight_vectors(0.5, 0.5, complex("nan"), q_generic)
+
+
+def test_casimir_report_folds_keep_nan():
+    nan = float("nan")
+    report = CasimirSpectrumReport([SectorEigenvalue(0, 0j, 0.0, 0.0),
+                                    SectorEigenvalue(1, 0j, nan, nan)])
+    assert np.isnan(report.max_residual)
+    assert np.isnan(report.max_m_spread)
+
+
+def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng):
+    u = sample_u(rng)
+    cop = coproduct_generators(*_pair(0.5, 0.5, q_generic), "delta", u)
+    sec = lowest_weight_vectors(0.5, 0.5, u, q_generic)[0]
+    bad = dataclasses.replace(sec, descendants=[sec.lw_vector,
+                                                np.full_like(sec.lw_vector, np.nan)])
+    with np.errstate(invalid="ignore"):
+        _, report = tensor_casimir(cop, [bad])
+    assert np.isnan(report.max_residual)
+    assert np.isnan(report.max_m_spread)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from qybe import (CyclicRepSpec, ToleranceConfig, build_cyclic_rep, build_lax,
+from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, closed_form_R, fundamental_r)
-from qybe.qcore import sample_generic_q, sample_u
-from qybe.verify import (ResidualReport, _embed_lax, check_branch_independence,
+from qybe import verify
+from qybe.errors import PoleAtSector, SamplerExhausted
+from qybe.qcore import MAX_DRAWS, sample_generic_q, sample_u
+from qybe.tensorrep import ProductSpace
+from qybe.verify import (ResidualReport, _embed_lax, _regular_point,
+                         check_branch_independence,
                          check_casimir_spectrum, check_cyclic_centrality,
                          check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity,
@@ -191,3 +195,35 @@ def test_perturbation_fails_suites():
 def test_residual_normalization():
     a = np.array([[1e6, 0.0], [0.0, 1e6]])
     assert residual(a, a * (1 + 1e-12), a) < 1e-10
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)])
+def test_shared_space_path_matches_separate_builds(pair):
+    rng = np.random.default_rng(5)
+    for basis in ("orthonormal", "monomial"):
+        q, u = _regular_point(*pair, rng)
+        space = ProductSpace.of_spins(*pair, q, basis)
+        rm = assemble_R(*pair, u, q, basis=basis, space=space)
+        assert np.array_equal(rm.matrix, assemble_R(*pair, u, q, basis=basis).matrix)
+        assert decomposed_residuals(rm) == decomposed_residuals(rm, space=space)
+
+
+def test_regular_point_gives_up_after_max_draws():
+    with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
+        _regular_point(0.5, 0.5, np.random.default_rng(0), min_gap=1e9)
+
+
+def test_branch_independence_gives_up_after_max_draws(monkeypatch):
+    def always_pole(*args, **kwargs):
+        raise PoleAtSector(1)
+
+    monkeypatch.setattr(verify, "eigenvalue_ratios", always_pole)
+    with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
+        check_branch_independence(0.5, 1.0, FAST)
+
+
+def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
+    # u = 1 sits on the pole of the (1/2, 1/2) rational eigenvalues
+    monkeypatch.setattr(verify, "sample_u", lambda rng: 1 + 0j)
+    with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
+        check_unitarity(0.5, 0.5, FAST, mode="xxx")
