@@ -4,7 +4,7 @@ and numerical verification of the identities they satisfy."""
 __version__ = "0.1.0"
 
 from .qcore import (DeformationParameter, PhiProduct, ToleranceConfig,
-                    phi_product, qnum, qpow)
+                    phi_product, qnum)
 from .rep import (CasimirReport, OperatorTriple, build_lax, build_spin_rep,
                   casimir, fundamental_r, fundamental_r_rational)
 from .tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace, TwistedCoproduct,
@@ -22,7 +22,7 @@ from .verify import ResidualReport
 from . import errors
 
 __all__ = [
-    "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum", "qpow",
+    "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
     "CasimirReport", "OperatorTriple", "build_lax", "build_spin_rep", "casimir",
     "fundamental_r", "fundamental_r_rational",
     "CasimirSpectrumReport", "EigenSector", "ProductSpace", "TwistedCoproduct",

@@ -118,7 +118,7 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
     aq, rq = _scalar_part(rep.qs(n))
     worst = _nan_max(rp, rm, rq)
     if not worst <= tol:
-        raise NotScalar(f"extended-center candidate has off-scalar residual {worst:.3e}")
+        raise NotScalar(worst, f"extended-center candidate has off-scalar residual {worst:.3e}")
     am_route = -spec.q.pow(-n * spec.lam / 2) * phi_product(spec.beta, spec.q).product
     return CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
                            max_offscalar_residual=worst,
@@ -179,7 +179,7 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         scalars[name] = s
         resids[name] = r
         if not r <= tol:
-            raise NotScalar(f"(S^N) off-scalar residual {r:.3e} for {name}")
+            raise NotScalar(r, f"(S^N) off-scalar residual {r:.3e} for {name}")
         if name in closed:
             errors[name] = abs(s - closed[name]) / max(1.0, abs(closed[name]))
     return TensorPowerReport(scalars=scalars, offscalar_residuals=resids,

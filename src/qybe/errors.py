@@ -56,6 +56,10 @@ class UnsupportedPair(QybeError):
 class NotScalar(QybeError):
     """A matrix that must be a multiple of the identity is not."""
 
+    def __init__(self, residual: float, message: str):
+        self.residual = residual
+        super().__init__(message)
+
 
 class OrderMismatch(QybeError):
     """Cyclic tensor factors must share the same root-of-unity order."""

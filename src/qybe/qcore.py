@@ -132,11 +132,6 @@ class DeformationParameter:
                                     log_branch=self.log_branch + 2j * np.pi * k)
 
 
-def qpow(q: DeformationParameter, z) -> complex:
-    """q^z through the parameter's fixed logarithm branch."""
-    return q.pow(z)
-
-
 def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
     """The q-number [n] = (q^n - q^{-n}) / (q - 1/q); n may be an array."""
     den = q.value - 1 / q.value

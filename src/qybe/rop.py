@@ -41,10 +41,14 @@ def _bracket(x, q: DeformationParameter | None):
     return x if q is None else qnum(x, q)
 
 
+def _top_sector(ell1, ell2) -> int:
+    """The last sector index, 2 min(l1, l2)."""
+    return int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
+
+
 def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-                        mode: str = "xxz", nmax: int | None = None,
-                        r0: complex = 1.0) -> REigenvalues:
-    """R_n for n = 0..nmax by the two-term recurrence and by the product form.
+                        mode: str = "xxz", r0: complex = 1.0) -> REigenvalues:
+    """R_n for every sector n by the two-term recurrence and by the product form.
 
     mode "xxz" needs q; mode "xxx" uses undeformed numbers.  Raises
     :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
@@ -55,13 +59,11 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None =
         q = None
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
-    if nmax is None:
-        nmax = int(round(2 * min(np.real(ell1), np.real(ell2))))
     big_l = ell1 + ell2 + 1
     vals = [complex(r0)]
     num_prod, den_prod = 1.0 + 0j, 1.0 + 0j
     prods = [complex(r0)]
-    for n in range(1, nmax + 1):
+    for n in range(1, _top_sector(ell1, ell2) + 1):
         den = _bracket(big_l - n + u, q)
         if abs(den) < POLE_TOL:
             raise PoleAtSector(n)
@@ -75,20 +77,18 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None =
 
 
 def eigenvalue_ratios(ell1, ell2, u: complex, q: DeformationParameter,
-                      nmax: int | None = None, branch_shift: int = 0) -> np.ndarray:
+                      branch_shift: int = 0) -> np.ndarray:
     """R_n / R_0 with the spectral power z = q^u frozen on the unshifted branch.
 
     Only the spin-related powers of q move with ``branch_shift``; this is
     the single-valuedness probe in log q at fixed spectral variable.
     """
-    if nmax is None:
-        nmax = int(round(2 * min(np.real(ell1), np.real(ell2))))
     z = q.pow(u)
     lq = q.log_branch + 2j * np.pi * branch_shift
     big_l = ell1 + ell2 + 1
     out = [1.0 + 0j]
     cur = 1.0 + 0j
-    for n in range(1, nmax + 1):
+    for n in range(1, _top_sector(ell1, ell2) + 1):
         num = np.exp((big_l - n) * lq) / z - np.exp(-(big_l - n) * lq) * z
         den = np.exp((big_l - n) * lq) * z - np.exp(-(big_l - n) * lq) / z
         if abs(den) < POLE_TOL:

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, DeformationParameter, ToleranceConfig, _nan_max,
-                    phi_product, qnum, sample_generic_q, sample_params, sample_u)
+                    phi_product, sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, fundamental_r, fundamental_r_rational
-from .rop import RMatrix, assemble_R, assemble_R_pair, eigenvalue_ratios
-from .errors import PoleAtSector, SamplerExhausted
+from .rop import RMatrix, _bracket, _top_sector, assemble_R, assemble_R_pair, eigenvalue_ratios
+from .errors import NotScalar, ParameterDomainError, PoleAtSector, SamplerExhausted
 from .tensorrep import ProductSpace, casimir_matrix, kron, tensor_casimir
 
 
@@ -63,6 +63,50 @@ def residual(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max() / scale)
 
 
+def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, one,
+             count: int | None = None):
+    """The sampling loop behind every suite.
+
+    ``one(rng, i)`` draws sample i from the generator seeded by ``cfg`` and
+    returns its JSON record and its residual.  Residuals fold with a
+    NaN-keeping max, so a non-finite one fails the report.  When ``one``
+    returns a dict of named residuals instead, each name gets its own
+    report, with the name put in place of ``{}`` in ``identity_id``, and a
+    list of reports comes back.
+    """
+    count = cfg.sample_count if count is None else count
+    if count < 1:
+        raise ParameterDomainError("a suite needs at least one sample")
+    rng = cfg.rng()
+    samples, worst = [], {}
+    for i in range(count):
+        record, res = one(rng, i)
+        for name, r in (res.items() if isinstance(res, dict) else [(None, res)]):
+            worst[name] = _nan_max(worst.get(name, 0.0), r)
+        samples.append(record)
+    reports = [ResidualReport(identity_id.format(name), tuple(samples), w, tol, cfg.rng_seed)
+               for name, w in worst.items()]
+    return reports if isinstance(res, dict) else reports[0]
+
+
+def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
+    """A sampled (q, u) with all eigenvalue denominators away from poles.
+
+    In the rational mode ("xxx") only u is drawn, q is None and the
+    denominators are plain numbers.
+    """
+    big_l = ell1 + ell2 + 1
+    top = _top_sector(ell1, ell2)
+    for _ in range(MAX_DRAWS):
+        q = None if mode == "xxx" else sample_generic_q(rng)
+        u = sample_u(rng)
+        if all(abs(_bracket(big_l - n + s * u, q)) > min_gap
+               for n in range(1, top + 1) for s in (1, -1)):
+            return q, u
+    what = "regular rational u" if mode == "xxx" else "regular (q, u)"
+    raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -80,14 +124,12 @@ def embed_two_site(r4: np.ndarray, pos: str, dim3: int = 2) -> np.ndarray:
 
 
 def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                          points: list | None = None, perturb: float = 0.0,
-                          tolerance: float | None = None) -> ResidualReport:
+                          points: list | None = None,
+                          perturb: float = 0.0) -> ResidualReport:
     """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v)."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else (1e-12 if mode == "xxx" else cfg.abs_tol)
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for i in range(cfg.sample_count if points is None else len(points)):
+
+    def one(rng, i):
         if points is None:
             q = None if mode == "xxx" else sample_generic_q(rng)
             u, v = sample_u(rng), sample_u(rng)
@@ -104,10 +146,11 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         m23 = embed_two_site(r_of(v), "23")
         lhs = m12 @ m13 @ m23
         rhs = m23 @ m13 @ m12
-        worst = _nan_max(worst, residual(lhs, rhs, m12, m13, m23))
-        samples.append({"q": None if q is None else _c2l(q.value),
-                        "u": _c2l(u), "v": _c2l(v)})
-    return ResidualReport(f"fundamental_ybe[{mode}]", tuple(samples), worst, tol, cfg.rng_seed)
+        return ({"q": None if q is None else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
+                residual(lhs, rhs, m12, m13, m23))
+
+    return _sampled(f"fundamental_ybe[{mode}]", cfg, 1e-12 if mode == "xxx" else cfg.abs_tol,
+                    one, None if points is None else len(points))
 
 
 def _embed_lax(lax: np.ndarray, slot: int, dim: int) -> np.ndarray:
@@ -117,19 +160,15 @@ def _embed_lax(lax: np.ndarray, slot: int, dim: int) -> np.ndarray:
     return np.einsum(spec, lax.reshape(2, dim, 2, dim), np.eye(2)).reshape(4 * dim, 4 * dim)
 
 
-def check_rll(quantum, cfg: ToleranceConfig | None = None,
-              tolerance: float | None = None) -> ResidualReport:
+def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on aux x aux x quantum.
 
     ``quantum`` is either a half-integer spin or a :class:`CyclicRepSpec`.
     """
     cfg = cfg or ToleranceConfig()
-    rng = cfg.rng()
     cyclic_space = isinstance(quantum, cy.CyclicRepSpec)
-    tol = tolerance if tolerance is not None else (1e-9 if cyclic_space else cfg.abs_tol)
-    ident = f"rll[cyclic N={quantum.n}]" if cyclic_space else f"rll[spin {quantum}]"
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         if cyclic_space:
             q = quantum.q
             rep = cy.build_cyclic_rep(quantum)
@@ -142,9 +181,12 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
         r12 = kron(fundamental_r(u - v, q), np.eye(rep.dim))
         lhs = r12 @ l1 @ l2
         rhs = l2 @ l1 @ r12
-        worst = _nan_max(worst, residual(lhs, rhs, r12, l1, l2))
-        samples.append({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)})
-    return ResidualReport(ident, tuple(samples), worst, tol, cfg.rng_seed)
+        return ({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
+                residual(lhs, rhs, r12, l1, l2))
+
+    if cyclic_space:
+        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, 1e-9, one)
+    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, one)
 
 
 # ---------------------------------------------------------------------------
@@ -198,86 +240,48 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None, *,
 
 
 def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
-                         basis: str = "orthonormal", perturb: float = 0.0,
-                         tolerance: float | None = None) -> list[ResidualReport]:
-    """All eight decomposed relations over sampled (q, u) points."""
+                         perturb: float = 0.0) -> list[ResidualReport]:
+    """All eight decomposed relations over sampled (q, u) points, in the
+    orthonormal basis."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
-    worst: dict[str, float] = {}
-    samples = []
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng)
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
-        rm = assemble_R(ell1, ell2, u, q, basis=basis, space=space)
+        space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
+        rm = assemble_R(ell1, ell2, u, q, space=space)
         if perturb:
             m = rm.matrix.copy()
             m[0, 1] += perturb
             rm = dataclasses.replace(rm, matrix=m)
-        for name, val in decomposed_residuals(rm, space=space).items():
-            worst[name] = _nan_max(worst.get(name, 0.0), val)
-        samples.append({"q": _c2l(q.value), "u": _c2l(u)})
-    pair = f"({ell1},{ell2})"
-    return [ResidualReport(f"decomposed[{name}]{pair}", tuple(samples), val, tol, cfg.rng_seed)
-            for name, val in worst.items()]
+        return {"q": _c2l(q.value), "u": _c2l(u)}, decomposed_residuals(rm, space=space)
 
-
-def _regular_point(ell1, ell2, rng, min_gap: float = 0.05):
-    """A sampled (q, u) with all eigenvalue denominators away from poles."""
-    nmax = int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
-    big_l = ell1 + ell2 + 1
-    for _ in range(MAX_DRAWS):
-        q = sample_generic_q(rng)
-        u = sample_u(rng)
-        gaps = [abs(qnum(big_l - n + s * u, q)) for n in range(1, nmax + 1) for s in (1, -1)]
-        if not gaps or min(gaps) > min_gap:
-            return q, u
-    raise SamplerExhausted(f"regular (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
+    return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, one)
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                    basis: str = "orthonormal", perturb: float = 0.0,
-                    tolerance: float | None = None) -> ResidualReport:
+                    perturb: float = 0.0) -> ResidualReport:
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.rel_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    big_l = ell1 + ell2 + 1
-    nmax = int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
-    for _ in range(cfg.sample_count):
-        if mode == "xxx":
-            q = None
-            for _ in range(MAX_DRAWS):
-                u = sample_u(rng)
-                if min(abs(big_l - n + s * u)
-                       for n in range(1, nmax + 1) for s in (1, -1)) >= 0.05:
-                    break
-            else:
-                raise SamplerExhausted(f"regular rational u for spins ({ell1}, {ell2})",
-                                       MAX_DRAWS)
-        else:
-            q, u = _regular_point(ell1, ell2, rng)
+
+    def one(rng, i):
+        q, u = _regular_point(ell1, ell2, rng, mode=mode)
         r_u, r_mu = assemble_R_pair(ell1, ell2, u, q, mode=mode)
         m = r_u.matrix.copy()
         if perturb:
             m[0, 1] += perturb
         prod = m @ r_mu.matrix
-        worst = _nan_max(worst, residual(prod, np.eye(prod.shape[0]), prod))
-        samples.append({"q": None if q is None else _c2l(q.value), "u": _c2l(u)})
-    return ResidualReport(f"unitarity[{mode}]({ell1},{ell2})", tuple(samples), worst,
-                          tol, cfg.rng_seed)
+        return ({"q": None if q is None else _c2l(q.value), "u": _c2l(u)},
+                residual(prod, np.eye(prod.shape[0]), prod))
+
+    return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, one)
 
 
-def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
-                              tolerance: float | None = None) -> ResidualReport:
+def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Eigenvalue ratios are unchanged when log q moves by 2 pi i at fixed
     spectral power q^u (sampled on and off the unit circle)."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for i in range(cfg.sample_count):
+
+    def one(rng, i):
         for _ in range(MAX_DRAWS):
             q = sample_generic_q(rng, on_circle=(i % 2 == 0))
             u = sample_u(rng)
@@ -289,123 +293,114 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
                 continue
         else:
             raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
-        worst = _nan_max(worst, float(np.abs(base - shifted).max()
-                                      / max(1.0, np.abs(base).max())))
-        samples.append({"q": _c2l(q.value), "u": _c2l(u),
-                        "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)})
-    return ResidualReport(f"branch_independence({ell1},{ell2})", tuple(samples), worst,
-                          tol, cfg.rng_seed)
+        return ({"q": _c2l(q.value), "u": _c2l(u),
+                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)},
+                float(np.abs(base - shifted).max() / max(1.0, np.abs(base).max())))
+
+    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, one)
 
 
-def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
-                           basis: str = "orthonormal",
-                           tolerance: float | None = None) -> ResidualReport:
-    """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across chains."""
+def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
+    """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
+    chains, in the orthonormal basis."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng)
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+        space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
         _, report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
-        worst = _nan_max(worst, report.max_residual, report.max_m_spread)
-        samples.append({"q": _c2l(q.value), "u": _c2l(u)})
-    return ResidualReport(f"casimir_spectrum({ell1},{ell2})", tuple(samples), worst,
-                          tol, cfg.rng_seed)
+        return ({"q": _c2l(q.value), "u": _c2l(u)},
+                _nan_max(report.max_residual, report.max_m_spread))
+
+    return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol, one)
 
 
 # ---------------------------------------------------------------------------
 # root-of-unity suites
 
-def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
-                            tolerance: float | None = None) -> ResidualReport:
-    """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps."""
+def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
+    """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
+
+    An off-scalar residual that the guards of :func:`cyclic.central_elements`
+    and :func:`cyclic.tensor_power_scalars` reject (a NaN, or one above 1)
+    is the sample's residual, so it fails the report.
+    """
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         p1 = sample_params(rng, 3)
         p2 = sample_params(rng, 3)
         u = sample_u(rng, scale=0.6)
+        record = {"params1": [_c2l(z) for z in p1],
+                  "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
         s1 = cy.CyclicRepSpec(*p1, n)
         s2 = cy.CyclicRepSpec(*p2, n)
-        ce1 = cy.central_elements(s1, tol=1.0)
-        ce2 = cy.central_elements(s2, tol=1.0)
-        tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0)
-        worst = _nan_max(worst, ce1.max_offscalar_residual, ce2.max_offscalar_residual,
-                         tp.max_offscalar_residual,
-                         abs(ce1.alpha_minus - ce1.alpha_minus_product_route)
-                         / max(1.0, abs(ce1.alpha_minus)),
-                         *tp.closed_form_errors.values())
-        samples.append({"params1": [_c2l(z) for z in p1],
-                        "params2": [_c2l(z) for z in p2], "u": _c2l(u)})
-    return ResidualReport(f"cyclic_centrality[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
+        try:
+            ce1 = cy.central_elements(s1, tol=1.0)
+            ce2 = cy.central_elements(s2, tol=1.0)
+            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0)
+        except NotScalar as exc:
+            return record, exc.residual
+        return record, _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
+                                tp.max_offscalar_residual,
+                                abs(ce1.alpha_minus - ce1.alpha_minus_product_route)
+                                / max(1.0, abs(ce1.alpha_minus)),
+                                *tp.closed_form_errors.values())
+
+    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, one)
 
 
 def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
-                       count: int = 20, tolerance: float | None = None) -> ResidualReport:
+                       count: int = 20) -> ResidualReport:
     """q-number product over a full period equals its two-term closed form."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
     q = DeformationParameter.root_of_unity(n)
-    samples, worst = [], 0.0
-    for _ in range(count):
+
+    def one(rng, i):
         alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
-        worst = _nan_max(worst, phi_product(alpha, q).residual)
-        samples.append({"alpha": _c2l(alpha)})
-    return ResidualReport(f"phi_product[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
+        return {"alpha": _c2l(alpha)}, phi_product(alpha, q).residual
+
+    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, one, count)
 
 
-def check_shift_laws(n: int, cfg: ToleranceConfig | None = None,
-                     tolerance: float | None = None) -> ResidualReport:
+def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """All 4N shift relations at random draws from the admissible parameter set."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.rel_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
-        fam = cy.eigenstate_family(s1, s2, u, tol=tol, enforce=False)
-        worst = _nan_max(worst, *fam.shift_residuals.values())
-        samples.append({"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)})
-    return ResidualReport(f"shift_laws[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
+        fam = cy.eigenstate_family(s1, s2, u, enforce=False)
+        return ({"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)},
+                _nan_max(*fam.shift_residuals.values()))
+
+    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, one)
 
 
-def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None,
-                         tolerance: float | None = None) -> ResidualReport:
+def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Consecutive cyclic eigenvalues have the constant ratio
     q^{2 - u + alpha2 - beta2 - lam1}."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.abs_tol
-    rng = cfg.rng()
     q = DeformationParameter.root_of_unity(n)
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         s1 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
         s2 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
         u = sample_u(rng, scale=0.6)
         vals = cy.cyclic_R_eigenvalues(s1, s2, u)
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
         err = _nan_max(*(abs(vals[m] / vals[m - 1] - step) for m in range(1, n)))
-        err /= max(1.0, abs(step))
-        worst = _nan_max(worst, float(err))
-        samples.append({"u": _c2l(u)})
-    return ResidualReport(f"cyclic_r_ratio[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
+        return {"u": _c2l(u)}, float(err / max(1.0, abs(step)))
+
+    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, one)
 
 
-def check_partial_r(n: int, cfg: ToleranceConfig | None = None,
-                    tolerance: float | None = None) -> ResidualReport:
+def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Partial R reproduces its defining action on every family vector."""
     cfg = cfg or ToleranceConfig()
-    tol = tolerance if tolerance is not None else cfg.rel_tol
-    rng = cfg.rng()
-    samples, worst = [], 0.0
-    for _ in range(cfg.sample_count):
+
+    def one(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
         pr = cy.partial_R(s1, s2, u)
-        worst = _nan_max(worst, pr.max_residual)
-        samples.append({"u": _c2l(u), "span_rank": pr.span_rank})
-    return ResidualReport(f"partial_r[N={n}]", tuple(samples), worst, tol, cfg.rng_seed)
+        return {"u": _c2l(u), "span_rank": pr.span_rank}, pr.max_residual
+
+    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, one)

@@ -6,11 +6,10 @@ import numpy as np
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, closed_form_R,
                   coproduct_generators, build_spin_rep, eigenvalue_sequence,
-                  lowest_weight_vectors, normalize_global, qnum,
-                  cyclic_R_eigenvalues)
+                  lowest_weight_vectors, normalize_global, cyclic_R_eigenvalues)
 from qybe.cli import GOLDEN_PAIRS
 from qybe.qcore import DeformationParameter, sample_generic_q, sample_u, sample_params
-from qybe.verify import (check_casimir_spectrum, check_cyclic_centrality,
+from qybe.verify import (_regular_point, check_casimir_spectrum, check_cyclic_centrality,
                          check_decomposed_ybe, check_fundamental_ybe,
                          check_phi_identity, check_rll, check_shift_laws,
                          check_unitarity)
@@ -25,22 +24,11 @@ def _criterion(num: int, desc: str, worst: float, tol: float):
     assert ok, f"criterion {num} failed: {worst:.3e} >= {tol:g}"
 
 
-def _regular_point(rng, ell1, ell2):
-    big_l = ell1 + ell2 + 1
-    nmax = int(round(2 * min(ell1, ell2)))
-    while True:
-        q = sample_generic_q(rng)
-        u = sample_u(rng)
-        if min(abs(qnum(big_l - n + s * u, q)) for n in range(1, nmax + 1)
-               for s in (1, -1)) > 0.05:
-            return q, u
-
-
 def _golden_deviation(pair, seed=SEED, points=10):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
-        q, u = _regular_point(rng, *pair)
+        q, u = _regular_point(*pair, rng)
         built = assemble_R(*pair, u, q)
         table = closed_form_R(*pair, u, q)
         worst = max(worst, np.abs(normalize_global(built.matrix)
@@ -70,7 +58,7 @@ def test_criterion_4_recurrence_vs_product():
     for ell1, ell2 in pairs:
         done = 0
         while done < 10:
-            q, u = _regular_point(rng, ell1, ell2)
+            q, u = _regular_point(ell1, ell2, rng)
             seqs = [eigenvalue_sequence(ell1, ell2, u, q),
                     eigenvalue_sequence(ell1, ell2, u, mode="xxx")]
             if max(abs(v) for e in seqs for v in e.values) > 50:
@@ -146,7 +134,7 @@ def test_criterion_10_property_suite():
     worst = 0.0
     # q <-> 1/q invariance of the eigenvalues
     for _ in range(5):
-        q, u = _regular_point(rng, 1.0, 1.5)
+        q, u = _regular_point(1.0, 1.5, rng)
         a = eigenvalue_sequence(1.0, 1.5, u, q).values
         b = eigenvalue_sequence(1.0, 1.5, u, q.inverse()).values
         worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
@@ -156,7 +144,7 @@ def test_criterion_10_property_suite():
     worst = max(worst, max(abs(v - (-1.0) ** n) for n, v in enumerate(vals)))
     # product-formula lowest weights against the SVD null-space oracle
     for pair in GOLDEN_PAIRS:
-        q, u = _regular_point(rng, *pair)
+        q, u = _regular_point(*pair, rng)
         r1 = build_spin_rep(pair[0], q)
         r2 = build_spin_rep(pair[1], q)
         sm = coproduct_generators(r1, r2, "delta", u).gens.sm

@@ -299,8 +299,9 @@ def _nan_second_scalar_part(monkeypatch):
 
 def test_central_elements_fails_on_nan_residual(rng, monkeypatch):
     _nan_second_scalar_part(monkeypatch)
-    with pytest.raises(NotScalar):
+    with pytest.raises(NotScalar) as info:
         central_elements(_random_spec(3, rng), tol=1.0)
+    assert np.isnan(info.value.residual)
 
 
 def test_tensor_power_scalars_fails_on_nan_residual(rng, monkeypatch):

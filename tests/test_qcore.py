@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qybe import DeformationParameter, PhiProduct, ToleranceConfig, phi_product, qnum, qpow
+from qybe import DeformationParameter, PhiProduct, ToleranceConfig, phi_product, qnum
 from qybe.errors import DegenerateDenominator, ParameterDomainError, WrongMode
 from qybe.qcore import sample_generic_q
 
@@ -46,16 +46,16 @@ def test_qnum_q_inverse_symmetry(rng, q_generic):
 
 
 def test_qpow_basics(q_generic):
-    assert qpow(q_generic, 0) == pytest.approx(1.0)
-    assert qpow(q_generic, 1) == pytest.approx(q_generic.value)
-    assert qpow(q_generic, 0.5) ** 2 == pytest.approx(q_generic.value, abs=1e-10)
+    assert q_generic.pow(0) == pytest.approx(1.0)
+    assert q_generic.pow(1) == pytest.approx(q_generic.value)
+    assert q_generic.pow(0.5) ** 2 == pytest.approx(q_generic.value, abs=1e-10)
 
 
 def test_qpow_uses_fixed_branch(q_generic):
     shifted = q_generic.with_branch_shift(1)
     assert shifted.value == pytest.approx(q_generic.value)
     # half-integer powers flip sign across the branch shift
-    assert qpow(shifted, 0.5) == pytest.approx(-qpow(q_generic, 0.5))
+    assert shifted.pow(0.5) == pytest.approx(-q_generic.pow(0.5))
 
 
 def test_degenerate_denominator():

@@ -11,17 +11,6 @@ from qybe.verify import _regular_point
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
 
 
-def _regular(rng, ell1, ell2, nmax=None):
-    big_l = ell1 + ell2 + 1
-    nmax = nmax or int(round(2 * min(ell1, ell2)))
-    while True:
-        q = sample_generic_q(rng)
-        u = sample_u(rng)
-        if min(abs(qnum(big_l - n + s * u, q)) for n in range(1, nmax + 1)
-               for s in (1, -1)) > 0.05:
-            return q, u
-
-
 def test_first_ratio_spin_half_pair(q_generic, rng):
     u = sample_u(rng)
     eig = eigenvalue_sequence(0.5, 0.5, u, q_generic)
@@ -57,7 +46,7 @@ def test_recurrence_matches_product(pair, mode, rng):
     ell1, ell2 = pair
     done = 0
     while done < 10:
-        q, u = _regular(rng, ell1, ell2)
+        q, u = _regular_point(ell1, ell2, rng)
         eig = eigenvalue_sequence(ell1, ell2, u if mode == "xxz" else complex(u),
                                   q if mode == "xxz" else None, mode=mode)
         if max(abs(v) for v in eig.values) > 50:    # too close to a pole
@@ -85,7 +74,7 @@ def test_q_inverse_invariance(rng):
 
 
 def test_eigenvalue_ratios_consistent_with_sequence(rng):
-    q, u = _regular(rng, 1.0, 1.0)
+    q, u = _regular_point(1.0, 1.0, rng)
     seq = eigenvalue_sequence(1.0, 1.0, u, q)
     ratios = eigenvalue_ratios(1.0, 1.0, u, q)
     assert np.allclose(ratios, seq.ratios, atol=1e-12)
@@ -95,7 +84,7 @@ def test_eigenvalue_ratios_consistent_with_sequence(rng):
 def test_assembled_matches_closed_form(pair, rng):
     ell1, ell2 = pair
     for _ in range(10):
-        q, u = _regular(rng, ell1, ell2)
+        q, u = _regular_point(ell1, ell2, rng)
         built = assemble_R(ell1, ell2, u, q)
         table = closed_form_R(ell1, ell2, u, q)
         diff = np.abs(normalize_global(built.matrix) - normalize_global(table.matrix)).max()
@@ -121,7 +110,7 @@ def test_skew_action_both_directions(pair, rng):
     """Assembly imposes only phi(u) -> phibar(-u); the barred direction is an
     independent consequence."""
     ell1, ell2 = pair
-    q, u = _regular(rng, ell1, ell2)
+    q, u = _regular_point(ell1, ell2, rng)
     built = assemble_R(ell1, ell2, u, q, basis="monomial")
     eig = eigenvalue_sequence(ell1, ell2, u, q)
     sec_u = lowest_weight_vectors(ell1, ell2, u, q)
@@ -137,7 +126,7 @@ def test_skew_action_both_directions(pair, rng):
 
 
 def test_unitarity_quick(rng):
-    q, u = _regular(rng, 1.0, 1.0)
+    q, u = _regular_point(1.0, 1.0, rng)
     r_u = assemble_R(1.0, 1.0, u, q).matrix
     r_mu = assemble_R(1.0, 1.0, -u, q).matrix
     assert np.abs(r_u @ r_mu - np.eye(9)).max() < 1e-9

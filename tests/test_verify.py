@@ -3,8 +3,9 @@ import pytest
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, closed_form_R, fundamental_r)
-from qybe import verify
-from qybe.errors import PoleAtSector, SamplerExhausted
+from qybe import cyclic, verify
+from qybe.cli import main
+from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
 from qybe.qcore import MAX_DRAWS, sample_generic_q, sample_u
 from qybe.tensorrep import ProductSpace
 from qybe.verify import (ResidualReport, _embed_lax, _regular_point,
@@ -227,3 +228,65 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
     monkeypatch.setattr(verify, "sample_u", lambda rng: 1 + 0j)
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
         check_unitarity(0.5, 0.5, FAST, mode="xxx")
+
+
+SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
+SUITES = {
+    "fundamental_ybe[xxz]": lambda cfg: check_fundamental_ybe(cfg),
+    "fundamental_ybe[xxx]": lambda cfg: check_fundamental_ybe(cfg, mode="xxx"),
+    "rll[spin]": lambda cfg: check_rll(1.0, cfg),
+    "rll[cyclic]": lambda cfg: check_rll(SPEC3, cfg),
+    "decomposed": lambda cfg: check_decomposed_ybe(0.5, 1.0, cfg),
+    "unitarity[xxz]": lambda cfg: check_unitarity(0.5, 1.0, cfg),
+    "unitarity[xxx]": lambda cfg: check_unitarity(0.5, 0.5, cfg, mode="xxx"),
+    "branch_independence": lambda cfg: check_branch_independence(0.5, 1.0, cfg),
+    "casimir_spectrum": lambda cfg: check_casimir_spectrum(0.5, 1.0, cfg),
+    "cyclic_centrality": lambda cfg: check_cyclic_centrality(3, cfg),
+    "phi_product": lambda cfg: check_phi_identity(3, cfg, count=5),
+    "shift_laws": lambda cfg: check_shift_laws(3, cfg),
+    "cyclic_r_ratio": lambda cfg: check_cyclic_r_ratio(3, cfg),
+    "partial_r": lambda cfg: check_partial_r(3, cfg),
+}
+ON_RESIDUAL = ("fundamental_ybe[xxz]", "fundamental_ybe[xxx]", "rll[spin]", "rll[cyclic]",
+               "decomposed", "unitarity[xxz]", "unitarity[xxx]")
+
+
+def _reports(result):
+    return result if isinstance(result, list) else [result]
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_suite_reports_carry_every_sample_and_the_seed(suite, monkeypatch):
+    cfg = ToleranceConfig(sample_count=2, rng_seed=13)
+    expected = 5 if suite == "phi_product" else cfg.sample_count
+    for rep in _reports(SUITES[suite](cfg)):
+        assert rep.passed, rep.identity_id
+        assert len(rep.samples) == expected and rep.seed == cfg.rng_seed
+    if suite in ON_RESIDUAL:
+        monkeypatch.setattr(verify, "residual", lambda *args: float("nan"))
+        for rep in _reports(SUITES[suite](cfg)):
+            assert np.isnan(rep.max_residual) and rep.line().startswith("[FAIL]")
+
+
+def test_suites_need_a_sample():
+    with pytest.raises(ParameterDomainError):
+        check_phi_identity(3, FAST, count=0)
+
+
+def test_regular_point_rational_mode_draws_u_alone():
+    q, u = _regular_point(0.5, 1.0, np.random.default_rng(3), mode="xxx")
+    assert q is None
+    # spins (1/2, 1): the only denominators are 3/2 + u and 3/2 - u
+    ref = np.random.default_rng(3)
+    first = next(v for v in iter(lambda: sample_u(ref), None)
+                 if min(abs(1.5 + v), abs(1.5 - v)) > 0.05)
+    assert u == first
+
+
+def test_cyclic_centrality_nan_residual_fails_the_report(monkeypatch, capsys):
+    # the guards in central_elements and tensor_power_scalars raise on NaN
+    monkeypatch.setattr(cyclic, "_scalar_part", lambda m: (0j, float("nan")))
+    rep = check_cyclic_centrality(3, FAST)
+    assert np.isnan(rep.max_residual) and len(rep.samples) == FAST.sample_count
+    assert main(["verify", "cyclic", "--samples", "2", "--seed", "5"]) == 1
+    assert "[FAIL] cyclic_centrality[N=3]: max residual nan" in capsys.readouterr().out
