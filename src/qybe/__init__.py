@@ -3,18 +3,18 @@ and numerical verification of the identities they satisfy."""
 
 __version__ = "0.1.0"
 
-from .qcore import (DeformationParameter, PhiProduct, ToleranceConfig,
+from .qcore import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig,
                     phi_product, qnum)
 from .rep import (CasimirReport, OperatorTriple, build_lax, build_spin_rep,
                   casimir, fundamental_r, fundamental_r_rational)
 from .tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace, TwistedCoproduct,
-                        casimir_matrix, coproduct_generators, lowest_weight_coeffs,
-                        lowest_weight_vectors, tensor_casimir, weight_reversed)
+                        casimir_matrix, lowest_weight_coeffs, tensor_casimir,
+                        weight_reversed)
 from .rop import (REigenvalues, RMatrix, assemble_R, assemble_R_pair, closed_form_R,
-                  eigenvalue_ratios, eigenvalue_sequence, normalize_global)
+                  eigenvalue_sequence, normalize_global)
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
                      build_cyclic_rep, central_elements, cyclic_R_eigenvalues,
-                     cyclic_space, cyclic_tensor, eigenstate_family, family_closure_defect,
+                     cyclic_space, eigenstate_family, family_closure_defect,
                      family_ratio, partial_R, sample_compatible_params,
                      shift_prefactor, tensor_power_scalars, weight_degeneracy,
                      weyl_generators)
@@ -22,17 +22,16 @@ from .verify import ResidualReport
 from . import errors
 
 __all__ = [
-    "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
+    "RATIONAL", "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
     "CasimirReport", "OperatorTriple", "build_lax", "build_spin_rep", "casimir",
     "fundamental_r", "fundamental_r_rational",
     "CasimirSpectrumReport", "EigenSector", "ProductSpace", "TwistedCoproduct",
-    "casimir_matrix", "coproduct_generators", "lowest_weight_coeffs", "lowest_weight_vectors",
-    "tensor_casimir", "weight_reversed",
+    "casimir_matrix", "lowest_weight_coeffs", "tensor_casimir", "weight_reversed",
     "REigenvalues", "RMatrix", "assemble_R", "assemble_R_pair", "closed_form_R",
-    "eigenvalue_ratios", "eigenvalue_sequence", "normalize_global",
+    "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",
     "build_cyclic_rep", "central_elements", "cyclic_R_eigenvalues", "cyclic_space",
-    "cyclic_tensor", "eigenstate_family", "family_closure_defect", "family_ratio", "partial_R",
+    "eigenstate_family", "family_closure_defect", "family_ratio", "partial_R",
     "sample_compatible_params", "shift_prefactor", "tensor_power_scalars",
     "weight_degeneracy", "weyl_generators",
     "ResidualReport", "errors",

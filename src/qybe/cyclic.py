@@ -18,7 +18,7 @@ from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation, WrongMode)
 from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum
 from .rep import OperatorTriple
-from .tensorrep import ProductSpace, TwistedCoproduct
+from .tensorrep import ProductSpace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,12 +130,6 @@ def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
     if spec1.n != spec2.n:
         raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
     return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
-
-
-def cyclic_tensor(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                  kind: str = "delta") -> TwistedCoproduct:
-    """Twisted tensor generators on the N^2 basis theta_{k1,k2}."""
-    return cyclic_space(spec1, spec2).coproduct(kind, u)
 
 
 @dataclasses.dataclass(frozen=True)

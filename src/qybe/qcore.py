@@ -132,13 +132,25 @@ class DeformationParameter:
                                     log_branch=self.log_branch + 2j * np.pi * k)
 
 
+# q = 1 on the zero log branch, where every power of q is exactly 1: the
+# rational (xxx) mode is this point of the one q-deformed family.  It is
+# built directly because generic() rejects q = 1, and it is not in the
+# root-of-unity mode, so the cyclic layer and phi_product refuse it.
+RATIONAL = DeformationParameter(value=1 + 0j, mode="generic", log_branch=0j)
+
+
 def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
-    """The q-number [n] = (q^n - q^{-n}) / (q - 1/q); n may be an array."""
+    """The q-number [n] = (q^n - q^{-n}) / (q - 1/q); n may be an array.
+
+    On the zero log branch (:data:`RATIONAL`) it is its limit n itself.
+    """
+    if not isinstance(n, _SCALARS) and np.ndim(n):
+        n = np.asarray(n)
+    if q.log_branch == 0:
+        return n
     den = q.value - 1 / q.value
     if abs(den) < abs_tol:
         raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
-    if not isinstance(n, _SCALARS) and np.ndim(n):
-        n = np.asarray(n)
     return (q.pow(n) - q.pow(-n)) / den
 
 

@@ -1,20 +1,20 @@
-"""Universal R-operator: eigenvalue recurrences and spectral assembly.
+"""Universal R-operator: the eigenvalue recurrence and the spectral assembly.
 
-Eigenvalues obey R_n / R_{n-1} = -[l1+l2+1-n-u] / [l1+l2+1-n+u] (with
-plain numbers replacing q-numbers in the rational mode).  The matrix is
-assembled by solving R Phi(u) = PhiBar(-u) D on the full eigenvector
-family, where D is diagonal in the sector eigenvalues.
+Eigenvalues obey R_n / R_{n-1} = -[l1+l2+1-n-u] / [l1+l2+1-n+u].  The
+matrix is assembled by solving R Phi(u) = PhiBar(-u) D on the full
+eigenvector family, where D is diagonal in the sector eigenvalues.  The
+rational (xxx) mode is the point q = 1 (:data:`qcore.RATIONAL`) of the
+same construction: q-numbers become plain numbers there.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, SingularBasis, UnsupportedPair
-from .qcore import DeformationParameter, qnum
-from .tensorrep import EigenSector, ProductSpace, kron, weight_reversed
+from .qcore import RATIONAL, DeformationParameter, qnum
+from .tensorrep import EigenSector, ProductSpace, _descend, lowest_weight_coeffs, weight_reversed
 
 POLE_TOL = 1e-8
 COND_LIMIT = 1e12
@@ -37,10 +37,6 @@ class REigenvalues:
         return tuple(v / self.r0 for v in self.values)
 
 
-def _bracket(x, q: DeformationParameter | None):
-    return x if q is None else qnum(x, q)
-
-
 def _top_sector(ell1, ell2) -> int:
     """The last sector index, 2 min(l1, l2)."""
     return int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
@@ -50,52 +46,30 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None =
                         mode: str = "xxz", r0: complex = 1.0) -> REigenvalues:
     """R_n for every sector n by the two-term recurrence and by the product form.
 
-    mode "xxz" needs q; mode "xxx" uses undeformed numbers.  Raises
+    mode "xxz" needs q; mode "xxx" is q = 1, where [x] = x.  Raises
     :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
     """
-    if mode == "xxz" and q is None:
-        raise ParameterDomainError("xxz mode needs a deformation parameter")
     if mode == "xxx":
-        q = None
+        q = RATIONAL
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
+    elif q is None:
+        raise ParameterDomainError("xxz mode needs a deformation parameter")
     big_l = ell1 + ell2 + 1
     vals = [complex(r0)]
     num_prod, den_prod = 1.0 + 0j, 1.0 + 0j
     prods = [complex(r0)]
     for n in range(1, _top_sector(ell1, ell2) + 1):
-        den = _bracket(big_l - n + u, q)
+        den = qnum(big_l - n + u, q)
         if abs(den) < POLE_TOL:
             raise PoleAtSector(n)
-        num = _bracket(big_l - n - u, q)
+        num = qnum(big_l - n - u, q)
         vals.append(-vals[-1] * num / den)
         num_prod *= num
         den_prod *= den
         prods.append((-1) ** n * r0 * num_prod / den_prod)
     return REigenvalues(values=tuple(vals), product_values=tuple(prods), r0=complex(r0),
                         mode=mode, ell1=complex(ell1), ell2=complex(ell2), u=complex(u))
-
-
-def eigenvalue_ratios(ell1, ell2, u: complex, q: DeformationParameter,
-                      branch_shift: int = 0) -> np.ndarray:
-    """R_n / R_0 with the spectral power z = q^u frozen on the unshifted branch.
-
-    Only the spin-related powers of q move with ``branch_shift``; this is
-    the single-valuedness probe in log q at fixed spectral variable.
-    """
-    z = q.pow(u)
-    lq = q.log_branch + 2j * np.pi * branch_shift
-    big_l = ell1 + ell2 + 1
-    out = [1.0 + 0j]
-    cur = 1.0 + 0j
-    for n in range(1, _top_sector(ell1, ell2) + 1):
-        num = np.exp((big_l - n) * lq) / z - np.exp(-(big_l - n) * lq) * z
-        den = np.exp((big_l - n) * lq) * z - np.exp(-(big_l - n) * lq) / z
-        if abs(den) < POLE_TOL:
-            raise PoleAtSector(n)
-        cur *= -num / den
-        out.append(cur)
-    return np.array(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,41 +88,43 @@ class RMatrix:
         return self.matrix.shape[0]
 
 
-def _classical_triple(ell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = int(round(2 * ell)) + 1
-    sp = np.zeros((d, d), complex)
-    sm = np.zeros((d, d), complex)
-    for k in range(1, d):
-        sm[k - 1, k] = k
-    for k in range(d - 1):
-        sp[k + 1, k] = 2 * ell - k
-    return sp, sm, np.arange(d) - ell
+def _rational_sectors(ell1, ell2) -> list[EigenSector]:
+    """The eigen-sectors at q = 1: the chains of (x1 - x2)^n under the
+    untwisted S+ on the monomial basis.
 
-
-def _assemble_rational(ell1, ell2, u: complex, r0: complex) -> np.ndarray:
-    sp1, _, _ = _classical_triple(ell1)
-    sp2, _, _ = _classical_triple(ell2)
-    d1, d2 = sp1.shape[0], sp2.shape[0]
-    sp = kron(sp1, np.eye(d2)) + kron(np.eye(d1), sp2)
-    eig = eigenvalue_sequence(ell1, ell2, u, mode="xxx", r0=r0)
-    cols, diag = [], []
+    At q = 1 the coproduct does not depend on u and the barred family
+    equals the unbarred one, so each chain serves as both.  The global rank
+    test of :meth:`ProductSpace.sectors` is not applied: at q = 1 its
+    largest-entry scale rejects every pair up to (4, 4) whose spins sum to
+    6 or more.
+    """
+    space = ProductSpace.of_spins(ell1, ell2, RATIONAL)
+    sp = space.coproduct().gens.sp
+    d1, d2 = (rep.dim for rep in space.parents)
+    sectors = []
     for n in range(min(d1, d2)):
-        c = np.zeros((d1, d2), complex)
-        for j in range(n + 1):
-            c[j, n - j] = math.comb(n, j) * (-1) ** (n - j)
-        v = c.ravel()
-        for m in range(d1 + d2 - 2 * n - 1):
-            cols.append(v)
-            diag.append(eig.values[n])
-            v = sp @ v
-    phi = np.array(cols).T
-    if np.linalg.cond(phi) > COND_LIMIT:
-        raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
-    return phi @ np.diag(diag) @ np.linalg.inv(phi)
+        v = lowest_weight_coeffs(ell1, ell2, n, 0.0, RATIONAL, d1, d2)
+        chain = _descend(sp, v, d1 + d2 - 2 * n - 1, 1e-10)
+        sectors.append(EigenSector(n=n, descendants=chain, barred_descendants=chain))
+    return sectors
+
+
+def _sectors_pm(ell1, ell2, u: complex, q: DeformationParameter | None, mode: str,
+                basis: str, space: ProductSpace | None):
+    """The sectors at u and at -u, with the q and the basis R is reported in.
+
+    In the rational mode one list, built at q = 1, serves both.
+    """
+    if mode == "xxx":
+        sectors = _rational_sectors(ell1, ell2)
+        return sectors, sectors, None, "monomial"
+    if space is None:
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    return space.sectors(u), space.sectors(-u), q, basis
 
 
 def _sector_solve(eig: REigenvalues, sec_u: list[EigenSector], sec_mu: list[EigenSector],
-                  q: DeformationParameter, basis: str, r0: complex) -> RMatrix:
+                  q: DeformationParameter | None, basis: str, r0: complex) -> RMatrix:
     """R(u) from R Phi(u) = PhiBar(-u) D, with Phi(u) the raising chains of
     the sectors built at u and PhiBar(-u) the barred chains of those at -u."""
     cols_u, cols_mu, diag = [], [], []
@@ -163,7 +139,7 @@ def _sector_solve(eig: REigenvalues, sec_u: list[EigenSector], sec_mu: list[Eige
     if np.linalg.cond(phi) > COND_LIMIT:
         raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
     m = phib @ np.diag(diag) @ np.linalg.inv(phi)
-    return RMatrix(matrix=m, u=eig.u, q=q, mode="xxz", ell1=eig.ell1, ell2=eig.ell2,
+    return RMatrix(matrix=m, u=eig.u, q=q, mode=eig.mode, ell1=eig.ell1, ell2=eig.ell2,
                    basis_tag=basis, normalization=f"R_0 = {r0}")
 
 
@@ -177,19 +153,11 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     counterpart relation is left as an independent check for the caller.
     ``space`` is the :class:`ProductSpace` of the two spins in ``basis``
     over q, when the caller shares one with other work at the same point;
-    it is built here otherwise.
+    it is built here otherwise.  The rational mode ignores q, ``basis`` and
+    ``space``: it solves at q = 1 in the monomial basis.
     """
-    if mode == "xxx":
-        m = _assemble_rational(ell1, ell2, u, r0)
-        return RMatrix(matrix=m, u=complex(u), q=None, mode="xxx", ell1=complex(ell1),
-                       ell2=complex(ell2), basis_tag="monomial",
-                       normalization=f"R_0 = {r0}")
-    if q is None:
-        raise ParameterDomainError("xxz mode needs a deformation parameter")
-    eig = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
-    if space is None:
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    return _sector_solve(eig, space.sectors(u), space.sectors(-u), q, basis, r0)
+    eig = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
+    return _sector_solve(eig, *_sectors_pm(ell1, ell2, u, q, mode, basis, space), r0)
 
 
 def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = None,
@@ -197,22 +165,15 @@ def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = Non
                     basis: str = "orthonormal") -> tuple[RMatrix, RMatrix]:
     """(R(u), R(-u)), equal to two :func:`assemble_R` calls.
 
-    In xxz mode both solves share one product space and its sector builds
-    at u and at -u.
+    Both solves share one sector build at u and one at -u.
     The checks R(u) needs run before those only R(-u) needs, so the first
     error raised is the one the two separate calls would raise.
     """
-    if mode == "xxx":
-        return (assemble_R(ell1, ell2, u, q, mode, r0, basis),
-                assemble_R(ell1, ell2, -u, q, mode, r0, basis))
-    if q is None:
-        raise ParameterDomainError("xxz mode needs a deformation parameter")
-    eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode="xxz", r0=r0)
-    space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    sec_u, sec_mu = space.sectors(u), space.sectors(-u)
-    r_u = _sector_solve(eig_u, sec_u, sec_mu, q, basis, r0)
-    eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode="xxz", r0=r0)
-    return r_u, _sector_solve(eig_mu, sec_mu, sec_u, q, basis, r0)
+    eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
+    sec_u, sec_mu, q_r, basis_r = _sectors_pm(ell1, ell2, u, q, mode, basis, None)
+    r_u = _sector_solve(eig_u, sec_u, sec_mu, q_r, basis_r, r0)
+    eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode, r0)
+    return r_u, _sector_solve(eig_mu, sec_mu, sec_u, q_r, basis_r, r0)
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,

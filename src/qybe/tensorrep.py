@@ -106,7 +106,13 @@ class ProductSpace:
 
     def sectors(self, u: complex, kind: str = "delta",
                 abs_tol: float = 1e-10) -> list[EigenSector]:
-        """All eigen-sectors at u; see :func:`lowest_weight_vectors`."""
+        """All eigen-sectors of the coproduct ``kind`` at u.
+
+        For each n = 0..min(2l1, 2l2) the lowest-weight vector comes from
+        the closed product formula, is checked against S-_u v = 0, and is
+        raised until the chain terminates.  Completeness of the collected
+        family is verified against the full dimension d1*d2.
+        """
         rep1, rep2 = self.parents
         ell1, ell2 = rep1.ell, rep2.ell
         if ell1 is None or ell2 is None:
@@ -135,20 +141,13 @@ class ProductSpace:
             chain = _descend(cop.gens.sp, v, limit, abs_tol)
             chain_bar = _descend(cop_bar.gens.sp, vb, limit, abs_tol)
             total += len(chain)
-            sectors.append(EigenSector(n=n, lw_vector=v, descendants=chain,
-                                       barred_lw_vector=vb, barred_descendants=chain_bar))
+            sectors.append(EigenSector(n=n, descendants=chain, barred_descendants=chain_bar))
         if total != d1 * d2:
             raise CompletenessFailure(f"sector chains give {total} vectors, expected {d1 * d2}")
         stack = np.array([vec for s in sectors for vec in s.descendants])
         if np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())) < d1 * d2:
             raise CompletenessFailure("sector vectors are numerically rank-deficient")
         return sectors
-
-
-def coproduct_generators(rep1: OperatorTriple, rep2: OperatorTriple,
-                         kind: str = "delta", u: complex = 0.0) -> TwistedCoproduct:
-    """Assemble the twisted tensor generators on the d1*d2 product basis."""
-    return ProductSpace(rep1, rep2).coproduct(kind, u)
 
 
 def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter,
@@ -173,16 +172,14 @@ def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter
 
 @dataclasses.dataclass(frozen=True)
 class EigenSector:
-    """Sector n: lowest-weight vector, its raising chain, and the barred twin.
+    """Sector n: the raising chain of its lowest-weight vector, and the barred twin.
 
-    descendants[m] is (S+_u)^m applied to the lowest-weight vector;
-    barred_descendants[m] likewise with the barred operators.
+    descendants[m] is (S+_u)^m applied to the lowest-weight vector
+    descendants[0]; barred_descendants[m] likewise with the barred operators.
     """
 
     n: int
-    lw_vector: np.ndarray
     descendants: list[np.ndarray]
-    barred_lw_vector: np.ndarray
     barred_descendants: list[np.ndarray]
 
 
@@ -195,19 +192,6 @@ def _descend(sp: np.ndarray, v: np.ndarray, limit: int, abs_tol: float) -> list[
             break
         chain.append(v)
     return chain
-
-
-def lowest_weight_vectors(ell1, ell2, u: complex, q: DeformationParameter,
-                          kind: str = "delta", basis: str = "monomial",
-                          abs_tol: float = 1e-10) -> list[EigenSector]:
-    """All eigen-sectors of the twisted tensor product of two finite spins.
-
-    For each n = 0..min(2l1, 2l2) the lowest-weight vector comes from the
-    closed product formula, is checked against S-_u v = 0, and is raised
-    until the chain terminates.  Completeness of the collected family is
-    verified against the full dimension d1*d2.
-    """
-    return ProductSpace.of_spins(ell1, ell2, q, basis).sectors(u, kind, abs_tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,10 +222,10 @@ def casimir_matrix(cop: TwistedCoproduct) -> np.ndarray:
     return g.sp @ g.sm + np.diag(qnum(g.weights, q) * qnum(g.weights - 1, q))
 
 
-def tensor_casimir(cop: TwistedCoproduct,
-                   sectors: list[EigenSector] | None = None
-                   ) -> tuple[np.ndarray, CasimirSpectrumReport | None]:
-    """Casimir of the twisted generators plus its sector spectrum.
+def tensor_casimir(cop: TwistedCoproduct, sectors: list[EigenSector]
+                   ) -> tuple[np.ndarray, CasimirSpectrumReport]:
+    """Casimir of the twisted generators plus its spectrum on ``sectors``,
+    the :meth:`ProductSpace.sectors` of the same kind and u.
 
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
     descendant index m; the report records the residual and the spread of
@@ -250,11 +234,6 @@ def tensor_casimir(cop: TwistedCoproduct,
     q = cop.gens.q
     c = casimir_matrix(cop)
     rep1, rep2 = cop.parents
-    if rep1.ell is None or rep2.ell is None:
-        return c, None
-    if sectors is None:
-        sectors = lowest_weight_vectors(rep1.ell, rep2.ell, cop.u, q,
-                                        kind=cop.kind, basis=rep1.basis_tag)
     entries = []
     for sec in sectors:
         lam = qnum(sec.n - rep1.ell - rep2.ell, q) * qnum(sec.n - rep1.ell - rep2.ell - 1, q)

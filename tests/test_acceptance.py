@@ -4,9 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import numpy as np
 
-from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, closed_form_R,
-                  coproduct_generators, build_spin_rep, eigenvalue_sequence,
-                  lowest_weight_vectors, normalize_global, cyclic_R_eigenvalues)
+from qybe import (CyclicRepSpec, ProductSpace, ToleranceConfig, assemble_R, closed_form_R,
+                  build_spin_rep, eigenvalue_sequence, normalize_global,
+                  cyclic_R_eigenvalues)
 from qybe.cli import GOLDEN_PAIRS
 from qybe.qcore import DeformationParameter, sample_generic_q, sample_u, sample_params
 from qybe.verify import (_regular_point, check_casimir_spectrum, check_cyclic_centrality,
@@ -147,8 +147,9 @@ def test_criterion_10_property_suite():
         q, u = _regular_point(*pair, rng)
         r1 = build_spin_rep(pair[0], q)
         r2 = build_spin_rep(pair[1], q)
-        sm = coproduct_generators(r1, r2, "delta", u).gens.sm
-        for sec in lowest_weight_vectors(*pair, u, q):
+        space = ProductSpace(r1, r2)
+        sm = space.coproduct("delta", u).gens.sm
+        for sec in space.sectors(u):
             cols = [j * r2.dim + k for j in range(r1.dim) for k in range(r2.dim)
                     if j + k == sec.n]
             rows = [j * r2.dim + k for j in range(r1.dim) for k in range(r2.dim)
@@ -158,7 +159,7 @@ def test_criterion_10_property_suite():
             else:
                 block = np.zeros((1, len(cols)))
             null = np.linalg.svd(block)[2][-1].conj()
-            v = np.array([sec.lw_vector[c] for c in cols])
+            v = np.array([sec.descendants[0][c] for c in cols])
             cos = abs(np.vdot(null, v)) / (np.linalg.norm(null) * np.linalg.norm(v))
             worst = max(worst, 1 - cos)
     _criterion(10, "q-inverse invariance, u=0 signs, null-space oracle", worst, 1e-10)

@@ -134,6 +134,20 @@ def test_verify_suite_passes(tmp_path):
     assert all(r["verdict"] == "pass" for r in payload["reports"])
 
 
+def test_verify_tol_reaches_every_suite(tmp_path):
+    """--tol sets the tolerance of the cyclic RLL suite and of the rational
+    fundamental YBE (one hundredth of it), not only of the others."""
+    tols = {}
+    for suite in ("ybe", "rll"):
+        report = tmp_path / f"{suite}.json"
+        main(["verify", suite, "--samples", "1", "--tol", "1e-30", "--json", str(report)])
+        tols.update((r["identity_id"], r["tolerance"])
+                    for r in json.loads(report.read_text())["reports"])
+    assert tols["rll[cyclic N=3]"] == 1e-30
+    assert tols["fundamental_ybe[xxx]"] == 1e-30 / 100
+    assert set(tols.values()) == {1e-30, 1e-30 / 100}
+
+
 def test_verify_cyclic_suite():
     assert main(["verify", "cyclic", "--N", "5", "--samples", "2", "--seed", "3"]) == 0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qybe import (CyclicRepSpec, build_cyclic_rep, central_elements,
-                  cyclic_R_eigenvalues, cyclic_tensor, eigenstate_family,
+                  cyclic_R_eigenvalues, cyclic_space, eigenstate_family,
                   family_closure_defect, family_ratio, partial_R, qnum,
                   sample_compatible_params, shift_prefactor,
                   tensor_power_scalars, weight_degeneracy, weyl_generators)
@@ -106,7 +106,7 @@ def test_cyclic_tensor_lowering_action(rng):
     n = 3
     s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
     u = sample_u(rng, scale=0.6)
-    cop = cyclic_tensor(s1, s2, u)
+    cop = cyclic_space(s1, s2).coproduct("delta", u)
     q = s1.q
     for k1 in range(n):
         for k2 in range(n):
@@ -121,14 +121,14 @@ def test_cyclic_tensor_untwisted_limit(rng):
     n = 3
     s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
     r1, r2 = build_cyclic_rep(s1), build_cyclic_rep(s2)
-    cop = cyclic_tensor(s1, s2, 0.0)
+    cop = cyclic_space(s1, s2).coproduct("delta", 0.0)
     sm = np.kron(r1.sm, r2.qs(1)) + np.kron(r1.qs(-1), r2.sm)
     assert np.allclose(cop.gens.sm, sm, atol=1e-12)
 
 
 def test_order_mismatch(rng):
     with pytest.raises(OrderMismatch):
-        cyclic_tensor(_random_spec(3, rng), _random_spec(5, rng), 0.1)
+        cyclic_space(_random_spec(3, rng), _random_spec(5, rng))
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -168,7 +168,7 @@ def test_lowering_n_times_returns_multiple(rng):
     n = 3
     s1, s2, u = sample_compatible_params(n, rng)
     fam = eigenstate_family(s1, s2, u)
-    cop = cyclic_tensor(s1, s2, u)
+    cop = cyclic_space(s1, s2).coproduct("delta", u)
     v = fam.phi[1]
     w = v.copy()
     for _ in range(n):

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qybe import DeformationParameter, PhiProduct, ToleranceConfig, phi_product, qnum
+from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
+                  qnum)
 from qybe.errors import DegenerateDenominator, ParameterDomainError, WrongMode
 from qybe.qcore import sample_generic_q
 
@@ -63,6 +64,20 @@ def test_degenerate_denominator():
                                     log_branch=np.log(1 + 1e-13))
     with pytest.raises(DegenerateDenominator):
         qnum(2, near_one)
+
+
+def test_qnum_at_rational_point_is_its_limit(rng):
+    ns = rng.normal(size=5) + 1j * rng.normal(size=5)
+    for n in (3, 2.5, complex(ns[0])):
+        assert qnum(n, RATIONAL) == n
+    assert np.array_equal(qnum(ns, RATIONAL), ns)
+    assert RATIONAL.pow(complex(ns[1])) == 1
+    assert np.array_equal(RATIONAL.pow(ns), np.ones(5))
+    # another branch of log 1 is not the rational point: q^n is not 1 there
+    with pytest.raises(DegenerateDenominator):
+        qnum(0.5, RATIONAL.with_branch_shift(1))
+    with pytest.raises(WrongMode):
+        phi_product(0.3, RATIONAL)
 
 
 def test_generic_guard_rejects_roots_of_unity():

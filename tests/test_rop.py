@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import qybe.rop as rop
-from qybe import (assemble_R, assemble_R_pair, closed_form_R, eigenvalue_ratios,
-                  eigenvalue_sequence, lowest_weight_vectors, normalize_global, qnum)
+from qybe import (RATIONAL, ProductSpace, assemble_R, assemble_R_pair, build_spin_rep,
+                  closed_form_R, eigenvalue_sequence, normalize_global, qnum)
 from qybe.errors import PoleAtSector, QybeError, SingularBasis, UnsupportedPair
 from qybe.qcore import sample_generic_q, sample_u
+from qybe.tensorrep import kron
 from qybe.verify import _regular_point
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
@@ -73,11 +76,36 @@ def test_q_inverse_invariance(rng):
     assert np.allclose(eig.values, eig_inv.values, atol=1e-10)
 
 
+def _ratio_formula(ell1, ell2, u, q, branch_shift=0):
+    """Reference: R_n / R_0 with the spectral power z = q^u frozen on the
+    unshifted branch, while the spin-related powers of q use the branch
+    moved by ``branch_shift``."""
+    z = q.pow(u)
+    lq = q.log_branch + 2j * np.pi * branch_shift
+    big_l = ell1 + ell2 + 1
+    out = [1.0 + 0j]
+    cur = 1.0 + 0j
+    for n in range(1, rop._top_sector(ell1, ell2) + 1):
+        num = np.exp((big_l - n) * lq) / z - np.exp(-(big_l - n) * lq) * z
+        den = np.exp((big_l - n) * lq) * z - np.exp(-(big_l - n) * lq) / z
+        if abs(den) < rop.POLE_TOL:
+            raise PoleAtSector(n)
+        cur *= -num / den
+        out.append(cur)
+    return np.array(out)
+
+
 def test_eigenvalue_ratios_consistent_with_sequence(rng):
-    q, u = _regular_point(1.0, 1.0, rng)
-    seq = eigenvalue_sequence(1.0, 1.0, u, q)
-    ratios = eigenvalue_ratios(1.0, 1.0, u, q)
-    assert np.allclose(ratios, seq.ratios, atol=1e-12)
+    """The branch route of check_branch_independence, the sequence on the
+    shifted branch at u log q / (log q + 2 pi i), matches the closed
+    frozen-q^u formula on both branches."""
+    for pair in [(0.5, 1.0), (1.0, 1.0), (1.5, 2.0)] * 5:
+        q, u = _regular_point(*pair, rng)
+        shifted = q.with_branch_shift(1)
+        on_branch = eigenvalue_sequence(*pair, u * q.log_branch / shifted.log_branch, shifted)
+        for got, shift in ((eigenvalue_sequence(*pair, u, q), 0), (on_branch, 1)):
+            want = _ratio_formula(*pair, u, q, shift)
+            assert np.abs(np.array(got.ratios) - want).max() < 1e-12 * max(1, np.abs(want).max())
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -113,8 +141,8 @@ def test_skew_action_both_directions(pair, rng):
     q, u = _regular_point(ell1, ell2, rng)
     built = assemble_R(ell1, ell2, u, q, basis="monomial")
     eig = eigenvalue_sequence(ell1, ell2, u, q)
-    sec_u = lowest_weight_vectors(ell1, ell2, u, q)
-    sec_mu = lowest_weight_vectors(ell1, ell2, -u, q)
+    space = ProductSpace.of_spins(ell1, ell2, q)
+    sec_u, sec_mu = space.sectors(u), space.sectors(-u)
     for s_u, s_mu in zip(sec_u, sec_mu):
         rn = eig.values[s_u.n]
         for m, vbar in enumerate(s_u.barred_descendants):
@@ -123,6 +151,74 @@ def test_skew_action_both_directions(pair, rng):
         for m, v in enumerate(s_u.descendants):
             target = rn * s_mu.barred_descendants[m]
             assert np.abs(built.matrix @ v - target).max() < 1e-9 * max(1, np.abs(target).max())
+
+
+def _classical_triple(ell):
+    """Reference: S+, S- and the weights of spin ell at q = 1 on the monomial basis."""
+    d = int(round(2 * ell)) + 1
+    sp = np.zeros((d, d), complex)
+    sm = np.zeros((d, d), complex)
+    for k in range(1, d):
+        sm[k - 1, k] = k
+    for k in range(d - 1):
+        sp[k + 1, k] = 2 * ell - k
+    return sp, sm, np.arange(d) - ell
+
+
+def _assemble_rational(ell1, ell2, u, r0=1.0):
+    """Reference: the rational R-matrix from the binomial lowest weights
+    (x1 - x2)^n raised by the classical S+, solved as Phi D Phi^{-1}."""
+    sp1, _, _ = _classical_triple(ell1)
+    sp2, _, _ = _classical_triple(ell2)
+    d1, d2 = sp1.shape[0], sp2.shape[0]
+    sp = kron(sp1, np.eye(d2)) + kron(np.eye(d1), sp2)
+    eig = eigenvalue_sequence(ell1, ell2, u, mode="xxx", r0=r0)
+    cols, diag = [], []
+    for n in range(min(d1, d2)):
+        c = np.zeros((d1, d2), complex)
+        for j in range(n + 1):
+            c[j, n - j] = math.comb(n, j) * (-1) ** (n - j)
+        v = c.ravel()
+        for m in range(d1 + d2 - 2 * n - 1):
+            cols.append(v)
+            diag.append(eig.values[n])
+            v = sp @ v
+    phi = np.array(cols).T
+    if np.linalg.cond(phi) > rop.COND_LIMIT:
+        raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
+    return phi @ np.diag(diag) @ np.linalg.inv(phi)
+
+
+SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+RATIONAL_US = (0.37 - 0.21j, 1.3 + 0.4j, -0.8 + 0.9j, 0.0, 2.5)
+
+
+@pytest.mark.parametrize("ell", SPINS)
+def test_spin_rep_at_q_one_is_the_classical_triple(ell):
+    rep = build_spin_rep(ell, RATIONAL)
+    sp, sm, weights = _classical_triple(ell)
+    assert np.array_equal(rep.sp, sp) and np.array_equal(rep.sm, sm)
+    assert np.array_equal(rep.weights, weights)
+
+
+@pytest.mark.parametrize("ell1", SPINS)
+def test_rational_mode_matches_reference_bit_for_bit(ell1):
+    for ell2 in SPINS:
+        for u in RATIONAL_US:
+            rm = assemble_R(ell1, ell2, u, mode="xxx")
+            want = _assemble_rational(ell1, ell2, u)
+            assert np.array_equal(rm.matrix, want) and rm.matrix.tobytes() == want.tobytes()
+            assert (rm.q, rm.mode, rm.basis_tag, rm.u) == (None, "xxx", "monomial", complex(u))
+
+
+@pytest.mark.parametrize("pair", [(3.5, 4.0), (4.0, 4.0)])
+def test_rational_mode_raises_reference_singular_basis(pair):
+    for u in RATIONAL_US:
+        with pytest.raises(SingularBasis) as want:
+            _assemble_rational(*pair, u)
+        with pytest.raises(SingularBasis) as got:
+            assemble_R(*pair, u, mode="xxx")
+        assert str(got.value) == str(want.value)
 
 
 def test_unitarity_quick(rng):
@@ -160,9 +256,6 @@ def _assembled_or_error(build):
         return build()
     except QybeError as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-SPINS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 @pytest.mark.parametrize("ell1", SPINS)

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qybe import (CyclicRepSpec, build_cyclic_rep, build_spin_rep, coproduct_generators,
-                  lowest_weight_coeffs, lowest_weight_vectors, qnum, tensor_casimir,
-                  weight_reversed)
+from qybe import (CyclicRepSpec, build_cyclic_rep, build_spin_rep, casimir_matrix,
+                  lowest_weight_coeffs, qnum, tensor_casimir, weight_reversed)
 from qybe.errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
 from qybe.qcore import sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace,
@@ -19,7 +18,7 @@ def _pair(ell1, ell2, q, basis="monomial"):
 def test_twisted_raising_matches_printed_table(q_generic, rng):
     u = sample_u(rng)
     r1, r2 = _pair(0.5, 0.5, q_generic)
-    cop = coproduct_generators(r1, r2, "delta", u)
+    cop = ProductSpace(r1, r2).coproduct("delta", u)
     p = q_generic.pow
     expected = np.array([
         [0, p((u - 1) / 2), p((1 - u) / 2), 0],
@@ -47,7 +46,7 @@ def test_twisted_generators_match_printed_6x6(q_generic, rng):
     qv = q_generic.value
     p = q_generic.pow
     r1 = _pair(0.5, 1.0, q_generic, "orthonormal")
-    cop = coproduct_generators(*r1, "delta", u)
+    cop = ProductSpace(*r1).coproduct("delta", u)
     s_up = np.zeros((6, 6), complex)
     s_up[0, 1] = s_up[1, 2] = p(u / 2) * np.sqrt(1 + qv**-2)
     s_up[0, 3] = p(1 - u / 2)
@@ -64,19 +63,19 @@ def test_twisted_generators_match_printed_6x6(q_generic, rng):
     assert np.allclose(weight_reversed(cop.gens.sm), s_dn, atol=1e-12)
     # the lowest-weight direction in the degree-1 slice is pinned by the
     # null space of the printed lowering matrix
-    sec = lowest_weight_vectors(0.5, 1.0, u, q_generic, basis="orthonormal")[1]
-    v = weight_reversed(sec.lw_vector)
+    sec = ProductSpace.of_spins(0.5, 1.0, q_generic, "orthonormal").sectors(u)[1]
+    v = weight_reversed(sec.descendants[0])
     assert v[2] / v[4] == pytest.approx(-p(1 - u) * np.sqrt(1 + qv**2))
 
 
 def test_untwisted_limit(q_generic):
     r1, r2 = _pair(1.0, 0.5, q_generic)
-    cop = coproduct_generators(r1, r2, "delta", 0.0)
+    cop = ProductSpace(r1, r2).coproduct("delta", 0.0)
     sm = np.kron(r1.sm, r2.qs(1)) + np.kron(r1.qs(-1), r2.sm)
     sp = np.kron(r1.sp, r2.qs(1)) + np.kron(r1.qs(-1), r2.sp)
     assert np.allclose(cop.gens.sm, sm, atol=1e-12)
     assert np.allclose(cop.gens.sp, sp, atol=1e-12)
-    bar = coproduct_generators(r1, r2, "deltabar", 0.0)
+    bar = ProductSpace(r1, r2).coproduct("deltabar", 0.0)
     sm_bar = np.kron(r1.sm, r2.qs(-1)) + np.kron(r1.qs(1), r2.sm)
     assert np.allclose(bar.gens.sm, sm_bar, atol=1e-12)
 
@@ -87,7 +86,7 @@ def test_twisted_coproduct_algebra(kind, rng):
         q = sample_generic_q(rng)
         u = sample_u(rng)
         r1, r2 = _pair(0.5, 1.0, q)
-        cop = coproduct_generators(r1, r2, kind, u)
+        cop = ProductSpace(r1, r2).coproduct(kind, u)
         assert cop.gens.algebra_residual() < 1e-10
 
 
@@ -95,22 +94,22 @@ def test_mismatched_parameters_rejected(rng):
     q1 = sample_generic_q(rng)
     q2 = sample_generic_q(rng)
     with pytest.raises(DimensionMismatch):
-        coproduct_generators(build_spin_rep(0.5, q1), build_spin_rep(0.5, q2))
+        ProductSpace(build_spin_rep(0.5, q1), build_spin_rep(0.5, q2))
 
 
 def test_sector_zero_vector(q_generic, rng):
     u = sample_u(rng)
-    sectors = lowest_weight_vectors(0.5, 0.5, u, q_generic)
-    v0 = sectors[0].lw_vector
+    sectors = ProductSpace.of_spins(0.5, 0.5, q_generic).sectors(u)
+    v0 = sectors[0].descendants[0]
     assert v0[0] == pytest.approx(1.0)
     assert np.abs(v0[1:]).max() < 1e-14
-    assert np.allclose(sectors[0].barred_lw_vector, v0)
+    assert np.allclose(sectors[0].barred_descendants[0], v0)
 
 
 def test_sector_one_spin_half_pair(q_generic, rng):
     u = sample_u(rng)
-    sectors = lowest_weight_vectors(0.5, 0.5, u, q_generic)
-    v = sectors[1].lw_vector.reshape(2, 2)
+    sectors = ProductSpace.of_spins(0.5, 0.5, q_generic).sectors(u)
+    v = sectors[1].descendants[0].reshape(2, 2)
     assert v[1, 0] == pytest.approx(q_generic.pow((1 - u) / 2))
     assert v[0, 1] == pytest.approx(-q_generic.pow((u - 1) / 2))
     assert abs(v[0, 0]) < 1e-14 and abs(v[1, 1]) < 1e-14
@@ -120,8 +119,8 @@ def test_degree_two_vector_matches_printed_9dim(q_generic, rng):
     """Spin pair (1,1), orthonormal bases: the degree-2 lowest-weight vector
     is exactly (q^{1-u}, -1, q^{u-1}) on (x1^2, x1 x2, x2^2)."""
     u = sample_u(rng)
-    sec = lowest_weight_vectors(1.0, 1.0, u, q_generic, basis="orthonormal")[2]
-    v = weight_reversed(sec.lw_vector)
+    sec = ProductSpace.of_spins(1.0, 1.0, q_generic, "orthonormal").sectors(u)[2]
+    v = weight_reversed(sec.descendants[0])
     expected = np.zeros(9, complex)
     expected[2] = q_generic.pow(1 - u)
     expected[4] = -1.0
@@ -150,11 +149,11 @@ def test_product_formula_matches_null_space_oracle(pair, rng):
         q = sample_generic_q(rng)
         u = sample_u(rng)
         r1, r2 = _pair(ell1, ell2, q)
-        cop = coproduct_generators(r1, r2, "delta", u)
-        sectors = lowest_weight_vectors(ell1, ell2, u, q)
-        for sec in sectors:
+        space = ProductSpace(r1, r2)
+        cop = space.coproduct("delta", u)
+        for sec in space.sectors(u):
             oracle = _homogeneous_null_vector(cop.gens.sm, r1.dim, r2.dim, sec.n)
-            v = sec.lw_vector
+            v = sec.descendants[0]
             cos = abs(np.vdot(oracle, v)) / (np.linalg.norm(oracle) * np.linalg.norm(v))
             assert cos > 1 - 1e-10
 
@@ -163,13 +162,12 @@ def test_product_formula_matches_null_space_oracle(pair, rng):
 def test_sector_completeness(pair, q_generic, rng):
     ell1, ell2 = pair
     u = sample_u(rng)
-    sectors = lowest_weight_vectors(ell1, ell2, u, q_generic)
+    sectors = ProductSpace.of_spins(ell1, ell2, q_generic).sectors(u)
     d1, d2 = int(2 * ell1 + 1), int(2 * ell2 + 1)
     assert sum(len(s.descendants) for s in sectors) == d1 * d2
     for s in sectors:
         assert len(s.descendants) == d1 + d2 - 2 * s.n - 1
         assert len(s.barred_descendants) == len(s.descendants)
-        assert np.allclose(s.descendants[0], s.lw_vector)
 
 
 def _rescale_arguments(vec, d1, d2, power, q):
@@ -196,12 +194,12 @@ def test_descent_laws(pair, rng):
         q = sample_generic_q(rng)
         u = sample_u(rng)
         r1, r2 = _pair(ell1, ell2, q)
-        sm_u = coproduct_generators(r1, r2, "delta", u).gens.sm
+        sm_u = ProductSpace(r1, r2).coproduct("delta", u).gens.sm
         cq = q.value - 1 / q.value
         big_l = ell1 + ell2 + 1
         def phi(n, spec, barred):
             return lowest_weight_coeffs(ell1, ell2, n, spec, q, d1, d2, barred=barred)
-        sm_bar_u = coproduct_generators(r1, r2, "deltabar", u).gens.sm
+        sm_bar_u = ProductSpace(r1, r2).coproduct("deltabar", u).gens.sm
         for n in range(1, min(d1, d2)):
             assert np.abs(sm_u @ phi(n, u, False)).max() < 1e-10
             lhs = sm_u @ phi(n, u, True)
@@ -248,8 +246,7 @@ def test_barred_vectors_swap_factors(rng):
 def test_tensor_casimir_printed_4x4(q_generic, rng):
     u = sample_u(rng)
     r1, r2 = _pair(0.5, 0.5, q_generic)
-    cop = coproduct_generators(r1, r2, "delta", u)
-    c, _ = tensor_casimir(cop)
+    c = casimir_matrix(ProductSpace(r1, r2).coproduct("delta", u))
     qv = q_generic.value
     p = q_generic.pow
     expected = np.array([
@@ -259,8 +256,7 @@ def test_tensor_casimir_printed_4x4(q_generic, rng):
         [0, 0, 0, qv + 1 / qv],
     ])
     assert np.allclose(weight_reversed(c), expected, atol=1e-12)
-    bar = coproduct_generators(r1, r2, "deltabar", u)
-    c_bar, _ = tensor_casimir(bar)
+    c_bar = casimir_matrix(ProductSpace(r1, r2).coproduct("deltabar", u))
     expected_bar = np.array([
         [qv + 1 / qv, 0, 0, 0],
         [0, qv, p(u), 0],
@@ -277,9 +273,8 @@ def test_tensor_casimir_sector_spectrum(pair, kind, rng):
     for _ in range(3):
         q = sample_generic_q(rng)
         u = sample_u(rng)
-        r1, r2 = _pair(ell1, ell2, q)
-        cop = coproduct_generators(r1, r2, kind, u)
-        _, report = tensor_casimir(cop)
+        space = ProductSpace(*_pair(ell1, ell2, q))
+        _, report = tensor_casimir(space.coproduct(kind, u), space.sectors(u, kind))
         assert report.max_residual < 1e-10
         assert report.max_m_spread < 1e-10
         for sec in report.sectors:
@@ -289,8 +284,8 @@ def test_tensor_casimir_sector_spectrum(pair, kind, rng):
 
 def test_sector_zero_eigenvalue_is_symmetric_bracket(q_generic, rng):
     u = sample_u(rng)
-    r1, r2 = _pair(0.5, 1.0, q_generic)
-    _, report = tensor_casimir(coproduct_generators(r1, r2, "delta", u))
+    space = ProductSpace(*_pair(0.5, 1.0, q_generic))
+    _, report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
     lam0 = report.sectors[0].expected
     q = q_generic
     assert lam0 == pytest.approx(qnum(1.5, q) * qnum(2.5, q))
@@ -302,7 +297,7 @@ def test_casimir_full_spectrum_oracle(rng):
     q = sample_generic_q(rng)
     u = sample_u(rng)
     r1, r2 = _pair(0.5, 1.0, q)
-    c, _ = tensor_casimir(coproduct_generators(r1, r2, "delta", u))
+    c = casimir_matrix(ProductSpace(r1, r2).coproduct("delta", u))
     eigs = np.linalg.eigvals(c)
     lam = [qnum(n - 1.5, q) * qnum(n - 2.5, q) for n in (0, 1)]
     expected = np.array([lam[0]] * 4 + [lam[1]] * 2)
@@ -385,14 +380,16 @@ def test_product_space_coproduct_matches_reference_on_cyclic_reps(n, rng):
         _assert_space_matches_reference(ProductSpace(r1, r2), r1, r2, (u, -u))
 
 
-def test_product_space_sectors_match_lowest_weight_vectors(rng):
+def test_product_space_sectors_match_fresh_spaces(rng):
+    """One space shared across u, -u and both kinds gives the sectors that a
+    new space gives for each of them."""
     for ell1, ell2 in ((0.5, 1.0), (1.0, 1.5), (2.0, 2.0)):
         q = sample_generic_q(rng)
         u = sample_u(rng)
         space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
         for uu in (u, -u):
             for kind in ("delta", "deltabar"):
-                ref = lowest_weight_vectors(ell1, ell2, uu, q, kind=kind, basis="orthonormal")
+                ref = ProductSpace.of_spins(ell1, ell2, q, "orthonormal").sectors(uu, kind)
                 got = space.sectors(uu, kind)
                 assert [s.n for s in got] == [s.n for s in ref]
                 for a, b in zip(got, ref):
@@ -415,7 +412,7 @@ def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
 def test_lowest_weight_condition_fails_on_nan(q_generic):
     # a NaN residual used to pass the r > tol guard
     with pytest.raises(CompletenessFailure, match="sector 0"), np.errstate(invalid="ignore"):
-        lowest_weight_vectors(0.5, 0.5, complex("nan"), q_generic)
+        ProductSpace.of_spins(0.5, 0.5, q_generic).sectors(complex("nan"))
 
 
 def test_casimir_report_folds_keep_nan():
@@ -428,10 +425,11 @@ def test_casimir_report_folds_keep_nan():
 
 def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng):
     u = sample_u(rng)
-    cop = coproduct_generators(*_pair(0.5, 0.5, q_generic), "delta", u)
-    sec = lowest_weight_vectors(0.5, 0.5, u, q_generic)[0]
-    bad = dataclasses.replace(sec, descendants=[sec.lw_vector,
-                                                np.full_like(sec.lw_vector, np.nan)])
+    space = ProductSpace.of_spins(0.5, 0.5, q_generic)
+    cop = space.coproduct("delta", u)
+    sec = space.sectors(u)[0]
+    v = sec.descendants[0]
+    bad = dataclasses.replace(sec, descendants=[v, np.full_like(v, np.nan)])
     with np.errstate(invalid="ignore"):
         _, report = tensor_casimir(cop, [bad])
     assert np.isnan(report.max_residual)

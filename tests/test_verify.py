@@ -218,7 +218,7 @@ def test_branch_independence_gives_up_after_max_draws(monkeypatch):
     def always_pole(*args, **kwargs):
         raise PoleAtSector(1)
 
-    monkeypatch.setattr(verify, "eigenvalue_ratios", always_pole)
+    monkeypatch.setattr(verify, "eigenvalue_sequence", always_pole)
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
         check_branch_independence(0.5, 1.0, FAST)
 
