@@ -2,7 +2,7 @@
 verification suites, export matrices as JSON documents.
 
 Exit codes: 0 success, 1 verification failure, 2 input validation,
-3 mathematical degeneracy (pole or singular eigenbasis).
+3 mathematical degeneracy (pole, or a singular or incomplete eigenbasis).
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from . import cyclic as cy
 from . import verify
-from .errors import (BadSpin, OrderMismatch, ParameterDomainError, PoleAtSector,
-                     QybeError, SingularBasis, UnsupportedPair, WrongMode)
+from .errors import (BadSpin, CompletenessFailure, OrderMismatch, ParameterDomainError,
+                     PoleAtSector, QybeError, SingularBasis, UnsupportedPair, WrongMode)
 from .qcore import DeformationParameter, ToleranceConfig
 from .rep import build_spin_rep
 from .rop import assemble_R
@@ -63,9 +63,11 @@ def matrix_document(matrix: np.ndarray, metadata: dict) -> dict:
     rows, cols = matrix.shape
     meta = dict(metadata)
     meta.setdefault("tool_version", __version__)
+    # the floats that _c2l gives, one tolist() per part instead of a call per entry
+    flat = np.asarray(matrix, dtype=complex).ravel()
     return {
         "dims": [rows, cols],
-        "entries": [_c2l(z) for z in matrix.ravel()],
+        "entries": [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())],
         "metadata": meta,
     }
 
@@ -258,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except PoleAtSector as exc:
         print(f"error: spectral parameter at a pole (sector {exc.sector})", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (SingularBasis, np.linalg.LinAlgError) as exc:
+    except (SingularBasis, CompletenessFailure, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ParameterDomainError, UnsupportedPair, BadSpin, WrongMode, OrderMismatch) as exc:

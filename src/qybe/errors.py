@@ -34,7 +34,17 @@ class DimensionMismatch(QybeError):
 
 
 class CompletenessFailure(QybeError):
-    """Collected eigenvectors do not span the full tensor product space."""
+    """Collected eigenvectors do not span the full tensor product space.
+
+    ``sector`` and ``family`` ("unbarred" or "barred") name the chain that
+    failed and ``residual`` the number that failed it.
+    """
+
+    def __init__(self, sector: int, family: str, residual: float, message: str):
+        self.sector = sector
+        self.family = family
+        self.residual = residual
+        super().__init__(message)
 
 
 class PoleAtSector(QybeError):
@@ -46,7 +56,18 @@ class PoleAtSector(QybeError):
 
 
 class SingularBasis(QybeError):
-    """Eigenvector matrix is numerically rank-deficient."""
+    """Eigenvector matrix is numerically rank-deficient.
+
+    When one weight block of the eigenbasis is to blame, ``weight``, ``size``
+    and ``cond`` are its weight, its dimension and its condition number.
+    """
+
+    def __init__(self, message: str, *, weight: float | None = None,
+                 size: int | None = None, cond: float | None = None):
+        self.weight = weight
+        self.size = size
+        self.cond = cond
+        super().__init__(message)
 
 
 class UnsupportedPair(QybeError):

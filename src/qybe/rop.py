@@ -1,10 +1,12 @@
 """Universal R-operator: the eigenvalue recurrence and the spectral assembly.
 
 Eigenvalues obey R_n / R_{n-1} = -[l1+l2+1-n-u] / [l1+l2+1-n+u].  The
-matrix is assembled by solving R Phi(u) = PhiBar(-u) D on the full
-eigenvector family, where D is diagonal in the sector eigenvalues.  The
-rational (xxx) mode is the point q = 1 (:data:`qcore.RATIONAL`) of the
-same construction: q-numbers become plain numbers there.
+matrix solves R Phi(u) = PhiBar(-u) D, where D is diagonal in the sector
+eigenvalues.  The twist is a diagonal similarity T_u, so the eigenvector
+families at u = 0 serve every u, one weight block at a time (see
+:class:`tensorrep.SpectralForm`).  The rational (xxx) mode is the point
+q = 1 (:data:`qcore.RATIONAL`) of the same construction: q-numbers become
+plain numbers there, T_u = 1 and the barred family is the unbarred one.
 """
 from __future__ import annotations
 
@@ -12,12 +14,11 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleAtSector, SingularBasis, UnsupportedPair
+from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
 from .qcore import RATIONAL, DeformationParameter, qnum
-from .tensorrep import EigenSector, ProductSpace, _descend, lowest_weight_coeffs, weight_reversed
+from .tensorrep import COND_LIMIT, ProductSpace, weight_reversed
 
 POLE_TOL = 1e-8
-COND_LIMIT = 1e12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,59 +89,31 @@ class RMatrix:
         return self.matrix.shape[0]
 
 
-def _rational_sectors(ell1, ell2) -> list[EigenSector]:
-    """The eigen-sectors at q = 1: the chains of (x1 - x2)^n under the
-    untwisted S+ on the monomial basis.
-
-    At q = 1 the coproduct does not depend on u and the barred family
-    equals the unbarred one, so each chain serves as both.  The global rank
-    test of :meth:`ProductSpace.sectors` is not applied: at q = 1 its
-    largest-entry scale rejects every pair up to (4, 4) whose spins sum to
-    6 or more.
-    """
-    space = ProductSpace.of_spins(ell1, ell2, RATIONAL)
-    sp = space.coproduct().gens.sp
-    d1, d2 = (rep.dim for rep in space.parents)
-    sectors = []
-    for n in range(min(d1, d2)):
-        v = lowest_weight_coeffs(ell1, ell2, n, 0.0, RATIONAL, d1, d2)
-        chain = _descend(sp, v, d1 + d2 - 2 * n - 1, 1e-10)
-        sectors.append(EigenSector(n=n, descendants=chain, barred_descendants=chain))
-    return sectors
+def _spectral_solve(eig: REigenvalues, space: ProductSpace, q: DeformationParameter | None,
+                    basis: str, r0: complex) -> RMatrix:
+    """R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1} from the
+    :class:`SpectralForm` of ``space``, one weight block b at a time."""
+    form = space.spectral_form()
+    layout = form.layout
+    layout.require_conditioned(form.cond, COND_LIMIT)
+    blocks = (form.left * np.asarray(eig.values)) @ form.right
+    d = space.weights.size
+    m = np.zeros(d * d, complex)
+    m[layout.dst] = blocks[layout.inside] * space.q.pow(eig.u * layout.twist)
+    return RMatrix(matrix=m.reshape(d, d), u=eig.u, q=q, mode=eig.mode, ell1=eig.ell1,
+                   ell2=eig.ell2, basis_tag=basis, normalization=f"R_0 = {r0}")
 
 
-def _sectors_pm(ell1, ell2, u: complex, q: DeformationParameter | None, mode: str,
-                basis: str, space: ProductSpace | None):
-    """The sectors at u and at -u, with the q and the basis R is reported in.
+def _space(ell1, ell2, q: DeformationParameter | None, mode: str, basis: str,
+           space: ProductSpace | None):
+    """The space R is solved on, with the q and the basis R is reported in.
 
-    In the rational mode one list, built at q = 1, serves both.
-    """
+    The rational mode solves at q = 1 in the monomial basis."""
     if mode == "xxx":
-        sectors = _rational_sectors(ell1, ell2)
-        return sectors, sectors, None, "monomial"
+        return ProductSpace.of_spins(ell1, ell2, RATIONAL), None, "monomial"
     if space is None:
         space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    return space.sectors(u), space.sectors(-u), q, basis
-
-
-def _sector_solve(eig: REigenvalues, sec_u: list[EigenSector], sec_mu: list[EigenSector],
-                  q: DeformationParameter | None, basis: str, r0: complex) -> RMatrix:
-    """R(u) from R Phi(u) = PhiBar(-u) D, with Phi(u) the raising chains of
-    the sectors built at u and PhiBar(-u) the barred chains of those at -u."""
-    cols_u, cols_mu, diag = [], [], []
-    for s_u, s_mu in zip(sec_u, sec_mu):
-        if len(s_u.descendants) != len(s_mu.barred_descendants):
-            raise SingularBasis(f"chain lengths differ at sector {s_u.n}")
-        cols_u.extend(s_u.descendants)
-        cols_mu.extend(s_mu.barred_descendants)
-        diag.extend([eig.values[s_u.n]] * len(s_u.descendants))
-    phi = np.array(cols_u).T
-    phib = np.array(cols_mu).T
-    if np.linalg.cond(phi) > COND_LIMIT:
-        raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
-    m = phib @ np.diag(diag) @ np.linalg.inv(phi)
-    return RMatrix(matrix=m, u=eig.u, q=q, mode=eig.mode, ell1=eig.ell1, ell2=eig.ell2,
-                   basis_tag=basis, normalization=f"R_0 = {r0}")
+    return space, q, basis
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
@@ -152,28 +125,29 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     barred family at -u scaled by the sector eigenvalues; the barred
     counterpart relation is left as an independent check for the caller.
     ``space`` is the :class:`ProductSpace` of the two spins in ``basis``
-    over q, when the caller shares one with other work at the same point;
-    it is built here otherwise.  The rational mode ignores q, ``basis`` and
-    ``space``: it solves at q = 1 in the monomial basis.
+    over q, when the caller shares one (and its spectral form) with other
+    work at the same point; it is built here otherwise.  The rational mode
+    ignores q, ``basis`` and ``space``: it solves at q = 1 in the monomial
+    basis.
     """
     eig = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
-    return _sector_solve(eig, *_sectors_pm(ell1, ell2, u, q, mode, basis, space), r0)
+    return _spectral_solve(eig, *_space(ell1, ell2, q, mode, basis, space), r0)
 
 
 def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = None,
                     mode: str = "xxz", r0: complex = 1.0,
                     basis: str = "orthonormal") -> tuple[RMatrix, RMatrix]:
-    """(R(u), R(-u)), equal to two :func:`assemble_R` calls.
+    """(R(u), R(-u)), equal to two :func:`assemble_R` calls: one spectral
+    form, evaluated at u and at -u.
 
-    Both solves share one sector build at u and one at -u.
     The checks R(u) needs run before those only R(-u) needs, so the first
     error raised is the one the two separate calls would raise.
     """
     eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
-    sec_u, sec_mu, q_r, basis_r = _sectors_pm(ell1, ell2, u, q, mode, basis, None)
-    r_u = _sector_solve(eig_u, sec_u, sec_mu, q_r, basis_r, r0)
+    solve_on = _space(ell1, ell2, q, mode, basis, None)
+    r_u = _spectral_solve(eig_u, *solve_on, r0)
     eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode, r0)
-    return r_u, _sector_solve(eig_mu, sec_mu, sec_u, q_r, basis_r, r0)
+    return r_u, _spectral_solve(eig_mu, *solve_on, r0)
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
@@ -196,7 +170,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
         m *= r0 / (c_q * b(u + 1))
         tag = "monomial"
     elif key == (1, 2):
-        s = np.sqrt(q.value + 1 / q.value)
+        s = np.sqrt(qnum(1, q) * qnum(2, q))
         m = np.zeros((6, 6), complex)
         m[0, 0] = m[5, 5] = b(u + 1.5)
         m[1, 1] = m[4, 4] = b(u + 0.5)

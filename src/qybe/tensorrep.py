@@ -11,9 +11,12 @@ import dataclasses
 
 import numpy as np
 
-from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
+from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError, SingularBasis
 from .qcore import DeformationParameter, _nan_max, qnum
 from .rep import OperatorTriple, build_spin_rep
+
+# the largest condition number an eigenvector weight block may have
+COND_LIMIT = 1e12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +55,8 @@ class ProductSpace:
     (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+), built the first time that kind
     is used.  A twisted coproduct at any u is then two sums weighted by
     q^{u/2}, so one space serves every u, every kind and every caller of
-    one sampled point.
+    one sampled point.  For two finite spins it also holds the
+    :class:`SpectralForm` of R, built the first time it is asked for.
     """
 
     def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
@@ -68,6 +72,8 @@ class ProductSpace:
             d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
             self.from_monomial = kron(d1, d2)
         self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
+        self._block_layout: _BlockLayout | None = None
+        self._form: SpectralForm | None = None
 
     @classmethod
     def of_spins(cls, ell1, ell2, q: DeformationParameter,
@@ -104,50 +110,198 @@ class ProductSpace:
                               ell=None, from_monomial=self.from_monomial)
         return TwistedCoproduct(kind=kind, u=complex(u), gens=gens, parents=self.parents)
 
+    def _chains(self, u: complex, kind: str, abs_tol: float) -> np.ndarray:
+        """The raising chains of every sector of the coproduct ``kind`` at u.
+
+        Returns c of shape (d1+d2-1, d1*d2, k), k = min(d1, d2), with
+        c[m][:, n] = (S+_u)^m v_n and v_n the lowest-weight vector of sector
+        n from the closed product formula; one raising step serves all k
+        chains.  Raises :class:`CompletenessFailure` when S-_u v_n is not
+        zero, or when the chain of sector n vanishes (or overflows) before
+        its full length d1+d2-1-2n.
+        """
+        rep1, rep2 = self.parents
+        if rep1.ell is None or rep2.ell is None:
+            raise ParameterDomainError("eigen-sectors need two finite spins")
+        gens = self.coproduct(kind, u).gens
+        d1, d2 = rep1.dim, rep2.dim
+        k, steps = min(d1, d2), d1 + d2 - 1
+        barred = kind == "deltabar"
+        family = "barred" if barred else "unbarred"
+        lw = _lowest_weights(rep1.ell, rep2.ell, u, self.q, d1, d2, barred, k).T
+        if self.from_monomial is not None:
+            lw = self.from_monomial[:, None] * lw
+        scale = np.maximum(1.0, np.abs(lw).max(axis=0))
+        resid = np.abs(gens.sm @ lw).max(axis=0) / scale
+        if not (resid <= abs_tol).all():
+            n = int(np.argmin(resid <= abs_tol))
+            raise CompletenessFailure(
+                n, family, float(resid[n]),
+                f"lowest-weight condition fails at sector {n} of the {family} family "
+                f"(residual {resid[n]:.2e})")
+        chains = np.empty((steps, d1 * d2, k), complex)
+        chains[0] = lw
+        for m in range(1, steps):
+            chains[m] = gens.sp @ chains[m - 1]
+        size = np.abs(chains).max(axis=1) / scale
+        broken = self._layout().live & ~((size >= abs_tol) & (size < np.inf))
+        if broken.any():
+            n, m = (int(i) for i in np.argwhere(broken.T)[0])
+            raise CompletenessFailure(
+                n, family, float(size[m, n]),
+                f"raising chain of sector {n} of the {family} family breaks at step {m} "
+                f"of {steps - 2 * n} (relative size {size[m, n]:.2e})")
+        return chains
+
+    def _layout(self) -> _BlockLayout:
+        if self._block_layout is None:
+            self._block_layout = _BlockLayout.of_dims(*(rep.dim for rep in self.parents))
+        return self._block_layout
+
+    def _unit_blocks(self, chains: np.ndarray):
+        """The weight blocks of ``chains`` with unit columns, the column norms
+        and the condition number of every block."""
+        blocks = self._layout().cut(chains)
+        norms = np.linalg.norm(blocks, axis=1, keepdims=True)
+        unit = blocks / norms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.linalg.svd(unit, compute_uv=False)
+            cond = s[:, 0] / s[:, -1]
+        return unit, norms, cond
+
     def sectors(self, u: complex, kind: str = "delta",
                 abs_tol: float = 1e-10) -> list[EigenSector]:
         """All eigen-sectors of the coproduct ``kind`` at u.
 
-        For each n = 0..min(2l1, 2l2) the lowest-weight vector comes from
-        the closed product formula, is checked against S-_u v = 0, and is
-        raised until the chain terminates.  Completeness of the collected
-        family is verified against the full dimension d1*d2.
+        The chains of both coproduct kinds come from :meth:`_chains`, and
+        those of ``kind`` must pass the weight-block test of
+        :class:`SpectralForm` against :data:`COND_LIMIT`, which raises
+        :class:`SingularBasis`.
         """
-        rep1, rep2 = self.parents
-        ell1, ell2 = rep1.ell, rep2.ell
-        if ell1 is None or ell2 is None:
-            raise ParameterDomainError("eigen-sectors need two finite spins")
-        q = self.q
-        d1, d2 = rep1.dim, rep2.dim
-        barred = kind == "deltabar"
-        cop = self.coproduct(kind, u)
-        cop_bar = self.coproduct("delta" if barred else "deltabar", u)
-        dm = self.from_monomial
+        chains = self._chains(u, kind, abs_tol)
+        twins = self._chains(u, "delta" if kind == "deltabar" else "deltabar", abs_tol)
+        self._layout().require_conditioned(self._unit_blocks(chains)[2], COND_LIMIT)
+        steps = chains.shape[0]
+        return [EigenSector(n=n, descendants=list(chains[:steps - 2 * n, :, n]),
+                            barred_descendants=list(twins[:steps - 2 * n, :, n]))
+                for n in range(chains.shape[2])]
 
-        sectors = []
-        total = 0
-        for n in range(min(d1, d2)):
-            v = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=barred)
-            vb = lowest_weight_coeffs(ell1, ell2, n, u, q, d1, d2, barred=not barred)
-            if dm is not None:
-                v = dm * v
-                vb = dm * vb
-            for vec, gen in ((v, cop.gens), (vb, cop_bar.gens)):
-                r = np.abs(gen.sm @ vec).max() / max(1.0, np.abs(vec).max())
-                if not r <= abs_tol:
-                    raise CompletenessFailure(
-                        f"lowest-weight condition fails at sector {n} (residual {r:.2e})")
-            limit = d1 + d2 - 2 * n - 1
-            chain = _descend(cop.gens.sp, v, limit, abs_tol)
-            chain_bar = _descend(cop_bar.gens.sp, vb, limit, abs_tol)
-            total += len(chain)
-            sectors.append(EigenSector(n=n, descendants=chain, barred_descendants=chain_bar))
-        if total != d1 * d2:
-            raise CompletenessFailure(f"sector chains give {total} vectors, expected {d1 * d2}")
-        stack = np.array([vec for s in sectors for vec in s.descendants])
-        if np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())) < d1 * d2:
-            raise CompletenessFailure("sector vectors are numerically rank-deficient")
-        return sectors
+    def spectral_form(self) -> SpectralForm:
+        """The u-independent spectral form of R on this space of two spins,
+        built from the chains at u = 0 the first time it is asked for.
+
+        At the rational point (q on the zero log branch) the barred chains
+        are the unbarred ones, so one family is built.  The conditioning is
+        recorded, not tested: callers test it against their limit.
+        """
+        if self._form is None:
+            chains = self._chains(0.0, "delta", 1e-10)
+            unit, norms, cond = self._unit_blocks(chains)
+            layout = self._layout()
+            if self.q.log_branch == 0:
+                left = unit
+            else:
+                left = layout.cut(self._chains(0.0, "deltabar", 1e-10)) / norms
+            if not np.isfinite(cond).all():
+                # such a block fails every limit; the identity stands in for
+                # it so that the batched inverse runs
+                unit = np.where(np.isfinite(cond)[:, None, None], unit, np.eye(unit.shape[1]))
+            right = np.linalg.inv(unit)
+            self._form = SpectralForm(left=left, right=right, cond=cond, layout=layout)
+        return self._form
+
+
+@dataclasses.dataclass(frozen=True)
+class _BlockLayout:
+    """Where the weight blocks of a d1 x d2 product sit.
+
+    Block b (b = 0..d1+d2-2, weight b - (d1+d2-2)/2) spans the ``sizes[b]``
+    monomials x1^j x2^(b-j), in ascending j.  Sector n has one vector in
+    block b for each n < sizes[b]: its (b-n)-th descendant, so ``live[m, n]``
+    marks the steps m < d1+d2-1-2n of the chain of sector n.  Blocks are
+    padded to k x k, k = min(d1, d2), with the identity outside the
+    ``inside`` mask.  For the entries inside, in C order, ``dst`` is the
+    flat position in the d x d matrix and ``twist`` is j' - j for the entry
+    that maps x1^j' x2^. to x1^j x2^.: the power of q^u that the twist
+    T_u = q^{-u(S1-S2)/2} puts on it.
+    """
+
+    sizes: np.ndarray
+    live: np.ndarray
+    inside: np.ndarray
+    take: tuple
+    dst: np.ndarray
+    twist: np.ndarray
+
+    @classmethod
+    def of_dims(cls, d1: int, d2: int) -> "_BlockLayout":
+        k, nb = min(d1, d2), d1 + d2 - 1
+        b = np.arange(nb)[:, None]
+        n = np.arange(k)
+        j = np.maximum(0, b - d2 + 1) + n
+        sizes = np.minimum(b, d1 - 1)[:, 0] - j[:, 0] + 1
+        row_ok = n < sizes[:, None]
+        rows = np.where(row_ok, j * d2 + b - j, 0)
+        inside = row_ok[:, :, None] & row_ok[:, None, :]
+        return cls(sizes=sizes, live=b < nb - 2 * n, inside=inside,
+                   take=(b[:, :, None] - n, rows[:, :, None], n),
+                   dst=(rows[:, :, None] * (d1 * d2) + rows[:, None, :])[inside],
+                   twist=(j[:, None, :] - j[:, :, None])[inside])
+
+    def cut(self, chains: np.ndarray) -> np.ndarray:
+        """The padded weight blocks of chains c[m][:, n] (see :meth:`ProductSpace._chains`)."""
+        return np.where(self.inside, chains[self.take], np.eye(self.inside.shape[1]))
+
+    def require_conditioned(self, cond: np.ndarray, limit: float) -> None:
+        """Raise :class:`SingularBasis` for the worst block whose condition
+        number is above ``limit`` or not a number."""
+        bad = np.flatnonzero(~(cond <= limit))
+        if bad.size:
+            b = int(bad[np.argmax(cond[bad])])
+            weight = b - (len(self.sizes) - 1) / 2
+            size = int(self.sizes[b])
+            raise SingularBasis(
+                f"eigenvector block of weight {weight:g} (size {size}) has condition number "
+                f"{cond[b]:.3e}, above {limit:.0e}",
+                weight=weight, size=size, cond=float(cond[b]))
+
+
+@dataclasses.dataclass(frozen=True)
+class SpectralForm:
+    """The u-independent part of R on a product of two spins.
+
+    The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
+    T_u = q^{-u(S1-S2)/2}, and the barred coproduct at -u carries the same
+    T_u.  So the chains at u = 0 give R at every u:
+
+        R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1},
+
+    where Phi_b holds the unbarred chain vectors of weight block b and D(u)
+    the sector eigenvalues.  ``right`` is the inverse of each block with
+    unit columns, ``left`` the barred block over the same column norms, and
+    ``cond`` the condition number of each unit-column block.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    cond: np.ndarray
+    layout: _BlockLayout
+
+
+def _lowest_weights(ell1, ell2, u: complex, q: DeformationParameter, d1: int, d2: int,
+                    barred: bool, count: int) -> np.ndarray:
+    """Rows n < count: the monomial coefficients of the degree-n
+    lowest-weight polynomial, all from one product recurrence."""
+    s = -1.0 if barred else 1.0
+    c = np.zeros((count, d1, d2), complex)
+    c[0, 0, 0] = 1.0
+    for i in range(1, count):
+        # scalar powers: numpy's vectorised complex product may round differently
+        a = q.pow(s * (ell1 + 1 - i - u / 2))
+        b = q.pow(s * (u / 2 + i - 1 - ell2))
+        c[i, 1:, :] += a * c[i - 1, :-1, :]
+        c[i, :, 1:] -= b * c[i - 1, :, :-1]
+    return c.reshape(count, d1 * d2)
 
 
 def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter,
@@ -157,17 +311,7 @@ def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter
     The unbarred vector is the product over i = 1..n of
     (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one replaces q by 1/q.
     """
-    s = -1.0 if barred else 1.0
-    c = np.zeros((d1, d2), complex)
-    c[0, 0] = 1.0
-    for i in range(1, n + 1):
-        a = q.pow(s * (ell1 + 1 - i - u / 2))
-        b = q.pow(s * (u / 2 + i - 1 - ell2))
-        nxt = np.zeros_like(c)
-        nxt[1:, :] += a * c[:-1, :]
-        nxt[:, 1:] -= b * c[:, :-1]
-        c = nxt
-    return c.ravel()
+    return _lowest_weights(ell1, ell2, u, q, d1, d2, barred, n + 1)[n]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,17 +325,6 @@ class EigenSector:
     n: int
     descendants: list[np.ndarray]
     barred_descendants: list[np.ndarray]
-
-
-def _descend(sp: np.ndarray, v: np.ndarray, limit: int, abs_tol: float) -> list[np.ndarray]:
-    chain = [v]
-    ref = np.abs(v).max()
-    while len(chain) < limit:
-        v = sp @ v
-        if np.abs(v).max() < abs_tol * max(1.0, ref):
-            break
-        chain.append(v)
-    return chain
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,6 +6,8 @@ import pytest
 from qybe import DeformationParameter, build_spin_rep, closed_form_R, normalize_global
 from qybe.cli import (document_matrix, dump_document, load_document, main,
                       matrix_document, parse_complex, parse_spin)
+from qybe.errors import CompletenessFailure
+from qybe.verify import _c2l
 
 
 def test_parse_complex():
@@ -195,3 +197,34 @@ def test_document_entry_count_validated():
     doc["entries"] = doc["entries"][:-1]
     with pytest.raises(Exception, match="entry count"):
         document_matrix(doc)
+
+
+def test_completeness_failure_is_degeneracy(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise CompletenessFailure(2, "barred", 3e-7, "lowest-weight condition fails at sector 2")
+    monkeypatch.setattr("qybe.cli.assemble_R", fail)
+    code = main(["rmatrix", "--l1", "1", "--l2", "1", "--u", "0.4",
+                 "--q", "0.3+0.4i", "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "fails at sector 2" in capsys.readouterr().err
+
+
+def test_rmatrix_spin_three_assembles(tmp_path):
+    # the global rank test rejected this point with exit 1
+    out = tmp_path / "r.json"
+    code = main(["rmatrix", "--l1", "3", "--l2", "3", "--u", "0.3+0.2i",
+                 "--q", "0.3+0.4i", "--out", str(out)])
+    assert code == 0
+    assert load_document(out)["dims"] == [49, 49]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[-0.0, 1.5], [np.nan, -np.inf]]),
+    np.array([[complex(-0.0, -0.0), complex(np.inf, np.nan)],
+              [complex(np.nan, -np.inf), complex(0.1, -0.0)]]),
+    np.arange(6.0).reshape(2, 3) / 7,
+])
+def test_matrix_document_entries_are_the_per_entry_floats(matrix):
+    doc = matrix_document(matrix, {"k": 1})
+    per_entry = dict(doc, entries=[_c2l(z) for z in matrix.ravel()])
+    assert dump_document(doc) == dump_document(per_entry)

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qybe import (CyclicRepSpec, build_cyclic_rep, build_spin_rep, casimir_matrix,
-                  lowest_weight_coeffs, qnum, tensor_casimir, weight_reversed)
+from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
+                  build_spin_rep, casimir_matrix, lowest_weight_coeffs, qnum, tensor_casimir,
+                  weight_reversed)
 from qybe.errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
 from qybe.qcore import sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace,
@@ -434,3 +435,53 @@ def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng):
         _, report = tensor_casimir(cop, [bad])
     assert np.isnan(report.max_residual)
     assert np.isnan(report.max_m_spread)
+
+
+@pytest.mark.parametrize("kind", ["delta", "deltabar"])
+def test_twist_is_a_diagonal_similarity(kind, rng):
+    """Delta_u = T_u Delta_0 T_u^-1 with T_u = q^{-u(S1-S2)/2}; the barred
+    coproduct at u carries T_{-u}."""
+    for basis in ("monomial", "orthonormal"):
+        for ell1, ell2 in ((0.5, 1.0), (1.5, 1.0), (2.0, 2.5)):
+            q = sample_generic_q(rng)
+            u = sample_u(rng)
+            r1, r2 = _pair(ell1, ell2, q, basis)
+            space = ProductSpace(r1, r2)
+            s = u if kind == "delta" else -u
+            t = q.pow(-s * np.subtract.outer(r1.weights, r2.weights).ravel() / 2)
+            at_zero, at_u = space.coproduct(kind, 0.0).gens, space.coproduct(kind, u).gens
+            for got, base in ((at_u.sp, at_zero.sp), (at_u.sm, at_zero.sm)):
+                want = t[:, None] * base / t[None, :]
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,family", [("delta", "unbarred"), ("deltabar", "barred")])
+def test_completeness_failure_names_sector_family_and_residual(kind, family):
+    # at q = exp(2 pi i / 3) the chain of sector 0 of the (1, 1) pair, five
+    # vectors long, hits [3] = 0 at its third raising step
+    space = ProductSpace.of_spins(1.0, 1.0, DeformationParameter.root_of_unity(3))
+    with pytest.raises(CompletenessFailure) as exc:
+        space.sectors(0.3 + 0.2j, kind)
+    err = exc.value
+    assert (err.sector, err.family) == (0, family)
+    assert 0 <= err.residual < 1e-10
+    assert f"sector 0 of the {family} family breaks at step 3 of 5" in str(err)
+
+
+@pytest.mark.parametrize("pair", [(2.0, 4.0), (3.0, 3.0), (2.5, 4.0), (4.0, 4.0)])
+def test_sectors_at_the_rational_point(pair):
+    """The block test accepts the q = 1 chains, whose exact integer entries
+    differ widely in size; a rank test scaled by the largest entry rejected
+    every pair whose spins sum to 6 or more."""
+    ell1, ell2 = pair
+    d1, d2 = int(2 * ell1 + 1), int(2 * ell2 + 1)
+    space = ProductSpace.of_spins(ell1, ell2, RATIONAL)
+    sp = space.coproduct().gens.sp
+    for u in (0.0, 0.3 + 0.2j):
+        sectors = space.sectors(u)
+        assert [len(s.descendants) for s in sectors] == [d1 + d2 - 1 - 2 * n
+                                                         for n in range(min(d1, d2))]
+        for s in sectors:
+            assert np.array_equal(s.descendants, s.barred_descendants)
+            for v, w in zip(s.descendants, s.descendants[1:]):
+                assert np.array_equal(sp @ v, w)
