@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .qcore import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig,
                     phi_product, qnum)
-from .rep import (CasimirReport, OperatorTriple, build_lax, build_spin_rep,
-                  casimir, fundamental_r, fundamental_r_rational)
+from .rep import OperatorTriple, build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace, TwistedCoproduct,
-                        casimir_matrix, lowest_weight_coeffs, tensor_casimir,
-                        weight_reversed)
+                        lowest_weight_coeffs, tensor_casimir, weight_reversed)
 from .rop import (REigenvalues, RMatrix, assemble_R, assemble_R_pair, closed_form_R,
                   eigenvalue_sequence, normalize_global)
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
@@ -23,10 +21,9 @@ from . import errors
 
 __all__ = [
     "RATIONAL", "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
-    "CasimirReport", "OperatorTriple", "build_lax", "build_spin_rep", "casimir",
-    "fundamental_r", "fundamental_r_rational",
+    "OperatorTriple", "build_lax", "build_spin_rep", "casimir_matrix", "fundamental_r",
     "CasimirSpectrumReport", "EigenSector", "ProductSpace", "TwistedCoproduct",
-    "casimir_matrix", "lowest_weight_coeffs", "tensor_casimir", "weight_reversed",
+    "lowest_weight_coeffs", "tensor_casimir", "weight_reversed",
     "REigenvalues", "RMatrix", "assemble_R", "assemble_R_pair", "closed_form_R",
     "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",

@@ -34,8 +34,11 @@ class ToleranceConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ParameterDomainError("tolerances must be positive")
+        # the comparisons are false for NaN, so a NaN tolerance is rejected too
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ParameterDomainError(
+                f"tolerances must be positive and finite (got abs_tol={self.abs_tol}, "
+                f"rel_tol={self.rel_tol})")
         if self.sample_count < 1:
             raise ParameterDomainError("sample_count must be at least 1")
 

@@ -114,52 +114,33 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial",
                           truncated=truncated)
 
 
-@dataclasses.dataclass(frozen=True)
-class CasimirReport:
-    expected: complex
-    max_deviation: float
+def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
+    """C = S+ S- + [S][S-1]; on a spin-l representation the scalar [l][l+1].
 
-
-def casimir(rep: OperatorTriple) -> tuple[np.ndarray, CasimirReport]:
-    """C = S+ S- + [S][S-1], with its deviation from the scalar [l][l+1]."""
-    q = rep.q
+    ``rep`` is a single representation or the generators of a coproduct
+    (``TwistedCoproduct.gens``).
+    """
     w = rep.weights
-    c = rep.sp @ rep.sm + np.diag(qnum(w, q) * qnum(w - 1, q))
-    if rep.ell is None:
-        raise ParameterDomainError("casimir scalar check needs a spin label")
-    expected = qnum(rep.ell, q) * qnum(rep.ell + 1, q)
-    dev = np.abs(c - expected * np.eye(rep.dim)).max()
-    return c, CasimirReport(complex(expected), float(dev))
+    return rep.sp @ rep.sm + np.diag(qnum(w, rep.q) * qnum(w - 1, rep.q))
 
 
 def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:
     """2x2-block Lax matrix on (auxiliary x quantum), auxiliary index outermost.
 
-    Blocks: [[q^{u+S} - q^{-u-S}, (q-1/q) S-], [(q-1/q) S+, q^{u-S} - q^{-u+S}]].
+    Blocks: [[[u+S], S-], [S+, [u-S]]] with q-numbers of the diagonal S, so
+    at q = 1 (:data:`qcore.RATIONAL`) it is the rational [[u+S, S-], [S+, u-S]].
     """
-    q = rep.q
-    qu = q.pow(u)
-    c = q.value - 1 / q.value
-    a_blk = qu * rep.qs(1) - rep.qs(-1) / qu
-    d_blk = qu * rep.qs(-1) - rep.qs(1) / qu
-    return np.block([[a_blk, c * rep.sm], [c * rep.sp, d_blk]])
+    a_blk = np.diag(qnum(u + rep.weights, rep.q))
+    d_blk = np.diag(qnum(u - rep.weights, rep.q))
+    return np.block([[a_blk, rep.sm], [rep.sp, d_blk]])
 
 
 def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
-    """The 4x4 trigonometric six-vertex matrix with entries
-    a = q^{u+1} - q^{-u-1}, b = q^u - q^{-u}, c = q - 1/q."""
-    a = q.pow(u + 1) - q.pow(-u - 1)
-    b = q.pow(u) - q.pow(-u)
-    c = q.value - 1 / q.value
+    """The 4x4 six-vertex matrix with entries a = [u+1], b = [u], c = 1:
+    trigonometric at generic q, rational (a = u+1, b = u) at q = 1."""
+    a = qnum(u + 1, q)
+    b = qnum(u, q)
     return np.array([[a, 0, 0, 0],
-                     [0, b, c, 0],
-                     [0, c, b, 0],
+                     [0, b, 1, 0],
+                     [0, 1, b, 0],
                      [0, 0, 0, a]], dtype=complex)
-
-
-def fundamental_r_rational(u: complex) -> np.ndarray:
-    """Rational (isotropic) counterpart: a = u+1, b = u, c = 1."""
-    return np.array([[u + 1, 0, 0, 0],
-                     [0, u, 1, 0],
-                     [0, 1, u, 0],
-                     [0, 0, 0, u + 1]], dtype=complex)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
 from .qcore import RATIONAL, DeformationParameter, qnum
+from .rep import fundamental_r
 from .tensorrep import COND_LIMIT, ProductSpace, weight_reversed
 
 POLE_TOL = 1e-8
@@ -152,22 +153,17 @@ def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = Non
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
                   r0: complex = 1.0) -> RMatrix:
-    """Tabulated matrices for the pairs (1/2,1/2), (1/2,1), (1,1).
+    """Tabulated matrices for the pairs (1/2,1/2), (1/2,1), (1,1), at any q
+    including the rational point :data:`qcore.RATIONAL`.
 
-    Entries are transcribed in descending-weight ordering (orthonormal
+    (1/2,1/2) is the six-vertex :func:`rep.fundamental_r`.  The other
+    entries are transcribed in descending-weight ordering (orthonormal
     single-spin bases) and flipped to the canonical ascending ordering.
     """
     key = (int(round(2 * float(np.real(ell1)))), int(round(2 * float(np.real(ell2)))))
     b = lambda x: qnum(x, q)
-    c_q = q.value - 1 / q.value
     if key == (1, 1):
-        a = q.pow(u + 1) - q.pow(-u - 1)
-        bb = q.pow(u) - q.pow(-u)
-        m = np.array([[a, 0, 0, 0],
-                      [0, bb, c_q, 0],
-                      [0, c_q, bb, 0],
-                      [0, 0, 0, a]], dtype=complex)
-        m *= r0 / (c_q * b(u + 1))
+        m = fundamental_r(u, q) * (r0 / b(u + 1))
         tag = "monomial"
     elif key == (1, 2):
         s = np.sqrt(qnum(1, q) * qnum(2, q))

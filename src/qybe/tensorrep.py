@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError, SingularBasis
 from .qcore import DeformationParameter, _nan_max, qnum
-from .rep import OperatorTriple, build_spin_rep
+from .rep import OperatorTriple, build_spin_rep, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -348,16 +348,9 @@ class CasimirSpectrumReport:
         return _nan_max(*(s.m_spread for s in self.sectors))
 
 
-def casimir_matrix(cop: TwistedCoproduct) -> np.ndarray:
-    """C = S+_u S-_u + [S][S-1] on the product space."""
-    g = cop.gens
-    q = g.q
-    return g.sp @ g.sm + np.diag(qnum(g.weights, q) * qnum(g.weights - 1, q))
-
-
 def tensor_casimir(cop: TwistedCoproduct, sectors: list[EigenSector]
-                   ) -> tuple[np.ndarray, CasimirSpectrumReport]:
-    """Casimir of the twisted generators plus its spectrum on ``sectors``,
+                   ) -> CasimirSpectrumReport:
+    """The spectrum of the Casimir of the twisted generators on ``sectors``,
     the :meth:`ProductSpace.sectors` of the same kind and u.
 
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
@@ -365,7 +358,7 @@ def tensor_casimir(cop: TwistedCoproduct, sectors: list[EigenSector]
     Rayleigh estimates across each chain.
     """
     q = cop.gens.q
-    c = casimir_matrix(cop)
+    c = casimir_matrix(cop.gens)
     rep1, rep2 = cop.parents
     entries = []
     for sec in sectors:
@@ -380,7 +373,7 @@ def tensor_casimir(cop: TwistedCoproduct, sectors: list[EigenSector]
             rayleigh.append(np.vdot(v, c @ v) / nv)
         spread = _nan_max(*(abs(r - rayleigh[0]) for r in rayleigh))
         entries.append(SectorEigenvalue(sec.n, complex(lam), float(resid), float(spread)))
-    return c, CasimirSpectrumReport(entries)
+    return CasimirSpectrumReport(entries)
 
 
 def weight_reversed(arr: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ import numpy as np
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     phi_product, qnum, sample_generic_q, sample_params, sample_u)
-from .rep import build_lax, build_spin_rep, fundamental_r, fundamental_r_rational
+from .rep import build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .rop import RMatrix, _top_sector, assemble_R, assemble_R_pair, eigenvalue_sequence
 from .errors import NotScalar, ParameterDomainError, PoleAtSector, SamplerExhausted
-from .tensorrep import ProductSpace, casimir_matrix, kron, tensor_casimir
+from .tensorrep import ProductSpace, kron, tensor_casimir
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,10 +110,10 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
 # ---------------------------------------------------------------------------
 # embeddings
 
-def embed_two_site(r4: np.ndarray, pos: str, dim3: int = 2) -> np.ndarray:
-    """Embed a 4x4 two-site matrix into C2 x C2 x C^dim3 at the named slots."""
+def embed_two_site(r4: np.ndarray, pos: str) -> np.ndarray:
+    """Embed a 4x4 two-site matrix into C2 x C2 x C2 at the named slots."""
     if pos == "12":
-        return kron(r4, np.eye(dim3))
+        return kron(r4, np.eye(2))
     if pos == "23":
         return kron(np.eye(2), r4)
     if pos == "13":
@@ -131,22 +131,20 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
 
     def one(rng, i):
         if points is None:
-            q = None if mode == "xxx" else sample_generic_q(rng)
+            q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
             u, v = sample_u(rng), sample_u(rng)
         else:
             q, u, v = points[i]
-        def r_of(w):
-            return fundamental_r_rational(w) if mode == "xxx" else fundamental_r(w, q)
-        r12 = r_of(u - v)
+        r12 = fundamental_r(u - v, q)
         if perturb:
             r12 = r12.copy()
             r12[0, 1] += perturb
         m12 = embed_two_site(r12, "12")
-        m13 = embed_two_site(r_of(u), "13")
-        m23 = embed_two_site(r_of(v), "23")
+        m13 = embed_two_site(fundamental_r(u, q), "13")
+        m23 = embed_two_site(fundamental_r(v, q), "23")
         lhs = m12 @ m13 @ m23
         rhs = m23 @ m13 @ m12
-        return ({"q": None if q is None else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
+        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
                 residual(lhs, rhs, m12, m13, m23))
 
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
@@ -234,8 +232,8 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None, *,
     out["k_plus_minus"] = residual(r @ k_pm, k_pm_bar @ r, r, k_pm)
     out["k_minus_plus"] = residual(r @ k_mp, k_mp_bar @ r, r, k_mp)
 
-    c_mu = casimir_matrix(cop_mu)
-    c_bar_u = casimir_matrix(bar_u)
+    c_mu = casimir_matrix(cop_mu.gens)
+    c_bar_u = casimir_matrix(bar_u.gens)
     out["casimir_intertwine"] = residual(c_mu @ r, r @ c_bar_u, r, c_mu, c_bar_u)
     return out
 
@@ -315,7 +313,7 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> Re
     def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng)
         space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
-        _, report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
+        report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
         return ({"q": _c2l(q.value), "u": _c2l(u)},
                 _nan_max(report.max_residual, report.max_m_spread))
 

@@ -150,6 +150,14 @@ def test_verify_tol_reaches_every_suite(tmp_path):
     assert set(tols.values()) == {1e-30, 1e-30 / 100}
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_rejects_a_nonfinite_tolerance(tol, capsys):
+    """A non-finite --tol is a validation error, not a vacuous pass or fail."""
+    assert main(["verify", "ybe", "--samples", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "identities passed" not in captured.out
+
+
 def test_verify_cyclic_suite():
     assert main(["verify", "cyclic", "--N", "5", "--samples", "2", "--seed", "3"]) == 0
 

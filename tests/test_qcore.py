@@ -138,6 +138,13 @@ def test_tolerance_config_validation():
         ToleranceConfig(sample_count=0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_tolerance_config_rejects_nonfinite(field, value):
+    with pytest.raises(ParameterDomainError, match="finite"):
+        ToleranceConfig(**{field: value})
+
+
 def test_sampler_avoids_degenerate_q(rng):
     for _ in range(25):
         q = sample_generic_q(rng)

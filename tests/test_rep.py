@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from qybe import (OperatorTriple, build_lax, build_spin_rep, casimir, fundamental_r,
-                  qnum, weight_reversed)
+import qybe
+from qybe import (RATIONAL, OperatorTriple, build_lax, build_spin_rep, casimir_matrix,
+                  fundamental_r, qnum, weight_reversed)
 from qybe.errors import BadSpin
 from qybe.qcore import sample_generic_q, sample_u
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _casimir_deviation(rep):
+    """Max deviation of the Casimir from the scalar [l][l+1]."""
+    expected = qnum(rep.ell, rep.q) * qnum(rep.ell + 1, rep.q)
+    return np.abs(casimir_matrix(rep) - expected * np.eye(rep.dim)).max()
+
+
+def test_public_names_resolve():
+    for name in qybe.__all__:
+        assert hasattr(qybe, name), name
 
 
 def test_spin_half_matrices(q_generic):
@@ -57,8 +69,8 @@ def test_monomial_orthonormal_similarity(q_generic):
     dinv = np.diag(1 / orth.from_monomial)
     assert np.allclose(d @ mono.sp @ dinv, orth.sp, atol=1e-10)
     assert np.allclose(d @ mono.sm @ dinv, orth.sm, atol=1e-10)
-    c_mono, _ = casimir(mono)
-    c_orth, _ = casimir(orth)
+    c_mono = casimir_matrix(mono)
+    c_orth = casimir_matrix(orth)
     assert np.allclose(d @ c_mono @ dinv, c_orth, atol=1e-10)
     # both Casimirs are scalar, hence equal entrywise, not just similar
     assert np.allclose(c_mono, c_orth, atol=1e-10)
@@ -74,24 +86,25 @@ def test_nilpotency_exact(ell, q_generic):
 
 def test_casimir_spin_half(q_generic):
     rep = build_spin_rep(0.5, q_generic)
-    c, report = casimir(rep)
     expected = qnum(0.5, q_generic) * qnum(1.5, q_generic)
-    assert np.allclose(c, expected * np.eye(2), atol=1e-12)
-    assert report.expected == pytest.approx(expected)
-    assert report.max_deviation < 1e-12
+    assert np.allclose(casimir_matrix(rep), expected * np.eye(2), atol=1e-12)
+    assert _casimir_deviation(rep) < 1e-12
 
 
 def test_casimir_trivial_rep(q_generic):
-    c, report = casimir(build_spin_rep(0.0, q_generic))
-    assert abs(c[0, 0]) < 1e-12
-    assert report.max_deviation < 1e-12
+    rep = build_spin_rep(0.0, q_generic)
+    assert abs(casimir_matrix(rep)[0, 0]) < 1e-12
+    assert _casimir_deviation(rep) < 1e-12
 
 
 def test_casimir_scalar_random_q(rng):
     for _ in range(5):
         q = sample_generic_q(rng)
-        _, report = casimir(build_spin_rep(1.0, q))
-        assert report.max_deviation < 1e-10
+        assert _casimir_deviation(build_spin_rep(1.0, q)) < 1e-10
+    # at q = 1 the same function gives the classical S^2 = l(l+1), exactly
+    for ell in (0.5, 1.0, 1.5, 2.0):
+        rep = build_spin_rep(ell, RATIONAL)
+        assert np.array_equal(casimir_matrix(rep), ell * (ell + 1) * np.eye(rep.dim))
 
 
 def test_bad_spin(q_generic):
@@ -112,24 +125,26 @@ def test_lax_spin_half_is_fundamental(q_generic, rng):
 
 
 def test_lax_entry_pattern(q_generic, rng):
-    """Diagonal blocks carry q^{u +- S} - q^{-u -+ S}; off-diagonal blocks are
-    (q - 1/q) times the shift generators."""
+    """Diagonal blocks carry [u +- S] = (q^{u +- S} - q^{-u -+ S}) / (q - 1/q);
+    off-diagonal blocks are the shift generators themselves."""
     rep = build_spin_rep(1.0, q_generic)
     u = sample_u(rng)
     lax = build_lax(rep, u)
     qu = q_generic.pow(u)
     c = q_generic.value - 1 / q_generic.value
-    assert np.allclose(lax[:3, :3], qu * rep.qs(1) - rep.qs(-1) / qu, atol=1e-12)
-    assert np.allclose(lax[3:, 3:], qu * rep.qs(-1) - rep.qs(1) / qu, atol=1e-12)
-    assert np.allclose(lax[:3, 3:], c * rep.sm, atol=1e-12)
-    assert np.allclose(lax[3:, :3], c * rep.sp, atol=1e-12)
+    assert np.allclose(lax[:3, :3], (qu * rep.qs(1) - rep.qs(-1) / qu) / c, atol=1e-12)
+    assert np.allclose(lax[3:, 3:], (qu * rep.qs(-1) - rep.qs(1) / qu) / c, atol=1e-12)
+    assert np.array_equal(lax[:3, 3:], rep.sm)
+    assert np.array_equal(lax[3:, :3], rep.sp)
 
 
 def test_lax_u_zero(q_generic):
+    """At u = 0 the diagonal blocks are +-[S]."""
     rep = build_spin_rep(0.5, q_generic)
     lax = build_lax(rep, 0.0)
-    assert np.allclose(lax[:2, :2], rep.qs(1) - rep.qs(-1), atol=1e-12)
-    assert np.allclose(lax[2:, 2:], rep.qs(-1) - rep.qs(1), atol=1e-12)
+    c = q_generic.value - 1 / q_generic.value
+    assert np.allclose(lax[:2, :2], (rep.qs(1) - rep.qs(-1)) / c, atol=1e-12)
+    assert np.allclose(lax[2:, 2:], (rep.qs(-1) - rep.qs(1)) / c, atol=1e-12)
 
 
 def test_triples_are_frozen(q_generic):
@@ -144,8 +159,7 @@ def test_generic_spin_truncation(q_generic):
     ell = 0.37 + 0.21j
     rep = build_spin_rep(ell, q_generic, cutoff=5)
     assert rep.truncated and rep.dim == 5
-    _, report = casimir(rep)
-    assert report.max_deviation < 1e-10
+    assert _casimir_deviation(rep) < 1e-10
     comm = rep.sp @ rep.sm - rep.sm @ rep.sp
     rhs = (rep.qs(2) - rep.qs(-2)) / (q_generic.value - 1 / q_generic.value)
     defect = comm - rhs

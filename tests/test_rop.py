@@ -119,6 +119,20 @@ def test_assembled_matches_closed_form(pair, rng):
         assert diff < 1e-9
 
 
+@pytest.mark.parametrize("pair", PAIRS)
+def test_closed_form_at_the_rational_point(pair, rng):
+    """The tables hold at q = 1 too: they match the spectral solve there, and
+    (1/2,1/2) matches the rational mode."""
+    for _ in range(5):
+        u = sample_u(rng)
+        table = closed_form_R(*pair, u, RATIONAL)
+        built = [assemble_R(*pair, u, RATIONAL, basis=table.basis_tag)]
+        if pair == (0.5, 0.5):
+            built.append(assemble_R(*pair, u, mode="xxx"))
+        for rm in built:
+            assert np.abs(table.matrix - rm.matrix).max() <= 1e-13 * np.abs(rm.matrix).max()
+
+
 def test_rational_mode_matches_six_vertex_pattern(rng):
     u = sample_u(rng)
     if min(abs(u + 1), abs(1 - u)) < 0.05:

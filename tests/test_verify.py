@@ -6,8 +6,8 @@ from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, 
 from qybe import cyclic, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, sample_generic_q, sample_u
-from qybe.tensorrep import ProductSpace
+from qybe.qcore import MAX_DRAWS, RATIONAL, sample_generic_q, sample_u
+from qybe.tensorrep import ProductSpace, kron
 from qybe.verify import (ResidualReport, _embed_lax, _regular_point,
                          check_branch_independence,
                          check_casimir_spectrum, check_cyclic_centrality,
@@ -57,11 +57,10 @@ def test_fundamental_ybe_equal_arguments(rng):
     u = sample_u(rng)
     rep = check_fundamental_ybe(points=[(q, u, u)])
     assert rep.max_residual < 1e-12
-    # at zero argument the matrix is (q - 1/q) times the flip
-    r0 = fundamental_r(0.0, q)
-    c = q.value - 1 / q.value
+    # at zero argument the matrix is the flip itself, exactly so at q = 1
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    assert np.allclose(r0, c * swap, atol=1e-12)
+    assert np.allclose(fundamental_r(0.0, q), swap, atol=1e-12)
+    assert np.array_equal(fundamental_r(0.0, RATIONAL), swap)
 
 
 def test_embedding_slots_consistent():
@@ -102,6 +101,30 @@ def test_embed_lax_matches_kron_sum(slot, q_generic, rng):
 def test_rll_spin(ell):
     rep = check_rll(ell, FAST)
     assert rep.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("ell", [0.5, 1.0, 1.5, 2.0])
+def test_rll_at_the_rational_point(ell, rng):
+    """At q = 1 the Lax matrix is the classical [[u+S, S-], [S+, u-S]] and RLL
+    holds with the rational six-vertex matrix; a 1e-6 change to R12 breaks it."""
+    rep = build_spin_rep(ell, RATIONAL)
+    eye = np.eye(rep.dim)
+    s = np.diag(rep.weights)
+    for _ in range(5):
+        u, v = sample_u(rng), sample_u(rng)
+        lax_u = build_lax(rep, u)
+        assert np.array_equal(lax_u, np.block([[u * eye + s, rep.sm], [rep.sp, u * eye - s]]))
+        l1 = _embed_lax(lax_u, 1, rep.dim)
+        l2 = _embed_lax(build_lax(rep, v), 2, rep.dim)
+
+        def rll(r):
+            r12 = kron(r, eye)
+            return residual(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
+
+        r = fundamental_r(u - v, RATIONAL)
+        assert rll(r) < 1e-13
+        r[0, 1] += 1e-6
+        assert rll(r) > 1e-8
 
 
 def test_rll_cyclic():
