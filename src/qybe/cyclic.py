@@ -18,7 +18,7 @@ from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation, WrongMode)
 from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum
 from .rep import OperatorTriple
-from .tensorrep import ProductSpace
+from .tensorrep import ProductSpace, _require_shared_q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,13 +105,16 @@ class CentralElements:
     alpha_minus_product_route: complex
 
 
-def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements:
+def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
+                     rep: OperatorTriple | None = None) -> CentralElements:
     """Scalars of (S+)^N, (S-)^N and q^{NS}, verified to be central.
 
     (S-)^N is cross-checked against the independent q-number-product route
-    q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].
+    q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  ``rep`` is
+    :func:`build_cyclic_rep` of ``spec`` when the caller already has it.
     """
-    rep = build_cyclic_rep(spec)
+    if rep is None:
+        rep = build_cyclic_rep(spec)
     n = spec.n
     ap, rp = _scalar_part(np.linalg.matrix_power(rep.sp, n))
     am, rm = _scalar_part(np.linalg.matrix_power(rep.sm, n))
@@ -125,10 +128,16 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
                            alpha_minus_product_route=complex(am_route))
 
 
-def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
-    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}."""
+def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
+    """The factor checks of :func:`cyclic_space`, without building a space."""
     if spec1.n != spec2.n:
         raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
+    _require_shared_q(spec1.q, spec2.q)
+
+
+def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
+    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}."""
+    _require_same_q(spec1, spec2)
     return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
 
 
@@ -144,16 +153,20 @@ class TensorPowerReport:
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                         tol: float = 1e-9) -> TensorPowerReport:
+                         tol: float = 1e-9, *,
+                         space: ProductSpace | None = None) -> TensorPowerReport:
     """N-th powers of all four twisted generators, with closed-form scalars.
 
     The unbarred powers telescope to
     (S-_u)^N = q^{N(u/2+S2)} (S1-)^N + q^{-N(u/2+S1)} (S2-)^N  (and the
     raising analogue), which yields explicit scalars in the parameters.
+    ``space`` is :func:`cyclic_space` of the two specs when the caller
+    already has it.
     """
     n = spec1.n
     q = spec1.q
-    space = cyclic_space(spec1, spec2)
+    if space is None:
+        space = cyclic_space(spec1, spec2)
     cop = space.coproduct("delta", u)
     cop_bar = space.coproduct("deltabar", u)
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
@@ -208,11 +221,12 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     return tuple(out)
 
 
-def _family_vector(n: int, ratio: complex, m: int) -> np.ndarray:
-    v = np.zeros(n * n, complex)
-    for k in range(n):
-        v[((m - k) % n) * n + k] = ratio**k
-    return v
+def _family_vectors(n: int, ratio: complex) -> np.ndarray:
+    """Rows phi_0 .. phi_{N-1} of one family: phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
+    k = np.arange(n)
+    fam = np.zeros((n, n * n), complex)
+    fam[k[:, None], ((k[:, None] - k) % n) * n + k] = [ratio**j for j in range(n)]
+    return fam
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,8 +257,7 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                      tol: float = 1e-9, enforce: bool = True, *,
-                      space: ProductSpace | None = None) -> CyclicEigenFamily:
+                      tol: float = 1e-9, enforce: bool = True) -> CyclicEigenFamily:
     """The N + N vectors phi_m, phibar_m and their shift-relation residuals.
 
     phi_m lives on {theta_{(m-k) mod N, k}} with geometric coefficients;
@@ -252,18 +265,15 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     prefactors (see :func:`shift_prefactor`).  When the closure condition
     ratio^N = 1 fails the laws break at the cycle seam; with ``enforce``
     the first violation is raised, otherwise residuals are just reported.
-    ``space`` is :func:`cyclic_space` of the two specs, when the caller
-    shares one across several u; it is built here otherwise.
     """
     n = spec1.n
-    if space is None:
-        space = cyclic_space(spec1, spec2)
+    space = cyclic_space(spec1, spec2)
     cop = space.coproduct("delta", u)
     cop_bar = space.coproduct("deltabar", u)
     rho = family_ratio(spec1, spec2, u, barred=False)
     sig = family_ratio(spec1, spec2, u, barred=True)
-    phi = [_family_vector(n, rho, m) for m in range(n)]
-    phibar = [_family_vector(n, sig, m) for m in range(n)]
+    phi = list(_family_vectors(n, rho))
+    phibar = list(_family_vectors(n, sig))
     resids = {}
     checks = (
         ("lower", cop.gens.sm, phi, -1),
@@ -336,22 +346,25 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     """R on the span of the 2N family vectors, mapping phi_m(u) -> R_m phibar_m(-u)
     and phibar_m(u) -> R_m phi_m(-u).
 
-    The solve is exact on the joint span (pseudo-inverse of a full-column-
-    rank stack); a residual above tolerance means the prescribed images
-    contradict a linear dependence among the inputs.
+    The family vectors are those of :func:`eigenstate_family`, built from
+    the family ratios alone, with no product space.  The solve is exact on
+    the joint span (pseudo-inverse of a full-column-rank stack); a residual
+    above tolerance (or NaN) means the prescribed images contradict a linear
+    dependence among the inputs.
     """
+    _require_same_q(spec1, spec2)
     n = spec1.n
-    space = cyclic_space(spec1, spec2)
-    fam_u = eigenstate_family(spec1, spec2, u, enforce=False, space=space)
-    fam_mu = eigenstate_family(spec1, spec2, -u, enforce=False, space=space)
+    phi_u, phibar_u, phi_mu, phibar_mu = (
+        _family_vectors(n, family_ratio(spec1, spec2, x, barred))
+        for x in (u, -u) for barred in (False, True))
     r_m = cyclic_R_eigenvalues(spec1, spec2, u, r0)
-    v = np.array(fam_u.phi + fam_u.phibar).T
-    w = np.array([r_m[m] * fam_mu.phibar[m] for m in range(n)]
-                 + [r_m[m] * fam_mu.phi[m] for m in range(n)]).T
+    v = np.concatenate([phi_u, phibar_u]).T
+    w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
     rank = int(np.linalg.matrix_rank(v, tol=1e-8 * max(1.0, np.abs(v).max())))
     mat = w @ np.linalg.pinv(v)
     resid = float(np.abs(mat @ v - w).max() / max(1.0, np.abs(w).max()))
-    if resid > tol:
+    if not resid <= tol:
         raise InconsistentConstraints(
+            resid, rank,
             f"defining relations conflict on the joint span (residual {resid:.3e})")
     return PartialR(matrix=mat, span_rank=rank, max_residual=resid, eigenvalues=r_m)

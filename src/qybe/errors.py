@@ -99,4 +99,10 @@ class ShiftLawViolation(QybeError):
 
 
 class InconsistentConstraints(QybeError):
-    """The two defining relations of the partial R conflict on the joint span."""
+    """The two defining relations of the partial R conflict on the joint span
+    (``residual``); ``span_rank`` is the rank of the 2N input vectors."""
+
+    def __init__(self, residual: float, span_rank: int, message: str):
+        self.residual = residual
+        self.span_rank = span_rank
+        super().__init__(message)

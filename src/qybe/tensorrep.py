@@ -47,6 +47,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> None:
+    """Tensor factors must share q and its log branch."""
+    if abs(q1.value - q2.value) > 1e-12 or abs(q1.log_branch - q2.log_branch) > 1e-12:
+        raise DimensionMismatch("tensor factors must share the deformation parameter")
+
+
 class ProductSpace:
     """The tensor product of two factor representations over one q.
 
@@ -60,9 +66,7 @@ class ProductSpace:
     """
 
     def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
-        if abs(rep1.q.value - rep2.q.value) > 1e-12 or \
-                abs(rep1.q.log_branch - rep2.q.log_branch) > 1e-12:
-            raise DimensionMismatch("tensor factors must share the deformation parameter")
+        _require_shared_q(rep1.q, rep2.q)
         self.parents = (rep1, rep2)
         self.q = rep1.q
         self.weights = np.add.outer(rep1.weights, rep2.weights).ravel()

@@ -17,7 +17,8 @@ from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, 
                     phi_product, qnum, sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .rop import RMatrix, _top_sector, assemble_R, assemble_R_pair, eigenvalue_sequence
-from .errors import NotScalar, ParameterDomainError, PoleAtSector, SamplerExhausted
+from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
+                     SamplerExhausted)
 from .tensorrep import ProductSpace, kron, tensor_casimir
 
 
@@ -165,15 +166,15 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
     ``quantum`` is either a half-integer spin or a :class:`CyclicRepSpec`.
     """
     cfg = cfg or ToleranceConfig()
-    cyclic_space = isinstance(quantum, cy.CyclicRepSpec)
+    # a cyclic quantum space is one fixed representation for every sample
+    fixed = cy.build_cyclic_rep(quantum) if isinstance(quantum, cy.CyclicRepSpec) else None
 
     def one(rng, i):
-        if cyclic_space:
-            q = quantum.q
-            rep = cy.build_cyclic_rep(quantum)
-        else:
+        if fixed is None:
             q = sample_generic_q(rng)
             rep = build_spin_rep(quantum, q)
+        else:
+            q, rep = fixed.q, fixed
         u, v = sample_u(rng), sample_u(rng)
         l1 = _embed_lax(build_lax(rep, u), 1, rep.dim)
         l2 = _embed_lax(build_lax(rep, v), 2, rep.dim)
@@ -183,7 +184,7 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
         return ({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
                 residual(lhs, rhs, r12, l1, l2))
 
-    if cyclic_space:
+    if fixed is not None:
         return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, one)
     return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, one)
 
@@ -340,10 +341,12 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
                   "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
         s1 = cy.CyclicRepSpec(*p1, n)
         s2 = cy.CyclicRepSpec(*p2, n)
+        space = cy.cyclic_space(s1, s2)
+        rep1, rep2 = space.parents
         try:
-            ce1 = cy.central_elements(s1, tol=1.0)
-            ce2 = cy.central_elements(s2, tol=1.0)
-            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0)
+            ce1 = cy.central_elements(s1, tol=1.0, rep=rep1)
+            ce2 = cy.central_elements(s2, tol=1.0, rep=rep2)
+            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0, space=space)
         except NotScalar as exc:
             return record, exc.residual
         return record, _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
@@ -400,12 +403,16 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
 
 
 def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
-    """Partial R reproduces its defining action on every family vector."""
+    """Partial R reproduces its defining action on every family vector; a
+    conflicting sample keeps its residual, so the suite's tolerance decides."""
     cfg = cfg or ToleranceConfig()
 
     def one(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
-        pr = cy.partial_R(s1, s2, u)
+        try:
+            pr = cy.partial_R(s1, s2, u)
+        except InconsistentConstraints as exc:
+            return {"u": _c2l(u), "span_rank": exc.span_rank}, exc.residual
         return {"u": _c2l(u), "span_rank": pr.span_rank}, pr.max_residual
 
     return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, one)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from qybe import (CyclicRepSpec, build_cyclic_rep, central_elements,
                   tensor_power_scalars, weight_degeneracy, weyl_generators)
 from qybe import cyclic
 from qybe.cyclic import TensorPowerReport
-from qybe.errors import (InconsistentConstraints, NotScalar, OrderMismatch,
-                         ParameterDomainError, SamplerExhausted, ShiftLawViolation,
-                         WrongMode)
+from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
+                         OrderMismatch, ParameterDomainError, SamplerExhausted,
+                         ShiftLawViolation, WrongMode)
 from qybe.qcore import MAX_DRAWS, DeformationParameter, sample_params, sample_u
 
 
@@ -259,8 +261,12 @@ def test_partial_r_inconsistent_constraints(rng):
     s1 = CyclicRepSpec(a1, a1, 0.3j, n)
     s2 = CyclicRepSpec(a2, a2, 0.3j, n)
     assert abs(family_ratio(s1, s2, u) - family_ratio(s1, s2, u, barred=True)) < 1e-12
-    with pytest.raises(InconsistentConstraints):
+    with pytest.raises(InconsistentConstraints) as info:
         partial_R(s1, s2, u)
+    # the two coinciding families span N dimensions, and the conflict is O(1)
+    assert info.value.span_rank == n
+    assert info.value.residual > 0.5
+    assert f"{info.value.residual:.3e}" in str(info.value)
 
 
 def test_sample_compatible_params_gives_up_at_order_one(rng):
@@ -271,13 +277,52 @@ def test_sample_compatible_params_gives_up_at_order_one(rng):
 
 
 def test_partial_r_shares_one_space_across_u(rng, monkeypatch):
+    """partial_R solves from the closed-form family vectors at u and -u
+    alone, so it builds no cyclic representation at all."""
     s1, s2, u = sample_compatible_params(5, rng)
     ref = partial_R(s1, s2, u)
     built = []
     real = cyclic.build_cyclic_rep
     monkeypatch.setattr(cyclic, "build_cyclic_rep", lambda spec: built.append(spec) or real(spec))
     assert np.array_equal(partial_R(s1, s2, u).matrix, ref.matrix)
-    assert built == [s1, s2]
+    assert built == []
+
+
+@pytest.mark.parametrize("orders", [(5, 3), (3, 5)])
+def test_partial_r_rejects_factors_of_different_order(orders, rng):
+    s1, s2 = (_random_spec(n, rng) for n in orders)
+    with pytest.raises(OrderMismatch):
+        partial_R(s1, s2, 0.5)
+
+
+def test_partial_r_rejects_factors_on_different_roots(rng):
+    """Two order-5 factors, on q = e^{2 pi i/5} and q = e^{4 pi i/5}."""
+    branch = 4j * cmath.pi / 5
+    q2 = DeformationParameter(value=cmath.exp(branch), mode="root_of_unity", order=5,
+                              log_branch=branch)
+    s1 = _random_spec(5, rng)
+    s2 = CyclicRepSpec(*sample_params(rng, 3), 5, q=q2)
+    for pair in ((s1, s2), (s2, s1)):
+        with pytest.raises(DimensionMismatch):
+            partial_R(*pair, 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_partial_r_is_the_solve_on_the_eigenstate_families(n, rng):
+    """Bit for bit the pseudo-inverse solve on the vectors of
+    eigenstate_family at u and -u."""
+    for _ in range(3):
+        s1, s2, u = sample_compatible_params(n, rng)
+        fam_u = eigenstate_family(s1, s2, u, enforce=False)
+        fam_mu = eigenstate_family(s1, s2, -u, enforce=False)
+        r_m = cyclic_R_eigenvalues(s1, s2, u)
+        v = np.array(fam_u.phi + fam_u.phibar).T
+        w = np.array([r_m[m] * fam_mu.phibar[m] for m in range(n)]
+                     + [r_m[m] * fam_mu.phi[m] for m in range(n)]).T
+        pr = partial_R(s1, s2, u)
+        assert np.array_equal(pr.matrix, w @ np.linalg.pinv(v))
+        assert np.array_equal(pr.eigenvalues, r_m)
+        assert pr.span_rank == fam_u.span_rank == 2 * n
 
 
 def test_tensor_power_report_fold_keeps_nan():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,49 @@ def test_cyclic_centrality_nan_residual_fails_the_report(monkeypatch, capsys):
     assert np.isnan(rep.max_residual) and len(rep.samples) == FAST.sample_count
     assert main(["verify", "cyclic", "--samples", "2", "--seed", "5"]) == 1
     assert "[FAIL] cyclic_centrality[N=3]: max residual nan" in capsys.readouterr().out
+
+
+def _count_cyclic_reps(monkeypatch) -> list:
+    built = []
+    real = cyclic.build_cyclic_rep
+    monkeypatch.setattr(cyclic, "build_cyclic_rep", lambda spec: built.append(spec) or real(spec))
+    return built
+
+
+def test_cyclic_centrality_builds_two_reps_per_sample(monkeypatch):
+    """One cyclic_space per sample; central_elements and tensor_power_scalars
+    share its two parents instead of building their own."""
+    built = _count_cyclic_reps(monkeypatch)
+    assert check_cyclic_centrality(3, FAST).passed
+    assert len(built) == 2 * FAST.sample_count
+
+
+def test_rll_builds_its_cyclic_rep_once(monkeypatch):
+    spec = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
+    built = _count_cyclic_reps(monkeypatch)
+    assert check_rll(spec, FAST).passed
+    assert built == [spec]
+
+
+def _conflicting_sample(n, rng):
+    """Coinciding families at u with distinct images at -u: partial_R's
+    relations conflict with residual sqrt(3)/2 at N = 3."""
+    return (CyclicRepSpec(0.3 + 0.1j, 0.3 + 0.1j, 0.3j, n),
+            CyclicRepSpec(-0.2 + 0.4j, -0.2 + 0.4j, 0.3j, n), 2.0)
+
+
+def test_conflicting_partial_r_sample_fails_its_report(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cyclic, "sample_compatible_params", _conflicting_sample)
+    rep = check_partial_r(3, FAST)
+    assert not rep.passed and rep.max_residual == pytest.approx(np.sqrt(3) / 2)
+    assert all(s["span_rank"] == 3 for s in rep.samples)
+    # the suite's tolerance decides the verdict, not partial_R's own
+    assert check_partial_r(3, ToleranceConfig(rel_tol=1.0, sample_count=2)).passed
+    report = tmp_path / "cyclic.json"
+    assert main(["verify", "cyclic", "--samples", "2", "--seed", "5",
+                 "--json", str(report)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == ["[FAIL] partial_r[N=3]: max residual 8.660e-01 (tol 1e-09)"]
+    verdicts = {r["identity_id"]: r["verdict"] for r in json.loads(report.read_text())["reports"]}
+    assert verdicts.pop("partial_r[N=3]") == "fail"
+    assert set(verdicts.values()) == {"pass"}
