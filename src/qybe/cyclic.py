@@ -56,22 +56,22 @@ def weyl_generators(n: int, q: DeformationParameter | None = None
         q = DeformationParameter.root_of_unity(n)
     if not q.is_root_of_unity or q.order != n:
         raise WrongMode("weyl_generators needs q in root-of-unity mode of order N")
-    z = np.diag(q.pow(np.arange(n)))
+    k = np.arange(n)
+    z = np.diag(q.pow(k))
     x = np.zeros((n, n), complex)
-    for k in range(n):
-        x[(k + 1) % n, k] = 1.0
+    x[(k + 1) % n, k] = 1.0
     return x, z
 
 
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
     """Generator matrices of the cyclic representation on {theta_k}."""
     n, q = spec.n, spec.q
+    k = np.arange(n)
     sp = np.zeros((n, n), complex)
     sm = np.zeros((n, n), complex)
-    for k in range(n):
-        sm[(k - 1) % n, k] = q.pow(-spec.lam / 2) * qnum(k - spec.beta, q)
-        sp[(k + 1) % n, k] = q.pow(spec.lam / 2) * qnum(spec.alpha - k, q)
-    weights = np.arange(n) - spec.ell
+    sm[(k - 1) % n, k] = q.pow(-spec.lam / 2) * qnum(k - spec.beta, q)
+    sp[(k + 1) % n, k] = q.pow(spec.lam / 2) * qnum(spec.alpha - k, q)
+    weights = k - spec.ell
     return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
                           basis_tag="theta", ell=None, from_monomial=None)
 
@@ -91,8 +91,11 @@ def weight_degeneracy(spec: CyclicRepSpec, tol: float = 1e-9) -> dict:
 
 
 def _scalar_part(m: np.ndarray) -> tuple[complex, float]:
-    s = complex(np.trace(m) / m.shape[0])
-    resid = float(np.abs(m - s * np.eye(m.shape[0])).max() / max(1.0, abs(s)))
+    """The scalar of a matrix, or of a block-diagonal one given as the stack
+    of its diagonal blocks, and its relative off-scalar residual."""
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    s = complex(d.sum() / d.size)
+    resid = float(np.abs(m - s * np.eye(m.shape[-1])).max() / max(1.0, abs(s)))
     return s, resid
 
 
@@ -116,8 +119,9 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
     if rep is None:
         rep = build_cyclic_rep(spec)
     n = spec.n
-    ap, rp = _scalar_part(np.linalg.matrix_power(rep.sp, n))
-    am, rm = _scalar_part(np.linalg.matrix_power(rep.sm, n))
+    sp_n, sm_n = np.linalg.matrix_power(np.stack([rep.sp, rep.sm]), n)
+    ap, rp = _scalar_part(sp_n)
+    am, rm = _scalar_part(sm_n)
     aq, rq = _scalar_part(rep.qs(n))
     worst = _nan_max(rp, rm, rq)
     if not worst <= tol:
@@ -141,6 +145,28 @@ def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
     return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
 
 
+def _sector_powers(mats, steps, n: int) -> np.ndarray:
+    """Diagonal blocks of M^N for generators M of a cyclic product space that
+    move the weight sector c = k1 + k2 mod N to c + step, with step = +-1.
+
+    M^N is block-diagonal on the N sectors; the block of a sector is the
+    product of the N sector-transition blocks of M taken once around the
+    cycle of sectors, so every entry outside those N blocks is left out.
+    Returns shape (len(mats), N, N, N): [g, i] is the block of sector
+    i * steps[g] mod N, on its basis vectors ordered by k1.
+    """
+    k = np.arange(n)
+    sectors = k * n + (k[:, None] - k) % n  # row c: theta_{k1, c - k1}, by k1
+    gather = {s: (sectors[(k + 1) * s % n][:, :, None], sectors[k * s % n][:, None, :])
+              for s in set(steps)}
+    blocks = np.stack([m[gather[s]] for m, s in zip(mats, steps)])
+    around = np.concatenate([blocks, blocks], axis=1)
+    power = blocks
+    for j in range(1, n):
+        power = around[:, j:j + n] @ power
+    return power
+
+
 @dataclasses.dataclass(frozen=True)
 class TensorPowerReport:
     scalars: dict
@@ -160,8 +186,10 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     The unbarred powers telescope to
     (S-_u)^N = q^{N(u/2+S2)} (S1-)^N + q^{-N(u/2+S1)} (S2-)^N  (and the
     raising analogue), which yields explicit scalars in the parameters.
-    ``space`` is :func:`cyclic_space` of the two specs when the caller
-    already has it.
+    Each generator moves the sector k1 + k2 mod N by one, so its N-th power
+    is computed on the N sector blocks (:func:`_sector_powers`) and read
+    from their diagonal.  ``space`` is :func:`cyclic_space` of the two specs
+    when the caller already has it.
     """
     n = spec1.n
     q = spec1.q
@@ -179,10 +207,10 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                        + q.pow(n * (u + a1 + b1 + l2) / 2) * (q.pow(n * a2) - q.pow(-n * a2))),
     }
     scalars, resids, errors = {}, {}, {}
-    mats = {"sm_u": cop.gens.sm, "sp_u": cop.gens.sp,
-            "sm_bar_u": cop_bar.gens.sm, "sp_bar_u": cop_bar.gens.sp}
-    for name, mat in mats.items():
-        s, r = _scalar_part(np.linalg.matrix_power(mat, n))
+    powers = _sector_powers((cop.gens.sm, cop.gens.sp, cop_bar.gens.sm, cop_bar.gens.sp),
+                            (-1, 1, -1, 1), n)
+    for name, power in zip(("sm_u", "sp_u", "sm_bar_u", "sp_bar_u"), powers):
+        s, r = _scalar_part(power)
         scalars[name] = s
         resids[name] = r
         if not r <= tol:
@@ -199,6 +227,12 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
 def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
     """Geometric coefficient ratio along the support cycle of the family."""
+    _require_same_q(spec1, spec2)
+    return _family_ratio(spec1, spec2, u, barred)
+
+
+def _family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
+                  barred: bool) -> complex:
     q = spec1.q
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
@@ -214,11 +248,9 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     The coefficients run along a closed N-cycle of basis labels, so a
     geometric ratio is consistent only when its N-th power is 1.
     """
-    out = []
-    for barred in (False, True):
-        r = family_ratio(spec1, spec2, u, barred) ** spec1.n
-        out.append(abs(r - 1))
-    return tuple(out)
+    _require_same_q(spec1, spec2)
+    return tuple(abs(_family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
+                 for barred in (False, True))
 
 
 def _family_vectors(n: int, ratio: complex) -> np.ndarray:
@@ -240,20 +272,25 @@ class CyclicEigenFamily:
 
 
 def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
-                    u: complex, m: int) -> complex:
-    """Exact q-exponent prefactor of one of the four shift relations."""
+                    u: complex, m):
+    """Exact q-exponent prefactor of one of the four shift relations.
+
+    A ``complex`` for an int m; an array of the prefactors for an array of m.
+    """
     q = spec1.q
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
     if relation == "lower":
-        return complex(q.pow(-1 + (u - l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q))
-    if relation == "raise":
-        return complex(q.pow(1 - (u - l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q))
-    if relation == "lower_bar":
-        return complex(q.pow(1 - (u + l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q))
-    if relation == "raise_bar":
-        return complex(q.pow(-1 + (u + l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q))
-    raise ParameterDomainError(f"unknown relation {relation!r}")
+        c = q.pow(-1 + (u - l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q)
+    elif relation == "raise":
+        c = q.pow(1 - (u - l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q)
+    elif relation == "lower_bar":
+        c = q.pow(1 - (u + l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q)
+    elif relation == "raise_bar":
+        c = q.pow(-1 + (u + l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q)
+    else:
+        raise ParameterDomainError(f"unknown relation {relation!r}")
+    return c if np.ndim(c) else complex(c)
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -264,16 +301,19 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     the twisted lowering/raising operators shift m by one with explicit
     prefactors (see :func:`shift_prefactor`).  When the closure condition
     ratio^N = 1 fails the laws break at the cycle seam; with ``enforce``
-    the first violation is raised, otherwise residuals are just reported.
+    the first violation (or NaN residual) is raised, in the order lower,
+    raise, lower_bar, raise_bar with m ascending; otherwise residuals are
+    just reported.
     """
     n = spec1.n
     space = cyclic_space(spec1, spec2)
     cop = space.coproduct("delta", u)
     cop_bar = space.coproduct("deltabar", u)
-    rho = family_ratio(spec1, spec2, u, barred=False)
-    sig = family_ratio(spec1, spec2, u, barred=True)
-    phi = list(_family_vectors(n, rho))
-    phibar = list(_family_vectors(n, sig))
+    rho = _family_ratio(spec1, spec2, u, barred=False)
+    sig = _family_ratio(spec1, spec2, u, barred=True)
+    phi = _family_vectors(n, rho)
+    phibar = _family_vectors(n, sig)
+    m = np.arange(n)
     resids = {}
     checks = (
         ("lower", cop.gens.sm, phi, -1),
@@ -282,21 +322,21 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         ("raise_bar", cop_bar.gens.sp, phibar, +1),
     )
     for name, op, fam, step in checks:
-        for m in range(n):
-            c = shift_prefactor(name, spec1, spec2, u, m)
-            target = fam[(m + step) % n]
-            r = np.abs(op @ fam[m] - c * target).max()
-            r /= max(1.0, np.abs(fam[m]).max(), abs(c))
-            resids[(name, m)] = float(r)
-            if enforce and r > tol:
-                dm, db = family_closure_defect(spec1, spec2, u)
-                raise ShiftLawViolation(
-                    name, m, r,
-                    f"shift relation '{name}' fails at m={m} (residual {r:.3e}); "
-                    f"closure defects |ratio^N - 1| = ({dm:.2e}, {db:.2e})")
-    stack = np.array(phi + phibar).T
+        c = shift_prefactor(name, spec1, spec2, u, m)
+        target = fam[(m + step) % n]
+        r = np.abs(fam @ op.T - c[:, None] * target).max(axis=1)
+        r /= np.maximum(np.maximum(1.0, np.abs(fam).max(axis=1)), np.abs(c))
+        resids.update({(name, j): float(x) for j, x in enumerate(r)})
+        if enforce and not (r <= tol).all():
+            j = int(np.argmin(r <= tol))
+            dm, db = family_closure_defect(spec1, spec2, u)
+            raise ShiftLawViolation(
+                name, j, float(r[j]),
+                f"shift relation '{name}' fails at m={j} (residual {r[j]:.3e}); "
+                f"closure defects |ratio^N - 1| = ({dm:.2e}, {db:.2e})")
+    stack = np.concatenate([phi, phibar]).T
     rank = int(np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())))
-    return CyclicEigenFamily(phi=phi, phibar=phibar, ratio=rho, barred_ratio=sig,
+    return CyclicEigenFamily(phi=list(phi), phibar=list(phibar), ratio=rho, barred_ratio=sig,
                              span_rank=rank, shift_residuals=resids)
 
 
@@ -328,6 +368,12 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
 def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                          r0: complex = 1.0) -> np.ndarray:
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)} R_0."""
+    _require_same_q(spec1, spec2)
+    return _R_eigenvalues(spec1, spec2, u, r0)
+
+
+def _R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
+                   r0: complex) -> np.ndarray:
     q = spec1.q
     step = q.pow(2 - u + spec2.alpha - spec2.beta - spec1.lam)
     return np.array([r0 * step**m for m in range(spec1.n)])
@@ -355,9 +401,9 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     _require_same_q(spec1, spec2)
     n = spec1.n
     phi_u, phibar_u, phi_mu, phibar_mu = (
-        _family_vectors(n, family_ratio(spec1, spec2, x, barred))
+        _family_vectors(n, _family_ratio(spec1, spec2, x, barred))
         for x in (u, -u) for barred in (False, True))
-    r_m = cyclic_R_eigenvalues(spec1, spec2, u, r0)
+    r_m = _R_eigenvalues(spec1, spec2, u, r0)
     v = np.concatenate([phi_u, phibar_u]).T
     w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
     rank = int(np.linalg.matrix_rank(v, tol=1e-8 * max(1.0, np.abs(v).max())))

@@ -186,8 +186,94 @@ def test_shift_law_violation_off_the_admissible_set(rng):
     assert max(family_closure_defect(s1, s2, u)) > 1e-3
     with pytest.raises(ShiftLawViolation) as exc:
         eigenstate_family(s1, s2, u)
-    assert exc.value.relation in ("lower", "raise", "lower_bar", "raise_bar")
-    assert 0 <= exc.value.m < n
+    # the first (relation, m) in the order lower, raise, lower_bar, raise_bar
+    # with m ascending; both families fail here, so it is the very first law
+    assert (exc.value.relation, exc.value.m) == ("lower", 0)
+    assert exc.value.residual == pytest.approx(0.49214585706302055, rel=1e-12)
+
+
+def test_first_failing_shift_law_after_the_closed_family(rng):
+    """Moving beta2 down and lam2 up by the same amount keeps the unbarred
+    family closed and breaks the barred one, so the first failure is a
+    barred law; a tolerance between its residuals moves it to m = 1."""
+    s1, s2, u = sample_compatible_params(3, rng)
+    s2 = CyclicRepSpec(s2.alpha, s2.beta - 0.7, s2.lam + 0.7, 3)
+    dm, db = family_closure_defect(s1, s2, u)
+    assert dm < 1e-12 and db > 1.0
+    fam = eigenstate_family(s1, s2, u, enforce=False)
+    lower_bar = [fam.shift_residuals[("lower_bar", m)] for m in range(3)]
+    assert lower_bar == pytest.approx([1.380, 1.989, 1.073], abs=1e-3)
+    for tol, m in ((1e-9, 0), (1.5, 1)):
+        with pytest.raises(ShiftLawViolation) as exc:
+            eigenstate_family(s1, s2, u, tol=tol)
+        assert (exc.value.relation, exc.value.m) == ("lower_bar", m)
+        assert exc.value.residual == fam.shift_residuals[("lower_bar", m)]
+
+
+def test_nan_shift_residual_is_a_violation():
+    """Far outside the numerical envelope the q-powers overflow and every
+    shift residual is NaN; enforce must raise rather than pass them."""
+    s1 = CyclicRepSpec(0.1 + 400j, 0.2, 0.3, 3)
+    s2 = CyclicRepSpec(0.1, 0.2 + 400j, 0.3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = eigenstate_family(s1, s2, 0.5, enforce=False)
+        assert all(np.isnan(r) for r in fam.shift_residuals.values())
+        with pytest.raises(ShiftLawViolation) as exc:
+            eigenstate_family(s1, s2, 0.5)
+    assert (exc.value.relation, exc.value.m) == ("lower", 0)
+    assert np.isnan(exc.value.residual)
+
+
+def test_shift_prefactor_scalar_and_array(rng):
+    """A complex for an int m; for an array of m, the per-m values (to the
+    last bit or two: numpy's array and scalar complex products may round
+    differently)."""
+    for n in (3, 5, 7):
+        s1, s2, u = sample_compatible_params(n, rng)
+        for relation in ("lower", "raise", "lower_bar", "raise_bar"):
+            per_m = [shift_prefactor(relation, s1, s2, u, m) for m in range(n)]
+            assert all(type(c) is complex for c in per_m)
+            whole = shift_prefactor(relation, s1, s2, u, np.arange(n))
+            assert isinstance(whole, np.ndarray) and whole.shape == (n,)
+            np.testing.assert_allclose(whole, per_m, rtol=1e-15, atol=0)
+
+
+def _sector_of_index(n):
+    """Sector (k1 + k2) mod N of every basis index k1 * N + k2."""
+    k = np.arange(n * n)
+    return (k // n + k % n) % n
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_twisted_generators_move_the_sector_by_one(n, rng):
+    s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
+    space = cyclic_space(s1, s2)
+    sec = _sector_of_index(n)
+    for kind in ("delta", "deltabar"):
+        gens = space.coproduct(kind, sample_u(rng, scale=0.6)).gens
+        for mat, step in ((gens.sm, -1), (gens.sp, 1)):
+            outside = sec[:, None] != (sec[None, :] + step) % n
+            assert np.count_nonzero(mat[outside]) == 0
+            assert np.count_nonzero(mat[~outside]) > 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_sector_powers_are_the_diagonal_blocks_of_the_dense_power(n, rng):
+    s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
+    space = cyclic_space(s1, s2)
+    u = sample_u(rng, scale=0.6)
+    cop, cop_bar = space.coproduct("delta", u), space.coproduct("deltabar", u)
+    mats = (cop.gens.sm, cop.gens.sp, cop_bar.gens.sm, cop_bar.gens.sp)
+    steps = (-1, 1, -1, 1)
+    powers = cyclic._sector_powers(mats, steps, n)
+    assert powers.shape == (4, n, n, n)
+    for mat, step, blocks in zip(mats, steps, powers):
+        dense = np.linalg.matrix_power(mat, n)
+        scale = np.abs(dense).max()
+        for i in range(n):
+            c = i * step % n
+            idx = [k1 * n + (c - k1) % n for k1 in range(n)]
+            assert np.abs(blocks[i] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
 
 
 def test_cyclic_eigenvalue_geometry(rng):
@@ -295,16 +381,31 @@ def test_partial_r_rejects_factors_of_different_order(orders, rng):
         partial_R(s1, s2, 0.5)
 
 
+def _q_4pi_over_5():
+    """q = e^{4 pi i/5}, an order-5 root other than the default e^{2 pi i/5}."""
+    branch = 4j * cmath.pi / 5
+    return DeformationParameter(value=cmath.exp(branch), mode="root_of_unity", order=5,
+                                log_branch=branch)
+
+
 def test_partial_r_rejects_factors_on_different_roots(rng):
     """Two order-5 factors, on q = e^{2 pi i/5} and q = e^{4 pi i/5}."""
-    branch = 4j * cmath.pi / 5
-    q2 = DeformationParameter(value=cmath.exp(branch), mode="root_of_unity", order=5,
-                              log_branch=branch)
     s1 = _random_spec(5, rng)
-    s2 = CyclicRepSpec(*sample_params(rng, 3), 5, q=q2)
+    s2 = CyclicRepSpec(*sample_params(rng, 3), 5, q=_q_4pi_over_5())
     for pair in ((s1, s2), (s2, s1)):
         with pytest.raises(DimensionMismatch):
             partial_R(*pair, 0.5)
+
+
+@pytest.mark.parametrize("func", [cyclic_R_eigenvalues, family_closure_defect, family_ratio])
+def test_family_functions_reject_mismatched_factors(func, rng):
+    """N = 5 against 3, and order 5 on q = e^{2 pi i/5} against e^{4 pi i/5}."""
+    s5, s3 = _random_spec(5, rng), _random_spec(3, rng)
+    s5_q2 = CyclicRepSpec(*sample_params(rng, 3), 5, q=_q_4pi_over_5())
+    for pair, error in (((s5, s3), OrderMismatch), ((s3, s5), OrderMismatch),
+                        ((s5, s5_q2), DimensionMismatch), ((s5_q2, s5), DimensionMismatch)):
+        with pytest.raises(error):
+            func(*pair, 0.5)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
