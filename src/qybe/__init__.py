@@ -8,8 +8,8 @@ from .qcore import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig,
 from .rep import OperatorTriple, build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace, TwistedCoproduct,
                         lowest_weight_coeffs, tensor_casimir, weight_reversed)
-from .rop import (REigenvalues, RMatrix, assemble_R, assemble_R_pair, closed_form_R,
-                  eigenvalue_sequence, normalize_global)
+from .rop import (REigenvalues, RMatrix, assemble_R, closed_form_R, eigenvalue_sequence,
+                  normalize_global)
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
                      build_cyclic_rep, central_elements, cyclic_R_eigenvalues,
                      cyclic_space, eigenstate_family, family_closure_defect,
@@ -24,7 +24,7 @@ __all__ = [
     "OperatorTriple", "build_lax", "build_spin_rep", "casimir_matrix", "fundamental_r",
     "CasimirSpectrumReport", "EigenSector", "ProductSpace", "TwistedCoproduct",
     "lowest_weight_coeffs", "tensor_casimir", "weight_reversed",
-    "REigenvalues", "RMatrix", "assemble_R", "assemble_R_pair", "closed_form_R",
+    "REigenvalues", "RMatrix", "assemble_R", "closed_form_R",
     "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",
     "build_cyclic_rep", "central_elements", "cyclic_R_eigenvalues", "cyclic_space",

@@ -267,7 +267,6 @@ class CyclicEigenFamily:
     phibar: list[np.ndarray]
     ratio: complex
     barred_ratio: complex
-    span_rank: int
     shift_residuals: dict
 
 
@@ -334,10 +333,8 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                 name, j, float(r[j]),
                 f"shift relation '{name}' fails at m={j} (residual {r[j]:.3e}); "
                 f"closure defects |ratio^N - 1| = ({dm:.2e}, {db:.2e})")
-    stack = np.concatenate([phi, phibar]).T
-    rank = int(np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, np.abs(stack).max())))
     return CyclicEigenFamily(phi=list(phi), phibar=list(phibar), ratio=rho, barred_ratio=sig,
-                             span_rank=rank, shift_residuals=resids)
+                             shift_residuals=resids)
 
 
 def sample_compatible_params(n: int, rng: np.random.Generator,

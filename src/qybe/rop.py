@@ -4,7 +4,7 @@ Eigenvalues obey R_n / R_{n-1} = -[l1+l2+1-n-u] / [l1+l2+1-n+u].  The
 matrix solves R Phi(u) = PhiBar(-u) D, where D is diagonal in the sector
 eigenvalues.  The twist is a diagonal similarity T_u, so the eigenvector
 families at u = 0 serve every u, one weight block at a time (see
-:class:`tensorrep.SpectralForm`).  The rational (xxx) mode is the point
+:class:`tensorrep.SpectralForm`).  The rational (xxx) R is the point
 q = 1 (:data:`qcore.RATIONAL`) of the same construction: q-numbers become
 plain numbers there, T_u = 1 and the barred family is the unbarred one.
 """
@@ -29,7 +29,6 @@ class REigenvalues:
     values: tuple
     product_values: tuple
     r0: complex
-    mode: str
     ell1: complex
     ell2: complex
     u: complex
@@ -44,19 +43,16 @@ def _top_sector(ell1, ell2) -> int:
     return int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
 
 
-def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-                        mode: str = "xxz", r0: complex = 1.0) -> REigenvalues:
+def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter,
+                        r0: complex = 1.0) -> REigenvalues:
     """R_n for every sector n by the two-term recurrence and by the product form.
 
-    mode "xxz" needs q; mode "xxx" is q = 1, where [x] = x.  Raises
-    :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
+    At q = :data:`qcore.RATIONAL` the q-numbers are plain numbers, [x] = x.
+    Raises :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
     """
-    if mode == "xxx":
-        q = RATIONAL
-    elif mode != "xxz":
-        raise ParameterDomainError(f"unknown mode {mode!r}")
-    elif q is None:
-        raise ParameterDomainError("xxz mode needs a deformation parameter")
+    if q is None:
+        raise ParameterDomainError(
+            "the eigenvalues need a deformation parameter (RATIONAL for the rational point)")
     big_l = ell1 + ell2 + 1
     vals = [complex(r0)]
     num_prod, den_prod = 1.0 + 0j, 1.0 + 0j
@@ -71,15 +67,14 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter | None =
         den_prod *= den
         prods.append((-1) ** n * r0 * num_prod / den_prod)
     return REigenvalues(values=tuple(vals), product_values=tuple(prods), r0=complex(r0),
-                        mode=mode, ell1=complex(ell1), ell2=complex(ell2), u=complex(u))
+                        ell1=complex(ell1), ell2=complex(ell2), u=complex(u))
 
 
 @dataclasses.dataclass(frozen=True)
 class RMatrix:
     matrix: np.ndarray
     u: complex
-    q: DeformationParameter | None
-    mode: str
+    q: DeformationParameter
     ell1: complex
     ell2: complex
     basis_tag: str
@@ -89,32 +84,11 @@ class RMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-def _spectral_solve(eig: REigenvalues, space: ProductSpace, q: DeformationParameter | None,
-                    basis: str, r0: complex) -> RMatrix:
-    """R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1} from the
-    :class:`SpectralForm` of ``space``, one weight block b at a time."""
-    form = space.spectral_form()
-    layout = form.layout
-    layout.require_conditioned(form.cond, COND_LIMIT)
-    blocks = (form.left * np.asarray(eig.values)) @ form.right
-    d = space.weights.size
-    m = np.zeros(d * d, complex)
-    m[layout.dst] = blocks[layout.inside] * space.q.pow(eig.u * layout.twist)
-    return RMatrix(matrix=m.reshape(d, d), u=eig.u, q=q, mode=eig.mode, ell1=eig.ell1,
-                   ell2=eig.ell2, basis_tag=basis, normalization=f"R_0 = {r0}")
-
-
-def _space(ell1, ell2, q: DeformationParameter | None, mode: str, basis: str,
-           space: ProductSpace | None):
-    """The space R is solved on, with the q and the basis R is reported in.
-
-    The rational mode solves at q = 1 in the monomial basis."""
-    if mode == "xxx":
-        return ProductSpace.of_spins(ell1, ell2, RATIONAL), None, "monomial"
-    if space is None:
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    return space, q, basis
+    @property
+    def mode(self) -> str:
+        """Which R this is: "xxx" at the rational point (q on the zero log branch),
+        "xxz" elsewhere."""
+        return "xxx" if self.q.log_branch == 0 else "xxz"
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
@@ -125,30 +99,31 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     Columns of the unbarred eigenvector family at u are mapped to the
     barred family at -u scaled by the sector eigenvalues; the barred
     counterpart relation is left as an independent check for the caller.
-    ``space`` is the :class:`ProductSpace` of the two spins in ``basis``
-    over q, when the caller shares one (and its spectral form) with other
-    work at the same point; it is built here otherwise.  The rational mode
-    ignores q, ``basis`` and ``space``: it solves at q = 1 in the monomial
-    basis.
+    ``mode="xxx"`` stands for q = :data:`qcore.RATIONAL` in the monomial
+    basis and replaces q and ``basis``.  ``space`` is the
+    :class:`ProductSpace` of the two spins in ``basis`` over q, when the
+    caller shares one (and its spectral form) with other work at the same
+    point; it is built here otherwise.
+
+    R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1} is evaluated from
+    the :class:`SpectralForm` of the space, one weight block b at a time.
     """
-    eig = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
-    return _spectral_solve(eig, *_space(ell1, ell2, q, mode, basis, space), r0)
-
-
-def assemble_R_pair(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-                    mode: str = "xxz", r0: complex = 1.0,
-                    basis: str = "orthonormal") -> tuple[RMatrix, RMatrix]:
-    """(R(u), R(-u)), equal to two :func:`assemble_R` calls: one spectral
-    form, evaluated at u and at -u.
-
-    The checks R(u) needs run before those only R(-u) needs, so the first
-    error raised is the one the two separate calls would raise.
-    """
-    eig_u = eigenvalue_sequence(ell1, ell2, u, q, mode, r0)
-    solve_on = _space(ell1, ell2, q, mode, basis, None)
-    r_u = _spectral_solve(eig_u, *solve_on, r0)
-    eig_mu = eigenvalue_sequence(ell1, ell2, -u, q, mode, r0)
-    return r_u, _spectral_solve(eig_mu, *solve_on, r0)
+    if mode == "xxx":
+        q, basis = RATIONAL, "monomial"
+    elif mode != "xxz":
+        raise ParameterDomainError(f"unknown mode {mode!r}")
+    eig = eigenvalue_sequence(ell1, ell2, u, q, r0)
+    if space is None:
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    form = space.spectral_form()
+    layout = form.layout
+    layout.require_conditioned(form.cond, COND_LIMIT)
+    blocks = (form.left * np.asarray(eig.values)) @ form.right
+    d = space.weights.size
+    m = np.zeros(d * d, complex)
+    m[layout.dst] = blocks[layout.inside] * space.q.pow(eig.u * layout.twist)
+    return RMatrix(matrix=m.reshape(d, d), u=eig.u, q=q, ell1=eig.ell1, ell2=eig.ell2,
+                   basis_tag=basis, normalization=f"R_0 = {r0}")
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
@@ -187,9 +162,8 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
         tag = "orthonormal"
     else:
         raise UnsupportedPair(f"no tabulated matrix for spins ({ell1}, {ell2})")
-    return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, mode="xxz",
-                   ell1=complex(ell1), ell2=complex(ell2), basis_tag=tag,
-                   normalization=f"R_0 = {r0}")
+    return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, ell1=complex(ell1),
+                   ell2=complex(ell2), basis_tag=tag, normalization=f"R_0 = {r0}")
 
 
 def normalize_global(m: np.ndarray) -> np.ndarray:

@@ -177,17 +177,15 @@ class ProductSpace:
                 abs_tol: float = 1e-10) -> list[EigenSector]:
         """All eigen-sectors of the coproduct ``kind`` at u.
 
-        The chains of both coproduct kinds come from :meth:`_chains`, and
-        those of ``kind`` must pass the weight-block test of
-        :class:`SpectralForm` against :data:`COND_LIMIT`, which raises
-        :class:`SingularBasis`.
+        The chains of ``kind`` come from :meth:`_chains` and must pass the
+        weight-block test of :class:`SpectralForm` against
+        :data:`COND_LIMIT`, which raises :class:`SingularBasis`.  The other
+        kind's sectors are ``sectors(u, other kind)``.
         """
         chains = self._chains(u, kind, abs_tol)
-        twins = self._chains(u, "delta" if kind == "deltabar" else "deltabar", abs_tol)
         self._layout().require_conditioned(self._unit_blocks(chains)[2], COND_LIMIT)
         steps = chains.shape[0]
-        return [EigenSector(n=n, descendants=list(chains[:steps - 2 * n, :, n]),
-                            barred_descendants=list(twins[:steps - 2 * n, :, n]))
+        return [EigenSector(n=n, descendants=list(chains[:steps - 2 * n, :, n]))
                 for n in range(chains.shape[2])]
 
     def spectral_form(self) -> SpectralForm:
@@ -320,15 +318,14 @@ def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter
 
 @dataclasses.dataclass(frozen=True)
 class EigenSector:
-    """Sector n: the raising chain of its lowest-weight vector, and the barred twin.
+    """Sector n: the raising chain of its lowest-weight vector.
 
     descendants[m] is (S+_u)^m applied to the lowest-weight vector
-    descendants[0]; barred_descendants[m] likewise with the barred operators.
+    descendants[0], for the coproduct kind the sector was built for.
     """
 
     n: int
     descendants: list[np.ndarray]
-    barred_descendants: list[np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,7 +16,7 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     phi_product, qnum, sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, casimir_matrix, fundamental_r
-from .rop import RMatrix, _top_sector, assemble_R, assemble_R_pair, eigenvalue_sequence
+from .rop import RMatrix, _top_sector, assemble_R, eigenvalue_sequence
 from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
                      SamplerExhausted)
 from .tensorrep import ProductSpace, kron, tensor_casimir
@@ -93,8 +93,8 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, one,
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
     """A sampled (q, u) with all eigenvalue denominators away from poles.
 
-    In the rational mode ("xxx") only u is drawn, the denominators are
-    taken at q = 1, where they are plain numbers, and q is returned as None.
+    In the rational mode ("xxx") q is :data:`qcore.RATIONAL`, where the
+    denominators are plain numbers, and only u is drawn.
     """
     big_l = ell1 + ell2 + 1
     top = _top_sector(ell1, ell2)
@@ -103,7 +103,7 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
         u = sample_u(rng)
         if all(abs(qnum(big_l - n + s * u, q)) > min_gap
                for n in range(1, top + 1) for s in (1, -1)):
-            return (None if mode == "xxx" else q), u
+            return q, u
     what = "regular rational u" if mode == "xxx" else "regular (q, u)"
     raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
 
@@ -260,17 +260,23 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
                     perturb: float = 0.0) -> ResidualReport:
-    """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue."""
+    """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
+
+    R(u) and R(-u) are solved on one :class:`ProductSpace` per sample, in
+    the orthonormal basis at a sampled q and the monomial one at q = 1.
+    """
     cfg = cfg or ToleranceConfig()
+    basis = "monomial" if mode == "xxx" else "orthonormal"
 
     def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng, mode=mode)
-        r_u, r_mu = assemble_R_pair(ell1, ell2, u, q, mode=mode)
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+        r_u, r_mu = (assemble_R(ell1, ell2, x, q, basis=basis, space=space) for x in (u, -u))
         m = r_u.matrix.copy()
         if perturb:
             m[0, 1] += perturb
         prod = m @ r_mu.matrix
-        return ({"q": None if q is None else _c2l(q.value), "u": _c2l(u)},
+        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u)},
                 residual(prod, np.eye(prod.shape[0]), prod))
 
     return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, one)

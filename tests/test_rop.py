@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import qybe.rop as rop
-from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, assemble_R_pair,
-                  build_spin_rep, closed_form_R, eigenvalue_sequence, normalize_global, qnum)
-from qybe.errors import PoleAtSector, QybeError, SingularBasis, UnsupportedPair
+from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
+                  closed_form_R, eigenvalue_sequence, normalize_global, qnum)
+from qybe.errors import (ParameterDomainError, PoleAtSector, QybeError, SingularBasis,
+                         UnsupportedPair)
 from qybe.qcore import sample_generic_q, sample_u
 from qybe.tensorrep import kron
 from qybe.verify import _regular_point, decomposed_residuals, residual
@@ -38,7 +39,7 @@ def test_u_zero_alternating_signs(q_generic):
     eig = eigenvalue_sequence(2.0, 2.0, 0.0, q_generic)
     for n, v in enumerate(eig.values):
         assert v == pytest.approx((-1.0) ** n)
-    rational = eigenvalue_sequence(2.0, 2.0, 0.0, mode="xxx")
+    rational = eigenvalue_sequence(2.0, 2.0, 0.0, RATIONAL)
     for n, v in enumerate(rational.values):
         assert v == pytest.approx((-1.0) ** n)
 
@@ -50,8 +51,7 @@ def test_recurrence_matches_product(pair, mode, rng):
     done = 0
     while done < 10:
         q, u = _regular_point(ell1, ell2, rng)
-        eig = eigenvalue_sequence(ell1, ell2, u if mode == "xxz" else complex(u),
-                                  q if mode == "xxz" else None, mode=mode)
+        eig = eigenvalue_sequence(ell1, ell2, u, q if mode == "xxz" else RATIONAL)
         if max(abs(v) for v in eig.values) > 50:    # too close to a pole
             continue
         done += 1
@@ -65,7 +65,7 @@ def test_pole_detection(q_generic):
         eigenvalue_sequence(0.5, 0.5, -1.0, q_generic)
     assert exc.value.sector == 1
     with pytest.raises(PoleAtSector):
-        eigenvalue_sequence(1.0, 1.0, -1.0, mode="xxx")
+        eigenvalue_sequence(1.0, 1.0, -1.0, RATIONAL)
 
 
 def test_q_inverse_invariance(rng):
@@ -157,13 +157,14 @@ def test_skew_action_both_directions(pair, rng):
     eig = eigenvalue_sequence(ell1, ell2, u, q)
     space = ProductSpace.of_spins(ell1, ell2, q)
     sec_u, sec_mu = space.sectors(u), space.sectors(-u)
-    for s_u, s_mu in zip(sec_u, sec_mu):
+    bar_u, bar_mu = space.sectors(u, "deltabar"), space.sectors(-u, "deltabar")
+    for s_u, s_mu, b_u, b_mu in zip(sec_u, sec_mu, bar_u, bar_mu):
         rn = eig.values[s_u.n]
-        for m, vbar in enumerate(s_u.barred_descendants):
+        for m, vbar in enumerate(b_u.descendants):
             target = rn * s_mu.descendants[m]
             assert np.abs(built.matrix @ vbar - target).max() < 1e-9 * max(1, np.abs(target).max())
         for m, v in enumerate(s_u.descendants):
-            target = rn * s_mu.barred_descendants[m]
+            target = rn * b_mu.descendants[m]
             assert np.abs(built.matrix @ v - target).max() < 1e-9 * max(1, np.abs(target).max())
 
 
@@ -186,7 +187,7 @@ def _assemble_rational(ell1, ell2, u, r0=1.0):
     sp2, _, _ = _classical_triple(ell2)
     d1, d2 = sp1.shape[0], sp2.shape[0]
     sp = kron(sp1, np.eye(d2)) + kron(np.eye(d1), sp2)
-    eig = eigenvalue_sequence(ell1, ell2, u, mode="xxx", r0=r0)
+    eig = eigenvalue_sequence(ell1, ell2, u, RATIONAL, r0=r0)
     cols, diag = [], []
     for n in range(min(d1, d2)):
         c = np.zeros((d1, d2), complex)
@@ -224,7 +225,8 @@ def test_rational_mode_matches_reference_bit_for_bit(ell1):
             rm = assemble_R(ell1, ell2, u, mode="xxx")
             want = _assemble_rational(ell1, ell2, u)
             assert np.abs(rm.matrix - want).max() <= 1e-13 * np.abs(want).max()
-            assert (rm.q, rm.mode, rm.basis_tag, rm.u) == (None, "xxx", "monomial", complex(u))
+            assert rm.q is RATIONAL
+            assert (rm.mode, rm.basis_tag, rm.u) == ("xxx", "monomial", complex(u))
 
 
 @pytest.mark.parametrize("pair", [(3.5, 4.0), (4.0, 4.0)])
@@ -235,7 +237,7 @@ def test_rational_mode_raises_reference_singular_basis(pair):
         with pytest.raises(SingularBasis):
             _assemble_rational(*pair, u)
         try:
-            r_u, r_mu = assemble_R_pair(*pair, u, mode="xxx")
+            r_u, r_mu = _on_one_space(*pair, u, RATIONAL, "monomial")
         except PoleAtSector:
             continue
         prod = r_u.matrix @ r_mu.matrix
@@ -279,10 +281,16 @@ def _assembled_or_error(build):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _on_one_space(ell1, ell2, u, q, basis="orthonormal"):
+    """(R(u), R(-u)) solved on one shared space, as check_unitarity solves them."""
+    space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    return tuple(assemble_R(ell1, ell2, x, q, basis=basis, space=space) for x in (u, -u))
+
+
 @pytest.mark.parametrize("ell1", SPINS)
 def test_pair_matches_two_assemblies(ell1):
-    """One sector build per +-u pair gives what two assemble_R calls give,
-    including the first error raised."""
+    """R(u) and R(-u) on one shared space are what two assemble_R calls
+    give, including the first error raised."""
     rng = np.random.default_rng(int(4 * ell1))
     for ell2 in SPINS:
         if ell2 < ell1:
@@ -291,7 +299,7 @@ def test_pair_matches_two_assemblies(ell1):
             q, u = _regular_point(ell1, ell2, rng)
             want = _assembled_or_error(lambda: (assemble_R(ell1, ell2, u, q),
                                                 assemble_R(ell1, ell2, -u, q)))
-            got = _assembled_or_error(lambda: assemble_R_pair(ell1, ell2, u, q))
+            got = _assembled_or_error(lambda: _on_one_space(ell1, ell2, u, q))
             if isinstance(want, str):
                 assert got == want
             else:
@@ -302,7 +310,7 @@ def test_pair_matches_two_assemblies(ell1):
 
 
 def test_pair_rational_mode():
-    got = assemble_R_pair(0.5, 1.0, 0.37 - 0.21j, mode="xxx")
+    got = _on_one_space(0.5, 1.0, 0.37 - 0.21j, RATIONAL, "monomial")
     want = (assemble_R(0.5, 1.0, 0.37 - 0.21j, mode="xxx"),
             assemble_R(0.5, 1.0, -(0.37 - 0.21j), mode="xxx"))
     for g, w in zip(got, want):
@@ -315,7 +323,7 @@ def test_pair_raises_the_first_error_of_two_assemblies(u, q_generic):
     want = _assembled_or_error(lambda: (assemble_R(0.5, 0.5, u, q_generic),
                                         assemble_R(0.5, 0.5, -u, q_generic)))
     assert isinstance(want, str)
-    assert _assembled_or_error(lambda: assemble_R_pair(0.5, 0.5, u, q_generic)) == want
+    assert _assembled_or_error(lambda: _on_one_space(0.5, 0.5, u, q_generic)) == want
 
 
 def _full_solve(ell1, ell2, u, q, basis):
@@ -324,9 +332,9 @@ def _full_solve(ell1, ell2, u, q, basis):
     eig = eigenvalue_sequence(ell1, ell2, u, q)
     space = ProductSpace.of_spins(ell1, ell2, q, basis)
     cols_u, cols_mu, diag = [], [], []
-    for s_u, s_mu in zip(space.sectors(u), space.sectors(-u)):
+    for s_u, s_mu in zip(space.sectors(u), space.sectors(-u, "deltabar")):
         cols_u.extend(s_u.descendants)
-        cols_mu.extend(s_mu.barred_descendants)
+        cols_mu.extend(s_mu.descendants)
         diag.extend([eig.values[s_u.n]] * len(s_u.descendants))
     phi = np.array(cols_u).T
     if np.linalg.cond(phi) > rop.COND_LIMIT:
@@ -366,7 +374,7 @@ def test_spin_three_envelope():
     rng = np.random.default_rng(7)
     for _ in range(20):
         q, u = _regular_point(3.0, 3.0, rng)
-        r_u, r_mu = assemble_R_pair(3.0, 3.0, u, q)
+        r_u, r_mu = _on_one_space(3.0, 3.0, u, q)
         prod = r_u.matrix @ r_mu.matrix
         assert residual(prod, np.eye(49), prod) < 1e-9
 
@@ -377,6 +385,43 @@ def test_assembly_reuses_the_space_form(q_generic):
     for u in (0.3 - 0.2j, -0.3 + 0.2j):
         assemble_R(1.0, 1.5, u, q_generic, space=space)
     assert space.spectral_form() is form
+
+
+def test_rational_assembly_solves_on_the_given_space(monkeypatch):
+    us = (0.3 - 0.2j, -0.3 + 0.2j)
+    want = [assemble_R(1.0, 1.5, u, mode="xxx").matrix for u in us]
+    space = ProductSpace.of_spins(1.0, 1.5, RATIONAL, "monomial")
+    form = space.spectral_form()
+
+    def no_new_space(*args):
+        raise AssertionError("assemble_R built a space of its own")
+
+    monkeypatch.setattr(ProductSpace, "of_spins", no_new_space)
+    for u, m in zip(us, want):
+        assert np.array_equal(assemble_R(1.0, 1.5, u, mode="xxx", space=space).matrix, m)
+    assert space.spectral_form() is form
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_the_rational_point_has_one_spelling(pair, q_generic):
+    """q = RATIONAL and mode="xxx" are one R, reported alike; every other q is xxz."""
+    u = 0.37 - 0.21j
+    by_q = assemble_R(*pair, u, RATIONAL, basis="monomial")
+    by_mode = assemble_R(*pair, u, mode="xxx")
+    assert np.array_equal(by_q.matrix, by_mode.matrix)
+    for rm in (by_q, by_mode, closed_form_R(*pair, u, RATIONAL)):
+        assert rm.q is RATIONAL and rm.mode == "xxx"
+    for rm in (assemble_R(*pair, u, q_generic), closed_form_R(*pair, u, q_generic)):
+        assert rm.q is q_generic and rm.mode == "xxz"
+
+
+def test_a_missing_q_or_an_unknown_mode_is_rejected():
+    with pytest.raises(ParameterDomainError):
+        assemble_R(0.5, 0.5, 0.3)
+    with pytest.raises(ParameterDomainError):
+        assemble_R(0.5, 0.5, 0.3, RATIONAL, mode="xyz")
+    with pytest.raises(ParameterDomainError):
+        eigenvalue_sequence(0.5, 0.5, 0.3, None)
 
 
 def test_singular_basis_names_its_block(monkeypatch, q_generic):

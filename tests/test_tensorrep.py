@@ -100,11 +100,11 @@ def test_mismatched_parameters_rejected(rng):
 
 def test_sector_zero_vector(q_generic, rng):
     u = sample_u(rng)
-    sectors = ProductSpace.of_spins(0.5, 0.5, q_generic).sectors(u)
-    v0 = sectors[0].descendants[0]
+    space = ProductSpace.of_spins(0.5, 0.5, q_generic)
+    v0 = space.sectors(u)[0].descendants[0]
     assert v0[0] == pytest.approx(1.0)
     assert np.abs(v0[1:]).max() < 1e-14
-    assert np.allclose(sectors[0].barred_descendants[0], v0)
+    assert np.allclose(space.sectors(u, "deltabar")[0].descendants[0], v0)
 
 
 def test_sector_one_spin_half_pair(q_generic, rng):
@@ -163,12 +163,13 @@ def test_product_formula_matches_null_space_oracle(pair, rng):
 def test_sector_completeness(pair, q_generic, rng):
     ell1, ell2 = pair
     u = sample_u(rng)
-    sectors = ProductSpace.of_spins(ell1, ell2, q_generic).sectors(u)
+    space = ProductSpace.of_spins(ell1, ell2, q_generic)
+    sectors = space.sectors(u)
     d1, d2 = int(2 * ell1 + 1), int(2 * ell2 + 1)
     assert sum(len(s.descendants) for s in sectors) == d1 * d2
-    for s in sectors:
+    for s, bar in zip(sectors, space.sectors(u, "deltabar"), strict=True):
         assert len(s.descendants) == d1 + d2 - 2 * s.n - 1
-        assert len(s.barred_descendants) == len(s.descendants)
+        assert len(bar.descendants) == len(s.descendants)
 
 
 def _rescale_arguments(vec, d1, d2, power, q):
@@ -395,7 +396,6 @@ def test_product_space_sectors_match_fresh_spaces(rng):
                 assert [s.n for s in got] == [s.n for s in ref]
                 for a, b in zip(got, ref):
                     assert np.array_equal(a.descendants, b.descendants)
-                    assert np.array_equal(a.barred_descendants, b.barred_descendants)
 
 
 def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
@@ -481,7 +481,7 @@ def test_sectors_at_the_rational_point(pair):
         sectors = space.sectors(u)
         assert [len(s.descendants) for s in sectors] == [d1 + d2 - 1 - 2 * n
                                                          for n in range(min(d1, d2))]
-        for s in sectors:
-            assert np.array_equal(s.descendants, s.barred_descendants)
+        for s, bar in zip(sectors, space.sectors(u, "deltabar"), strict=True):
+            assert np.array_equal(s.descendants, bar.descendants)
             for v, w in zip(s.descendants, s.descendants[1:]):
                 assert np.array_equal(sp @ v, w)

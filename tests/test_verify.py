@@ -255,6 +255,43 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
         check_unitarity(0.5, 0.5, FAST, mode="xxx")
 
 
+@pytest.mark.parametrize("mode", ["xxz", "xxx"])
+def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
+    """R(u) and R(-u) share one space per sample: orthonormal at a sampled q,
+    monomial at q = 1."""
+    spaces, solved_on = [], []
+    init = ProductSpace.__init__
+
+    def counting_init(self, *args):
+        spaces.append(self)
+        init(self, *args)
+
+    def spying_assemble(*args, space=None, **kwargs):
+        solved_on.append(space)
+        return assemble_R(*args, space=space, **kwargs)
+
+    monkeypatch.setattr(ProductSpace, "__init__", counting_init)
+    monkeypatch.setattr(verify, "assemble_R", spying_assemble)
+    assert check_unitarity(1.0, 1.0, FAST, mode=mode).passed
+    assert len(spaces) == FAST.sample_count
+    assert solved_on == [space for space in spaces for _ in (1, -1)]
+    basis = "monomial" if mode == "xxx" else "orthonormal"
+    assert {rep.basis_tag for space in spaces for rep in space.parents} == {basis}
+
+
+def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
+    kinds = []
+    chains = ProductSpace._chains
+
+    def counting_chains(self, u, kind, abs_tol):
+        kinds.append(kind)
+        return chains(self, u, kind, abs_tol)
+
+    monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
+    assert check_casimir_spectrum(1.0, 1.0, FAST).passed
+    assert kinds == ["delta"] * FAST.sample_count
+
+
 SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
 SUITES = {
     "fundamental_ybe[xxz]": lambda cfg: check_fundamental_ybe(cfg),
@@ -300,7 +337,7 @@ def test_suites_need_a_sample():
 
 def test_regular_point_rational_mode_draws_u_alone():
     q, u = _regular_point(0.5, 1.0, np.random.default_rng(3), mode="xxx")
-    assert q is None
+    assert q is RATIONAL
     # spins (1/2, 1): the only denominators are 3/2 + u and 3/2 - u
     ref = np.random.default_rng(3)
     first = next(v for v in iter(lambda: sample_u(ref), None)
