@@ -21,7 +21,7 @@ from . import cyclic as cy
 from . import verify
 from .errors import (BadSpin, CompletenessFailure, OrderMismatch, ParameterDomainError,
                      PoleAtSector, QybeError, SingularBasis, UnsupportedPair, WrongMode)
-from .qcore import DeformationParameter, ToleranceConfig
+from .qcore import RATIONAL, DeformationParameter, ToleranceConfig
 from .rep import build_spin_rep
 from .rop import assemble_R
 from .verify import _c2l
@@ -116,7 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rmx.add_argument("--u", type=parse_complex, required=True)
     rmx.add_argument("--q", type=parse_complex)
     rmx.add_argument("--xxx", action="store_true", help="rational (undeformed) mode")
-    rmx.add_argument("--basis", choices=["monomial", "orthonormal"], default="orthonormal")
+    rmx.add_argument("--basis", choices=["monomial", "orthonormal"], default=None,
+                     help="single-spin basis (default: orthonormal with --q, monomial "
+                          "with --xxx)")
     rmx.add_argument("--out", type=Path, required=True, help="output file")
 
     ver = sub.add_parser("verify", help="run identity-verification suites")
@@ -167,17 +169,15 @@ def _cmd_rep(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     if args.xxx:
-        q = None
-        mode = "xxx"
+        q, basis = RATIONAL, args.basis or "monomial"
+    elif args.q is None:
+        print("error: either --q or --xxx is required", file=sys.stderr)
+        return EXIT_VALIDATION
     else:
-        if args.q is None:
-            print("error: either --q or --xxx is required", file=sys.stderr)
-            return EXIT_VALIDATION
-        q = DeformationParameter.generic(args.q)
-        mode = "xxz"
-    rm = assemble_R(args.l1, args.l2, args.u, q, mode=mode, basis=args.basis)
+        q, basis = DeformationParameter.generic(args.q), args.basis or "orthonormal"
+    rm = assemble_R(args.l1, args.l2, args.u, q, basis=basis)
     meta = {"spins": [args.l1, args.l2], "u": _c2l(args.u),
-            "q": None if q is None else _c2l(q.value), "mode": mode,
+            "q": None if args.xxx else _c2l(q.value), "mode": rm.mode,
             "basis_tag": rm.basis_tag, "normalization": rm.normalization}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_document(args.out, matrix_document(rm.matrix, meta))

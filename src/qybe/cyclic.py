@@ -7,6 +7,11 @@ acts as the identity.  Generators act by
     S- theta_k = q^{-lam/2} [k - beta] theta_{k-1},
     S+ theta_k = q^{ lam/2} [alpha - k] theta_{k+1},
     q^{aS} theta_k = q^{a (k - (alpha+beta)/2)} theta_k.
+
+On a product theta_{k1, k2} every twisted generator moves the weight
+sector (k1 + k2) mod N by one, so the tensor checks run on its N
+sector-transition blocks (:func:`_sector_bands`) and never form the
+dense N^2 x N^2 matrices of :func:`cyclic_space`.
 """
 from __future__ import annotations
 
@@ -140,31 +145,47 @@ def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
 
 
 def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
-    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}."""
+    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}.
+
+    Its dense coproducts are the reference that the sector bands of
+    :func:`_sector_bands` equal slice for slice.
+    """
     _require_same_q(spec1, spec2)
     return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
 
 
-def _sector_powers(mats, steps, n: int) -> np.ndarray:
-    """Diagonal blocks of M^N for generators M of a cyclic product space that
-    move the weight sector c = k1 + k2 mod N to c + step, with step = +-1.
+def _sector_bands(rep1: OperatorTriple, rep2: OperatorTriple, u: complex) -> np.ndarray:
+    """The sector-transition blocks of the four twisted generators on V1 x V2.
 
-    M^N is block-diagonal on the N sectors; the block of a sector is the
-    product of the N sector-transition blocks of M taken once around the
-    cycle of sectors, so every entry outside those N blocks is left out.
-    Returns shape (len(mats), N, N, N): [g, i] is the block of sector
-    i * steps[g] mod N, on its basis vectors ordered by k1.
+    Each of sm_u, sp_u, sm_bar_u and sp_bar_u (steps -1, 1, -1, 1) moves
+    the weight sector c = k1 + k2 mod N by its step, so it is N blocks of
+    N x N.  Returns shape (4, N, N, N): [g, i] maps sector i * step_g mod N
+    to (i + 1) * step_g, on the basis vectors theta_{k1, c - k1} ordered by
+    k1.  The S2 term of a generator moves k2 and sits on the diagonal of a
+    block; the S1 term moves k1 and sits on the diagonal shifted by the
+    step.  Each entry is formed as :meth:`ProductSpace.coproduct` forms it,
+    the piece product and then the product or quotient with q^{u/2}, so the
+    blocks are bit for bit the slices of the dense generators.
     """
+    n, q = rep1.dim, rep1.q
     k = np.arange(n)
-    sectors = k * n + (k[:, None] - k) % n  # row c: theta_{k1, c - k1}, by k1
-    gather = {s: (sectors[(k + 1) * s % n][:, :, None], sectors[k * s % n][:, None, :])
-              for s in set(steps)}
-    blocks = np.stack([m[gather[s]] for m, s in zip(mats, steps)])
-    around = np.concatenate([blocks, blocks], axis=1)
-    power = blocks
-    for j in range(1, n):
-        power = around[:, j:j + n] @ power
-    return power
+    g = np.arange(4)[:, None, None]
+    steps = np.array([-1, 1, -1, 1])[:, None, None]
+    # delta weights its pieces by q^{-S1} and q^{S2}, deltabar by q^{S1} and q^{-S2}
+    w1 = np.stack([q.pow(-rep1.weights), q.pow(rep1.weights)])[[0, 0, 1, 1], None, :]
+    w2 = np.stack([q.pow(rep2.weights), q.pow(-rep2.weights)])[[0, 0, 1, 1]]
+    lower, lift = (k - 1) % n, (k + 1) % n
+    f1 = np.stack([rep1.sm[lower, k], rep1.sp[lift, k]])[[0, 1, 0, 1], None, :]
+    f2 = np.stack([rep2.sm[lower, k], rep2.sp[lift, k]])[[0, 1, 0, 1]]
+    k2 = (steps * k[:, None] - k) % n  # [g, i, k1]: k2 of column k1 of block i
+    s1 = f1 * w2[g, k2]
+    s2 = w1 * f2[g, k2]
+    qu = q.pow(u / 2)
+    times = np.array([True, False, False, True])[:, None, None]
+    bands = np.zeros((4, n, n, n), complex)
+    bands[g, k[:, None], (k + steps) % n, k] = np.where(times, qu * s1, s1 / qu)
+    bands[g, k[:, None], k, k] = np.where(times, s2 / qu, qu * s2)
+    return bands
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,23 +201,25 @@ class TensorPowerReport:
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                          tol: float = 1e-9, *,
-                         space: ProductSpace | None = None) -> TensorPowerReport:
+                         reps: tuple[OperatorTriple, OperatorTriple] | None = None
+                         ) -> TensorPowerReport:
     """N-th powers of all four twisted generators, with closed-form scalars.
 
     The unbarred powers telescope to
     (S-_u)^N = q^{N(u/2+S2)} (S1-)^N + q^{-N(u/2+S1)} (S2-)^N  (and the
     raising analogue), which yields explicit scalars in the parameters.
     Each generator moves the sector k1 + k2 mod N by one, so its N-th power
-    is computed on the N sector blocks (:func:`_sector_powers`) and read
-    from their diagonal.  ``space`` is :func:`cyclic_space` of the two specs
-    when the caller already has it.
+    is block-diagonal: the block of a sector is the product of the
+    generator's N sector-transition blocks (:func:`_sector_bands`) taken
+    once around the cycle of sectors, and the scalar is read from the
+    diagonal of those blocks.  ``reps`` is :func:`build_cyclic_rep` of the
+    two specs when the caller already has them.
     """
+    _require_same_q(spec1, spec2)
     n = spec1.n
     q = spec1.q
-    if space is None:
-        space = cyclic_space(spec1, spec2)
-    cop = space.coproduct("delta", u)
-    cop_bar = space.coproduct("deltabar", u)
+    if reps is None:
+        reps = build_cyclic_rep(spec1), build_cyclic_rep(spec2)
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
     den = (q.value - 1 / q.value) ** (-n)
@@ -207,8 +230,11 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                        + q.pow(n * (u + a1 + b1 + l2) / 2) * (q.pow(n * a2) - q.pow(-n * a2))),
     }
     scalars, resids, errors = {}, {}, {}
-    powers = _sector_powers((cop.gens.sm, cop.gens.sp, cop_bar.gens.sm, cop_bar.gens.sp),
-                            (-1, 1, -1, 1), n)
+    bands = _sector_bands(*reps, u)
+    around = np.concatenate([bands, bands], axis=1)
+    powers = bands
+    for j in range(1, n):
+        powers = around[:, j:j + n] @ powers
     for name, power in zip(("sm_u", "sp_u", "sm_bar_u", "sp_bar_u"), powers):
         s, r = _scalar_part(power)
         scalars[name] = s
@@ -298,33 +324,33 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
 
     phi_m lives on {theta_{(m-k) mod N, k}} with geometric coefficients;
     the twisted lowering/raising operators shift m by one with explicit
-    prefactors (see :func:`shift_prefactor`).  When the closure condition
-    ratio^N = 1 fails the laws break at the cycle seam; with ``enforce``
-    the first violation (or NaN residual) is raised, in the order lower,
-    raise, lower_bar, raise_bar with m ascending; otherwise residuals are
-    just reported.
+    prefactors (see :func:`shift_prefactor`).  phi_m lies in the sector m, so
+    each law is evaluated there: its generator's sector-transition block
+    (:func:`_sector_bands`) applied to phi_m restricted to the sector.
+    When the closure condition ratio^N = 1 fails the laws break at the
+    cycle seam; with ``enforce`` the first violation (or NaN residual) is
+    raised, in the order lower, raise, lower_bar, raise_bar with m
+    ascending; otherwise residuals are just reported.
     """
+    _require_same_q(spec1, spec2)
     n = spec1.n
-    space = cyclic_space(spec1, spec2)
-    cop = space.coproduct("delta", u)
-    cop_bar = space.coproduct("deltabar", u)
+    bands = _sector_bands(build_cyclic_rep(spec1), build_cyclic_rep(spec2), u)
     rho = _family_ratio(spec1, spec2, u, barred=False)
     sig = _family_ratio(spec1, spec2, u, barred=True)
     phi = _family_vectors(n, rho)
     phibar = _family_vectors(n, sig)
     m = np.arange(n)
+    # row m: phi_m on its sector, the coefficients of theta_{k1, m - k1} by k1
+    on_sector = m[:, None], m * n + (m[:, None] - m) % n
+    sector_phi, sector_phibar = phi[on_sector], phibar[on_sector]
     resids = {}
-    checks = (
-        ("lower", cop.gens.sm, phi, -1),
-        ("raise", cop.gens.sp, phi, +1),
-        ("lower_bar", cop_bar.gens.sm, phibar, -1),
-        ("raise_bar", cop_bar.gens.sp, phibar, +1),
-    )
-    for name, op, fam, step in checks:
+    checks = (("lower", sector_phi, -1), ("raise", sector_phi, +1),
+              ("lower_bar", sector_phibar, -1), ("raise_bar", sector_phibar, +1))
+    for band, (name, vec, step) in zip(bands, checks):
         c = shift_prefactor(name, spec1, spec2, u, m)
-        target = fam[(m + step) % n]
-        r = np.abs(fam @ op.T - c[:, None] * target).max(axis=1)
-        r /= np.maximum(np.maximum(1.0, np.abs(fam).max(axis=1)), np.abs(c))
+        image = (band[m * step % n] @ vec[:, :, None])[:, :, 0]
+        r = np.abs(image - c[:, None] * vec[(m + step) % n]).max(axis=1)
+        r /= np.maximum(np.maximum(1.0, np.abs(vec).max(axis=1)), np.abs(c))
         resids.update({(name, j): float(x) for j, x in enumerate(r)})
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
@@ -403,8 +429,11 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     r_m = _R_eigenvalues(spec1, spec2, u, r0)
     v = np.concatenate([phi_u, phibar_u]).T
     w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
-    rank = int(np.linalg.matrix_rank(v, tol=1e-8 * max(1.0, np.abs(v).max())))
-    mat = w @ np.linalg.pinv(v)
+    # one SVD gives the rank and numpy's pinv, step by step
+    left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
+    inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
+    mat = w @ (right.T @ (inv[:, None] * left.T))
     resid = float(np.abs(mat @ v - w).max() / max(1.0, np.abs(w).max()))
     if not resid <= tol:
         raise InconsistentConstraints(

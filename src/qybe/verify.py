@@ -335,7 +335,8 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
 
     An off-scalar residual that the guards of :func:`cyclic.central_elements`
     and :func:`cyclic.tensor_power_scalars` reject (a NaN, or one above 1)
-    is the sample's residual, so it fails the report.
+    is the sample's residual, so it fails the report.  Each sample builds
+    its two representations once and shares them with both.
     """
     cfg = cfg or ToleranceConfig()
 
@@ -347,12 +348,11 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
                   "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
         s1 = cy.CyclicRepSpec(*p1, n)
         s2 = cy.CyclicRepSpec(*p2, n)
-        space = cy.cyclic_space(s1, s2)
-        rep1, rep2 = space.parents
+        rep1, rep2 = cy.build_cyclic_rep(s1), cy.build_cyclic_rep(s2)
         try:
             ce1 = cy.central_elements(s1, tol=1.0, rep=rep1)
             ce2 = cy.central_elements(s2, tol=1.0, rep=rep2)
-            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0, space=space)
+            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0, reps=(rep1, rep2))
         except NotScalar as exc:
             return record, exc.residual
         return record, _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,

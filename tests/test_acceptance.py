@@ -30,8 +30,8 @@ def _golden_deviation(pair, seed=SEED, points=10):
         q, u = _regular_point(*pair, rng)
         built = assemble_R(*pair, u, q)
         table = closed_form_R(*pair, u, q)
-        worst = max(worst, np.abs(normalize_global(built.matrix)
-                                  - normalize_global(table.matrix)).max())
+        worst = _nan_max(worst, np.abs(normalize_global(built.matrix)
+                                       - normalize_global(table.matrix)).max())
     return worst
 
 
@@ -64,8 +64,8 @@ def test_criterion_4_recurrence_vs_product():
                 continue
             done += 1
             for eig in seqs:
-                worst = max(worst, max(abs(a - b) for a, b in
-                                       zip(eig.values, eig.product_values)))
+                worst = _nan_max(worst, *(abs(a - b) for a, b in
+                                          zip(eig.values, eig.product_values)))
     _criterion(4, "eigenvalue recurrence vs closed product, spins <= 3", worst, 1e-12)
 
 
@@ -73,9 +73,9 @@ def test_criterion_5_ybe_suites():
     cfg = ToleranceConfig(sample_count=10, rng_seed=SEED)
     worst = check_fundamental_ybe(cfg, mode="xxz").max_residual
     for ell in (0.5, 1.0, 1.5):
-        worst = max(worst, check_rll(ell, cfg).max_residual)
+        worst = _nan_max(worst, check_rll(ell, cfg).max_residual)
     for pair in GOLDEN_PAIRS:
-        worst = max(worst, max(r.max_residual for r in check_decomposed_ybe(*pair, cfg)))
+        worst = _nan_max(worst, *(r.max_residual for r in check_decomposed_ybe(*pair, cfg)))
     cyc = check_rll(CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3), cfg)
     assert cyc.max_residual < 1e-9, "cyclic quantum-space RLL exceeded 1e-9"
     _criterion(5, "fundamental YBE, spin RLL, 8 decomposed relations "
@@ -86,8 +86,8 @@ def test_criterion_6_unitarity():
     cfg = ToleranceConfig(sample_count=10, rng_seed=SEED)
     worst = 0.0
     for pair in GOLDEN_PAIRS:
-        worst = max(worst, check_unitarity(*pair, cfg).max_residual)
-    worst = max(worst, check_unitarity(0.5, 0.5, cfg, mode="xxx").max_residual)
+        worst = _nan_max(worst, check_unitarity(*pair, cfg).max_residual)
+    worst = _nan_max(worst, check_unitarity(0.5, 0.5, cfg, mode="xxx").max_residual)
     _criterion(6, "R(u) R(-u) = 1 on golden pairs and rational mode", worst, 1e-9)
 
 
@@ -95,7 +95,7 @@ def test_criterion_7_casimir_spectrum():
     cfg = ToleranceConfig(sample_count=10, rng_seed=SEED)
     worst = 0.0
     for pair in GOLDEN_PAIRS:
-        worst = max(worst, check_casimir_spectrum(*pair, cfg).max_residual)
+        worst = _nan_max(worst, check_casimir_spectrum(*pair, cfg).max_residual)
     _criterion(7, "tensor Casimir sector eigenvalues with m-degeneracy", worst, 1e-10)
 
 
@@ -103,8 +103,8 @@ def test_criterion_8_root_of_unity_centrality():
     cfg = ToleranceConfig(sample_count=10, rng_seed=SEED)
     worst = 0.0
     for n in (3, 5, 7):
-        worst = max(worst, check_cyclic_centrality(n, cfg).max_residual)
-        worst = max(worst, check_phi_identity(n, cfg, count=20).max_residual)
+        worst = _nan_max(worst, check_cyclic_centrality(n, cfg).max_residual,
+                         check_phi_identity(n, cfg, count=20).max_residual)
     _criterion(8, "extended-center scalars and full-period q-number products",
                worst, 1e-10)
 
@@ -127,11 +127,11 @@ def test_criterion_10_property_suite():
         q, u = _regular_point(1.0, 1.5, rng)
         a = eigenvalue_sequence(1.0, 1.5, u, q).values
         b = eigenvalue_sequence(1.0, 1.5, u, q.inverse()).values
-        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+        worst = _nan_max(worst, *(abs(x - y) for x, y in zip(a, b)))
     # u = 0 alternating signs
     q0 = sample_generic_q(rng)
     vals = eigenvalue_sequence(2.0, 2.0, 0.0, q0).values
-    worst = max(worst, max(abs(v - (-1.0) ** n) for n, v in enumerate(vals)))
+    worst = _nan_max(worst, *(abs(v - (-1.0) ** n) for n, v in enumerate(vals)))
     # product-formula lowest weights against the SVD null-space oracle
     for pair in GOLDEN_PAIRS:
         q, u = _regular_point(*pair, rng)
@@ -151,7 +151,7 @@ def test_criterion_10_property_suite():
             null = np.linalg.svd(block)[2][-1].conj()
             v = np.array([sec.descendants[0][c] for c in cols])
             cos = abs(np.vdot(null, v)) / (np.linalg.norm(null) * np.linalg.norm(v))
-            worst = max(worst, 1 - cos)
+            worst = _nan_max(worst, 1 - cos)
     _criterion(10, "q-inverse invariance, u=0 signs, null-space oracle", worst, 1e-10)
     # negative control: a perturbed matrix must fail the YBE and unitarity gates
     cfg = ToleranceConfig(sample_count=2, rng_seed=SEED)

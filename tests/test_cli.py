@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qybe import DeformationParameter, build_spin_rep, closed_form_R, normalize_global
+from qybe import (RATIONAL, DeformationParameter, assemble_R, build_spin_rep, closed_form_R,
+                  normalize_global)
 from qybe.cli import (document_matrix, dump_document, load_document, main,
                       matrix_document, parse_complex, parse_spin)
 from qybe.errors import CompletenessFailure
@@ -117,6 +118,29 @@ def test_rmatrix_rational_mode(tmp_path):
     expected = np.array([[1.7, 0, 0, 0], [0, 0.7, 1, 0],
                          [0, 1, 0.7, 0], [0, 0, 0, 1.7]]) / 1.7
     assert np.allclose(m, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("basis", ["orthonormal", "monomial"])
+def test_rmatrix_rational_mode_honours_the_basis(basis, tmp_path):
+    out = tmp_path / "rx.json"
+    assert main(["rmatrix", "--l1", "1", "--l2", "3/2", "--u", "0.2", "--xxx",
+                 "--basis", basis, "--out", str(out)]) == 0
+    doc = load_document(out)
+    assert doc["metadata"]["basis_tag"] == basis
+    assert doc["metadata"]["mode"] == "xxx" and doc["metadata"]["q"] is None
+    expected = assemble_R(1.0, 1.5, 0.2, RATIONAL, basis=basis).matrix
+    assert np.array_equal(document_matrix(doc), expected)
+
+
+def test_rmatrix_default_basis_follows_the_mode(tmp_path):
+    """Monomial at the rational point, orthonormal at a sampled q."""
+    tags = {}
+    for mode in (["--xxx"], ["--q", "0.3+0.4i"]):
+        out = tmp_path / "r.json"
+        assert main(["rmatrix", "--l1", "1", "--l2", "1", "--u", "0.2", *mode,
+                     "--out", str(out)]) == 0
+        tags[mode[0]] = load_document(out)["metadata"]["basis_tag"]
+    assert tags == {"--xxx": "monomial", "--q": "orthonormal"}
 
 
 def test_rmatrix_at_pole(tmp_path, capsys):

@@ -257,23 +257,72 @@ def test_twisted_generators_move_the_sector_by_one(n, rng):
             assert np.count_nonzero(mat[~outside]) > 0
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
-def test_sector_powers_are_the_diagonal_blocks_of_the_dense_power(n, rng):
-    s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
+def _dense_generators(s1, s2, u):
+    """sm_u, sp_u, sm_bar_u and sp_bar_u of the dense product space, with
+    their sector steps."""
     space = cyclic_space(s1, s2)
-    u = sample_u(rng, scale=0.6)
     cop, cop_bar = space.coproduct("delta", u), space.coproduct("deltabar", u)
-    mats = (cop.gens.sm, cop.gens.sp, cop_bar.gens.sm, cop_bar.gens.sp)
-    steps = (-1, 1, -1, 1)
-    powers = cyclic._sector_powers(mats, steps, n)
-    assert powers.shape == (4, n, n, n)
-    for mat, step, blocks in zip(mats, steps, powers):
+    return ((cop.gens.sm, -1), (cop.gens.sp, 1), (cop_bar.gens.sm, -1), (cop_bar.gens.sp, 1))
+
+
+def _sector_indices(n, c):
+    """Basis indices of sector c, theta_{k1, c - k1} ordered by k1."""
+    return [k1 * n + (c - k1) % n for k1 in range(n)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_sector_bands_are_the_slices_of_the_dense_coproduct(n, rng):
+    """Bit for bit, for both kinds and both generators."""
+    for _ in range(3):
+        s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
+        u = sample_u(rng, scale=0.6)
+        bands = cyclic._sector_bands(build_cyclic_rep(s1), build_cyclic_rep(s2), u)
+        assert bands.shape == (4, n, n, n)
+        for (mat, step), blocks in zip(_dense_generators(s1, s2, u), bands):
+            for i in range(n):
+                rows = _sector_indices(n, (i + 1) * step)
+                cols = _sector_indices(n, i * step)
+                assert np.array_equal(blocks[i], mat[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_sector_powers_are_the_diagonal_blocks_of_the_dense_power(n, rng, monkeypatch):
+    """The N-th powers tensor_power_scalars reads its scalars from are the
+    sector blocks of the dense matrix power."""
+    s1, s2 = _random_spec(n, rng), _random_spec(n, rng)
+    u = sample_u(rng, scale=0.6)
+    powers = []
+    real = cyclic._scalar_part
+    monkeypatch.setattr(cyclic, "_scalar_part", lambda m: powers.append(m) or real(m))
+    tensor_power_scalars(s1, s2, u)
+    assert len(powers) == 4
+    for (mat, step), blocks in zip(_dense_generators(s1, s2, u), powers):
+        assert blocks.shape == (n, n, n)
         dense = np.linalg.matrix_power(mat, n)
         scale = np.abs(dense).max()
         for i in range(n):
-            c = i * step % n
-            idx = [k1 * n + (c - k1) % n for k1 in range(n)]
+            idx = _sector_indices(n, i * step)
             assert np.abs(blocks[i] - dense[np.ix_(idx, idx)]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_shift_residuals_match_the_dense_evaluation(n, rng):
+    """The residuals of every law, evaluated on the sector bands, agree with
+    the dense fam @ op.T route to 1e-15, on and off the admissible set."""
+    draws = [sample_compatible_params(n, rng) for _ in range(3)]
+    draws += [(_random_spec(n, rng), _random_spec(n, rng), sample_u(rng)) for _ in range(2)]
+    for s1, s2, u in draws:
+        fam = eigenstate_family(s1, s2, u, enforce=False)
+        m = np.arange(n)
+        laws = zip(("lower", "raise", "lower_bar", "raise_bar"), _dense_generators(s1, s2, u),
+                   (fam.phi, fam.phi, fam.phibar, fam.phibar))
+        for name, (op, step), vectors in laws:
+            vectors = np.array(vectors)
+            c = shift_prefactor(name, s1, s2, u, m)
+            r = np.abs(vectors @ op.T - c[:, None] * vectors[(m + step) % n]).max(axis=1)
+            r /= np.maximum(np.maximum(1.0, np.abs(vectors).max(axis=1)), np.abs(c))
+            for j in range(n):
+                assert abs(fam.shift_residuals[(name, j)] - r[j]) <= 1e-15
 
 
 def test_cyclic_eigenvalue_geometry(rng):

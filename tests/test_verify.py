@@ -5,7 +5,7 @@ import pytest
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, closed_form_R, fundamental_r)
-from qybe import cyclic, verify
+from qybe import cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
 from qybe.qcore import MAX_DRAWS, RATIONAL, sample_generic_q, sample_u
@@ -362,11 +362,26 @@ def _count_cyclic_reps(monkeypatch) -> list:
 
 
 def test_cyclic_centrality_builds_two_reps_per_sample(monkeypatch):
-    """One cyclic_space per sample; central_elements and tensor_power_scalars
-    share its two parents instead of building their own."""
+    """Two representations per sample; central_elements and
+    tensor_power_scalars share them instead of building their own."""
     built = _count_cyclic_reps(monkeypatch)
     assert check_cyclic_centrality(3, FAST).passed
     assert len(built) == 2 * FAST.sample_count
+
+
+@pytest.mark.parametrize("suite", [check_cyclic_centrality, check_shift_laws])
+@pytest.mark.parametrize("n", [3, 7])
+def test_cyclic_tensor_suites_build_no_dense_coproduct(suite, n, monkeypatch):
+    """The tensor checks run on the sector bands: no dense twisted generator
+    and no Kronecker product is formed."""
+    calls = []
+    for owner, name in ((ProductSpace, "coproduct"), (tensorrep, "kron"), (np, "kron")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                            or _real(*a, **k))
+    assert suite(n, FAST).passed
+    assert calls == []
 
 
 def test_rll_builds_its_cyclic_rep_once(monkeypatch):
