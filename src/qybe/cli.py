@@ -20,7 +20,7 @@ from . import __version__
 from . import cyclic as cy
 from . import verify
 from .errors import (BadSpin, CompletenessFailure, OrderMismatch, ParameterDomainError,
-                     PoleAtSector, QybeError, SingularBasis, UnsupportedPair, WrongMode)
+                     PoleAtSector, QybeError, SingularBasis, UnsupportedPair)
 from .qcore import RATIONAL, DeformationParameter, ToleranceConfig
 from .rep import build_spin_rep
 from .rop import assemble_R
@@ -131,22 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _valid_order(n: int) -> bool:
-    """A root-of-unity order must be odd and at least 3: N = 1 gives q = 1,
-    where q - 1/q vanishes.  Prints the error when it is not."""
-    if n % 2 == 0 or n < 3:
-        print("error: N must be odd and at least 3", file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_rep(args) -> int:
     out: Path = args.out
     if args.cyclic:
         if args.N is None:
             print("error: --cyclic requires --N", file=sys.stderr)
-            return EXIT_VALIDATION
-        if not _valid_order(args.N):
             return EXIT_VALIDATION
         spec = cy.CyclicRepSpec(args.alpha, args.beta, args.lam, args.N)
         triple = cy.build_cyclic_rep(spec)
@@ -168,11 +157,11 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_rmatrix(args) -> int:
+    if args.xxx == (args.q is not None):
+        print("error: exactly one of --q and --xxx is required", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.xxx:
         q, basis = RATIONAL, args.basis or "monomial"
-    elif args.q is None:
-        print("error: either --q or --xxx is required", file=sys.stderr)
-        return EXIT_VALIDATION
     else:
         q, basis = DeformationParameter.generic(args.q), args.basis or "orthonormal"
     rm = assemble_R(args.l1, args.l2, args.u, q, basis=basis)
@@ -224,15 +213,15 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("QYBE_SEED", DEFAULT_SEED))
-    if not _valid_order(args.N):
-        return EXIT_VALIDATION
+    # every suite rejects an --N that is no root-of-unity order, not only the cyclic ones
+    order = DeformationParameter.root_of_unity(args.N).order
     kwargs = {"sample_count": args.samples, "rng_seed": seed}
     if args.tol is not None:
         kwargs["abs_tol"] = args.tol
         kwargs["rel_tol"] = args.tol
     cfg = ToleranceConfig(**kwargs)
     perturb = float(os.environ.get("QYBE_PERTURB", "0") or 0)
-    reports = _run_suite(args.suite, cfg, args.N, perturb)
+    reports = _run_suite(args.suite, cfg, order, perturb)
     for rep in reports:
         print(rep.line())
     n_fail = sum(not rep.passed for rep in reports)
@@ -263,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularBasis, CompletenessFailure, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ParameterDomainError, UnsupportedPair, BadSpin, WrongMode, OrderMismatch) as exc:
+    except (ParameterDomainError, UnsupportedPair, BadSpin, OrderMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QybeError as exc:

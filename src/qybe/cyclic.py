@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
-                     ParameterDomainError, SamplerExhausted, ShiftLawViolation, WrongMode)
+                     ParameterDomainError, SamplerExhausted, ShiftLawViolation)
 from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum
 from .rep import OperatorTriple
 from .tensorrep import ProductSpace, _require_shared_q
@@ -28,7 +28,11 @@ from .tensorrep import ProductSpace, _require_shared_q
 
 @dataclasses.dataclass(frozen=True)
 class CyclicRepSpec:
-    """Three-parameter cyclic representation data at order N."""
+    """Three-parameter cyclic representation data at order N.
+
+    ``q`` defaults to :meth:`DeformationParameter.root_of_unity` of N; a
+    given q must have ``order`` N.
+    """
 
     alpha: complex
     beta: complex
@@ -37,12 +41,10 @@ class CyclicRepSpec:
     q: DeformationParameter | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ParameterDomainError("N must be an odd positive integer")
         if self.q is None:
             object.__setattr__(self, "q", DeformationParameter.root_of_unity(self.n))
-        elif not self.q.is_root_of_unity or self.q.order != self.n:
-            raise WrongMode("q must be the matching root of unity")
+        elif self.q.order != self.n:
+            raise ParameterDomainError(f"q is not a root of unity of order {self.n}")
 
     @property
     def ell(self) -> complex:
@@ -59,8 +61,8 @@ def weyl_generators(n: int, q: DeformationParameter | None = None
     """
     if q is None:
         q = DeformationParameter.root_of_unity(n)
-    if not q.is_root_of_unity or q.order != n:
-        raise WrongMode("weyl_generators needs q in root-of-unity mode of order N")
+    elif q.order != n:
+        raise ParameterDomainError(f"q is not a root of unity of order {n}")
     k = np.arange(n)
     z = np.diag(q.pow(k))
     x = np.zeros((n, n), complex)

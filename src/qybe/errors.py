@@ -21,10 +21,6 @@ class DegenerateDenominator(QybeError):
     """q - 1/q is numerically zero; q-numbers are undefined."""
 
 
-class WrongMode(QybeError):
-    """Operation requires the other deformation-parameter mode."""
-
-
 class BadSpin(QybeError):
     """Twice the spin must be a nonnegative integer."""
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDenominator, ParameterDomainError, WrongMode
+from .errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
 
 GENERIC_GUARD_BOUND = 64
 MAX_DRAWS = 1000
@@ -48,15 +48,14 @@ class ToleranceConfig:
 
 @dataclasses.dataclass(frozen=True)
 class DeformationParameter:
-    """A nonzero complex q together with its mode and a fixed log branch.
+    """A nonzero complex q together with a fixed log branch.
 
-    mode is "generic" or "root_of_unity"; in the latter case ``order`` is
-    the odd integer N with q^N = 1.  Construct through :meth:`generic` or
-    :meth:`root_of_unity`.
+    ``order`` is None at generic q, and at a root of unity it is the odd
+    N >= 3 with q^N = 1; it is the one datum that tells the two apart.
+    Construct through :meth:`generic` or :meth:`root_of_unity`.
     """
 
     value: complex
-    mode: str
     order: int | None = None
     log_branch: complex = 0j
 
@@ -66,16 +65,16 @@ class DeformationParameter:
                 f"q and its log branch must be finite (got {self.value}, {self.log_branch})")
         if self.value == 0:
             raise ParameterDomainError("q must be nonzero")
-        if self.mode not in ("generic", "root_of_unity"):
-            raise ParameterDomainError(f"unknown mode {self.mode!r}")
         if abs(np.exp(self.log_branch) - self.value) > _BRANCH_TOL * max(1.0, abs(self.value)):
             raise ParameterDomainError("log_branch is not a logarithm of q")
-        if self.mode == "root_of_unity":
-            n = self.order
-            if n is None or n < 1 or n % 2 == 0:
-                raise ParameterDomainError("root-of-unity order N must be odd and positive")
+        n = self.order
+        if n is not None:
+            # N = 1 is q = 1, where q - 1/q vanishes
+            if n % 2 == 0 or n < 3:
+                raise ParameterDomainError(
+                    f"root-of-unity order N must be odd and at least 3 (got {n})")
             if abs(self.value**n - 1) > _ROOT_GUARD_TOL:
-                raise ParameterDomainError(f"q^{n} != 1 for declared root of unity")
+                raise ParameterDomainError(f"q is not a root of unity of order {n}")
 
     @classmethod
     def generic(cls, value: complex, log_branch: complex | None = None,
@@ -90,22 +89,17 @@ class DeformationParameter:
             if abs(w - 1) < _ROOT_GUARD_TOL:
                 raise ParameterDomainError(
                     f"q is within {_ROOT_GUARD_TOL:g} of a root of unity of order {n}; "
-                    "use root_of_unity mode or move q")
+                    "use root_of_unity or move q")
             w *= value
         lb = np.log(value) if log_branch is None else complex(log_branch)
-        return cls(value=value, mode="generic", order=None, log_branch=lb)
+        return cls(value=value, log_branch=lb)
 
     @classmethod
     def root_of_unity(cls, n: int) -> "DeformationParameter":
-        """The primitive root q = exp(2 pi i / N), N odd."""
-        if n < 1 or n % 2 == 0:
-            raise ParameterDomainError("N must be odd")
-        lb = 2j * np.pi / n
-        return cls(value=complex(np.exp(lb)), mode="root_of_unity", order=int(n), log_branch=lb)
-
-    @property
-    def is_root_of_unity(self) -> bool:
-        return self.mode == "root_of_unity"
+        """The primitive root q = exp(2 pi i / N); N is checked on construction."""
+        # N = 0 would divide by zero before the check could reject it
+        lb = 2j * np.pi / n if n else 0j
+        return cls(value=complex(np.exp(lb)), order=int(n), log_branch=lb)
 
     def pow(self, z):
         """q^z computed through the fixed branch; accepts scalars or arrays.
@@ -126,20 +120,18 @@ class DeformationParameter:
 
     def inverse(self) -> "DeformationParameter":
         """The parameter 1/q with the matching branch -log q."""
-        return DeformationParameter(value=1 / self.value, mode=self.mode,
-                                    order=self.order, log_branch=-self.log_branch)
+        return dataclasses.replace(self, value=1 / self.value, log_branch=-self.log_branch)
 
     def with_branch_shift(self, k: int = 1) -> "DeformationParameter":
         """Same q, log branch moved by 2 pi i k (for single-valuedness tests)."""
-        return DeformationParameter(value=self.value, mode=self.mode, order=self.order,
-                                    log_branch=self.log_branch + 2j * np.pi * k)
+        return dataclasses.replace(self, log_branch=self.log_branch + 2j * np.pi * k)
 
 
 # q = 1 on the zero log branch, where every power of q is exactly 1: the
 # rational (xxx) mode is this point of the one q-deformed family.  It is
-# built directly because generic() rejects q = 1, and it is not in the
-# root-of-unity mode, so the cyclic layer and phi_product refuse it.
-RATIONAL = DeformationParameter(value=1 + 0j, mode="generic", log_branch=0j)
+# built directly because generic() rejects q = 1, and its order is None,
+# so the cyclic layer and phi_product refuse it.
+RATIONAL = DeformationParameter(value=1 + 0j, log_branch=0j)
 
 
 def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
@@ -178,9 +170,9 @@ def phi_product(alpha: complex, q: DeformationParameter) -> PhiProduct:
     (q - 1/q)^{-N} (q^{alpha N} - q^{-alpha N}); both routes are returned
     together with their normalized disagreement.
     """
-    if not q.is_root_of_unity:
-        raise WrongMode("phi_product requires a root-of-unity parameter")
     n = q.order
+    if n is None:
+        raise ParameterDomainError("phi_product requires a root of unity (q.order is None)")
     prod = complex(np.prod(qnum(alpha + np.arange(n), q)))
     closed = (q.value - 1 / q.value) ** (-n) * (q.pow(alpha * n) - q.pow(-alpha * n))
     resid = abs(prod - closed) / max(1.0, abs(closed))
@@ -197,14 +189,14 @@ def sample_generic_q(rng: np.random.Generator, radial: float = 0.25,
     log q gets imaginary part in (0.15, pi - 0.15) with a random sign, and
     real part in [-radial, radial] (zero when on_circle).
     """
-    for _ in range(100):
+    for _ in range(MAX_DRAWS):
         re = 0.0 if on_circle else rng.uniform(-radial, radial)
         im = rng.uniform(0.15, np.pi - 0.15) * rng.choice([-1.0, 1.0])
         try:
             return DeformationParameter.generic(np.exp(complex(re, im)))
         except ParameterDomainError:
             continue
-    raise ParameterDomainError("could not draw an admissible generic q")
+    raise SamplerExhausted("generic q", MAX_DRAWS)
 
 
 def sample_u(rng: np.random.Generator, scale: float = 1.2) -> complex:

@@ -111,17 +111,20 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
 # ---------------------------------------------------------------------------
 # embeddings
 
-def embed_two_site(r4: np.ndarray, pos: str) -> np.ndarray:
-    """Embed a 4x4 two-site matrix into C2 x C2 x C2 at the named slots."""
-    if pos == "12":
-        return kron(r4, np.eye(2))
-    if pos == "23":
-        return kron(np.eye(2), r4)
-    if pos == "13":
-        r = r4.reshape(2, 2, 2, 2)
-        m = np.einsum("acbd,ef->aecbfd", r, np.eye(2)).reshape(8, 8)
-        return m
-    raise ValueError(pos)
+def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]) -> np.ndarray:
+    """Put ``op``, acting on factors ``slots`` (in that order), on the
+    three-fold product of dimensions ``dims``, as the identity on the third.
+
+    Every entry is one product op_ij * 1 or op_ij * 0, so it equals the
+    entry that ``kron`` forms (a zero may differ in sign).
+    """
+    a, b = slots
+    c = 3 - a - b
+    t = np.einsum("ikjl,mn->ikmjln", op.reshape(dims[a], dims[b], dims[a], dims[b]),
+                  np.eye(dims[c]))
+    perm = [(a, b, c).index(s) for s in range(3)]
+    d = dims[0] * dims[1] * dims[2]
+    return t.transpose(*perm, *(p + 3 for p in perm)).reshape(d, d)
 
 
 def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
@@ -140,9 +143,9 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         if perturb:
             r12 = r12.copy()
             r12[0, 1] += perturb
-        m12 = embed_two_site(r12, "12")
-        m13 = embed_two_site(fundamental_r(u, q), "13")
-        m23 = embed_two_site(fundamental_r(v, q), "23")
+        m12 = _on_slots(r12, (2, 2, 2), (0, 1))
+        m13 = _on_slots(fundamental_r(u, q), (2, 2, 2), (0, 2))
+        m23 = _on_slots(fundamental_r(v, q), (2, 2, 2), (1, 2))
         lhs = m12 @ m13 @ m23
         rhs = m23 @ m13 @ m12
         return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
@@ -151,13 +154,6 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
                     cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol,
                     one, None if points is None else len(points))
-
-
-def _embed_lax(lax: np.ndarray, slot: int, dim: int) -> np.ndarray:
-    """Put an (aux x quantum) Lax matrix on auxiliary slot 1 or 2 of
-    C2 x C2 x C^dim."""
-    spec = "akbl,cd->ackbdl" if slot == 1 else "akbl,cd->cakdbl"
-    return np.einsum(spec, lax.reshape(2, dim, 2, dim), np.eye(2)).reshape(4 * dim, 4 * dim)
 
 
 def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -176,9 +172,10 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
         else:
             q, rep = fixed.q, fixed
         u, v = sample_u(rng), sample_u(rng)
-        l1 = _embed_lax(build_lax(rep, u), 1, rep.dim)
-        l2 = _embed_lax(build_lax(rep, v), 2, rep.dim)
-        r12 = kron(fundamental_r(u - v, q), np.eye(rep.dim))
+        dims = (2, 2, rep.dim)
+        l1 = _on_slots(build_lax(rep, u), dims, (0, 2))
+        l2 = _on_slots(build_lax(rep, v), dims, (1, 2))
+        r12 = _on_slots(fundamental_r(u - v, q), dims, (0, 1))
         lhs = r12 @ l1 @ l2
         rhs = l2 @ l1 @ r12
         return ({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},

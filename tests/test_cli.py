@@ -143,6 +143,16 @@ def test_rmatrix_default_basis_follows_the_mode(tmp_path):
     assert tags == {"--xxx": "monomial", "--q": "orthonormal"}
 
 
+@pytest.mark.parametrize("flags", [["--xxx", "--q", "0.3+0.4i"], []])
+def test_rmatrix_needs_exactly_one_of_q_and_xxx(flags, tmp_path, capsys):
+    """--xxx is q = 1, so a --q beside it is an error rather than ignored."""
+    out = tmp_path / "r.json"
+    assert main(["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "0.2", *flags,
+                 "--out", str(out)]) == 2
+    assert "exactly one of --q and --xxx" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rmatrix_at_pole(tmp_path, capsys):
     code = main(["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "-1",
                  "--q", "0.3+0.4i", "--out", str(tmp_path / "p.json")])
@@ -198,6 +208,15 @@ def test_verify_even_order_rejected(capsys):
 def test_verify_order_below_three_rejected(capsys):
     assert main(["verify", "cyclic", "--N", "1"]) == 2
     assert "at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ybe", "--N", "4"], ["all", "--N", "1"],
+                                  ["rll", "--N", "0"], ["cyclic", "--N", "-3"]])
+def test_verify_rejects_a_bad_order_in_every_suite(argv, capsys):
+    assert main(["verify", *argv, "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "N must be odd and at least 3" in captured.err
+    assert "identities passed" not in captured.out
 
 
 def test_verify_seed_env_default(tmp_path, monkeypatch):

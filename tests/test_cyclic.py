@@ -12,7 +12,7 @@ from qybe import cyclic
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
                          OrderMismatch, ParameterDomainError, SamplerExhausted,
-                         ShiftLawViolation, WrongMode)
+                         ShiftLawViolation)
 from qybe.qcore import MAX_DRAWS, DeformationParameter, sample_params, sample_u
 
 
@@ -33,13 +33,25 @@ def test_weyl_pair(n):
 
 
 def test_weyl_wrong_mode(q_generic):
-    with pytest.raises(WrongMode):
+    with pytest.raises(ParameterDomainError, match="order 3"):
         weyl_generators(3, q_generic)
 
 
 def test_even_order_rejected():
     with pytest.raises(ParameterDomainError):
         CyclicRepSpec(0.1, 0.2, 0.3, 4)
+
+
+def test_order_one_rejected_at_construction():
+    """N = 1 is q = 1, where every q-number divides by zero."""
+    with pytest.raises(ParameterDomainError, match="at least 3"):
+        CyclicRepSpec(0.1, 0.2, 0.3, 1)
+
+
+def test_spec_q_must_have_order_n(q_generic):
+    for q in (q_generic, DeformationParameter.root_of_unity(5)):
+        with pytest.raises(ParameterDomainError, match="order 3"):
+            CyclicRepSpec(0.1, 0.2, 0.3, 3, q=q)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -433,8 +445,7 @@ def test_partial_r_rejects_factors_of_different_order(orders, rng):
 def _q_4pi_over_5():
     """q = e^{4 pi i/5}, an order-5 root other than the default e^{2 pi i/5}."""
     branch = 4j * cmath.pi / 5
-    return DeformationParameter(value=cmath.exp(branch), mode="root_of_unity", order=5,
-                                log_branch=branch)
+    return DeformationParameter(value=cmath.exp(branch), order=5, log_branch=branch)
 
 
 def test_partial_r_rejects_factors_on_different_roots(rng):

@@ -5,8 +5,8 @@ import pytest
 
 from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
                   qnum)
-from qybe.errors import DegenerateDenominator, ParameterDomainError, WrongMode
-from qybe.qcore import sample_generic_q
+from qybe.errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
+from qybe.qcore import MAX_DRAWS, sample_generic_q
 
 
 def test_qnum_one_is_one(q_generic):
@@ -60,8 +60,7 @@ def test_qpow_uses_fixed_branch(q_generic):
 
 
 def test_degenerate_denominator():
-    near_one = DeformationParameter(value=1 + 1e-13, mode="generic",
-                                    log_branch=np.log(1 + 1e-13))
+    near_one = DeformationParameter(value=1 + 1e-13, log_branch=np.log(1 + 1e-13))
     with pytest.raises(DegenerateDenominator):
         qnum(2, near_one)
 
@@ -76,7 +75,8 @@ def test_qnum_at_rational_point_is_its_limit(rng):
     # another branch of log 1 is not the rational point: q^n is not 1 there
     with pytest.raises(DegenerateDenominator):
         qnum(0.5, RATIONAL.with_branch_shift(1))
-    with pytest.raises(WrongMode):
+    assert RATIONAL.order is None
+    with pytest.raises(ParameterDomainError):
         phi_product(0.3, RATIONAL)
 
 
@@ -91,7 +91,32 @@ def test_root_of_unity_validation():
         DeformationParameter.root_of_unity(4)
     q = DeformationParameter.root_of_unity(5)
     assert abs(q.value**5 - 1) < 1e-12
-    assert q.order == 5 and q.is_root_of_unity
+    assert q.order == 5
+    for bad in (0, 1, -3):
+        with pytest.raises(ParameterDomainError, match="at least 3"):
+            DeformationParameter.root_of_unity(bad)
+
+
+def test_direct_construction_checks_the_order():
+    """order is validated wherever q is built: odd, at least 3, and q^N = 1."""
+    root5 = np.exp(2j * np.pi / 5)
+    with pytest.raises(ParameterDomainError, match="N must be odd"):
+        DeformationParameter(value=1j, order=4, log_branch=0.5j * np.pi)
+    with pytest.raises(ParameterDomainError, match="at least 3"):
+        DeformationParameter(value=1 + 0j, order=1, log_branch=0j)
+    with pytest.raises(ParameterDomainError, match="not a root of unity of order 5"):
+        DeformationParameter(value=root5 * 1.01, order=5, log_branch=np.log(root5 * 1.01))
+    q = DeformationParameter(value=root5, order=5, log_branch=2j * np.pi / 5)
+    assert q == DeformationParameter.root_of_unity(5)
+    assert DeformationParameter.generic(0.3 + 0.4j).order is None
+
+
+def test_inverse_and_branch_shift_keep_the_order():
+    q = DeformationParameter.root_of_unity(5)
+    inv, shifted = q.inverse(), q.with_branch_shift(1)
+    assert inv.order == shifted.order == 5
+    assert inv.value == 1 / q.value and inv.log_branch == -q.log_branch
+    assert shifted.value == q.value and shifted.log_branch == q.log_branch + 2j * np.pi
 
 
 def test_phi_product_example():
@@ -127,7 +152,7 @@ def test_phi_product_closed_form_random(n, rng):
 
 
 def test_phi_product_wrong_mode(q_generic):
-    with pytest.raises(WrongMode):
+    with pytest.raises(ParameterDomainError, match="root of unity"):
         phi_product(0.3, q_generic)
 
 
@@ -152,10 +177,32 @@ def test_sampler_avoids_degenerate_q(rng):
         assert min(abs(q.value**n - 1) for n in range(1, 65)) > 1e-8
 
 
+class _RejectedRng:
+    """Every draw gives log q = 0, so q = 1, which generic() always rejects."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform(self, low, high):
+        return 0.0
+
+    def choice(self, options):
+        self.draws += 1
+        return options[-1]
+
+
+@pytest.mark.parametrize("on_circle", [False, True])
+def test_generic_q_sampler_stops_after_max_draws(on_circle):
+    rng = _RejectedRng()
+    with pytest.raises(SamplerExhausted) as info:
+        sample_generic_q(rng, on_circle=on_circle)
+    assert info.value.draws == rng.draws == MAX_DRAWS
+
+
 def test_branch_consistency_invariant(q_generic):
     assert abs(np.exp(q_generic.log_branch) - q_generic.value) < 1e-12
     with pytest.raises(ParameterDomainError):
-        DeformationParameter(value=2.0, mode="generic", log_branch=1j)
+        DeformationParameter(value=2.0, log_branch=1j)
 
 
 def _pow_params():
@@ -202,4 +249,4 @@ def test_nonfinite_q_rejected(value, log_branch):
 
 def test_nonfinite_q_rejected_on_direct_construction():
     with pytest.raises(ParameterDomainError, match="finite"):
-        DeformationParameter(value=complex("nan"), mode="generic")
+        DeformationParameter(value=complex("nan"))

@@ -9,14 +9,14 @@ from qybe import cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
 from qybe.qcore import MAX_DRAWS, RATIONAL, sample_generic_q, sample_u
-from qybe.tensorrep import ProductSpace, kron
-from qybe.verify import (ResidualReport, _embed_lax, _regular_point,
+from qybe.tensorrep import ProductSpace
+from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          check_branch_independence,
                          check_casimir_spectrum, check_cyclic_centrality,
                          check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity,
                          check_rll, check_shift_laws, check_unitarity,
-                         decomposed_residuals, embed_two_site, residual)
+                         decomposed_residuals, residual)
 
 FAST = ToleranceConfig(sample_count=3, rng_seed=7)
 
@@ -65,13 +65,20 @@ def test_fundamental_ybe_equal_arguments(rng):
     assert np.array_equal(fundamental_r(0.0, RATIONAL), swap)
 
 
-def test_embedding_slots_consistent():
+def test_embedding_slots_consistent(rng):
     m = np.arange(16, dtype=float).reshape(4, 4)
-    for pos in ("12", "13", "23"):
-        e = embed_two_site(m, pos)
+    for slots in ((0, 1), (0, 2), (1, 2)):
+        e = _on_slots(m, (2, 2, 2), slots)
         assert e.shape == (8, 8)
     # slot 13 must reduce to slot 12 when the middle factor is trivial
-    assert np.allclose(embed_two_site(np.kron(np.eye(2), np.eye(2)), "13"), np.eye(8))
+    assert np.allclose(_on_slots(np.kron(np.eye(2), np.eye(2)), (2, 2, 2), (0, 2)), np.eye(8))
+    # a product a x b lands as a x 1 x b, 1 x a x b or a x b x 1, on unequal factors too
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ab = np.kron(a, b)
+    assert np.array_equal(_on_slots(ab, (2, 4, 3), (0, 2)), np.kron(np.kron(a, np.eye(4)), b))
+    assert np.array_equal(_on_slots(ab, (4, 2, 3), (1, 2)), np.kron(np.eye(4), ab))
+    assert np.array_equal(_on_slots(ab, (2, 3, 4), (0, 1)), np.kron(ab, np.eye(4)))
 
 
 def _embed_lax_by_krons(lax, slot, dim):
@@ -95,7 +102,8 @@ def test_embed_lax_matches_kron_sum(slot, q_generic, rng):
     reps.append(build_cyclic_rep(CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)))
     for rep in reps:
         lax = build_lax(rep, sample_u(rng))
-        assert np.array_equal(_embed_lax(lax, slot, rep.dim),
+        slots = (0, 2) if slot == 1 else (1, 2)
+        assert np.array_equal(_on_slots(lax, (2, 2, rep.dim), slots),
                               _embed_lax_by_krons(lax, slot, rep.dim))
 
 
@@ -111,16 +119,17 @@ def test_rll_at_the_rational_point(ell, rng):
     holds with the rational six-vertex matrix; a 1e-6 change to R12 breaks it."""
     rep = build_spin_rep(ell, RATIONAL)
     eye = np.eye(rep.dim)
+    dims = (2, 2, rep.dim)
     s = np.diag(rep.weights)
     for _ in range(5):
         u, v = sample_u(rng), sample_u(rng)
         lax_u = build_lax(rep, u)
         assert np.array_equal(lax_u, np.block([[u * eye + s, rep.sm], [rep.sp, u * eye - s]]))
-        l1 = _embed_lax(lax_u, 1, rep.dim)
-        l2 = _embed_lax(build_lax(rep, v), 2, rep.dim)
+        l1 = _on_slots(lax_u, dims, (0, 2))
+        l2 = _on_slots(build_lax(rep, v), dims, (1, 2))
 
         def rll(r):
-            r12 = kron(r, eye)
+            r12 = _on_slots(r, dims, (0, 1))
             return residual(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
         r = fundamental_r(u - v, RATIONAL)
