@@ -102,12 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("rep", help="emit generator matrices of one representation")
     rep.add_argument("--ell", type=parse_spin, help="spin (e.g. 1/2 or 0.5)")
     rep.add_argument("--q", type=parse_complex, help="deformation parameter a+bi")
-    rep.add_argument("--basis", choices=["monomial", "orthonormal"], default="monomial")
+    rep.add_argument("--basis", choices=["monomial", "orthonormal"], default=None,
+                     help="single-spin basis (default: monomial)")
     rep.add_argument("--cyclic", action="store_true", help="build a cyclic representation")
     rep.add_argument("--N", type=int, help="root-of-unity order (cyclic mode)")
-    rep.add_argument("--alpha", type=parse_complex, default=0j)
-    rep.add_argument("--beta", type=parse_complex, default=0j)
-    rep.add_argument("--lam", type=parse_complex, default=0j)
+    rep.add_argument("--alpha", type=parse_complex, help="cyclic parameter (default 0)")
+    rep.add_argument("--beta", type=parse_complex, help="cyclic parameter (default 0)")
+    rep.add_argument("--lam", type=parse_complex, help="cyclic parameter (default 0)")
     rep.add_argument("--out", type=Path, required=True, help="output directory")
 
     rmx = sub.add_parser("rmatrix", help="assemble an R-matrix and export it")
@@ -131,23 +132,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_SPIN_FLAGS = ("ell", "q", "basis")
+_CYCLIC_FLAGS = ("N", "alpha", "beta", "lam")
+
+
 def _cmd_rep(args) -> int:
     out: Path = args.out
+    foreign = [f"--{name}" for name in (_SPIN_FLAGS if args.cyclic else _CYCLIC_FLAGS)
+               if getattr(args, name) is not None]
+    if foreign:
+        mode = "cyclic" if args.cyclic else "spin"
+        print(f"error: {', '.join(foreign)} not allowed in {mode} mode", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.cyclic:
         if args.N is None:
             print("error: --cyclic requires --N", file=sys.stderr)
             return EXIT_VALIDATION
-        spec = cy.CyclicRepSpec(args.alpha, args.beta, args.lam, args.N)
+        alpha, beta, lam = (0j if z is None else z for z in (args.alpha, args.beta, args.lam))
+        spec = cy.CyclicRepSpec(alpha, beta, lam, args.N)
         triple = cy.build_cyclic_rep(spec)
-        meta = {"cyclic": {"N": args.N, "alpha": _c2l(args.alpha),
-                           "beta": _c2l(args.beta), "lam": _c2l(args.lam)},
+        meta = {"cyclic": {"N": args.N, "alpha": _c2l(alpha),
+                           "beta": _c2l(beta), "lam": _c2l(lam)},
                 "q": _c2l(spec.q.value), "basis_tag": triple.basis_tag}
     else:
         if args.ell is None or args.q is None:
             print("error: spin mode requires --ell and --q", file=sys.stderr)
             return EXIT_VALIDATION
         q = DeformationParameter.generic(args.q)
-        triple = build_spin_rep(args.ell, q, args.basis)
+        triple = build_spin_rep(args.ell, q, args.basis or "monomial")
         meta = {"ell": args.ell, "q": _c2l(q.value), "basis_tag": triple.basis_tag}
     out.mkdir(parents=True, exist_ok=True)
     for name, mat in (("sp", triple.sp), ("sm", triple.sm), ("qs1", triple.qs(1))):

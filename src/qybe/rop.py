@@ -92,29 +92,25 @@ class RMatrix:
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-               mode: str = "xxz", r0: complex = 1.0, basis: str = "orthonormal",
-               *, space: ProductSpace | None = None) -> RMatrix:
+               mode: str = "xxz", r0: complex = 1.0, basis: str = "orthonormal") -> RMatrix:
     """Solve the spectral problem for the R-matrix on the tensor product.
 
     Columns of the unbarred eigenvector family at u are mapped to the
     barred family at -u scaled by the sector eigenvalues; the barred
     counterpart relation is left as an independent check for the caller.
     ``mode="xxx"`` stands for q = :data:`qcore.RATIONAL` in the monomial
-    basis and replaces q and ``basis``.  ``space`` is the
-    :class:`ProductSpace` of the two spins in ``basis`` over q, when the
-    caller shares one (and its spectral form) with other work at the same
-    point; it is built here otherwise.
+    basis and replaces q and ``basis``.
 
     R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1} is evaluated from
-    the :class:`SpectralForm` of the space, one weight block b at a time.
+    the :class:`SpectralForm` of :meth:`ProductSpace.of_spins`, one weight
+    block b at a time; calls at one (spins, q, basis) share that form.
     """
     if mode == "xxx":
         q, basis = RATIONAL, "monomial"
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
     eig = eigenvalue_sequence(ell1, ell2, u, q, r0)
-    if space is None:
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+    space = ProductSpace.of_spins(ell1, ell2, q, basis)
     form = space.spectral_form()
     layout = form.layout
     layout.require_conditioned(form.cond, COND_LIMIT)

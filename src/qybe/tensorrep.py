@@ -8,15 +8,20 @@ weight are recovered by reversing the index order (see
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError, SingularBasis
+from .errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
+                     SingularBasis)
 from .qcore import DeformationParameter, _nan_max, qnum
-from .rep import OperatorTriple, build_spin_rep, casimir_matrix
+from .rep import OperatorTriple, _half_integer_or_none, build_spin_rep, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
+# how many spaces ProductSpace.of_spins keeps, each with its spectral form:
+# callers visit one (spins, q, basis) at a time, so two catch every repeat
+_SPACE_MEMO_SIZE = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,27 +68,36 @@ class ProductSpace:
     q^{u/2}, so one space serves every u, every kind and every caller of
     one sampled point.  For two finite spins it also holds the
     :class:`SpectralForm` of R, built the first time it is asked for.
+    Its arrays are read-only, since :meth:`of_spins` shares one space
+    among all its callers.
     """
 
     def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
         _require_shared_q(rep1.q, rep2.q)
         self.parents = (rep1, rep2)
         self.q = rep1.q
-        self.weights = np.add.outer(rep1.weights, rep2.weights).ravel()
+        self.weights = _read_only(np.add.outer(rep1.weights, rep2.weights).ravel())
         self.from_monomial = None
         if rep1.from_monomial is not None or rep2.from_monomial is not None:
             d1 = rep1.from_monomial if rep1.from_monomial is not None else np.ones(rep1.dim)
             d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
-            self.from_monomial = kron(d1, d2)
+            self.from_monomial = _read_only(kron(d1, d2))
         self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
         self._block_layout: _BlockLayout | None = None
         self._form: SpectralForm | None = None
 
-    @classmethod
-    def of_spins(cls, ell1, ell2, q: DeformationParameter,
+    @staticmethod
+    def of_spins(ell1, ell2, q: DeformationParameter,
                  basis: str = "monomial") -> "ProductSpace":
-        """The space of two finite spins in one single-spin basis."""
-        return cls(build_spin_rep(ell1, q, basis), build_spin_rep(ell2, q, basis))
+        """The space of two finite spins in one single-spin basis.
+
+        Memoised on (2 l1, 2 l2, q, basis) for the last
+        :data:`_SPACE_MEMO_SIZE` keys, so every caller at one point shares
+        one space and its spectral form.  The factors are built from the
+        spins 2l/2, so every spelling of a spin (0.5, 0.5 + 0j) gives the
+        same space.
+        """
+        return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
 
     def _kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
         pieces = self._pieces.get(kind)
@@ -93,8 +107,8 @@ class ProductSpace:
             rep1, rep2 = self.parents
             s = 1 if kind == "delta" else -1
             q2, q1 = rep2.qs(s), rep1.qs(-s)
-            pieces = (kron(rep1.sm, q2), kron(q1, rep2.sm),
-                      kron(rep1.sp, q2), kron(q1, rep2.sp))
+            pieces = tuple(_read_only(kron(a, b)) for a, b in
+                           ((rep1.sm, q2), (q1, rep2.sm), (rep1.sp, q2), (q1, rep2.sp)))
             self._pieces[kind] = pieces
         return pieces
 
@@ -213,6 +227,27 @@ class ProductSpace:
         return self._form
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _two_spin(ell) -> int:
+    """2l for a finite spin l; :class:`BadSpin` otherwise."""
+    two_ell = _half_integer_or_none(ell)
+    if two_ell is None:
+        raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
+    return two_ell
+
+
+@functools.lru_cache(maxsize=_SPACE_MEMO_SIZE)
+def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
+                basis: str) -> ProductSpace:
+    """The space behind :meth:`ProductSpace.of_spins`."""
+    return ProductSpace(build_spin_rep(two_ell1 / 2, q, basis),
+                        build_spin_rep(two_ell2 / 2, q, basis))
+
+
 @dataclasses.dataclass(frozen=True)
 class _BlockLayout:
     """Where the weight blocks of a d1 x d2 product sit.
@@ -281,13 +316,18 @@ class SpectralForm:
     where Phi_b holds the unbarred chain vectors of weight block b and D(u)
     the sector eigenvalues.  ``right`` is the inverse of each block with
     unit columns, ``left`` the barred block over the same column norms, and
-    ``cond`` the condition number of each unit-column block.
+    ``cond`` the condition number of each unit-column block.  The three
+    arrays are read-only.
     """
 
     left: np.ndarray
     right: np.ndarray
     cond: np.ndarray
     layout: _BlockLayout
+
+    def __post_init__(self):
+        for arr in (self.left, self.right, self.cond):
+            arr.setflags(write=False)
 
 
 def _lowest_weights(ell1, ell2, u: complex, q: DeformationParameter, d1: int, d2: int,

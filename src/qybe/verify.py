@@ -189,18 +189,13 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
 # ---------------------------------------------------------------------------
 # decomposed relations for an assembled R
 
-def decomposed_residuals(rm: RMatrix, basis: str | None = None, *,
-                         space: ProductSpace | None = None) -> dict[str, float]:
-    """Residuals of the eight relations an intertwining R must satisfy.
-
-    ``space`` is the :class:`ProductSpace` of R's spins in ``basis`` (R's
-    own basis by default), when the caller already has it; it is built
-    here otherwise.
-    """
+def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, float]:
+    """Residuals of the eight relations an intertwining R must satisfy, on
+    the :class:`ProductSpace` of R's spins in ``basis`` (R's own basis by
+    default)."""
     q = rm.q
     u = rm.u
-    if space is None:
-        space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, basis or rm.basis_tag)
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, basis or rm.basis_tag)
     rep1, rep2 = space.parents
     cop_u = space.coproduct("delta", u)
     cop_mu = space.coproduct("delta", -u)
@@ -244,13 +239,12 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
 
     def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng)
-        space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
-        rm = assemble_R(ell1, ell2, u, q, space=space)
+        rm = assemble_R(ell1, ell2, u, q)
         if perturb:
             m = rm.matrix.copy()
             m[0, 1] += perturb
             rm = dataclasses.replace(rm, matrix=m)
-        return {"q": _c2l(q.value), "u": _c2l(u)}, decomposed_residuals(rm, space=space)
+        return {"q": _c2l(q.value), "u": _c2l(u)}, decomposed_residuals(rm)
 
     return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, one)
 
@@ -259,7 +253,7 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
                     perturb: float = 0.0) -> ResidualReport:
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
-    R(u) and R(-u) are solved on one :class:`ProductSpace` per sample, in
+    R(u) and R(-u) share the memoised :class:`ProductSpace` of their q, in
     the orthonormal basis at a sampled q and the monomial one at q = 1.
     """
     cfg = cfg or ToleranceConfig()
@@ -267,8 +261,7 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
 
     def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng, mode=mode)
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
-        r_u, r_mu = (assemble_R(ell1, ell2, x, q, basis=basis, space=space) for x in (u, -u))
+        r_u, r_mu = (assemble_R(ell1, ell2, x, q, basis=basis) for x in (u, -u))
         m = r_u.matrix.copy()
         if perturb:
             m[0, 1] += perturb

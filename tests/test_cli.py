@@ -90,6 +90,21 @@ def test_rep_missing_arguments(tmp_path):
     assert main(["rep", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["--ell", "1/2", "--q", "0.3+0.4i", "--N", "4", "--alpha", "7"], "--N, --alpha"),
+    (["--ell", "1/2", "--q", "0.3+0.4i", "--lam", "0"], "--lam"),
+    (["--cyclic", "--N", "3", "--ell", "1", "--q", "0.3+0.4i", "--basis", "orthonormal"],
+     "--ell, --q, --basis"),
+    (["--cyclic", "--N", "3", "--basis", "monomial"], "--basis"),
+])
+def test_rep_rejects_the_flags_of_the_other_mode(argv, flags, tmp_path, capsys):
+    """A flag of the other mode is rejected, not dropped, even at its default value."""
+    out = tmp_path / "x"
+    assert main(["rep", *argv, "--out", str(out)]) == 2
+    assert f"{flags} not allowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rep_bad_spin_is_validation_error(tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["rep", "--ell", "0.3", "--q", "0.3+0.4i", "--out", str(out)])

@@ -9,7 +9,7 @@ from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, buil
 from qybe.errors import (ParameterDomainError, PoleAtSector, QybeError, SingularBasis,
                          UnsupportedPair)
 from qybe.qcore import sample_generic_q, sample_u
-from qybe.tensorrep import kron
+from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space, kron
 from qybe.verify import _regular_point, decomposed_residuals, residual
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
@@ -282,23 +282,30 @@ def _assembled_or_error(build):
 
 
 def _on_one_space(ell1, ell2, u, q, basis="orthonormal"):
-    """(R(u), R(-u)) solved on one shared space, as check_unitarity solves them."""
-    space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    return tuple(assemble_R(ell1, ell2, x, q, basis=basis, space=space) for x in (u, -u))
+    """(R(u), R(-u)) solved on one shared space, as check_unitarity solves
+    them: R(-u) on the space and form that R(u) left in the memo."""
+    _spin_space.cache_clear()
+    return tuple(assemble_R(ell1, ell2, x, q, basis=basis) for x in (u, -u))
+
+
+def _cold(ell1, ell2, u, q=None, **kwargs):
+    """assemble_R on a space and form built for this call alone."""
+    _spin_space.cache_clear()
+    return assemble_R(ell1, ell2, u, q, **kwargs)
 
 
 @pytest.mark.parametrize("ell1", SPINS)
 def test_pair_matches_two_assemblies(ell1):
-    """R(u) and R(-u) on one shared space are what two assemble_R calls
-    give, including the first error raised."""
+    """R(u) and R(-u) on one shared space are what two assemble_R calls on
+    spaces of their own give, including the first error raised."""
     rng = np.random.default_rng(int(4 * ell1))
     for ell2 in SPINS:
         if ell2 < ell1:
             continue
         for _ in range(2):
             q, u = _regular_point(ell1, ell2, rng)
-            want = _assembled_or_error(lambda: (assemble_R(ell1, ell2, u, q),
-                                                assemble_R(ell1, ell2, -u, q)))
+            want = _assembled_or_error(lambda: (_cold(ell1, ell2, u, q),
+                                                _cold(ell1, ell2, -u, q)))
             got = _assembled_or_error(lambda: _on_one_space(ell1, ell2, u, q))
             if isinstance(want, str):
                 assert got == want
@@ -311,8 +318,8 @@ def test_pair_matches_two_assemblies(ell1):
 
 def test_pair_rational_mode():
     got = _on_one_space(0.5, 1.0, 0.37 - 0.21j, RATIONAL, "monomial")
-    want = (assemble_R(0.5, 1.0, 0.37 - 0.21j, mode="xxx"),
-            assemble_R(0.5, 1.0, -(0.37 - 0.21j), mode="xxx"))
+    want = (_cold(0.5, 1.0, 0.37 - 0.21j, mode="xxx"),
+            _cold(0.5, 1.0, -(0.37 - 0.21j), mode="xxx"))
     for g, w in zip(got, want):
         assert np.array_equal(g.matrix, w.matrix) and g.u == w.u and g.mode == "xxx"
 
@@ -320,8 +327,8 @@ def test_pair_rational_mode():
 @pytest.mark.parametrize("u", [-1.0, 1.0])
 def test_pair_raises_the_first_error_of_two_assemblies(u, q_generic):
     # u = -1 puts R(u) on the sector-1 pole of the (1/2, 1/2) pair, u = 1 puts R(-u) there
-    want = _assembled_or_error(lambda: (assemble_R(0.5, 0.5, u, q_generic),
-                                        assemble_R(0.5, 0.5, -u, q_generic)))
+    want = _assembled_or_error(lambda: (_cold(0.5, 0.5, u, q_generic),
+                                        _cold(0.5, 0.5, -u, q_generic)))
     assert isinstance(want, str)
     assert _assembled_or_error(lambda: _on_one_space(0.5, 0.5, u, q_generic)) == want
 
@@ -379,27 +386,53 @@ def test_spin_three_envelope():
         assert residual(prod, np.eye(49), prod) < 1e-9
 
 
-def test_assembly_reuses_the_space_form(q_generic):
+def test_assembly_reuses_the_space_form(q_generic, monkeypatch):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal")
     form = space.spectral_form()
+
+    def no_chains(*args):
+        raise AssertionError("assemble_R built chains of its own")
+
+    monkeypatch.setattr(ProductSpace, "_chains", no_chains)
     for u in (0.3 - 0.2j, -0.3 + 0.2j):
-        assemble_R(1.0, 1.5, u, q_generic, space=space)
+        assemble_R(1.0, 1.5, u, q_generic)
+    assert ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal") is space
     assert space.spectral_form() is form
 
 
 def test_rational_assembly_solves_on_the_given_space(monkeypatch):
     us = (0.3 - 0.2j, -0.3 + 0.2j)
-    want = [assemble_R(1.0, 1.5, u, mode="xxx").matrix for u in us]
+    want = [_cold(1.0, 1.5, u, mode="xxx").matrix for u in us]
     space = ProductSpace.of_spins(1.0, 1.5, RATIONAL, "monomial")
     form = space.spectral_form()
 
     def no_new_space(*args):
         raise AssertionError("assemble_R built a space of its own")
 
-    monkeypatch.setattr(ProductSpace, "of_spins", no_new_space)
+    monkeypatch.setattr(ProductSpace, "__init__", no_new_space)
     for u, m in zip(us, want):
-        assert np.array_equal(assemble_R(1.0, 1.5, u, mode="xxx", space=space).matrix, m)
+        assert np.array_equal(assemble_R(1.0, 1.5, u, mode="xxx").matrix, m)
     assert space.spectral_form() is form
+
+
+def test_warm_memo_assembles_what_a_cold_build_does(rng):
+    """Six u at one q: R from the memoised form equals R from a form built
+    for that call alone, bit for bit."""
+    q = sample_generic_q(rng)
+    us = [sample_u(rng) for _ in range(6)]
+    warm = [assemble_R(1.5, 2.0, u, q).matrix for u in us]
+    assert _spin_space.cache_info().hits == 5
+    for u, m in zip(us, warm):
+        assert np.array_equal(_cold(1.5, 2.0, u, q).matrix, m)
+
+
+def test_memo_holds_at_most_its_bound(rng):
+    for _ in range(20):
+        q, u = _regular_point(0.5, 1.0, rng)
+        assemble_R(0.5, 1.0, u, q)
+    info = _spin_space.cache_info()
+    assert info.misses == 20
+    assert info.currsize <= _SPACE_MEMO_SIZE
 
 
 @pytest.mark.parametrize("pair", PAIRS)

@@ -6,7 +6,8 @@ import pytest
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
                   build_spin_rep, casimir_matrix, lowest_weight_coeffs, qnum, tensor_casimir,
                   weight_reversed)
-from qybe.errors import CompletenessFailure, DimensionMismatch, ParameterDomainError
+from qybe import tensorrep
+from qybe.errors import BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError
 from qybe.qcore import sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace,
                             SectorEigenvalue, kron)
@@ -391,7 +392,7 @@ def test_product_space_sectors_match_fresh_spaces(rng):
         space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
         for uu in (u, -u):
             for kind in ("delta", "deltabar"):
-                ref = ProductSpace.of_spins(ell1, ell2, q, "orthonormal").sectors(uu, kind)
+                ref = ProductSpace(*_pair(ell1, ell2, q, "orthonormal")).sectors(uu, kind)
                 got = space.sectors(uu, kind)
                 assert [s.n for s in got] == [s.n for s in ref]
                 for a, b in zip(got, ref):
@@ -485,3 +486,46 @@ def test_sectors_at_the_rational_point(pair):
             assert np.array_equal(s.descendants, bar.descendants)
             for v, w in zip(s.descendants, s.descendants[1:]):
                 assert np.array_equal(sp @ v, w)
+
+
+def _space_arrays(space):
+    form = space.spectral_form()
+    return [*(a for rep in space.parents for a in (rep.sp, rep.sm, rep.weights)),
+            space.weights, form.left, form.right, form.cond]
+
+
+def test_every_spelling_of_a_spin_shares_one_space(q_generic):
+    """0.5, 0.5 + 0j and 0.5 + 1e-13 (within the half-integer tolerance) are
+    one memo entry, and the space is the same whichever spelling built it."""
+    spellings = [(0.5, 1.0), (0.5 + 0j, 1 + 0j), (0.5 + 1e-13, 1.0)]
+    built = []
+    for k in range(len(spellings)):
+        first, *others = spellings[k:] + spellings[:k]
+        tensorrep._spin_space.cache_clear()
+        space = ProductSpace.of_spins(*first, q_generic, "orthonormal")
+        for other in others:
+            assert ProductSpace.of_spins(*other, q_generic, "orthonormal") is space
+        assert tensorrep._spin_space.cache_info().currsize == 1
+        built.append(_space_arrays(space))
+    for arrays in built[1:]:
+        for a, b in zip(arrays, built[0]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_of_spins_rejects_a_spin_that_is_not_half_an_integer(q_generic):
+    with pytest.raises(BadSpin, match="nonnegative integer"):
+        ProductSpace.of_spins(0.3, 0.5, q_generic)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+def test_shared_arrays_are_read_only(basis, q_generic):
+    space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
+    space.coproduct("delta", 0.3)
+    space.coproduct("deltabar", 0.3)
+    shared = _space_arrays(space) + [p for pieces in space._pieces.values() for p in pieces]
+    if basis == "orthonormal":
+        shared += [rep.from_monomial for rep in space.parents] + [space.from_monomial]
+    assert len(shared) == (18 if basis == "monomial" else 21)
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 7

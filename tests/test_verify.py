@@ -238,9 +238,13 @@ def test_shared_space_path_matches_separate_builds(pair):
     for basis in ("orthonormal", "monomial"):
         q, u = _regular_point(*pair, rng)
         space = ProductSpace.of_spins(*pair, q, basis)
-        rm = assemble_R(*pair, u, q, basis=basis, space=space)
+        rm = assemble_R(*pair, u, q, basis=basis)
+        warm = decomposed_residuals(rm)
+        assert ProductSpace.of_spins(*pair, q, basis) is space
+        tensorrep._spin_space.cache_clear()
         assert np.array_equal(rm.matrix, assemble_R(*pair, u, q, basis=basis).matrix)
-        assert decomposed_residuals(rm) == decomposed_residuals(rm, space=space)
+        tensorrep._spin_space.cache_clear()
+        assert decomposed_residuals(rm) == warm
 
 
 def test_regular_point_gives_up_after_max_draws():
@@ -267,23 +271,25 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
 @pytest.mark.parametrize("mode", ["xxz", "xxx"])
 def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
     """R(u) and R(-u) share one space per sample: orthonormal at a sampled q,
-    monomial at q = 1."""
+    monomial at q = 1, where every sample shares the one space."""
     spaces, solved_on = [], []
     init = ProductSpace.__init__
+    form = ProductSpace.spectral_form
 
     def counting_init(self, *args):
         spaces.append(self)
         init(self, *args)
 
-    def spying_assemble(*args, space=None, **kwargs):
-        solved_on.append(space)
-        return assemble_R(*args, space=space, **kwargs)
+    def spying_form(self):
+        solved_on.append(self)
+        return form(self)
 
     monkeypatch.setattr(ProductSpace, "__init__", counting_init)
-    monkeypatch.setattr(verify, "assemble_R", spying_assemble)
+    monkeypatch.setattr(ProductSpace, "spectral_form", spying_form)
     assert check_unitarity(1.0, 1.0, FAST, mode=mode).passed
-    assert len(spaces) == FAST.sample_count
-    assert solved_on == [space for space in spaces for _ in (1, -1)]
+    per_sample = spaces * FAST.sample_count if mode == "xxx" else spaces
+    assert len(per_sample) == FAST.sample_count
+    assert solved_on == [space for space in per_sample for _ in (1, -1)]
     basis = "monomial" if mode == "xxx" else "orthonormal"
     assert {rep.basis_tag for space in spaces for rep in space.parents} == {basis}
 
