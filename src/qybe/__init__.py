@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .qcore import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig,
                     phi_product, qnum)
 from .rep import OperatorTriple, build_lax, build_spin_rep, casimir_matrix, fundamental_r
-from .tensorrep import (CasimirSpectrumReport, EigenSector, ProductSpace, TwistedCoproduct,
-                        lowest_weight_coeffs, tensor_casimir, weight_reversed)
+from .tensorrep import (CasimirSpectrumReport, ProductSpace, lowest_weight_coeffs,
+                        tensor_casimir, weight_reversed)
 from .rop import (REigenvalues, RMatrix, assemble_R, closed_form_R, eigenvalue_sequence,
                   normalize_global)
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
@@ -22,8 +22,8 @@ from . import errors
 __all__ = [
     "RATIONAL", "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
     "OperatorTriple", "build_lax", "build_spin_rep", "casimir_matrix", "fundamental_r",
-    "CasimirSpectrumReport", "EigenSector", "ProductSpace", "TwistedCoproduct",
-    "lowest_weight_coeffs", "tensor_casimir", "weight_reversed",
+    "CasimirSpectrumReport", "ProductSpace", "lowest_weight_coeffs", "tensor_casimir",
+    "weight_reversed",
     "REigenvalues", "RMatrix", "assemble_R", "closed_form_R",
     "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",

@@ -10,6 +10,7 @@ import argparse
 import cmath
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -92,10 +93,20 @@ def load_document(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes an argument that starts with "-" for an option flag
+    unless it is a plain number such as -5 or -0.5.  Here one that starts
+    with "-" and a digit, "-." and a digit, or is -i, is a value, so a
+    complex option takes -0.3-0.2i; no qybe option is spelled that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d|^-[ij]$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qybe",
-                                description="q-deformed representations and R-matrices "
-                                            "with numerical identity verification")
+    p = _Parser(prog="qybe", description="q-deformed representations and R-matrices "
+                                         "with numerical identity verification")
     p.add_argument("--version", action="version", version=f"qybe {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
-from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum
+from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum, residual
 from .rep import OperatorTriple
 from .tensorrep import ProductSpace, _require_shared_q
 
@@ -102,8 +102,7 @@ def _scalar_part(m: np.ndarray) -> tuple[complex, float]:
     of its diagonal blocks, and its relative off-scalar residual."""
     d = np.diagonal(m, axis1=-2, axis2=-1)
     s = complex(d.sum() / d.size)
-    resid = float(np.abs(m - s * np.eye(m.shape[-1])).max() / max(1.0, abs(s)))
-    return s, resid
+    return s, residual(m, s * np.eye(m.shape[-1]), s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,7 +243,7 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         if not r <= tol:
             raise NotScalar(r, f"(S^N) off-scalar residual {r:.3e} for {name}")
         if name in closed:
-            errors[name] = abs(s - closed[name]) / max(1.0, abs(closed[name]))
+            errors[name] = residual(s, closed[name], closed[name])
     return TensorPowerReport(scalars=scalars, offscalar_residuals=resids,
                              closed_form_errors=errors)
 
@@ -256,11 +255,6 @@ def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
     """Geometric coefficient ratio along the support cycle of the family."""
     _require_same_q(spec1, spec2)
-    return _family_ratio(spec1, spec2, u, barred)
-
-
-def _family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                  barred: bool) -> complex:
     q = spec1.q
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
@@ -276,8 +270,7 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     The coefficients run along a closed N-cycle of basis labels, so a
     geometric ratio is consistent only when its N-th power is 1.
     """
-    _require_same_q(spec1, spec2)
-    return tuple(abs(_family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
+    return tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
                  for barred in (False, True))
 
 
@@ -337,8 +330,8 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     _require_same_q(spec1, spec2)
     n = spec1.n
     bands = _sector_bands(build_cyclic_rep(spec1), build_cyclic_rep(spec2), u)
-    rho = _family_ratio(spec1, spec2, u, barred=False)
-    sig = _family_ratio(spec1, spec2, u, barred=True)
+    rho = family_ratio(spec1, spec2, u, barred=False)
+    sig = family_ratio(spec1, spec2, u, barred=True)
     phi = _family_vectors(n, rho)
     phibar = _family_vectors(n, sig)
     m = np.arange(n)
@@ -394,11 +387,6 @@ def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                          r0: complex = 1.0) -> np.ndarray:
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)} R_0."""
     _require_same_q(spec1, spec2)
-    return _R_eigenvalues(spec1, spec2, u, r0)
-
-
-def _R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                   r0: complex) -> np.ndarray:
     q = spec1.q
     step = q.pow(2 - u + spec2.alpha - spec2.beta - spec1.lam)
     return np.array([r0 * step**m for m in range(spec1.n)])
@@ -426,9 +414,9 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     _require_same_q(spec1, spec2)
     n = spec1.n
     phi_u, phibar_u, phi_mu, phibar_mu = (
-        _family_vectors(n, _family_ratio(spec1, spec2, x, barred))
+        _family_vectors(n, family_ratio(spec1, spec2, x, barred))
         for x in (u, -u) for barred in (False, True))
-    r_m = _R_eigenvalues(spec1, spec2, u, r0)
+    r_m = cyclic_R_eigenvalues(spec1, spec2, u, r0)
     v = np.concatenate([phi_u, phibar_u]).T
     w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
     # one SVD gives the rank and numpy's pinv, step by step
@@ -436,7 +424,7 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     rank = int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
     inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
     mat = w @ (right.T @ (inv[:, None] * left.T))
-    resid = float(np.abs(mat @ v - w).max() / max(1.0, np.abs(w).max()))
+    resid = residual(mat @ v, w, w)
     if not resid <= tol:
         raise InconsistentConstraints(
             resid, rank,

@@ -1,4 +1,4 @@
-"""Complex scalar kernel: deformation parameters, q-numbers, sampling.
+"""Complex scalar kernel: deformation parameters, q-numbers, the residual, sampling.
 
 All fractional powers of q go through a single fixed logarithm branch so
 that expressions like q^{1/2} or q^{k-ell} are single-valued for the
@@ -77,15 +77,15 @@ class DeformationParameter:
                 raise ParameterDomainError(f"q is not a root of unity of order {n}")
 
     @classmethod
-    def generic(cls, value: complex, log_branch: complex | None = None,
-                guard_bound: int = GENERIC_GUARD_BOUND) -> "DeformationParameter":
+    def generic(cls, value: complex, log_branch: complex | None = None
+                ) -> "DeformationParameter":
         value = complex(value)
         if value == 0:
             raise ParameterDomainError("q must be nonzero")
-        # reject accidental roots of unity up to the guard bound: they make
-        # q-number identities collapse to 0/0
+        # reject accidental roots of unity up to GENERIC_GUARD_BOUND: they
+        # make q-number identities collapse to 0/0
         w = value
-        for n in range(1, guard_bound + 1):
+        for n in range(1, GENERIC_GUARD_BOUND + 1):
             if abs(w - 1) < _ROOT_GUARD_TOL:
                 raise ParameterDomainError(
                     f"q is within {_ROOT_GUARD_TOL:g} of a root of unity of order {n}; "
@@ -149,6 +149,26 @@ def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
     return (q.pow(n) - q.pow(-n)) / den
 
 
+def _abs_max(x) -> float:
+    """The largest modulus among the entries of x.
+
+    A single entry, a scalar or a 1-element array, goes through the builtin
+    abs and more entries through np.abs; the two can differ in the last bit
+    of a complex modulus.
+    """
+    if isinstance(x, np.ndarray):
+        return abs(x.item()) if x.size == 1 else np.abs(x).max()
+    return abs(x)
+
+
+def residual(lhs, rhs, *inputs) -> float:
+    """Infinity-norm difference normalized by the largest input entry, or by
+    1 when that is smaller.  Operands are arrays or scalars; a NaN in
+    lhs - rhs gives NaN."""
+    scale = max([1.0] + [_abs_max(m) for m in inputs])
+    return float(_abs_max(lhs - rhs) / scale)
+
+
 def _nan_max(*values: float) -> float:
     """max() that keeps a NaN: the builtin returns 0.0 for max(0.0, nan)."""
     for v in values:
@@ -175,22 +195,21 @@ def phi_product(alpha: complex, q: DeformationParameter) -> PhiProduct:
         raise ParameterDomainError("phi_product requires a root of unity (q.order is None)")
     prod = complex(np.prod(qnum(alpha + np.arange(n), q)))
     closed = (q.value - 1 / q.value) ** (-n) * (q.pow(alpha * n) - q.pow(-alpha * n))
-    resid = abs(prod - closed) / max(1.0, abs(closed))
-    return PhiProduct(prod, complex(closed), resid)
+    return PhiProduct(prod, complex(closed), residual(prod, closed, closed))
 
 
 # ---------------------------------------------------------------------------
 # seeded sampling of test points
 
-def sample_generic_q(rng: np.random.Generator, radial: float = 0.25,
-                     on_circle: bool = False) -> DeformationParameter:
+def sample_generic_q(rng: np.random.Generator, on_circle: bool = False
+                     ) -> DeformationParameter:
     """Draw a generic q away from roots of unity and from q = +-1.
 
     log q gets imaginary part in (0.15, pi - 0.15) with a random sign, and
-    real part in [-radial, radial] (zero when on_circle).
+    real part in [-0.25, 0.25] (zero when on_circle).
     """
     for _ in range(MAX_DRAWS):
-        re = 0.0 if on_circle else rng.uniform(-radial, radial)
+        re = 0.0 if on_circle else rng.uniform(-0.25, 0.25)
         im = rng.uniform(0.15, np.pi - 0.15) * rng.choice([-1.0, 1.0])
         try:
             return DeformationParameter.generic(np.exp(complex(re, im)))

@@ -118,7 +118,7 @@ def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
     """C = S+ S- + [S][S-1]; on a spin-l representation the scalar [l][l+1].
 
     ``rep`` is a single representation or the generators of a coproduct
-    (``TwistedCoproduct.gens``).
+    (:meth:`ProductSpace.coproduct`).
     """
     w = rep.weights
     return rep.sp @ rep.sm + np.diag(qnum(w, rep.q) * qnum(w - 1, rep.q))

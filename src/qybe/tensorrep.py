@@ -14,29 +14,17 @@ import numpy as np
 
 from .errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
                      SingularBasis)
-from .qcore import DeformationParameter, _nan_max, qnum
+from .qcore import DeformationParameter, _nan_max, qnum, residual
 from .rep import OperatorTriple, _half_integer_or_none, build_spin_rep, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
+# the largest lowest-weight residual, and the smallest relative chain size,
+# that a sector's raising chain may have
+CHAIN_TOL = 1e-10
 # how many spaces ProductSpace.of_spins keeps, each with its spectral form:
 # callers visit one (spins, q, basis) at a time, so two catch every repeat
 _SPACE_MEMO_SIZE = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class TwistedCoproduct:
-    """Tensor-product generators twisted by a spectral parameter.
-
-    kind "delta":     S-_u = q^{u/2+S2} S1- + q^{-u/2-S1} S2-,
-                      S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+.
-    kind "deltabar":  the q -> 1/q twin (all twist exponents negated).
-    """
-
-    kind: str
-    u: complex
-    gens: OperatorTriple
-    parents: tuple[OperatorTriple, OperatorTriple]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,8 +100,14 @@ class ProductSpace:
             self._pieces[kind] = pieces
         return pieces
 
-    def coproduct(self, kind: str = "delta", u: complex = 0.0) -> TwistedCoproduct:
-        """The twisted tensor generators of ``kind`` at spectral parameter u."""
+    def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
+        """The tensor-product generators of ``kind`` twisted by the spectral
+        parameter u:
+
+            "delta":     S-_u = q^{u/2+S2} S1- + q^{-u/2-S1} S2-,
+                         S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
+            "deltabar":  the q -> 1/q twin (all twist exponents negated).
+        """
         sm1, sm2, sp1, sp2 = self._kind_pieces(kind)
         qu = self.q.pow(u / 2)
         if kind == "delta":
@@ -123,12 +117,11 @@ class ProductSpace:
             sm = sm1 / qu + qu * sm2
             sp = qu * sp1 + sp2 / qu
         rep1, rep2 = self.parents
-        gens = OperatorTriple(sp=sp, sm=sm, weights=self.weights, q=self.q,
+        return OperatorTriple(sp=sp, sm=sm, weights=self.weights, q=self.q,
                               basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
                               ell=None, from_monomial=self.from_monomial)
-        return TwistedCoproduct(kind=kind, u=complex(u), gens=gens, parents=self.parents)
 
-    def _chains(self, u: complex, kind: str, abs_tol: float) -> np.ndarray:
+    def _chains(self, u: complex, kind: str) -> np.ndarray:
         """The raising chains of every sector of the coproduct ``kind`` at u.
 
         Returns c of shape (d1+d2-1, d1*d2, k), k = min(d1, d2), with
@@ -136,12 +129,12 @@ class ProductSpace:
         n from the closed product formula; one raising step serves all k
         chains.  Raises :class:`CompletenessFailure` when S-_u v_n is not
         zero, or when the chain of sector n vanishes (or overflows) before
-        its full length d1+d2-1-2n.
+        its full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`.
         """
         rep1, rep2 = self.parents
         if rep1.ell is None or rep2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
-        gens = self.coproduct(kind, u).gens
+        gens = self.coproduct(kind, u)
         d1, d2 = rep1.dim, rep2.dim
         k, steps = min(d1, d2), d1 + d2 - 1
         barred = kind == "deltabar"
@@ -151,8 +144,8 @@ class ProductSpace:
             lw = self.from_monomial[:, None] * lw
         scale = np.maximum(1.0, np.abs(lw).max(axis=0))
         resid = np.abs(gens.sm @ lw).max(axis=0) / scale
-        if not (resid <= abs_tol).all():
-            n = int(np.argmin(resid <= abs_tol))
+        if not (resid <= CHAIN_TOL).all():
+            n = int(np.argmin(resid <= CHAIN_TOL))
             raise CompletenessFailure(
                 n, family, float(resid[n]),
                 f"lowest-weight condition fails at sector {n} of the {family} family "
@@ -162,7 +155,7 @@ class ProductSpace:
         for m in range(1, steps):
             chains[m] = gens.sp @ chains[m - 1]
         size = np.abs(chains).max(axis=1) / scale
-        broken = self._layout().live & ~((size >= abs_tol) & (size < np.inf))
+        broken = self._layout().live & ~((size >= CHAIN_TOL) & (size < np.inf))
         if broken.any():
             n, m = (int(i) for i in np.argwhere(broken.T)[0])
             raise CompletenessFailure(
@@ -187,20 +180,20 @@ class ProductSpace:
             cond = s[:, 0] / s[:, -1]
         return unit, norms, cond
 
-    def sectors(self, u: complex, kind: str = "delta",
-                abs_tol: float = 1e-10) -> list[EigenSector]:
+    def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
         """All eigen-sectors of the coproduct ``kind`` at u.
 
-        The chains of ``kind`` come from :meth:`_chains` and must pass the
-        weight-block test of :class:`SpectralForm` against
-        :data:`COND_LIMIT`, which raises :class:`SingularBasis`.  The other
-        kind's sectors are ``sectors(u, other kind)``.
+        Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
+        row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
+        chains come from :meth:`_chains` and must pass the weight-block test
+        of :class:`SpectralForm` against :data:`COND_LIMIT`, which raises
+        :class:`SingularBasis`.  The other kind's sectors are
+        ``sectors(u, other kind)``.
         """
-        chains = self._chains(u, kind, abs_tol)
+        chains = self._chains(u, kind)
         self._layout().require_conditioned(self._unit_blocks(chains)[2], COND_LIMIT)
         steps = chains.shape[0]
-        return [EigenSector(n=n, descendants=list(chains[:steps - 2 * n, :, n]))
-                for n in range(chains.shape[2])]
+        return [chains[:steps - 2 * n, :, n] for n in range(chains.shape[2])]
 
     def spectral_form(self) -> SpectralForm:
         """The u-independent spectral form of R on this space of two spins,
@@ -211,13 +204,13 @@ class ProductSpace:
         recorded, not tested: callers test it against their limit.
         """
         if self._form is None:
-            chains = self._chains(0.0, "delta", 1e-10)
+            chains = self._chains(0.0, "delta")
             unit, norms, cond = self._unit_blocks(chains)
             layout = self._layout()
             if self.q.log_branch == 0:
                 left = unit
             else:
-                left = layout.cut(self._chains(0.0, "deltabar", 1e-10)) / norms
+                left = layout.cut(self._chains(0.0, "deltabar")) / norms
             if not np.isfinite(cond).all():
                 # such a block fails every limit; the identity stands in for
                 # it so that the batched inverse runs
@@ -357,18 +350,6 @@ def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter
 
 
 @dataclasses.dataclass(frozen=True)
-class EigenSector:
-    """Sector n: the raising chain of its lowest-weight vector.
-
-    descendants[m] is (S+_u)^m applied to the lowest-weight vector
-    descendants[0], for the coproduct kind the sector was built for.
-    """
-
-    n: int
-    descendants: list[np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
 class SectorEigenvalue:
     n: int
     expected: complex
@@ -389,31 +370,29 @@ class CasimirSpectrumReport:
         return _nan_max(*(s.m_spread for s in self.sectors))
 
 
-def tensor_casimir(cop: TwistedCoproduct, sectors: list[EigenSector]
+def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
                    ) -> CasimirSpectrumReport:
-    """The spectrum of the Casimir of the twisted generators on ``sectors``,
-    the :meth:`ProductSpace.sectors` of the same kind and u.
+    """The spectrum of the Casimir of the coproduct ``kind`` at u on the
+    sectors of the same kind and u, both taken from ``space``.
 
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
     descendant index m; the report records the residual and the spread of
     Rayleigh estimates across each chain.
     """
-    q = cop.gens.q
-    c = casimir_matrix(cop.gens)
-    rep1, rep2 = cop.parents
+    q = space.q
+    c = casimir_matrix(space.coproduct(kind, u))
+    rep1, rep2 = space.parents
     entries = []
-    for sec in sectors:
-        lam = qnum(sec.n - rep1.ell - rep2.ell, q) * qnum(sec.n - rep1.ell - rep2.ell - 1, q)
-        # sector chains already follow the coproduct kind they were built for
-        chain = sec.descendants
+    for n, chain in enumerate(space.sectors(u, kind)):
+        lam = qnum(n - rep1.ell - rep2.ell, q) * qnum(n - rep1.ell - rep2.ell - 1, q)
         resid = 0.0
         rayleigh = []
         for v in chain:
-            nv = np.vdot(v, v).real
-            resid = _nan_max(resid, np.abs(c @ v - lam * v).max() / max(1.0, np.abs(v).max()))
-            rayleigh.append(np.vdot(v, c @ v) / nv)
+            cv = c @ v
+            resid = _nan_max(resid, residual(cv, lam * v, v))
+            rayleigh.append(np.vdot(v, cv) / np.vdot(v, v).real)
         spread = _nan_max(*(abs(r - rayleigh[0]) for r in rayleigh))
-        entries.append(SectorEigenvalue(sec.n, complex(lam), float(resid), float(spread)))
+        entries.append(SectorEigenvalue(n, complex(lam), float(resid), float(spread)))
     return CasimirSpectrumReport(entries)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    phi_product, qnum, sample_generic_q, sample_params, sample_u)
+                    phi_product, qnum, residual, sample_generic_q, sample_params, sample_u)
 from .rep import build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .rop import RMatrix, _top_sector, assemble_R, eigenvalue_sequence
 from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
@@ -56,12 +56,6 @@ class ResidualReport:
 def _c2l(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def residual(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> float:
-    """Infinity-norm difference normalized by the largest input entry."""
-    scale = max([1.0] + [np.abs(m).max() for m in inputs])
-    return float(np.abs(lhs - rhs).max() / scale)
 
 
 def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, one,
@@ -203,13 +197,13 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, flo
     bar_mu = space.coproduct("deltabar", -u)
     r = rm.matrix
     out = {}
-    qs = cop_u.gens.qs(1)
+    qs = cop_u.qs(1)
     out["qs_commute"] = residual(r @ qs, qs @ r, r, qs)
     pairs = {
-        "lower_twisted": (cop_u.gens.sm, bar_mu.gens.sm),
-        "raise_twisted": (cop_u.gens.sp, bar_mu.gens.sp),
-        "lower_twisted_bar": (bar_u.gens.sm, cop_mu.gens.sm),
-        "raise_twisted_bar": (bar_u.gens.sp, cop_mu.gens.sp),
+        "lower_twisted": (cop_u.sm, bar_mu.sm),
+        "raise_twisted": (cop_u.sp, bar_mu.sp),
+        "lower_twisted_bar": (bar_u.sm, cop_mu.sm),
+        "raise_twisted_bar": (bar_u.sp, cop_mu.sp),
     }
     for name, (a, b) in pairs.items():
         out[name] = residual(r @ a, b @ r, r, a, b)
@@ -225,8 +219,8 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, flo
     out["k_plus_minus"] = residual(r @ k_pm, k_pm_bar @ r, r, k_pm)
     out["k_minus_plus"] = residual(r @ k_mp, k_mp_bar @ r, r, k_mp)
 
-    c_mu = casimir_matrix(cop_mu.gens)
-    c_bar_u = casimir_matrix(bar_u.gens)
+    c_mu = casimir_matrix(cop_mu)
+    c_bar_u = casimir_matrix(bar_u)
     out["casimir_intertwine"] = residual(c_mu @ r, r @ c_bar_u, r, c_mu, c_bar_u)
     return out
 
@@ -297,7 +291,7 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
             raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
         return ({"q": _c2l(q.value), "u": _c2l(u),
                  "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)},
-                float(np.abs(base - shifted).max() / max(1.0, np.abs(base).max())))
+                residual(base, shifted, base))
 
     return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, one)
 
@@ -310,7 +304,7 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> Re
     def one(rng, i):
         q, u = _regular_point(ell1, ell2, rng)
         space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
-        report = tensor_casimir(space.coproduct("delta", u), space.sectors(u))
+        report = tensor_casimir(space, u)
         return ({"q": _c2l(q.value), "u": _c2l(u)},
                 _nan_max(report.max_residual, report.max_m_spread))
 
@@ -347,8 +341,8 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
             return record, exc.residual
         return record, _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
                                 tp.max_offscalar_residual,
-                                abs(ce1.alpha_minus - ce1.alpha_minus_product_route)
-                                / max(1.0, abs(ce1.alpha_minus)),
+                                residual(ce1.alpha_minus, ce1.alpha_minus_product_route,
+                                         ce1.alpha_minus),
                                 *tp.closed_form_errors.values())
 
     return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, one)
@@ -392,8 +386,7 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
         u = sample_u(rng, scale=0.6)
         vals = cy.cyclic_R_eigenvalues(s1, s2, u)
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
-        err = _nan_max(*(abs(vals[m] / vals[m - 1] - step) for m in range(1, n)))
-        return {"u": _c2l(u)}, float(err / max(1.0, abs(step)))
+        return {"u": _c2l(u)}, residual(vals[1:] / vals[:-1], step, step)
 
     return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, one)
 

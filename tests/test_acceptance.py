@@ -138,18 +138,18 @@ def test_criterion_10_property_suite():
         r1 = build_spin_rep(pair[0], q)
         r2 = build_spin_rep(pair[1], q)
         space = ProductSpace(r1, r2)
-        sm = space.coproduct("delta", u).gens.sm
-        for sec in space.sectors(u):
+        sm = space.coproduct("delta", u).sm
+        for n, chain in enumerate(space.sectors(u)):
             cols = [j * r2.dim + k for j in range(r1.dim) for k in range(r2.dim)
-                    if j + k == sec.n]
+                    if j + k == n]
             rows = [j * r2.dim + k for j in range(r1.dim) for k in range(r2.dim)
-                    if j + k == sec.n - 1]
+                    if j + k == n - 1]
             if rows:
                 block = sm[np.ix_(rows, cols)]
             else:
                 block = np.zeros((1, len(cols)))
             null = np.linalg.svd(block)[2][-1].conj()
-            v = np.array([sec.descendants[0][c] for c in cols])
+            v = chain[0, cols]
             cos = abs(np.vdot(null, v)) / (np.linalg.norm(null) * np.linalg.norm(v))
             worst = _nan_max(worst, 1 - cos)
     _criterion(10, "q-inverse invariance, u=0 signs, null-space oracle", worst, 1e-10)

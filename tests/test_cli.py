@@ -105,6 +105,28 @@ def test_rep_rejects_the_flags_of_the_other_mode(argv, flags, tmp_path, capsys):
     assert not out.exists()
 
 
+NEGATIVE_VALUES = [
+    (["rmatrix", "--l1", "1/2", "--l2", "1", "--q", "0.3+0.4i"], "--u", "-0.3-0.2i", "r.json"),
+    (["rmatrix", "--l1", "1/2", "--l2", "1", "--u", "0.3+0.2i"], "--q", "-0.3+0.4i", "r.json"),
+    (["rep", "--ell", "1"], "--q", "-0.3+0.4i", "rep"),
+    (["rep", "--cyclic", "--N", "3"], "--alpha", "-0.2+0.1i", "rep"),
+    (["rep", "--cyclic", "--N", "3"], "--beta", "-0.4i", "rep"),
+    (["rep", "--cyclic", "--N", "3"], "--lam", "-i", "rep"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value,name", NEGATIVE_VALUES)
+def test_a_complex_value_may_start_with_a_minus(argv, flag, value, name, tmp_path):
+    """'--u -0.3-0.2i' writes what '--u=-0.3-0.2i' writes; argparse used to
+    take the value for an option flag and exit 2."""
+    spaced, joined = tmp_path / "spaced" / name, tmp_path / "joined" / name
+    assert main([*argv, flag, value, "--out", str(spaced)]) == 0
+    assert main([*argv, f"{flag}={value}", "--out", str(joined)]) == 0
+    docs = ("sp.json", "sm.json", "qs1.json") if spaced.is_dir() else ("",)
+    for doc in docs:
+        assert (spaced / doc).read_bytes() == (joined / doc).read_bytes()
+
+
 def test_rep_bad_spin_is_validation_error(tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["rep", "--ell", "0.3", "--q", "0.3+0.4i", "--out", str(out)])

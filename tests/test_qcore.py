@@ -6,7 +6,7 @@ import pytest
 from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
                   qnum)
 from qybe.errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, sample_generic_q
+from qybe.qcore import MAX_DRAWS, residual, sample_generic_q
 
 
 def test_qnum_one_is_one(q_generic):
@@ -149,6 +149,32 @@ def test_phi_product_closed_form_random(n, rng):
     for _ in range(20):
         alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
         assert phi_product(alpha, q).residual < 1e-10
+
+
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_residual_keeps_a_nan_anywhere_in_the_difference(at):
+    lhs = np.arange(6, dtype=complex)
+    lhs[at] = complex("nan")
+    assert np.isnan(residual(lhs, np.arange(6), np.arange(6)))
+    assert np.isnan(residual(complex("nan"), 1.0, 1.0))
+    assert np.isnan(residual(2.0, float("nan")))
+
+
+def test_residual_of_a_scalar_equals_that_of_a_one_element_array(rng):
+    for _ in range(200):
+        a, b, c = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
+                   for _ in range(3))
+        got = residual(a, b, c)
+        assert type(got) is float and got == abs(a - b) / max(1.0, abs(c))
+        assert got == residual(np.array([a]), np.array([b]), np.array([[c]]))
+        assert got == residual(np.complex128(a), np.complex128(b), np.complex128(c))
+
+
+def test_residual_scale_never_drops_below_one():
+    assert residual(0.5, 0.25) == 0.25
+    assert residual(0.5, 0.25, 1e-3, np.full(3, 1e-9)) == 0.25
+    assert residual(np.array([3.0, 0.0]), np.zeros(2), np.array([-4.0, 2.0])) == 0.75
+    assert residual(1j, 0, 2j) == 0.5
 
 
 def test_phi_product_wrong_mode(q_generic):

@@ -158,13 +158,13 @@ def test_skew_action_both_directions(pair, rng):
     space = ProductSpace.of_spins(ell1, ell2, q)
     sec_u, sec_mu = space.sectors(u), space.sectors(-u)
     bar_u, bar_mu = space.sectors(u, "deltabar"), space.sectors(-u, "deltabar")
-    for s_u, s_mu, b_u, b_mu in zip(sec_u, sec_mu, bar_u, bar_mu):
-        rn = eig.values[s_u.n]
-        for m, vbar in enumerate(b_u.descendants):
-            target = rn * s_mu.descendants[m]
+    for n, (s_u, s_mu, b_u, b_mu) in enumerate(zip(sec_u, sec_mu, bar_u, bar_mu)):
+        rn = eig.values[n]
+        for m, vbar in enumerate(b_u):
+            target = rn * s_mu[m]
             assert np.abs(built.matrix @ vbar - target).max() < 1e-9 * max(1, np.abs(target).max())
-        for m, v in enumerate(s_u.descendants):
-            target = rn * b_mu.descendants[m]
+        for m, v in enumerate(s_u):
+            target = rn * b_mu[m]
             assert np.abs(built.matrix @ v - target).max() < 1e-9 * max(1, np.abs(target).max())
 
 
@@ -339,10 +339,10 @@ def _full_solve(ell1, ell2, u, q, basis):
     eig = eigenvalue_sequence(ell1, ell2, u, q)
     space = ProductSpace.of_spins(ell1, ell2, q, basis)
     cols_u, cols_mu, diag = [], [], []
-    for s_u, s_mu in zip(space.sectors(u), space.sectors(-u, "deltabar")):
-        cols_u.extend(s_u.descendants)
-        cols_mu.extend(s_mu.descendants)
-        diag.extend([eig.values[s_u.n]] * len(s_u.descendants))
+    for n, (s_u, s_mu) in enumerate(zip(space.sectors(u), space.sectors(-u, "deltabar"))):
+        cols_u.extend(s_u)
+        cols_mu.extend(s_mu)
+        diag.extend([eig.values[n]] * len(s_u))
     phi = np.array(cols_u).T
     if np.linalg.cond(phi) > rop.COND_LIMIT:
         raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
@@ -468,8 +468,8 @@ def test_singular_basis_names_its_block(monkeypatch, q_generic):
     degree = np.add.outer(np.arange(3), np.arange(3)).ravel()
     conds = []
     for b in range(5):
-        cols = np.array([s.descendants[b - s.n][degree == b] for s in sectors
-                         if 0 <= b - s.n < len(s.descendants)]).T
+        cols = np.array([s[b - n][degree == b] for n, s in enumerate(sectors)
+                         if 0 <= b - n < len(s)]).T
         conds.append(np.linalg.cond(cols / np.linalg.norm(cols, axis=0)))
     worst = int(np.argmax(conds))
     assert err.weight == worst - 2

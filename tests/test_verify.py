@@ -8,7 +8,7 @@ from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, 
 from qybe import cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, RATIONAL, sample_generic_q, sample_u
+from qybe.qcore import MAX_DRAWS, RATIONAL, residual, sample_generic_q, sample_u
 from qybe.tensorrep import ProductSpace
 from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          check_branch_independence,
@@ -16,7 +16,7 @@ from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity,
                          check_rll, check_shift_laws, check_unitarity,
-                         decomposed_residuals, residual)
+                         decomposed_residuals)
 
 FAST = ToleranceConfig(sample_count=3, rng_seed=7)
 
@@ -298,9 +298,9 @@ def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
     kinds = []
     chains = ProductSpace._chains
 
-    def counting_chains(self, u, kind, abs_tol):
+    def counting_chains(self, u, kind):
         kinds.append(kind)
-        return chains(self, u, kind, abs_tol)
+        return chains(self, u, kind)
 
     monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
     assert check_casimir_spectrum(1.0, 1.0, FAST).passed
