@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import json
 import os
 import re
@@ -64,21 +66,33 @@ def matrix_document(matrix: np.ndarray, metadata: dict) -> dict:
     rows, cols = matrix.shape
     meta = dict(metadata)
     meta.setdefault("tool_version", __version__)
-    # the floats that _c2l gives, one tolist() per part instead of a call per entry
-    flat = np.asarray(matrix, dtype=complex).ravel()
+    # the floats that _c2l gives, as one tolist() of the [re, im] float view
+    pairs = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2)
     return {
         "dims": [rows, cols],
-        "entries": [[re, im] for re, im in zip(flat.real.tolist(), flat.imag.tolist())],
+        "entries": pairs.tolist(),
         "metadata": meta,
     }
 
 
 def document_matrix(doc: dict) -> np.ndarray:
-    rows, cols = doc["dims"]
-    flat = np.array([complex(re, im) for re, im in doc["entries"]])
-    if flat.size != rows * cols:
-        raise ParameterDomainError("entry count does not match dims")
-    return flat.reshape(rows, cols)
+    """The matrix of a :func:`matrix_document`.
+
+    Every entry must be an [re, im] pair; each part is read as numpy reads a
+    float (a number, a numeric string, or null as NaN).  A malformed entry,
+    or dims that do not fit the entries, raises :class:`ParameterDomainError`.
+    """
+    entries = doc["entries"]
+    try:
+        if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
+            raise ValueError("an entry is not an [re, im] pair")
+        flat = np.fromiter(itertools.chain.from_iterable(entries), float, count=2 * len(entries))
+        rows, cols = doc["dims"]
+        if flat.size != 2 * rows * cols:
+            raise ParameterDomainError("entry count does not match dims")
+        return flat.view(complex).reshape(rows, cols)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterDomainError(f"malformed matrix document: {exc}") from exc
 
 
 def dump_document(doc: dict) -> str:
@@ -104,7 +118,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d|^-[ij]$")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state."""
     p = _Parser(prog="qybe", description="q-deformed representations and R-matrices "
                                          "with numerical identity verification")
     p.add_argument("--version", action="version", version=f"qybe {__version__}")

@@ -210,7 +210,8 @@ def sample_generic_q(rng: np.random.Generator, on_circle: bool = False
     """
     for _ in range(MAX_DRAWS):
         re = 0.0 if on_circle else rng.uniform(-0.25, 0.25)
-        im = rng.uniform(0.15, np.pi - 0.15) * rng.choice([-1.0, 1.0])
+        # integers(0, 2) draws the sign from the stream that choice([-1, 1]) reads
+        im = rng.uniform(0.15, np.pi - 0.15) * (1.0 if rng.integers(0, 2) else -1.0)
         try:
             return DeformationParameter.generic(np.exp(complex(re, im)))
         except ParameterDomainError:

@@ -103,10 +103,11 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial",
     elif basis == "orthonormal":
         dm = np.ones(d, complex)
         for k in range(d - 1):
-            s = np.sqrt(qnum(k + 1, q) * qnum(2 * ell - k, q))
+            a = qnum(k + 1, q)
+            s = np.sqrt(a * qnum(2 * ell - k, q))
             sp[k + 1, k] = s
             sm[k, k + 1] = s
-            dm[k + 1] = dm[k] * qnum(k + 1, q) / s
+            dm[k + 1] = dm[k] * a / s
     else:
         raise ParameterDomainError(f"unknown basis {basis!r}")
     return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
@@ -120,8 +121,13 @@ def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
     ``rep`` is a single representation or the generators of a coproduct
     (:meth:`ProductSpace.coproduct`).
     """
-    w = rep.weights
-    return rep.sp @ rep.sm + np.diag(qnum(w, rep.q) * qnum(w - 1, rep.q))
+    return rep.sp @ rep.sm + casimir_diagonal(rep.weights, rep.q)
+
+
+def casimir_diagonal(weights: np.ndarray, q: DeformationParameter) -> np.ndarray:
+    """The diagonal part [S][S-1] of :func:`casimir_matrix`, for the
+    eigenvalues ``weights`` of S."""
+    return np.diag(qnum(weights, q) * qnum(weights - 1, q))
 
 
 def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:

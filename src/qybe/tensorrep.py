@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
                      SingularBasis)
-from .qcore import DeformationParameter, _nan_max, qnum, residual
+from .qcore import DeformationParameter, _nan_max, qnum
 from .rep import OperatorTriple, _half_integer_or_none, build_spin_rep, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
@@ -25,6 +25,8 @@ CHAIN_TOL = 1e-10
 # how many spaces ProductSpace.of_spins keeps, each with its spectral form:
 # callers visit one (spins, q, basis) at a time, so two catch every repeat
 _SPACE_MEMO_SIZE = 2
+# how many block layouts _BlockLayout.of_dims keeps, one per (d1, d2)
+_LAYOUT_MEMO_SIZE = 16
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,10 +53,10 @@ class ProductSpace:
 
     Holds the product ``weights`` and ``from_monomial`` and, for each
     coproduct kind, the four Kronecker pieces that do not depend on u
-    (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+), built the first time that kind
-    is used.  A twisted coproduct at any u is then two sums weighted by
-    q^{u/2}, so one space serves every u, every kind and every caller of
-    one sampled point.  For two finite spins it also holds the
+    (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both kinds are
+    built together the first time either kind is used.  A twisted coproduct
+    at any u is then two sums weighted by q^{u/2}, so one space serves every
+    u, every kind and every caller of one sampled point.  For two finite spins it also holds the
     :class:`SpectralForm` of R, built the first time it is asked for.
     Its arrays are read-only, since :meth:`of_spins` shares one space
     among all its callers.
@@ -71,7 +73,6 @@ class ProductSpace:
             d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
             self.from_monomial = _read_only(kron(d1, d2))
         self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
-        self._block_layout: _BlockLayout | None = None
         self._form: SpectralForm | None = None
 
     @staticmethod
@@ -88,17 +89,21 @@ class ProductSpace:
         return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
 
     def _kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
-        pieces = self._pieces.get(kind)
-        if pieces is None:
-            if kind not in ("delta", "deltabar"):
-                raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
+        if kind not in ("delta", "deltabar"):
+            raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
+        if not self._pieces:
+            # the eight pieces of both kinds, as one broadcast Kronecker
+            # product of stacked factors (kron's entries, bit for bit)
             rep1, rep2 = self.parents
-            s = 1 if kind == "delta" else -1
-            q2, q1 = rep2.qs(s), rep1.qs(-s)
-            pieces = tuple(_read_only(kron(a, b)) for a, b in
-                           ((rep1.sm, q2), (q1, rep2.sm), (rep1.sp, q2), (q1, rep2.sp)))
-            self._pieces[kind] = pieces
-        return pieces
+            q1 = {s: rep1.qs(s) for s in (1, -1)}
+            q2 = {s: rep2.qs(s) for s in (1, -1)}
+            left = np.array([(rep1.sm, q1[-s], rep1.sp, q1[-s]) for s in (1, -1)])
+            right = np.array([(q2[s], rep2.sm, q2[s], rep2.sp) for s in (1, -1)])
+            d = rep1.dim * rep2.dim
+            pieces = _read_only((left[..., :, None, :, None] * right[..., None, :, None, :])
+                                .reshape(2, 4, d, d))
+            self._pieces = {"delta": tuple(pieces[0]), "deltabar": tuple(pieces[1])}
+        return self._pieces[kind]
 
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
@@ -121,53 +126,60 @@ class ProductSpace:
                               basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
                               ell=None, from_monomial=self.from_monomial)
 
-    def _chains(self, u: complex, kind: str) -> np.ndarray:
-        """The raising chains of every sector of the coproduct ``kind`` at u.
+    def _chains(self, u: complex, kinds: tuple[str, ...]) -> np.ndarray:
+        """The raising chains of every sector of each coproduct kind in
+        ``kinds`` at u, raised together.
 
-        Returns c of shape (d1+d2-1, d1*d2, k), k = min(d1, d2), with
-        c[m][:, n] = (S+_u)^m v_n and v_n the lowest-weight vector of sector
-        n from the closed product formula; one raising step serves all k
-        chains.  Raises :class:`CompletenessFailure` when S-_u v_n is not
-        zero, or when the chain of sector n vanishes (or overflows) before
-        its full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`.
+        Returns c of shape (len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
+        with c[f][m][:, n] = (S+_u)^m v_n for kind f and v_n the
+        lowest-weight vector of sector n from the closed product formula; one
+        stacked raising step serves every chain.  Raises
+        :class:`CompletenessFailure` when S-_u v_n is not zero, or when the
+        chain of sector n vanishes (or overflows) before its full length
+        d1+d2-1-2n, each measured against :data:`CHAIN_TOL`; the kinds are
+        tested in order, each lowest-weight condition before its chains.
         """
         rep1, rep2 = self.parents
         if rep1.ell is None or rep2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
-        gens = self.coproduct(kind, u)
+        gens = [self.coproduct(kind, u) for kind in kinds]
+        families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
         d1, d2 = rep1.dim, rep2.dim
         k, steps = min(d1, d2), d1 + d2 - 1
-        barred = kind == "deltabar"
-        family = "barred" if barred else "unbarred"
-        lw = _lowest_weights(rep1.ell, rep2.ell, u, self.q, d1, d2, barred, k).T
+        lw = np.array([_lowest_weights(rep1.ell, rep2.ell, u, self.q, d1, d2,
+                                       family == "barred", k).T for family in families])
         if self.from_monomial is not None:
             lw = self.from_monomial[:, None] * lw
-        scale = np.maximum(1.0, np.abs(lw).max(axis=0))
-        resid = np.abs(gens.sm @ lw).max(axis=0) / scale
-        if not (resid <= CHAIN_TOL).all():
-            n = int(np.argmin(resid <= CHAIN_TOL))
-            raise CompletenessFailure(
-                n, family, float(resid[n]),
-                f"lowest-weight condition fails at sector {n} of the {family} family "
-                f"(residual {resid[n]:.2e})")
-        chains = np.empty((steps, d1 * d2, k), complex)
-        chains[0] = lw
+        scale = np.maximum(1.0, np.abs(lw).max(axis=1))
+        resid = np.abs(np.array([g.sm for g in gens]) @ lw).max(axis=1) / scale
+        lw_ok = (resid <= CHAIN_TOL).all(axis=1)
+        # the kinds before the first failing lowest-weight condition
+        raised = len(kinds) if lw_ok.all() else int(np.argmin(lw_ok))
+        chains = np.empty((raised, steps, d1 * d2, k), complex)
+        chains[:, 0] = lw[:raised]
+        sp = np.array([g.sp for g in gens])[:raised]
         for m in range(1, steps):
-            chains[m] = gens.sp @ chains[m - 1]
-        size = np.abs(chains).max(axis=1) / scale
+            chains[:, m] = sp @ chains[:, m - 1]
+        size = np.abs(chains).max(axis=2) / scale[:raised, None]
         broken = self._layout().live & ~((size >= CHAIN_TOL) & (size < np.inf))
-        if broken.any():
-            n, m = (int(i) for i in np.argwhere(broken.T)[0])
+        for f in range(raised):
+            if broken[f].any():
+                n, m = (int(i) for i in np.argwhere(broken[f].T)[0])
+                raise CompletenessFailure(
+                    n, families[f], float(size[f, m, n]),
+                    f"raising chain of sector {n} of the {families[f]} family breaks at "
+                    f"step {m} of {steps - 2 * n} (relative size {size[f, m, n]:.2e})")
+        if raised < len(kinds):
+            family, r = families[raised], resid[raised]
+            n = int(np.argmin(r <= CHAIN_TOL))
             raise CompletenessFailure(
-                n, family, float(size[m, n]),
-                f"raising chain of sector {n} of the {family} family breaks at step {m} "
-                f"of {steps - 2 * n} (relative size {size[m, n]:.2e})")
+                n, family, float(r[n]),
+                f"lowest-weight condition fails at sector {n} of the {family} family "
+                f"(residual {r[n]:.2e})")
         return chains
 
     def _layout(self) -> _BlockLayout:
-        if self._block_layout is None:
-            self._block_layout = _BlockLayout.of_dims(*(rep.dim for rep in self.parents))
-        return self._block_layout
+        return _BlockLayout.of_dims(*(rep.dim for rep in self.parents))
 
     def _unit_blocks(self, chains: np.ndarray):
         """The weight blocks of ``chains`` with unit columns, the column norms
@@ -190,7 +202,7 @@ class ProductSpace:
         :class:`SingularBasis`.  The other kind's sectors are
         ``sectors(u, other kind)``.
         """
-        chains = self._chains(u, kind)
+        chains = self._chains(u, (kind,))[0]
         self._layout().require_conditioned(self._unit_blocks(chains)[2], COND_LIMIT)
         steps = chains.shape[0]
         return [chains[:steps - 2 * n, :, n] for n in range(chains.shape[2])]
@@ -199,18 +211,17 @@ class ProductSpace:
         """The u-independent spectral form of R on this space of two spins,
         built from the chains at u = 0 the first time it is asked for.
 
-        At the rational point (q on the zero log branch) the barred chains
-        are the unbarred ones, so one family is built.  The conditioning is
+        Both families come from one :meth:`_chains` pass; at the rational
+        point (q on the zero log branch) the barred chains are the unbarred
+        ones, so one family is built.  The conditioning is
         recorded, not tested: callers test it against their limit.
         """
         if self._form is None:
-            chains = self._chains(0.0, "delta")
-            unit, norms, cond = self._unit_blocks(chains)
+            kinds = ("delta",) if self.q.log_branch == 0 else ("delta", "deltabar")
+            chains = self._chains(0.0, kinds)
+            unit, norms, cond = self._unit_blocks(chains[0])
             layout = self._layout()
-            if self.q.log_branch == 0:
-                left = unit
-            else:
-                left = layout.cut(self._chains(0.0, "deltabar")) / norms
+            left = unit if len(kinds) == 1 else layout.cut(chains[1]) / norms
             if not np.isfinite(cond).all():
                 # such a block fails every limit; the identity stands in for
                 # it so that the batched inverse runs
@@ -253,7 +264,8 @@ class _BlockLayout:
     ``inside`` mask.  For the entries inside, in C order, ``dst`` is the
     flat position in the d x d matrix and ``twist`` is j' - j for the entry
     that maps x1^j' x2^. to x1^j x2^.: the power of q^u that the twist
-    T_u = q^{-u(S1-S2)/2} puts on it.
+    T_u = q^{-u(S1-S2)/2} puts on it.  Layouts are memoised on (d1, d2),
+    so their arrays are read-only.
     """
 
     sizes: np.ndarray
@@ -263,7 +275,12 @@ class _BlockLayout:
     dst: np.ndarray
     twist: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist):
+            arr.setflags(write=False)
+
     @classmethod
+    @functools.lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
     def of_dims(cls, d1: int, d2: int) -> "_BlockLayout":
         k, nb = min(d1, d2), d1 + d2 - 1
         b = np.arange(nb)[:, None]
@@ -377,7 +394,9 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
 
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
     descendant index m; the report records the residual and the spread of
-    Rayleigh estimates across each chain.
+    Rayleigh estimates across each chain.  C acts on a sector's whole chain
+    in one stacked mat-vec, and the residuals and Rayleigh quotients of the
+    chain are read as arrays.
     """
     q = space.q
     c = casimir_matrix(space.coproduct(kind, u))
@@ -385,14 +404,15 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     entries = []
     for n, chain in enumerate(space.sectors(u, kind)):
         lam = qnum(n - rep1.ell - rep2.ell, q) * qnum(n - rep1.ell - rep2.ell - 1, q)
-        resid = 0.0
-        rayleigh = []
-        for v in chain:
-            cv = c @ v
-            resid = _nan_max(resid, residual(cv, lam * v, v))
-            rayleigh.append(np.vdot(v, cv) / np.vdot(v, v).real)
+        # row m of cv is c @ chain[m], and each row's residual is
+        # qcore.residual(cv[m], lam * chain[m], chain[m])
+        cv = np.matmul(c, chain[:, :, None])[:, :, 0]
+        gap = np.abs(cv - lam * chain).max(axis=1)
+        resid = gap / np.maximum(1.0, np.abs(chain).max(axis=1))
+        rayleigh = np.vecdot(chain, cv) / np.vecdot(chain, chain).real
         spread = _nan_max(*(abs(r - rayleigh[0]) for r in rayleigh))
-        entries.append(SectorEigenvalue(n, complex(lam), float(resid), float(spread)))
+        entries.append(SectorEigenvalue(n, complex(lam), float(resid.max()),
+                                        float(spread)))
     return CasimirSpectrumReport(entries)
 
 

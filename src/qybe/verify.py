@@ -15,7 +15,7 @@ import numpy as np
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     phi_product, qnum, residual, sample_generic_q, sample_params, sample_u)
-from .rep import build_lax, build_spin_rep, casimir_matrix, fundamental_r
+from .rep import build_lax, build_spin_rep, casimir_diagonal, fundamental_r
 from .rop import RMatrix, _top_sector, assemble_R, eigenvalue_sequence
 from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
                      SamplerExhausted)
@@ -91,12 +91,12 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
     denominators are plain numbers, and only u is drawn.
     """
     big_l = ell1 + ell2 + 1
-    top = _top_sector(ell1, ell2)
+    # every pole gap [l1+l2+1-n +- u], n = 1..top, in one array
+    n = np.arange(1, _top_sector(ell1, ell2) + 1)
     for _ in range(MAX_DRAWS):
         q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
         u = sample_u(rng)
-        if all(abs(qnum(big_l - n + s * u, q)) > min_gap
-               for n in range(1, top + 1) for s in (1, -1)):
+        if (np.abs(qnum(np.add.outer(big_l - n, (u, -u)), q)) > min_gap).all():
             return q, u
     what = "regular rational u" if mode == "xxx" else "regular (q, u)"
     raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
@@ -114,8 +114,8 @@ def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]
     """
     a, b = slots
     c = 3 - a - b
-    t = np.einsum("ikjl,mn->ikmjln", op.reshape(dims[a], dims[b], dims[a], dims[b]),
-                  np.eye(dims[c]))
+    t = (op.reshape(dims[a], dims[b], 1, dims[a], dims[b], 1)
+         * np.eye(dims[c]).reshape(1, 1, dims[c], 1, 1, dims[c]))
     perm = [(a, b, c).index(s) for s in range(3)]
     d = dims[0] * dims[1] * dims[2]
     return t.transpose(*perm, *(p + 3 for p in perm)).reshape(d, d)
@@ -186,7 +186,12 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
 def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, float]:
     """Residuals of the eight relations an intertwining R must satisfy, on
     the :class:`ProductSpace` of R's spins in ``basis`` (R's own basis by
-    default)."""
+    default).
+
+    Each relation X Y = Z W is one slice of a stacked matmul pair, and each
+    distinct input gets one abs-max.  :func:`qcore.residual` of those
+    abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.
+    """
     q = rm.q
     u = rm.u
     space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, basis or rm.basis_tag)
@@ -196,33 +201,39 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, flo
     bar_u = space.coproduct("deltabar", u)
     bar_mu = space.coproduct("deltabar", -u)
     r = rm.matrix
-    out = {}
     qs = cop_u.qs(1)
-    out["qs_commute"] = residual(r @ qs, qs @ r, r, qs)
-    pairs = {
-        "lower_twisted": (cop_u.sm, bar_mu.sm),
-        "raise_twisted": (cop_u.sp, bar_mu.sp),
-        "lower_twisted_bar": (bar_u.sm, cop_mu.sm),
-        "raise_twisted_bar": (bar_u.sp, cop_mu.sp),
-    }
-    for name, (a, b) in pairs.items():
-        out[name] = residual(r @ a, b @ r, r, a, b)
 
     qu = q.pow(u)
     c2 = (q.value - 1 / q.value) ** 2
-    qpm = qu * kron(rep1.qs(1), rep2.qs(-1)) + kron(rep1.qs(-1), rep2.qs(1)) / qu
-    qmp = qu * kron(rep1.qs(-1), rep2.qs(1)) + kron(rep1.qs(1), rep2.qs(-1)) / qu
-    k_pm = qpm - c2 * kron(rep1.sm, rep2.sp)
-    k_pm_bar = qpm - c2 * kron(rep1.sp, rep2.sm)
-    k_mp = qmp - c2 * kron(rep1.sp, rep2.sm)
-    k_mp_bar = qmp - c2 * kron(rep1.sm, rep2.sp)
-    out["k_plus_minus"] = residual(r @ k_pm, k_pm_bar @ r, r, k_pm)
-    out["k_minus_plus"] = residual(r @ k_mp, k_mp_bar @ r, r, k_mp)
+    plus_minus = kron(rep1.qs(1), rep2.qs(-1))
+    minus_plus = kron(rep1.qs(-1), rep2.qs(1))
+    c2_sm_sp = c2 * kron(rep1.sm, rep2.sp)
+    c2_sp_sm = c2 * kron(rep1.sp, rep2.sm)
+    qpm = qu * plus_minus + minus_plus / qu
+    qmp = qu * minus_plus + plus_minus / qu
+    k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
+    k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
+    c_mu, c_bar_u = (np.matmul([cop_mu.sp, bar_u.sp], [cop_mu.sm, bar_u.sm])
+                     + casimir_diagonal(space.weights, q))
 
-    c_mu = casimir_matrix(cop_mu)
-    c_bar_u = casimir_matrix(bar_u)
-    out["casimir_intertwine"] = residual(c_mu @ r, r @ c_bar_u, r, c_mu, c_bar_u)
-    return out
+    # name: (X, Y, Z, W, inputs) for the relation X Y = Z W
+    relations = {
+        "qs_commute": (r, qs, qs, r, (r, qs)),
+        "lower_twisted": (r, cop_u.sm, bar_mu.sm, r, (r, cop_u.sm, bar_mu.sm)),
+        "raise_twisted": (r, cop_u.sp, bar_mu.sp, r, (r, cop_u.sp, bar_mu.sp)),
+        "lower_twisted_bar": (r, bar_u.sm, cop_mu.sm, r, (r, bar_u.sm, cop_mu.sm)),
+        "raise_twisted_bar": (r, bar_u.sp, cop_mu.sp, r, (r, bar_u.sp, cop_mu.sp)),
+        "k_plus_minus": (r, k_pm, k_pm_bar, r, (r, k_pm)),
+        "k_minus_plus": (r, k_mp, k_mp_bar, r, (r, k_mp)),
+        "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
+    }
+    x, y, z, w = (np.array(col) for col in zip(*(rel[:4] for rel in relations.values())))
+    gaps = np.abs(x @ y - z @ w).max(axis=(1, 2))
+    distinct = {id(m): m for rel in relations.values() for m in rel[4]}
+    peaks = dict(zip(distinct, np.abs(np.array(list(distinct.values()))).max(axis=(1, 2))))
+    # the residual of the abs-maxima is the residual of the matrices
+    return {name: residual(gap, 0.0, *(peaks[id(m)] for m in rel[4]))
+            for (name, rel), gap in zip(relations.items(), gaps)}
 
 
 def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,

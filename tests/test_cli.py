@@ -5,9 +5,10 @@ import pytest
 
 from qybe import (RATIONAL, DeformationParameter, assemble_R, build_spin_rep, closed_form_R,
                   normalize_global)
+from qybe import cli
 from qybe.cli import (document_matrix, dump_document, load_document, main,
                       matrix_document, parse_complex, parse_spin)
-from qybe.errors import CompletenessFailure
+from qybe.errors import CompletenessFailure, ParameterDomainError
 from qybe.verify import _c2l
 
 
@@ -278,6 +279,45 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     assert text == again
     m = document_matrix(json.loads(text))
     assert np.array_equal(m, np.array([[0.25 + 1j, 2.0], [-3.5, 0.0]]))
+
+
+@pytest.mark.parametrize("entries,dims", [
+    ([[1, 2, 3]], [1, 1]),
+    ([["a", "b"]], [1, 1]),
+    (["12"], [1, 1]),
+    ([3], [1, 1]),
+    ([[1, 2], [3]], [2, 1]),
+    ([[10**400, 0]], [1, 1]),
+    ([[1, 2]], [1]),
+    ([[1, 2]], [1.0, 1.0]),
+])
+def test_malformed_document_is_a_domain_error(entries, dims):
+    with pytest.raises(ParameterDomainError, match="malformed"):
+        document_matrix({"dims": dims, "entries": entries})
+
+
+def test_document_round_trip_keeps_every_bit():
+    m = np.array([[complex(-0.0, -0.0), complex(np.inf, np.nan)],
+                  [complex(np.nan, -np.inf), 1 / 3 - 2j / 7]])
+    for matrix in (m, m.T, m[::-1, ::-1]):
+        back = document_matrix(json.loads(dump_document(matrix_document(matrix, {}))))
+        assert back.dtype == complex and back.shape == matrix.shape
+        assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(matrix).view(np.uint64))
+
+
+def test_parser_is_built_once_and_main_repeats(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    runs = []
+    for _ in range(2):
+        out = tmp_path / "report.json"
+        codes = [main(["verify", "casimir", "--samples", "2", "--seed", "3", "--json", str(out)]),
+                 main(["verify", "unitarity", "--N", "4"])]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nonsense"])
+        codes.append(exc.value.code)
+        runs.append((codes, capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [0, 2, 2]
 
 
 def test_document_entry_count_validated():

@@ -212,9 +212,20 @@ class _RejectedRng:
     def uniform(self, low, high):
         return 0.0
 
-    def choice(self, options):
+    def integers(self, low, high):
         self.draws += 1
-        return options[-1]
+        return high - 1
+
+
+@pytest.mark.parametrize("on_circle", [False, True])
+def test_generic_q_sign_reads_the_stream_of_choice(on_circle):
+    """The sign draw integers(0, 2) takes what choice([-1, 1]) took from the stream."""
+    got, ref = np.random.default_rng(29), np.random.default_rng(29)
+    for _ in range(2000):
+        re = 0.0 if on_circle else ref.uniform(-0.25, 0.25)
+        im = ref.uniform(0.15, np.pi - 0.15) * ref.choice([-1.0, 1.0])
+        assert sample_generic_q(got, on_circle=on_circle).value == np.exp(complex(re, im))
+    assert got.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("on_circle", [False, True])

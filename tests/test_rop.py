@@ -390,8 +390,8 @@ def test_assembly_reuses_the_space_form(q_generic, monkeypatch):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal")
     form = space.spectral_form()
 
-    def no_chains(*args):
-        raise AssertionError("assemble_R built chains of its own")
+    def no_chains(self, u, kinds):
+        raise AssertionError(f"assemble_R built {kinds} chains of its own")
 
     monkeypatch.setattr(ProductSpace, "_chains", no_chains)
     for u in (0.3 - 0.2j, -0.3 + 0.2j):

@@ -6,7 +6,7 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_re
                   weight_reversed)
 from qybe import tensorrep
 from qybe.errors import BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError
-from qybe.qcore import sample_generic_q, sample_params, sample_u
+from qybe.qcore import residual, sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import CasimirSpectrumReport, ProductSpace, SectorEigenvalue, kron
 
 
@@ -465,6 +465,27 @@ def test_completeness_failure_names_sector_family_and_residual(kind, family):
     assert f"sector 0 of the {family} family breaks at step 3 of 5" in str(err)
 
 
+@pytest.mark.parametrize("order,corrupt,message", [
+    (None, (False, True), "lowest-weight condition fails at sector 0 of the unbarred family"),
+    (None, (True,), "lowest-weight condition fails at sector 0 of the barred family"),
+    (3, (True,), "raising chain of sector 0 of the unbarred family breaks at step 3"),
+])
+def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypatch):
+    """Both families share one _chains pass, which still raises in the order
+    unbarred lowest weight, unbarred chain, barred lowest weight, barred chain."""
+    lowest = tensorrep._lowest_weights
+
+    def shifted(ell1, ell2, u, q, d1, d2, barred, count):
+        c = lowest(ell1, ell2, u, q, d1, d2, barred, count)
+        return c + 1.0 if barred in corrupt else c
+
+    monkeypatch.setattr(tensorrep, "_lowest_weights", shifted)
+    q = DeformationParameter.generic(np.exp(0.17 + 0.59j)) if order is None \
+        else DeformationParameter.root_of_unity(order)
+    with pytest.raises(CompletenessFailure, match=message):
+        ProductSpace.of_spins(1.0, 1.0, q).spectral_form()
+
+
 @pytest.mark.parametrize("pair", [(2.0, 4.0), (3.0, 3.0), (2.5, 4.0), (4.0, 4.0)])
 def test_sectors_at_the_rational_point(pair):
     """The block test accepts the q = 1 chains, whose exact integer entries
@@ -524,3 +545,88 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 7
+
+
+# ---------------------------------------------------------------------------
+# the stacked paths against their per-item references
+
+STACK_PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (2.0, 2.5)]
+
+
+def _reference_chains(space, u, kind):
+    """The chains of one kind, raised one 2-D product at a time."""
+    rep1, rep2 = space.parents
+    d1, d2 = rep1.dim, rep2.dim
+    lw = np.array([lowest_weight_coeffs(rep1.ell, rep2.ell, n, u, space.q, d1, d2,
+                                        barred=kind == "deltabar")
+                   for n in range(min(d1, d2))]).T
+    if space.from_monomial is not None:
+        lw = space.from_monomial[:, None] * lw
+    sp = space.coproduct(kind, u).sp
+    chains = [lw]
+    for _ in range(d1 + d2 - 2):
+        chains.append(sp @ chains[-1])
+    return np.array(chains)
+
+
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
+    for ell1, ell2 in STACK_PAIRS:
+        q, u = sample_generic_q(rng), sample_u(rng)
+        space = ProductSpace(*_pair(ell1, ell2, q, basis))
+        both = space._chains(u, ("delta", "deltabar"))
+        for f, kind in enumerate(("delta", "deltabar")):
+            want = _reference_chains(space, u, kind)
+            assert np.array_equal(both[f], want)
+            assert np.array_equal(space._chains(u, (kind,))[0], want)
+
+
+def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
+    for ell1, ell2 in STACK_PAIRS:
+        r1, r2 = _pair(ell1, ell2, sample_generic_q(rng), "orthonormal")
+        space = ProductSpace(r1, r2)
+        for kind, s in (("delta", 1), ("deltabar", -1)):
+            want = (kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm),
+                    kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp))
+            for got, ref in zip(space._kind_pieces(kind), want, strict=True):
+                assert np.array_equal(got, ref)
+
+
+def _reference_casimir(space, u, kind):
+    """The sector entries of tensor_casimir, one vector at a time."""
+    c = casimir_matrix(space.coproduct(kind, u))
+    ell = space.parents[0].ell + space.parents[1].ell
+    out = []
+    for n, chain in enumerate(space.sectors(u, kind)):
+        lam = qnum(n - ell, space.q) * qnum(n - ell - 1, space.q)
+        resid, rayleigh = 0.0, []
+        for v in chain:
+            cv = c @ v
+            resid = max(resid, residual(cv, lam * v, v))
+            rayleigh.append(np.vdot(v, cv) / np.vdot(v, v).real)
+        out.append((complex(lam), float(resid),
+                    float(max(abs(r - rayleigh[0]) for r in rayleigh))))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["delta", "deltabar"])
+def test_tensor_casimir_equals_the_per_vector_reference(kind, rng):
+    for ell1, ell2 in STACK_PAIRS:
+        for q in (sample_generic_q(rng), RATIONAL):
+            u = sample_u(rng)
+            space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
+            got = [(s.expected, s.max_residual, s.m_spread)
+                   for s in tensor_casimir(space, u, kind).sectors]
+            assert got == _reference_casimir(space, u, kind)
+
+
+def test_block_layout_is_memoised_and_read_only():
+    layout = tensorrep._BlockLayout.of_dims(3, 4)
+    assert tensorrep._BlockLayout.of_dims(3, 4) is layout
+    fresh = tensorrep._BlockLayout.of_dims.__wrapped__(tensorrep._BlockLayout, 3, 4)
+    arrays = [layout.sizes, layout.live, layout.inside, *layout.take, layout.dst, layout.twist]
+    for arr, ref in zip(arrays, [fresh.sizes, fresh.live, fresh.inside, *fresh.take,
+                                 fresh.dst, fresh.twist], strict=True):
+        assert np.array_equal(arr, ref)
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
-                  build_spin_rep, closed_form_R, fundamental_r)
+                  build_spin_rep, casimir_matrix, closed_form_R, fundamental_r, qnum)
 from qybe import cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
@@ -298,13 +299,13 @@ def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
     kinds = []
     chains = ProductSpace._chains
 
-    def counting_chains(self, u, kind):
-        kinds.append(kind)
-        return chains(self, u, kind)
+    def counting_chains(self, u, requested):
+        kinds.append(requested)
+        return chains(self, u, requested)
 
     monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
     assert check_casimir_spectrum(1.0, 1.0, FAST).passed
-    assert kinds == ["delta"] * FAST.sample_count
+    assert kinds == [("delta",)] * FAST.sample_count
 
 
 SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
@@ -428,3 +429,87 @@ def test_conflicting_partial_r_sample_fails_its_report(monkeypatch, tmp_path, ca
     verdicts = {r["identity_id"]: r["verdict"] for r in json.loads(report.read_text())["reports"]}
     assert verdicts.pop("partial_r[N=3]") == "fail"
     assert set(verdicts.values()) == {"pass"}
+
+
+# ---------------------------------------------------------------------------
+# the stacked paths against their per-item references
+
+def _reference_decomposed(rm):
+    """The eight relations of decomposed_residuals, one qcore.residual each."""
+    q, u, r = rm.q, rm.u, rm.matrix
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, rm.basis_tag)
+    rep1, rep2 = space.parents
+    cop_u, cop_mu = space.coproduct("delta", u), space.coproduct("delta", -u)
+    bar_u, bar_mu = space.coproduct("deltabar", u), space.coproduct("deltabar", -u)
+    qs = cop_u.qs(1)
+    out = {"qs_commute": residual(r @ qs, qs @ r, r, qs)}
+    for name, a, b in (("lower_twisted", cop_u.sm, bar_mu.sm),
+                       ("raise_twisted", cop_u.sp, bar_mu.sp),
+                       ("lower_twisted_bar", bar_u.sm, cop_mu.sm),
+                       ("raise_twisted_bar", bar_u.sp, cop_mu.sp)):
+        out[name] = residual(r @ a, b @ r, r, a, b)
+    qu, c2 = q.pow(u), (q.value - 1 / q.value) ** 2
+    kron = tensorrep.kron
+    qpm = qu * kron(rep1.qs(1), rep2.qs(-1)) + kron(rep1.qs(-1), rep2.qs(1)) / qu
+    qmp = qu * kron(rep1.qs(-1), rep2.qs(1)) + kron(rep1.qs(1), rep2.qs(-1)) / qu
+    k_pm = qpm - c2 * kron(rep1.sm, rep2.sp)
+    k_mp = qmp - c2 * kron(rep1.sp, rep2.sm)
+    out["k_plus_minus"] = residual(r @ k_pm, (qpm - c2 * kron(rep1.sp, rep2.sm)) @ r, r, k_pm)
+    out["k_minus_plus"] = residual(r @ k_mp, (qmp - c2 * kron(rep1.sm, rep2.sp)) @ r, r, k_mp)
+    c_mu, c_bar_u = casimir_matrix(cop_mu), casimir_matrix(bar_u)
+    out["casimir_intertwine"] = residual(c_mu @ r, r @ c_bar_u, r, c_mu, c_bar_u)
+    return out
+
+
+def test_decomposed_residuals_equal_one_residual_per_relation():
+    rng = np.random.default_rng(5)
+    for ell1, ell2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)):
+        for mode, basis in (("xxz", "orthonormal"), ("xxz", "monomial"), ("xxx", "monomial")):
+            q, u = _regular_point(ell1, ell2, rng, mode=mode)
+            rm = assemble_R(ell1, ell2, u, q, basis=basis)
+            # a small R leaves the scale of each residual to its other inputs
+            for scale in (1.0, 1e-3):
+                scaled = dataclasses.replace(rm, matrix=scale * rm.matrix)
+                got = decomposed_residuals(scaled)
+                assert list(got.items()) == list(_reference_decomposed(scaled).items())
+
+
+def _reference_on_slots(op, dims, slots):
+    a, b = slots
+    c = 3 - a - b
+    t = np.einsum("ikjl,mn->ikmjln", op.reshape(dims[a], dims[b], dims[a], dims[b]),
+                  np.eye(dims[c]))
+    perm = [(a, b, c).index(s) for s in range(3)]
+    d = dims[0] * dims[1] * dims[2]
+    return t.transpose(*perm, *(p + 3 for p in perm)).reshape(d, d)
+
+
+@pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)])
+def test_on_slots_equals_the_einsum_reference(slots, rng):
+    dims = (2, 3, 4)
+    n = dims[slots[0]] * dims[slots[1]]
+    op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.array_equal(_on_slots(op, dims, slots), _reference_on_slots(op, dims, slots))
+
+
+def _reference_regular_point(ell1, ell2, rng, min_gap=0.05, mode="xxz"):
+    big_l = ell1 + ell2 + 1
+    top = int(round(2 * min(ell1, ell2)))
+    for _ in range(MAX_DRAWS):
+        q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
+        u = sample_u(rng)
+        if all(abs(qnum(big_l - n + s * u, q)) > min_gap
+               for n in range(1, top + 1) for s in (1, -1)):
+            return q, u
+    raise AssertionError("no regular point")
+
+
+@pytest.mark.parametrize("mode", ["xxz", "xxx"])
+def test_regular_point_accepts_what_the_per_gap_test_accepts(mode):
+    for ell1, ell2 in ((0.0, 1.0), (0.5, 0.5), (1.0, 1.0), (2.5, 2.0)):
+        for min_gap in (0.05, 0.6):
+            got, ref = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(25):
+                assert (_regular_point(ell1, ell2, got, min_gap, mode)
+                        == _reference_regular_point(ell1, ell2, ref, min_gap, mode))
+            assert got.bit_generator.state == ref.bit_generator.state
