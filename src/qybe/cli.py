@@ -11,6 +11,7 @@ import cmath
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -248,10 +249,22 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
     return reports
 
 
+def _hook_value(name: str, kind, default):
+    """The environment hook ``name`` read as ``kind`` (int or float), or
+    ``default`` when it is unset or empty; :class:`ParameterDomainError`
+    unless it is a finite number."""
+    text = os.environ.get(name) or str(default)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ParameterDomainError(f"cannot read {name}={text!r} as {kind.__name__}") from None
+    if not math.isfinite(value):
+        raise ParameterDomainError(f"{name} must be finite (got {text!r})")
+    return value
+
+
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("QYBE_SEED", DEFAULT_SEED))
+    seed = _hook_value("QYBE_SEED", int, DEFAULT_SEED) if args.seed is None else args.seed
     # every suite rejects an --N that is no root-of-unity order, not only the cyclic ones
     order = DeformationParameter.root_of_unity(args.N).order
     kwargs = {"sample_count": args.samples, "rng_seed": seed}
@@ -259,7 +272,7 @@ def _cmd_verify(args) -> int:
         kwargs["abs_tol"] = args.tol
         kwargs["rel_tol"] = args.tol
     cfg = ToleranceConfig(**kwargs)
-    perturb = float(os.environ.get("QYBE_PERTURB", "0") or 0)
+    perturb = _hook_value("QYBE_PERTURB", float, 0.0)
     reports = _run_suite(args.suite, cfg, order, perturb)
     for rep in reports:
         print(rep.line())

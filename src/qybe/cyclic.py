@@ -11,7 +11,7 @@ acts as the identity.  Generators act by
 On a product theta_{k1, k2} every twisted generator moves the weight
 sector (k1 + k2) mod N by one, so the tensor checks run on its N
 sector-transition blocks (:func:`_sector_bands`) and never form the
-dense N^2 x N^2 matrices of :func:`cyclic_space`.
+dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
 from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum, residual
 from .rep import OperatorTriple
-from .tensorrep import ProductSpace, _require_shared_q
+from .tensorrep import _require_shared_q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,24 +52,6 @@ class CyclicRepSpec:
         return (self.alpha + self.beta) / 2
 
 
-def weyl_generators(n: int, q: DeformationParameter | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic pair (X, Z) with Z X = q X Z, X^N = Z^N = 1.
-
-    Z is diagonal in the powers of q; X is the cyclic shift theta_k ->
-    theta_{k+1}.
-    """
-    if q is None:
-        q = DeformationParameter.root_of_unity(n)
-    elif q.order != n:
-        raise ParameterDomainError(f"q is not a root of unity of order {n}")
-    k = np.arange(n)
-    z = np.diag(q.pow(k))
-    x = np.zeros((n, n), complex)
-    x[(k + 1) % n, k] = 1.0
-    return x, z
-
-
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
     """Generator matrices of the cyclic representation on {theta_k}."""
     n, q = spec.n, spec.q
@@ -81,20 +63,6 @@ def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
     weights = k - spec.ell
     return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
                           basis_tag="theta", ell=None, from_monomial=None)
-
-
-def weight_degeneracy(spec: CyclicRepSpec, tol: float = 1e-9) -> dict:
-    """Flags a nilpotent direction: alpha (resp. beta) integral mod N kills
-    an S+ (resp. S-) matrix element, so a highest (lowest) weight appears."""
-    q = spec.q
-    sp_gaps = np.abs(qnum(spec.alpha - np.arange(spec.n), q))
-    sm_gaps = np.abs(qnum(np.arange(spec.n) - spec.beta, q))
-    return {
-        "highest_weight": bool(sp_gaps.min() < tol),
-        "lowest_weight": bool(sm_gaps.min() < tol),
-        "highest_weight_at": int(sp_gaps.argmin()),
-        "lowest_weight_at": int(sm_gaps.argmin()),
-    }
 
 
 def _scalar_part(m: np.ndarray) -> tuple[complex, float]:
@@ -139,20 +107,10 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
 
 
 def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
-    """The factor checks of :func:`cyclic_space`, without building a space."""
+    """Cyclic factors must share their order N, and q with its log branch."""
     if spec1.n != spec2.n:
         raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
     _require_shared_q(spec1.q, spec2.q)
-
-
-def cyclic_space(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> ProductSpace:
-    """The product of two cyclic representations, on the N^2 basis theta_{k1,k2}.
-
-    Its dense coproducts are the reference that the sector bands of
-    :func:`_sector_bands` equal slice for slice.
-    """
-    _require_same_q(spec1, spec2)
-    return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
 
 
 def _sector_bands(rep1: OperatorTriple, rep2: OperatorTriple, u: complex) -> np.ndarray:

@@ -19,6 +19,8 @@ GENERIC_GUARD_BOUND = 64
 MAX_DRAWS = 1000
 _ROOT_GUARD_TOL = 1e-8
 _BRANCH_TOL = 1e-12
+# the smallest |q - 1/q| that qnum divides by
+_QNUM_DEN_TOL = 1e-10
 # Python numbers take the cmath route in pow and qnum; arrays and other
 # scalar types keep numpy's
 _SCALARS = (int, float, complex)
@@ -41,6 +43,8 @@ class ToleranceConfig:
                 f"rel_tol={self.rel_tol})")
         if self.sample_count < 1:
             raise ParameterDomainError("sample_count must be at least 1")
+        if self.rng_seed < 0:
+            raise ParameterDomainError(f"rng_seed must be nonnegative (got {self.rng_seed})")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
@@ -77,8 +81,7 @@ class DeformationParameter:
                 raise ParameterDomainError(f"q is not a root of unity of order {n}")
 
     @classmethod
-    def generic(cls, value: complex, log_branch: complex | None = None
-                ) -> "DeformationParameter":
+    def generic(cls, value: complex) -> "DeformationParameter":
         value = complex(value)
         if value == 0:
             raise ParameterDomainError("q must be nonzero")
@@ -91,8 +94,7 @@ class DeformationParameter:
                     f"q is within {_ROOT_GUARD_TOL:g} of a root of unity of order {n}; "
                     "use root_of_unity or move q")
             w *= value
-        lb = np.log(value) if log_branch is None else complex(log_branch)
-        return cls(value=value, log_branch=lb)
+        return cls(value=value, log_branch=np.log(value))
 
     @classmethod
     def root_of_unity(cls, n: int) -> "DeformationParameter":
@@ -134,7 +136,7 @@ class DeformationParameter:
 RATIONAL = DeformationParameter(value=1 + 0j, log_branch=0j)
 
 
-def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
+def qnum(n, q: DeformationParameter):
     """The q-number [n] = (q^n - q^{-n}) / (q - 1/q); n may be an array.
 
     On the zero log branch (:data:`RATIONAL`) it is its limit n itself.
@@ -144,7 +146,7 @@ def qnum(n, q: DeformationParameter, abs_tol: float = 1e-10):
     if q.log_branch == 0:
         return n
     den = q.value - 1 / q.value
-    if abs(den) < abs_tol:
+    if abs(den) < _QNUM_DEN_TOL:
         raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
     return (q.pow(n) - q.pow(-n)) / den
 

@@ -7,6 +7,7 @@ same square-root entries.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -31,7 +32,6 @@ class OperatorTriple:
     basis_tag: str = "monomial"
     ell: complex | None = None
     from_monomial: np.ndarray | None = None
-    truncated: bool = False
 
     def __post_init__(self):
         for arr in (self.sp, self.sm, self.weights):
@@ -58,39 +58,25 @@ class OperatorTriple:
         return float(r / scale)
 
 
-def _half_integer_or_none(ell) -> int | None:
+def _two_spin(ell) -> int:
+    """2l for a finite spin l, the one place a spin is read; :class:`BadSpin`
+    unless 2l is a nonnegative integer."""
     two_ell = 2 * ell
-    n = int(round(float(np.real(two_ell))))
-    if abs(two_ell - n) > 1e-12 or n < 0:
-        return None
-    return n
+    if cmath.isfinite(two_ell):
+        n = int(round(float(np.real(two_ell))))
+        if abs(two_ell - n) <= 1e-12 and n >= 0:
+            return n
+    raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
 
 
-def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial",
-                   cutoff: int | None = None) -> OperatorTriple:
+def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> OperatorTriple:
     """Spin-ell representation on the (2l+1)-dimensional space.
 
     Monomial basis: S- x^k = [k] x^{k-1}, S+ x^k = [2l-k] x^{k+1},
     q^{aS} x^k = q^{a(k-l)} x^k.  Orthonormal basis: both shift operators
     carry sqrt([k+1][2l-k]) on the sub/superdiagonal.
-
-    A generic (non-half-integer) spin has no top vector; it is served only
-    as a truncation to ``cutoff`` basis vectors, flagged ``truncated``:
-    the raising relation then fails in the top corner (the Casimir is
-    still exactly scalar, since S+ S- never leaves the space).
     """
-    two_ell = _half_integer_or_none(ell)
-    if two_ell is None:
-        if cutoff is None:
-            raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell}); "
-                          "pass a cutoff dimension to truncate a generic spin")
-        d = int(cutoff)
-        if d < 1:
-            raise BadSpin("cutoff must be a positive dimension")
-        truncated = True
-    else:
-        d = two_ell + 1
-        truncated = False
+    d = _two_spin(ell) + 1
     sp = np.zeros((d, d), complex)
     sm = np.zeros((d, d), complex)
     weights = np.arange(d) - ell
@@ -111,8 +97,7 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial",
     else:
         raise ParameterDomainError(f"unknown basis {basis!r}")
     return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
-                          basis_tag=basis, ell=complex(ell), from_monomial=dm,
-                          truncated=truncated)
+                          basis_tag=basis, ell=complex(ell), from_monomial=dm)
 
 
 def casimir_matrix(rep: OperatorTriple) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
 from .qcore import RATIONAL, DeformationParameter, qnum
-from .rep import fundamental_r
+from .rep import _two_spin, fundamental_r
 from .tensorrep import COND_LIMIT, ProductSpace, weight_reversed
 
 POLE_TOL = 1e-8
@@ -39,8 +39,9 @@ class REigenvalues:
 
 
 def _top_sector(ell1, ell2) -> int:
-    """The last sector index, 2 min(l1, l2)."""
-    return int(round(2 * min(float(np.real(ell1)), float(np.real(ell2)))))
+    """The last sector index, 2 min(l1, l2); :class:`BadSpin` unless both
+    are finite spins."""
+    return min(_two_spin(ell1), _two_spin(ell2))
 
 
 def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter,
@@ -48,7 +49,8 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter,
     """R_n for every sector n by the two-term recurrence and by the product form.
 
     At q = :data:`qcore.RATIONAL` the q-numbers are plain numbers, [x] = x.
-    Raises :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
+    Raises :class:`BadSpin` unless both spins are finite, and
+    :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
     """
     if q is None:
         raise ParameterDomainError(
@@ -131,7 +133,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
     entries are transcribed in descending-weight ordering (orthonormal
     single-spin bases) and flipped to the canonical ascending ordering.
     """
-    key = (int(round(2 * float(np.real(ell1)))), int(round(2 * float(np.real(ell2)))))
+    key = (_two_spin(ell1), _two_spin(ell2))
     b = lambda x: qnum(x, q)
     if key == (1, 1):
         m = fundamental_r(u, q) * (r0 / b(u + 1))

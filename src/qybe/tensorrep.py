@@ -12,10 +12,9 @@ import functools
 
 import numpy as np
 
-from .errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
-                     SingularBasis)
+from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError, SingularBasis
 from .qcore import DeformationParameter, _nan_max, qnum
-from .rep import OperatorTriple, _half_integer_or_none, build_spin_rep, casimir_matrix
+from .rep import OperatorTriple, _two_spin, build_spin_rep, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -236,14 +235,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _two_spin(ell) -> int:
-    """2l for a finite spin l; :class:`BadSpin` otherwise."""
-    two_ell = _half_integer_or_none(ell)
-    if two_ell is None:
-        raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
-    return two_ell
-
-
 @functools.lru_cache(maxsize=_SPACE_MEMO_SIZE)
 def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
                 basis: str) -> ProductSpace:
@@ -343,7 +334,11 @@ class SpectralForm:
 def _lowest_weights(ell1, ell2, u: complex, q: DeformationParameter, d1: int, d2: int,
                     barred: bool, count: int) -> np.ndarray:
     """Rows n < count: the monomial coefficients of the degree-n
-    lowest-weight polynomial, all from one product recurrence."""
+    lowest-weight polynomial, all from one product recurrence.
+
+    The unbarred polynomial is the product over i = 1..n of
+    (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one replaces q by 1/q.
+    """
     s = -1.0 if barred else 1.0
     c = np.zeros((count, d1, d2), complex)
     c[0, 0, 0] = 1.0
@@ -354,16 +349,6 @@ def _lowest_weights(ell1, ell2, u: complex, q: DeformationParameter, d1: int, d2
         c[i, 1:, :] += a * c[i - 1, :-1, :]
         c[i, :, 1:] -= b * c[i - 1, :, :-1]
     return c.reshape(count, d1 * d2)
-
-
-def lowest_weight_coeffs(ell1, ell2, n: int, u: complex, q: DeformationParameter,
-                         d1: int, d2: int, barred: bool = False) -> np.ndarray:
-    """Monomial coefficients of the degree-n lowest-weight polynomial.
-
-    The unbarred vector is the product over i = 1..n of
-    (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one replaces q by 1/q.
-    """
-    return _lowest_weights(ell1, ell2, u, q, d1, d2, barred, n + 1)[n]
 
 
 @dataclasses.dataclass(frozen=True)

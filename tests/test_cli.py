@@ -271,6 +271,21 @@ def test_verify_perturbation_hook_fails(monkeypatch):
     assert main(["verify", "unitarity", "--samples", "2", "--seed", "5"]) == 1
 
 
+@pytest.mark.parametrize("env,argv", [
+    ({}, ["--seed", "-1"]), ({"QYBE_SEED": "abc"}, []), ({"QYBE_SEED": "-1"}, []),
+    ({"QYBE_SEED": "1.5"}, []), ({"QYBE_PERTURB": "abc"}, []), ({"QYBE_PERTURB": "inf"}, []),
+    ({"QYBE_PERTURB": "nan"}, [])])
+def test_bad_seed_or_hook_is_validation_error(env, argv, monkeypatch, capsys):
+    for name in ("QYBE_SEED", "QYBE_PERTURB"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["verify", "ybe", "--samples", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "identities passed" not in captured.out
+
+
 def test_json_round_trip_is_byte_identical(tmp_path):
     doc = matrix_document(np.array([[0.25 + 1j, 2.0], [-3.5, 0.0]]),
                           {"q": [0.3, 0.4], "seed": 42})

@@ -3,11 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-from qybe import (CyclicRepSpec, build_cyclic_rep, central_elements,
-                  cyclic_R_eigenvalues, cyclic_space, eigenstate_family,
-                  family_closure_defect, family_ratio, partial_R, qnum,
-                  sample_compatible_params, shift_prefactor,
-                  tensor_power_scalars, weight_degeneracy, weyl_generators)
+from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, central_elements,
+                  cyclic_R_eigenvalues, eigenstate_family, family_closure_defect,
+                  family_ratio, partial_R, qnum, sample_compatible_params, shift_prefactor,
+                  tensor_power_scalars)
 from qybe import cyclic
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
@@ -20,21 +19,35 @@ def _random_spec(n, rng, scale=0.5):
     return CyclicRepSpec(*sample_params(rng, 3, scale), n)
 
 
+def cyclic_space(spec1, spec2):
+    """The dense reference: the product space of two cyclic representations,
+    on the N^2 basis theta_{k1, k2}, whose coproducts the sector bands slice."""
+    cyclic._require_same_q(spec1, spec2)
+    return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
+
+
 @pytest.mark.parametrize("n", [3, 5])
-def test_weyl_pair(n):
+def test_weyl_pair(n, rng):
+    """The Weyl pair X theta_k = theta_{k+1}, Z theta_k = q^k theta_k, and the
+    cyclic generators written in it: S+ = X D+, S- = X^-1 D- with D+- diagonal,
+    and q^S = q^-l Z."""
     q = DeformationParameter.root_of_unity(n)
-    x, z = weyl_generators(n)
+    x = np.roll(np.eye(n), 1, axis=0)
+    z = np.diag(q.value ** np.arange(n))
     assert np.abs(z @ x - q.value * x @ z).max() < 1e-12
     assert np.allclose(np.linalg.matrix_power(x, n), np.eye(n), atol=1e-12)
     assert np.allclose(np.linalg.matrix_power(z, n), np.eye(n), atol=1e-12)
-    for k in range(n):
-        assert np.allclose(x[:, k], np.eye(n)[:, (k + 1) % n])   # X theta_k = theta_{k+1}
-        assert z[k, k] == pytest.approx(q.value**k)              # Z theta_k = q^k theta_k
+    spec = _random_spec(n, rng)
+    rep = build_cyclic_rep(spec)
+    for shift, gen in ((x, rep.sp), (x.T, rep.sm)):
+        diag = shift.T @ gen
+        assert np.count_nonzero(diag - np.diag(np.diagonal(diag))) == 0
+    assert np.allclose(rep.qs(1), spec.q.pow(-spec.ell) * z, atol=1e-12)
 
 
 def test_weyl_wrong_mode(q_generic):
     with pytest.raises(ParameterDomainError, match="order 3"):
-        weyl_generators(3, q_generic)
+        CyclicRepSpec(0.1, 0.2, 0.3, 3, q=q_generic)
 
 
 def test_even_order_rejected():
@@ -78,10 +91,11 @@ def test_integral_beta_gives_lowest_weight(rng):
     spec = CyclicRepSpec(complex(rng.normal(), rng.normal()), 0.0,
                          complex(rng.normal(), rng.normal()), n)
     rep = build_cyclic_rep(spec)
-    assert abs(rep.sm[(0 - 1) % n, 0]) < 1e-12     # S- kills theta_0
-    flags = weight_degeneracy(spec)
-    assert flags["lowest_weight"] and flags["lowest_weight_at"] == 0
-    assert not flags["highest_weight"]
+    k = np.arange(n)
+    lowering = np.abs(rep.sm[(k - 1) % n, k])
+    raising = np.abs(rep.sp[(k + 1) % n, k])
+    assert lowering[0] < 1e-12 and lowering[1:].min() > 1e-9    # S- kills theta_0 only
+    assert raising.min() > 1e-9                                 # no highest weight
 
 
 def test_qs_power_is_scalar(rng):
@@ -142,7 +156,7 @@ def test_cyclic_tensor_untwisted_limit(rng):
 
 def test_order_mismatch(rng):
     with pytest.raises(OrderMismatch):
-        cyclic_space(_random_spec(3, rng), _random_spec(5, rng))
+        tensor_power_scalars(_random_spec(3, rng), _random_spec(5, rng), 0.1)
 
 
 @pytest.mark.parametrize("n", [3, 5])

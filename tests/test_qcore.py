@@ -189,6 +189,12 @@ def test_tolerance_config_validation():
         ToleranceConfig(sample_count=0)
 
 
+def test_tolerance_config_rejects_a_negative_seed():
+    with pytest.raises(ParameterDomainError, match="rng_seed must be nonnegative"):
+        ToleranceConfig(rng_seed=-1)
+    assert ToleranceConfig(rng_seed=0).rng_seed == 0
+
+
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_tolerance_config_rejects_nonfinite(field, value):
@@ -281,7 +287,10 @@ def test_nonfinite_q_rejected(value, log_branch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterDomainError, match="finite"):
-            DeformationParameter.generic(value, log_branch=log_branch)
+            if log_branch is None:
+                DeformationParameter.generic(value)
+            else:
+                DeformationParameter(value=complex(value), log_branch=log_branch)
 
 
 def test_nonfinite_q_rejected_on_direct_construction():

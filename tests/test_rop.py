@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import qybe.rop as rop
 from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
-from qybe.errors import (ParameterDomainError, PoleAtSector, QybeError, SingularBasis,
-                         UnsupportedPair)
+from qybe.errors import (BadSpin, ParameterDomainError, PoleAtSector, QybeError,
+                         SingularBasis, UnsupportedPair)
 from qybe.qcore import sample_generic_q, sample_u
 from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space, kron
 from qybe.verify import _regular_point, decomposed_residuals, residual
@@ -259,6 +260,33 @@ def test_u_zero_squares_to_identity(q_generic):
 def test_unsupported_pair(q_generic):
     with pytest.raises(UnsupportedPair):
         closed_form_R(1.5, 1.0, 0.3, q_generic)
+
+
+def _bad_spin_message(ell):
+    return re.escape(f"2*ell must be a nonnegative integer (got ell={ell})")
+
+
+def test_closed_form_rejects_a_spin_that_is_not_half_an_integer(q_generic):
+    """Rounding 2l would serve the spin-1/2 table for (0.7, 0.6)."""
+    with pytest.raises(BadSpin, match=_bad_spin_message(0.7)):
+        closed_form_R(0.7, 0.6, 0.3, q_generic)
+    with pytest.raises(BadSpin, match=_bad_spin_message(0.6)):
+        closed_form_R(0.5, 0.6, 0.3, RATIONAL)
+
+
+@pytest.mark.parametrize("ell1,ell2,bad", [(0.7, 1.3, 0.7), (-0.5, 1, -0.5), (1, 0.3, 0.3)])
+def test_eigenvalue_sequence_rejects_a_bad_spin(ell1, ell2, bad, q_generic):
+    for q in (q_generic, RATIONAL):
+        with pytest.raises(BadSpin, match=_bad_spin_message(bad)):
+            eigenvalue_sequence(ell1, ell2, 0.3, q)
+
+
+@pytest.mark.parametrize("mode", ["xxz", "xxx"])
+@pytest.mark.parametrize("ell1,ell2,bad", [(0.7, 1.0, 0.7), (1.0, 0.3, 0.3), (-0.5, 1.0, -0.5)])
+def test_assemble_R_rejects_a_bad_spin(ell1, ell2, bad, mode, q_generic):
+    with pytest.raises(BadSpin) as exc:
+        assemble_R(ell1, ell2, 0.3, q_generic, mode=mode)
+    assert str(exc.value) == f"2*ell must be a nonnegative integer (got ell={bad})"
 
 
 def test_singular_basis_guard(monkeypatch, q_generic):
