@@ -7,8 +7,7 @@ from .qcore import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig,
                     phi_product, qnum)
 from .rep import OperatorTriple, build_lax, build_spin_rep, casimir_matrix, fundamental_r
 from .tensorrep import CasimirSpectrumReport, ProductSpace, tensor_casimir, weight_reversed
-from .rop import (REigenvalues, RMatrix, assemble_R, closed_form_R, eigenvalue_sequence,
-                  normalize_global)
+from .rop import RMatrix, assemble_R, closed_form_R, eigenvalue_sequence, normalize_global
 from .cyclic import (CentralElements, CyclicEigenFamily, CyclicRepSpec, PartialR,
                      build_cyclic_rep, central_elements, cyclic_R_eigenvalues,
                      eigenstate_family, family_closure_defect, family_ratio, partial_R,
@@ -20,7 +19,7 @@ __all__ = [
     "RATIONAL", "DeformationParameter", "PhiProduct", "ToleranceConfig", "phi_product", "qnum",
     "OperatorTriple", "build_lax", "build_spin_rep", "casimir_matrix", "fundamental_r",
     "CasimirSpectrumReport", "ProductSpace", "tensor_casimir", "weight_reversed",
-    "REigenvalues", "RMatrix", "assemble_R", "closed_form_R",
+    "RMatrix", "assemble_R", "closed_form_R",
     "eigenvalue_sequence", "normalize_global",
     "CentralElements", "CyclicEigenFamily", "CyclicRepSpec", "PartialR",
     "build_cyclic_rep", "central_elements", "cyclic_R_eigenvalues",

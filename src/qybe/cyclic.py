@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
-from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum, residual
+from .qcore import (MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum, residual,
+                    sample_params)
 from .rep import OperatorTriple
 from .tensorrep import _require_shared_q
 
@@ -316,18 +317,19 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                              shift_residuals=resids)
 
 
-def sample_compatible_params(n: int, rng: np.random.Generator,
-                             scale: float = 0.5) -> tuple[CyclicRepSpec, CyclicRepSpec, complex]:
+def sample_compatible_params(n: int, rng: np.random.Generator
+                             ) -> tuple[CyclicRepSpec, CyclicRepSpec, complex]:
     """Random parameters satisfying the closure conditions of both families.
 
-    Draws alpha_1, alpha_2, beta_1, lam_1 freely, sets lam_2 - lam_1 to an
-    integer and u to a half-integer, then solves for beta_2 so that the
-    family ratios are N-th roots of unity (this also keeps the families at
-    -u on the admissible set, which the partial R construction needs).
+    Draws alpha_1, alpha_2, beta_1, lam_1 with :func:`qcore.sample_params`,
+    sets lam_2 - lam_1 to an integer and u to a half-integer, then solves
+    for beta_2 so that the family ratios are N-th roots of unity (this also
+    keeps the families at -u on the admissible set, which the partial R
+    construction needs).
     Integer choices with coinciding barred/unbarred ratios at u or -u are
     rejected so the two families stay linearly independent.
     """
-    a1, a2, b1, l1 = (complex(rng.normal(0, scale), rng.normal(0, scale)) for _ in range(4))
+    a1, a2, b1, l1 = sample_params(rng, 4)
     for _ in range(MAX_DRAWS):
         d = int(rng.integers(-2, 3))
         u = int(rng.integers(-3, 4)) / 2
@@ -341,13 +343,12 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
     raise SamplerExhausted(f"compatible cyclic parameters at N={n}", MAX_DRAWS)
 
 
-def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                         r0: complex = 1.0) -> np.ndarray:
-    """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)} R_0."""
+def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> np.ndarray:
+    """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1."""
     _require_same_q(spec1, spec2)
     q = spec1.q
     step = q.pow(2 - u + spec2.alpha - spec2.beta - spec1.lam)
-    return np.array([r0 * step**m for m in range(spec1.n)])
+    return np.array([step**m for m in range(spec1.n)])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,15 +359,14 @@ class PartialR:
     eigenvalues: np.ndarray
 
 
-def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-              r0: complex = 1.0, tol: float = 1e-9) -> PartialR:
+def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> PartialR:
     """R on the span of the 2N family vectors, mapping phi_m(u) -> R_m phibar_m(-u)
     and phibar_m(u) -> R_m phi_m(-u).
 
     The family vectors are those of :func:`eigenstate_family`, built from
     the family ratios alone, with no product space.  The solve is exact on
     the joint span (pseudo-inverse of a full-column-rank stack); a residual
-    above tolerance (or NaN) means the prescribed images contradict a linear
+    above 1e-9 (or NaN) means the prescribed images contradict a linear
     dependence among the inputs.
     """
     _require_same_q(spec1, spec2)
@@ -374,7 +374,7 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     phi_u, phibar_u, phi_mu, phibar_mu = (
         _family_vectors(n, family_ratio(spec1, spec2, x, barred))
         for x in (u, -u) for barred in (False, True))
-    r_m = cyclic_R_eigenvalues(spec1, spec2, u, r0)
+    r_m = cyclic_R_eigenvalues(spec1, spec2, u)
     v = np.concatenate([phi_u, phibar_u]).T
     w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
     # one SVD gives the rank and numpy's pinv, step by step
@@ -383,7 +383,7 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
     mat = w @ (right.T @ (inv[:, None] * left.T))
     resid = residual(mat @ v, w, w)
-    if not resid <= tol:
+    if not resid <= 1e-9:
         raise InconsistentConstraints(
             resid, rank,
             f"defining relations conflict on the joint span (residual {resid:.3e})")

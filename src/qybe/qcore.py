@@ -120,10 +120,6 @@ class DeformationParameter:
             return np.exp(w)
         return np.exp(np.asarray(z) * self.log_branch) if np.ndim(z) else np.exp(z * self.log_branch)
 
-    def inverse(self) -> "DeformationParameter":
-        """The parameter 1/q with the matching branch -log q."""
-        return dataclasses.replace(self, value=1 / self.value, log_branch=-self.log_branch)
-
     def with_branch_shift(self, k: int = 1) -> "DeformationParameter":
         """Same q, log branch moved by 2 pi i k (for single-valuedness tests)."""
         return dataclasses.replace(self, log_branch=self.log_branch + 2j * np.pi * k)
@@ -226,6 +222,7 @@ def sample_u(rng: np.random.Generator, scale: float = 1.2) -> complex:
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
 
-def sample_params(rng: np.random.Generator, count: int = 1, scale: float = 0.5) -> list[complex]:
-    """Moderate complex parameter draws (keeps root-of-unity powers well scaled)."""
-    return [complex(rng.normal(0, scale), rng.normal(0, scale)) for _ in range(count)]
+def sample_params(rng: np.random.Generator, count: int = 1) -> list[complex]:
+    """Moderate complex parameter draws, each part normal with deviation 0.5
+    (keeps root-of-unity powers well scaled)."""
+    return [complex(rng.normal(0, 0.5), rng.normal(0, 0.5)) for _ in range(count)]

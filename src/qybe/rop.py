@@ -22,31 +22,14 @@ from .tensorrep import COND_LIMIT, ProductSpace, weight_reversed
 POLE_TOL = 1e-8
 
 
-@dataclasses.dataclass(frozen=True)
-class REigenvalues:
-    """Sector eigenvalues from the recurrence, plus the closed product route."""
-
-    values: tuple
-    product_values: tuple
-    r0: complex
-    ell1: complex
-    ell2: complex
-    u: complex
-
-    @property
-    def ratios(self) -> tuple:
-        return tuple(v / self.r0 for v in self.values)
-
-
 def _top_sector(ell1, ell2) -> int:
     """The last sector index, 2 min(l1, l2); :class:`BadSpin` unless both
     are finite spins."""
     return min(_two_spin(ell1), _two_spin(ell2))
 
 
-def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter,
-                        r0: complex = 1.0) -> REigenvalues:
-    """R_n for every sector n by the two-term recurrence and by the product form.
+def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tuple:
+    """R_n for every sector n by the two-term recurrence, with R_0 = 1.
 
     At q = :data:`qcore.RATIONAL` the q-numbers are plain numbers, [x] = x.
     Raises :class:`BadSpin` unless both spins are finite, and
@@ -56,20 +39,13 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter,
         raise ParameterDomainError(
             "the eigenvalues need a deformation parameter (RATIONAL for the rational point)")
     big_l = ell1 + ell2 + 1
-    vals = [complex(r0)]
-    num_prod, den_prod = 1.0 + 0j, 1.0 + 0j
-    prods = [complex(r0)]
+    vals = [1.0 + 0j]
     for n in range(1, _top_sector(ell1, ell2) + 1):
         den = qnum(big_l - n + u, q)
         if abs(den) < POLE_TOL:
             raise PoleAtSector(n)
-        num = qnum(big_l - n - u, q)
-        vals.append(-vals[-1] * num / den)
-        num_prod *= num
-        den_prod *= den
-        prods.append((-1) ** n * r0 * num_prod / den_prod)
-    return REigenvalues(values=tuple(vals), product_values=tuple(prods), r0=complex(r0),
-                        ell1=complex(ell1), ell2=complex(ell2), u=complex(u))
+        vals.append(-vals[-1] * qnum(big_l - n - u, q) / den)
+    return tuple(vals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,7 +56,11 @@ class RMatrix:
     ell1: complex
     ell2: complex
     basis_tag: str
-    normalization: str
+
+    @property
+    def normalization(self) -> str:
+        """Every R is normalised by its sector-0 eigenvalue, R_0 = 1."""
+        return "R_0 = 1.0"
 
     @property
     def dim(self) -> int:
@@ -94,7 +74,7 @@ class RMatrix:
 
 
 def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
-               mode: str = "xxz", r0: complex = 1.0, basis: str = "orthonormal") -> RMatrix:
+               mode: str = "xxz", basis: str = "orthonormal") -> RMatrix:
     """Solve the spectral problem for the R-matrix on the tensor product.
 
     Columns of the unbarred eigenvector family at u are mapped to the
@@ -106,26 +86,32 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     R(u) = T_u (sum_b PhiBar_b D(u) Phi_b^{-1}) T_u^{-1} is evaluated from
     the :class:`SpectralForm` of :meth:`ProductSpace.of_spins`, one weight
     block b at a time; calls at one (spins, q, basis) share that form.
+    Where |u| is so large that a power of q overflows, the matrix is not
+    finite and :class:`ParameterDomainError` names the spins and u.
     """
     if mode == "xxx":
         q, basis = RATIONAL, "monomial"
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
-    eig = eigenvalue_sequence(ell1, ell2, u, q, r0)
-    space = ProductSpace.of_spins(ell1, ell2, q, basis)
-    form = space.spectral_form()
-    layout = form.layout
-    layout.require_conditioned(form.cond, COND_LIMIT)
-    blocks = (form.left * np.asarray(eig.values)) @ form.right
-    d = space.weights.size
-    m = np.zeros(d * d, complex)
-    m[layout.dst] = blocks[layout.inside] * space.q.pow(eig.u * layout.twist)
-    return RMatrix(matrix=m.reshape(d, d), u=eig.u, q=q, ell1=eig.ell1, ell2=eig.ell2,
-                   basis_tag=basis, normalization=f"R_0 = {r0}")
+    u = complex(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig = eigenvalue_sequence(ell1, ell2, u, q)
+        space = ProductSpace.of_spins(ell1, ell2, q, basis)
+        form = space.spectral_form()
+        layout = form.layout
+        layout.require_conditioned(form.cond, COND_LIMIT)
+        blocks = (form.left * np.asarray(eig)) @ form.right
+        d = space.weights.size
+        m = np.zeros(d * d, complex)
+        m[layout.dst] = blocks[layout.inside] * space.q.pow(u * layout.twist)
+    if not np.isfinite(m).all():
+        raise ParameterDomainError(
+            f"R is not finite at spins ({ell1}, {ell2}), u = {u}: a power of q overflows")
+    return RMatrix(matrix=m.reshape(d, d), u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
+                   basis_tag=basis)
 
 
-def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
-                  r0: complex = 1.0) -> RMatrix:
+def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
     """Tabulated matrices for the pairs (1/2,1/2), (1/2,1), (1,1), at any q
     including the rational point :data:`qcore.RATIONAL`.
 
@@ -136,7 +122,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
     key = (_two_spin(ell1), _two_spin(ell2))
     b = lambda x: qnum(x, q)
     if key == (1, 1):
-        m = fundamental_r(u, q) * (r0 / b(u + 1))
+        m = fundamental_r(u, q) / b(u + 1)
         tag = "monomial"
     elif key == (1, 2):
         s = np.sqrt(qnum(1, q) * qnum(2, q))
@@ -145,7 +131,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
         m[1, 1] = m[4, 4] = b(u + 0.5)
         m[2, 2] = m[3, 3] = b(u - 0.5)
         m[1, 3] = m[3, 1] = m[2, 4] = m[4, 2] = s
-        m *= r0 / b(u + 1.5)
+        m /= b(u + 1.5)
         tag = "orthonormal"
     elif key == (2, 2):
         m = np.zeros((9, 9), complex)
@@ -156,12 +142,12 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter,
         m[2, 4] = m[4, 2] = m[4, 6] = m[6, 4] = b(2) * b(u)
         m[2, 6] = m[6, 2] = b(2)
         m[4, 4] = b(u) * b(u + 1) + b(2)
-        m *= r0 / (b(u + 1) * b(u + 2))
+        m /= b(u + 1) * b(u + 2)
         tag = "orthonormal"
     else:
         raise UnsupportedPair(f"no tabulated matrix for spins ({ell1}, {ell2})")
     return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, ell1=complex(ell1),
-                   ell2=complex(ell2), basis_tag=tag, normalization=f"R_0 = {r0}")
+                   ell2=complex(ell2), basis_tag=tag)
 
 
 def normalize_global(m: np.ndarray) -> np.ndarray:

@@ -183,10 +183,9 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
 # ---------------------------------------------------------------------------
 # decomposed relations for an assembled R
 
-def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, float]:
+def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     """Residuals of the eight relations an intertwining R must satisfy, on
-    the :class:`ProductSpace` of R's spins in ``basis`` (R's own basis by
-    default).
+    the :class:`ProductSpace` of R's spins in R's own basis.
 
     Each relation X Y = Z W is one slice of a stacked matmul pair, and each
     distinct input gets one abs-max.  :func:`qcore.residual` of those
@@ -194,7 +193,7 @@ def decomposed_residuals(rm: RMatrix, basis: str | None = None) -> dict[str, flo
     """
     q = rm.q
     u = rm.u
-    space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, basis or rm.basis_tag)
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, rm.basis_tag)
     rep1, rep2 = space.parents
     cop_u = space.coproduct("delta", u)
     cop_mu = space.coproduct("delta", -u)
@@ -278,7 +277,7 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
 
 
 def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
-    """Eigenvalue ratios are unchanged when log q moves by 2 pi i at fixed
+    """The sector eigenvalues (R_0 = 1) are unchanged when log q moves by 2 pi i at fixed
     spectral power q^u (sampled on and off the unit circle).
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
@@ -293,8 +292,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
             shifted_q = q.with_branch_shift(1)
             shifted_u = u * q.log_branch / shifted_q.log_branch
             try:
-                base = np.array(eigenvalue_sequence(ell1, ell2, u, q).ratios)
-                shifted = np.array(eigenvalue_sequence(ell1, ell2, shifted_u, shifted_q).ratios)
+                base = np.array(eigenvalue_sequence(ell1, ell2, u, q))
+                shifted = np.array(eigenvalue_sequence(ell1, ell2, shifted_u, shifted_q))
                 break
             except PoleAtSector:
                 continue

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qybe import DeformationParameter, ToleranceConfig
+from qybe import DeformationParameter, ToleranceConfig, qnum
+from qybe.rop import _top_sector
 from qybe.tensorrep import _spin_space
 
 
@@ -25,3 +28,21 @@ def cfg():
 @pytest.fixture
 def q_generic():
     return DeformationParameter.generic(np.exp(0.17 + 0.59j))
+
+
+def q_inverse(q: DeformationParameter) -> DeformationParameter:
+    """The parameter 1/q with the matching branch -log q."""
+    return dataclasses.replace(q, value=1 / q.value, log_branch=-q.log_branch)
+
+
+def product_values(ell1, ell2, u, q) -> list:
+    """Reference for ``eigenvalue_sequence``: the closed product
+    R_n = (-1)^n prod_{k=1}^n [L-k-u] / prod_{k=1}^n [L-k+u], L = l1+l2+1, R_0 = 1."""
+    big_l = ell1 + ell2 + 1
+    num_prod, den_prod = 1.0 + 0j, 1.0 + 0j
+    prods = [1.0 + 0j]
+    for n in range(1, _top_sector(ell1, ell2) + 1):
+        num_prod *= qnum(big_l - n - u, q)
+        den_prod *= qnum(big_l - n + u, q)
+        prods.append((-1) ** n * num_prod / den_prod)
+    return prods

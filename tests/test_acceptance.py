@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import numpy as np
 
+from conftest import product_values, q_inverse
 from qybe import (RATIONAL, CyclicRepSpec, ProductSpace, ToleranceConfig, assemble_R,
                   closed_form_R, build_spin_rep, eigenvalue_sequence, normalize_global)
 from qybe.cli import GOLDEN_PAIRS
@@ -60,12 +61,12 @@ def test_criterion_4_recurrence_vs_product():
             q, u = _regular_point(ell1, ell2, rng)
             seqs = [eigenvalue_sequence(ell1, ell2, u, q),
                     eigenvalue_sequence(ell1, ell2, u, RATIONAL)]
-            if max(abs(v) for e in seqs for v in e.values) > 50:
+            if max(abs(v) for e in seqs for v in e) > 50:
                 continue
             done += 1
-            for eig in seqs:
-                worst = _nan_max(worst, *(abs(a - b) for a, b in
-                                          zip(eig.values, eig.product_values)))
+            for eig, point_q in zip(seqs, (q, RATIONAL)):
+                product = product_values(ell1, ell2, u, point_q)
+                worst = _nan_max(worst, *(abs(a - b) for a, b in zip(eig, product)))
     _criterion(4, "eigenvalue recurrence vs closed product, spins <= 3", worst, 1e-12)
 
 
@@ -125,12 +126,12 @@ def test_criterion_10_property_suite():
     # q <-> 1/q invariance of the eigenvalues
     for _ in range(5):
         q, u = _regular_point(1.0, 1.5, rng)
-        a = eigenvalue_sequence(1.0, 1.5, u, q).values
-        b = eigenvalue_sequence(1.0, 1.5, u, q.inverse()).values
+        a = eigenvalue_sequence(1.0, 1.5, u, q)
+        b = eigenvalue_sequence(1.0, 1.5, u, q_inverse(q))
         worst = _nan_max(worst, *(abs(x - y) for x, y in zip(a, b)))
     # u = 0 alternating signs
     q0 = sample_generic_q(rng)
-    vals = eigenvalue_sequence(2.0, 2.0, 0.0, q0).values
+    vals = eigenvalue_sequence(2.0, 2.0, 0.0, q0)
     worst = _nan_max(worst, *(abs(v - (-1.0) ** n) for n, v in enumerate(vals)))
     # product-formula lowest weights against the SVD null-space oracle
     for pair in GOLDEN_PAIRS:

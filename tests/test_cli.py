@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ def test_rmatrix_at_pole(tmp_path, capsys):
     assert "sector 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spin,u", [("1", "1000"), ("3", "200")])
+def test_rmatrix_overflow_is_validation_error(spin, u, tmp_path, capsys):
+    """Where a power of q overflows, rmatrix writes no NaN document: it exits 2
+    and warns of nothing on the way."""
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rmatrix", "--l1", spin, "--l2", spin, "--u", u, "--q", "0.3+0.4i",
+                     "--out", str(out)])
+    assert code == 2
+    assert f"spins ({spin}.0, {spin}.0), u = ({u}+0j)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_suite_passes(tmp_path):
     report = tmp_path / "rep.json"
     code = main(["verify", "unitarity", "--seed", "42", "--samples", "3",
@@ -255,6 +270,21 @@ def test_verify_rejects_a_bad_order_in_every_suite(argv, capsys):
     captured = capsys.readouterr()
     assert "N must be odd and at least 3" in captured.err
     assert "identities passed" not in captured.out
+
+
+def test_verify_order_at_the_bound_passes():
+    assert main(["verify", "cyclic", "--N", str(cli.MAX_ORDER), "--samples", "1",
+                 "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["cyclic", "ybe", "all"])
+def test_verify_order_above_the_bound_rejected(suite, monkeypatch, capsys):
+    """The next odd N exits 2 before any suite runs."""
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "_run_suite", no_suite)
+    assert main(["verify", suite, "--N", str(cli.MAX_ORDER + 2), "--samples", "1"]) == 2
+    assert f"at most {cli.MAX_ORDER}" in capsys.readouterr().err
 
 
 def test_verify_seed_env_default(tmp_path, monkeypatch):

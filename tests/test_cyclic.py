@@ -15,8 +15,8 @@ from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
 from qybe.qcore import MAX_DRAWS, DeformationParameter, sample_params, sample_u
 
 
-def _random_spec(n, rng, scale=0.5):
-    return CyclicRepSpec(*sample_params(rng, 3, scale), n)
+def _random_spec(n, rng):
+    return CyclicRepSpec(*sample_params(rng, 3), n)
 
 
 def cyclic_space(spec1, spec2):
@@ -357,8 +357,8 @@ def test_cyclic_eigenvalue_geometry(rng):
     s1 = CyclicRepSpec(*sample_params(rng, 3), n)
     s2 = CyclicRepSpec(*sample_params(rng, 3), n)
     u = sample_u(rng)
-    vals = cyclic_R_eigenvalues(s1, s2, u, r0=2.0)
-    assert vals[0] == pytest.approx(2.0)
+    vals = cyclic_R_eigenvalues(s1, s2, u)
+    assert vals[0] == 1.0
     step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
     for m in range(1, n):
         assert vals[m] / vals[m - 1] == pytest.approx(step)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +38,37 @@ def _called_names(source: str) -> set[str]:
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
 
 
+def _callers() -> list[str]:
+    """The sources a public name needs a caller in: the package and the README examples."""
+    return ([path.read_text(encoding="utf-8") for path in Path(qybe.__file__).parent.glob("*.py")]
+            + _readme_python_blocks())
+
+
 def test_every_public_function_has_a_caller():
     """Each function in qybe.__all__ is called in the package or in a README example."""
-    called = set()
-    for path in Path(qybe.__file__).parent.glob("*.py"):
-        called |= _called_names(path.read_text(encoding="utf-8"))
-    for block in _readme_python_blocks():
-        called |= _called_names(block)
+    called = set().union(*map(_called_names, _callers()))
     functions = {name for name in qybe.__all__ if inspect.isfunction(getattr(qybe, name))}
     assert len(functions) > 10
     assert sorted(functions - called) == []
+
+
+# the reference check that the tests compare the algebra relations against
+NO_CALLER_NEEDED = {"OperatorTriple.algebra_residual"}
+
+
+def test_every_public_method_and_property_has_a_caller():
+    """Each public method or property of a class in qybe.__all__ is read, as
+    obj.name, in the package or in a README example."""
+    read = {node.attr for source in _callers() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    kinds = (property, classmethod, staticmethod, types.FunctionType)
+    members = {f"{name}.{attr}": attr for name in qybe.__all__
+               if inspect.isclass(cls := getattr(qybe, name))
+               for attr, value in vars(cls).items()
+               if isinstance(value, kinds) and not attr.startswith("_")}
+    assert len(members) > 20
+    assert sorted(m for m, attr in members.items()
+                  if attr not in read and m not in NO_CALLER_NEEDED) == []
 
 
 def test_readme_quick_tour_runs():

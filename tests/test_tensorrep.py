@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import q_inverse
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
                   build_spin_rep, casimir_matrix, qnum, tensor_casimir, weight_reversed)
 from qybe import tensorrep
@@ -222,7 +223,7 @@ def test_descent_laws(pair, rng):
 def test_barred_vectors_are_inverse_parameter_twins(rng):
     q = sample_generic_q(rng)
     u = sample_u(rng)
-    qi = q.inverse()
+    qi = q_inverse(q)
     for n in range(3):
         direct = _lowest_weights(1.0, 1.0, u, q, 3, 3, True, n + 1)[n]
         via_inverse = _lowest_weights(1.0, 1.0, u, qi, 3, 3, False, n + 1)[n]

@@ -162,7 +162,8 @@ def test_decomposed_residuals_on_tabulated_matrix(rng):
     q = sample_generic_q(rng)
     u = 0.41 - 0.17j
     table = closed_form_R(0.5, 0.5, u, q)
-    res = decomposed_residuals(table, basis="monomial")
+    assert table.basis_tag == "monomial"
+    res = decomposed_residuals(table)
     assert max(res.values()) < 1e-10
     assert res["qs_commute"] < 1e-14
 
