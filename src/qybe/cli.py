@@ -32,7 +32,8 @@ from .verify import _c2l
 
 DEFAULT_SEED = 42
 # the largest root-of-unity order whose cyclic suites pass at 10 samples for
-# every seed 0-11; at N = 21 cyclic_centrality reaches 1.5e-10 against 1e-10
+# every seed 0-11; at N = 21 cyclic_centrality reaches 1.5e-10 against 1e-10.
+# It bounds `rep --cyclic --N` too, whose documents grow as N^2.
 MAX_ORDER = 19
 
 EXIT_OK = 0
@@ -136,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--basis", choices=["monomial", "orthonormal"], default=None,
                      help="single-spin basis (default: monomial)")
     rep.add_argument("--cyclic", action="store_true", help="build a cyclic representation")
-    rep.add_argument("--N", type=int, help="root-of-unity order (cyclic mode)")
+    rep.add_argument("--N", type=int,
+                     help=f"root-of-unity order (cyclic mode; odd, 3 to {MAX_ORDER})")
     rep.add_argument("--alpha", type=parse_complex, help="cyclic parameter (default 0)")
     rep.add_argument("--beta", type=parse_complex, help="cyclic parameter (default 0)")
     rep.add_argument("--lam", type=parse_complex, help="cyclic parameter (default 0)")
@@ -168,6 +170,15 @@ _SPIN_FLAGS = ("ell", "q", "basis")
 _CYCLIC_FLAGS = ("N", "alpha", "beta", "lam")
 
 
+def _order(n: int) -> int:
+    """``--N`` as a root-of-unity order, odd and 3 to :data:`MAX_ORDER`;
+    :class:`ParameterDomainError` otherwise, before anything of size N is built."""
+    order = DeformationParameter.root_of_unity(n).order
+    if order > MAX_ORDER:
+        raise ParameterDomainError(f"--N must be at most {MAX_ORDER} (got {order})")
+    return order
+
+
 def _cmd_rep(args) -> int:
     out: Path = args.out
     foreign = [f"--{name}" for name in (_SPIN_FLAGS if args.cyclic else _CYCLIC_FLAGS)
@@ -181,7 +192,7 @@ def _cmd_rep(args) -> int:
             print("error: --cyclic requires --N", file=sys.stderr)
             return EXIT_VALIDATION
         alpha, beta, lam = (0j if z is None else z for z in (args.alpha, args.beta, args.lam))
-        spec = cy.CyclicRepSpec(alpha, beta, lam, args.N)
+        spec = cy.CyclicRepSpec(alpha, beta, lam, _order(args.N))
         triple = cy.build_cyclic_rep(spec)
         meta = {"cyclic": {"N": args.N, "alpha": _c2l(alpha),
                            "beta": _c2l(beta), "lam": _c2l(lam)},
@@ -270,9 +281,7 @@ def _hook_value(name: str, kind, default):
 def _cmd_verify(args) -> int:
     seed = _hook_value("QYBE_SEED", int, DEFAULT_SEED) if args.seed is None else args.seed
     # every suite rejects an --N that is no root-of-unity order, not only the cyclic ones
-    order = DeformationParameter.root_of_unity(args.N).order
-    if order > MAX_ORDER:
-        raise ParameterDomainError(f"--N must be at most {MAX_ORDER} (got {order})")
+    order = _order(args.N)
     kwargs = {"sample_count": args.samples, "rng_seed": seed}
     if args.tol is not None:
         kwargs["abs_tol"] = args.tol

@@ -102,3 +102,16 @@ class InconsistentConstraints(QybeError):
         self.residual = residual
         self.span_rank = span_rank
         super().__init__(message)
+
+
+def _raise_first(*stages) -> None:
+    """Raise the error of the lowest sample that has one.
+
+    Each argument holds one stage's error, or None, for every sample of a
+    stack; a sample meets the stages in the order given, so its first error
+    is the one a pass over that sample alone raises.
+    """
+    for errors in zip(*stages):
+        for error in errors:
+            if error is not None:
+                raise error

@@ -147,6 +147,61 @@ def qnum(n, q: DeformationParameter):
     return (q.pow(n) - q.pow(-n)) / den
 
 
+def _qnum_rows(rows, qs) -> np.ndarray:
+    """qnum(x, q_s) for every x of rows[s], one row per q in ``qs``, as an
+    (S, len(rows[0])) complex array.
+
+    Each exponent x log q is a Python product, as :meth:`DeformationParameter.pow`
+    forms it, before one ``np.exp`` over the stack, so every entry equals the
+    scalar :func:`qnum` bit for bit.  A stack at :data:`RATIONAL` gives x itself.
+    """
+    if all(q.log_branch == 0 for q in qs):
+        return np.array(rows, complex)
+    dens = _denominators(qs)
+    # complex(log q) keeps the scalar product of pow and reads faster into an array
+    powers = np.exp(np.array([[x * lb for x in row] + [-x * lb for x in row]
+                              for lb, row in zip((complex(q.log_branch) for q in qs), rows)],
+                             complex))
+    half = powers.shape[1] // 2
+    return (powers[:, :half] - powers[:, half:]) / np.array(dens)[:, None]
+
+
+def _qnum_stack(n: np.ndarray, qs) -> np.ndarray:
+    """qnum(n, q) of one array n at every q of ``qs``, of shape (S, *n.shape).
+
+    The exponents are array products, as :func:`qnum` forms them for an
+    array, so slice s equals ``qnum(n, qs[s])`` bit for bit.
+    """
+    n = np.asarray(n)
+    if all(q.log_branch == 0 for q in qs):
+        return np.broadcast_to(n, (len(qs), *n.shape))
+    dens = np.array(_denominators(qs))
+    lb = np.array([q.log_branch for q in qs], complex).reshape(-1, *(1,) * n.ndim)
+    return (np.exp(n * lb) - np.exp(-n * lb)) / dens.reshape(lb.shape)
+
+
+def _denominators(qs) -> list:
+    """q - 1/q of every q of a stack, which :func:`qnum` divides by;
+    :class:`DegenerateDenominator` where one is below tolerance."""
+    dens = [q.value - 1 / q.value for q in qs]
+    if any(abs(den) < _QNUM_DEN_TOL for den in dens):
+        raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
+    return dens
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b of two complex arrays of one shape, each entry the product of
+    two complex scalars.
+
+    numpy's vectorised complex product fuses a multiply and an add, so it
+    can differ in the last bit from the scalar product, which these few
+    entries keep.
+    """
+    a = np.asarray(a)
+    return np.array([x * y for x, y in zip(a.ravel().tolist(), np.ravel(b).tolist())],
+                    complex).reshape(a.shape)
+
+
 def _abs_max(x) -> float:
     """The largest modulus among the entries of x.
 

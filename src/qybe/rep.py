@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _nan_max, qnum
+from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows, _qnum_stack, qnum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,35 +70,71 @@ def _two_spin(ell) -> int:
     raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
 
 
+class _Factors(NamedTuple):
+    """One representation at S values of q, stacked along a leading sample
+    axis: ``sp`` and ``sm`` of shape (S, d, d), the q-independent ``weights``
+    (d,) and ``from_monomial`` (S, d) or None."""
+
+    sp: np.ndarray
+    sm: np.ndarray
+    weights: np.ndarray
+    from_monomial: np.ndarray | None
+    ell: complex | None
+    basis_tag: str
+
+    @classmethod
+    def of_triple(cls, rep: OperatorTriple) -> "_Factors":
+        """The stack of one of ``rep``."""
+        dm = rep.from_monomial
+        return cls(rep.sp[None], rep.sm[None], rep.weights, None if dm is None else dm[None],
+                   rep.ell, rep.basis_tag)
+
+
+def _spin_factors(ell, qs, basis: str) -> _Factors:
+    """The spin-ell representation at every q of ``qs``, in one stacked pass.
+
+    Every q-number comes from :func:`qcore._qnum_rows` and every product of
+    two of them has the rounding of a scalar product, so slice s is what a
+    pass at q_s alone gives, bit for bit.
+    """
+    d = _two_spin(ell) + 1
+    if basis not in ("monomial", "orthonormal"):
+        raise ParameterDomainError(f"unknown basis {basis!r}")
+    count = len(qs)
+    sp = np.zeros((count, d, d), complex)
+    sm = np.zeros((count, d, d), complex)
+    # the flat super- and subdiagonal of each d x d slice
+    upper, lower = sm.reshape(count, -1)[:, 1::d + 1], sp.reshape(count, -1)[:, d::d + 1]
+    # [k+1] and [2l-k] for k < 2l
+    vals = _qnum_rows([[*range(1, d), *(2 * ell - j for j in range(d - 1))]] * count, qs)
+    a, b = vals[:, :d - 1], vals[:, d - 1:]
+    dm = None
+    if basis == "monomial":
+        upper[:] = a
+        lower[:] = b
+    else:
+        upper[:] = lower[:] = s = np.sqrt(_cmul(a, b))
+        dm = np.ones((count, d), complex)
+        # a short sequential recurrence: numpy scalar steps, one sample at a time
+        for row, a_row, s_row in zip(dm, a, s):
+            for j in range(d - 1):
+                row[j + 1] = row[j] * a_row[j] / s_row[j]
+    weights = (np.arange(d) - ell).astype(complex)
+    return _Factors(sp, sm, weights, dm, complex(ell), basis)
+
+
 def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> OperatorTriple:
     """Spin-ell representation on the (2l+1)-dimensional space.
 
     Monomial basis: S- x^k = [k] x^{k-1}, S+ x^k = [2l-k] x^{k+1},
     q^{aS} x^k = q^{a(k-l)} x^k.  Orthonormal basis: both shift operators
-    carry sqrt([k+1][2l-k]) on the sub/superdiagonal.
+    carry sqrt([k+1][2l-k]) on the sub/superdiagonal.  The stack of one
+    of :func:`_spin_factors`.
     """
-    d = _two_spin(ell) + 1
-    sp = np.zeros((d, d), complex)
-    sm = np.zeros((d, d), complex)
-    weights = np.arange(d) - ell
-    if basis == "monomial":
-        for k in range(1, d):
-            sm[k - 1, k] = qnum(k, q)
-        for k in range(d - 1):
-            sp[k + 1, k] = qnum(2 * ell - k, q)
-        dm = None
-    elif basis == "orthonormal":
-        dm = np.ones(d, complex)
-        for k in range(d - 1):
-            a = qnum(k + 1, q)
-            s = np.sqrt(a * qnum(2 * ell - k, q))
-            sp[k + 1, k] = s
-            sm[k, k + 1] = s
-            dm[k + 1] = dm[k] * a / s
-    else:
-        raise ParameterDomainError(f"unknown basis {basis!r}")
-    return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
-                          basis_tag=basis, ell=complex(ell), from_monomial=dm)
+    f = _spin_factors(ell, (q,), basis)
+    return OperatorTriple(sp=f.sp[0], sm=f.sm[0], weights=f.weights, q=q, basis_tag=basis,
+                          ell=f.ell, from_monomial=None if f.from_monomial is None
+                          else f.from_monomial[0])
 
 
 def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
@@ -112,7 +149,20 @@ def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
 def casimir_diagonal(weights: np.ndarray, q: DeformationParameter) -> np.ndarray:
     """The diagonal part [S][S-1] of :func:`casimir_matrix`, for the
     eigenvalues ``weights`` of S."""
-    return np.diag(qnum(weights, q) * qnum(weights - 1, q))
+    return _casimir_diagonals(weights, (q,))[0]
+
+
+def _casimir_diagonals(weights: np.ndarray, qs) -> np.ndarray:
+    """:func:`casimir_diagonal` at every q of ``qs``, stacked: (S, d, d)."""
+    return _diag(_qnum_stack(weights, qs) * _qnum_stack(weights - 1, qs))
+
+
+def _diag(vals: np.ndarray) -> np.ndarray:
+    """``np.diag`` of each row of a stack of vectors."""
+    out = np.zeros((*vals.shape, vals.shape[-1]), vals.dtype)
+    idx = np.arange(vals.shape[-1])
+    out[..., idx, idx] = vals
+    return out
 
 
 def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:

@@ -14,10 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
-from .qcore import RATIONAL, DeformationParameter, qnum
+from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair, _raise_first
+from .qcore import RATIONAL, DeformationParameter, _qnum_rows, qnum
 from .rep import _two_spin, fundamental_r
-from .tensorrep import COND_LIMIT, ProductSpace, weight_reversed
+from .tensorrep import COND_LIMIT, ProductSpace, SpectralForm, weight_reversed
 
 POLE_TOL = 1e-8
 
@@ -32,20 +32,51 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     """R_n for every sector n by the two-term recurrence, with R_0 = 1.
 
     At q = :data:`qcore.RATIONAL` the q-numbers are plain numbers, [x] = x.
-    Raises :class:`BadSpin` unless both spins are finite, and
-    :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes.
+    Raises :class:`BadSpin` unless both spins are finite,
+    :class:`PoleAtSector` when a denominator [l1+l2+1-n+u] vanishes, and
+    :class:`ParameterDomainError`, naming the spins and u, when |u| is so
+    large that an eigenvalue is not finite.  The stack of one of
+    :func:`_eigenvalues`.
     """
-    if q is None:
+    vals, poles = _eigenvalues(ell1, ell2, [u], [q])
+    _raise_first(poles)
+    if not np.isfinite(vals).all():
+        raise ParameterDomainError(
+            f"the eigenvalues are not finite at spins ({ell1}, {ell2}), u = {complex(u)}: "
+            "a power of q overflows")
+    return tuple(vals[0])
+
+
+def _eigenvalues(ell1, ell2, us, qs) -> tuple[np.ndarray, list]:
+    """R_n of every sector n (columns) at every sample (u_s, q_s) (rows),
+    by the recurrence of :func:`eigenvalue_sequence`, and each sample's
+    first :class:`PoleAtSector` or None.
+
+    The q-numbers of all samples come from one :func:`qcore._qnum_rows`
+    pass; at the rational point they are the numbers themselves.  The
+    recurrence is a few scalar steps per sample, each with the rounding of
+    the scalar recurrence (numpy's quotient, or Python's at the rational
+    point).  A sample past a pole or an overflow is not finite.
+    """
+    if any(q is None for q in qs):
         raise ParameterDomainError(
             "the eigenvalues need a deformation parameter (RATIONAL for the rational point)")
     big_l = ell1 + ell2 + 1
-    vals = [1.0 + 0j]
-    for n in range(1, _top_sector(ell1, ell2) + 1):
-        den = qnum(big_l - n + u, q)
-        if abs(den) < POLE_TOL:
-            raise PoleAtSector(n)
-        vals.append(-vals[-1] * qnum(big_l - n - u, q) / den)
-    return tuple(vals)
+    sectors = range(1, _top_sector(ell1, ell2) + 1)
+    rows = [[big_l - n + u for n in sectors] + [big_l - n - u for n in sectors] for u in us]
+    poles = [None] * len(us)
+    vals = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qn = rows if all(q.log_branch == 0 for q in qs) else _qnum_rows(rows, qs)
+        for s, row in enumerate(qn):
+            seq = [1.0 + 0j]
+            for den, num in zip(row[:len(sectors)], row[len(sectors):]):
+                if poles[s] is None and abs(den) < POLE_TOL:
+                    poles[s] = PoleAtSector(len(seq))
+                # a Python zero quotient raises; the sample is at a pole
+                seq.append(-seq[-1] * num / den if den else complex("nan"))
+            vals.append(seq)
+    return np.array(vals, complex), poles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,28 +118,48 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     the :class:`SpectralForm` of :meth:`ProductSpace.of_spins`, one weight
     block b at a time; calls at one (spins, q, basis) share that form.
     Where |u| is so large that a power of q overflows, the matrix is not
-    finite and :class:`ParameterDomainError` names the spins and u.
+    finite and :class:`ParameterDomainError` names the spins and u.  The
+    stack of one of :func:`_eigenvalues` and :func:`_solve`.
     """
     if mode == "xxx":
         q, basis = RATIONAL, "monomial"
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
     u = complex(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eig = eigenvalue_sequence(ell1, ell2, u, q)
-        space = ProductSpace.of_spins(ell1, ell2, q, basis)
-        form = space.spectral_form()
-        layout = form.layout
-        layout.require_conditioned(form.cond, COND_LIMIT)
-        blocks = (form.left * np.asarray(eig)) @ form.right
-        d = space.weights.size
-        m = np.zeros(d * d, complex)
-        m[layout.dst] = blocks[layout.inside] * space.q.pow(u * layout.twist)
-    if not np.isfinite(m).all():
-        raise ParameterDomainError(
-            f"R is not finite at spins ({ell1}, {ell2}), u = {u}: a power of q overflows")
-    return RMatrix(matrix=m.reshape(d, d), u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
+    eig, poles = _eigenvalues(ell1, ell2, [u], [q])
+    _raise_first(poles)
+    form = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
+    m, errors = _solve(ell1, ell2, [u], [q], eig, form)
+    _raise_first(errors)
+    return RMatrix(matrix=m[0], u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
                    basis_tag=basis)
+
+
+def _solve(ell1, ell2, us, qs, eig: np.ndarray, form: SpectralForm) -> tuple[np.ndarray, list]:
+    """R(u_s) at q_s for every sample s, an (S, d, d) array, from the sector
+    eigenvalues ``eig`` (S, k) and the spectral form of the samples' space
+    (one sample per row of ``eig``, or one form that every sample shares),
+    and each sample's first error: :class:`SingularBasis` against
+    :data:`COND_LIMIT`, then :class:`ParameterDomainError` where the matrix
+    is not finite."""
+    layout = form.layout
+    count = len(us)
+    singular = [None] * count
+    if not (form.cond <= COND_LIMIT).all():
+        # one form that every sample shares gives every sample its error
+        singular = [layout.conditioning_error(cond, COND_LIMIT)
+                    for cond in form.cond] * (count // len(form.cond))
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = ((form.left * eig[:, None, None, :]) @ form.right).reshape(count, -1)
+        twist = np.asarray(us, complex)[:, None] * layout.twist
+        lb = np.array([q.log_branch for q in qs], complex)[:, None]
+        m = np.zeros((count, layout.dim * layout.dim), complex)
+        m[:, layout.dst] = blocks[:, layout.inside_flat] * np.exp(twist * lb)
+    finite = np.isfinite(m).all(axis=1)
+    errors = [error or (None if ok else ParameterDomainError(
+        f"R is not finite at spins ({ell1}, {ell2}), u = {u}: a power of q overflows"))
+        for error, ok, u in zip(singular, finite, us)]
+    return m.reshape(count, layout.dim, layout.dim), errors
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
@@ -118,7 +169,20 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
     (1/2,1/2) is the six-vertex :func:`rep.fundamental_r`.  The other
     entries are transcribed in descending-weight ordering (orthonormal
     single-spin bases) and flipped to the canonical ascending ordering.
+    Where |u| is so large that a power of q overflows,
+    :class:`ParameterDomainError` names the spins and u.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, tag = _tabulated(ell1, ell2, u, q)
+    if not np.isfinite(m).all():
+        raise ParameterDomainError(
+            f"R is not finite at spins ({ell1}, {ell2}), u = {complex(u)}: a power of q overflows")
+    return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, ell1=complex(ell1),
+                   ell2=complex(ell2), basis_tag=tag)
+
+
+def _tabulated(ell1, ell2, u: complex, q: DeformationParameter) -> tuple[np.ndarray, str]:
+    """The matrix of :func:`closed_form_R` in descending-weight ordering, and its basis."""
     key = (_two_spin(ell1), _two_spin(ell2))
     b = lambda x: qnum(x, q)
     if key == (1, 1):
@@ -146,8 +210,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
         tag = "orthonormal"
     else:
         raise UnsupportedPair(f"no tabulated matrix for spins ({ell1}, {ell2})")
-    return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, ell1=complex(ell1),
-                   ell2=complex(ell2), basis_tag=tag)
+    return m, tag
 
 
 def normalize_global(m: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ import functools
 
 import numpy as np
 
-from .errors import CompletenessFailure, DimensionMismatch, ParameterDomainError, SingularBasis
-from .qcore import DeformationParameter, _nan_max, qnum
-from .rep import OperatorTriple, _two_spin, build_spin_rep, casimir_matrix
+from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError,
+                     SingularBasis, _raise_first)
+from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows
+from .rep import (OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, build_spin_rep,
+                  casimir_matrix)
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -28,23 +30,231 @@ _SPACE_MEMO_SIZE = 2
 _LAYOUT_MEMO_SIZE = 16
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices.
+def kron(a: np.ndarray, b: np.ndarray, nd: int | None = None) -> np.ndarray:
+    """Kronecker product over the last ``nd`` axes: 1 for vectors, 2 for
+    matrices, and by default ``a.ndim``, for two vectors or two matrices.
+    Leading axes are a stack and broadcast.
 
     One broadcast product: every entry is the single product a_ij * b_kl
     that ``np.kron`` forms, so the result is the same bit for bit, without
     ``np.kron``'s generic axis handling, which dominates at these sizes.
     """
-    if a.ndim == 1:
-        return (a[:, None] * b[None, :]).ravel()
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    if (a.ndim if nd is None else nd) == 1:
+        p = a[..., :, None] * b[..., None, :]
+        return p.reshape(*p.shape[:-2], -1)
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return p.reshape(*p.shape[:-4], p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1])
+
+
+def _q_powers(weights: np.ndarray, log_branch: np.ndarray, a) -> np.ndarray:
+    """diag(q^{a w}) of the weights w at each log q of a stack: (S, d, d),
+    each slice equal to :meth:`OperatorTriple.qs` at its q."""
+    return _diag(np.exp((np.asarray(a) * weights) * log_branch[:, None]))
 
 
 def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> None:
     """Tensor factors must share q and its log branch."""
     if abs(q1.value - q2.value) > 1e-12 or abs(q1.log_branch - q2.log_branch) > 1e-12:
         raise DimensionMismatch("tensor factors must share the deformation parameter")
+
+
+def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
+    """Entry n is the raising chain of sector n, the live steps of the
+    chains c[..., m, :, n] (see :meth:`_SpaceStack.chains`)."""
+    steps, k = chains.shape[-3], chains.shape[-1]
+    return [chains[..., :steps - 2 * n, :, n] for n in range(k)]
+
+
+class _SpaceStack:
+    """The tensor product of two factors at S sampled q values, every array
+    with a leading sample axis (the weights, which do not depend on q,
+    excepted).
+
+    Each method evaluates all samples in one stacked pass and gives slice s
+    equal, bit for bit, to what a stack of the one sample s gives: products
+    that a single sample forms from complex scalars keep scalar rounding
+    (:func:`qcore._cmul`, :func:`qcore._qnum_rows`), and batched matmul,
+    SVD and inverse treat each slice as its own matrix.  Methods that can
+    fail for a sample return, next to their arrays, one error or None per
+    sample (the first the sample meets), so a caller raises the error of
+    the lowest failing sample; a failed sample's arrays are not meaningful.
+    :class:`ProductSpace` is the stack of one, and the sampled suites of
+    :mod:`verify` stack their samples here.
+    """
+
+    def __init__(self, qs, f1: _Factors, f2: _Factors):
+        self.qs = tuple(qs)
+        self.factors = (f1, f2)
+        self.log_branch = np.array([q.log_branch for q in self.qs], complex)
+        self.rational = all(q.log_branch == 0 for q in self.qs)
+        self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
+        self.dims = (f1.weights.size, f2.weights.size)
+        self.from_monomial = None
+        if f1.from_monomial is not None or f2.from_monomial is not None:
+            d1, d2 = (f.from_monomial if f.from_monomial is not None
+                      else np.ones((len(self.qs), f.weights.size)) for f in (f1, f2))
+            self.from_monomial = _read_only(kron(d1, d2, 1))
+        self.layout = _BlockLayout.of_dims(*self.dims)
+        self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
+        self._form: tuple[SpectralForm, list] | None = None
+
+    @classmethod
+    def of_spins(cls, ell1, ell2, qs, basis: str) -> "_SpaceStack":
+        """The stack of two finite spins in one single-spin basis at every q
+        of ``qs``, built from the spins 2l/2 as :meth:`ProductSpace.of_spins`
+        builds them."""
+        return cls(qs, _spin_factors(_two_spin(ell1) / 2, qs, basis),
+                   _spin_factors(_two_spin(ell2) / 2, qs, basis))
+
+    @functools.cached_property
+    def factor_powers(self) -> tuple[dict, dict]:
+        """q^{S} and q^{-S} of each factor, keyed by the exponent's sign:
+        (S, d, d) diagonal stacks, built once for the pieces and the
+        relations of the stack."""
+        return tuple({a: _read_only(_q_powers(f.weights, self.log_branch, a)) for a in (1, -1)}
+                     for f in self.factors)
+
+    def kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
+        """The four u-independent Kronecker pieces of coproduct ``kind``:
+        S1- x q^{+-S2}, q^{-+S1} x S2-, S1+ x q^{+-S2} and q^{-+S1} x S2+."""
+        if kind not in ("delta", "deltabar"):
+            raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
+        if not self._pieces:
+            # the eight pieces of both kinds, as one broadcast Kronecker
+            # product of stacked factors (kron's entries, bit for bit)
+            f1, f2 = self.factors
+            q1, q2 = self.factor_powers
+            left = np.array([(f1.sm, q1[-s], f1.sp, q1[-s]) for s in (1, -1)])
+            right = np.array([(q2[s], f2.sm, q2[s], f2.sp) for s in (1, -1)])
+            pieces = _read_only(kron(left, right, 2))
+            self._pieces = {"delta": tuple(pieces[0]), "deltabar": tuple(pieces[1])}
+        return self._pieces[kind]
+
+    def coproduct(self, kind: str, us) -> tuple[np.ndarray, np.ndarray]:
+        """S+_u and S-_u of ``kind`` (see :meth:`ProductSpace.coproduct`)
+        at u_s for every sample s, as two (S, d, d) arrays."""
+        sm1, sm2, sp1, sp2 = self.kind_pieces(kind)
+        qu = np.exp(np.array([(u / 2) * q.log_branch for u, q in zip(us, self.qs)],
+                             complex))[:, None, None]
+        if kind == "delta":
+            return sp1 / qu + qu * sp2, qu * sm1 + sm2 / qu
+        return qu * sp1 + sp2 / qu, sm1 / qu + qu * sm2
+
+    def chains(self, us, kinds: tuple[str, ...]) -> tuple[np.ndarray, list]:
+        """The raising chains of every sector of each coproduct kind in
+        ``kinds`` at u_s, for every sample s, raised together.
+
+        Returns c of shape (S, len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
+        with c[s, f, m][:, n] = (S+_u)^m v_n for kind f and v_n the
+        lowest-weight vector of sector n from the closed product formula, and
+        each sample's :class:`CompletenessFailure` or None: S-_u v_n is not
+        zero, or the chain of sector n vanishes (or overflows) before its full
+        length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`; a sample's
+        kinds are tested in order, each lowest-weight condition before its
+        chains.
+        """
+        f1, f2 = self.factors
+        if f1.ell is None or f2.ell is None:
+            raise ParameterDomainError("eigen-sectors need two finite spins")
+        gens = [self.coproduct(kind, us) for kind in kinds]
+        families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
+        (d1, d2), count = self.dims, len(self.qs)
+        k, steps = min(d1, d2), d1 + d2 - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            lw = np.stack([_lowest_weights(f1.ell, f2.ell, us, self.qs, d1, d2,
+                                           family == "barred", k).transpose(0, 2, 1)
+                           for family in families], axis=1)
+            if self.from_monomial is not None:
+                lw = self.from_monomial[:, None, :, None] * lw
+            scale = np.maximum(1.0, np.abs(lw).max(axis=2))
+            resid = np.abs(np.stack([sm for _, sm in gens], axis=1) @ lw).max(axis=2) / scale
+            chains = np.empty((count, len(kinds), steps, d1 * d2, k), complex)
+            chains[:, :, 0] = lw
+            sp = np.stack([sp for sp, _ in gens], axis=1)
+            for m in range(1, steps):
+                chains[:, :, m] = sp @ chains[:, :, m - 1]
+            size = np.abs(chains).max(axis=3) / scale[:, :, None, :]
+        broken = self.layout.live & ~((size >= CHAIN_TOL) & (size < np.inf))
+        lw_ok = (resid <= CHAIN_TOL).all(axis=2)
+        errors = [None] * count
+        if broken.any() or not lw_ok.all():
+            for s in np.flatnonzero(~lw_ok.all(axis=1) | broken.any(axis=(1, 2, 3))):
+                errors[s] = _chain_error(families, resid[s], lw_ok[s], size[s], broken[s])
+        return chains, errors
+
+    def unit_blocks(self, chains: np.ndarray, errors: list):
+        """The weight blocks of chains (S, d1+d2-1, d1*d2, k) with unit
+        columns, the column norms and the condition number of every block;
+        the unit blocks of a failed sample are the identity."""
+        blocks = self.layout.cut(chains)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
+            unit = blocks / norms
+            failed = [s for s, e in enumerate(errors) if e is not None]
+            if failed:
+                unit[failed] = np.eye(unit.shape[-1])
+            s = np.linalg.svd(unit, compute_uv=False)
+            cond = s[..., 0] / s[..., -1]
+        return unit, norms, cond
+
+    def sectors(self, us, kind: str) -> tuple[np.ndarray, list]:
+        """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
+        at u_s (see :meth:`chains`), which must also pass the weight-block
+        test of :class:`SpectralForm` against :data:`COND_LIMIT`, and each
+        sample's first error: :class:`CompletenessFailure`, then
+        :class:`SingularBasis`."""
+        chains, errors = self.chains(us, (kind,))
+        chains = chains[:, 0]
+        cond = self.unit_blocks(chains, errors)[2]
+        for s in np.flatnonzero((~(cond <= COND_LIMIT)).any(axis=1)):
+            errors[s] = errors[s] or self.layout.conditioning_error(cond[s], COND_LIMIT)
+        return chains, errors
+
+    def spectral_form(self) -> tuple[SpectralForm, list]:
+        """The u-independent spectral form of R at every sample, built from
+        the chains at u = 0 the first time it is asked for, and each sample's
+        :class:`CompletenessFailure` or None.
+
+        Both families come from one :meth:`chains` pass; at the rational
+        point (q on the zero log branch) the barred chains are the unbarred
+        ones, so one family is built.  The conditioning is recorded, not
+        tested: callers test it against their limit.
+        """
+        if self._form is None:
+            kinds = ("delta",) if self.rational else ("delta", "deltabar")
+            chains, errors = self.chains([0.0] * len(self.qs), kinds)
+            unit, norms, cond = self.unit_blocks(chains[:, 0], errors)
+            layout = self.layout
+            with np.errstate(divide="ignore", invalid="ignore"):
+                left = unit if len(kinds) == 1 else layout.cut(chains[:, 1]) / norms
+            if not np.isfinite(cond).all():
+                # such a block fails every limit; the identity stands in for
+                # it so that the batched inverse runs
+                unit = np.where(np.isfinite(cond)[..., None, None], unit, np.eye(unit.shape[-1]))
+            right = np.linalg.inv(unit)
+            self._form = (SpectralForm(left=left, right=right, cond=cond, layout=layout), errors)
+        return self._form
+
+
+def _chain_error(families, resid, lw_ok, size, broken) -> CompletenessFailure:
+    """The error of one sample that :meth:`_SpaceStack.chains` flagged:
+    the first broken chain among the kinds before its first failing
+    lowest-weight condition, else that condition."""
+    raised = len(families) if lw_ok.all() else int(np.argmin(lw_ok))
+    steps = size.shape[1]
+    for f in range(raised):
+        if broken[f].any():
+            n, m = (int(i) for i in np.argwhere(broken[f].T)[0])
+            return CompletenessFailure(
+                n, families[f], float(size[f, m, n]),
+                f"raising chain of sector {n} of the {families[f]} family breaks at "
+                f"step {m} of {steps - 2 * n} (relative size {size[f, m, n]:.2e})")
+    family, r = families[raised], resid[raised]
+    n = int(np.argmin(r <= CHAIN_TOL))
+    return CompletenessFailure(
+        n, family, float(r[n]),
+        f"lowest-weight condition fails at sector {n} of the {family} family "
+        f"(residual {r[n]:.2e})")
 
 
 class ProductSpace:
@@ -58,21 +268,18 @@ class ProductSpace:
     u, every kind and every caller of one sampled point.  For two finite spins it also holds the
     :class:`SpectralForm` of R, built the first time it is asked for.
     Its arrays are read-only, since :meth:`of_spins` shares one space
-    among all its callers.
+    among all its callers.  It is the stack of one of :class:`_SpaceStack`,
+    which does the numerics, and raises the errors that the stack records.
     """
 
     def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
         _require_shared_q(rep1.q, rep2.q)
         self.parents = (rep1, rep2)
         self.q = rep1.q
-        self.weights = _read_only(np.add.outer(rep1.weights, rep2.weights).ravel())
-        self.from_monomial = None
-        if rep1.from_monomial is not None or rep2.from_monomial is not None:
-            d1 = rep1.from_monomial if rep1.from_monomial is not None else np.ones(rep1.dim)
-            d2 = rep2.from_monomial if rep2.from_monomial is not None else np.ones(rep2.dim)
-            self.from_monomial = _read_only(kron(d1, d2))
-        self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
-        self._form: SpectralForm | None = None
+        self._stack = _SpaceStack((rep1.q,), _Factors.of_triple(rep1), _Factors.of_triple(rep2))
+        self.weights = self._stack.weights
+        fm = self._stack.from_monomial
+        self.from_monomial = None if fm is None else fm[0]
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -87,22 +294,12 @@ class ProductSpace:
         """
         return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
 
+    @property
+    def _pieces(self) -> dict[str, tuple[np.ndarray, ...]]:
+        return {kind: tuple(p[0] for p in pieces) for kind, pieces in self._stack._pieces.items()}
+
     def _kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
-        if kind not in ("delta", "deltabar"):
-            raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
-        if not self._pieces:
-            # the eight pieces of both kinds, as one broadcast Kronecker
-            # product of stacked factors (kron's entries, bit for bit)
-            rep1, rep2 = self.parents
-            q1 = {s: rep1.qs(s) for s in (1, -1)}
-            q2 = {s: rep2.qs(s) for s in (1, -1)}
-            left = np.array([(rep1.sm, q1[-s], rep1.sp, q1[-s]) for s in (1, -1)])
-            right = np.array([(q2[s], rep2.sm, q2[s], rep2.sp) for s in (1, -1)])
-            d = rep1.dim * rep2.dim
-            pieces = _read_only((left[..., :, None, :, None] * right[..., None, :, None, :])
-                                .reshape(2, 4, d, d))
-            self._pieces = {"delta": tuple(pieces[0]), "deltabar": tuple(pieces[1])}
-        return self._pieces[kind]
+        return tuple(p[0] for p in self._stack.kind_pieces(kind))
 
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
@@ -112,122 +309,42 @@ class ProductSpace:
                          S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
             "deltabar":  the q -> 1/q twin (all twist exponents negated).
         """
-        sm1, sm2, sp1, sp2 = self._kind_pieces(kind)
-        qu = self.q.pow(u / 2)
-        if kind == "delta":
-            sm = qu * sm1 + sm2 / qu
-            sp = sp1 / qu + qu * sp2
-        else:
-            sm = sm1 / qu + qu * sm2
-            sp = qu * sp1 + sp2 / qu
+        sp, sm = self._stack.coproduct(kind, [u])
         rep1, rep2 = self.parents
-        return OperatorTriple(sp=sp, sm=sm, weights=self.weights, q=self.q,
+        return OperatorTriple(sp=sp[0], sm=sm[0], weights=self.weights, q=self.q,
                               basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
                               ell=None, from_monomial=self.from_monomial)
 
     def _chains(self, u: complex, kinds: tuple[str, ...]) -> np.ndarray:
-        """The raising chains of every sector of each coproduct kind in
-        ``kinds`` at u, raised together.
-
-        Returns c of shape (len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
-        with c[f][m][:, n] = (S+_u)^m v_n for kind f and v_n the
-        lowest-weight vector of sector n from the closed product formula; one
-        stacked raising step serves every chain.  Raises
-        :class:`CompletenessFailure` when S-_u v_n is not zero, or when the
-        chain of sector n vanishes (or overflows) before its full length
-        d1+d2-1-2n, each measured against :data:`CHAIN_TOL`; the kinds are
-        tested in order, each lowest-weight condition before its chains.
-        """
-        rep1, rep2 = self.parents
-        if rep1.ell is None or rep2.ell is None:
-            raise ParameterDomainError("eigen-sectors need two finite spins")
-        gens = [self.coproduct(kind, u) for kind in kinds]
-        families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
-        d1, d2 = rep1.dim, rep2.dim
-        k, steps = min(d1, d2), d1 + d2 - 1
-        lw = np.array([_lowest_weights(rep1.ell, rep2.ell, u, self.q, d1, d2,
-                                       family == "barred", k).T for family in families])
-        if self.from_monomial is not None:
-            lw = self.from_monomial[:, None] * lw
-        scale = np.maximum(1.0, np.abs(lw).max(axis=1))
-        resid = np.abs(np.array([g.sm for g in gens]) @ lw).max(axis=1) / scale
-        lw_ok = (resid <= CHAIN_TOL).all(axis=1)
-        # the kinds before the first failing lowest-weight condition
-        raised = len(kinds) if lw_ok.all() else int(np.argmin(lw_ok))
-        chains = np.empty((raised, steps, d1 * d2, k), complex)
-        chains[:, 0] = lw[:raised]
-        sp = np.array([g.sp for g in gens])[:raised]
-        for m in range(1, steps):
-            chains[:, m] = sp @ chains[:, m - 1]
-        size = np.abs(chains).max(axis=2) / scale[:raised, None]
-        broken = self._layout().live & ~((size >= CHAIN_TOL) & (size < np.inf))
-        for f in range(raised):
-            if broken[f].any():
-                n, m = (int(i) for i in np.argwhere(broken[f].T)[0])
-                raise CompletenessFailure(
-                    n, families[f], float(size[f, m, n]),
-                    f"raising chain of sector {n} of the {families[f]} family breaks at "
-                    f"step {m} of {steps - 2 * n} (relative size {size[f, m, n]:.2e})")
-        if raised < len(kinds):
-            family, r = families[raised], resid[raised]
-            n = int(np.argmin(r <= CHAIN_TOL))
-            raise CompletenessFailure(
-                n, family, float(r[n]),
-                f"lowest-weight condition fails at sector {n} of the {family} family "
-                f"(residual {r[n]:.2e})")
-        return chains
-
-    def _layout(self) -> _BlockLayout:
-        return _BlockLayout.of_dims(*(rep.dim for rep in self.parents))
-
-    def _unit_blocks(self, chains: np.ndarray):
-        """The weight blocks of ``chains`` with unit columns, the column norms
-        and the condition number of every block."""
-        blocks = self._layout().cut(chains)
-        norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-        unit = blocks / norms
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.linalg.svd(unit, compute_uv=False)
-            cond = s[:, 0] / s[:, -1]
-        return unit, norms, cond
+        """The chains of :meth:`_SpaceStack.chains` at u, of shape
+        (len(kinds), d1+d2-1, d1*d2, k); raises their
+        :class:`CompletenessFailure`."""
+        chains, errors = self._stack.chains([u], kinds)
+        _raise_first(errors)
+        return chains[0]
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
         """All eigen-sectors of the coproduct ``kind`` at u.
 
         Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
         row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
-        chains come from :meth:`_chains` and must pass the weight-block test
-        of :class:`SpectralForm` against :data:`COND_LIMIT`, which raises
+        chains come from :meth:`_SpaceStack.sectors`, and so does the error
+        raised: :class:`CompletenessFailure` or, from the weight-block test
+        of :class:`SpectralForm` against :data:`COND_LIMIT`,
         :class:`SingularBasis`.  The other kind's sectors are
         ``sectors(u, other kind)``.
         """
-        chains = self._chains(u, (kind,))[0]
-        self._layout().require_conditioned(self._unit_blocks(chains)[2], COND_LIMIT)
-        steps = chains.shape[0]
-        return [chains[:steps - 2 * n, :, n] for n in range(chains.shape[2])]
+        chains, errors = self._stack.sectors([u], kind)
+        _raise_first(errors)
+        return _sector_chains(chains[0])
 
     def spectral_form(self) -> SpectralForm:
-        """The u-independent spectral form of R on this space of two spins,
-        built from the chains at u = 0 the first time it is asked for.
-
-        Both families come from one :meth:`_chains` pass; at the rational
-        point (q on the zero log branch) the barred chains are the unbarred
-        ones, so one family is built.  The conditioning is
-        recorded, not tested: callers test it against their limit.
-        """
-        if self._form is None:
-            kinds = ("delta",) if self.q.log_branch == 0 else ("delta", "deltabar")
-            chains = self._chains(0.0, kinds)
-            unit, norms, cond = self._unit_blocks(chains[0])
-            layout = self._layout()
-            left = unit if len(kinds) == 1 else layout.cut(chains[1]) / norms
-            if not np.isfinite(cond).all():
-                # such a block fails every limit; the identity stands in for
-                # it so that the batched inverse runs
-                unit = np.where(np.isfinite(cond)[:, None, None], unit, np.eye(unit.shape[1]))
-            right = np.linalg.inv(unit)
-            self._form = SpectralForm(left=left, right=right, cond=cond, layout=layout)
-        return self._form
+        """The u-independent spectral form of R on this space of two spins
+        (a stack of one), built from the chains at u = 0 the first time it
+        is asked for (see :meth:`_SpaceStack.spectral_form`)."""
+        form, errors = self._stack.spectral_form()
+        _raise_first(errors)
+        return form
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -255,7 +372,8 @@ class _BlockLayout:
     ``inside`` mask.  For the entries inside, in C order, ``dst`` is the
     flat position in the d x d matrix and ``twist`` is j' - j for the entry
     that maps x1^j' x2^. to x1^j x2^.: the power of q^u that the twist
-    T_u = q^{-u(S1-S2)/2} puts on it.  Layouts are memoised on (d1, d2),
+    T_u = q^{-u(S1-S2)/2} puts on it; ``inside_flat`` is where those entries
+    sit in the flattened padded blocks.  Layouts are memoised on (d1, d2),
     so their arrays are read-only.
     """
 
@@ -265,9 +383,12 @@ class _BlockLayout:
     take: tuple
     dst: np.ndarray
     twist: np.ndarray
+    inside_flat: np.ndarray
+    dim: int
 
     def __post_init__(self):
-        for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist):
+        for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist,
+                    self.inside_flat):
             arr.setflags(write=False)
 
     @classmethod
@@ -284,29 +405,33 @@ class _BlockLayout:
         return cls(sizes=sizes, live=b < nb - 2 * n, inside=inside,
                    take=(b[:, :, None] - n, rows[:, :, None], n),
                    dst=(rows[:, :, None] * (d1 * d2) + rows[:, None, :])[inside],
-                   twist=(j[:, None, :] - j[:, :, None])[inside])
+                   twist=(j[:, None, :] - j[:, :, None])[inside],
+                   inside_flat=np.flatnonzero(inside), dim=d1 * d2)
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
-        """The padded weight blocks of chains c[m][:, n] (see :meth:`ProductSpace._chains`)."""
-        return np.where(self.inside, chains[self.take], np.eye(self.inside.shape[1]))
+        """The padded weight blocks of chains c[..., m, :, n] (see
+        :meth:`_SpaceStack.chains`), leading axes kept."""
+        return np.where(self.inside, chains[(..., *self.take)], np.eye(self.inside.shape[1]))
 
-    def require_conditioned(self, cond: np.ndarray, limit: float) -> None:
-        """Raise :class:`SingularBasis` for the worst block whose condition
-        number is above ``limit`` or not a number."""
+    def conditioning_error(self, cond: np.ndarray, limit: float) -> SingularBasis | None:
+        """:class:`SingularBasis` for the worst block whose condition number
+        is above ``limit`` or not a number, or None."""
         bad = np.flatnonzero(~(cond <= limit))
-        if bad.size:
-            b = int(bad[np.argmax(cond[bad])])
-            weight = b - (len(self.sizes) - 1) / 2
-            size = int(self.sizes[b])
-            raise SingularBasis(
-                f"eigenvector block of weight {weight:g} (size {size}) has condition number "
-                f"{cond[b]:.3e}, above {limit:.0e}",
-                weight=weight, size=size, cond=float(cond[b]))
+        if not bad.size:
+            return None
+        b = int(bad[np.argmax(cond[bad])])
+        weight = b - (len(self.sizes) - 1) / 2
+        size = int(self.sizes[b])
+        return SingularBasis(
+            f"eigenvector block of weight {weight:g} (size {size}) has condition number "
+            f"{cond[b]:.3e}, above {limit:.0e}",
+            weight=weight, size=size, cond=float(cond[b]))
 
 
 @dataclasses.dataclass(frozen=True)
 class SpectralForm:
-    """The u-independent part of R on a product of two spins.
+    """The u-independent part of R on a product of two spins, for each
+    sample of a stack (the leading axis of every array).
 
     The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
     T_u = q^{-u(S1-S2)/2}, and the barred coproduct at -u carries the same
@@ -331,24 +456,30 @@ class SpectralForm:
             arr.setflags(write=False)
 
 
-def _lowest_weights(ell1, ell2, u: complex, q: DeformationParameter, d1: int, d2: int,
-                    barred: bool, count: int) -> np.ndarray:
-    """Rows n < count: the monomial coefficients of the degree-n
-    lowest-weight polynomial, all from one product recurrence.
+def _lowest_weights(ell1, ell2, us, qs, d1: int, d2: int, barred: bool,
+                    count: int) -> np.ndarray:
+    """For each sample (u_s, q_s), rows n < count: the monomial coefficients
+    of the degree-n lowest-weight polynomial, all from one product
+    recurrence; shape (S, count, d1*d2).
 
     The unbarred polynomial is the product over i = 1..n of
     (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one replaces q by 1/q.
     """
     s = -1.0 if barred else 1.0
-    c = np.zeros((count, d1, d2), complex)
-    c[0, 0, 0] = 1.0
-    for i in range(1, count):
-        # scalar powers: numpy's vectorised complex product may round differently
-        a = q.pow(s * (ell1 + 1 - i - u / 2))
-        b = q.pow(s * (u / 2 + i - 1 - ell2))
-        c[i, 1:, :] += a * c[i - 1, :-1, :]
-        c[i, :, 1:] -= b * c[i - 1, :, :-1]
-    return c.reshape(count, d1 * d2)
+    c = np.zeros((len(qs), count, d1, d2), complex)
+    c[:, 0, 0, 0] = 1.0
+    if count > 1:
+        # exponents as per-sample Python products, as DeformationParameter.pow forms them
+        powers = np.exp(np.array(
+            [[s * (ell1 + 1 - i - u / 2) * q.log_branch for i in range(1, count)]
+             + [s * (u / 2 + i - 1 - ell2) * q.log_branch for i in range(1, count)]
+             for u, q in zip(us, qs)], complex))
+        for i in range(1, count):
+            a = powers[:, i - 1, None, None]
+            b = powers[:, count + i - 2, None, None]
+            c[:, i, 1:, :] += a * c[:, i - 1, :-1, :]
+            c[:, i, :, 1:] -= b * c[:, i - 1, :, :-1]
+    return c.reshape(len(qs), count, d1 * d2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,26 +510,40 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
 
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
     descendant index m; the report records the residual and the spread of
-    Rayleigh estimates across each chain.  C acts on a sector's whole chain
-    in one stacked mat-vec, and the residuals and Rayleigh quotients of the
-    chain are read as arrays.
+    Rayleigh estimates across each chain.  The stack of one of
+    :func:`_casimir_sectors`.
     """
-    q = space.q
     c = casimir_matrix(space.coproduct(kind, u))
     rep1, rep2 = space.parents
-    entries = []
-    for n, chain in enumerate(space.sectors(u, kind)):
-        lam = qnum(n - rep1.ell - rep2.ell, q) * qnum(n - rep1.ell - rep2.ell - 1, q)
-        # row m of cv is c @ chain[m], and each row's residual is
-        # qcore.residual(cv[m], lam * chain[m], chain[m])
-        cv = np.matmul(c, chain[:, :, None])[:, :, 0]
-        gap = np.abs(cv - lam * chain).max(axis=1)
-        resid = gap / np.maximum(1.0, np.abs(chain).max(axis=1))
+    sectors = [chain[None] for chain in space.sectors(u, kind)]
+    return _casimir_sectors(c[None], sectors, rep1.ell, rep2.ell, (space.q,))[0]
+
+
+def _casimir_sectors(c: np.ndarray, sectors: list[np.ndarray], ell1, ell2,
+                     qs) -> list[CasimirSpectrumReport]:
+    """The :func:`tensor_casimir` report of each sample of a stack: ``c`` is
+    (S, d, d), entry n of ``sectors`` the chains (S, L_n, d) of sector n.
+
+    C acts on a sector's whole chain, for every sample, in one stacked
+    mat-vec; row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``.
+    """
+    count = len(sectors)
+    rows = [[x for n in range(count) for x in (n - ell1 - ell2, n - ell1 - ell2 - 1)]] * len(qs)
+    qn = _qnum_rows(rows, qs)
+    lam = _cmul(qn[:, 0::2], qn[:, 1::2])
+    resid = np.empty(lam.shape)
+    spread = np.empty(lam.shape)
+    for n, chain in enumerate(sectors):
+        cv = np.matmul(c[:, None], chain[..., None])[..., 0]
+        gap = np.abs(cv - lam[:, n, None, None] * chain).max(axis=2)
+        resid[:, n] = (gap / np.maximum(1.0, np.abs(chain).max(axis=2))).max(axis=1)
         rayleigh = np.vecdot(chain, cv) / np.vecdot(chain, chain).real
-        spread = _nan_max(*(abs(r - rayleigh[0]) for r in rayleigh))
-        entries.append(SectorEigenvalue(n, complex(lam), float(resid.max()),
-                                        float(spread)))
-    return CasimirSpectrumReport(entries)
+        dev = rayleigh - rayleigh[:, :1]
+        # np.hypot is the builtin abs of a complex scalar, bit for bit
+        spread[:, n] = np.hypot(dev.real, dev.imag).max(axis=1)
+    return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
+                                   in enumerate(zip(lam_s, resid_s, spread_s))])
+            for lam_s, resid_s, spread_s in zip(lam.tolist(), resid.tolist(), spread.tolist())]
 
 
 def weight_reversed(arr: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ import numpy as np
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     phi_product, qnum, residual, sample_generic_q, sample_params, sample_u)
-from .rep import build_lax, build_spin_rep, casimir_diagonal, fundamental_r
-from .rop import RMatrix, _top_sector, assemble_R, eigenvalue_sequence
+from .rep import _casimir_diagonals, build_lax, build_spin_rep, fundamental_r
+from .rop import RMatrix, _eigenvalues, _solve, _top_sector, eigenvalue_sequence
 from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
-                     SamplerExhausted)
-from .tensorrep import ProductSpace, kron, tensor_casimir
+                     QybeError, SamplerExhausted, _raise_first)
+from .tensorrep import (ProductSpace, _casimir_sectors, _q_powers, _sector_chains, _SpaceStack,
+                        kron)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,35 +54,81 @@ class ResidualReport:
                f"{self.max_residual:.3e} (tol {self.tolerance:g})"
 
 
+# the most samples one stacked pass evaluates, so memory stays bounded at any
+# sample count
+_STACK_SIZE = 16
+
+
 def _c2l(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
 
-def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, one,
+def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, draw, evaluate,
              count: int | None = None):
-    """The sampling loop behind every suite.
+    """The sampling harness behind every suite: draw every sample, then
+    evaluate them.
 
-    ``one(rng, i)`` draws sample i from the generator seeded by ``cfg`` and
-    returns its JSON record and its residual.  Residuals fold with a
-    NaN-keeping max, so a non-finite one fails the report.  When ``one``
-    returns a dict of named residuals instead, each name gets its own
-    report, with the name put in place of ``{}`` in ``identity_id``, and a
-    list of reports comes back.
+    ``draw(rng, i)`` draws sample i from the generator seeded by ``cfg`` and
+    returns its JSON record and its point; the draws run first, in sample
+    order, and no evaluation feeds a draw, so the stream and the records
+    are those of a loop that evaluates each sample as it is drawn.
+    ``evaluate(points)`` gives the residual of each point of a run of at
+    most :data:`_STACK_SIZE` consecutive samples, in one stacked pass or
+    with :func:`_each`, and raises the error of its lowest failing sample.
+    A draw that raises a :class:`QybeError` ends the draws; the samples
+    before it are evaluated first, so an error of theirs is the one raised.
+
+    Residuals fold with a NaN-keeping max, so a non-finite one fails the
+    report.  When the residuals are dicts of named residuals instead, each
+    name gets its own report, with the name put in place of ``{}`` in
+    ``identity_id``, and a list of reports comes back.
     """
     count = cfg.sample_count if count is None else count
     if count < 1:
         raise ParameterDomainError("a suite needs at least one sample")
     rng = cfg.rng()
-    samples, worst = [], {}
+    records, points, stop = [], [], None
     for i in range(count):
-        record, res = one(rng, i)
+        try:
+            record, point = draw(rng, i)
+        except QybeError as exc:
+            stop = exc
+            break
+        records.append(record)
+        points.append(point)
+    residuals = []
+    for start in range(0, len(points), _STACK_SIZE):
+        residuals.extend(evaluate(points[start:start + _STACK_SIZE]))
+    if stop is not None:
+        raise stop
+    worst = {}
+    for res in residuals:
         for name, r in (res.items() if isinstance(res, dict) else [(None, res)]):
             worst[name] = _nan_max(worst.get(name, 0.0), r)
-        samples.append(record)
-    reports = [ResidualReport(identity_id.format(name), tuple(samples), w, tol, cfg.rng_seed)
+    reports = [ResidualReport(identity_id.format(name), tuple(records), w, tol, cfg.rng_seed)
                for name, w in worst.items()]
     return reports if isinstance(res, dict) else reports[0]
+
+
+def _each(fn):
+    """An ``evaluate`` for :func:`_sampled` that maps ``fn`` over the points,
+    one sample at a time."""
+    return lambda points: [fn(point) for point in points]
+
+
+def _drawn(points: list) -> list:
+    """The ``evaluate`` of a suite whose draw needs the numerics (to accept
+    a point or to complete its record), so each point is its residual."""
+    return points
+
+
+def _point_draw(ell1, ell2, mode: str = "xxz"):
+    """The draw of the spin-pair suites: a :func:`_regular_point` (q, u)."""
+    def draw(rng, i):
+        q, u = _regular_point(ell1, ell2, rng, mode=mode)
+        return {"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u)}, (q, u)
+    return draw
 
 
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
@@ -127,12 +174,17 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
     """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v)."""
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
+    def draw(rng, i):
         if points is None:
             q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
             u, v = sample_u(rng), sample_u(rng)
         else:
             q, u, v = points[i]
+        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
+                (q, u, v))
+
+    def one(point):
+        q, u, v = point
         r12 = fundamental_r(u - v, q)
         if perturb:
             r12 = r12.copy()
@@ -142,12 +194,11 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         m23 = _on_slots(fundamental_r(v, q), (2, 2, 2), (1, 2))
         lhs = m12 @ m13 @ m23
         rhs = m23 @ m13 @ m12
-        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
-                residual(lhs, rhs, m12, m13, m23))
+        return residual(lhs, rhs, m12, m13, m23)
 
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
                     cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol,
-                    one, None if points is None else len(points))
+                    draw, _each(one), None if points is None else len(points))
 
 
 def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -159,29 +210,92 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
     # a cyclic quantum space is one fixed representation for every sample
     fixed = cy.build_cyclic_rep(quantum) if isinstance(quantum, cy.CyclicRepSpec) else None
 
-    def one(rng, i):
-        if fixed is None:
-            q = sample_generic_q(rng)
-            rep = build_spin_rep(quantum, q)
-        else:
-            q, rep = fixed.q, fixed
+    def draw(rng, i):
+        q = sample_generic_q(rng) if fixed is None else fixed.q
         u, v = sample_u(rng), sample_u(rng)
+        return {"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)}, (q, u, v)
+
+    def one(point):
+        q, u, v = point
+        rep = build_spin_rep(quantum, q) if fixed is None else fixed
         dims = (2, 2, rep.dim)
         l1 = _on_slots(build_lax(rep, u), dims, (0, 2))
         l2 = _on_slots(build_lax(rep, v), dims, (1, 2))
         r12 = _on_slots(fundamental_r(u - v, q), dims, (0, 1))
         lhs = r12 @ l1 @ l2
         rhs = l2 @ l1 @ r12
-        return ({"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
-                residual(lhs, rhs, r12, l1, l2))
+        return residual(lhs, rhs, r12, l1, l2)
 
     if fixed is not None:
-        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, one)
-    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, one)
+        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, draw, _each(one))
+    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, draw, _each(one))
 
 
 # ---------------------------------------------------------------------------
-# decomposed relations for an assembled R
+# the spin-pair suites, one stacked pass per run of samples
+
+def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]:
+    """R(u_s) at q_s for every sample, from the spectral form of their
+    stack, and each sample's first error in the order of :func:`assemble_R`:
+    a pole, the form's error (one form's error is every sample's), then
+    the errors of :func:`rop._solve`."""
+    eig, poles = _eigenvalues(ell1, ell2, us, qs)
+    m, errors = _solve(ell1, ell2, us, qs, eig, form)
+    form_errors = form_errors * (len(us) // len(form_errors))
+    return m, [p or f or e for p, f, e in zip(poles, form_errors, errors)]
+
+
+def _decomposed(space: _SpaceStack, us, r: np.ndarray) -> list[dict[str, float]]:
+    """The eight relations of :func:`decomposed_residuals` for R = r[s] at
+    u_s on each sample of ``space``: one stacked matmul pair for all
+    relations and samples, one stacked abs-max per distinct input."""
+    qs = space.qs
+    f1, f2 = space.factors
+    lb = space.log_branch
+    mus = [-u for u in us]
+    cop_u, cop_mu = space.coproduct("delta", us), space.coproduct("delta", mus)
+    bar_u, bar_mu = space.coproduct("deltabar", us), space.coproduct("deltabar", mus)
+    qs_diag = _q_powers(space.weights, lb, 1)
+
+    qu = np.exp(np.array([u * q.log_branch for u, q in zip(us, qs)], complex))[:, None, None]
+    c2 = np.array([(q.value - 1 / q.value) ** 2 for q in qs], complex)[:, None, None]
+    q1, q2 = space.factor_powers
+    plus_minus = kron(q1[1], q2[-1], 2)
+    minus_plus = kron(q1[-1], q2[1], 2)
+    c2_sm_sp = c2 * kron(f1.sm, f2.sp, 2)
+    c2_sp_sm = c2 * kron(f1.sp, f2.sm, 2)
+    qpm = qu * plus_minus + minus_plus / qu
+    qmp = qu * minus_plus + plus_minus / qu
+    k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
+    k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
+    c_mu, c_bar_u = np.moveaxis(
+        np.matmul(np.stack([cop_mu[0], bar_u[0]], axis=1), np.stack([cop_mu[1], bar_u[1]], axis=1))
+        + _casimir_diagonals(space.weights, qs)[:, None], 1, 0)
+    (sp_u, sm_u), (sp_mu, sm_mu) = cop_u, cop_mu
+    (bsp_u, bsm_u), (bsp_mu, bsm_mu) = bar_u, bar_mu
+
+    # name: (X, Y, Z, W, inputs) for the relation X Y = Z W
+    relations = {
+        "qs_commute": (r, qs_diag, qs_diag, r, (r, qs_diag)),
+        "lower_twisted": (r, sm_u, bsm_mu, r, (r, sm_u, bsm_mu)),
+        "raise_twisted": (r, sp_u, bsp_mu, r, (r, sp_u, bsp_mu)),
+        "lower_twisted_bar": (r, bsm_u, sm_mu, r, (r, bsm_u, sm_mu)),
+        "raise_twisted_bar": (r, bsp_u, sp_mu, r, (r, bsp_u, sp_mu)),
+        "k_plus_minus": (r, k_pm, k_pm_bar, r, (r, k_pm)),
+        "k_minus_plus": (r, k_mp, k_mp_bar, r, (r, k_mp)),
+        "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
+    }
+    x, y, z, w = (np.stack(col, axis=1) for col in zip(*(rel[:4] for rel in relations.values())))
+    gaps = np.abs(x @ y - z @ w).max(axis=(2, 3)).tolist()
+    distinct = {id(m): m for rel in relations.values() for m in rel[4]}
+    column = {key: j for j, key in enumerate(distinct)}
+    peaks = np.abs(np.stack(list(distinct.values()), axis=1)).max(axis=(2, 3)).tolist()
+    inputs = [[column[id(m)] for m in rel[4]] for rel in relations.values()]
+    # the residual of the abs-maxima is the residual of the matrices
+    return [{name: residual(gap, 0.0, *(peak[j] for j in idx))
+             for name, gap, idx in zip(relations, gap_row, inputs)}
+            for gap_row, peak in zip(gaps, peaks)]
+
 
 def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     """Residuals of the eight relations an intertwining R must satisfy, on
@@ -189,91 +303,61 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
 
     Each relation X Y = Z W is one slice of a stacked matmul pair, and each
     distinct input gets one abs-max.  :func:`qcore.residual` of those
-    abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.
+    abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.  The
+    stack of one of the suite's stacked pass.
     """
-    q = rm.q
-    u = rm.u
-    space = ProductSpace.of_spins(rm.ell1, rm.ell2, q, rm.basis_tag)
-    rep1, rep2 = space.parents
-    cop_u = space.coproduct("delta", u)
-    cop_mu = space.coproduct("delta", -u)
-    bar_u = space.coproduct("deltabar", u)
-    bar_mu = space.coproduct("deltabar", -u)
-    r = rm.matrix
-    qs = cop_u.qs(1)
-
-    qu = q.pow(u)
-    c2 = (q.value - 1 / q.value) ** 2
-    plus_minus = kron(rep1.qs(1), rep2.qs(-1))
-    minus_plus = kron(rep1.qs(-1), rep2.qs(1))
-    c2_sm_sp = c2 * kron(rep1.sm, rep2.sp)
-    c2_sp_sm = c2 * kron(rep1.sp, rep2.sm)
-    qpm = qu * plus_minus + minus_plus / qu
-    qmp = qu * minus_plus + plus_minus / qu
-    k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
-    k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
-    c_mu, c_bar_u = (np.matmul([cop_mu.sp, bar_u.sp], [cop_mu.sm, bar_u.sm])
-                     + casimir_diagonal(space.weights, q))
-
-    # name: (X, Y, Z, W, inputs) for the relation X Y = Z W
-    relations = {
-        "qs_commute": (r, qs, qs, r, (r, qs)),
-        "lower_twisted": (r, cop_u.sm, bar_mu.sm, r, (r, cop_u.sm, bar_mu.sm)),
-        "raise_twisted": (r, cop_u.sp, bar_mu.sp, r, (r, cop_u.sp, bar_mu.sp)),
-        "lower_twisted_bar": (r, bar_u.sm, cop_mu.sm, r, (r, bar_u.sm, cop_mu.sm)),
-        "raise_twisted_bar": (r, bar_u.sp, cop_mu.sp, r, (r, bar_u.sp, cop_mu.sp)),
-        "k_plus_minus": (r, k_pm, k_pm_bar, r, (r, k_pm)),
-        "k_minus_plus": (r, k_mp, k_mp_bar, r, (r, k_mp)),
-        "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
-    }
-    x, y, z, w = (np.array(col) for col in zip(*(rel[:4] for rel in relations.values())))
-    gaps = np.abs(x @ y - z @ w).max(axis=(1, 2))
-    distinct = {id(m): m for rel in relations.values() for m in rel[4]}
-    peaks = dict(zip(distinct, np.abs(np.array(list(distinct.values()))).max(axis=(1, 2))))
-    # the residual of the abs-maxima is the residual of the matrices
-    return {name: residual(gap, 0.0, *(peaks[id(m)] for m in rel[4]))
-            for (name, rel), gap in zip(relations.items(), gaps)}
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
+    return _decomposed(space._stack, [rm.u], rm.matrix[None])[0]
 
 
 def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
                          perturb: float = 0.0) -> list[ResidualReport]:
     """All eight decomposed relations over sampled (q, u) points, in the
-    orthonormal basis."""
+    orthonormal basis; each run of samples is assembled and checked in one
+    stacked pass."""
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
-        q, u = _regular_point(ell1, ell2, rng)
-        rm = assemble_R(ell1, ell2, u, q)
+    def evaluate(points):
+        qs, us = zip(*points)
+        space = _SpaceStack.of_spins(ell1, ell2, qs, "orthonormal")
+        r, errors = _stacked_R(ell1, ell2, us, qs, *space.spectral_form())
+        _raise_first(errors)
         if perturb:
-            m = rm.matrix.copy()
-            m[0, 1] += perturb
-            rm = dataclasses.replace(rm, matrix=m)
-        return {"q": _c2l(q.value), "u": _c2l(u)}, decomposed_residuals(rm)
+            r[:, 0, 1] += perturb
+        return _decomposed(space, us, r)
 
-    return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, one)
+    return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
+                    _point_draw(ell1, ell2), evaluate)
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
                     perturb: float = 0.0) -> ResidualReport:
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
-    R(u) and R(-u) share the memoised :class:`ProductSpace` of their q, in
-    the orthonormal basis at a sampled q and the monomial one at q = 1.
+    R(u) and R(-u) of a run of samples come from one stacked spectral form:
+    in the orthonormal basis of the samples' q values, or, in the monomial
+    basis at q = 1, the one memoised form of :class:`ProductSpace`, which
+    every sample shares.
     """
     cfg = cfg or ToleranceConfig()
     basis = "monomial" if mode == "xxx" else "orthonormal"
 
-    def one(rng, i):
-        q, u = _regular_point(ell1, ell2, rng, mode=mode)
-        r_u, r_mu = (assemble_R(ell1, ell2, x, q, basis=basis) for x in (u, -u))
-        m = r_u.matrix.copy()
+    def evaluate(points):
+        qs, us = zip(*points)
+        space = (ProductSpace.of_spins(ell1, ell2, RATIONAL, basis)._stack if mode == "xxx"
+                 else _SpaceStack.of_spins(ell1, ell2, qs, basis))
+        form = space.spectral_form()
+        r_u, e_u = _stacked_R(ell1, ell2, us, qs, *form)
+        r_mu, e_mu = _stacked_R(ell1, ell2, [-u for u in us], qs, *form)
+        _raise_first(e_u, e_mu)
         if perturb:
-            m[0, 1] += perturb
-        prod = m @ r_mu.matrix
-        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u)},
-                residual(prod, np.eye(prod.shape[0]), prod))
+            r_u[:, 0, 1] += perturb
+        prod = r_u @ r_mu
+        eye = np.eye(prod.shape[-1])
+        return [residual(p, eye, p) for p in prod]
 
-    return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, one)
+    return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol,
+                    _point_draw(ell1, ell2, mode), evaluate)
 
 
 def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -281,11 +365,12 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
     spectral power q^u (sampled on and off the unit circle).
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
-    keeps q^u fixed; only the spin-related powers of q move.
+    keeps q^u fixed; only the spin-related powers of q move.  A draw at a
+    pole is drawn again, so the draw computes both eigenvalue sequences.
     """
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
+    def draw(rng, i):
         for _ in range(MAX_DRAWS):
             q = sample_generic_q(rng, on_circle=(i % 2 == 0))
             u = sample_u(rng)
@@ -300,25 +385,37 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
         else:
             raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
         return ({"q": _c2l(q.value), "u": _c2l(u),
-                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)},
-                residual(base, shifted, base))
+                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}, (base, shifted))
 
-    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, one)
+    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, draw,
+                    _each(lambda point: residual(point[0], point[1], point[0])))
+
+
+def _casimir_reports(space: _SpaceStack, us) -> list:
+    """The :func:`tensor_casimir` report of each sample of ``space`` at its
+    u, unbarred, in one stacked pass; raises the error of the lowest failing
+    sample."""
+    sp, sm = space.coproduct("delta", us)
+    c = sp @ sm + _casimir_diagonals(space.weights, space.qs)
+    chains, errors = space.sectors(us, "delta")
+    _raise_first(errors)
+    f1, f2 = space.factors
+    return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
 
 
 def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
-    chains, in the orthonormal basis."""
+    chains, in the orthonormal basis; each run of samples is one stacked
+    pass of :func:`tensorrep._casimir_sectors`."""
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
-        q, u = _regular_point(ell1, ell2, rng)
-        space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
-        report = tensor_casimir(space, u)
-        return ({"q": _c2l(q.value), "u": _c2l(u)},
-                _nan_max(report.max_residual, report.max_m_spread))
+    def evaluate(points):
+        qs, us = zip(*points)
+        reports = _casimir_reports(_SpaceStack.of_spins(ell1, ell2, qs, "orthonormal"), us)
+        return [_nan_max(report.max_residual, report.max_m_spread) for report in reports]
 
-    return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol, one)
+    return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
+                    _point_draw(ell1, ell2), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +431,15 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
     """
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
+    def draw(rng, i):
         p1 = sample_params(rng, 3)
         p2 = sample_params(rng, 3)
         u = sample_u(rng, scale=0.6)
-        record = {"params1": [_c2l(z) for z in p1],
-                  "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
+        return ({"params1": [_c2l(z) for z in p1],
+                 "params2": [_c2l(z) for z in p2], "u": _c2l(u)}, (p1, p2, u))
+
+    def one(point):
+        p1, p2, u = point
         s1 = cy.CyclicRepSpec(*p1, n)
         s2 = cy.CyclicRepSpec(*p2, n)
         rep1, rep2 = cy.build_cyclic_rep(s1), cy.build_cyclic_rep(s2)
@@ -348,14 +448,14 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
             ce2 = cy.central_elements(s2, tol=1.0, rep=rep2)
             tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0, reps=(rep1, rep2))
         except NotScalar as exc:
-            return record, exc.residual
-        return record, _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
-                                tp.max_offscalar_residual,
-                                residual(ce1.alpha_minus, ce1.alpha_minus_product_route,
-                                         ce1.alpha_minus),
-                                *tp.closed_form_errors.values())
+            return exc.residual
+        return _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
+                        tp.max_offscalar_residual,
+                        residual(ce1.alpha_minus, ce1.alpha_minus_product_route,
+                                 ce1.alpha_minus),
+                        *tp.closed_form_errors.values())
 
-    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, one)
+    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, draw, _each(one))
 
 
 def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
@@ -364,24 +464,27 @@ def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
 
-    def one(rng, i):
+    def draw(rng, i):
         alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
-        return {"alpha": _c2l(alpha)}, phi_product(alpha, q).residual
+        return {"alpha": _c2l(alpha)}, alpha
 
-    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, one, count)
+    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, draw,
+                    _each(lambda alpha: phi_product(alpha, q).residual), count)
 
 
 def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """All 4N shift relations at random draws from the admissible parameter set."""
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
+    def draw(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
-        fam = cy.eigenstate_family(s1, s2, u, enforce=False)
-        return ({"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)},
-                _nan_max(*fam.shift_residuals.values()))
+        return {"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)}, (s1, s2, u)
 
-    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, one)
+    def one(point):
+        fam = cy.eigenstate_family(*point, enforce=False)
+        return _nan_max(*fam.shift_residuals.values())
+
+    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, draw, _each(one))
 
 
 def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -390,23 +493,28 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
 
-    def one(rng, i):
+    def draw(rng, i):
         s1 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
         s2 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
         u = sample_u(rng, scale=0.6)
+        return {"u": _c2l(u)}, (s1, s2, u)
+
+    def one(point):
+        s1, s2, u = point
         vals = cy.cyclic_R_eigenvalues(s1, s2, u)
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
-        return {"u": _c2l(u)}, residual(vals[1:] / vals[:-1], step, step)
+        return residual(vals[1:] / vals[:-1], step, step)
 
-    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, one)
+    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, draw, _each(one))
 
 
 def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Partial R reproduces its defining action on every family vector; a
-    conflicting sample keeps its residual, so the suite's tolerance decides."""
+    conflicting sample keeps its residual, so the suite's tolerance decides.
+    A record names the span rank, so the draw solves the partial R."""
     cfg = cfg or ToleranceConfig()
 
-    def one(rng, i):
+    def draw(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
         try:
             pr = cy.partial_R(s1, s2, u)
@@ -414,4 +522,4 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualRepor
             return {"u": _c2l(u), "span_rank": exc.span_rank}, exc.residual
         return {"u": _c2l(u), "span_rank": pr.span_rank}, pr.max_residual
 
-    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, one)
+    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, draw, _drawn)

@@ -88,6 +88,18 @@ def test_rep_order_below_three_rejected(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_rep_cyclic_order_is_bounded(tmp_path, capsys):
+    """--N above cli.MAX_ORDER exits 2 before any document is written, as
+    verify --N does; the bound itself still writes its documents."""
+    out = tmp_path / "big"
+    assert main(["rep", "--cyclic", "--N", str(cli.MAX_ORDER + 2), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at most {cli.MAX_ORDER}" in err
+    assert not out.exists()
+    assert main(["rep", "--cyclic", "--N", str(cli.MAX_ORDER), "--out", str(out)]) == 0
+    assert load_document(out / "sp.json")["dims"] == [cli.MAX_ORDER, cli.MAX_ORDER]
+
+
 def test_rep_missing_arguments(tmp_path):
     assert main(["rep", "--out", str(tmp_path / "x")]) == 2
 

@@ -530,3 +530,15 @@ def test_assemble_R_rejects_an_overflowing_u(spin, u):
         with pytest.raises(ParameterDomainError,
                            match=re.escape(f"spins ({spin}, {spin}), u = ({u}+0j)")):
             assemble_R(spin, spin, u, q)
+
+
+@pytest.mark.parametrize("build,u", [(eigenvalue_sequence, 2000), (closed_form_R, 1000)])
+def test_eigenvalues_and_table_reject_an_overflowing_u(build, u):
+    """At |q| = 1/2 these u overflow a power of q: the eigenvalues and the
+    tabulated R raise, naming the spins and u, and warn of nothing."""
+    q = DeformationParameter.generic(0.3 + 0.4j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError,
+                           match=re.escape(f"not finite at spins (1, 1), u = ({u}+0j)")):
+            build(1, 1, u, q)

@@ -198,7 +198,7 @@ def test_descent_laws(pair, rng):
         cq = q.value - 1 / q.value
         big_l = ell1 + ell2 + 1
         def phi(n, spec, barred):
-            return _lowest_weights(ell1, ell2, spec, q, d1, d2, barred, n + 1)[n]
+            return _lowest_weights(ell1, ell2, [spec], [q], d1, d2, barred, n + 1)[0, n]
         sm_bar_u = ProductSpace(r1, r2).coproduct("deltabar", u).sm
         for n in range(1, min(d1, d2)):
             assert np.abs(sm_u @ phi(n, u, False)).max() < 1e-10
@@ -225,8 +225,8 @@ def test_barred_vectors_are_inverse_parameter_twins(rng):
     u = sample_u(rng)
     qi = q_inverse(q)
     for n in range(3):
-        direct = _lowest_weights(1.0, 1.0, u, q, 3, 3, True, n + 1)[n]
-        via_inverse = _lowest_weights(1.0, 1.0, u, qi, 3, 3, False, n + 1)[n]
+        direct = _lowest_weights(1.0, 1.0, [u], [q], 3, 3, True, n + 1)[0, n]
+        via_inverse = _lowest_weights(1.0, 1.0, [u], [qi], 3, 3, False, n + 1)[0, n]
         assert np.allclose(direct, via_inverse, atol=1e-12)
 
 
@@ -237,8 +237,8 @@ def test_barred_vectors_swap_factors(rng):
     ell1, ell2 = 0.5, 1.0
     d1, d2 = 2, 3
     for n in range(1, 3):
-        barred = _lowest_weights(ell1, ell2, u, q, d1, d2, True, n + 1)[n]
-        swapped = _lowest_weights(ell2, ell1, u, q, d2, d1, False, n + 1)[n]
+        barred = _lowest_weights(ell1, ell2, [u], [q], d1, d2, True, n + 1)[0, n]
+        swapped = _lowest_weights(ell2, ell1, [u], [q], d2, d1, False, n + 1)[0, n]
         swapped = swapped.reshape(d2, d1).T.ravel()
         assert np.allclose(barred, (-1) ** n * swapped, atol=1e-12)
 
@@ -558,8 +558,8 @@ def _reference_chains(space, u, kind):
     """The chains of one kind, raised one 2-D product at a time."""
     rep1, rep2 = space.parents
     d1, d2 = rep1.dim, rep2.dim
-    lw = np.array([_lowest_weights(rep1.ell, rep2.ell, u, space.q, d1, d2,
-                                   kind == "deltabar", n + 1)[n]
+    lw = np.array([_lowest_weights(rep1.ell, rep2.ell, [u], [space.q], d1, d2,
+                                   kind == "deltabar", n + 1)[0, n]
                    for n in range(min(d1, d2))]).T
     if space.from_monomial is not None:
         lw = space.from_monomial[:, None] * lw

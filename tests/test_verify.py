@@ -270,43 +270,57 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
         check_unitarity(0.5, 0.5, FAST, mode="xxx")
 
 
+def _sample_us(report) -> tuple:
+    return tuple(complex(*record["u"]) for record in report.samples)
+
+
 @pytest.mark.parametrize("mode", ["xxz", "xxx"])
 def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
-    """R(u) and R(-u) share one space per sample: orthonormal at a sampled q,
-    monomial at q = 1, where every sample shares the one space."""
-    spaces, solved_on = [], []
-    init = ProductSpace.__init__
-    form = ProductSpace.spectral_form
+    """R(u) and R(-u) of every sample are solved from one spectral form: a
+    stack of the samples' own q values, orthonormal, at a sampled q, and the
+    one monomial space at q = 1, which every sample shares."""
+    stacks, solved = [], []
+    init = tensorrep._SpaceStack.__init__
+    solve = verify._solve
 
     def counting_init(self, *args):
-        spaces.append(self)
+        stacks.append(self)
         init(self, *args)
 
-    def spying_form(self):
-        solved_on.append(self)
-        return form(self)
+    def spying_solve(ell1, ell2, us, qs, eig, form):
+        solved.append((tuple(us), form))
+        return solve(ell1, ell2, us, qs, eig, form)
 
-    monkeypatch.setattr(ProductSpace, "__init__", counting_init)
-    monkeypatch.setattr(ProductSpace, "spectral_form", spying_form)
-    assert check_unitarity(1.0, 1.0, FAST, mode=mode).passed
-    per_sample = spaces * FAST.sample_count if mode == "xxx" else spaces
-    assert len(per_sample) == FAST.sample_count
-    assert solved_on == [space for space in per_sample for _ in (1, -1)]
+    monkeypatch.setattr(tensorrep._SpaceStack, "__init__", counting_init)
+    monkeypatch.setattr(verify, "_solve", spying_solve)
+    report = check_unitarity(1.0, 1.0, FAST, mode=mode)
+    assert report.passed
+    (stack,) = stacks
+    form = stack.spectral_form()[0]
+    us = _sample_us(report)
+    assert solved == [(us, form), (tuple(-u for u in us), form)]
+    if mode == "xxx":
+        assert stack.qs == (RATIONAL,)
+        assert ProductSpace.of_spins(1.0, 1.0, RATIONAL, "monomial")._stack is stack
+    else:
+        assert [q.value for q in stack.qs] == [complex(*r["q"]) for r in report.samples]
     basis = "monomial" if mode == "xxx" else "orthonormal"
-    assert {rep.basis_tag for space in spaces for rep in space.parents} == {basis}
+    assert {factor.basis_tag for factor in stack.factors} == {basis}
 
 
 def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
-    kinds = []
-    chains = ProductSpace._chains
+    """One stacked pass raises the unbarred chains of every sample at its u."""
+    calls = []
+    chains = tensorrep._SpaceStack.chains
 
-    def counting_chains(self, u, requested):
-        kinds.append(requested)
-        return chains(self, u, requested)
+    def counting_chains(self, us, requested):
+        calls.append((tuple(us), requested))
+        return chains(self, us, requested)
 
-    monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
-    assert check_casimir_spectrum(1.0, 1.0, FAST).passed
-    assert kinds == [("delta",)] * FAST.sample_count
+    monkeypatch.setattr(tensorrep._SpaceStack, "chains", counting_chains)
+    report = check_casimir_spectrum(1.0, 1.0, FAST)
+    assert report.passed
+    assert calls == [(_sample_us(report), ("delta",))]
 
 
 SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
