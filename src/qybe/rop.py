@@ -128,7 +128,8 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     u = complex(u)
     eig, poles = _eigenvalues(ell1, ell2, [u], [q])
     _raise_first(poles)
-    form = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
+    form, errors = ProductSpace.of_spins(ell1, ell2, q, basis)._stack.spectral_form()
+    _raise_first(errors)
     m, errors = _solve(ell1, ell2, [u], [q], eig, form)
     _raise_first(errors)
     return RMatrix(matrix=m[0], u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
@@ -153,8 +154,12 @@ def _solve(ell1, ell2, us, qs, eig: np.ndarray, form: SpectralForm) -> tuple[np.
         blocks = ((form.left * eig[:, None, None, :]) @ form.right).reshape(count, -1)
         twist = np.asarray(us, complex)[:, None] * layout.twist
         lb = np.array([q.log_branch for q in qs], complex)[:, None]
+        # named, so that numpy cannot reuse it as the output of the product:
+        # it computes into a temporary right operand of 256 KiB or more with
+        # the factors swapped, which can move a last bit
+        powers = np.exp(twist * lb)
         m = np.zeros((count, layout.dim * layout.dim), complex)
-        m[:, layout.dst] = blocks[:, layout.inside_flat] * np.exp(twist * lb)
+        m[:, layout.dst] = blocks[:, layout.inside_flat] * powers
     finite = np.isfinite(m).all(axis=1)
     errors = [error or (None if ok else ParameterDomainError(
         f"R is not finite at spins ({ell1}, {ell2}), u = {u}: a power of q overflows"))

@@ -280,6 +280,7 @@ class ProductSpace:
         self.weights = self._stack.weights
         fm = self._stack.from_monomial
         self.from_monomial = None if fm is None else fm[0]
+        self._form: SpectralForm | None = None
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -294,13 +295,6 @@ class ProductSpace:
         """
         return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
 
-    @property
-    def _pieces(self) -> dict[str, tuple[np.ndarray, ...]]:
-        return {kind: tuple(p[0] for p in pieces) for kind, pieces in self._stack._pieces.items()}
-
-    def _kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
-        return tuple(p[0] for p in self._stack.kind_pieces(kind))
-
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
         parameter u:
@@ -314,14 +308,6 @@ class ProductSpace:
         return OperatorTriple(sp=sp[0], sm=sm[0], weights=self.weights, q=self.q,
                               basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
                               ell=None, from_monomial=self.from_monomial)
-
-    def _chains(self, u: complex, kinds: tuple[str, ...]) -> np.ndarray:
-        """The chains of :meth:`_SpaceStack.chains` at u, of shape
-        (len(kinds), d1+d2-1, d1*d2, k); raises their
-        :class:`CompletenessFailure`."""
-        chains, errors = self._stack.chains([u], kinds)
-        _raise_first(errors)
-        return chains[0]
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
         """All eigen-sectors of the coproduct ``kind`` at u.
@@ -339,12 +325,16 @@ class ProductSpace:
         return _sector_chains(chains[0])
 
     def spectral_form(self) -> SpectralForm:
-        """The u-independent spectral form of R on this space of two spins
-        (a stack of one), built from the chains at u = 0 the first time it
-        is asked for (see :meth:`_SpaceStack.spectral_form`)."""
-        form, errors = self._stack.spectral_form()
-        _raise_first(errors)
-        return form
+        """The u-independent spectral form of R on this space of two spins,
+        built from the chains at u = 0 the first time it is asked for: the
+        one sample of :meth:`_SpaceStack.spectral_form`, without the sample
+        axis.  Raises that sample's :class:`CompletenessFailure`."""
+        if self._form is None:
+            form, errors = self._stack.spectral_form()
+            _raise_first(errors)
+            self._form = SpectralForm(left=form.left[0], right=form.right[0],
+                                      cond=form.cond[0], layout=form.layout)
+        return self._form
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -430,8 +420,9 @@ class _BlockLayout:
 
 @dataclasses.dataclass(frozen=True)
 class SpectralForm:
-    """The u-independent part of R on a product of two spins, for each
-    sample of a stack (the leading axis of every array).
+    """The u-independent part of R on a product of two spins.  The arrays
+    of a :class:`_SpaceStack` form have a leading sample axis; those of a
+    :class:`ProductSpace` form do not.
 
     The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
     T_u = q^{-u(S1-S2)/2}, and the barred coproduct at -u carries the same

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qybe.rop as rop
+import qybe.tensorrep as tensorrep
 from conftest import product_values, q_inverse
 from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
@@ -421,10 +422,10 @@ def test_assembly_reuses_the_space_form(q_generic, monkeypatch):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal")
     form = space.spectral_form()
 
-    def no_chains(self, u, kinds):
+    def no_chains(self, us, kinds):
         raise AssertionError(f"assemble_R built {kinds} chains of its own")
 
-    monkeypatch.setattr(ProductSpace, "_chains", no_chains)
+    monkeypatch.setattr(tensorrep._SpaceStack, "chains", no_chains)
     for u in (0.3 - 0.2j, -0.3 + 0.2j):
         assemble_R(1.0, 1.5, u, q_generic)
     assert ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal") is space

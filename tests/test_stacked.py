@@ -6,6 +6,7 @@ recurrence and the lowest-weight recurrence, and the public stacks of one
 (``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``) for the rest.
 Arrays are compared byte for byte, so a zero's sign counts.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -151,6 +152,23 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
         assert relations[s] == decomposed_residuals(alone_u)
 
 
+@pytest.mark.parametrize("mode", ["xxz", "xxx"])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_space_form_is_its_stack_form_without_the_sample_axis(pair, mode):
+    """ProductSpace.spectral_form keeps the shapes of a one-q form:
+    left and right (d1+d2-1, k, k), cond (d1+d2-1,)."""
+    q = _points(pair, 3, mode)[0][0]
+    space = ProductSpace.of_spins(*pair, q, "monomial" if mode == "xxx" else "orthonormal")
+    form = space.spectral_form()
+    stacked, errors = space._stack.spectral_form()
+    assert errors == [None]
+    blocks, k = sum(space._stack.dims) - 1, min(space._stack.dims)
+    for name, shape in (("left", (blocks, k, k)), ("right", (blocks, k, k)), ("cond", (blocks,))):
+        assert getattr(form, name).shape == shape
+        _same(getattr(form, name), getattr(stacked, name)[0])
+    assert space.spectral_form() is form
+
+
 @pytest.mark.parametrize("pair", PAIRS)
 def test_rational_R_shares_one_form_across_the_stack(pair):
     points = _points(pair, 9, "xxx")
@@ -160,6 +178,25 @@ def test_rational_R_shares_one_form_across_the_stack(pair):
     assert errors == [None] * COUNT
     for s, u in enumerate(us):
         _same(r[s], assemble_R(*pair, u, mode="xxx").matrix)
+
+
+def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
+    """numpy computes a binary operation into a temporary operand of at
+    least 256 KiB, and into the right one when the left cannot take it,
+    which swaps the factors of a product and can move the last bit of a
+    complex product.  R of 1,000 (1, 1) samples in one pass puts the
+    block-times-twist product of rop._solve past that size."""
+    pair, count = (1.0, 1.0), 1000
+    rng = np.random.default_rng(4)
+    qs, us = zip(*(_regular_point(*pair, rng) for _ in range(count)))
+    form, errors = _SpaceStack.of_spins(*pair, qs, "orthonormal").spectral_form()
+    eig, poles = rop._eigenvalues(*pair, us, qs)
+    r, solved = rop._solve(*pair, us, qs, eig, form)
+    assert errors == poles == solved == [None] * count
+    for s in range(count):
+        alone = dataclasses.replace(form, left=form.left[s:s + 1], right=form.right[s:s + 1],
+                                    cond=form.cond[s:s + 1])
+        _same(r[s], rop._solve(*pair, us[s:s + 1], qs[s:s + 1], eig[s:s + 1], alone)[0][0])
 
 
 @pytest.mark.parametrize("pair", PAIRS)

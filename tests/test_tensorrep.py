@@ -472,7 +472,7 @@ def test_completeness_failure_names_sector_family_and_residual(kind, family):
     (3, (True,), "raising chain of sector 0 of the unbarred family breaks at step 3"),
 ])
 def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypatch):
-    """Both families share one _chains pass, which still raises in the order
+    """Both families share one chains pass, which still raises in the order
     unbarred lowest weight, unbarred chain, barred lowest weight, barred chain."""
     lowest = tensorrep._lowest_weights
 
@@ -539,7 +539,7 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
     space.coproduct("delta", 0.3)
     space.coproduct("deltabar", 0.3)
-    shared = _space_arrays(space) + [p for pieces in space._pieces.values() for p in pieces]
+    shared = _space_arrays(space) + [p for pieces in space._stack._pieces.values() for p in pieces]
     if basis == "orthonormal":
         shared += [rep.from_monomial for rep in space.parents] + [space.from_monomial]
     assert len(shared) == (18 if basis == "monomial" else 21)
@@ -575,11 +575,14 @@ def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
     for ell1, ell2 in STACK_PAIRS:
         q, u = sample_generic_q(rng), sample_u(rng)
         space = ProductSpace(*_pair(ell1, ell2, q, basis))
-        both = space._chains(u, ("delta", "deltabar"))
+        both, errors = space._stack.chains([u], ("delta", "deltabar"))
+        assert errors == [None]
         for f, kind in enumerate(("delta", "deltabar")):
             want = _reference_chains(space, u, kind)
-            assert np.array_equal(both[f], want)
-            assert np.array_equal(space._chains(u, (kind,))[0], want)
+            assert np.array_equal(both[0, f], want)
+            one, errors = space._stack.chains([u], (kind,))
+            assert errors == [None]
+            assert np.array_equal(one[0, 0], want)
 
 
 def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
@@ -589,8 +592,8 @@ def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
         for kind, s in (("delta", 1), ("deltabar", -1)):
             want = (kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm),
                     kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp))
-            for got, ref in zip(space._kind_pieces(kind), want, strict=True):
-                assert np.array_equal(got, ref)
+            for got, ref in zip(space._stack.kind_pieces(kind), want, strict=True):
+                assert np.array_equal(got[0], ref)
 
 
 def _reference_casimir(space, u, kind):
