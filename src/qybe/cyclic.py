@@ -12,18 +12,25 @@ On a product theta_{k1, k2} every twisted generator moves the weight
 sector (k1 + k2) mod N by one, so the tensor checks run on its N
 sector-transition blocks (:func:`_sector_bands`) and never form the
 dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`.
+
+The kernels behind the central elements, the tensor powers and the shift
+laws take S samples at one q along a leading axis; each public function
+is the stack of one of its kernel, and every slice equals the sample
+alone bit for bit.  Every product of two complex arrays there broadcasts
+one factor, so numpy never computes it into a large temporary operand
+with the factors swapped, which can move the last bit.
 """
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
-from .qcore import (MAX_DRAWS, DeformationParameter, _nan_max, phi_product, qnum, residual,
-                    sample_params)
-from .rep import OperatorTriple
+from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, qnum, residual, sample_params
+from .rep import OperatorTriple, _diag
 from .tensorrep import _require_shared_q
 
 
@@ -53,25 +60,77 @@ class CyclicRepSpec:
         return (self.alpha + self.beta) / 2
 
 
-def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
-    """Generator matrices of the cyclic representation on {theta_k}."""
-    n, q = spec.n, spec.q
+class _RepBands(NamedTuple):
+    """S cyclic representations of one order N at one q, stacked along a
+    leading sample axis by their bands: ``lower`` (S, N), the entry of S-
+    at [(k - 1) mod N, k]; ``lift`` (S, N), the entry of S+ at
+    [(k + 1) mod N, k]; and ``weights`` (S, N), the eigenvalues of S."""
+
+    lower: np.ndarray
+    lift: np.ndarray
+    weights: np.ndarray
+    q: DeformationParameter
+
+    @classmethod
+    def of_triples(cls, reps) -> "_RepBands":
+        """The bands of representations already built."""
+        n = reps[0].dim
+        k = np.arange(n)
+        return cls(np.array([rep.sm[(k - 1) % n, k] for rep in reps]),
+                   np.array([rep.sp[(k + 1) % n, k] for rep in reps]),
+                   np.array([rep.weights for rep in reps]), reps[0].q)
+
+    def generators(self) -> np.ndarray:
+        """S+ and S- of every representation as matrices, (S, 2, N, N)."""
+        count, n = self.weights.shape
+        k = np.arange(n)
+        gens = np.zeros((count, 2, n, n), complex)
+        gens[:, 0, (k + 1) % n, k] = self.lift
+        gens[:, 1, (k - 1) % n, k] = self.lower
+        return gens
+
+
+def _rep_bands(specs) -> _RepBands:
+    """The bands of every spec's representation, in one stacked pass; the
+    specs share their order N and q.
+
+    The prefactors q^{-+lam/2} are per-sample Python exponents before one
+    ``np.exp``, as :meth:`DeformationParameter.pow` forms them, and the
+    q-numbers are one array :func:`qcore.qnum`, so row s is the bands of
+    spec s alone, bit for bit.
+    """
+    n, q = specs[0].n, specs[0].q
+    lb = q.log_branch
     k = np.arange(n)
-    sp = np.zeros((n, n), complex)
-    sm = np.zeros((n, n), complex)
-    sm[(k - 1) % n, k] = q.pow(-spec.lam / 2) * qnum(k - spec.beta, q)
-    sp[(k + 1) % n, k] = q.pow(spec.lam / 2) * qnum(spec.alpha - k, q)
-    weights = k - spec.ell
-    return OperatorTriple(sp=sp, sm=sm, weights=weights.astype(complex), q=q,
+    pre = np.exp(np.array([(-s.lam / 2 * lb, s.lam / 2 * lb) for s in specs], complex))
+    alpha, beta, ell = np.array([(s.alpha, s.beta, s.ell) for s in specs], complex).T[..., None]
+    return _RepBands(pre[:, :1] * qnum(k - beta, q), pre[:, 1:] * qnum(alpha - k, q), k - ell, q)
+
+
+def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
+    """Generator matrices of the cyclic representation on {theta_k}; the
+    stack of one of :func:`_rep_bands`."""
+    bands = _rep_bands([spec])
+    sp, sm = bands.generators()[0]
+    return OperatorTriple(sp=sp, sm=sm, weights=bands.weights[0], q=spec.q,
                           basis_tag="theta", ell=None, from_monomial=None)
 
 
-def _scalar_part(m: np.ndarray) -> tuple[complex, float]:
-    """The scalar of a matrix, or of a block-diagonal one given as the stack
-    of its diagonal blocks, and its relative off-scalar residual."""
+def _scalar_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scalars of a stack of block-diagonal matrices, each given as the
+    stack of its diagonal blocks, shape (..., B, N, N), and their relative
+    off-scalar residuals; both of shape ``m.shape[:-3]``.
+
+    A scalar is the mean of its B N diagonal entries, summed in the order
+    in which ``sum()`` of one matrix's diagonal sums them, and its residual
+    is :func:`qcore.residual` of the blocks against it, scaled by the
+    builtin modulus of the scalar.
+    """
     d = np.diagonal(m, axis1=-2, axis2=-1)
-    s = complex(d.sum() / d.size)
-    return s, residual(m, s * np.eye(m.shape[-1]), s)
+    s = d.sum(axis=(-2, -1)) / (d.shape[-2] * d.shape[-1])
+    gaps = np.abs(m - s[..., None, None, None] * np.eye(m.shape[-1])).max(axis=(-3, -2, -1))
+    scales = [max(1.0, abs(x)) for x in s.ravel().tolist()]
+    return s, gaps / np.reshape(scales, s.shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,6 +142,23 @@ class CentralElements:
     alpha_minus_product_route: complex
 
 
+def _central_elements(specs, bands: _RepBands) -> list[CentralElements]:
+    """:func:`central_elements` of every spec, unguarded, from the stack
+    ``bands`` of their representations: one ``matrix_power`` of all the
+    S+ and S-, and the q-number products of the cross-check along one axis."""
+    n, q = specs[0].n, specs[0].q
+    mats = np.concatenate([np.linalg.matrix_power(bands.generators(), n),
+                           _diag(bands.q.pow(n * bands.weights))[:, None]], axis=1)
+    scalars, resids = _scalar_part(mats[:, :, None])
+    pre = np.exp(np.array([-n * s.lam / 2 * q.log_branch for s in specs], complex))
+    # phi_product(beta, q).product of every spec
+    prods = np.prod(qnum(np.array([[s.beta] for s in specs], complex) + np.arange(n), q), axis=-1)
+    return [CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
+                            max_offscalar_residual=_nan_max(*r),
+                            alpha_minus_product_route=complex(-p * complex(prod)))
+            for (ap, am, aq), r, p, prod in zip(scalars.tolist(), resids.tolist(), pre, prods)]
+
+
 def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
                      rep: OperatorTriple | None = None) -> CentralElements:
     """Scalars of (S+)^N, (S-)^N and q^{NS}, verified to be central.
@@ -90,21 +166,14 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
     (S-)^N is cross-checked against the independent q-number-product route
     q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  ``rep`` is
     :func:`build_cyclic_rep` of ``spec`` when the caller already has it.
+    The stack of one of :func:`_central_elements`.
     """
-    if rep is None:
-        rep = build_cyclic_rep(spec)
-    n = spec.n
-    sp_n, sm_n = np.linalg.matrix_power(np.stack([rep.sp, rep.sm]), n)
-    ap, rp = _scalar_part(sp_n)
-    am, rm = _scalar_part(sm_n)
-    aq, rq = _scalar_part(rep.qs(n))
-    worst = _nan_max(rp, rm, rq)
+    bands = _rep_bands([spec]) if rep is None else _RepBands.of_triples([rep])
+    ce = _central_elements([spec], bands)[0]
+    worst = ce.max_offscalar_residual
     if not worst <= tol:
         raise NotScalar(worst, f"extended-center candidate has off-scalar residual {worst:.3e}")
-    am_route = -spec.q.pow(-n * spec.lam / 2) * phi_product(spec.beta, spec.q).product
-    return CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
-                           max_offscalar_residual=worst,
-                           alpha_minus_product_route=complex(am_route))
+    return ce
 
 
 def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
@@ -114,38 +183,64 @@ def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
     _require_shared_q(spec1.q, spec2.q)
 
 
-def _sector_bands(rep1: OperatorTriple, rep2: OperatorTriple, u: complex) -> np.ndarray:
-    """The sector-transition blocks of the four twisted generators on V1 x V2.
+# the four twisted generators, in the order of every stack over them, and
+# the steps by which each moves the weight sector
+_GENERATORS = ("sm_u", "sp_u", "sm_bar_u", "sp_bar_u")
+_STEPS = np.array([-1, 1, -1, 1])
+
+
+def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
+    """The sector-transition blocks of the four twisted generators on V1 x V2,
+    for every sample of the stacks at its u.
 
     Each of sm_u, sp_u, sm_bar_u and sp_bar_u (steps -1, 1, -1, 1) moves
     the weight sector c = k1 + k2 mod N by its step, so it is N blocks of
-    N x N.  Returns shape (4, N, N, N): [g, i] maps sector i * step_g mod N
-    to (i + 1) * step_g, on the basis vectors theta_{k1, c - k1} ordered by
-    k1.  The S2 term of a generator moves k2 and sits on the diagonal of a
-    block; the S1 term moves k1 and sits on the diagonal shifted by the
-    step.  Each entry is formed as :meth:`ProductSpace.coproduct` forms it,
-    the piece product and then the product or quotient with q^{u/2}, so the
-    blocks are bit for bit the slices of the dense generators.
+    N x N.  Returns shape (S, 4, N, N, N): [s, g, i] maps sector
+    i * step_g mod N to (i + 1) * step_g, on the basis vectors
+    theta_{k1, c - k1} ordered by k1.  The S2 term of a generator moves k2
+    and sits on the diagonal of a block; the S1 term moves k1 and sits on
+    the diagonal shifted by the step.  Each entry is formed as
+    :meth:`ProductSpace.coproduct` forms it, the piece product and then the
+    product or quotient with q^{u/2}, so the blocks are bit for bit the
+    slices of the dense generators.
     """
-    n, q = rep1.dim, rep1.q
+    n, q = reps1.weights.shape[1], reps1.q
     k = np.arange(n)
     g = np.arange(4)[:, None, None]
-    steps = np.array([-1, 1, -1, 1])[:, None, None]
+    steps = _STEPS[:, None, None]
     # delta weights its pieces by q^{-S1} and q^{S2}, deltabar by q^{S1} and q^{-S2}
-    w1 = np.stack([q.pow(-rep1.weights), q.pow(rep1.weights)])[[0, 0, 1, 1], None, :]
-    w2 = np.stack([q.pow(rep2.weights), q.pow(-rep2.weights)])[[0, 0, 1, 1]]
-    lower, lift = (k - 1) % n, (k + 1) % n
-    f1 = np.stack([rep1.sm[lower, k], rep1.sp[lift, k]])[[0, 1, 0, 1], None, :]
-    f2 = np.stack([rep2.sm[lower, k], rep2.sp[lift, k]])[[0, 1, 0, 1]]
+    w1 = np.stack([q.pow(-reps1.weights), q.pow(reps1.weights)], axis=1)[:, [0, 0, 1, 1], None]
+    w2 = np.stack([q.pow(reps2.weights), q.pow(-reps2.weights)], axis=1)[:, [0, 0, 1, 1]]
+    f1 = np.stack([reps1.lower, reps1.lift], axis=1)[:, [0, 1, 0, 1], None]
+    f2 = np.stack([reps2.lower, reps2.lift], axis=1)[:, [0, 1, 0, 1]]
     k2 = (steps * k[:, None] - k) % n  # [g, i, k1]: k2 of column k1 of block i
-    s1 = f1 * w2[g, k2]
-    s2 = w1 * f2[g, k2]
-    qu = q.pow(u / 2)
+    s1 = f1 * w2[:, g, k2]
+    s2 = w1 * f2[:, g, k2]
+    qu = np.exp(np.array([u / 2 * q.log_branch for u in us], complex))[:, None, None, None]
     times = np.array([True, False, False, True])[:, None, None]
-    bands = np.zeros((4, n, n, n), complex)
-    bands[g, k[:, None], (k + steps) % n, k] = np.where(times, qu * s1, s1 / qu)
-    bands[g, k[:, None], k, k] = np.where(times, s2 / qu, qu * s2)
+    bands = np.zeros((len(us), 4, n, n, n), complex)
+    bands[:, g, k[:, None], (k + steps) % n, k] = np.where(times, qu * s1, s1 / qu)
+    bands[:, g, k[:, None], k, k] = np.where(times, s2 / qu, qu * s2)
     return bands
+
+
+def _around_the_cycle(bands: np.ndarray) -> np.ndarray:
+    """The N-th power of every generator of a stack of sector bands, as the
+    stack of its diagonal blocks: block i is the product of the generator's
+    N blocks once around the cycle of sectors from sector i.
+
+    Step j multiplies block i by block (i + j) mod N, as two batched
+    products of slices of the bands, written into a spare stack, so no
+    copy of the bands is made.
+    """
+    n = bands.shape[2]
+    powers, spare = bands, np.empty_like(bands)
+    for j in range(1, n):
+        np.matmul(bands[:, :, j:], powers[:, :, :n - j], out=spare[:, :, :n - j])
+        np.matmul(bands[:, :, :j], powers[:, :, n - j:], out=spare[:, :, n - j:])
+        # the bands themselves are never overwritten
+        powers, spare = spare, (np.empty_like(bands) if powers is bands else powers)
+    return powers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,6 +252,41 @@ class TensorPowerReport:
     @property
     def max_offscalar_residual(self) -> float:
         return _nan_max(*self.offscalar_residuals.values())
+
+
+def _closed_exponents(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> tuple:
+    """The q-exponents x of the closed forms of (S-_u)^N and (S+_u)^N, each
+    (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))."""
+    n = spec1.n
+    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
+    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
+    return ((n * (u - a2 - b2 - l1) / 2, -n * b1, n * b1,
+             n * (-u + a1 + b1 - l2) / 2, -n * b2, n * b2),
+            (n * (-u - a2 - b2 + l1) / 2, n * a1, -n * a1,
+             n * (u + a1 + b1 + l2) / 2, n * a2, -n * a2))
+
+
+def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
+                          reps2: _RepBands) -> list[TensorPowerReport]:
+    """:func:`tensor_power_scalars` of every sample, unguarded, from the
+    stacks of its representations: the sector bands of all samples go
+    around the cycle together, and every closed-form power of q is a
+    per-sample Python exponent before one ``np.exp``, combined with the
+    rounding of the scalar formula."""
+    n, q = specs1[0].n, specs1[0].q
+    lb = q.log_branch
+    den = (q.value - 1 / q.value) ** (-n)
+    exps = np.exp(np.array([[[x * lb for x in form] for form in _closed_exponents(s1, s2, u)]
+                            for s1, s2, u in zip(specs1, specs2, us)], complex))
+    scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
+    reports = []
+    for sample, row, r in zip(exps, scalars.tolist(), resids.tolist()):
+        closed = [den * (p[0] * (p[1] - p[2]) + p[3] * (p[4] - p[5])) for p in sample]
+        reports.append(TensorPowerReport(
+            scalars=dict(zip(_GENERATORS, row)), offscalar_residuals=dict(zip(_GENERATORS, r)),
+            closed_form_errors={name: residual(s, c, c)
+                                for name, s, c in zip(_GENERATORS, row, closed)}))
+    return reports
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -173,53 +303,39 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     generator's N sector-transition blocks (:func:`_sector_bands`) taken
     once around the cycle of sectors, and the scalar is read from the
     diagonal of those blocks.  ``reps`` is :func:`build_cyclic_rep` of the
-    two specs when the caller already has them.
+    two specs when the caller already has them.  The stack of one of
+    :func:`_tensor_power_reports`; it raises at the first generator whose
+    off-scalar residual is above ``tol``, in the order sm_u, sp_u,
+    sm_bar_u, sp_bar_u.
     """
     _require_same_q(spec1, spec2)
-    n = spec1.n
-    q = spec1.q
-    if reps is None:
-        reps = build_cyclic_rep(spec1), build_cyclic_rep(spec2)
-    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
-    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
-    den = (q.value - 1 / q.value) ** (-n)
-    closed = {
-        "sm_u": den * (q.pow(n * (u - a2 - b2 - l1) / 2) * (q.pow(-n * b1) - q.pow(n * b1))
-                       + q.pow(n * (-u + a1 + b1 - l2) / 2) * (q.pow(-n * b2) - q.pow(n * b2))),
-        "sp_u": den * (q.pow(n * (-u - a2 - b2 + l1) / 2) * (q.pow(n * a1) - q.pow(-n * a1))
-                       + q.pow(n * (u + a1 + b1 + l2) / 2) * (q.pow(n * a2) - q.pow(-n * a2))),
-    }
-    scalars, resids, errors = {}, {}, {}
-    bands = _sector_bands(*reps, u)
-    around = np.concatenate([bands, bands], axis=1)
-    powers = bands
-    for j in range(1, n):
-        powers = around[:, j:j + n] @ powers
-    for name, power in zip(("sm_u", "sp_u", "sm_bar_u", "sp_bar_u"), powers):
-        s, r = _scalar_part(power)
-        scalars[name] = s
-        resids[name] = r
+    bands = ((_rep_bands([spec1]), _rep_bands([spec2])) if reps is None
+             else (_RepBands.of_triples(reps[:1]), _RepBands.of_triples(reps[1:])))
+    report = _tensor_power_reports([spec1], [spec2], [u], *bands)[0]
+    for name, r in report.offscalar_residuals.items():
         if not r <= tol:
             raise NotScalar(r, f"(S^N) off-scalar residual {r:.3e} for {name}")
-        if name in closed:
-            errors[name] = residual(s, closed[name], closed[name])
-    return TensorPowerReport(scalars=scalars, offscalar_residuals=resids,
-                             closed_form_errors=errors)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # eigenstate families
 
+def _ratio_exponent(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
+                    barred: bool) -> complex:
+    """The q-exponent of :func:`family_ratio`."""
+    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
+    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
+    if barred:
+        return 2 - u + (a1 + a2 - b1 - b2 + l2 - l1) / 2
+    return u - 2 + (b1 + b2 - a1 - a2 + l2 - l1) / 2
+
+
 def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
     """Geometric coefficient ratio along the support cycle of the family."""
     _require_same_q(spec1, spec2)
-    q = spec1.q
-    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
-    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
-    if barred:
-        return complex(q.pow(2 - u + (a1 + a2 - b1 - b2 + l2 - l1) / 2))
-    return complex(q.pow(u - 2 + (b1 + b2 - a1 - a2 + l2 - l1) / 2))
+    return complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
 
 
 def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
@@ -233,11 +349,18 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
                  for barred in (False, True))
 
 
-def _family_vectors(n: int, ratio: complex) -> np.ndarray:
-    """Rows phi_0 .. phi_{N-1} of one family: phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
+def _ratio_powers(ratios, n: int) -> np.ndarray:
+    """ratio**j for j = 0 .. N-1 of every ratio, as Python complex powers:
+    shape (len(ratios), N)."""
+    return np.array([[ratio**j for j in range(n)] for ratio in ratios], complex)
+
+
+def _family_vectors(n: int, ratios) -> np.ndarray:
+    """Rows phi_0 .. phi_{N-1} of the family of each ratio, shape
+    (len(ratios), N, N^2): phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
     k = np.arange(n)
-    fam = np.zeros((n, n * n), complex)
-    fam[k[:, None], ((k[:, None] - k) % n) * n + k] = [ratio**j for j in range(n)]
+    fam = np.zeros((len(ratios), n, n * n), complex)
+    fam[:, k[:, None], ((k[:, None] - k) % n) * n + k] = _ratio_powers(ratios, n)[:, None]
     return fam
 
 
@@ -250,26 +373,73 @@ class CyclicEigenFamily:
     shift_residuals: dict
 
 
+# the four shift relations, in the order of every stack over them and of
+# the checks of eigenstate_family; relation i is a law of generator i
+_RELATIONS = ("lower", "raise", "lower_bar", "raise_bar")
+
+
+def _prefactors(specs1, specs2, us, m: np.ndarray) -> np.ndarray:
+    """:func:`shift_prefactor` of the four relations at every m, for every
+    sample: shape (S, 4, *m.shape).
+
+    The powers of q are per-sample Python exponents before one ``np.exp``,
+    as :meth:`DeformationParameter.pow` forms them."""
+    q = specs1[0].q
+    lb = q.log_branch
+    axes = (1,) * m.ndim
+    exps, params = [], []
+    for s1, s2, u in zip(specs1, specs2, us):
+        x = (u - s1.lam + s2.beta - s2.alpha) / 2
+        y = (u + s1.lam + s2.beta - s2.alpha) / 2
+        exps.append([z * lb for z in (-1 + x, 1 - x, 1 - y, -1 + y)])
+        params.append((s1.beta, s2.beta, s1.alpha + s2.alpha + 1))
+    b1, b2, top = np.array(params, complex).T.reshape(3, -1, *axes)
+    down, up = qnum(m + 1 - b1 - b2, q), qnum(top - m, q)
+    pre = np.exp(np.array(exps, complex)).reshape(-1, 4, *axes)
+    return pre * np.stack([down, up, down, up], axis=1)
+
+
 def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
                     u: complex, m):
     """Exact q-exponent prefactor of one of the four shift relations.
 
-    A ``complex`` for an int m; an array of the prefactors for an array of m.
+    A ``complex`` for an int m; an array of the prefactors for an array of
+    m.  The stack of one of :func:`_prefactors`, so an int m gives the bits
+    of its entry in an array.
     """
-    q = spec1.q
-    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
-    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
-    if relation == "lower":
-        c = q.pow(-1 + (u - l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q)
-    elif relation == "raise":
-        c = q.pow(1 - (u - l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q)
-    elif relation == "lower_bar":
-        c = q.pow(1 - (u + l1 + b2 - a2) / 2) * qnum(m + 1 - b1 - b2, q)
-    elif relation == "raise_bar":
-        c = q.pow(-1 + (u + l1 + b2 - a2) / 2) * qnum(a1 + a2 + 1 - m, q)
-    else:
+    if relation not in _RELATIONS:
         raise ParameterDomainError(f"unknown relation {relation!r}")
-    return c if np.ndim(c) else complex(c)
+    c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
+    return c if np.ndim(m) else complex(c[0])
+
+
+def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
+    """The family ratios [rho, sigma] of every sample and the residuals of
+    its 4N shift laws, shape (S, 4, N), in one stacked pass.
+
+    phi_m lies in the sector m, so each law is evaluated there: its
+    generator's sector-transition block (:func:`_sector_bands`) applied to
+    phi_m restricted to the sector, whose coefficient of theta_{k1, m - k1}
+    is ratio^{(m - k1) mod N}.
+    """
+    n, q = specs1[0].n, specs1[0].q
+    lb = q.log_branch
+    ratios = np.exp(np.array([[_ratio_exponent(s1, s2, u, barred) * lb for barred in (False, True)]
+                              for s1, s2, u in zip(specs1, specs2, us)], complex))
+    bands = _sector_bands(_rep_bands(specs1), _rep_bands(specs2), us)
+    m = np.arange(n)
+    g = np.arange(4)[:, None]
+    steps = _STEPS[:, None]
+    # [s, g, m, k1]: the family of generator g, phi_m on its sector
+    vec = _ratio_powers(ratios.ravel().tolist(), n)[:, (m[:, None] - m) % n]
+    vec = vec.reshape(-1, 2, n, n)[:, [0, 0, 1, 1]]
+    c = _prefactors(specs1, specs2, us, m)
+    # block i of a generator acts on the sector i * step, the sector of phi_{i * step}
+    turn = m * steps % n
+    image = (bands @ vec[:, g, turn][..., None])[..., 0][:, g, turn]
+    r = np.abs(image - c[..., None] * vec[:, g, (m + steps) % n]).max(axis=-1)
+    r /= np.maximum(np.maximum(1.0, np.abs(vec).max(axis=-1)), np.abs(c))
+    return ratios.tolist(), r
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -278,34 +448,16 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
 
     phi_m lives on {theta_{(m-k) mod N, k}} with geometric coefficients;
     the twisted lowering/raising operators shift m by one with explicit
-    prefactors (see :func:`shift_prefactor`).  phi_m lies in the sector m, so
-    each law is evaluated there: its generator's sector-transition block
-    (:func:`_sector_bands`) applied to phi_m restricted to the sector.
-    When the closure condition ratio^N = 1 fails the laws break at the
-    cycle seam; with ``enforce`` the first violation (or NaN residual) is
-    raised, in the order lower, raise, lower_bar, raise_bar with m
-    ascending; otherwise residuals are just reported.
+    prefactors (see :func:`shift_prefactor`).  The residuals are the stack
+    of one of :func:`_shift_residuals`.  When the closure condition
+    ratio^N = 1 fails the laws break at the cycle seam; with ``enforce`` the
+    first violation (or NaN residual) is raised, in the order lower, raise,
+    lower_bar, raise_bar with m ascending; otherwise residuals are just
+    reported.
     """
     _require_same_q(spec1, spec2)
-    n = spec1.n
-    bands = _sector_bands(build_cyclic_rep(spec1), build_cyclic_rep(spec2), u)
-    rho = family_ratio(spec1, spec2, u, barred=False)
-    sig = family_ratio(spec1, spec2, u, barred=True)
-    phi = _family_vectors(n, rho)
-    phibar = _family_vectors(n, sig)
-    m = np.arange(n)
-    # row m: phi_m on its sector, the coefficients of theta_{k1, m - k1} by k1
-    on_sector = m[:, None], m * n + (m[:, None] - m) % n
-    sector_phi, sector_phibar = phi[on_sector], phibar[on_sector]
-    resids = {}
-    checks = (("lower", sector_phi, -1), ("raise", sector_phi, +1),
-              ("lower_bar", sector_phibar, -1), ("raise_bar", sector_phibar, +1))
-    for band, (name, vec, step) in zip(bands, checks):
-        c = shift_prefactor(name, spec1, spec2, u, m)
-        image = (band[m * step % n] @ vec[:, :, None])[:, :, 0]
-        r = np.abs(image - c[:, None] * vec[(m + step) % n]).max(axis=1)
-        r /= np.maximum(np.maximum(1.0, np.abs(vec).max(axis=1)), np.abs(c))
-        resids.update({(name, j): float(x) for j, x in enumerate(r)})
+    ratios, resids = _shift_residuals([spec1], [spec2], [u])
+    for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
             dm, db = family_closure_defect(spec1, spec2, u)
@@ -313,8 +465,12 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                 name, j, float(r[j]),
                 f"shift relation '{name}' fails at m={j} (residual {r[j]:.3e}); "
                 f"closure defects |ratio^N - 1| = ({dm:.2e}, {db:.2e})")
+    rho, sig = ratios[0]
+    phi, phibar = _family_vectors(spec1.n, (rho, sig))
     return CyclicEigenFamily(phi=list(phi), phibar=list(phibar), ratio=rho, barred_ratio=sig,
-                             shift_residuals=resids)
+                             shift_residuals={(name, j): x for name, r in
+                                              zip(_RELATIONS, resids[0].tolist())
+                                              for j, x in enumerate(r)})
 
 
 def sample_compatible_params(n: int, rng: np.random.Generator
@@ -371,9 +527,8 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     """
     _require_same_q(spec1, spec2)
     n = spec1.n
-    phi_u, phibar_u, phi_mu, phibar_mu = (
-        _family_vectors(n, family_ratio(spec1, spec2, x, barred))
-        for x in (u, -u) for barred in (False, True))
+    phi_u, phibar_u, phi_mu, phibar_mu = _family_vectors(
+        n, [family_ratio(spec1, spec2, x, barred) for x in (u, -u) for barred in (False, True)])
     r_m = cyclic_R_eigenvalues(spec1, spec2, u)
     v = np.concatenate([phi_u, phibar_u]).T
     w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T

@@ -18,6 +18,9 @@ from .errors import DegenerateDenominator, ParameterDomainError, SamplerExhauste
 GENERIC_GUARD_BOUND = 64
 MAX_DRAWS = 1000
 _ROOT_GUARD_TOL = 1e-8
+# a q at least this far off the unit circle is no accidental root of unity:
+# see DeformationParameter.generic
+_OFF_CIRCLE = 2 * _ROOT_GUARD_TOL
 _BRANCH_TOL = 1e-12
 # the smallest |q - 1/q| that qnum divides by
 _QNUM_DEN_TOL = 1e-10
@@ -86,14 +89,18 @@ class DeformationParameter:
         if value == 0:
             raise ParameterDomainError("q must be nonzero")
         # reject accidental roots of unity up to GENERIC_GUARD_BOUND: they
-        # make q-number identities collapse to 0/0
-        w = value
-        for n in range(1, GENERIC_GUARD_BOUND + 1):
-            if abs(w - 1) < _ROOT_GUARD_TOL:
-                raise ParameterDomainError(
-                    f"q is within {_ROOT_GUARD_TOL:g} of a root of unity of order {n}; "
-                    "use root_of_unity or move q")
-            w *= value
+        # make q-number identities collapse to 0/0.  Off the unit circle by
+        # _OFF_CIRCLE, every computed |q^n| stays off it by more than
+        # _ROOT_GUARD_TOL (64 products round by at most 64 * 2^-52
+        # relative), so only q near the circle has its powers checked.
+        if abs(abs(value) - 1) <= _OFF_CIRCLE:
+            w = value
+            for n in range(1, GENERIC_GUARD_BOUND + 1):
+                if abs(w - 1) < _ROOT_GUARD_TOL:
+                    raise ParameterDomainError(
+                        f"q is within {_ROOT_GUARD_TOL:g} of a root of unity of order {n}; "
+                        "use root_of_unity or move q")
+                w *= value
         return cls(value=value, log_branch=np.log(value))
 
     @classmethod

@@ -17,8 +17,8 @@ from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, 
                     phi_product, qnum, residual, sample_generic_q, sample_params, sample_u)
 from .rep import _casimir_diagonals, build_lax, build_spin_rep, fundamental_r
 from .rop import RMatrix, _eigenvalues, _solve, _top_sector, eigenvalue_sequence
-from .errors import (InconsistentConstraints, NotScalar, ParameterDomainError, PoleAtSector,
-                     QybeError, SamplerExhausted, _raise_first)
+from .errors import (InconsistentConstraints, ParameterDomainError, PoleAtSector, QybeError,
+                     SamplerExhausted, _raise_first)
 from .tensorrep import (ProductSpace, _casimir_sectors, _q_powers, _sector_chains, _SpaceStack,
                         kron)
 
@@ -424,38 +424,42 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> Re
 def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
-    An off-scalar residual that the guards of :func:`cyclic.central_elements`
-    and :func:`cyclic.tensor_power_scalars` reject (a NaN, or one above 1)
-    is the sample's residual, so it fails the report.  Each sample builds
-    its two representations once and shares them with both.
+    Each run of samples is one stacked pass: the bands of its 2 S
+    representations are built once and shared by
+    :func:`cyclic._central_elements` and :func:`cyclic._tensor_power_reports`.
+    A sample that the guards of :func:`cyclic.central_elements` and
+    :func:`cyclic.tensor_power_scalars` would reject (a NaN off-scalar
+    residual, or one above 1) has the residual of its first failing guard,
+    so it fails the report: rep 1's, rep 2's, then the generators' in the
+    order sm_u, sp_u, sm_bar_u, sp_bar_u.
     """
     cfg = cfg or ToleranceConfig()
+    q = DeformationParameter.root_of_unity(n)
 
     def draw(rng, i):
         p1 = sample_params(rng, 3)
         p2 = sample_params(rng, 3)
         u = sample_u(rng, scale=0.6)
         return ({"params1": [_c2l(z) for z in p1],
-                 "params2": [_c2l(z) for z in p2], "u": _c2l(u)}, (p1, p2, u))
+                 "params2": [_c2l(z) for z in p2], "u": _c2l(u)},
+                (cy.CyclicRepSpec(*p1, n, q), cy.CyclicRepSpec(*p2, n, q), u))
 
-    def one(point):
-        p1, p2, u = point
-        s1 = cy.CyclicRepSpec(*p1, n)
-        s2 = cy.CyclicRepSpec(*p2, n)
-        rep1, rep2 = cy.build_cyclic_rep(s1), cy.build_cyclic_rep(s2)
-        try:
-            ce1 = cy.central_elements(s1, tol=1.0, rep=rep1)
-            ce2 = cy.central_elements(s2, tol=1.0, rep=rep2)
-            tp = cy.tensor_power_scalars(s1, s2, u, tol=1.0, reps=(rep1, rep2))
-        except NotScalar as exc:
-            return exc.residual
-        return _nan_max(ce1.max_offscalar_residual, ce2.max_offscalar_residual,
-                        tp.max_offscalar_residual,
-                        residual(ce1.alpha_minus, ce1.alpha_minus_product_route,
-                                 ce1.alpha_minus),
-                        *tp.closed_form_errors.values())
+    def evaluate(points):
+        specs1, specs2, us = zip(*points)
+        reps1, reps2 = cy._rep_bands(specs1), cy._rep_bands(specs2)
+        residuals = []
+        for ce1, ce2, tp in zip(cy._central_elements(specs1, reps1),
+                                cy._central_elements(specs2, reps2),
+                                cy._tensor_power_reports(specs1, specs2, us, reps1, reps2)):
+            guards = [ce1.max_offscalar_residual, ce2.max_offscalar_residual,
+                      *tp.offscalar_residuals.values()]
+            failed = [r for r in guards if not r <= 1.0]
+            residuals.append(failed[0] if failed else _nan_max(
+                *guards, residual(ce1.alpha_minus, ce1.alpha_minus_product_route, ce1.alpha_minus),
+                *tp.closed_form_errors.values()))
+        return residuals
 
-    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, draw, _each(one))
+    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, draw, evaluate)
 
 
 def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
@@ -473,18 +477,20 @@ def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
 
 
 def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
-    """All 4N shift relations at random draws from the admissible parameter set."""
+    """All 4N shift relations at random draws from the admissible parameter
+    set; each run of samples is one stacked pass of
+    :func:`cyclic._shift_residuals`."""
     cfg = cfg or ToleranceConfig()
 
     def draw(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
         return {"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)}, (s1, s2, u)
 
-    def one(point):
-        fam = cy.eigenstate_family(*point, enforce=False)
-        return _nan_max(*fam.shift_residuals.values())
+    def evaluate(points):
+        _, resids = cy._shift_residuals(*zip(*points))
+        return resids.reshape(len(points), -1).max(axis=1).tolist()
 
-    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, draw, _each(one))
+    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, draw, evaluate)
 
 
 def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:

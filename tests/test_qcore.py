@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import q_inverse
 from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
                   qnum)
 from qybe.errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, residual, sample_generic_q
+from qybe.qcore import GENERIC_GUARD_BOUND, MAX_DRAWS, residual, sample_generic_q
 
 
 def test_qnum_one_is_one(q_generic):
@@ -85,6 +86,41 @@ def test_generic_guard_rejects_roots_of_unity():
     for bad in (1.0, -1.0, 1j, np.exp(2j * np.pi / 8), np.exp(2j * np.pi / 64)):
         with pytest.raises(ParameterDomainError):
             DeformationParameter.generic(bad)
+
+
+def _old_generic_guard(value: complex) -> bool:
+    """Whether the loop over every power q^n, n <= 64, rejects q."""
+    w = value
+    for _ in range(GENERIC_GUARD_BOUND):
+        if abs(w - 1) < 1e-8:
+            return True
+        w *= value
+    return False
+
+
+def test_generic_guard_skip_off_the_circle_keeps_every_verdict():
+    """Off the unit circle by 2e-8 generic() checks no power; on a grid of
+    |q| straddling both edges of that band, and of angles at and near
+    roots of unity, it rejects exactly the q that the loop over all powers
+    rejects."""
+    radii = 1 + np.array([0.0, 1e-9, 5e-9, 9e-9, 1.1e-8, 1.5e-8, 1.99e-8, 2e-8, 2.01e-8,
+                          3e-8, 1e-7, 1e-3, 0.2])
+    angles = [2 * np.pi * j / n for n in (1, 2, 3, 5, 7, 19, 63, 64) for j in range(n)]
+    angles += [a + d for a in angles[:20] for d in (-1e-8, 3e-9, 0.37)]
+    rejected = 0
+    for r, a in itertools.product(np.concatenate([radii, 2 - radii]), angles):
+        value = complex(r * np.exp(1j * a))
+        try:
+            DeformationParameter.generic(value)
+            got = False
+        except ParameterDomainError:
+            got = True
+        assert got == _old_generic_guard(value), value
+        rejected += got
+    assert rejected > 100
+    # inside the band the powers are still checked: |q| = 1 + 1e-9, q^5 within 1e-8 of 1
+    with pytest.raises(ParameterDomainError, match="order 5"):
+        DeformationParameter.generic(np.exp(1e-9) * np.exp(2j * np.pi / 5))
 
 
 def test_root_of_unity_validation():

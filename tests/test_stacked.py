@@ -1,10 +1,12 @@
-"""The stacked spin-pair numerics against per-sample references, bit for bit.
+"""The stacked numerics against per-sample references, bit for bit.
 
 Each stacked pass must give slice s exactly as the same numerics on sample
 s alone: the scalar loops below for the factor generators, the eigenvalue
 recurrence and the lowest-weight recurrence, and the public stacks of one
-(``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``) for the rest.
-Arrays are compared byte for byte, so a zero's sign counts.
+(``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``, and at a
+root of unity ``build_cyclic_rep``, ``central_elements``,
+``tensor_power_scalars`` and ``eigenstate_family``) for the rest.  Arrays
+are compared byte for byte, so a zero's sign counts.
 """
 import dataclasses
 import itertools
@@ -12,17 +14,20 @@ import itertools
 import numpy as np
 import pytest
 
-from qybe import (RATIONAL, DeformationParameter, ProductSpace, ToleranceConfig, assemble_R,
-                  build_spin_rep, eigenvalue_sequence, qnum, tensor_casimir)
-from qybe import rop, verify
+from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, ProductSpace, ToleranceConfig,
+                  assemble_R, build_cyclic_rep, build_spin_rep, central_elements,
+                  eigenstate_family, eigenvalue_sequence, qnum, tensor_casimir,
+                  tensor_power_scalars)
+from qybe import cyclic, rop, verify
 from qybe.errors import PoleAtSector, QybeError, SamplerExhausted
-from qybe.qcore import sample_generic_q, sample_u
+from qybe.qcore import sample_generic_q, sample_params, sample_u
 from qybe.rep import _spin_factors
 from qybe.rop import _top_sector
 from qybe.tensorrep import _lowest_weights, _SpaceStack
 from qybe.verify import (_casimir_reports, _decomposed, _each, _regular_point, _sampled,
-                         _stacked_R, check_casimir_spectrum, check_decomposed_ybe,
-                         check_unitarity, decomposed_residuals)
+                         _stacked_R, check_casimir_spectrum, check_cyclic_centrality,
+                         check_decomposed_ybe, check_shift_laws, check_unitarity,
+                         decomposed_residuals)
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)]
 COUNT = 5
@@ -212,6 +217,109 @@ def test_stacked_casimir_equals_each_sample_alone(pair):
 
 
 # ---------------------------------------------------------------------------
+# the cyclic suites' stacked kernels against their stacks of one
+
+def _bits(obj):
+    """The bytes of every number in a report, dict or list, so that equal
+    bits, a zero's sign and a NaN's included, compare equal."""
+    if dataclasses.is_dataclass(obj):
+        return _bits(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {key: _bits(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_bits(value) for value in obj]
+    return np.asarray(obj, complex).tobytes()
+
+
+def _cyclic_points(n, seed, count=COUNT):
+    """Samples as the centrality suite draws them, with admissible family
+    samples and off-set ones, whose shift laws fail at the cycle seam."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        if i % 2:
+            points.append(cyclic.sample_compatible_params(n, rng))
+        else:
+            points.append((CyclicRepSpec(*sample_params(rng, 3), n),
+                           CyclicRepSpec(*sample_params(rng, 3), n), sample_u(rng, scale=0.6)))
+    return points
+
+
+@pytest.mark.parametrize("n", [3, 7, 19])
+def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
+    """Bands, central scalars and residuals, tensor-power scalars with their
+    residuals and closed-form errors, and shift residuals."""
+    points = _cyclic_points(n, 11 + n)
+    specs1, specs2, us = zip(*points)
+    reps1, reps2 = cyclic._rep_bands(specs1), cyclic._rep_bands(specs2)
+    bands = cyclic._sector_bands(reps1, reps2, us)
+    central = cyclic._central_elements(specs1, reps1) + cyclic._central_elements(specs2, reps2)
+    powers = cyclic._tensor_power_reports(specs1, specs2, us, reps1, reps2)
+    ratios, shifts = cyclic._shift_residuals(specs1, specs2, us)
+    for s, (s1, s2, u) in enumerate(points):
+        rep = build_cyclic_rep(s1)
+        gens = reps1.generators()[s]
+        for got, want in ((gens[0], rep.sp), (gens[1], rep.sm), (reps1.weights[s], rep.weights)):
+            _same(got, want)
+        alone1, alone2 = cyclic._rep_bands([s1]), cyclic._rep_bands([s2])
+        _same(bands[s], cyclic._sector_bands(alone1, alone2, [u])[0])
+        for ce, spec in ((central[s], s1), (central[COUNT + s], s2)):
+            assert _bits(ce) == _bits(central_elements(spec, tol=np.inf))
+        assert _bits(powers[s]) == _bits(tensor_power_scalars(s1, s2, u, tol=np.inf))
+        family = eigenstate_family(s1, s2, u, enforce=False)
+        assert _bits(ratios[s]) == _bits([family.ratio, family.barred_ratio])
+        _same(shifts[s].ravel(), list(family.shift_residuals.values()))
+    # the off-set samples break their laws; the admissible ones keep them
+    worst = shifts.reshape(COUNT, -1).max(axis=1)
+    assert (worst[1::2] < 1e-9).all() and (worst[::2] > 1e-3).all()
+
+
+def _guard_residuals(injected: dict, real, monkeypatch) -> None:
+    """Make the off-scalar residuals of the centrality suite read
+    ``injected[(kind, sample, entry)]``, whatever stacks the samples are
+    evaluated in.  A stack's pass takes three scalar parts: kind 0 is the
+    central elements of rep 1, kind 1 those of rep 2 (entries S+, S-,
+    q^{NS}), kind 2 the tensor powers (entries sm_u, sp_u, sm_bar_u,
+    sp_bar_u).  ``real`` is the unpatched scalar part."""
+    seen = {"calls": 0, "offset": 0}
+
+    def fake(m):
+        scalars, resids = real(m)
+        kind, offset, size = seen["calls"] % 3, seen["offset"], m.shape[0]
+        for (at, sample, entry), value in injected.items():
+            if at == kind and offset <= sample < offset + size:
+                resids[sample - offset, entry] = value
+        seen["calls"] += 1
+        seen["offset"] += size if kind == 2 else 0
+        return scalars, resids
+
+    monkeypatch.setattr(cyclic, "_scalar_part", fake)
+
+
+@pytest.mark.parametrize("injected,want", [
+    ({(0, 1, 2): 3.0, (1, 1, 0): 4.0, (2, 1, 0): 5.0}, 3.0),
+    ({(1, 1, 1): 4.0, (2, 1, 0): 5.0}, 4.0),
+    ({(2, 1, 2): 6.0, (2, 1, 1): 2.0, (2, 1, 3): np.nan}, 2.0),
+    ({(2, 1, 3): np.nan, (1, 0, 0): 0.5}, np.nan),
+    ({(0, 1, 0): np.nan, (2, 1, 0): 5.0}, np.nan),
+])
+def test_a_cyclic_stack_reports_the_first_failing_guard(injected, want, monkeypatch):
+    """A sample that fails a guard has the residual of the first failing one:
+    rep 1's central elements, rep 2's, then the generators in the order
+    sm_u, sp_u, sm_bar_u, sp_bar_u; a guard within 1 is no failure.  The
+    other samples of the stack keep their rounding-level residuals, so the
+    report's maximum is the failing sample's residual, in one stack and
+    one sample at a time."""
+    cfg = ToleranceConfig(sample_count=3, rng_seed=2)
+    real = cyclic._scalar_part
+    for size in (verify._STACK_SIZE, 1):
+        monkeypatch.setattr(verify, "_STACK_SIZE", size)
+        _guard_residuals(injected, real, monkeypatch)
+        got = check_cyclic_centrality(5, cfg).max_residual
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+# ---------------------------------------------------------------------------
 # errors and the stack bound
 
 ROOT3 = DeformationParameter.root_of_unity(3)
@@ -279,6 +387,8 @@ SUITES = {
     "unitarity[xxz]": lambda cfg: [check_unitarity(1.0, 1.0, cfg)],
     "unitarity[xxx]": lambda cfg: [check_unitarity(0.5, 0.5, cfg, mode="xxx")],
     "casimir_spectrum": lambda cfg: [check_casimir_spectrum(0.5, 1.0, cfg)],
+    "cyclic_centrality": lambda cfg: [check_cyclic_centrality(7, cfg)],
+    "shift_laws": lambda cfg: [check_shift_laws(7, cfg)],
 }
 
 

@@ -378,7 +378,8 @@ def test_regular_point_rational_mode_draws_u_alone():
 
 def test_cyclic_centrality_nan_residual_fails_the_report(monkeypatch, capsys):
     # the guards in central_elements and tensor_power_scalars raise on NaN
-    monkeypatch.setattr(cyclic, "_scalar_part", lambda m: (0j, float("nan")))
+    monkeypatch.setattr(cyclic, "_scalar_part", lambda m: (np.zeros(m.shape[:-3], complex),
+                                                           np.full(m.shape[:-3], np.nan)))
     rep = check_cyclic_centrality(3, FAST)
     assert np.isnan(rep.max_residual) and len(rep.samples) == FAST.sample_count
     assert main(["verify", "cyclic", "--samples", "2", "--seed", "5"]) == 1
@@ -393,11 +394,14 @@ def _count_cyclic_reps(monkeypatch) -> list:
 
 
 def test_cyclic_centrality_builds_two_reps_per_sample(monkeypatch):
-    """Two representations per sample; central_elements and
-    tensor_power_scalars share them instead of building their own."""
-    built = _count_cyclic_reps(monkeypatch)
+    """Two representations per sample, in two stacks per run of samples;
+    the central elements and the tensor powers share them instead of
+    building their own."""
+    built = []
+    real = cyclic._rep_bands
+    monkeypatch.setattr(cyclic, "_rep_bands", lambda specs: built.append(len(specs)) or real(specs))
     assert check_cyclic_centrality(3, FAST).passed
-    assert len(built) == 2 * FAST.sample_count
+    assert built == [FAST.sample_count] * 2
 
 
 @pytest.mark.parametrize("suite", [check_cyclic_centrality, check_shift_laws])
