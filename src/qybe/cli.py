@@ -35,6 +35,10 @@ DEFAULT_SEED = 42
 # every seed 0-11; at N = 21 cyclic_centrality reaches 1.5e-10 against 1e-10.
 # It bounds `rep --cyclic --N` too, whose documents grow as N^2.
 MAX_ORDER = 19
+# the largest spin that `rmatrix` and `rep` take: at the 20 points of the
+# README's numerical envelope every R up to spin 6 is unitary to 1e-3, and
+# from spin 7 on an assembled R can miss unitarity by O(1)
+MAX_SPIN = 6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -132,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("rep", help="emit generator matrices of one representation")
-    rep.add_argument("--ell", type=parse_spin, help="spin (e.g. 1/2 or 0.5)")
+    rep.add_argument("--ell", type=parse_spin,
+                     help=f"spin (e.g. 1/2 or 0.5; at most {MAX_SPIN})")
     rep.add_argument("--q", type=parse_complex, help="deformation parameter a+bi")
     rep.add_argument("--basis", choices=["monomial", "orthonormal"], default=None,
                      help="single-spin basis (default: monomial)")
@@ -145,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", type=Path, required=True, help="output directory")
 
     rmx = sub.add_parser("rmatrix", help="assemble an R-matrix and export it")
-    rmx.add_argument("--l1", type=parse_spin, required=True)
-    rmx.add_argument("--l2", type=parse_spin, required=True)
+    rmx.add_argument("--l1", type=parse_spin, required=True, help=f"spin, at most {MAX_SPIN}")
+    rmx.add_argument("--l2", type=parse_spin, required=True, help=f"spin, at most {MAX_SPIN}")
     rmx.add_argument("--u", type=parse_complex, required=True)
     rmx.add_argument("--q", type=parse_complex)
     rmx.add_argument("--xxx", action="store_true", help="rational (undeformed) mode")
@@ -179,6 +184,14 @@ def _order(n: int) -> int:
     return order
 
 
+def _spin(value: float, flag: str) -> float:
+    """A spin flag's value, at most :data:`MAX_SPIN`; :class:`ParameterDomainError`
+    otherwise, before anything of its size is built."""
+    if value > MAX_SPIN:
+        raise ParameterDomainError(f"--{flag} must be at most {MAX_SPIN} (got {value:g})")
+    return value
+
+
 def _cmd_rep(args) -> int:
     out: Path = args.out
     foreign = [f"--{name}" for name in (_SPIN_FLAGS if args.cyclic else _CYCLIC_FLAGS)
@@ -193,7 +206,8 @@ def _cmd_rep(args) -> int:
             return EXIT_VALIDATION
         alpha, beta, lam = (0j if z is None else z for z in (args.alpha, args.beta, args.lam))
         spec = cy.CyclicRepSpec(alpha, beta, lam, _order(args.N))
-        triple = cy.build_cyclic_rep(spec)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            triple = cy.build_cyclic_rep(spec)
         meta = {"cyclic": {"N": args.N, "alpha": _c2l(alpha),
                            "beta": _c2l(beta), "lam": _c2l(lam)},
                 "q": _c2l(spec.q.value), "basis_tag": triple.basis_tag}
@@ -201,11 +215,18 @@ def _cmd_rep(args) -> int:
         if args.ell is None or args.q is None:
             print("error: spin mode requires --ell and --q", file=sys.stderr)
             return EXIT_VALIDATION
+        ell = _spin(args.ell, "ell")
         q = DeformationParameter.generic(args.q)
-        triple = build_spin_rep(args.ell, q, args.basis or "monomial")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            triple = build_spin_rep(ell, q, args.basis or "monomial")
         meta = {"ell": args.ell, "q": _c2l(q.value), "basis_tag": triple.basis_tag}
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = {"sp": triple.sp, "sm": triple.sm, "qs1": triple.qs(1)}
+    # as assemble_R does: no document with NaN or infinite entries
+    if not all(np.isfinite(mat).all() for mat in mats.values()):
+        raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
     out.mkdir(parents=True, exist_ok=True)
-    for name, mat in (("sp", triple.sp), ("sm", triple.sm), ("qs1", triple.qs(1))):
+    for name, mat in mats.items():
         write_document(out / f"{name}.json", matrix_document(np.asarray(mat), {**meta, "operator": name}))
     print(f"wrote sp.json, sm.json, qs1.json to {out}")
     return EXIT_OK
@@ -215,6 +236,8 @@ def _cmd_rmatrix(args) -> int:
     if args.xxx == (args.q is not None):
         print("error: exactly one of --q and --xxx is required", file=sys.stderr)
         return EXIT_VALIDATION
+    for name in ("l1", "l2"):
+        _spin(getattr(args, name), name)
     if args.xxx:
         q, basis = RATIONAL, args.basis or "monomial"
     else:

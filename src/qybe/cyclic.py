@@ -13,12 +13,13 @@ sector (k1 + k2) mod N by one, so the tensor checks run on its N
 sector-transition blocks (:func:`_sector_bands`) and never form the
 dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`.
 
-The kernels behind the central elements, the tensor powers and the shift
-laws take S samples at one q along a leading axis; each public function
-is the stack of one of its kernel, and every slice equals the sample
-alone bit for bit.  Every product of two complex arrays there broadcasts
-one factor, so numpy never computes it into a large temporary operand
-with the factors swapped, which can move the last bit.
+The kernels behind the central elements, the tensor powers, the shift
+laws, the eigenvalue family and the partial R take S samples at one q
+along a leading axis; each public function is the stack of one of its
+kernel, and every slice equals the sample alone bit for bit.  Every
+product of two complex arrays there broadcasts one factor, so numpy never
+computes it into a large temporary operand with the factors swapped,
+which can move the last bit.
 """
 from __future__ import annotations
 
@@ -500,11 +501,24 @@ def sample_compatible_params(n: int, rng: np.random.Generator
 
 
 def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> np.ndarray:
-    """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1."""
+    """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1.
+    The stack of one of :func:`_eigenvalue_steps`."""
     _require_same_q(spec1, spec2)
-    q = spec1.q
-    step = q.pow(2 - u + spec2.alpha - spec2.beta - spec1.lam)
-    return np.array([step**m for m in range(spec1.n)])
+    return _eigenvalue_steps([spec1], [spec2], [u])[1][0]
+
+
+def _eigenvalue_steps(specs1, specs2, us) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio q^{2 - u + alpha2 - beta2 - lam1} of :func:`cyclic_R_eigenvalues`
+    for every sample, (S,), and its powers R_m, (S, N).
+
+    Each ratio is a per-sample Python exponent before one ``np.exp``, as
+    :meth:`DeformationParameter.pow` forms it, and its powers are one
+    ``np.power`` with integer exponents, which takes a complex scalar's
+    ``**`` entry by entry."""
+    q = specs1[0].q
+    steps = np.exp(np.array([(2 - u + s2.alpha - s2.beta - s1.lam) * q.log_branch
+                             for s1, s2, u in zip(specs1, specs2, us)], complex))
+    return steps, np.power(steps[:, None], np.arange(specs1[0].n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -523,23 +537,44 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     the family ratios alone, with no product space.  The solve is exact on
     the joint span (pseudo-inverse of a full-column-rank stack); a residual
     above 1e-9 (or NaN) means the prescribed images contradict a linear
-    dependence among the inputs.
+    dependence among the inputs.  The stack of one of :func:`_partial_rs`.
     """
     _require_same_q(spec1, spec2)
-    n = spec1.n
-    phi_u, phibar_u, phi_mu, phibar_mu = _family_vectors(
-        n, [family_ratio(spec1, spec2, x, barred) for x in (u, -u) for barred in (False, True)])
-    r_m = cyclic_R_eigenvalues(spec1, spec2, u)
-    v = np.concatenate([phi_u, phibar_u]).T
-    w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
+    pr = _partial_rs([spec1], [spec2], [u])[0]
+    if not pr.max_residual <= 1e-9:
+        raise InconsistentConstraints(
+            pr.max_residual, pr.span_rank,
+            f"defining relations conflict on the joint span (residual {pr.max_residual:.3e})")
+    return pr
+
+
+def _partial_rs(specs1, specs2, us) -> list[PartialR]:
+    """:func:`partial_R` of every sample, unguarded: a conflicting sample
+    keeps its residual and span rank.
+
+    The four families of all samples come from one :func:`_family_vectors`
+    call, and one batched SVD of the S input stacks gives each sample its
+    rank and numpy's pseudo-inverse, cut off per sample; every slice has
+    the layout of a lone sample, so it is that sample alone bit for bit.
+    """
+    n, q = specs1[0].n, specs1[0].q
+    lb = q.log_branch
+    ratios = np.exp(np.array([[_ratio_exponent(s1, s2, x, barred) * lb
+                               for x in (u, -u) for barred in (False, True)]
+                              for s1, s2, u in zip(specs1, specs2, us)], complex))
+    # [s, f]: phi(u), phibar(u), phi(-u), phibar(-u)
+    fam = _family_vectors(n, ratios.ravel().tolist()).reshape(len(us), 4, n, n * n)
+    r_m = _eigenvalue_steps(specs1, specs2, us)[1]
+    v = np.swapaxes(fam[:, :2].reshape(len(us), 2 * n, n * n), 1, 2)
+    w = np.swapaxes((r_m[:, None, :, None] * fam[:, [3, 2]]).reshape(len(us), 2 * n, n * n), 1, 2)
     # one SVD gives the rank and numpy's pinv, step by step
     left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
-    inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
-    mat = w @ (right.T @ (inv[:, None] * left.T))
-    resid = residual(mat @ v, w, w)
-    if not resid <= 1e-9:
-        raise InconsistentConstraints(
-            resid, rank,
-            f"defining relations conflict on the joint span (residual {resid:.3e})")
-    return PartialR(matrix=mat, span_rank=rank, max_residual=resid, eigenvalues=r_m)
+    cuts = np.array([[1e-8 * max(1.0, peak)] for peak in np.abs(v).max(axis=(1, 2)).tolist()])
+    ranks = np.count_nonzero(s > cuts, axis=1).tolist()
+    inv = 1 / np.where(s > 1e-15 * s.max(axis=1, keepdims=True), s, np.inf)
+    mat = w @ (np.swapaxes(right, 1, 2) @ (inv[:, :, None] * np.swapaxes(left, 1, 2)))
+    gaps = np.abs(mat @ v - w).max(axis=(1, 2)).tolist()
+    scales = np.abs(w).max(axis=(1, 2)).tolist()
+    return [PartialR(matrix=m, span_rank=rank, max_residual=residual(gap, 0.0, scale),
+                     eigenvalues=r)
+            for m, rank, gap, scale, r in zip(mat, ranks, gaps, scales, r_m)]

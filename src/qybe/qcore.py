@@ -174,16 +174,22 @@ def _qnum_rows(rows, qs) -> np.ndarray:
 
 
 def _qnum_stack(n: np.ndarray, qs) -> np.ndarray:
-    """qnum(n, q) of one array n at every q of ``qs``, of shape (S, *n.shape).
+    """qnum(n, q) of one array n at every q of ``qs``, of shape (S, *n.shape)."""
+    n = np.asarray(n)
+    return _qnum_each(np.broadcast_to(n, (len(qs), *n.shape)), qs)
+
+
+def _qnum_each(n: np.ndarray, qs) -> np.ndarray:
+    """qnum(n[s], q_s) for every sample s of an array n of shape (S, ...).
 
     The exponents are array products, as :func:`qnum` forms them for an
-    array, so slice s equals ``qnum(n, qs[s])`` bit for bit.
+    array, so slice s equals ``qnum(n[s], qs[s])`` bit for bit.
     """
     n = np.asarray(n)
     if all(q.log_branch == 0 for q in qs):
-        return np.broadcast_to(n, (len(qs), *n.shape))
+        return n
     dens = np.array(_denominators(qs))
-    lb = np.array([q.log_branch for q in qs], complex).reshape(-1, *(1,) * n.ndim)
+    lb = np.array([q.log_branch for q in qs], complex).reshape(-1, *(1,) * (n.ndim - 1))
     return (np.exp(n * lb) - np.exp(-n * lb)) / dens.reshape(lb.shape)
 
 
@@ -250,12 +256,25 @@ def phi_product(alpha: complex, q: DeformationParameter) -> PhiProduct:
     (q - 1/q)^{-N} (q^{alpha N} - q^{-alpha N}); both routes are returned
     together with their normalized disagreement.
     """
+    return _phi_products([alpha], q)[0]
+
+
+def _phi_products(alphas, q: DeformationParameter) -> list[PhiProduct]:
+    """:func:`phi_product` of every alpha of ``alphas`` at one q: the
+    q-numbers of all products are one array :func:`qnum`, multiplied out
+    along its last axis, and each closed form is combined per sample with
+    scalar arithmetic, so entry s is ``phi_product(alphas[s], q)`` bit for
+    bit."""
     n = q.order
     if n is None:
         raise ParameterDomainError("phi_product requires a root of unity (q.order is None)")
-    prod = complex(np.prod(qnum(alpha + np.arange(n), q)))
-    closed = (q.value - 1 / q.value) ** (-n) * (q.pow(alpha * n) - q.pow(-alpha * n))
-    return PhiProduct(prod, complex(closed), residual(prod, closed, closed))
+    prods = np.prod(qnum(np.array(alphas, complex)[:, None] + np.arange(n), q), axis=-1).tolist()
+    den = (q.value - 1 / q.value) ** (-n)
+    out = []
+    for alpha, prod in zip(alphas, prods):
+        closed = den * (q.pow(alpha * n) - q.pow(-alpha * n))
+        out.append(PhiProduct(prod, complex(closed), residual(prod, closed, closed)))
+    return out
 
 
 # ---------------------------------------------------------------------------

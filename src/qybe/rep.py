@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows, _qnum_stack, qnum
+from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_each, _qnum_rows, _qnum_stack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,6 +120,10 @@ def _spin_factors(ell, qs, basis: str) -> _Factors:
             for j in range(d - 1):
                 row[j + 1] = row[j] * a_row[j] / s_row[j]
     weights = (np.arange(d) - ell).astype(complex)
+    # a memoised stack of the tensor layer shares these arrays
+    for arr in (sp, sm, weights, dm):
+        if arr is not None:
+            arr.setflags(write=False)
     return _Factors(sp, sm, weights, dm, complex(ell), basis)
 
 
@@ -170,18 +174,44 @@ def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:
 
     Blocks: [[[u+S], S-], [S+, [u-S]]] with q-numbers of the diagonal S, so
     at q = 1 (:data:`qcore.RATIONAL`) it is the rational [[u+S, S-], [S+, u-S]].
+    The stack of one of :func:`_laxes`.
     """
-    a_blk = np.diag(qnum(u + rep.weights, rep.q))
-    d_blk = np.diag(qnum(u - rep.weights, rep.q))
-    return np.block([[a_blk, rep.sm], [rep.sp, d_blk]])
+    return _laxes(rep.sp, rep.sm, rep.weights, [u], [rep.q])[0]
+
+
+def _laxes(sp, sm, weights: np.ndarray, us, qs) -> np.ndarray:
+    """:func:`build_lax` at (u_s, q_s) for every sample s, an (S, 2d, 2d)
+    array; ``sp`` and ``sm`` are (S, d, d) stacks, or the (d, d) matrices of
+    one representation that every sample shares.
+
+    The diagonal q-numbers of all samples are one :func:`qcore._qnum_each`,
+    whose exponents are array products as :func:`qnum` forms them for an
+    array, so slice s is the sample alone bit for bit.
+    """
+    d = weights.size
+    u = np.asarray(us, complex)[:, None]
+    lax = np.zeros((len(us), 2 * d, 2 * d), complex)
+    k = np.arange(2 * d)
+    lax[:, k, k] = _qnum_each(np.concatenate([u + weights, u - weights], axis=1), qs)
+    lax[:, :d, d:] = sm
+    lax[:, d:, :d] = sp
+    return lax
 
 
 def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
     """The 4x4 six-vertex matrix with entries a = [u+1], b = [u], c = 1:
-    trigonometric at generic q, rational (a = u+1, b = u) at q = 1."""
-    a = qnum(u + 1, q)
-    b = qnum(u, q)
-    return np.array([[a, 0, 0, 0],
-                     [0, b, 1, 0],
-                     [0, 1, b, 0],
-                     [0, 0, 0, a]], dtype=complex)
+    trigonometric at generic q, rational (a = u+1, b = u) at q = 1.  The
+    stack of one of :func:`_fundamental_rs`."""
+    return _fundamental_rs([u], [q])[0]
+
+
+def _fundamental_rs(us, qs) -> np.ndarray:
+    """:func:`fundamental_r` at (u_s, q_s) for every sample s, an (S, 4, 4)
+    array; a and b of all samples come from one :func:`qcore._qnum_rows`,
+    so each equals the scalar :func:`qnum` bit for bit."""
+    ab = _qnum_rows([[u + 1, u] for u in us], qs)
+    r = np.zeros((len(us), 4, 4), complex)
+    r[:, [0, 3], [0, 3]] = ab[:, :1]
+    r[:, [1, 2], [1, 2]] = ab[:, 1:]
+    r[:, [1, 2], [2, 1]] = 1
+    return r

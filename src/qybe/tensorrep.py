@@ -26,6 +26,10 @@ CHAIN_TOL = 1e-10
 # how many spaces ProductSpace.of_spins keeps, each with its spectral form:
 # callers visit one (spins, q, basis) at a time, so two catch every repeat
 _SPACE_MEMO_SIZE = 2
+# how many stacks _SpaceStack.of_spins keeps, each with its pieces and form:
+# the decomposed, unitarity and Casimir suites draw the same q values for
+# a pair, so three hold one run of each of the three golden pairs
+_STACK_MEMO_SIZE = 3
 # how many block layouts _BlockLayout.of_dims keeps, one per (d1, d2)
 _LAYOUT_MEMO_SIZE = 16
 
@@ -79,13 +83,14 @@ class _SpaceStack:
     sample (the first the sample meets), so a caller raises the error of
     the lowest failing sample; a failed sample's arrays are not meaningful.
     :class:`ProductSpace` is the stack of one, and the sampled suites of
-    :mod:`verify` stack their samples here.
+    :mod:`verify` stack their samples here.  Its arrays are read-only, since
+    :meth:`of_spins` shares one stack among all its callers.
     """
 
     def __init__(self, qs, f1: _Factors, f2: _Factors):
         self.qs = tuple(qs)
         self.factors = (f1, f2)
-        self.log_branch = np.array([q.log_branch for q in self.qs], complex)
+        self.log_branch = _read_only(np.array([q.log_branch for q in self.qs], complex))
         self.rational = all(q.log_branch == 0 for q in self.qs)
         self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
         self.dims = (f1.weights.size, f2.weights.size)
@@ -98,13 +103,17 @@ class _SpaceStack:
         self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
         self._form: tuple[SpectralForm, list] | None = None
 
-    @classmethod
-    def of_spins(cls, ell1, ell2, qs, basis: str) -> "_SpaceStack":
+    @staticmethod
+    def of_spins(ell1, ell2, qs, basis: str) -> "_SpaceStack":
         """The stack of two finite spins in one single-spin basis at every q
         of ``qs``, built from the spins 2l/2 as :meth:`ProductSpace.of_spins`
-        builds them."""
-        return cls(qs, _spin_factors(_two_spin(ell1) / 2, qs, basis),
-                   _spin_factors(_two_spin(ell2) / 2, qs, basis))
+        builds them.
+
+        Memoised on (2 l1, 2 l2, the q values in order, basis) for the last
+        :data:`_STACK_MEMO_SIZE` keys, so the suites that draw the same
+        points share one stack, with its pieces and its spectral form.
+        """
+        return _spin_stack(_two_spin(ell1), _two_spin(ell2), tuple(qs), basis)
 
     @functools.cached_property
     def factor_powers(self) -> tuple[dict, dict]:
@@ -348,6 +357,13 @@ def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
     """The space behind :meth:`ProductSpace.of_spins`."""
     return ProductSpace(build_spin_rep(two_ell1 / 2, q, basis),
                         build_spin_rep(two_ell2 / 2, q, basis))
+
+
+@functools.lru_cache(maxsize=_STACK_MEMO_SIZE)
+def _spin_stack(two_ell1: int, two_ell2: int, qs: tuple, basis: str) -> _SpaceStack:
+    """The stack behind :meth:`_SpaceStack.of_spins`."""
+    return _SpaceStack(qs, _spin_factors(two_ell1 / 2, qs, basis),
+                       _spin_factors(two_ell2 / 2, qs, basis))
 
 
 @dataclasses.dataclass(frozen=True)

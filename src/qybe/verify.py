@@ -14,11 +14,11 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    phi_product, qnum, residual, sample_generic_q, sample_params, sample_u)
-from .rep import _casimir_diagonals, build_lax, build_spin_rep, fundamental_r
+                    _phi_products, qnum, residual, sample_generic_q, sample_params, sample_u)
+from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import RMatrix, _eigenvalues, _solve, _top_sector, eigenvalue_sequence
-from .errors import (InconsistentConstraints, ParameterDomainError, PoleAtSector, QybeError,
-                     SamplerExhausted, _raise_first)
+from .errors import (ParameterDomainError, PoleAtSector, QybeError, SamplerExhausted,
+                     _raise_first)
 from .tensorrep import (ProductSpace, _casimir_sectors, _q_powers, _sector_chains, _SpaceStack,
                         kron)
 
@@ -74,8 +74,9 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, draw, evaluate,
     order, and no evaluation feeds a draw, so the stream and the records
     are those of a loop that evaluates each sample as it is drawn.
     ``evaluate(points)`` gives the residual of each point of a run of at
-    most :data:`_STACK_SIZE` consecutive samples, in one stacked pass or
-    with :func:`_each`, and raises the error of its lowest failing sample.
+    most :data:`_STACK_SIZE` consecutive samples, in one stacked pass, and
+    raises the error of its lowest failing sample; a record that names a
+    result of the numerics (the span rank of partial R) is completed there.
     A draw that raises a :class:`QybeError` ends the draws; the samples
     before it are evaluated first, so an error of theirs is the one raised.
 
@@ -111,16 +112,19 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, draw, evaluate,
     return reports if isinstance(res, dict) else reports[0]
 
 
-def _each(fn):
-    """An ``evaluate`` for :func:`_sampled` that maps ``fn`` over the points,
-    one sample at a time."""
-    return lambda points: [fn(point) for point in points]
-
-
 def _drawn(points: list) -> list:
-    """The ``evaluate`` of a suite whose draw needs the numerics (to accept
-    a point or to complete its record), so each point is its residual."""
+    """The ``evaluate`` of a suite whose draw needs the numerics to accept a
+    point, so each point is its residual."""
     return points
+
+
+def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[float]:
+    """``residual(lhs[s], rhs[s], *(m[s] for m in inputs))`` of every sample
+    s of (S, d, d) stacks: one abs-max of the gaps and one of the inputs,
+    whose :func:`qcore.residual` equals that of the matrices exactly."""
+    gaps = np.abs(lhs - rhs).max(axis=(1, 2)).tolist()
+    peaks = np.abs(np.stack(inputs, axis=1)).max(axis=(2, 3)).tolist()
+    return [residual(gap, 0.0, *peak) for gap, peak in zip(gaps, peaks)]
 
 
 def _point_draw(ell1, ell2, mode: str = "xxz"):
@@ -155,23 +159,27 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
 def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]) -> np.ndarray:
     """Put ``op``, acting on factors ``slots`` (in that order), on the
     three-fold product of dimensions ``dims``, as the identity on the third.
+    Leading axes of ``op`` are a stack and are kept.
 
     Every entry is one product op_ij * 1 or op_ij * 0, so it equals the
     entry that ``kron`` forms (a zero may differ in sign).
     """
     a, b = slots
     c = 3 - a - b
-    t = (op.reshape(dims[a], dims[b], 1, dims[a], dims[b], 1)
+    lead = op.shape[:-2]
+    t = (op.reshape(*lead, dims[a], dims[b], 1, dims[a], dims[b], 1)
          * np.eye(dims[c]).reshape(1, 1, dims[c], 1, 1, dims[c]))
-    perm = [(a, b, c).index(s) for s in range(3)]
+    k = len(lead)
+    perm = [k + (a, b, c).index(s) for s in range(3)]
     d = dims[0] * dims[1] * dims[2]
-    return t.transpose(*perm, *(p + 3 for p in perm)).reshape(d, d)
+    return t.transpose(*range(k), *perm, *(p + 3 for p in perm)).reshape(*lead, d, d)
 
 
 def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
                           points: list | None = None,
                           perturb: float = 0.0) -> ResidualReport:
-    """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v)."""
+    """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v);
+    each run of samples is one stacked pass."""
     cfg = cfg or ToleranceConfig()
 
     def draw(rng, i):
@@ -183,26 +191,25 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
                 (q, u, v))
 
-    def one(point):
-        q, u, v = point
-        r12 = fundamental_r(u - v, q)
+    def evaluate(points):
+        qs, us, vs = zip(*points)
+        r12, r13, r23 = _fundamental_rs([u - v for u, v in zip(us, vs)] + [*us, *vs],
+                                        qs * 3).reshape(3, len(points), 4, 4)
         if perturb:
-            r12 = r12.copy()
-            r12[0, 1] += perturb
+            r12[:, 0, 1] += perturb
         m12 = _on_slots(r12, (2, 2, 2), (0, 1))
-        m13 = _on_slots(fundamental_r(u, q), (2, 2, 2), (0, 2))
-        m23 = _on_slots(fundamental_r(v, q), (2, 2, 2), (1, 2))
-        lhs = m12 @ m13 @ m23
-        rhs = m23 @ m13 @ m12
-        return residual(lhs, rhs, m12, m13, m23)
+        m13 = _on_slots(r13, (2, 2, 2), (0, 2))
+        m23 = _on_slots(r23, (2, 2, 2), (1, 2))
+        return _residuals(m12 @ m13 @ m23, m23 @ m13 @ m12, m12, m13, m23)
 
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
                     cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol,
-                    draw, _each(one), None if points is None else len(points))
+                    draw, evaluate, None if points is None else len(points))
 
 
 def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
-    """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on aux x aux x quantum.
+    """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on aux x aux x quantum;
+    each run of samples is one stacked pass.
 
     ``quantum`` is either a half-integer spin or a :class:`CyclicRepSpec`.
     """
@@ -215,20 +222,18 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
         u, v = sample_u(rng), sample_u(rng)
         return {"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)}, (q, u, v)
 
-    def one(point):
-        q, u, v = point
-        rep = build_spin_rep(quantum, q) if fixed is None else fixed
-        dims = (2, 2, rep.dim)
-        l1 = _on_slots(build_lax(rep, u), dims, (0, 2))
-        l2 = _on_slots(build_lax(rep, v), dims, (1, 2))
-        r12 = _on_slots(fundamental_r(u - v, q), dims, (0, 1))
-        lhs = r12 @ l1 @ l2
-        rhs = l2 @ l1 @ r12
-        return residual(lhs, rhs, r12, l1, l2)
+    def evaluate(points):
+        qs, us, vs = zip(*points)
+        rep = _spin_factors(quantum, qs, "monomial") if fixed is None else fixed
+        dims = (2, 2, rep.weights.size)
+        l1 = _on_slots(_laxes(rep.sp, rep.sm, rep.weights, us, qs), dims, (0, 2))
+        l2 = _on_slots(_laxes(rep.sp, rep.sm, rep.weights, vs, qs), dims, (1, 2))
+        r12 = _on_slots(_fundamental_rs([u - v for u, v in zip(us, vs)], qs), dims, (0, 1))
+        return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
     if fixed is not None:
-        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, draw, _each(one))
-    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, draw, _each(one))
+        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, draw, evaluate)
+    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, draw, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +358,7 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
         if perturb:
             r_u[:, 0, 1] += perturb
         prod = r_u @ r_mu
-        eye = np.eye(prod.shape[-1])
-        return [residual(p, eye, p) for p in prod]
+        return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
     return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol,
                     _point_draw(ell1, ell2, mode), evaluate)
@@ -366,7 +370,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
     keeps q^u fixed; only the spin-related powers of q move.  A draw at a
-    pole is drawn again, so the draw computes both eigenvalue sequences.
+    pole is drawn again, so the draw computes both eigenvalue sequences,
+    and their residual: it is the one suite evaluated in its draw.
     """
     cfg = cfg or ToleranceConfig()
 
@@ -385,10 +390,9 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
         else:
             raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
         return ({"q": _c2l(q.value), "u": _c2l(u),
-                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}, (base, shifted))
+                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}, residual(base, shifted, base))
 
-    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, draw,
-                    _each(lambda point: residual(point[0], point[1], point[0])))
+    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, draw, _drawn)
 
 
 def _casimir_reports(space: _SpaceStack, us) -> list:
@@ -464,7 +468,8 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
 
 def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
                        count: int = 20) -> ResidualReport:
-    """q-number product over a full period equals its two-term closed form."""
+    """q-number product over a full period equals its two-term closed form;
+    each run of samples is one pass of :func:`qcore._phi_products`."""
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
 
@@ -473,7 +478,7 @@ def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
         return {"alpha": _c2l(alpha)}, alpha
 
     return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, draw,
-                    _each(lambda alpha: phi_product(alpha, q).residual), count)
+                    lambda alphas: [phi.residual for phi in _phi_products(alphas, q)], count)
 
 
 def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -495,9 +500,9 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualRepo
 
 def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Consecutive cyclic eigenvalues have the constant ratio
-    q^{2 - u + alpha2 - beta2 - lam1}."""
+    q^{2 - u + alpha2 - beta2 - lam1}; each run of samples is one pass of
+    :func:`cyclic._eigenvalue_steps`."""
     cfg = cfg or ToleranceConfig()
-    q = DeformationParameter.root_of_unity(n)
 
     def draw(rng, i):
         s1 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
@@ -505,27 +510,33 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
         u = sample_u(rng, scale=0.6)
         return {"u": _c2l(u)}, (s1, s2, u)
 
-    def one(point):
-        s1, s2, u = point
-        vals = cy.cyclic_R_eigenvalues(s1, s2, u)
-        step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
-        return residual(vals[1:] / vals[:-1], step, step)
+    def evaluate(points):
+        steps, vals = cy._eigenvalue_steps(*zip(*points))
+        gaps = np.abs(vals[:, 1:] / vals[:, :-1] - steps[:, None]).max(axis=1).tolist()
+        # a step's modulus is the scalar abs that residual takes of it
+        return [residual(gap, 0.0, step) for gap, step in zip(gaps, steps)]
 
-    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, draw, _each(one))
+    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, draw, evaluate)
 
 
 def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
     """Partial R reproduces its defining action on every family vector; a
     conflicting sample keeps its residual, so the suite's tolerance decides.
-    A record names the span rank, so the draw solves the partial R."""
+    Each run of samples is one pass of :func:`cyclic._partial_rs`, which
+    completes every record with its span rank."""
     cfg = cfg or ToleranceConfig()
 
     def draw(rng, i):
         s1, s2, u = cy.sample_compatible_params(n, rng)
-        try:
-            pr = cy.partial_R(s1, s2, u)
-        except InconsistentConstraints as exc:
-            return {"u": _c2l(u), "span_rank": exc.span_rank}, exc.residual
-        return {"u": _c2l(u), "span_rank": pr.span_rank}, pr.max_residual
+        record = {"u": _c2l(u)}
+        return record, (s1, s2, u, record)
 
-    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, draw, _drawn)
+    def evaluate(points):
+        specs1, specs2, us, records = zip(*points)
+        residuals = []
+        for record, pr in zip(records, cy._partial_rs(specs1, specs2, us)):
+            record["span_rank"] = pr.span_rank
+            residuals.append(pr.max_residual)
+        return residuals
+
+    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, draw, evaluate)

@@ -100,6 +100,48 @@ def test_rep_cyclic_order_is_bounded(tmp_path, capsys):
     assert load_document(out / "sp.json")["dims"] == [cli.MAX_ORDER, cli.MAX_ORDER]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--ell", "2", "--q", "1e300"],
+    ["--ell", "2", "--q", "1e-300", "--basis", "orthonormal"],
+    ["--cyclic", "--N", "3", "--alpha", "1e300i"],
+])
+def test_rep_nonfinite_matrices_are_a_validation_error(argv, tmp_path, capsys):
+    """Where a power of q overflows, rep writes no document with Infinity or
+    NaN entries, which are not JSON: it exits 2 and warns of nothing."""
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rep", *argv, "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("rep", "ell"), ("rmatrix", "l1"), ("rmatrix", "l2")])
+@pytest.mark.parametrize("value", ["1e9", "1e6", str(cli.MAX_SPIN + 0.5)])
+def test_a_spin_above_the_bound_is_rejected_before_anything_is_built(
+        command, flag, value, monkeypatch, tmp_path, capsys):
+    """A spin above cli.MAX_SPIN exits 2 with no representation built and
+    no file written, instead of numpy failing to allocate; the bound itself
+    is accepted."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("something was built")
+
+    out = tmp_path / "out"
+    argv = {"rep": ["rep", "--ell", "1", "--q", "0.3+0.4i"],
+            "rmatrix": ["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "0.3", "--q", "0.3+0.4i"]}
+    args = argv[command] + ["--out", str(out)]
+    bounded = list(args)
+    bounded[bounded.index(f"--{flag}") + 1] = str(cli.MAX_SPIN)
+    args[args.index(f"--{flag}") + 1] = value
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_spin_rep", no_build)
+        patched.setattr(cli, "assemble_R", no_build)
+        assert main(args) == 2
+    assert f"--{flag} must be at most {cli.MAX_SPIN}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(bounded) == 0 and out.exists()
+
+
 def test_rep_missing_arguments(tmp_path):
     assert main(["rep", "--out", str(tmp_path / "x")]) == 2
 

@@ -2,32 +2,37 @@
 
 Each stacked pass must give slice s exactly as the same numerics on sample
 s alone: the scalar loops below for the factor generators, the eigenvalue
-recurrence and the lowest-weight recurrence, and the public stacks of one
-(``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``, and at a
-root of unity ``build_cyclic_rep``, ``central_elements``,
-``tensor_power_scalars`` and ``eigenstate_family``) for the rest.  Arrays
-are compared byte for byte, so a zero's sign counts.
+recurrence, the lowest-weight recurrence, the six-vertex and Lax matrices,
+the phi products and the partial R, and the public stacks of one
+(``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``,
+``fundamental_r``, ``build_lax``, ``phi_product``, and at a root of unity
+``build_cyclic_rep``, ``central_elements``, ``tensor_power_scalars``,
+``eigenstate_family``, ``cyclic_R_eigenvalues`` and ``partial_R``) for the
+rest.  Arrays are compared byte for byte, so a zero's sign counts.
 """
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, ProductSpace, ToleranceConfig,
-                  assemble_R, build_cyclic_rep, build_spin_rep, central_elements,
-                  eigenstate_family, eigenvalue_sequence, qnum, tensor_casimir,
-                  tensor_power_scalars)
-from qybe import cyclic, rop, verify
-from qybe.errors import PoleAtSector, QybeError, SamplerExhausted
-from qybe.qcore import sample_generic_q, sample_params, sample_u
-from qybe.rep import _spin_factors
+from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, ProductSpace,
+                  ToleranceConfig, assemble_R, build_cyclic_rep, build_lax, build_spin_rep,
+                  central_elements, cyclic_R_eigenvalues, eigenstate_family,
+                  eigenvalue_sequence, family_ratio, fundamental_r, partial_R, phi_product,
+                  qnum, tensor_casimir, tensor_power_scalars)
+from qybe import cli, cyclic, rop, verify
+from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted
+from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params, sample_u
+from qybe.rep import _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
-from qybe.tensorrep import _lowest_weights, _SpaceStack
-from qybe.verify import (_casimir_reports, _decomposed, _each, _regular_point, _sampled,
-                         _stacked_R, check_casimir_spectrum, check_cyclic_centrality,
-                         check_decomposed_ybe, check_shift_laws, check_unitarity,
-                         decomposed_residuals)
+from qybe.tensorrep import _lowest_weights, _spin_stack, _SpaceStack
+from qybe.verify import (_casimir_reports, _decomposed, _on_slots, _regular_point, _residuals,
+                         _sampled, _stacked_R, check_casimir_spectrum, check_cyclic_centrality,
+                         check_cyclic_r_ratio, check_decomposed_ybe, check_fundamental_ybe,
+                         check_partial_r, check_phi_identity, check_rll, check_shift_laws,
+                         check_unitarity, decomposed_residuals)
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)]
 COUNT = 5
@@ -87,6 +92,40 @@ def _scalar_lowest_weights(ell1, ell2, u, q, d1, d2, barred, count):
         c[i, 1:, :] += a * c[i - 1, :-1, :]
         c[i, :, 1:] -= b * c[i - 1, :, :-1]
     return c.reshape(count, d1 * d2)
+
+
+def _scalar_fundamental_r(u, q):
+    a, b = qnum(u + 1, q), qnum(u, q)
+    return np.array([[a, 0, 0, 0], [0, b, 1, 0], [0, 1, b, 0], [0, 0, 0, a]], dtype=complex)
+
+
+def _scalar_lax(rep, u):
+    return np.block([[np.diag(qnum(u + rep.weights, rep.q)), rep.sm],
+                     [rep.sp, np.diag(qnum(u - rep.weights, rep.q))]])
+
+
+def _scalar_phi_product(alpha, q):
+    n = q.order
+    prod = complex(np.prod(qnum(alpha + np.arange(n), q)))
+    closed = (q.value - 1 / q.value) ** (-n) * (q.pow(alpha * n) - q.pow(-alpha * n))
+    return PhiProduct(prod, complex(closed), residual(prod, closed, closed))
+
+
+def _scalar_partial_r(s1, s2, u):
+    """The partial R of one sample, unguarded: matrix, rank, residual and
+    eigenvalues, from 2-d arrays."""
+    n = s1.n
+    phi_u, phibar_u, phi_mu, phibar_mu = cyclic._family_vectors(
+        n, [family_ratio(s1, s2, x, barred) for x in (u, -u) for barred in (False, True)])
+    step = s1.q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
+    r_m = np.array([step**m for m in range(n)])
+    v = np.concatenate([phi_u, phibar_u]).T
+    w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
+    left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
+    inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
+    mat = w @ (right.T @ (inv[:, None] * left.T))
+    return mat, rank, residual(mat @ v, w, w), r_m
 
 
 @pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
@@ -274,6 +313,117 @@ def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
     assert (worst[1::2] < 1e-9).all() and (worst[::2] > 1e-3).all()
 
 
+# ---------------------------------------------------------------------------
+# the six-vertex, Lax, phi-product and partial-R kernels against their
+# stacks of one and the scalar references, at stack sizes 1, 16 and 17
+
+SIZES = (1, 16, 17)
+ROOT7 = DeformationParameter.root_of_unity(7)
+SPEC5 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 5)
+
+
+def _generic_points(count, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_generic_q(rng) for _ in range(count)], [sample_u(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", SIZES)
+def test_stacked_six_vertex_matrices_equal_each_sample_alone(count):
+    qs, us = _generic_points(count, count)
+    for stack in (qs, [RATIONAL] * count, [ROOT7] * count):
+        rs = _fundamental_rs(us, stack)
+        for s, (q, u) in enumerate(zip(stack, us)):
+            _same(rs[s], fundamental_r(u, q))
+            _same(rs[s], _scalar_fundamental_r(u, q))
+
+
+@pytest.mark.parametrize("count", SIZES)
+def test_stacked_lax_matrices_and_slots_equal_each_sample_alone(count):
+    """Spin representations at the samples' own q, and one cyclic
+    representation that every sample shares; then each Lax matrix on two of
+    three tensor slots."""
+    qs, us = _generic_points(count, 30 + count)
+    fixed = build_cyclic_rep(SPEC5)
+    for ell in (0.5, 1.0, 1.5):
+        f = _spin_factors(ell, qs, "monomial")
+        laxes = _laxes(f.sp, f.sm, f.weights, us, qs)
+        for s, (q, u) in enumerate(zip(qs, us)):
+            rep = build_spin_rep(ell, q)
+            _same(laxes[s], build_lax(rep, u))
+            _same(laxes[s], _scalar_lax(rep, u))
+    laxes = _laxes(fixed.sp, fixed.sm, fixed.weights, us, [fixed.q] * count)
+    for s, u in enumerate(us):
+        _same(laxes[s], build_lax(fixed, u))
+        _same(laxes[s], _scalar_lax(fixed, u))
+    dims = (2, 2, fixed.dim)
+    for slots in ((0, 2), (1, 2), (2, 0)):
+        placed = _on_slots(laxes, dims, slots)
+        for s in range(count):
+            _same(placed[s], _on_slots(laxes[s], dims, slots))
+
+
+def test_stacked_residuals_equal_each_sample_alone():
+    rng = np.random.default_rng(8)
+    lhs, rhs, a, b = (rng.normal(size=(17, 6, 6)) + 1j * rng.normal(size=(17, 6, 6))
+                      for _ in range(4))
+    lhs[3, 1, 2] = np.nan
+    got = _residuals(lhs, rhs, a, b)
+    want = [residual(*args) for args in zip(lhs, rhs, a, b)]
+    assert _bits(got) == _bits(want) and np.isnan(got[3])
+
+
+@pytest.mark.parametrize("n", [3, 7, 19])
+@pytest.mark.parametrize("count", SIZES)
+def test_stacked_phi_products_and_eigenvalue_steps_equal_each_sample_alone(n, count):
+    q = DeformationParameter.root_of_unity(n)
+    rng = np.random.default_rng(n * count)
+    alphas = [complex(rng.normal(0, 0.6), rng.normal(0, 0.6)) for _ in range(count)]
+    for got, alpha in zip(_phi_products(alphas, q), alphas):
+        assert _bits(got) == _bits(phi_product(alpha, q)) == _bits(_scalar_phi_product(alpha, q))
+    specs1, specs2, us = zip(*_cyclic_points(n, n + count, count))
+    steps, vals = cyclic._eigenvalue_steps(specs1, specs2, us)
+    for s, (s1, s2, u) in enumerate(zip(specs1, specs2, us)):
+        step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
+        _same(steps[s], step)
+        _same(vals[s], cyclic_R_eigenvalues(s1, s2, u))
+        _same(vals[s], [step**m for m in range(n)])
+
+
+def _conflicting(n, rng):
+    """Coinciding families at u with distinct images at -u: partial R
+    raises InconsistentConstraints at span rank N."""
+    a1, a2 = (complex(rng.normal(0, 0.4), rng.normal(0, 0.4)) for _ in range(2))
+    return CyclicRepSpec(a1, a1, 0.3j, n), CyclicRepSpec(a2, a2, 0.3j, n), 2.0 + 0j
+
+
+@pytest.mark.parametrize("n", [3, 7, 19])
+@pytest.mark.parametrize("count", SIZES)
+def test_stacked_partial_r_equals_each_sample_alone(n, count):
+    """Matrix, span rank, residual and eigenvalues of every sample; the
+    conflicting sample keeps the residual and rank that partial_R raises.
+    At N = 19 the stacked images pass numpy's 256 KiB temporary-elision
+    size."""
+    rng = np.random.default_rng(40 + count)
+    points = [cyclic.sample_compatible_params(n, rng) for _ in range(count)]
+    points[count // 2] = _conflicting(n, rng)
+    conflicts = 0
+    for got, (s1, s2, u) in zip(cyclic._partial_rs(*zip(*points)), points):
+        mat, rank, resid, r_m = _scalar_partial_r(s1, s2, u)
+        _same(got.matrix, mat)
+        _same(got.eigenvalues, r_m)
+        assert (got.span_rank, _bits(got.max_residual)) == (rank, _bits(resid))
+        try:
+            alone = partial_R(s1, s2, u)
+        except InconsistentConstraints as exc:
+            conflicts += 1
+            assert (exc.span_rank, exc.residual) == (rank, resid) == (n, got.max_residual)
+            continue
+        _same(alone.matrix, mat)
+        _same(alone.eigenvalues, r_m)
+        assert (alone.span_rank, alone.max_residual) == (rank, resid) == (2 * n, got.max_residual)
+    assert conflicts == 1
+
+
 def _guard_residuals(injected: dict, real, monkeypatch) -> None:
     """Make the off-scalar residuals of the centrality suite read
     ``injected[(kind, sample, entry)]``, whatever stacks the samples are
@@ -389,6 +539,13 @@ SUITES = {
     "casimir_spectrum": lambda cfg: [check_casimir_spectrum(0.5, 1.0, cfg)],
     "cyclic_centrality": lambda cfg: [check_cyclic_centrality(7, cfg)],
     "shift_laws": lambda cfg: [check_shift_laws(7, cfg)],
+    "fundamental_ybe[xxz]": lambda cfg: [check_fundamental_ybe(cfg)],
+    "fundamental_ybe[xxx]": lambda cfg: [check_fundamental_ybe(cfg, mode="xxx")],
+    "rll[spin]": lambda cfg: [check_rll(1.5, cfg)],
+    "rll[cyclic]": lambda cfg: [check_rll(SPEC5, cfg)],
+    "phi_product": lambda cfg: [check_phi_identity(7, cfg, count=cfg.sample_count)],
+    "cyclic_r_ratio": lambda cfg: [check_cyclic_r_ratio(7, cfg)],
+    "partial_r": lambda cfg: [check_partial_r(7, cfg)],
 }
 
 
@@ -424,4 +581,67 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
     with pytest.raises(PoleAtSector):
         _sampled("x", cfg, 1.0, draw, evaluate)
     with pytest.raises(SamplerExhausted):
-        _sampled("x", cfg, 1.0, draw, _each(lambda point: 0.0))
+        _sampled("x", cfg, 1.0, draw, lambda points: [0.0] * len(points))
+
+
+# ---------------------------------------------------------------------------
+# the memoised stacks of the spin-pair suites
+
+def test_the_golden_pairs_share_one_stack_per_run_below_the_bound():
+    """The decomposed, unitarity and Casimir suites draw the same points for
+    a pair: up to the stack bound each golden pair's stack is built once
+    and found twice; above it the runs cycle past the memo."""
+    bound = verify._STACK_SIZE
+    for count, hits, misses in ((5, 6, 3), (bound, 6, 3), (bound + 1, 0, 18)):
+        _spin_stack.cache_clear()
+        cli._run_suite("all", ToleranceConfig(sample_count=count, rng_seed=5), 3, 0.0)
+        info = _spin_stack.cache_info()
+        assert (info.hits, info.misses) == (hits, misses)
+
+
+@pytest.mark.parametrize("suite", ["unitarity", "casimir"])
+def test_a_suite_alone_reports_what_it_reports_inside_verify_all(suite, tmp_path):
+    """Alone, the suite builds its stacks (memo miss); inside verify all it
+    finds those of the decomposed suite (memo hit); the reports agree."""
+    alone, inside = tmp_path / "alone.json", tmp_path / "all.json"
+    assert cli.main(["verify", suite, "--samples", "5", "--seed", "5", "--json", str(alone)]) == 0
+    assert _spin_stack.cache_info().hits == 0
+    _spin_stack.cache_clear()
+    assert cli.main(["verify", "all", "--samples", "5", "--seed", "5", "--json", str(inside)]) == 0
+    assert _spin_stack.cache_info().hits == 6
+    want = json.loads(alone.read_text())["reports"]
+    ids = {report["identity_id"] for report in want}
+    assert len(ids) == len(want) >= 3
+    assert [r for r in json.loads(inside.read_text())["reports"] if r["identity_id"] in ids] == want
+
+
+def _arrays(obj):
+    """Every numpy array an object holds, through tuples, lists, dicts,
+    dataclasses and instance attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+    elif isinstance(obj, _SpaceStack):
+        yield from _arrays(vars(obj))
+
+
+def test_writing_to_any_memoised_array_raises():
+    qs, us = zip(*_points((1.0, 1.5), 3))
+    stack = _SpaceStack.of_spins(1.0, 1.5, qs, "orthonormal")
+    assert _SpaceStack.of_spins(1 + 0j, 1.5, list(qs), "orthonormal") is stack
+    stack.spectral_form()
+    stack.coproduct("delta", us)
+    arrays = list(_arrays(stack))
+    # factors, log q, weights, from_monomial, q-powers, pieces, form and layout
+    assert len(arrays) > 30
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0

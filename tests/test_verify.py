@@ -278,7 +278,9 @@ def _sample_us(report) -> tuple:
 def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
     """R(u) and R(-u) of every sample are solved from one spectral form: a
     stack of the samples' own q values, orthonormal, at a sampled q, and the
-    one monomial space at q = 1, which every sample shares."""
+    one monomial space at q = 1, which every sample shares.  The memo of
+    stacks starts empty, so the suite's one stack is built here."""
+    tensorrep._spin_stack.cache_clear()
     stacks, solved = [], []
     init = tensorrep._SpaceStack.__init__
     solve = verify._solve
