@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ def parse_spin(text: str) -> float:
     """Accepts '1/2' style fractions and decimals."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse spin {text!r}") from exc
 
 
@@ -89,10 +90,11 @@ def document_matrix(doc: dict) -> np.ndarray:
 
     Every entry must be an [re, im] pair; each part is read as numpy reads a
     float (a number, a numeric string, or null as NaN).  A malformed entry,
-    or dims that do not fit the entries, raises :class:`ParameterDomainError`.
+    or dims that do not fit the entries, raises :class:`ParameterDomainError`;
+    so does a document without entries or dims.
     """
-    entries = doc["entries"]
     try:
+        entries = doc["entries"]
         if set(map(type, entries)) - {list} or set(map(len, entries)) - {2}:
             raise ValueError("an entry is not an [re, im] pair")
         flat = np.fromiter(itertools.chain.from_iterable(entries), float, count=2 * len(entries))
@@ -100,12 +102,103 @@ def document_matrix(doc: dict) -> np.ndarray:
         if flat.size != 2 * rows * cols:
             raise ParameterDomainError("entry count does not match dims")
         return flat.view(complex).reshape(rows, cols)
+    except KeyError as exc:
+        raise ParameterDomainError(f"malformed matrix document: no {exc} key") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterDomainError(f"malformed matrix document: {exc}") from exc
 
 
+# the text of an [re, im] pair of +0.0 floats, most entries of a block-sparse R
+_ZERO_ENTRY = "[0.0,0.0]"
+# json.dumps(..., sort_keys=True, separators=(",", ":")), built once
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _entries_text(entries: list) -> str | None:
+    """What ``json.dumps(entries, separators=(",", ":"))`` writes inside the
+    outer brackets, when every entry is a list of two finite floats; None
+    otherwise.
+
+    A pair of +0.0 floats is the constant :data:`_ZERO_ENTRY`; every other
+    float is its ``float.__repr__``, as json writes it.  ``float.__repr__``
+    rejects a number that is not a float, and a NaN or an infinity shows as
+    the "n" of "nan" or "inf", so both give None.
+    """
+    if set(map(type, entries)) != {list}:
+        return None
+    try:
+        text = ",".join([
+            _ZERO_ENTRY if not (re or im) and type(re) is float is type(im)
+            and math.copysign(1.0, re) == 1.0 == math.copysign(1.0, im)
+            else f"[{float.__repr__(re)},{float.__repr__(im)}]" for re, im in entries])
+    except (TypeError, ValueError):  # a number that is no float, or no pair
+        return None
+    return None if "n" in text else text
+
+
 def dump_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"``, with
+    the entries of a :func:`matrix_document` written by :func:`_entries_text`;
+    a document whose entries it cannot write goes through json whole."""
+    entries = doc.get("entries") if type(doc) is dict else None
+    text = _entries_text(entries) if type(entries) is list else None
+    if text is None or any(type(key) is not str for key in doc):
+        return _COMPACT.encode(doc) + "\n"
+    fields = [encode_basestring_ascii(key) + ":"
+              + (f"[{text}]" if key == "entries" else _COMPACT.encode(doc[key]))
+              for key in sorted(doc)]
+    return "{" + ",".join(fields) + "}\n"
+
+
+# how json spells the floats whose float.__repr__ is no JSON number
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _indented(obj, indent: str, memo: dict) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=1)`` writes it
+    nested at ``indent``.
+
+    Each dict is written once per ``memo``, keyed by its identity and
+    indent, so the sample records that several reports hold are encoded
+    once.  Exact dicts with string keys, lists, strings, floats, ints,
+    bools and None are written here; anything else, a subclass included,
+    goes through json itself.
+    """
+    kind = type(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    inner = indent + " "
+    if kind is list:
+        if not obj:
+            return "[]"
+        # a finite float inline, the commonest item; a NaN or inf has v - v NaN
+        items = [float.__repr__(v) if type(v) is float and v - v == 0
+                 else _indented(v, inner, memo) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        key = (id(obj), indent)
+        text = memo.get(key)
+        if text is None:
+            items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], inner, memo)
+                     for k in sorted(obj)]
+            text = memo[key] = "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return text
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    # json's own lines hold no newline but its indentation's
+    return json.dumps(obj, sort_keys=True, indent=1).replace("\n", "\n" + indent)
+
+
+def dump_report(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, written by
+    :func:`_indented`, which encodes a record dict once however many reports
+    hold it."""
+    return _indented(payload, "", {}) + "\n"
 
 
 def write_document(path: Path, doc: dict) -> None:
@@ -258,11 +351,15 @@ GOLDEN_PAIRS = ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
 def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
                perturb: float) -> list[verify.ResidualReport]:
     reports: list[verify.ResidualReport] = []
+    # the (q, u) draws of the spin-pair suites, made once per pair and mode in
+    # this run and shared by the suites that sample them
+    draws: dict = {}
     if suite in ("ybe", "all"):
         reports.append(verify.check_fundamental_ybe(cfg, mode="xxz", perturb=perturb))
         reports.append(verify.check_fundamental_ybe(cfg, mode="xxx", perturb=perturb))
         for l1, l2 in GOLDEN_PAIRS:
-            reports.extend(verify.check_decomposed_ybe(l1, l2, cfg, perturb=perturb))
+            reports.extend(verify.check_decomposed_ybe(l1, l2, cfg, perturb=perturb,
+                                                       draws=draws))
     if suite in ("rll", "all"):
         for ell in (0.5, 1.0, 1.5):
             reports.append(verify.check_rll(ell, cfg))
@@ -270,11 +367,12 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
                                                          0.17 - 0.23j, 3), cfg))
     if suite in ("unitarity", "all"):
         for l1, l2 in GOLDEN_PAIRS:
-            reports.append(verify.check_unitarity(l1, l2, cfg, perturb=perturb))
-        reports.append(verify.check_unitarity(0.5, 0.5, cfg, mode="xxx", perturb=perturb))
+            reports.append(verify.check_unitarity(l1, l2, cfg, perturb=perturb, draws=draws))
+        reports.append(verify.check_unitarity(0.5, 0.5, cfg, mode="xxx", perturb=perturb,
+                                              draws=draws))
     if suite in ("casimir", "all"):
         for l1, l2 in GOLDEN_PAIRS:
-            reports.append(verify.check_casimir_spectrum(l1, l2, cfg))
+            reports.append(verify.check_casimir_spectrum(l1, l2, cfg, draws=draws))
     if suite in ("cyclic", "all"):
         reports.append(verify.check_cyclic_centrality(order, cfg))
         reports.append(verify.check_phi_identity(order, cfg))
@@ -321,8 +419,7 @@ def _cmd_verify(args) -> int:
         payload = {"seed": seed, "samples": args.samples, "suite": args.suite,
                    "tool_version": __version__,
                    "reports": [rep.to_dict() for rep in reports]}
-        args.json.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                             encoding="utf-8")
+        args.json.write_text(dump_report(payload), encoding="utf-8")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
 
 

@@ -64,40 +64,49 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, draw, evaluate,
-             count: int | None = None):
-    """The sampling harness behind every suite: draw every sample, then
-    evaluate them.
+def _draws(cfg: ToleranceConfig, draw, count: int | None = None) -> tuple:
+    """The draw phase of :func:`_sampled`: the lists of records and points
+    of ``count`` samples (``cfg.sample_count`` by default), and the error
+    that ended the draws, or None.
 
     ``draw(rng, i)`` draws sample i from the generator seeded by ``cfg`` and
-    returns its JSON record and its point; the draws run first, in sample
-    order, and no evaluation feeds a draw, so the stream and the records
-    are those of a loop that evaluates each sample as it is drawn.
+    returns its JSON record and its point; the draws run in sample order,
+    and no evaluation feeds a draw, so the stream and the records are those
+    of a loop that evaluates each sample as it is drawn.  A draw that
+    raises a :class:`QybeError` ends the draws.
+    """
+    count = cfg.sample_count if count is None else count
+    if count < 1:
+        raise ParameterDomainError("a suite needs at least one sample")
+    rng = cfg.rng()
+    records, points = [], []
+    for i in range(count):
+        try:
+            record, point = draw(rng, i)
+        except QybeError as exc:
+            return records, points, exc
+        records.append(record)
+        points.append(point)
+    return records, points, None
+
+
+def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, evaluate):
+    """The sampling harness behind every suite: evaluate the samples that
+    :func:`_draws` gave (``drawn``) and fold their residuals into reports.
+
     ``evaluate(points)`` gives the residual of each point of a run of at
     most :data:`_STACK_SIZE` consecutive samples, in one stacked pass, and
     raises the error of its lowest failing sample; a record that names a
     result of the numerics (the span rank of partial R) is completed there.
-    A draw that raises a :class:`QybeError` ends the draws; the samples
-    before it are evaluated first, so an error of theirs is the one raised.
+    When an error ended the draws, the samples before it are evaluated
+    first, so an error of theirs is the one raised.
 
     Residuals fold with a NaN-keeping max, so a non-finite one fails the
     report.  When the residuals are dicts of named residuals instead, each
     name gets its own report, with the name put in place of ``{}`` in
     ``identity_id``, and a list of reports comes back.
     """
-    count = cfg.sample_count if count is None else count
-    if count < 1:
-        raise ParameterDomainError("a suite needs at least one sample")
-    rng = cfg.rng()
-    records, points, stop = [], [], None
-    for i in range(count):
-        try:
-            record, point = draw(rng, i)
-        except QybeError as exc:
-            stop = exc
-            break
-        records.append(record)
-        points.append(point)
+    records, points, stop = drawn
     residuals = []
     for start in range(0, len(points), _STACK_SIZE):
         residuals.extend(evaluate(points[start:start + _STACK_SIZE]))
@@ -127,12 +136,25 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[fl
     return [residual(gap, 0.0, *peak) for gap, peak in zip(gaps, peaks)]
 
 
-def _point_draw(ell1, ell2, mode: str = "xxz"):
-    """The draw of the spin-pair suites: a :func:`_regular_point` (q, u)."""
+def _point_draws(ell1, ell2, cfg: ToleranceConfig, mode: str = "xxz",
+                 shared: dict | None = None) -> tuple:
+    """The :func:`_draws` of the spin-pair suites: a :func:`_regular_point`
+    (q, u) per sample.
+
+    ``shared`` is a dict that the suites of one run pass along: it keeps the
+    draws by pair, mode, seed and count, so the suites that sample one
+    stream draw it once and share its records and points.
+    """
     def draw(rng, i):
         q, u = _regular_point(ell1, ell2, rng, mode=mode)
         return {"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u)}, (q, u)
-    return draw
+
+    if shared is None:
+        return _draws(cfg, draw)
+    key = (ell1, ell2, mode, cfg.rng_seed, cfg.sample_count)
+    if key not in shared:
+        shared[key] = _draws(cfg, draw)
+    return shared[key]
 
 
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
@@ -204,7 +226,7 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
 
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
                     cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol,
-                    draw, evaluate, None if points is None else len(points))
+                    _draws(cfg, draw, None if points is None else len(points)), evaluate)
 
 
 def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -232,8 +254,9 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
         return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
     if fixed is not None:
-        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, draw, evaluate)
-    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, draw, evaluate)
+        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _draws(cfg, draw),
+                        evaluate)
+    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +339,11 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
 
 
 def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
-                         perturb: float = 0.0) -> list[ResidualReport]:
+                         perturb: float = 0.0, draws: dict | None = None) -> list[ResidualReport]:
     """All eight decomposed relations over sampled (q, u) points, in the
     orthonormal basis; each run of samples is assembled and checked in one
-    stacked pass."""
+    stacked pass.  ``draws`` shares the points with the other spin-pair
+    suites of a run (see :func:`_point_draws`)."""
     cfg = cfg or ToleranceConfig()
 
     def evaluate(points):
@@ -332,17 +356,18 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
         return _decomposed(space, us, r)
 
     return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _point_draw(ell1, ell2), evaluate)
+                    _point_draws(ell1, ell2, cfg, shared=draws), evaluate)
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                    perturb: float = 0.0) -> ResidualReport:
+                    perturb: float = 0.0, draws: dict | None = None) -> ResidualReport:
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
     R(u) and R(-u) of a run of samples come from one stacked spectral form:
     in the orthonormal basis of the samples' q values, or, in the monomial
     basis at q = 1, the one memoised form of :class:`ProductSpace`, which
-    every sample shares.
+    every sample shares.  ``draws`` shares the points with the other
+    spin-pair suites of a run (see :func:`_point_draws`).
     """
     cfg = cfg or ToleranceConfig()
     basis = "monomial" if mode == "xxx" else "orthonormal"
@@ -361,7 +386,7 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
         return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
     return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol,
-                    _point_draw(ell1, ell2, mode), evaluate)
+                    _point_draws(ell1, ell2, cfg, mode, draws), evaluate)
 
 
 def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -392,7 +417,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) ->
         return ({"q": _c2l(q.value), "u": _c2l(u),
                  "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}, residual(base, shifted, base))
 
-    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, draw, _drawn)
+    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, _draws(cfg, draw),
+                    _drawn)
 
 
 def _casimir_reports(space: _SpaceStack, us) -> list:
@@ -407,10 +433,13 @@ def _casimir_reports(space: _SpaceStack, us) -> list:
     return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
 
 
-def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
+                           draws: dict | None = None) -> ResidualReport:
     """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
     chains, in the orthonormal basis; each run of samples is one stacked
-    pass of :func:`tensorrep._casimir_sectors`."""
+    pass of :func:`tensorrep._casimir_sectors`.  ``draws`` shares the
+    points with the other spin-pair suites of a run (see
+    :func:`_point_draws`)."""
     cfg = cfg or ToleranceConfig()
 
     def evaluate(points):
@@ -419,7 +448,7 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None) -> Re
         return [_nan_max(report.max_residual, report.max_m_spread) for report in reports]
 
     return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _point_draw(ell1, ell2), evaluate)
+                    _point_draws(ell1, ell2, cfg, shared=draws), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +492,7 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
                 *tp.closed_form_errors.values()))
         return residuals
 
-    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, draw, evaluate)
+    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
 
 
 def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
@@ -477,8 +506,8 @@ def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
         alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
         return {"alpha": _c2l(alpha)}, alpha
 
-    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, draw,
-                    lambda alphas: [phi.residual for phi in _phi_products(alphas, q)], count)
+    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw, count),
+                    lambda alphas: [phi.residual for phi in _phi_products(alphas, q)])
 
 
 def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -495,7 +524,7 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualRepo
         _, resids = cy._shift_residuals(*zip(*points))
         return resids.reshape(len(points), -1).max(axis=1).tolist()
 
-    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, draw, evaluate)
+    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, _draws(cfg, draw), evaluate)
 
 
 def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -516,7 +545,7 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
         # a step's modulus is the scalar abs that residual takes of it
         return [residual(gap, 0.0, step) for gap, step in zip(gaps, steps)]
 
-    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, draw, evaluate)
+    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
 
 
 def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
@@ -539,4 +568,4 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualRepor
             residuals.append(pr.max_residual)
         return residuals
 
-    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, draw, evaluate)
+    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, _draws(cfg, draw), evaluate)

@@ -50,6 +50,22 @@ def test_parse_spin():
     assert parse_spin("3") == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--l1", "1e400", "--l2", "1", "--u", "0.1", "--xxx"],
+    ["rmatrix", "--l1", "1", "--l2", "1e400", "--u", "0.1", "--xxx"],
+    ["rep", "--ell", "1e400", "--q", "0.3+0.4i"],
+])
+def test_a_spin_too_large_for_a_float_is_a_usage_error(argv, tmp_path, capsys):
+    """Fraction("1e400") is exact, but no float holds it: argparse exits 2
+    where an OverflowError used to escape as a traceback."""
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "cannot parse spin '1e400'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rep_round_trip(tmp_path):
     out = tmp_path / "rep"
     code = main(["rep", "--ell", "1/2", "--q", "0.3+0.4i", "--out", str(out)])
@@ -393,6 +409,13 @@ def test_json_round_trip_is_byte_identical(tmp_path):
 def test_malformed_document_is_a_domain_error(entries, dims):
     with pytest.raises(ParameterDomainError, match="malformed"):
         document_matrix({"dims": dims, "entries": entries})
+
+
+@pytest.mark.parametrize("doc,key", [({"dims": [1, 1]}, "entries"),
+                                     ({"entries": [[1.0, 0.0]]}, "dims")])
+def test_a_document_without_entries_or_dims_is_a_domain_error(doc, key):
+    with pytest.raises(ParameterDomainError, match=f"malformed matrix document: no '{key}' key"):
+        document_matrix(doc)
 
 
 def test_document_round_trip_keeps_every_bit():

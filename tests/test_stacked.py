@@ -28,11 +28,11 @@ from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params,
 from qybe.rep import _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
 from qybe.tensorrep import _lowest_weights, _spin_stack, _SpaceStack
-from qybe.verify import (_casimir_reports, _decomposed, _on_slots, _regular_point, _residuals,
-                         _sampled, _stacked_R, check_casimir_spectrum, check_cyclic_centrality,
-                         check_cyclic_r_ratio, check_decomposed_ybe, check_fundamental_ybe,
-                         check_partial_r, check_phi_identity, check_rll, check_shift_laws,
-                         check_unitarity, decomposed_residuals)
+from qybe.verify import (_casimir_reports, _decomposed, _draws, _on_slots, _regular_point,
+                         _residuals, _sampled, _stacked_R, check_casimir_spectrum,
+                         check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
+                         check_fundamental_ybe, check_partial_r, check_phi_identity, check_rll,
+                         check_shift_laws, check_unitarity, decomposed_residuals)
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)]
 COUNT = 5
@@ -579,9 +579,9 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
         return [0.0] * len(points)
 
     with pytest.raises(PoleAtSector):
-        _sampled("x", cfg, 1.0, draw, evaluate)
+        _sampled("x", cfg, 1.0, _draws(cfg, draw), evaluate)
     with pytest.raises(SamplerExhausted):
-        _sampled("x", cfg, 1.0, draw, lambda points: [0.0] * len(points))
+        _sampled("x", cfg, 1.0, _draws(cfg, draw), lambda points: [0.0] * len(points))
 
 
 # ---------------------------------------------------------------------------

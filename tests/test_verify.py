@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, casimir_matrix, closed_form_R, fundamental_r, qnum)
-from qybe import cyclic, tensorrep, verify
+from qybe import cli, cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
 from qybe.qcore import MAX_DRAWS, RATIONAL, residual, sample_generic_q, sample_u
@@ -268,6 +269,66 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
     monkeypatch.setattr(verify, "sample_u", lambda rng: 1 + 0j)
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
         check_unitarity(0.5, 0.5, FAST, mode="xxx")
+
+
+def _spy_on_draws(monkeypatch, fail_mode: str | None = None) -> Counter:
+    """Count the _regular_point draws by (ell1, ell2, mode); a draw in
+    ``fail_mode`` raises SamplerExhausted."""
+    drawn = Counter()
+    real = verify._regular_point
+
+    def spy(ell1, ell2, rng, *args, mode="xxz", **kwargs):
+        if mode == fail_mode:
+            raise SamplerExhausted("test point", 1)
+        drawn[ell1, ell2, mode] += 1
+        return real(ell1, ell2, rng, *args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(verify, "_regular_point", spy)
+    return drawn
+
+
+GOLDEN_STREAMS = [(0.5, 0.5, "xxz"), (0.5, 1.0, "xxz"), (1.0, 1.0, "xxz"), (0.5, 0.5, "xxx")]
+
+
+def test_one_run_draws_each_pair_and_mode_once(monkeypatch, capsys):
+    """The decomposed, unitarity and Casimir suites of a pair sample one
+    stream: a run of verify all draws it once, not three times, and the
+    suites share its record dicts.  A suite called afterwards draws afresh."""
+    monkeypatch.delenv("QYBE_SEED", raising=False)
+    monkeypatch.delenv("QYBE_PERTURB", raising=False)
+    drawn = _spy_on_draws(monkeypatch)
+    assert main(["verify", "all", "--samples", "5"]) == 0
+    assert drawn == dict.fromkeys(GOLDEN_STREAMS, 5)
+
+    reports = cli._run_suite("all", ToleranceConfig(sample_count=5, rng_seed=3), 3, 0.0)
+    by_id = {report.identity_id: report for report in reports}
+    records = by_id["decomposed[qs_commute](1.0,1.0)"].samples
+    for name in ("unitarity[xxz](1.0,1.0)", "casimir_spectrum(1.0,1.0)"):
+        assert all(a is b for a, b in zip(by_id[name].samples, records, strict=True))
+
+    before = drawn[0.5, 0.5, "xxz"]
+    monkeypatch.setattr(verify, "sample_u", lambda rng: 0.125 + 0.25j)
+    report = check_unitarity(0.5, 0.5, ToleranceConfig(sample_count=5, rng_seed=42))
+    assert drawn[0.5, 0.5, "xxz"] == before + 5
+    assert {tuple(record["u"]) for record in report.samples} == {(0.125, 0.25)}
+
+
+def test_a_run_that_raises_leaves_no_draws_behind(monkeypatch, capsys):
+    """A run that ends in SamplerExhausted after the xxz draws leaves none of
+    them for the next run, which draws afresh and reports as a clean run."""
+    monkeypatch.delenv("QYBE_PERTURB", raising=False)
+    argv = ["verify", "all", "--samples", "3", "--seed", "6"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    with monkeypatch.context() as patched:
+        failing = _spy_on_draws(patched, fail_mode="xxx")
+        assert main(argv) == 2
+        assert "no admissible test point" in capsys.readouterr().err
+    assert failing == dict.fromkeys(GOLDEN_STREAMS[:3], 3)
+    drawn = _spy_on_draws(monkeypatch)
+    assert main(argv) == 0
+    assert drawn == dict.fromkeys(GOLDEN_STREAMS, 3)
+    assert capsys.readouterr().out == clean
 
 
 def _sample_us(report) -> tuple:
