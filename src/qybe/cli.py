@@ -351,20 +351,22 @@ GOLDEN_PAIRS = ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
 def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
                perturb: float) -> list[verify.ResidualReport]:
     reports: list[verify.ResidualReport] = []
-    # the (q, u) draws of the spin-pair suites, made once per pair and mode in
-    # this run and shared by the suites that sample them
+    # the random streams of this run, each drawn once and shared by the
+    # suites that read it (see verify._draws)
     draws: dict = {}
     if suite in ("ybe", "all"):
-        reports.append(verify.check_fundamental_ybe(cfg, mode="xxz", perturb=perturb))
-        reports.append(verify.check_fundamental_ybe(cfg, mode="xxx", perturb=perturb))
+        reports.append(verify.check_fundamental_ybe(cfg, mode="xxz", perturb=perturb,
+                                                    draws=draws))
+        reports.append(verify.check_fundamental_ybe(cfg, mode="xxx", perturb=perturb,
+                                                    draws=draws))
         for l1, l2 in GOLDEN_PAIRS:
             reports.extend(verify.check_decomposed_ybe(l1, l2, cfg, perturb=perturb,
                                                        draws=draws))
     if suite in ("rll", "all"):
         for ell in (0.5, 1.0, 1.5):
-            reports.append(verify.check_rll(ell, cfg))
+            reports.append(verify.check_rll(ell, cfg, draws=draws))
         reports.append(verify.check_rll(cy.CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j,
-                                                         0.17 - 0.23j, 3), cfg))
+                                                         0.17 - 0.23j, 3), cfg, draws=draws))
     if suite in ("unitarity", "all"):
         for l1, l2 in GOLDEN_PAIRS:
             reports.append(verify.check_unitarity(l1, l2, cfg, perturb=perturb, draws=draws))
@@ -374,14 +376,14 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
         for l1, l2 in GOLDEN_PAIRS:
             reports.append(verify.check_casimir_spectrum(l1, l2, cfg, draws=draws))
     if suite in ("cyclic", "all"):
-        reports.append(verify.check_cyclic_centrality(order, cfg))
-        reports.append(verify.check_phi_identity(order, cfg))
-        reports.append(verify.check_shift_laws(order, cfg))
-        reports.append(verify.check_cyclic_r_ratio(order, cfg))
-        reports.append(verify.check_partial_r(order, cfg))
+        reports.append(verify.check_cyclic_centrality(order, cfg, draws=draws))
+        reports.append(verify.check_phi_identity(order, cfg, draws=draws))
+        reports.append(verify.check_shift_laws(order, cfg, draws=draws))
+        reports.append(verify.check_cyclic_r_ratio(order, cfg, draws=draws))
+        reports.append(verify.check_partial_r(order, cfg, draws=draws))
     if suite == "all":
-        reports.append(verify.check_branch_independence(0.5, 1.0, cfg))
-        reports.append(verify.check_branch_independence(1.0, 1.0, cfg))
+        reports.append(verify.check_branch_independence(0.5, 1.0, cfg, draws=draws))
+        reports.append(verify.check_branch_independence(1.0, 1.0, cfg, draws=draws))
     return reports
 
 

@@ -474,9 +474,12 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                                               for j, x in enumerate(r)})
 
 
-def sample_compatible_params(n: int, rng: np.random.Generator
+def sample_compatible_params(n: int, rng: np.random.Generator,
+                             q: DeformationParameter | None = None
                              ) -> tuple[CyclicRepSpec, CyclicRepSpec, complex]:
-    """Random parameters satisfying the closure conditions of both families.
+    """Random parameters satisfying the closure conditions of both families,
+    for two specs at q (by default :meth:`DeformationParameter.root_of_unity`
+    of N).
 
     Draws alpha_1, alpha_2, beta_1, lam_1 with :func:`qcore.sample_params`,
     sets lam_2 - lam_1 to an integer and u to a half-integer, then solves
@@ -496,7 +499,9 @@ def sample_compatible_params(n: int, rng: np.random.Generator
             continue
         l2 = l1 + d
         b2 = 2 * (z - u + 2 - (l2 - l1) / 2) - b1 + a1 + a2
-        return (CyclicRepSpec(a1, b1, l1, n), CyclicRepSpec(a2, b2, l2, n), complex(u))
+        if q is None:
+            q = DeformationParameter.root_of_unity(n)
+        return (CyclicRepSpec(a1, b1, l1, n, q), CyclicRepSpec(a2, b2, l2, n, q), complex(u))
     raise SamplerExhausted(f"compatible cyclic parameters at N={n}", MAX_DRAWS)
 
 

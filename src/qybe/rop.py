@@ -40,11 +40,31 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     """
     vals, poles = _eigenvalues(ell1, ell2, [u], [q])
     _raise_first(poles)
-    if not np.isfinite(vals).all():
-        raise ParameterDomainError(
-            f"the eigenvalues are not finite at spins ({ell1}, {ell2}), u = {complex(u)}: "
-            "a power of q overflows")
+    _require_finite(ell1, ell2, [u], vals)
     return tuple(vals[0])
+
+
+def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
+    """The :class:`ParameterDomainError` of :func:`eigenvalue_sequence` for
+    the first row of ``vals``, the eigenvalues at u = us[s], that is not
+    finite."""
+    for u, finite in zip(us, np.isfinite(vals).all(axis=1).tolist()):
+        if not finite:
+            raise ParameterDomainError(
+                f"the eigenvalues are not finite at spins ({ell1}, {ell2}), u = {complex(u)}: "
+                "a power of q overflows")
+
+
+def _has_pole(ell1, ell2, us, qs) -> bool:
+    """Whether a denominator [l1+l2+1-n+u_s] of the eigenvalues at some
+    sample (u_s, q_s) is at a pole, with the q-number bits and the test of
+    :func:`_eigenvalues`, which then finds no pole at these samples."""
+    big_l = ell1 + ell2 + 1
+    sectors = range(1, _top_sector(ell1, ell2) + 1)
+    rows = [[big_l - n + u for n in sectors] for u in us]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dens = _qnum_rows(rows, qs).tolist()
+    return any(abs(den) < POLE_TOL for row in dens for den in row)
 
 
 def _eigenvalues(ell1, ell2, us, qs) -> tuple[np.ndarray, list]:

@@ -16,9 +16,8 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, qnum, residual, sample_generic_q, sample_params, sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
-from .rop import RMatrix, _eigenvalues, _solve, _top_sector, eigenvalue_sequence
-from .errors import (ParameterDomainError, PoleAtSector, QybeError, SamplerExhausted,
-                     _raise_first)
+from .rop import RMatrix, _eigenvalues, _has_pole, _require_finite, _solve, _top_sector
+from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
 from .tensorrep import (ProductSpace, _casimir_sectors, _q_powers, _sector_chains, _SpaceStack,
                         kron)
 
@@ -64,30 +63,44 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _draws(cfg: ToleranceConfig, draw, count: int | None = None) -> tuple:
-    """The draw phase of :func:`_sampled`: the lists of records and points
-    of ``count`` samples (``cfg.sample_count`` by default), and the error
-    that ended the draws, or None.
+def _draws(cfg: ToleranceConfig, draws: dict | None, record, draw, *params,
+           count: int | None = None) -> tuple:
+    """The draw phase of :func:`_sampled`: the records and samples of one
+    random stream of ``count`` samples (``cfg.sample_count`` by default),
+    and the error that ended its draws, or None.
 
-    ``draw(rng, i)`` draws sample i from the generator seeded by ``cfg`` and
-    returns its JSON record and its point; the draws run in sample order,
-    and no evaluation feeds a draw, so the stream and the records are those
-    of a loop that evaluates each sample as it is drawn.  A draw that
-    raises a :class:`QybeError` ends the draws.
+    ``draw(rng, i, *params)`` draws sample i from the generator seeded by
+    ``cfg``; the draws run in sample order, and no evaluation feeds a draw,
+    so the stream is that of a loop that evaluates each sample as it is
+    drawn.  A draw that raises a :class:`QybeError` ends the stream.
+    ``record(sample)`` gives a sample's JSON record.
+
+    ``draws`` is the dict that the suites of one run share (None for a
+    suite called alone): a stream is kept there by its draw function,
+    params, seed and count, so it is drawn once however many suites read
+    it, and its records by stream and ``record``, so suites with one
+    record function share the record dicts.  A suite that completes its
+    records keeps them apart with a record function of its own.
     """
     count = cfg.sample_count if count is None else count
     if count < 1:
         raise ParameterDomainError("a suite needs at least one sample")
-    rng = cfg.rng()
-    records, points = [], []
-    for i in range(count):
-        try:
-            record, point = draw(rng, i)
-        except QybeError as exc:
-            return records, points, exc
-        records.append(record)
-        points.append(point)
-    return records, points, None
+    draws = {} if draws is None else draws
+    key = (draw, params, cfg.rng_seed, count)
+    if key not in draws:
+        rng = cfg.rng()
+        samples, stop = [], None
+        for i in range(count):
+            try:
+                samples.append(draw(rng, i, *params))
+            except QybeError as exc:
+                stop = exc
+                break
+        draws[key] = samples, stop
+    samples, stop = draws[key]
+    if (key, record) not in draws:
+        draws[key, record] = [record(sample) for sample in samples]
+    return draws[key, record], samples, stop
 
 
 def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, evaluate):
@@ -121,12 +134,6 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, e
     return reports if isinstance(res, dict) else reports[0]
 
 
-def _drawn(points: list) -> list:
-    """The ``evaluate`` of a suite whose draw needs the numerics to accept a
-    point, so each point is its residual."""
-    return points
-
-
 def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[float]:
     """``residual(lhs[s], rhs[s], *(m[s] for m in inputs))`` of every sample
     s of (S, d, d) stacks: one abs-max of the gaps and one of the inputs,
@@ -136,43 +143,84 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[fl
     return [residual(gap, 0.0, *peak) for gap, peak in zip(gaps, peaks)]
 
 
-def _point_draws(ell1, ell2, cfg: ToleranceConfig, mode: str = "xxz",
-                 shared: dict | None = None) -> tuple:
-    """The :func:`_draws` of the spin-pair suites: a :func:`_regular_point`
-    (q, u) per sample.
-
-    ``shared`` is a dict that the suites of one run pass along: it keeps the
-    draws by pair, mode, seed and count, so the suites that sample one
-    stream draw it once and share its records and points.
-    """
-    def draw(rng, i):
-        q, u = _regular_point(ell1, ell2, rng, mode=mode)
-        return {"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u)}, (q, u)
-
-    if shared is None:
-        return _draws(cfg, draw)
-    key = (ell1, ell2, mode, cfg.rng_seed, cfg.sample_count)
-    if key not in shared:
-        shared[key] = _draws(cfg, draw)
-    return shared[key]
-
-
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
     """A sampled (q, u) with all eigenvalue denominators away from poles.
 
     In the rational mode ("xxx") q is :data:`qcore.RATIONAL`, where the
     denominators are plain numbers, and only u is drawn.
     """
-    big_l = ell1 + ell2 + 1
-    # every pole gap [l1+l2+1-n +- u], n = 1..top, in one array
-    n = np.arange(1, _top_sector(ell1, ell2) + 1)
+    # every pole gap [l1+l2+1-n +- u], n = 1..top, is l1+l2+1-n plus +-u
+    sectors = ell1 + ell2 + 1 - np.arange(1, _top_sector(ell1, ell2) + 1)
     for _ in range(MAX_DRAWS):
         q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
         u = sample_u(rng)
-        if (np.abs(qnum(np.add.outer(big_l - n, (u, -u)), q)) > min_gap).all():
+        if (np.abs(qnum(np.add.outer(sectors, (u, -u)), q)) > min_gap).all():
             return q, u
     what = "regular rational u" if mode == "xxx" else "regular (q, u)"
     raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
+
+
+# ---------------------------------------------------------------------------
+# the random streams: each draw(rng, i, *params) gives sample i of a stream
+# (see _draws), and the record functions here are those of more than one suite
+
+def _pair_point(rng, i, ell1, ell2, mode):
+    """The (q, u) of the spin-pair suites, a :func:`_regular_point`."""
+    return _regular_point(ell1, ell2, rng, mode=mode)
+
+
+def _quv(rng, i):
+    """A generic q and two spectral parameters u, v."""
+    return sample_generic_q(rng), sample_u(rng), sample_u(rng)
+
+
+def _uv(rng, i):
+    """Two spectral parameters u, v at a q that is not drawn."""
+    return sample_u(rng), sample_u(rng)
+
+
+def _cyclic_params(rng, i):
+    """Two cyclic parameter triples and a spectral parameter."""
+    return sample_params(rng, 3), sample_params(rng, 3), sample_u(rng, scale=0.6)
+
+
+def _compatible(rng, i, q):
+    """Two specs at the root of unity q and a u on the admissible set."""
+    return cy.sample_compatible_params(q.order, rng, q)
+
+
+def _alpha(rng, i):
+    """One complex alpha of the phi products."""
+    return complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
+
+
+def _branch_point(rng, i, ell1, ell2):
+    """(q, u) and its shift to the branch log q + 2 pi i that keeps q^u,
+    with q on the unit circle at even i; a candidate with a pole on either
+    branch is drawn again."""
+    for _ in range(MAX_DRAWS):
+        q = sample_generic_q(rng, on_circle=(i % 2 == 0))
+        u = sample_u(rng)
+        shifted_q = q.with_branch_shift(1)
+        shifted_u = u * q.log_branch / shifted_q.log_branch
+        if not _has_pole(ell1, ell2, (u, shifted_u), (q, shifted_q)):
+            return q, u, shifted_q, shifted_u
+    raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
+
+
+def _quv_record(sample) -> dict:
+    q, u, v = sample
+    return {"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)}
+
+
+def _rational_uv_record(sample) -> dict:
+    u, v = sample
+    return {"q": None, "u": _c2l(u), "v": _c2l(v)}
+
+
+def _pair_record(sample) -> dict:
+    q, u = sample
+    return {"q": None if q is RATIONAL else _c2l(q.value), "u": _c2l(u)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +246,24 @@ def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]
 
 
 def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                          points: list | None = None,
-                          perturb: float = 0.0) -> ResidualReport:
+                          points: list | None = None, perturb: float = 0.0,
+                          draws: dict | None = None) -> ResidualReport:
     """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v);
-    each run of samples is one stacked pass."""
+    each run of samples is one stacked pass.  The (q, u, v) points are
+    ``points`` if given, else drawn from the run's ``draws`` (see
+    :func:`_draws`): the xxz stream is that of the spin RLL suites, and the
+    xxx stream of (u, v) that of the cyclic one."""
     cfg = cfg or ToleranceConfig()
-
-    def draw(rng, i):
-        if points is None:
-            q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
-            u, v = sample_u(rng), sample_u(rng)
-        else:
-            q, u, v = points[i]
-        return ({"q": None if mode == "xxx" else _c2l(q.value), "u": _c2l(u), "v": _c2l(v)},
-                (q, u, v))
+    if points is not None:
+        if not points:
+            raise ParameterDomainError("a suite needs at least one sample")
+        drawn = ([_rational_uv_record(p[1:]) if mode == "xxx" else _quv_record(p)
+                  for p in points], list(points), None)
+    elif mode == "xxx":
+        records, uvs, stop = _draws(cfg, draws, _rational_uv_record, _uv)
+        drawn = records, [(RATIONAL, u, v) for u, v in uvs], stop
+    else:
+        drawn = _draws(cfg, draws, _quv_record, _quv)
 
     def evaluate(points):
         qs, us, vs = zip(*points)
@@ -225,24 +277,22 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         return _residuals(m12 @ m13 @ m23, m23 @ m13 @ m12, m12, m13, m23)
 
     return _sampled(f"fundamental_ybe[{mode}]", cfg,
-                    cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol,
-                    _draws(cfg, draw, None if points is None else len(points)), evaluate)
+                    cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol, drawn, evaluate)
 
 
-def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_rll(quantum, cfg: ToleranceConfig | None = None,
+              draws: dict | None = None) -> ResidualReport:
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on aux x aux x quantum;
     each run of samples is one stacked pass.
 
     ``quantum`` is either a half-integer spin or a :class:`CyclicRepSpec`.
+    The points come from the streams of :func:`check_fundamental_ybe`, the
+    xxz one for a spin (with its records) and the (u, v) one at the
+    cyclic q.
     """
     cfg = cfg or ToleranceConfig()
     # a cyclic quantum space is one fixed representation for every sample
     fixed = cy.build_cyclic_rep(quantum) if isinstance(quantum, cy.CyclicRepSpec) else None
-
-    def draw(rng, i):
-        q = sample_generic_q(rng) if fixed is None else fixed.q
-        u, v = sample_u(rng), sample_u(rng)
-        return {"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)}, (q, u, v)
 
     def evaluate(points):
         qs, us, vs = zip(*points)
@@ -253,10 +303,13 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None) -> ResidualReport:
         r12 = _on_slots(_fundamental_rs([u - v for u, v in zip(us, vs)], qs), dims, (0, 1))
         return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
-    if fixed is not None:
-        return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _draws(cfg, draw),
-                        evaluate)
-    return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
+    if fixed is None:
+        return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol,
+                        _draws(cfg, draws, _quv_record, _quv), evaluate)
+    q = fixed.q
+    records, uvs, stop = _draws(cfg, draws, lambda uv: _quv_record((q, *uv)), _uv)
+    return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol,
+                    (records, [(q, u, v) for u, v in uvs], stop), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +395,8 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
                          perturb: float = 0.0, draws: dict | None = None) -> list[ResidualReport]:
     """All eight decomposed relations over sampled (q, u) points, in the
     orthonormal basis; each run of samples is assembled and checked in one
-    stacked pass.  ``draws`` shares the points with the other spin-pair
-    suites of a run (see :func:`_point_draws`)."""
+    stacked pass.  The points are the pair's (q, u) stream, which the
+    unitarity and Casimir suites read too (see :func:`_draws`)."""
     cfg = cfg or ToleranceConfig()
 
     def evaluate(points):
@@ -356,7 +409,7 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
         return _decomposed(space, us, r)
 
     return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _point_draws(ell1, ell2, cfg, shared=draws), evaluate)
+                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz"), evaluate)
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
@@ -366,8 +419,9 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
     R(u) and R(-u) of a run of samples come from one stacked spectral form:
     in the orthonormal basis of the samples' q values, or, in the monomial
     basis at q = 1, the one memoised form of :class:`ProductSpace`, which
-    every sample shares.  ``draws`` shares the points with the other
-    spin-pair suites of a run (see :func:`_point_draws`).
+    every sample shares.  The points are the pair's (q, u) stream in
+    ``mode``, which the decomposed and Casimir suites read too (see
+    :func:`_draws`).
     """
     cfg = cfg or ToleranceConfig()
     basis = "monomial" if mode == "xxx" else "orthonormal"
@@ -386,39 +440,40 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
         return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
     return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol,
-                    _point_draws(ell1, ell2, cfg, mode, draws), evaluate)
+                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, mode), evaluate)
 
 
-def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
+                              draws: dict | None = None) -> ResidualReport:
     """The sector eigenvalues (R_0 = 1) are unchanged when log q moves by 2 pi i at fixed
     spectral power q^u (sampled on and off the unit circle).
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
-    keeps q^u fixed; only the spin-related powers of q move.  A draw at a
-    pole is drawn again, so the draw computes both eigenvalue sequences,
-    and their residual: it is the one suite evaluated in its draw.
+    keeps q^u fixed; only the spin-related powers of q move.  A draw with a
+    pole on either branch is drawn again (:func:`_branch_point`).  Each run
+    of samples is one :func:`rop._eigenvalues` pass over the base and the
+    shifted row of every sample, and a non-finite eigenvalue raises the
+    :class:`ParameterDomainError` of :func:`rop.eigenvalue_sequence` for the
+    lowest such sample, its base row first.
     """
     cfg = cfg or ToleranceConfig()
 
-    def draw(rng, i):
-        for _ in range(MAX_DRAWS):
-            q = sample_generic_q(rng, on_circle=(i % 2 == 0))
-            u = sample_u(rng)
-            shifted_q = q.with_branch_shift(1)
-            shifted_u = u * q.log_branch / shifted_q.log_branch
-            try:
-                base = np.array(eigenvalue_sequence(ell1, ell2, u, q))
-                shifted = np.array(eigenvalue_sequence(ell1, ell2, shifted_u, shifted_q))
-                break
-            except PoleAtSector:
-                continue
-        else:
-            raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
-        return ({"q": _c2l(q.value), "u": _c2l(u),
-                 "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}, residual(base, shifted, base))
+    def record(sample):
+        q, u = sample[:2]
+        return {"q": _c2l(q.value), "u": _c2l(u), "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}
 
-    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, _draws(cfg, draw),
-                    _drawn)
+    def evaluate(points):
+        # rows 2s and 2s + 1 are sample s on its base and its shifted branch;
+        # the draw has tested their poles with these bits, so there are none
+        qs = [q for point in points for q in point[0::2]]
+        us = [u for point in points for u in point[1::2]]
+        vals, _ = _eigenvalues(ell1, ell2, us, qs)
+        _require_finite(ell1, ell2, us, vals)
+        base, shifted = vals[0::2, None], vals[1::2, None]
+        return _residuals(base, shifted, base)
+
+    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol,
+                    _draws(cfg, draws, record, _branch_point, ell1, ell2), evaluate)
 
 
 def _casimir_reports(space: _SpaceStack, us) -> list:
@@ -437,9 +492,9 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
                            draws: dict | None = None) -> ResidualReport:
     """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
     chains, in the orthonormal basis; each run of samples is one stacked
-    pass of :func:`tensorrep._casimir_sectors`.  ``draws`` shares the
-    points with the other spin-pair suites of a run (see
-    :func:`_point_draws`)."""
+    pass of :func:`tensorrep._casimir_sectors`.  The points are the pair's
+    (q, u) stream, which the decomposed and unitarity suites read too (see
+    :func:`_draws`)."""
     cfg = cfg or ToleranceConfig()
 
     def evaluate(points):
@@ -448,13 +503,22 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
         return [_nan_max(report.max_residual, report.max_m_spread) for report in reports]
 
     return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _point_draws(ell1, ell2, cfg, shared=draws), evaluate)
+                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz"), evaluate)
 
 
 # ---------------------------------------------------------------------------
 # root-of-unity suites
 
-def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def _cyclic_points(drawn: tuple, q: DeformationParameter) -> tuple:
+    """The drawn samples of :func:`_cyclic_params` as points (spec1, spec2,
+    u), both specs at the root of unity q."""
+    records, samples, stop = drawn
+    return records, [(cy.CyclicRepSpec(*p1, q.order, q), cy.CyclicRepSpec(*p2, q.order, q), u)
+                     for p1, p2, u in samples], stop
+
+
+def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
+                            draws: dict | None = None) -> ResidualReport:
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
     Each run of samples is one stacked pass: the bands of its 2 S
@@ -464,18 +528,15 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
     :func:`cyclic.tensor_power_scalars` would reject (a NaN off-scalar
     residual, or one above 1) has the residual of its first failing guard,
     so it fails the report: rep 1's, rep 2's, then the generators' in the
-    order sm_u, sp_u, sm_bar_u, sp_bar_u.
+    order sm_u, sp_u, sm_bar_u, sp_bar_u.  The cyclic R-ratio suite reads
+    the same stream.
     """
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
 
-    def draw(rng, i):
-        p1 = sample_params(rng, 3)
-        p2 = sample_params(rng, 3)
-        u = sample_u(rng, scale=0.6)
-        return ({"params1": [_c2l(z) for z in p1],
-                 "params2": [_c2l(z) for z in p2], "u": _c2l(u)},
-                (cy.CyclicRepSpec(*p1, n, q), cy.CyclicRepSpec(*p2, n, q), u))
+    def record(sample):
+        p1, p2, u = sample
+        return {"params1": [_c2l(z) for z in p1], "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
 
     def evaluate(points):
         specs1, specs2, us = zip(*points)
@@ -492,52 +553,48 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None) -> Resid
                 *tp.closed_form_errors.values()))
         return residuals
 
-    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
+    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol,
+                    _cyclic_points(_draws(cfg, draws, record, _cyclic_params), q), evaluate)
 
 
-def check_phi_identity(n: int, cfg: ToleranceConfig | None = None,
-                       count: int = 20) -> ResidualReport:
+def check_phi_identity(n: int, cfg: ToleranceConfig | None = None, count: int = 20,
+                       draws: dict | None = None) -> ResidualReport:
     """q-number product over a full period equals its two-term closed form;
     each run of samples is one pass of :func:`qcore._phi_products`."""
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
-
-    def draw(rng, i):
-        alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
-        return {"alpha": _c2l(alpha)}, alpha
-
-    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw, count),
+    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol,
+                    _draws(cfg, draws, lambda alpha: {"alpha": _c2l(alpha)}, _alpha, count=count),
                     lambda alphas: [phi.residual for phi in _phi_products(alphas, q)])
 
 
-def check_shift_laws(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_shift_laws(n: int, cfg: ToleranceConfig | None = None,
+                     draws: dict | None = None) -> ResidualReport:
     """All 4N shift relations at random draws from the admissible parameter
-    set; each run of samples is one stacked pass of
-    :func:`cyclic._shift_residuals`."""
+    set, the stream that the partial R suite reads too; each run of samples
+    is one stacked pass of :func:`cyclic._shift_residuals`."""
     cfg = cfg or ToleranceConfig()
 
-    def draw(rng, i):
-        s1, s2, u = cy.sample_compatible_params(n, rng)
-        return {"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)}, (s1, s2, u)
+    def record(sample):
+        s1, s2, u = sample
+        return {"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)}
 
     def evaluate(points):
         _, resids = cy._shift_residuals(*zip(*points))
         return resids.reshape(len(points), -1).max(axis=1).tolist()
 
-    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol, _draws(cfg, draw), evaluate)
+    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol,
+                    _draws(cfg, draws, record, _compatible, DeformationParameter.root_of_unity(n)),
+                    evaluate)
 
 
-def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None,
+                         draws: dict | None = None) -> ResidualReport:
     """Consecutive cyclic eigenvalues have the constant ratio
-    q^{2 - u + alpha2 - beta2 - lam1}; each run of samples is one pass of
-    :func:`cyclic._eigenvalue_steps`."""
+    q^{2 - u + alpha2 - beta2 - lam1}, on the stream of the centrality
+    suite; each run of samples is one pass of :func:`cyclic._eigenvalue_steps`."""
     cfg = cfg or ToleranceConfig()
-
-    def draw(rng, i):
-        s1 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
-        s2 = cy.CyclicRepSpec(*sample_params(rng, 3), n)
-        u = sample_u(rng, scale=0.6)
-        return {"u": _c2l(u)}, (s1, s2, u)
+    q = DeformationParameter.root_of_unity(n)
 
     def evaluate(points):
         steps, vals = cy._eigenvalue_steps(*zip(*points))
@@ -545,27 +602,31 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None) -> Residual
         # a step's modulus is the scalar abs that residual takes of it
         return [residual(gap, 0.0, step) for gap, step in zip(gaps, steps)]
 
-    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, _draws(cfg, draw), evaluate)
+    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol,
+                    _cyclic_points(_draws(cfg, draws, lambda sample: {"u": _c2l(sample[2])},
+                                         _cyclic_params), q), evaluate)
 
 
-def check_partial_r(n: int, cfg: ToleranceConfig | None = None) -> ResidualReport:
+def check_partial_r(n: int, cfg: ToleranceConfig | None = None,
+                    draws: dict | None = None) -> ResidualReport:
     """Partial R reproduces its defining action on every family vector; a
     conflicting sample keeps its residual, so the suite's tolerance decides.
-    Each run of samples is one pass of :func:`cyclic._partial_rs`, which
-    completes every record with its span rank."""
+    The samples are the shift-law suite's stream.  Each run of samples is
+    one pass of :func:`cyclic._partial_rs`, which completes every record
+    with its span rank."""
     cfg = cfg or ToleranceConfig()
-
-    def draw(rng, i):
-        s1, s2, u = cy.sample_compatible_params(n, rng)
-        record = {"u": _c2l(u)}
-        return record, (s1, s2, u, record)
+    # a record function of this call's own, so no other suite holds the
+    # records that the evaluation completes
+    records, samples, stop = _draws(cfg, draws, lambda sample: {"u": _c2l(sample[2])},
+                                    _compatible, DeformationParameter.root_of_unity(n))
 
     def evaluate(points):
-        specs1, specs2, us, records = zip(*points)
+        samples, records = zip(*points)
         residuals = []
-        for record, pr in zip(records, cy._partial_rs(specs1, specs2, us)):
+        for record, pr in zip(records, cy._partial_rs(*zip(*samples))):
             record["span_rank"] = pr.span_rank
             residuals.append(pr.max_residual)
         return residuals
 
-    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol, _draws(cfg, draw), evaluate)
+    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol,
+                    (records, list(zip(samples, records)), stop), evaluate)

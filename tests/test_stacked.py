@@ -571,7 +571,7 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
     def draw(rng, i):
         if i == 3:
             raise SamplerExhausted("point", 1)
-        return {"i": i}, i
+        return i
 
     def evaluate(points):
         if 1 in points:
@@ -579,9 +579,10 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
         return [0.0] * len(points)
 
     with pytest.raises(PoleAtSector):
-        _sampled("x", cfg, 1.0, _draws(cfg, draw), evaluate)
+        _sampled("x", cfg, 1.0, _draws(cfg, None, lambda i: {"i": i}, draw), evaluate)
     with pytest.raises(SamplerExhausted):
-        _sampled("x", cfg, 1.0, _draws(cfg, draw), lambda points: [0.0] * len(points))
+        _sampled("x", cfg, 1.0, _draws(cfg, None, lambda i: {"i": i}, draw),
+                 lambda points: [0.0] * len(points))
 
 
 # ---------------------------------------------------------------------------

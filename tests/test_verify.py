@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
-                  build_spin_rep, casimir_matrix, closed_form_R, fundamental_r, qnum)
+                  build_spin_rep, casimir_matrix, closed_form_R, eigenvalue_sequence,
+                  fundamental_r, qnum)
 from qybe import cli, cyclic, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
@@ -256,10 +257,7 @@ def test_regular_point_gives_up_after_max_draws():
 
 
 def test_branch_independence_gives_up_after_max_draws(monkeypatch):
-    def always_pole(*args, **kwargs):
-        raise PoleAtSector(1)
-
-    monkeypatch.setattr(verify, "eigenvalue_sequence", always_pole)
+    monkeypatch.setattr(verify, "_has_pole", lambda *args: True)
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
         check_branch_independence(0.5, 1.0, FAST)
 
@@ -329,6 +327,104 @@ def test_a_run_that_raises_leaves_no_draws_behind(monkeypatch, capsys):
     assert main(argv) == 0
     assert drawn == dict.fromkeys(GOLDEN_STREAMS, 3)
     assert capsys.readouterr().out == clean
+
+
+@pytest.mark.parametrize("suite,phases", [("all", 11), ("cyclic", 3)])
+def test_one_run_draws_each_stream_once(suite, phases, monkeypatch, capsys):
+    """Every stream of a run is drawn in one draw phase, a generator seeded
+    once: verify all reads 17 suites' samples from 11 streams, verify cyclic
+    5 suites' from 3."""
+    seeded = []
+    real = ToleranceConfig.rng
+    monkeypatch.setattr(ToleranceConfig, "rng", lambda cfg: seeded.append(cfg) or real(cfg))
+    assert main(["verify", suite, "--samples", "5", "--seed", "3"]) == 0
+    assert len(seeded) == phases
+
+
+@pytest.mark.parametrize("samples", [5, 17])
+def test_each_suite_alone_reports_as_inside_verify_all(samples):
+    """Sharing streams within a run changes no report: each suite run alone
+    gives the report dicts of its ids inside verify all."""
+    for seed in range(12):
+        cfg = ToleranceConfig(sample_count=samples, rng_seed=seed)
+        inside = {report.identity_id: report.to_dict()
+                  for report in cli._run_suite("all", cfg, 3, 0.0)}
+        for suite in ("ybe", "rll", "unitarity", "casimir", "cyclic"):
+            for report in cli._run_suite(suite, cfg, 3, 0.0):
+                assert report.to_dict() == inside[report.identity_id], (seed, suite)
+
+
+class _ForcedBranchDraws:
+    """sample_generic_q and sample_u, except that the 2nd u puts its
+    candidate's base branch on the sector-1 pole [l1 + l2 + u] = 0 of spins
+    (1/2, 1), the 4th its shifted branch (the shift only flips the sign of
+    a half-integer sector's denominator, so the base is at the pole too),
+    and the 6th, at ``overflow``, makes a power of q overflow."""
+
+    def __init__(self, overflow: complex | None = None):
+        self.calls, self.q, self.overflow = 0, None, overflow
+
+    def sample_generic_q(self, rng, on_circle=False):
+        self.q = sample_generic_q(rng, on_circle)
+        return self.q
+
+    def sample_u(self, rng, scale=1.2):
+        u = sample_u(rng, scale)
+        self.calls += 1
+        lb = self.q.log_branch
+        forced = {2: -1.5 + 0j, 4: -1.5 * (lb + 2j * np.pi) / lb, 6: self.overflow}
+        return forced.get(self.calls) or u
+
+
+def _reference_branch_independence(ell1, ell2, cfg, sampler):
+    """check_branch_independence as a loop that draws one sample, computes
+    its eigenvalue sequences and draws again at a pole; its records, its max
+    residual and the number of candidates it drew again."""
+    rng = cfg.rng()
+    records, worst, redrawn = [], 0.0, 0
+    for i in range(cfg.sample_count):
+        while True:
+            q = sampler.sample_generic_q(rng, on_circle=(i % 2 == 0))
+            u = sampler.sample_u(rng)
+            shifted_q = q.with_branch_shift(1)
+            try:
+                base = np.array(eigenvalue_sequence(ell1, ell2, u, q))
+                shifted = np.array(eigenvalue_sequence(
+                    ell1, ell2, u * q.log_branch / shifted_q.log_branch, shifted_q))
+                break
+            except PoleAtSector:
+                redrawn += 1
+        records.append({"q": [q.value.real, q.value.imag], "u": [u.real, u.imag],
+                        "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)})
+        worst = max(worst, residual(base, shifted, base))
+    return records, worst, redrawn
+
+
+def test_a_branch_candidate_at_a_pole_is_drawn_again_as_one_sample_at_a_time(monkeypatch):
+    cfg = ToleranceConfig(sample_count=5, rng_seed=11)
+    records, worst, redrawn = _reference_branch_independence(0.5, 1.0, cfg, _ForcedBranchDraws())
+    assert redrawn == 2
+    sampler = _ForcedBranchDraws()
+    monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
+    monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
+    report = check_branch_independence(0.5, 1.0, cfg)
+    assert list(report.samples) == records and report.max_residual == worst
+
+
+def test_a_non_finite_branch_eigenvalue_raises_for_its_sample(monkeypatch):
+    """u = 1e5 i makes a power of q overflow on the 6th candidate, which is
+    sample 3 (two candidates before it were at a pole): the error is the
+    one that eigenvalue_sequence raises there."""
+    cfg = ToleranceConfig(sample_count=5, rng_seed=11)
+    with pytest.raises(ParameterDomainError) as expected:
+        _reference_branch_independence(0.5, 1.0, cfg, _ForcedBranchDraws(1e5j))
+    assert "u = 100000j" in str(expected.value)
+    sampler = _ForcedBranchDraws(1e5j)
+    monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
+    monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
+    with pytest.raises(ParameterDomainError) as got:
+        check_branch_independence(0.5, 1.0, cfg)
+    assert str(got.value) == str(expected.value)
 
 
 def _sample_us(report) -> tuple:
@@ -489,11 +585,11 @@ def test_rll_builds_its_cyclic_rep_once(monkeypatch):
     assert built == [spec]
 
 
-def _conflicting_sample(n, rng):
+def _conflicting_sample(n, rng, q=None):
     """Coinciding families at u with distinct images at -u: partial_R's
     relations conflict with residual sqrt(3)/2 at N = 3."""
-    return (CyclicRepSpec(0.3 + 0.1j, 0.3 + 0.1j, 0.3j, n),
-            CyclicRepSpec(-0.2 + 0.4j, -0.2 + 0.4j, 0.3j, n), 2.0)
+    return (CyclicRepSpec(0.3 + 0.1j, 0.3 + 0.1j, 0.3j, n, q),
+            CyclicRepSpec(-0.2 + 0.4j, -0.2 + 0.4j, 0.3j, n, q), 2.0)
 
 
 def test_conflicting_partial_r_sample_fails_its_report(monkeypatch, tmp_path, capsys):
