@@ -120,7 +120,8 @@ def _spin_factors(ell, qs, basis: str) -> _Factors:
             for j in range(d - 1):
                 row[j + 1] = row[j] * a_row[j] / s_row[j]
     weights = (np.arange(d) - ell).astype(complex)
-    # a memoised stack of the tensor layer shares these arrays
+    # stacks of the tensor layer share these arrays, both slots of one stack
+    # among them when its two spins are equal
     for arr in (sp, sm, weights, dm):
         if arr is not None:
             arr.setflags(write=False)

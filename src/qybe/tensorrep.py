@@ -26,10 +26,6 @@ CHAIN_TOL = 1e-10
 # how many spaces ProductSpace.of_spins keeps, each with its spectral form:
 # callers visit one (spins, q, basis) at a time, so two catch every repeat
 _SPACE_MEMO_SIZE = 2
-# how many stacks _SpaceStack.of_spins keeps, each with its pieces and form:
-# the decomposed, unitarity and Casimir suites draw the same q values for
-# a pair, so three hold one run of each of the three golden pairs
-_STACK_MEMO_SIZE = 3
 # how many block layouts _BlockLayout.of_dims keeps, one per (d1, d2)
 _LAYOUT_MEMO_SIZE = 16
 
@@ -84,7 +80,8 @@ class _SpaceStack:
     the lowest failing sample; a failed sample's arrays are not meaningful.
     :class:`ProductSpace` is the stack of one, and the sampled suites of
     :mod:`verify` stack their samples here.  Its arrays are read-only, since
-    :meth:`of_spins` shares one stack among all its callers.
+    the suites of one pass, and the callers of a memoised
+    :class:`ProductSpace`, share one stack.
     """
 
     def __init__(self, qs, f1: _Factors, f2: _Factors):
@@ -107,13 +104,11 @@ class _SpaceStack:
     def of_spins(ell1, ell2, qs, basis: str) -> "_SpaceStack":
         """The stack of two finite spins in one single-spin basis at every q
         of ``qs``, built from the spins 2l/2 as :meth:`ProductSpace.of_spins`
-        builds them.
-
-        Memoised on (2 l1, 2 l2, the q values in order, basis) for the last
-        :data:`_STACK_MEMO_SIZE` keys, so the suites that draw the same
-        points share one stack, with its pieces and its spectral form.
-        """
-        return _spin_stack(_two_spin(ell1), _two_spin(ell2), tuple(qs), basis)
+        builds them; two equal spins share one factor representation."""
+        two_ell1, two_ell2 = _two_spin(ell1), _two_spin(ell2)
+        f1 = _spin_factors(two_ell1 / 2, qs, basis)
+        return _SpaceStack(qs, f1, f1 if two_ell2 == two_ell1
+                           else _spin_factors(two_ell2 / 2, qs, basis))
 
     @functools.cached_property
     def factor_powers(self) -> tuple[dict, dict]:
@@ -149,9 +144,11 @@ class _SpaceStack:
             return sp1 / qu + qu * sp2, qu * sm1 + sm2 / qu
         return qu * sp1 + sp2 / qu, sm1 / qu + qu * sm2
 
-    def chains(self, us, kinds: tuple[str, ...]) -> tuple[np.ndarray, list]:
+    def chains(self, us, kinds: tuple[str, ...], gens: list | None = None
+               ) -> tuple[np.ndarray, list]:
         """The raising chains of every sector of each coproduct kind in
-        ``kinds`` at u_s, for every sample s, raised together.
+        ``kinds`` at u_s, for every sample s, raised together; ``gens``, when
+        given, holds the :meth:`coproduct` of each kind at ``us``.
 
         Returns c of shape (S, len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
         with c[s, f, m][:, n] = (S+_u)^m v_n for kind f and v_n the
@@ -165,7 +162,8 @@ class _SpaceStack:
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
-        gens = [self.coproduct(kind, us) for kind in kinds]
+        if gens is None:
+            gens = [self.coproduct(kind, us) for kind in kinds]
         families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
         (d1, d2), count = self.dims, len(self.qs)
         k, steps = min(d1, d2), d1 + d2 - 1
@@ -194,11 +192,16 @@ class _SpaceStack:
     def unit_blocks(self, chains: np.ndarray, errors: list):
         """The weight blocks of chains (S, d1+d2-1, d1*d2, k) with unit
         columns, the column norms and the condition number of every block;
-        the unit blocks of a failed sample are the identity."""
+        the unit blocks of a failed sample are the identity.  A sample
+        whose column norms overflow, its chains finite, fails here: its
+        entry of ``errors``, if None, becomes a :class:`ParameterDomainError`."""
         blocks = self.layout.cut(chains)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
             unit = blocks / norms
+            for sample in np.flatnonzero(np.isinf(norms).any(axis=(1, 2, 3))):
+                errors[sample] = errors[sample] or ParameterDomainError(
+                    "the eigenvector chains are too large to normalise: a power of q overflows")
             failed = [s for s, e in enumerate(errors) if e is not None]
             if failed:
                 unit[failed] = np.eye(unit.shape[-1])
@@ -206,13 +209,15 @@ class _SpaceStack:
             cond = s[..., 0] / s[..., -1]
         return unit, norms, cond
 
-    def sectors(self, us, kind: str) -> tuple[np.ndarray, list]:
+    def sectors(self, us, kind: str, gens: tuple | None = None) -> tuple[np.ndarray, list]:
         """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
         at u_s (see :meth:`chains`), which must also pass the weight-block
         test of :class:`SpectralForm` against :data:`COND_LIMIT`, and each
-        sample's first error: :class:`CompletenessFailure`, then
-        :class:`SingularBasis`."""
-        chains, errors = self.chains(us, (kind,))
+        sample's first error: :class:`CompletenessFailure`, then the
+        :class:`ParameterDomainError` of :meth:`unit_blocks`, then
+        :class:`SingularBasis`.  ``gens``, when given, is the
+        :meth:`coproduct` of ``kind`` at ``us``."""
+        chains, errors = self.chains(us, (kind,), None if gens is None else [gens])
         chains = chains[:, 0]
         cond = self.unit_blocks(chains, errors)[2]
         for s in np.flatnonzero((~(cond <= COND_LIMIT)).any(axis=1)):
@@ -354,16 +359,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_SPACE_MEMO_SIZE)
 def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
                 basis: str) -> ProductSpace:
-    """The space behind :meth:`ProductSpace.of_spins`."""
-    return ProductSpace(build_spin_rep(two_ell1 / 2, q, basis),
-                        build_spin_rep(two_ell2 / 2, q, basis))
-
-
-@functools.lru_cache(maxsize=_STACK_MEMO_SIZE)
-def _spin_stack(two_ell1: int, two_ell2: int, qs: tuple, basis: str) -> _SpaceStack:
-    """The stack behind :meth:`_SpaceStack.of_spins`."""
-    return _SpaceStack(qs, _spin_factors(two_ell1 / 2, qs, basis),
-                       _spin_factors(two_ell2 / 2, qs, basis))
+    """The space behind :meth:`ProductSpace.of_spins`; raises
+    :class:`ParameterDomainError`, before the space is built, where a
+    power of q overflows in the generators or q^S of a factor."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reps = [build_spin_rep(two_ell / 2, q, basis) for two_ell in (two_ell1, two_ell2)]
+        finite = all(np.isfinite(m).all() for rep in reps for m in (rep.sp, rep.sm, rep.qs(1)))
+    if not finite:
+        raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
+    return ProductSpace(*reps)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,6 +8,7 @@ identity id and the seed in its tolerance configuration.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -105,7 +106,8 @@ def _draws(cfg: ToleranceConfig, draws: dict | None, record, draw, *params,
 
 def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, evaluate):
     """The sampling harness behind every suite: evaluate the samples that
-    :func:`_draws` gave (``drawn``) and fold their residuals into reports.
+    :func:`_draws` gave (``drawn``) and fold their residuals into reports
+    (:func:`_reports`).
 
     ``evaluate(points)`` gives the residual of each point of a run of at
     most :data:`_STACK_SIZE` consecutive samples, in one stacked pass, and
@@ -113,11 +115,6 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, e
     result of the numerics (the span rank of partial R) is completed there.
     When an error ended the draws, the samples before it are evaluated
     first, so an error of theirs is the one raised.
-
-    Residuals fold with a NaN-keeping max, so a non-finite one fails the
-    report.  When the residuals are dicts of named residuals instead, each
-    name gets its own report, with the name put in place of ``{}`` in
-    ``identity_id``, and a list of reports comes back.
     """
     records, points, stop = drawn
     residuals = []
@@ -125,6 +122,17 @@ def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, e
         residuals.extend(evaluate(points[start:start + _STACK_SIZE]))
     if stop is not None:
         raise stop
+    return _reports(identity_id, cfg, tol, records, residuals)
+
+
+def _reports(identity_id: str, cfg: ToleranceConfig, tol: float, records: list, residuals: list):
+    """The report of the residuals of every sample, one per sample record.
+
+    Residuals fold with a NaN-keeping max, so a non-finite one fails the
+    report.  When the residuals are dicts of named residuals instead, each
+    name gets its own report, with the name put in place of ``{}`` in
+    ``identity_id``, and a list of reports comes back.
+    """
     worst = {}
     for res in residuals:
         for name, r in (res.items() if isinstance(res, dict) else [(None, res)]):
@@ -313,7 +321,14 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the spin-pair suites, one stacked pass per run of samples
+# the spin-pair suites, one stacked pass per golden pair and run of samples
+
+# the entry of a run's draws dict (see _draws) that lists the spin-pair
+# suites the run asks for, of "decomposed", "unitarity" and "casimir": a
+# golden pair's suites among them share one pass (see _pair_residuals);
+# without the entry a suite's pass evaluates that suite alone
+_PAIR_SUITES = "pair suites"
+
 
 def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]:
     """R(u_s) at q_s for every sample, from the spectral form of their
@@ -326,15 +341,28 @@ def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]
     return m, [p or f or e for p, f, e in zip(poles, form_errors, errors)]
 
 
-def _decomposed(space: _SpaceStack, us, r: np.ndarray) -> list[dict[str, float]]:
+def _perturbed(r: np.ndarray, perturb: float) -> np.ndarray:
+    """``r``, or with ``perturb`` added to entry (0, 1) of every sample, in a
+    copy, since the suites of a pass share one R(u)."""
+    if not perturb:
+        return r
+    r = r.copy()
+    r[:, 0, 1] += perturb
+    return r
+
+
+def _decomposed(space: _SpaceStack, us, r: np.ndarray, delta_u: tuple,
+                diagonal: np.ndarray) -> list[dict[str, float]]:
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
     u_s on each sample of ``space``: one stacked matmul pair for all
-    relations and samples, one stacked abs-max per distinct input."""
+    relations and samples, one stacked abs-max per distinct input.
+    ``delta_u`` is the coproduct Delta at the us and ``diagonal`` the
+    Casimir diagonal of the space, which the Casimir suite reads too."""
     qs = space.qs
     f1, f2 = space.factors
     lb = space.log_branch
     mus = [-u for u in us]
-    cop_u, cop_mu = space.coproduct("delta", us), space.coproduct("delta", mus)
+    cop_u, cop_mu = delta_u, space.coproduct("delta", mus)
     bar_u, bar_mu = space.coproduct("deltabar", us), space.coproduct("deltabar", mus)
     qs_diag = _q_powers(space.weights, lb, 1)
 
@@ -351,7 +379,7 @@ def _decomposed(space: _SpaceStack, us, r: np.ndarray) -> list[dict[str, float]]
     k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
     c_mu, c_bar_u = np.moveaxis(
         np.matmul(np.stack([cop_mu[0], bar_u[0]], axis=1), np.stack([cop_mu[1], bar_u[1]], axis=1))
-        + _casimir_diagonals(space.weights, qs)[:, None], 1, 0)
+        + diagonal[:, None], 1, 0)
     (sp_u, sm_u), (sp_mu, sm_mu) = cop_u, cop_mu
     (bsp_u, bsm_u), (bsp_mu, bsm_mu) = bar_u, bar_mu
 
@@ -387,60 +415,168 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.  The
     stack of one of the suite's stacked pass.
     """
-    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
-    return _decomposed(space._stack, [rm.u], rm.matrix[None])[0]
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)._stack
+    us = [rm.u]
+    return _decomposed(space, us, rm.matrix[None], space.coproduct("delta", us),
+                       _casimir_diagonals(space.weights, space.qs))[0]
+
+
+def _casimir_reports(space: _SpaceStack, us, delta_u: tuple, diagonal: np.ndarray) -> list:
+    """The :func:`tensor_casimir` report of each sample of ``space`` at its
+    u, unbarred, in one stacked pass, from the coproduct Delta at the us
+    and the Casimir diagonal of the space; raises the error of the lowest
+    failing sample."""
+    sp, sm = delta_u
+    c = sp @ sm + diagonal
+    chains, errors = space.sectors(us, "delta", delta_u)
+    _raise_first(errors)
+    f1, f2 = space.factors
+    return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
+
+
+class _PairRun:
+    """One run of at most :data:`_STACK_SIZE` samples (q_s, u_s) of a spin
+    pair, and the pieces that its suites share, each built the first time
+    a suite asks for it: the :class:`_SpaceStack` of the run with its
+    spectral form, R(u) with each sample's first error, the coproduct Delta
+    at u and the Casimir diagonal.  The suites read the pieces and do not
+    write them.  A piece that raises is not kept, so every suite that asks
+    for it raises.
+
+    In the "xxz" mode the stack is orthonormal, at the run's q values; in
+    the "xxx" mode every sample is at q = 1, and the stack is the monomial
+    one of the memoised :meth:`ProductSpace.of_spins`, with its one form.
+    """
+
+    def __init__(self, ell1, ell2, points, mode: str = "xxz"):
+        self.ell1, self.ell2, self.mode = ell1, ell2, mode
+        self.qs, self.us = zip(*points)
+
+    @functools.cached_property
+    def space(self) -> _SpaceStack:
+        if self.mode == "xxx":
+            return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")._stack
+        return _SpaceStack.of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
+
+    @functools.cached_property
+    def r_u(self) -> tuple[np.ndarray, list]:
+        r, errors = _stacked_R(self.ell1, self.ell2, self.us, self.qs, *self.space.spectral_form())
+        r.setflags(write=False)
+        return r, errors
+
+    @functools.cached_property
+    def delta_u(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.space.coproduct("delta", self.us)
+
+    @functools.cached_property
+    def casimir_diagonal(self) -> np.ndarray:
+        return _casimir_diagonals(self.space.weights, self.qs)
+
+    def decomposed(self, perturb: float) -> list[dict[str, float]]:
+        """The eight decomposed residuals of each sample."""
+        r, errors = self.r_u
+        _raise_first(errors)
+        return _decomposed(self.space, self.us, _perturbed(r, perturb), self.delta_u,
+                           self.casimir_diagonal)
+
+    def unitarity(self, perturb: float) -> list[float]:
+        """The residual of R(u) R(-u) = 1 of each sample, R(-u) from the
+        spectral form of R(u)."""
+        r_u, e_u = self.r_u
+        r_mu, e_mu = _stacked_R(self.ell1, self.ell2, [-u for u in self.us], self.qs,
+                                *self.space.spectral_form())
+        _raise_first(e_u, e_mu)
+        prod = _perturbed(r_u, perturb) @ r_mu
+        return _residuals(prod, np.eye(prod.shape[-1]), prod)
+
+    def casimir(self, perturb: float) -> list[float]:
+        """The worst Casimir residual or m-spread of each sample; no R is
+        read, so ``perturb`` moves nothing."""
+        return [_nan_max(report.max_residual, report.max_m_spread) for report in
+                _casimir_reports(self.space, self.us, self.delta_u, self.casimir_diagonal)]
+
+
+def _pair_key(stream: tuple, suite: str, perturb: float) -> tuple:
+    """Where a run's draws dict keeps the results of ``suite`` on ``stream``:
+    a perturbation moves R, which the Casimir suite does not read."""
+    return stream, suite, 0.0 if suite == "casimir" else perturb
+
+
+def _pair_residuals(suite: str, ell1, ell2, cfg: ToleranceConfig, perturb: float,
+                    draws: dict | None) -> tuple[list, list]:
+    """The records and residuals of the xxz spin-pair ``suite``
+    ("decomposed", "unitarity" or "casimir") of (ell1, ell2) on the pair's
+    (q, u) stream, or the error that the suite raises.
+
+    One pass evaluates the pair's suites that the run asks for (the
+    :data:`_PAIR_SUITES` entry of ``draws``; ``suite`` alone without it)
+    together, one :class:`_PairRun` at a time, so they share each run's
+    stack, spectral form, R(u), coproduct and Casimir diagonal, and no
+    array outlives its run.  The pass keeps in ``draws`` only each suite's
+    residuals and its first error, of whatever type, without the error's
+    traceback, which holds the run's arrays; each suite takes its own out
+    when it is called.  A suite raises its error, or then the error that
+    ended the draws, at its own place in the run of suites, so the first
+    error raised is the one that the suites raise when each evaluates
+    alone.
+    """
+    draws = {} if draws is None else draws
+    records, points, stop = _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz")
+    stream = (ell1, ell2, cfg.rng_seed, cfg.sample_count)
+    if _pair_key(stream, suite, perturb) not in draws:
+        asked = draws.get(_PAIR_SUITES, ())
+        suites = asked if suite in asked else (suite,)
+        residuals = {name: [] for name in suites}
+        errors = dict.fromkeys(suites)
+        for start in range(0, len(points), _STACK_SIZE):
+            run = _PairRun(ell1, ell2, points[start:start + _STACK_SIZE])
+            for name in suites:
+                if errors[name] is None:
+                    try:
+                        residuals[name].extend(getattr(run, name)(perturb))
+                    except Exception as exc:  # the suite's own error, raised at its place
+                        errors[name] = exc.with_traceback(None)
+        for name in suites:
+            draws[_pair_key(stream, name, perturb)] = residuals[name], errors[name]
+    residuals, error = draws.pop(_pair_key(stream, suite, perturb))
+    if error is not None:
+        raise error
+    if stop is not None:
+        raise stop
+    return records, residuals
 
 
 def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
                          perturb: float = 0.0, draws: dict | None = None) -> list[ResidualReport]:
     """All eight decomposed relations over sampled (q, u) points, in the
     orthonormal basis; each run of samples is assembled and checked in one
-    stacked pass.  The points are the pair's (q, u) stream, which the
-    unitarity and Casimir suites read too (see :func:`_draws`)."""
+    stacked pass, which the pair's unitarity and Casimir suites share when
+    the run asks for them too (see :func:`_pair_residuals`)."""
     cfg = cfg or ToleranceConfig()
-
-    def evaluate(points):
-        qs, us = zip(*points)
-        space = _SpaceStack.of_spins(ell1, ell2, qs, "orthonormal")
-        r, errors = _stacked_R(ell1, ell2, us, qs, *space.spectral_form())
-        _raise_first(errors)
-        if perturb:
-            r[:, 0, 1] += perturb
-        return _decomposed(space, us, r)
-
-    return _sampled(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz"), evaluate)
+    return _reports(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
+                    *_pair_residuals("decomposed", ell1, ell2, cfg, perturb, draws))
 
 
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
                     perturb: float = 0.0, draws: dict | None = None) -> ResidualReport:
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
-    R(u) and R(-u) of a run of samples come from one stacked spectral form:
-    in the orthonormal basis of the samples' q values, or, in the monomial
-    basis at q = 1, the one memoised form of :class:`ProductSpace`, which
-    every sample shares.  The points are the pair's (q, u) stream in
-    ``mode``, which the decomposed and Casimir suites read too (see
-    :func:`_draws`).
+    R(u) and R(-u) of a run of samples come from one stacked spectral form
+    (see :class:`_PairRun`): in the orthonormal basis of the samples' q
+    values, in the pass of :func:`_pair_residuals` that the pair's
+    decomposed and Casimir suites share, or, in the monomial basis at
+    q = 1, the one memoised form of :class:`ProductSpace`, which every
+    sample shares.  The points are the pair's (q, u) stream in ``mode``
+    (see :func:`_draws`).
     """
     cfg = cfg or ToleranceConfig()
-    basis = "monomial" if mode == "xxx" else "orthonormal"
-
-    def evaluate(points):
-        qs, us = zip(*points)
-        space = (ProductSpace.of_spins(ell1, ell2, RATIONAL, basis)._stack if mode == "xxx"
-                 else _SpaceStack.of_spins(ell1, ell2, qs, basis))
-        form = space.spectral_form()
-        r_u, e_u = _stacked_R(ell1, ell2, us, qs, *form)
-        r_mu, e_mu = _stacked_R(ell1, ell2, [-u for u in us], qs, *form)
-        _raise_first(e_u, e_mu)
-        if perturb:
-            r_u[:, 0, 1] += perturb
-        prod = r_u @ r_mu
-        return _residuals(prod, np.eye(prod.shape[-1]), prod)
-
-    return _sampled(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol,
-                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, mode), evaluate)
+    identity_id = f"unitarity[{mode}]({ell1},{ell2})"
+    if mode == "xxx":
+        return _sampled(identity_id, cfg, cfg.rel_tol,
+                        _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, mode),
+                        lambda points: _PairRun(ell1, ell2, points, mode).unitarity(perturb))
+    return _reports(identity_id, cfg, cfg.rel_tol,
+                    *_pair_residuals("unitarity", ell1, ell2, cfg, perturb, draws))
 
 
 def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
@@ -476,34 +612,16 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
                     _draws(cfg, draws, record, _branch_point, ell1, ell2), evaluate)
 
 
-def _casimir_reports(space: _SpaceStack, us) -> list:
-    """The :func:`tensor_casimir` report of each sample of ``space`` at its
-    u, unbarred, in one stacked pass; raises the error of the lowest failing
-    sample."""
-    sp, sm = space.coproduct("delta", us)
-    c = sp @ sm + _casimir_diagonals(space.weights, space.qs)
-    chains, errors = space.sectors(us, "delta")
-    _raise_first(errors)
-    f1, f2 = space.factors
-    return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
-
-
 def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
                            draws: dict | None = None) -> ResidualReport:
     """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
     chains, in the orthonormal basis; each run of samples is one stacked
-    pass of :func:`tensorrep._casimir_sectors`.  The points are the pair's
-    (q, u) stream, which the decomposed and unitarity suites read too (see
-    :func:`_draws`)."""
+    pass of :func:`tensorrep._casimir_sectors`, which the pair's decomposed
+    and unitarity suites share when the run asks for them too (see
+    :func:`_pair_residuals`)."""
     cfg = cfg or ToleranceConfig()
-
-    def evaluate(points):
-        qs, us = zip(*points)
-        reports = _casimir_reports(_SpaceStack.of_spins(ell1, ell2, qs, "orthonormal"), us)
-        return [_nan_max(report.max_residual, report.max_m_spread) for report in reports]
-
-    return _sampled(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz"), evaluate)
+    return _reports(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
+                    *_pair_residuals("casimir", ell1, ell2, cfg, 0.0, draws))
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,15 @@ import pytest
 
 from qybe import DeformationParameter, ToleranceConfig, qnum
 from qybe.rop import _top_sector
-from qybe.tensorrep import _spin_space, _spin_stack
+from qybe.tensorrep import _spin_space
 
 
 @pytest.fixture(autouse=True)
 def cold_space_memo():
-    """Every test starts without memoised product spaces or stacks, so a
-    test that counts constructions or patches a method sees the same calls
-    in any order."""
+    """Every test starts without memoised product spaces, so a test that
+    counts constructions or patches a method sees the same calls in any
+    order."""
     _spin_space.cache_clear()
-    _spin_stack.cache_clear()
 
 
 @pytest.fixture

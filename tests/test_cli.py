@@ -6,7 +6,7 @@ import pytest
 
 from qybe import (RATIONAL, DeformationParameter, assemble_R, build_spin_rep, closed_form_R,
                   normalize_global)
-from qybe import cli
+from qybe import cli, verify
 from qybe.cli import (document_matrix, dump_document, load_document, main,
                       matrix_document, parse_complex, parse_spin)
 from qybe.errors import CompletenessFailure, ParameterDomainError
@@ -281,6 +281,42 @@ def test_rmatrix_overflow_is_validation_error(spin, u, tmp_path, capsys):
     assert code == 2
     assert f"spins ({spin}.0, {spin}.0), u = ({u}+0j)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1"])
+@pytest.mark.parametrize("q", ["1e-300", "1e-200", "1e300"])
+def test_rmatrix_at_an_extreme_q_is_validation_error(spin, q, tmp_path, capsys):
+    """Where |q| is so far from 1 that a power of q overflows, rmatrix exits 2
+    and warns of nothing, instead of reporting a singular or incomplete
+    eigenbasis (exit 3): at spin 1 the factor generators are not finite, at
+    spin 1/2 the norms of the eigenvector chains overflow."""
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rmatrix", "--l1", spin, "--l2", spin, "--u", "0.3", "--q", q,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and err.rstrip().endswith("a power of q overflows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10 ** 12])
+def test_samples_above_the_bound_are_rejected_before_anything_is_drawn(
+        samples, monkeypatch, tmp_path, capsys):
+    """--samples above cli.MAX_SAMPLES exits 2 with no sample drawn and no
+    report written; the bound itself passes the check."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify, "_draws", no_draws)
+    report = tmp_path / "r.json"
+    assert main(["verify", "all", "--samples", str(samples), "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at most {cli.MAX_SAMPLES}" in err
+    assert not report.exists()
+    monkeypatch.setattr(cli, "_run_suite", lambda *args: [])
+    assert main(["verify", "all", "--samples", str(cli.MAX_SAMPLES)]) == 0
 
 
 def test_verify_suite_passes(tmp_path):

@@ -11,8 +11,10 @@ the phi products and the partial R, and the public stacks of one
 rest.  Arrays are compared byte for byte, so a zero's sign counts.
 """
 import dataclasses
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -25,10 +27,10 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, Pro
 from qybe import cli, cyclic, rop, verify
 from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted
 from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params, sample_u
-from qybe.rep import _fundamental_rs, _laxes, _spin_factors
+from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
-from qybe.tensorrep import _lowest_weights, _spin_stack, _SpaceStack
-from qybe.verify import (_casimir_reports, _decomposed, _draws, _on_slots, _regular_point,
+from qybe.tensorrep import _lowest_weights, _spin_space, _SpaceStack
+from qybe.verify import (_casimir_reports, _decomposed, _draws, _on_slots, _PairRun, _regular_point,
                          _residuals, _sampled, _stacked_R, check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity, check_rll,
@@ -185,7 +187,8 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     r_u, errors_u = _stacked_R(*pair, us, qs, *form)
     r_mu, errors_mu = _stacked_R(*pair, [-u for u in us], qs, *form)
     assert errors_u == errors_mu == [None] * COUNT
-    relations = _decomposed(space, us, r_u)
+    relations = _decomposed(space, us, r_u, space.coproduct("delta", us),
+                            _casimir_diagonals(space.weights, qs))
     prod = r_u @ r_mu
     for s, (q, u) in enumerate(points):
         alone_u = assemble_R(*pair, u, q, basis=basis)
@@ -247,7 +250,8 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
 def test_stacked_casimir_equals_each_sample_alone(pair):
     points = _points(pair, 13)
     qs, us = zip(*points)
-    reports = _casimir_reports(_SpaceStack.of_spins(*pair, qs, "orthonormal"), us)
+    run = _PairRun(*pair, points)
+    reports = _casimir_reports(run.space, us, run.delta_u, run.casimir_diagonal)
     for report, (q, u) in zip(reports, points):
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
         assert report == alone
@@ -586,34 +590,145 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
 
 
 # ---------------------------------------------------------------------------
-# the memoised stacks of the spin-pair suites
+# one pass per golden pair and run of samples
 
-def test_the_golden_pairs_share_one_stack_per_run_below_the_bound():
-    """The decomposed, unitarity and Casimir suites draw the same points for
-    a pair: up to the stack bound each golden pair's stack is built once
-    and found twice; above it the runs cycle past the memo."""
-    bound = verify._STACK_SIZE
-    for count, hits, misses in ((5, 6, 3), (bound, 6, 3), (bound + 1, 0, 18)):
-        _spin_stack.cache_clear()
-        cli._run_suite("all", ToleranceConfig(sample_count=count, rng_seed=5), 3, 0.0)
-        info = _spin_stack.cache_info()
-        assert (info.hits, info.misses) == (hits, misses)
+def _spy_on_stacks(monkeypatch) -> list:
+    """A weak reference to every stack built at a sampled q, in order."""
+    built = []
+    init = _SpaceStack.__init__
+
+    def spying_init(self, *args):
+        init(self, *args)
+        if not self.rational:
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(_SpaceStack, "__init__", spying_init)
+    return built
+
+
+@pytest.mark.parametrize("count,stacks", [(5, 3), (verify._STACK_SIZE, 3),
+                                          (verify._STACK_SIZE + 1, 6), (33, 9)])
+def test_verify_all_builds_one_stack_per_golden_pair_and_run(count, stacks, monkeypatch):
+    """The decomposed, unitarity and Casimir suites of a golden pair share
+    one stack per run of samples at any sample count, and none of the
+    stacks survives the run of suites."""
+    built = _spy_on_stacks(monkeypatch)
+    reports = cli._run_suite("all", ToleranceConfig(sample_count=count, rng_seed=5), 3, 0.0)
+    assert all(report.passed for report in reports)
+    assert len(built) == stacks
+    # the rational unitarity suite's space is memoised; the pass holds nothing
+    _spin_space.cache_clear()
+    gc.collect()
+    assert [ref() for ref in built] == [None] * stacks
+
+
+@pytest.mark.parametrize("suite", ["ybe", "unitarity", "casimir"])
+def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch):
+    """verify ybe builds each pair's stack for the decomposed relations
+    only: no R(-u), no sectors; verify casimir assembles no R."""
+    built = _spy_on_stacks(monkeypatch)
+    calls = []
+    for name in ("_decomposed", "_casimir_reports", "_stacked_R"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    cli._run_suite(suite, ToleranceConfig(sample_count=5, rng_seed=5), 3, 0.0)
+    assert len(built) == 3
+    want = {"ybe": {"_decomposed": 3, "_stacked_R": 3},
+            "unitarity": {"_stacked_R": 2 * 3 + 2},
+            "casimir": {"_casimir_reports": 3}}[suite]
+    assert {name: calls.count(name) for name in set(calls)} == want
 
 
 @pytest.mark.parametrize("suite", ["unitarity", "casimir"])
 def test_a_suite_alone_reports_what_it_reports_inside_verify_all(suite, tmp_path):
-    """Alone, the suite builds its stacks (memo miss); inside verify all it
-    finds those of the decomposed suite (memo hit); the reports agree."""
+    """Alone, the suite evaluates its own part of each pair's pass; inside
+    verify all the pass evaluates all three suites; the reports agree."""
     alone, inside = tmp_path / "alone.json", tmp_path / "all.json"
     assert cli.main(["verify", suite, "--samples", "5", "--seed", "5", "--json", str(alone)]) == 0
-    assert _spin_stack.cache_info().hits == 0
-    _spin_stack.cache_clear()
     assert cli.main(["verify", "all", "--samples", "5", "--seed", "5", "--json", str(inside)]) == 0
-    assert _spin_stack.cache_info().hits == 6
     want = json.loads(alone.read_text())["reports"]
     ids = {report["identity_id"] for report in want}
     assert len(ids) == len(want) >= 3
     assert [r for r in json.loads(inside.read_text())["reports"] if r["identity_id"] in ids] == want
+
+
+def test_a_perturbation_moves_each_suite_as_it_does_alone(monkeypatch):
+    """Under a perturbation the decomposed and unitarity suites each perturb
+    a copy of the R(u) they share, so each reports as it does alone, and
+    the Casimir suite, which reads no R, reports as unperturbed."""
+    for count, stacks in ((5, 3), (verify._STACK_SIZE + 1, 6)):
+        cfg = ToleranceConfig(sample_count=count, rng_seed=2)
+        clean = {r.identity_id: r.to_dict() for r in cli._run_suite("all", cfg, 3, 0.0)}
+        with monkeypatch.context() as patched:
+            built = _spy_on_stacks(patched)
+            inside = {r.identity_id: r.to_dict() for r in cli._run_suite("all", cfg, 3, 1e-6)}
+        # the Casimir suite reads its part of the perturbed pass
+        assert len(built) == stacks
+        for suite in ("ybe", "unitarity", "casimir"):
+            for report in cli._run_suite(suite, cfg, 3, 1e-6):
+                assert report.to_dict() == inside[report.identity_id], (count, suite)
+        moved = {name for name in inside if inside[name] != clean[name]}
+        assert {"unitarity[xxz](1.0,1.0)", "decomposed[qs_commute](1.0,1.0)"} <= moved
+        assert not {name for name in moved if name.startswith("casimir")}
+
+
+def test_each_suite_takes_its_results_out_of_the_run():
+    """The decomposed suite's pass leaves the unitarity and Casimir results
+    in the run's draws dict, and each suite takes its own out, so no
+    residual list outlives the suite that reports it."""
+    cfg = ToleranceConfig(sample_count=5, rng_seed=5)
+    suites = ("decomposed", "unitarity", "casimir")
+    draws = {verify._PAIR_SUITES: suites}
+
+    def pending():
+        return sorted(key[1] for key in draws if isinstance(key, tuple) and len(key) == 3
+                      and key[1] in suites)
+
+    check_decomposed_ybe(0.5, 1.0, cfg, draws=draws)
+    assert pending() == ["casimir", "unitarity"]
+    check_unitarity(0.5, 1.0, cfg, draws=draws)
+    assert pending() == ["casimir"]
+    check_casimir_spectrum(0.5, 1.0, cfg, draws=draws)
+    assert pending() == []
+
+
+class _Forced(QybeError):
+    pass
+
+
+def test_a_pass_raises_each_suite_error_at_the_suite_place(monkeypatch):
+    """The pass of verify all evaluates a pair's Casimir suite with its
+    decomposed suite, but a Casimir failure is raised in the Casimir
+    suite's place: after the rll suites, so an rll failure comes first."""
+    cfg = ToleranceConfig(sample_count=verify._STACK_SIZE + 1, rng_seed=5)
+    calls = []
+
+    def failing_casimir(space, us, *pieces):
+        calls.append(len(us))
+        if len(calls) == 2:  # the second run of the first pair
+            raise _Forced("casimir")
+        return real_casimir(space, us, *pieces)
+
+    real_casimir = verify._casimir_reports
+    monkeypatch.setattr(verify, "_casimir_reports", failing_casimir)
+    built = _spy_on_stacks(monkeypatch)
+    with pytest.raises(_Forced, match="casimir") as raised:
+        cli._run_suite("all", cfg, 3, 0.0)
+    # the first pair's pass stopped its Casimir part at the failing run; the
+    # other pairs ran theirs before the error was raised
+    assert calls == [16, 1, 16, 1, 16, 1]
+    # the error kept no traceback into its run, so it holds no stack
+    _spin_space.cache_clear()
+    gc.collect()
+    assert raised.value is not None and [ref() for ref in built] == [None] * 6
+
+    def failing_laxes(*args):
+        raise _Forced("rll")
+
+    monkeypatch.setattr(verify, "_laxes", failing_laxes)
+    with pytest.raises(_Forced, match="rll"):
+        cli._run_suite("all", cfg, 3, 0.0)
 
 
 def _arrays(obj):
@@ -634,10 +749,18 @@ def _arrays(obj):
         yield from _arrays(vars(obj))
 
 
+def test_equal_spins_share_one_factor_representation():
+    qs, _ = zip(*_points((1.0, 1.0), 3))
+    f1, f2 = _SpaceStack.of_spins(1.0, 1 + 0j, qs, "orthonormal").factors
+    assert f1 is f2
+    f1, f2 = _SpaceStack.of_spins(0.5, 1.0, qs, "orthonormal").factors
+    assert f1.weights.size == 2 and f2.weights.size == 3
+
+
 def test_writing_to_any_memoised_array_raises():
+    """The suites of a pass share one stack, so no suite may write to it."""
     qs, us = zip(*_points((1.0, 1.5), 3))
     stack = _SpaceStack.of_spins(1.0, 1.5, qs, "orthonormal")
-    assert _SpaceStack.of_spins(1 + 0j, 1.5, list(qs), "orthonormal") is stack
     stack.spectral_form()
     stack.coproduct("delta", us)
     arrays = list(_arrays(stack))

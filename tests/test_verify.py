@@ -341,7 +341,7 @@ def test_one_run_draws_each_stream_once(suite, phases, monkeypatch, capsys):
     assert len(seeded) == phases
 
 
-@pytest.mark.parametrize("samples", [5, 17])
+@pytest.mark.parametrize("samples", [5, 17, 33])
 def test_each_suite_alone_reports_as_inside_verify_all(samples):
     """Sharing streams within a run changes no report: each suite run alone
     gives the report dicts of its ids inside verify all."""
@@ -435,9 +435,8 @@ def _sample_us(report) -> tuple:
 def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
     """R(u) and R(-u) of every sample are solved from one spectral form: a
     stack of the samples' own q values, orthonormal, at a sampled q, and the
-    one monomial space at q = 1, which every sample shares.  The memo of
-    stacks starts empty, so the suite's one stack is built here."""
-    tensorrep._spin_stack.cache_clear()
+    one monomial space at q = 1, which every sample shares, so the suite's
+    one stack is built here."""
     stacks, solved = [], []
     init = tensorrep._SpaceStack.__init__
     solve = verify._solve
@@ -472,9 +471,9 @@ def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
     calls = []
     chains = tensorrep._SpaceStack.chains
 
-    def counting_chains(self, us, requested):
+    def counting_chains(self, us, requested, gens=None):
         calls.append((tuple(us), requested))
-        return chains(self, us, requested)
+        return chains(self, us, requested, gens)
 
     monkeypatch.setattr(tensorrep._SpaceStack, "chains", counting_chains)
     report = check_casimir_spectrum(1.0, 1.0, FAST)
