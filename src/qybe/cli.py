@@ -357,45 +357,37 @@ GOLDEN_PAIRS = ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
 
 def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
                perturb: float) -> list[verify.ResidualReport]:
-    reports: list[verify.ResidualReport] = []
-    # the random streams of this run, each drawn once and shared by the
-    # suites that read it (see verify._draws); verify all asks for every
-    # spin-pair suite of a golden pair, which then share one pass per run of
-    # samples (see verify._pair_residuals)
-    draws: dict = {}
-    if suite == "all":
-        draws[verify._PAIR_SUITES] = ("decomposed", "unitarity", "casimir")
+    """The reports of the verify ``suite``: its suites in report order, in
+    one run of the sampling harness (verify._run), which shares each random
+    stream, and each golden pair's pass, among the suites that read it."""
+    suites = []
     if suite in ("ybe", "all"):
-        reports.append(verify.check_fundamental_ybe(cfg, mode="xxz", perturb=perturb,
-                                                    draws=draws))
-        reports.append(verify.check_fundamental_ybe(cfg, mode="xxx", perturb=perturb,
-                                                    draws=draws))
+        suites.append(verify.check_fundamental_ybe.suite(cfg, mode="xxz", perturb=perturb))
+        suites.append(verify.check_fundamental_ybe.suite(cfg, mode="xxx", perturb=perturb))
         for l1, l2 in GOLDEN_PAIRS:
-            reports.extend(verify.check_decomposed_ybe(l1, l2, cfg, perturb=perturb,
-                                                       draws=draws))
+            suites.append(verify.check_decomposed_ybe.suite(l1, l2, cfg, perturb=perturb))
     if suite in ("rll", "all"):
         for ell in (0.5, 1.0, 1.5):
-            reports.append(verify.check_rll(ell, cfg, draws=draws))
-        reports.append(verify.check_rll(cy.CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j,
-                                                         0.17 - 0.23j, 3), cfg, draws=draws))
+            suites.append(verify.check_rll.suite(ell, cfg))
+        suites.append(verify.check_rll.suite(cy.CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j,
+                                                              0.17 - 0.23j, 3), cfg))
     if suite in ("unitarity", "all"):
         for l1, l2 in GOLDEN_PAIRS:
-            reports.append(verify.check_unitarity(l1, l2, cfg, perturb=perturb, draws=draws))
-        reports.append(verify.check_unitarity(0.5, 0.5, cfg, mode="xxx", perturb=perturb,
-                                              draws=draws))
+            suites.append(verify.check_unitarity.suite(l1, l2, cfg, perturb=perturb))
+        suites.append(verify.check_unitarity.suite(0.5, 0.5, cfg, mode="xxx", perturb=perturb))
     if suite in ("casimir", "all"):
         for l1, l2 in GOLDEN_PAIRS:
-            reports.append(verify.check_casimir_spectrum(l1, l2, cfg, draws=draws))
+            suites.append(verify.check_casimir_spectrum.suite(l1, l2, cfg))
     if suite in ("cyclic", "all"):
-        reports.append(verify.check_cyclic_centrality(order, cfg, draws=draws))
-        reports.append(verify.check_phi_identity(order, cfg, draws=draws))
-        reports.append(verify.check_shift_laws(order, cfg, draws=draws))
-        reports.append(verify.check_cyclic_r_ratio(order, cfg, draws=draws))
-        reports.append(verify.check_partial_r(order, cfg, draws=draws))
+        suites.append(verify.check_cyclic_centrality.suite(order, cfg))
+        suites.append(verify.check_phi_identity.suite(order, cfg))
+        suites.append(verify.check_shift_laws.suite(order, cfg))
+        suites.append(verify.check_cyclic_r_ratio.suite(order, cfg))
+        suites.append(verify.check_partial_r.suite(order, cfg))
     if suite == "all":
-        reports.append(verify.check_branch_independence(0.5, 1.0, cfg, draws=draws))
-        reports.append(verify.check_branch_independence(1.0, 1.0, cfg, draws=draws))
-    return reports
+        suites.append(verify.check_branch_independence.suite(0.5, 1.0, cfg))
+        suites.append(verify.check_branch_independence.suite(1.0, 1.0, cfg))
+    return verify._run(suites)
 
 
 def _hook_value(name: str, kind, default):

@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError,
+from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis, _raise_first)
 from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows
 from .rep import (OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, build_spin_rep,
@@ -153,11 +153,12 @@ class _SpaceStack:
         Returns c of shape (S, len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
         with c[s, f, m][:, n] = (S+_u)^m v_n for kind f and v_n the
         lowest-weight vector of sector n from the closed product formula, and
-        each sample's :class:`CompletenessFailure` or None: S-_u v_n is not
-        zero, or the chain of sector n vanishes (or overflows) before its full
-        length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`; a sample's
-        kinds are tested in order, each lowest-weight condition before its
-        chains.
+        each sample's error or None: a :class:`CompletenessFailure` where
+        S-_u v_n is not zero, or the chain of sector n vanishes before its
+        full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`, and a
+        :class:`ParameterDomainError` where the chain is not finite, since a
+        power of q overflows; a sample's kinds are tested in order, each
+        lowest-weight condition before its chains.
         """
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
@@ -213,7 +214,7 @@ class _SpaceStack:
         """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
         at u_s (see :meth:`chains`), which must also pass the weight-block
         test of :class:`SpectralForm` against :data:`COND_LIMIT`, and each
-        sample's first error: :class:`CompletenessFailure`, then the
+        sample's first error: that of :meth:`chains`, then the
         :class:`ParameterDomainError` of :meth:`unit_blocks`, then
         :class:`SingularBasis`.  ``gens``, when given, is the
         :meth:`coproduct` of ``kind`` at ``us``."""
@@ -227,7 +228,7 @@ class _SpaceStack:
     def spectral_form(self) -> tuple[SpectralForm, list]:
         """The u-independent spectral form of R at every sample, built from
         the chains at u = 0 the first time it is asked for, and each sample's
-        :class:`CompletenessFailure` or None.
+        error of :meth:`chains` or :meth:`unit_blocks`, or None.
 
         Both families come from one :meth:`chains` pass; at the rational
         point (q on the zero log branch) the barred chains are the unbarred
@@ -250,15 +251,21 @@ class _SpaceStack:
         return self._form
 
 
-def _chain_error(families, resid, lw_ok, size, broken) -> CompletenessFailure:
+def _chain_error(families, resid, lw_ok, size, broken) -> QybeError:
     """The error of one sample that :meth:`_SpaceStack.chains` flagged:
     the first broken chain among the kinds before its first failing
-    lowest-weight condition, else that condition."""
+    lowest-weight condition, else that condition.  A chain that breaks by
+    not being finite overflows, a :class:`ParameterDomainError`; one that
+    vanishes is a :class:`CompletenessFailure`."""
     raised = len(families) if lw_ok.all() else int(np.argmin(lw_ok))
     steps = size.shape[1]
     for f in range(raised):
         if broken[f].any():
             n, m = (int(i) for i in np.argwhere(broken[f].T)[0])
+            if not np.isfinite(size[f, m, n]):
+                return ParameterDomainError(
+                    f"raising chain of sector {n} of the {families[f]} family is not finite at "
+                    f"step {m} of {steps - 2 * n}: a power of q overflows")
             return CompletenessFailure(
                 n, families[f], float(size[f, m, n]),
                 f"raising chain of sector {n} of the {families[f]} family breaks at "
@@ -279,11 +286,12 @@ class ProductSpace:
     (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both kinds are
     built together the first time either kind is used.  A twisted coproduct
     at any u is then two sums weighted by q^{u/2}, so one space serves every
-    u, every kind and every caller of one sampled point.  For two finite spins it also holds the
-    :class:`SpectralForm` of R, built the first time it is asked for.
-    Its arrays are read-only, since :meth:`of_spins` shares one space
-    among all its callers.  It is the stack of one of :class:`_SpaceStack`,
-    which does the numerics, and raises the errors that the stack records.
+    u, every kind and every caller of one sampled point.  For two finite
+    spins its stack also holds the :class:`SpectralForm` of R, built the
+    first time it is asked for.  Its arrays are read-only, since
+    :meth:`of_spins` shares one space among all its callers.  It is the
+    stack of one of :class:`_SpaceStack`, which does the numerics, and
+    raises the errors that the stack records.
     """
 
     def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
@@ -294,7 +302,6 @@ class ProductSpace:
         self.weights = self._stack.weights
         fm = self._stack.from_monomial
         self.from_monomial = None if fm is None else fm[0]
-        self._form: SpectralForm | None = None
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -329,26 +336,15 @@ class ProductSpace:
         Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
         row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
         chains come from :meth:`_SpaceStack.sectors`, and so does the error
-        raised: :class:`CompletenessFailure` or, from the weight-block test
-        of :class:`SpectralForm` against :data:`COND_LIMIT`,
+        raised: :class:`CompletenessFailure`, :class:`ParameterDomainError`
+        where a power of q overflows or, from the weight-block test of
+        :class:`SpectralForm` against :data:`COND_LIMIT`,
         :class:`SingularBasis`.  The other kind's sectors are
         ``sectors(u, other kind)``.
         """
         chains, errors = self._stack.sectors([u], kind)
         _raise_first(errors)
         return _sector_chains(chains[0])
-
-    def spectral_form(self) -> SpectralForm:
-        """The u-independent spectral form of R on this space of two spins,
-        built from the chains at u = 0 the first time it is asked for: the
-        one sample of :meth:`_SpaceStack.spectral_form`, without the sample
-        axis.  Raises that sample's :class:`CompletenessFailure`."""
-        if self._form is None:
-            form, errors = self._stack.spectral_form()
-            _raise_first(errors)
-            self._form = SpectralForm(left=form.left[0], right=form.right[0],
-                                      cond=form.cond[0], layout=form.layout)
-        return self._form
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -440,9 +436,9 @@ class _BlockLayout:
 
 @dataclasses.dataclass(frozen=True)
 class SpectralForm:
-    """The u-independent part of R on a product of two spins.  The arrays
-    of a :class:`_SpaceStack` form have a leading sample axis; those of a
-    :class:`ProductSpace` form do not.
+    """The u-independent part of R on a product of two spins at each of S
+    samples (see :meth:`_SpaceStack.spectral_form`): ``left`` and ``right``
+    have shape (S, d1+d2-1, k, k), k = min(d1, d2), and ``cond`` (S, d1+d2-1).
 
     The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
     T_u = q^{-u(S1-S2)/2}, and the barred coproduct at -u carries the same

@@ -64,82 +64,133 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _draws(cfg: ToleranceConfig, draws: dict | None, record, draw, *params,
-           count: int | None = None) -> tuple:
-    """The draw phase of :func:`_sampled`: the records and samples of one
-    random stream of ``count`` samples (``cfg.sample_count`` by default),
-    and the error that ended its draws, or None.
+def _points(points: list, records: list, *params) -> list:
+    """A run as most suites evaluate it: its samples."""
+    return points
 
-    ``draw(rng, i, *params)`` draws sample i from the generator seeded by
-    ``cfg``; the draws run in sample order, and no evaluation feeds a draw,
-    so the stream is that of a loop that evaluates each sample as it is
-    drawn.  A draw that raises a :class:`QybeError` ends the stream.
-    ``record(sample)`` gives a sample's JSON record.
 
-    ``draws`` is the dict that the suites of one run share (None for a
-    suite called alone): a stream is kept there by its draw function,
-    params, seed and count, so it is drawn once however many suites read
-    it, and its records by stream and ``record``, so suites with one
-    record function share the record dicts.  A suite that completes its
-    records keeps them apart with a record function of its own.
+@dataclasses.dataclass(frozen=True)
+class _Suite:
+    """One sampled suite, as the harness :func:`_run` evaluates it.
+
+    Its samples are a random stream: ``draw(rng, i, *params)`` draws sample
+    i of ``count`` (``cfg.sample_count`` by default) from the generator
+    that ``cfg`` seeds, and ``record(sample)`` gives a sample's JSON record.
+    ``evaluate`` reads ``view(points, records, *params)`` of a run of at most
+    :data:`_STACK_SIZE` consecutive samples: the points, or the
+    :class:`_PairRun` that a golden pair's suites share.  It gives each
+    sample's residual, or a dict of named residuals, each name a report
+    with the name put in place of ``{}`` in ``identity_id``, in one stacked
+    pass, and raises the error of the lowest failing sample.
     """
-    count = cfg.sample_count if count is None else count
-    if count < 1:
-        raise ParameterDomainError("a suite needs at least one sample")
-    draws = {} if draws is None else draws
-    key = (draw, params, cfg.rng_seed, count)
-    if key not in draws:
-        rng = cfg.rng()
-        samples, stop = [], None
-        for i in range(count):
-            try:
-                samples.append(draw(rng, i, *params))
-            except QybeError as exc:
-                stop = exc
-                break
-        draws[key] = samples, stop
-    samples, stop = draws[key]
-    if (key, record) not in draws:
-        draws[key, record] = [record(sample) for sample in samples]
-    return draws[key, record], samples, stop
+
+    identity_id: str
+    cfg: ToleranceConfig
+    tol: float
+    draw: object
+    params: tuple
+    record: object
+    evaluate: object
+    view: object = _points
+    count: int | None = None
 
 
-def _sampled(identity_id: str, cfg: ToleranceConfig, tol: float, drawn: tuple, evaluate):
-    """The sampling harness behind every suite: evaluate the samples that
-    :func:`_draws` gave (``drawn``) and fold their residuals into reports
-    (:func:`_reports`).
+def _run(suites: list[_Suite]) -> list[ResidualReport]:
+    """The sampling harness behind every suite: the reports of ``suites``,
+    in their order, the same as each suite gives when it runs alone.
 
-    ``evaluate(points)`` gives the residual of each point of a run of at
-    most :data:`_STACK_SIZE` consecutive samples, in one stacked pass, and
-    raises the error of its lowest failing sample; a record that names a
-    result of the numerics (the span rank of partial R) is completed there.
-    When an error ended the draws, the samples before it are evaluated
-    first, so an error of theirs is the one raised.
+    Suites that read one random stream (draw function, params, seed and
+    count) share it.  It is drawn once, from a fresh generator, in sample
+    order, and no evaluation feeds a draw, so the stream is that of a loop
+    that evaluates each sample as it is drawn; a draw that raises a
+    :class:`QybeError` ends it.  Each record function's dicts are built once
+    per stream, so a suite that completes its records in its evaluation
+    (partial R's span rank) has a record function of its own.  Each run of
+    samples is evaluated for all suites of its stream, which share one view
+    per view function, and no view outlives its run.
+
+    Each suite keeps its residuals, or its first error, of whatever type,
+    without the traceback that holds the run's arrays, and then the error
+    that ended its draws.  The first error in the order of ``suites`` is
+    raised, so it is the one that the suites raise one after another; an
+    error of another type in a draw is raised at the place of the stream's
+    first suite, before its evaluation.
     """
-    records, points, stop = drawn
-    residuals = []
-    for start in range(0, len(points), _STACK_SIZE):
-        residuals.extend(evaluate(points[start:start + _STACK_SIZE]))
-    if stop is not None:
-        raise stop
-    return _reports(identity_id, cfg, tol, records, residuals)
+    streams: dict[tuple, list[int]] = {}
+    for k, suite in enumerate(suites):
+        count = suite.cfg.sample_count if suite.count is None else suite.count
+        if count < 1:
+            raise ParameterDomainError("a suite needs at least one sample")
+        streams.setdefault((suite.draw, suite.params, suite.cfg.rng_seed, count), []).append(k)
+    outcomes = [None] * len(suites)
+    for (draw, params, _, count), members in streams.items():
+        rng = suites[members[0]].cfg.rng()
+        points, stop = [], None
+        try:
+            for i in range(count):
+                points.append(draw(rng, i, *params))
+        except QybeError as exc:
+            stop = exc
+        except Exception as exc:  # not a sampler's error: the stream's first suite raises it
+            outcomes[members[0]] = exc
+            continue
+        record_functions = dict.fromkeys(suites[k].record for k in members)
+        records = {record: [record(point) for point in points] for record in record_functions}
+        residuals = {k: [] for k in members}
+        errors = dict.fromkeys(members)
+        for start in range(0, len(points), _STACK_SIZE):
+            run = slice(start, start + _STACK_SIZE)
+            views = {}
+            for k in members:
+                suite = suites[k]
+                if errors[k] is not None:
+                    continue
+                try:
+                    if suite.view not in views:
+                        views[suite.view] = suite.view(points[run], records[suite.record][run],
+                                                       *params)
+                    residuals[k].extend(suite.evaluate(views[suite.view]))
+                except Exception as exc:  # the suite's own error, raised at its place
+                    errors[k] = exc.with_traceback(None)
+            views.clear()
+        for k in members:
+            outcomes[k] = errors[k] or stop or _reports(suites[k], records[suites[k].record],
+                                                        residuals[k])
+    reports = []
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        reports.extend(outcome)
+    return reports
 
 
-def _reports(identity_id: str, cfg: ToleranceConfig, tol: float, records: list, residuals: list):
-    """The report of the residuals of every sample, one per sample record.
-
+def _reports(suite: _Suite, records: list, residuals: list) -> list[ResidualReport]:
+    """The reports of ``suite``, whose samples have ``records`` and
+    ``residuals``: one, or one per name of dicts of named residuals.
     Residuals fold with a NaN-keeping max, so a non-finite one fails the
-    report.  When the residuals are dicts of named residuals instead, each
-    name gets its own report, with the name put in place of ``{}`` in
-    ``identity_id``, and a list of reports comes back.
-    """
+    report."""
     worst = {}
     for res in residuals:
         for name, r in (res.items() if isinstance(res, dict) else [(None, res)]):
             worst[name] = _nan_max(worst.get(name, 0.0), r)
-    reports = [ResidualReport(identity_id.format(name), tuple(records), w, tol, cfg.rng_seed)
-               for name, w in worst.items()]
-    return reports if isinstance(res, dict) else reports[0]
+    return [ResidualReport(suite.identity_id.format(name), tuple(records), w, suite.tol,
+                           suite.cfg.rng_seed) for name, w in worst.items()]
+
+
+def _check(suite):
+    """The public check of the suite builder ``suite``: the harness over the
+    one suite that it builds, giving the list of reports of a suite of
+    named residuals and the one report of any other.  The builder is the
+    check's ``suite``, for a run of several suites."""
+
+    @functools.wraps(suite)
+    def check(*args, **kwargs):
+        built = suite(*args, **kwargs)
+        reports = _run([built])
+        return reports if "{}" in built.identity_id else reports[0]
+
+    check.suite = suite
+    return check
 
 
 def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[float]:
@@ -170,7 +221,7 @@ def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
 
 # ---------------------------------------------------------------------------
 # the random streams: each draw(rng, i, *params) gives sample i of a stream
-# (see _draws), and the record functions here are those of more than one suite
+# (see _Suite), and the record functions here are those of more than one suite
 
 def _pair_point(rng, i, ell1, ell2, mode):
     """The (q, u) of the spin-pair suites, a :func:`_regular_point`."""
@@ -187,9 +238,12 @@ def _uv(rng, i):
     return sample_u(rng), sample_u(rng)
 
 
-def _cyclic_params(rng, i):
-    """Two cyclic parameter triples and a spectral parameter."""
-    return sample_params(rng, 3), sample_params(rng, 3), sample_u(rng, scale=0.6)
+def _cyclic_params(rng, i, q):
+    """Two specs of cyclic parameter triples at the root of unity q and a
+    spectral parameter."""
+    p1, p2 = sample_params(rng, 3), sample_params(rng, 3)
+    return (cy.CyclicRepSpec(*p1, q.order, q), cy.CyclicRepSpec(*p2, q.order, q),
+            sample_u(rng, scale=0.6))
 
 
 def _compatible(rng, i, q):
@@ -253,27 +307,18 @@ def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]
     return t.transpose(*range(k), *perm, *(p + 3 for p in perm)).reshape(*lead, d, d)
 
 
+@_check
 def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                          points: list | None = None, perturb: float = 0.0,
-                          draws: dict | None = None) -> ResidualReport:
+                          perturb: float = 0.0):
     """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v);
-    each run of samples is one stacked pass.  The (q, u, v) points are
-    ``points`` if given, else drawn from the run's ``draws`` (see
-    :func:`_draws`): the xxz stream is that of the spin RLL suites, and the
-    xxx stream of (u, v) that of the cyclic one."""
+    each run of samples is one stacked pass.  The xxz (q, u, v) stream is
+    that of the spin RLL suites, and the xxx stream of (u, v) that of the
+    cyclic one."""
     cfg = cfg or ToleranceConfig()
-    if points is not None:
-        if not points:
-            raise ParameterDomainError("a suite needs at least one sample")
-        drawn = ([_rational_uv_record(p[1:]) if mode == "xxx" else _quv_record(p)
-                  for p in points], list(points), None)
-    elif mode == "xxx":
-        records, uvs, stop = _draws(cfg, draws, _rational_uv_record, _uv)
-        drawn = records, [(RATIONAL, u, v) for u, v in uvs], stop
-    else:
-        drawn = _draws(cfg, draws, _quv_record, _quv)
 
     def evaluate(points):
+        if mode == "xxx":
+            points = [(RATIONAL, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         r12, r13, r23 = _fundamental_rs([u - v for u, v in zip(us, vs)] + [*us, *vs],
                                         qs * 3).reshape(3, len(points), 4, 4)
@@ -284,12 +329,14 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         m23 = _on_slots(r23, (2, 2, 2), (1, 2))
         return _residuals(m12 @ m13 @ m23, m23 @ m13 @ m12, m12, m13, m23)
 
-    return _sampled(f"fundamental_ybe[{mode}]", cfg,
-                    cfg.abs_tol / 100 if mode == "xxx" else cfg.abs_tol, drawn, evaluate)
+    if mode == "xxx":
+        return _Suite("fundamental_ybe[xxx]", cfg, cfg.abs_tol / 100, _uv, (),
+                      _rational_uv_record, evaluate)
+    return _Suite(f"fundamental_ybe[{mode}]", cfg, cfg.abs_tol, _quv, (), _quv_record, evaluate)
 
 
-def check_rll(quantum, cfg: ToleranceConfig | None = None,
-              draws: dict | None = None) -> ResidualReport:
+@_check
+def check_rll(quantum, cfg: ToleranceConfig | None = None):
     """R12(u-v) L1(u) L2(v) = L2(v) L1(u) R12(u-v) on aux x aux x quantum;
     each run of samples is one stacked pass.
 
@@ -303,6 +350,8 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
     fixed = cy.build_cyclic_rep(quantum) if isinstance(quantum, cy.CyclicRepSpec) else None
 
     def evaluate(points):
+        if fixed is not None:
+            points = [(fixed.q, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         rep = _spin_factors(quantum, qs, "monomial") if fixed is None else fixed
         dims = (2, 2, rep.weights.size)
@@ -312,23 +361,13 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None,
         return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
     if fixed is None:
-        return _sampled(f"rll[spin {quantum}]", cfg, cfg.abs_tol,
-                        _draws(cfg, draws, _quv_record, _quv), evaluate)
-    q = fixed.q
-    records, uvs, stop = _draws(cfg, draws, lambda uv: _quv_record((q, *uv)), _uv)
-    return _sampled(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol,
-                    (records, [(q, u, v) for u, v in uvs], stop), evaluate)
+        return _Suite(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _quv, (), _quv_record, evaluate)
+    return _Suite(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _uv, (),
+                  lambda uv: _quv_record((fixed.q, *uv)), evaluate)
 
 
 # ---------------------------------------------------------------------------
 # the spin-pair suites, one stacked pass per golden pair and run of samples
-
-# the entry of a run's draws dict (see _draws) that lists the spin-pair
-# suites the run asks for, of "decomposed", "unitarity" and "casimir": a
-# golden pair's suites among them share one pass (see _pair_residuals);
-# without the entry a suite's pass evaluates that suite alone
-_PAIR_SUITES = "pair suites"
-
 
 def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]:
     """R(u_s) at q_s for every sample, from the spectral form of their
@@ -489,98 +528,49 @@ class _PairRun:
         prod = _perturbed(r_u, perturb) @ r_mu
         return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
-    def casimir(self, perturb: float) -> list[float]:
+    def casimir(self) -> list[float]:
         """The worst Casimir residual or m-spread of each sample; no R is
-        read, so ``perturb`` moves nothing."""
+        read, so no perturbation moves it."""
         return [_nan_max(report.max_residual, report.max_m_spread) for report in
                 _casimir_reports(self.space, self.us, self.delta_u, self.casimir_diagonal)]
 
 
-def _pair_key(stream: tuple, suite: str, perturb: float) -> tuple:
-    """Where a run's draws dict keeps the results of ``suite`` on ``stream``:
-    a perturbation moves R, which the Casimir suite does not read."""
-    return stream, suite, 0.0 if suite == "casimir" else perturb
+def _pair_run(points: list, records: list, ell1, ell2, mode: str) -> _PairRun:
+    """A run of a spin pair's (q, u) stream as its suites evaluate it: one
+    :class:`_PairRun`, which the pair's suites of a run of suites share."""
+    return _PairRun(ell1, ell2, points, mode)
 
 
-def _pair_residuals(suite: str, ell1, ell2, cfg: ToleranceConfig, perturb: float,
-                    draws: dict | None) -> tuple[list, list]:
-    """The records and residuals of the xxz spin-pair ``suite``
-    ("decomposed", "unitarity" or "casimir") of (ell1, ell2) on the pair's
-    (q, u) stream, or the error that the suite raises.
-
-    One pass evaluates the pair's suites that the run asks for (the
-    :data:`_PAIR_SUITES` entry of ``draws``; ``suite`` alone without it)
-    together, one :class:`_PairRun` at a time, so they share each run's
-    stack, spectral form, R(u), coproduct and Casimir diagonal, and no
-    array outlives its run.  The pass keeps in ``draws`` only each suite's
-    residuals and its first error, of whatever type, without the error's
-    traceback, which holds the run's arrays; each suite takes its own out
-    when it is called.  A suite raises its error, or then the error that
-    ended the draws, at its own place in the run of suites, so the first
-    error raised is the one that the suites raise when each evaluates
-    alone.
-    """
-    draws = {} if draws is None else draws
-    records, points, stop = _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, "xxz")
-    stream = (ell1, ell2, cfg.rng_seed, cfg.sample_count)
-    if _pair_key(stream, suite, perturb) not in draws:
-        asked = draws.get(_PAIR_SUITES, ())
-        suites = asked if suite in asked else (suite,)
-        residuals = {name: [] for name in suites}
-        errors = dict.fromkeys(suites)
-        for start in range(0, len(points), _STACK_SIZE):
-            run = _PairRun(ell1, ell2, points[start:start + _STACK_SIZE])
-            for name in suites:
-                if errors[name] is None:
-                    try:
-                        residuals[name].extend(getattr(run, name)(perturb))
-                    except Exception as exc:  # the suite's own error, raised at its place
-                        errors[name] = exc.with_traceback(None)
-        for name in suites:
-            draws[_pair_key(stream, name, perturb)] = residuals[name], errors[name]
-    residuals, error = draws.pop(_pair_key(stream, suite, perturb))
-    if error is not None:
-        raise error
-    if stop is not None:
-        raise stop
-    return records, residuals
-
-
-def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None,
-                         perturb: float = 0.0, draws: dict | None = None) -> list[ResidualReport]:
+@_check
+def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None, perturb: float = 0.0):
     """All eight decomposed relations over sampled (q, u) points, in the
     orthonormal basis; each run of samples is assembled and checked in one
     stacked pass, which the pair's unitarity and Casimir suites share when
-    the run asks for them too (see :func:`_pair_residuals`)."""
+    they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
-    return _reports(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol,
-                    *_pair_residuals("decomposed", ell1, ell2, cfg, perturb, draws))
+    return _Suite(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
+                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.decomposed(perturb), _pair_run)
 
 
+@_check
 def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                    perturb: float = 0.0, draws: dict | None = None) -> ResidualReport:
+                    perturb: float = 0.0):
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
     R(u) and R(-u) of a run of samples come from one stacked spectral form
     (see :class:`_PairRun`): in the orthonormal basis of the samples' q
-    values, in the pass of :func:`_pair_residuals` that the pair's
-    decomposed and Casimir suites share, or, in the monomial basis at
-    q = 1, the one memoised form of :class:`ProductSpace`, which every
-    sample shares.  The points are the pair's (q, u) stream in ``mode``
-    (see :func:`_draws`).
+    values, in the pass that the pair's decomposed and Casimir suites
+    share when they run with it, or, in the monomial basis at q = 1, the
+    one memoised form of :meth:`ProductSpace.of_spins`, which every sample
+    shares.  The points are the pair's (q, u) stream in ``mode``.
     """
     cfg = cfg or ToleranceConfig()
-    identity_id = f"unitarity[{mode}]({ell1},{ell2})"
-    if mode == "xxx":
-        return _sampled(identity_id, cfg, cfg.rel_tol,
-                        _draws(cfg, draws, _pair_record, _pair_point, ell1, ell2, mode),
-                        lambda points: _PairRun(ell1, ell2, points, mode).unitarity(perturb))
-    return _reports(identity_id, cfg, cfg.rel_tol,
-                    *_pair_residuals("unitarity", ell1, ell2, cfg, perturb, draws))
+    return _Suite(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, _pair_point,
+                  (ell1, ell2, mode), _pair_record, lambda run: run.unitarity(perturb), _pair_run)
 
 
-def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
-                              draws: dict | None = None) -> ResidualReport:
+@_check
+def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
     """The sector eigenvalues (R_0 = 1) are unchanged when log q moves by 2 pi i at fixed
     spectral power q^u (sampled on and off the unit circle).
 
@@ -608,35 +598,26 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None,
         base, shifted = vals[0::2, None], vals[1::2, None]
         return _residuals(base, shifted, base)
 
-    return _sampled(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol,
-                    _draws(cfg, draws, record, _branch_point, ell1, ell2), evaluate)
+    return _Suite(f"branch_independence({ell1},{ell2})", cfg, cfg.abs_tol, _branch_point,
+                  (ell1, ell2), record, evaluate)
 
 
-def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None,
-                           draws: dict | None = None) -> ResidualReport:
+@_check
+def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
     """Sector eigenvalues [n-l1-l2][n-l1-l2-1] with m-degeneracy across
     chains, in the orthonormal basis; each run of samples is one stacked
     pass of :func:`tensorrep._casimir_sectors`, which the pair's decomposed
-    and unitarity suites share when the run asks for them too (see
-    :func:`_pair_residuals`)."""
+    and unitarity suites share when they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
-    return _reports(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol,
-                    *_pair_residuals("casimir", ell1, ell2, cfg, 0.0, draws))
+    return _Suite(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
+                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.casimir(), _pair_run)
 
 
 # ---------------------------------------------------------------------------
 # root-of-unity suites
 
-def _cyclic_points(drawn: tuple, q: DeformationParameter) -> tuple:
-    """The drawn samples of :func:`_cyclic_params` as points (spec1, spec2,
-    u), both specs at the root of unity q."""
-    records, samples, stop = drawn
-    return records, [(cy.CyclicRepSpec(*p1, q.order, q), cy.CyclicRepSpec(*p2, q.order, q), u)
-                     for p1, p2, u in samples], stop
-
-
-def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
-                            draws: dict | None = None) -> ResidualReport:
+@_check
+def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
     Each run of samples is one stacked pass: the bands of its 2 S
@@ -653,8 +634,9 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
     q = DeformationParameter.root_of_unity(n)
 
     def record(sample):
-        p1, p2, u = sample
-        return {"params1": [_c2l(z) for z in p1], "params2": [_c2l(z) for z in p2], "u": _c2l(u)}
+        s1, s2, u = sample
+        return {"params1": [_c2l(z) for z in (s1.alpha, s1.beta, s1.lam)],
+                "params2": [_c2l(z) for z in (s2.alpha, s2.beta, s2.lam)], "u": _c2l(u)}
 
     def evaluate(points):
         specs1, specs2, us = zip(*points)
@@ -671,23 +653,23 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None,
                 *tp.closed_form_errors.values()))
         return residuals
 
-    return _sampled(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol,
-                    _cyclic_points(_draws(cfg, draws, record, _cyclic_params), q), evaluate)
+    return _Suite(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, _cyclic_params, (q,), record,
+                  evaluate)
 
 
-def check_phi_identity(n: int, cfg: ToleranceConfig | None = None, count: int = 20,
-                       draws: dict | None = None) -> ResidualReport:
+@_check
+def check_phi_identity(n: int, cfg: ToleranceConfig | None = None, count: int = 20):
     """q-number product over a full period equals its two-term closed form;
     each run of samples is one pass of :func:`qcore._phi_products`."""
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
-    return _sampled(f"phi_product[N={n}]", cfg, cfg.abs_tol,
-                    _draws(cfg, draws, lambda alpha: {"alpha": _c2l(alpha)}, _alpha, count=count),
-                    lambda alphas: [phi.residual for phi in _phi_products(alphas, q)])
+    return _Suite(f"phi_product[N={n}]", cfg, cfg.abs_tol, _alpha, (),
+                  lambda alpha: {"alpha": _c2l(alpha)},
+                  lambda alphas: [phi.residual for phi in _phi_products(alphas, q)], count=count)
 
 
-def check_shift_laws(n: int, cfg: ToleranceConfig | None = None,
-                     draws: dict | None = None) -> ResidualReport:
+@_check
+def check_shift_laws(n: int, cfg: ToleranceConfig | None = None):
     """All 4N shift relations at random draws from the admissible parameter
     set, the stream that the partial R suite reads too; each run of samples
     is one stacked pass of :func:`cyclic._shift_residuals`."""
@@ -701,18 +683,16 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None,
         _, resids = cy._shift_residuals(*zip(*points))
         return resids.reshape(len(points), -1).max(axis=1).tolist()
 
-    return _sampled(f"shift_laws[N={n}]", cfg, cfg.rel_tol,
-                    _draws(cfg, draws, record, _compatible, DeformationParameter.root_of_unity(n)),
-                    evaluate)
+    return _Suite(f"shift_laws[N={n}]", cfg, cfg.rel_tol, _compatible,
+                  (DeformationParameter.root_of_unity(n),), record, evaluate)
 
 
-def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None,
-                         draws: dict | None = None) -> ResidualReport:
+@_check
+def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None):
     """Consecutive cyclic eigenvalues have the constant ratio
     q^{2 - u + alpha2 - beta2 - lam1}, on the stream of the centrality
     suite; each run of samples is one pass of :func:`cyclic._eigenvalue_steps`."""
     cfg = cfg or ToleranceConfig()
-    q = DeformationParameter.root_of_unity(n)
 
     def evaluate(points):
         steps, vals = cy._eigenvalue_steps(*zip(*points))
@@ -720,31 +700,29 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None,
         # a step's modulus is the scalar abs that residual takes of it
         return [residual(gap, 0.0, step) for gap, step in zip(gaps, steps)]
 
-    return _sampled(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol,
-                    _cyclic_points(_draws(cfg, draws, lambda sample: {"u": _c2l(sample[2])},
-                                         _cyclic_params), q), evaluate)
+    return _Suite(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, _cyclic_params,
+                  (DeformationParameter.root_of_unity(n),),
+                  lambda sample: {"u": _c2l(sample[2])}, evaluate)
 
 
-def check_partial_r(n: int, cfg: ToleranceConfig | None = None,
-                    draws: dict | None = None) -> ResidualReport:
+@_check
+def check_partial_r(n: int, cfg: ToleranceConfig | None = None):
     """Partial R reproduces its defining action on every family vector; a
     conflicting sample keeps its residual, so the suite's tolerance decides.
     The samples are the shift-law suite's stream.  Each run of samples is
     one pass of :func:`cyclic._partial_rs`, which completes every record
-    with its span rank."""
+    with its span rank, so the suite reads its run with its records, and
+    its record function is its own."""
     cfg = cfg or ToleranceConfig()
-    # a record function of this call's own, so no other suite holds the
-    # records that the evaluation completes
-    records, samples, stop = _draws(cfg, draws, lambda sample: {"u": _c2l(sample[2])},
-                                    _compatible, DeformationParameter.root_of_unity(n))
 
-    def evaluate(points):
-        samples, records = zip(*points)
+    def evaluate(run):
+        points, records = run
         residuals = []
-        for record, pr in zip(records, cy._partial_rs(*zip(*samples))):
+        for record, pr in zip(records, cy._partial_rs(*zip(*points))):
             record["span_rank"] = pr.span_rank
             residuals.append(pr.max_residual)
         return residuals
 
-    return _sampled(f"partial_r[N={n}]", cfg, cfg.rel_tol,
-                    (records, list(zip(samples, records)), stop), evaluate)
+    return _Suite(f"partial_r[N={n}]", cfg, cfg.rel_tol, _compatible,
+                  (DeformationParameter.root_of_unity(n),), lambda sample: {"u": _c2l(sample[2])},
+                  evaluate, lambda points, records, q: (points, records))

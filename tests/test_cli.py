@@ -301,6 +301,24 @@ def test_rmatrix_at_an_extreme_q_is_validation_error(spin, q, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spin,q", [("1", "1e-100"), ("1", "1e100"), ("1", "1e-60"),
+                                    ("2", "1e-30")])
+def test_rmatrix_whose_raising_chains_overflow_is_validation_error(spin, q, tmp_path, capsys):
+    """Where the factor generators are finite but a raising chain at u = 0
+    overflows, rmatrix exits 2 with the overflow message, where it used to
+    report a chain that breaks (exit 3)."""
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rmatrix", "--l1", spin, "--l2", spin, "--u", "0.3", "--q", q,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: raising chain of sector 0 of the unbarred family is not finite")
+    assert err.rstrip().endswith("a power of q overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10 ** 12])
 def test_samples_above_the_bound_are_rejected_before_anything_is_drawn(
         samples, monkeypatch, tmp_path, capsys):
@@ -309,7 +327,7 @@ def test_samples_above_the_bound_are_rejected_before_anything_is_drawn(
     def no_draws(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(verify, "_draws", no_draws)
+    monkeypatch.setattr(verify, "_run", no_draws)
     report = tmp_path / "r.json"
     assert main(["verify", "all", "--samples", str(samples), "--json", str(report)]) == 2
     err = capsys.readouterr().err

@@ -30,8 +30,8 @@ from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params,
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
 from qybe.tensorrep import _lowest_weights, _spin_space, _SpaceStack
-from qybe.verify import (_casimir_reports, _decomposed, _draws, _on_slots, _PairRun, _regular_point,
-                         _residuals, _sampled, _stacked_R, check_casimir_spectrum,
+from qybe.verify import (_casimir_reports, _decomposed, _on_slots, _PairRun, _regular_point,
+                         _residuals, _run, _stacked_R, _Suite, check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity, check_rll,
                          check_shift_laws, check_unitarity, decomposed_residuals)
@@ -197,23 +197,6 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
         _same(r_mu[s], alone_mu.matrix)
         _same(prod[s], alone_u.matrix @ alone_mu.matrix)
         assert relations[s] == decomposed_residuals(alone_u)
-
-
-@pytest.mark.parametrize("mode", ["xxz", "xxx"])
-@pytest.mark.parametrize("pair", PAIRS)
-def test_space_form_is_its_stack_form_without_the_sample_axis(pair, mode):
-    """ProductSpace.spectral_form keeps the shapes of a one-q form:
-    left and right (d1+d2-1, k, k), cond (d1+d2-1,)."""
-    q = _points(pair, 3, mode)[0][0]
-    space = ProductSpace.of_spins(*pair, q, "monomial" if mode == "xxx" else "orthonormal")
-    form = space.spectral_form()
-    stacked, errors = space._stack.spectral_form()
-    assert errors == [None]
-    blocks, k = sum(space._stack.dims) - 1, min(space._stack.dims)
-    for name, shape in (("left", (blocks, k, k)), ("right", (blocks, k, k)), ("cond", (blocks,))):
-        assert getattr(form, name).shape == shape
-        _same(getattr(form, name), getattr(stacked, name)[0])
-    assert space.spectral_form() is form
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -567,11 +550,23 @@ def test_the_stack_bound_leaves_every_report_unchanged(suite, monkeypatch):
         assert all(len(report["samples"]) == count for report in stacked)
 
 
+def _index(rng, i):
+    return i
+
+
+def _suite(name, evaluate, draw=_index, cfg=ToleranceConfig(sample_count=5, rng_seed=1)):
+    """A suite of the harness over the samples of ``draw``, each its index
+    by default, recorded as {"i": sample}."""
+    return _Suite(name, cfg, 1.0, draw, (), lambda i: {"i": i}, evaluate)
+
+
+def _zeros(points):
+    return [0.0] * len(points)
+
+
 def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
     """The draws run first; a draw that fails ends them, but an error of an
     earlier sample's evaluation is the one raised."""
-    cfg = ToleranceConfig(sample_count=5, rng_seed=1)
-
     def draw(rng, i):
         if i == 3:
             raise SamplerExhausted("point", 1)
@@ -583,10 +578,65 @@ def test_an_evaluation_error_before_a_failing_draw_is_raised_first():
         return [0.0] * len(points)
 
     with pytest.raises(PoleAtSector):
-        _sampled("x", cfg, 1.0, _draws(cfg, None, lambda i: {"i": i}, draw), evaluate)
+        _run([_suite("x", evaluate, draw)])
     with pytest.raises(SamplerExhausted):
-        _sampled("x", cfg, 1.0, _draws(cfg, None, lambda i: {"i": i}, draw),
-                 lambda points: [0.0] * len(points))
+        _run([_suite("x", _zeros, draw)])
+
+
+class _Forced(QybeError):
+    pass
+
+
+def _failing(name, evaluated):
+    """An evaluation that notes ``name`` in ``evaluated`` and raises."""
+    def evaluate(points):
+        evaluated.append(name)
+        raise _Forced(name)
+    return evaluate
+
+
+def test_the_first_error_in_report_order_is_raised():
+    """The harness evaluates the stream of the first suite first, c's error
+    included, but b, on a stream of its own, comes before c in the run of
+    suites, so b's error is raised."""
+    evaluated = []
+    other = ToleranceConfig(sample_count=5, rng_seed=2)
+    with pytest.raises(_Forced, match="b"):
+        _run([_suite("a", _zeros), _suite("b", _failing("b", evaluated), cfg=other),
+              _suite("c", _failing("c", evaluated))])
+    assert evaluated == ["c", "b"]
+
+
+def test_a_draw_error_of_another_type_is_raised_at_its_first_reader():
+    """An error that is no sampler's, raised in a draw, is raised at the
+    place of the first suite that reads the stream, which evaluates
+    nothing; an earlier suite's error still comes first."""
+    evaluated = []
+
+    def draw(rng, i):
+        if i == 2:
+            raise RuntimeError("draw")
+        return i
+
+    reader = _failing("reader", evaluated)
+    with pytest.raises(RuntimeError, match="draw"):
+        _run([_suite("a", _zeros), _suite("b", reader, draw), _suite("c", _failing("c", evaluated))])
+    assert evaluated == ["c"]
+    with pytest.raises(_Forced, match="a"):
+        _run([_suite("a", _failing("a", evaluated)), _suite("b", reader, draw)])
+    assert evaluated == ["c", "a"]
+
+
+def test_partial_r_completes_records_that_shift_laws_does_not_share():
+    """partial_r and shift_laws read one stream, but partial_r completes
+    record dicts of its own with the span rank."""
+    cfg = ToleranceConfig(sample_count=5, rng_seed=3)
+    by_id = {r.identity_id: r for r in cli._run_suite("cyclic", cfg, 5, 0.0)}
+    shift, partial = by_id["shift_laws[N=5]"].samples, by_id["partial_r[N=5]"].samples
+    assert all("span_rank" in record for record in partial)
+    assert not any("span_rank" in record for record in shift)
+    assert not {id(record) for record in shift} & {id(record) for record in partial}
+    assert [r["u"] for r in shift] == [r["u"] for r in partial]
 
 
 # ---------------------------------------------------------------------------
@@ -671,30 +721,6 @@ def test_a_perturbation_moves_each_suite_as_it_does_alone(monkeypatch):
         moved = {name for name in inside if inside[name] != clean[name]}
         assert {"unitarity[xxz](1.0,1.0)", "decomposed[qs_commute](1.0,1.0)"} <= moved
         assert not {name for name in moved if name.startswith("casimir")}
-
-
-def test_each_suite_takes_its_results_out_of_the_run():
-    """The decomposed suite's pass leaves the unitarity and Casimir results
-    in the run's draws dict, and each suite takes its own out, so no
-    residual list outlives the suite that reports it."""
-    cfg = ToleranceConfig(sample_count=5, rng_seed=5)
-    suites = ("decomposed", "unitarity", "casimir")
-    draws = {verify._PAIR_SUITES: suites}
-
-    def pending():
-        return sorted(key[1] for key in draws if isinstance(key, tuple) and len(key) == 3
-                      and key[1] in suites)
-
-    check_decomposed_ybe(0.5, 1.0, cfg, draws=draws)
-    assert pending() == ["casimir", "unitarity"]
-    check_unitarity(0.5, 1.0, cfg, draws=draws)
-    assert pending() == ["casimir"]
-    check_casimir_spectrum(0.5, 1.0, cfg, draws=draws)
-    assert pending() == []
-
-
-class _Forced(QybeError):
-    pass
 
 
 def test_a_pass_raises_each_suite_error_at_the_suite_place(monkeypatch):

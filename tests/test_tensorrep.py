@@ -5,7 +5,8 @@ from conftest import q_inverse
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
                   build_spin_rep, casimir_matrix, qnum, tensor_casimir, weight_reversed)
 from qybe import tensorrep
-from qybe.errors import BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError
+from qybe.errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
+                         _raise_first)
 from qybe.qcore import residual, sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, ProductSpace, SectorEigenvalue,
                             _lowest_weights, kron)
@@ -484,7 +485,7 @@ def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypa
     q = DeformationParameter.generic(np.exp(0.17 + 0.59j)) if order is None \
         else DeformationParameter.root_of_unity(order)
     with pytest.raises(CompletenessFailure, match=message):
-        ProductSpace.of_spins(1.0, 1.0, q).spectral_form()
+        _raise_first(ProductSpace.of_spins(1.0, 1.0, q)._stack.spectral_form()[1])
 
 
 @pytest.mark.parametrize("pair", [(2.0, 4.0), (3.0, 3.0), (2.5, 4.0), (4.0, 4.0)])
@@ -506,7 +507,7 @@ def test_sectors_at_the_rational_point(pair):
 
 
 def _space_arrays(space):
-    form = space.spectral_form()
+    form = space._stack.spectral_form()[0]
     return [*(a for rep in space.parents for a in (rep.sp, rep.sm, rep.weights)),
             space.weights, form.left, form.right, form.cond]
 

@@ -41,8 +41,15 @@ def test_nonfinite_residual_fails():
     assert not ResidualReport("x", (), float("inf"), 1e-10).passed
 
 
-def test_nan_point_is_not_dropped(q_generic):
-    rep = check_fundamental_ybe(points=[(q_generic, float("nan"), 0.3)])
+def _at(monkeypatch, point):
+    """check_fundamental_ybe at the one (q, u, v) ``point``: its draw
+    gives that point."""
+    monkeypatch.setattr(verify, "_quv", lambda rng, i: point)
+    return ToleranceConfig(sample_count=1)
+
+
+def test_nan_point_is_not_dropped(q_generic, monkeypatch):
+    rep = check_fundamental_ybe(_at(monkeypatch, (q_generic, float("nan"), 0.3)))
     assert np.isnan(rep.max_residual)
     assert not rep.passed and rep.line().startswith("[FAIL]")
 
@@ -57,10 +64,10 @@ def test_fundamental_ybe_rational():
     assert rep.passed and rep.max_residual < 1e-12
 
 
-def test_fundamental_ybe_equal_arguments(rng):
+def test_fundamental_ybe_equal_arguments(rng, monkeypatch):
     q = sample_generic_q(rng)
     u = sample_u(rng)
-    rep = check_fundamental_ybe(points=[(q, u, u)])
+    rep = check_fundamental_ybe(_at(monkeypatch, (q, u, u)))
     assert rep.max_residual < 1e-12
     # at zero argument the matrix is the flip itself, exactly so at q = 1
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -214,12 +221,11 @@ def test_reports_reproducible():
     assert c.samples != a.samples
 
 
-def test_residual_scales_linearly_with_perturbation(rng):
-    q = sample_generic_q(rng)
-    pts = [(q, 0.3 - 0.2j, -0.4 + 0.1j)]
+def test_residual_scales_linearly_with_perturbation(rng, monkeypatch):
+    cfg = _at(monkeypatch, (sample_generic_q(rng), 0.3 - 0.2j, -0.4 + 0.1j))
     levels = {}
     for eps in (1e-8, 1e-6, 1e-4):
-        levels[eps] = check_fundamental_ybe(points=pts, perturb=eps).max_residual
+        levels[eps] = check_fundamental_ybe(cfg, perturb=eps).max_residual
     assert levels[1e-6] / levels[1e-8] == pytest.approx(100, rel=0.2)
     assert levels[1e-4] / levels[1e-6] == pytest.approx(100, rel=0.2)
 
