@@ -393,13 +393,13 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
 def _hook_value(name: str, kind, default):
     """The environment hook ``name`` read as ``kind`` (int or float), or
     ``default`` when it is unset or empty; :class:`ParameterDomainError`
-    unless it is a finite number."""
+    unless it is a finite number; an int of any size is one."""
     text = os.environ.get(name) or str(default)
     try:
         value = kind(text)
     except ValueError:
         raise ParameterDomainError(f"cannot read {name}={text!r} as {kind.__name__}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ParameterDomainError(f"{name} must be finite (got {text!r})")
     return value
 

@@ -72,15 +72,6 @@ class _RepBands(NamedTuple):
     weights: np.ndarray
     q: DeformationParameter
 
-    @classmethod
-    def of_triples(cls, reps) -> "_RepBands":
-        """The bands of representations already built."""
-        n = reps[0].dim
-        k = np.arange(n)
-        return cls(np.array([rep.sm[(k - 1) % n, k] for rep in reps]),
-                   np.array([rep.sp[(k + 1) % n, k] for rep in reps]),
-                   np.array([rep.weights for rep in reps]), reps[0].q)
-
     def generators(self) -> np.ndarray:
         """S+ and S- of every representation as matrices, (S, 2, N, N)."""
         count, n = self.weights.shape
@@ -160,17 +151,14 @@ def _central_elements(specs, bands: _RepBands) -> list[CentralElements]:
             for (ap, am, aq), r, p, prod in zip(scalars.tolist(), resids.tolist(), pre, prods)]
 
 
-def central_elements(spec: CyclicRepSpec, tol: float = 1e-10, *,
-                     rep: OperatorTriple | None = None) -> CentralElements:
+def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements:
     """Scalars of (S+)^N, (S-)^N and q^{NS}, verified to be central.
 
     (S-)^N is cross-checked against the independent q-number-product route
-    q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  ``rep`` is
-    :func:`build_cyclic_rep` of ``spec`` when the caller already has it.
-    The stack of one of :func:`_central_elements`.
+    q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  The stack of one
+    of :func:`_central_elements`.
     """
-    bands = _rep_bands([spec]) if rep is None else _RepBands.of_triples([rep])
-    ce = _central_elements([spec], bands)[0]
+    ce = _central_elements([spec], _rep_bands([spec]))[0]
     worst = ce.max_offscalar_residual
     if not worst <= tol:
         raise NotScalar(worst, f"extended-center candidate has off-scalar residual {worst:.3e}")
@@ -291,9 +279,7 @@ def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                         tol: float = 1e-9, *,
-                         reps: tuple[OperatorTriple, OperatorTriple] | None = None
-                         ) -> TensorPowerReport:
+                         tol: float = 1e-9) -> TensorPowerReport:
     """N-th powers of all four twisted generators, with closed-form scalars.
 
     The unbarred powers telescope to
@@ -303,16 +289,14 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     is block-diagonal: the block of a sector is the product of the
     generator's N sector-transition blocks (:func:`_sector_bands`) taken
     once around the cycle of sectors, and the scalar is read from the
-    diagonal of those blocks.  ``reps`` is :func:`build_cyclic_rep` of the
-    two specs when the caller already has them.  The stack of one of
+    diagonal of those blocks.  The stack of one of
     :func:`_tensor_power_reports`; it raises at the first generator whose
     off-scalar residual is above ``tol``, in the order sm_u, sp_u,
     sm_bar_u, sp_bar_u.
     """
     _require_same_q(spec1, spec2)
-    bands = ((_rep_bands([spec1]), _rep_bands([spec2])) if reps is None
-             else (_RepBands.of_triples(reps[:1]), _RepBands.of_triples(reps[1:])))
-    report = _tensor_power_reports([spec1], [spec2], [u], *bands)[0]
+    report = _tensor_power_reports([spec1], [spec2], [u], _rep_bands([spec1]),
+                                   _rep_bands([spec2]))[0]
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
             raise NotScalar(r, f"(S^N) off-scalar residual {r:.3e} for {name}")

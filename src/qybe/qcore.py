@@ -105,9 +105,13 @@ class DeformationParameter:
 
     @classmethod
     def root_of_unity(cls, n: int) -> "DeformationParameter":
-        """The primitive root q = exp(2 pi i / N); N is checked on construction."""
+        """The primitive root q = exp(2 pi i / N); N is checked on construction,
+        and :class:`ParameterDomainError` is raised for an N too large for a float."""
         # N = 0 would divide by zero before the check could reject it
-        lb = 2j * np.pi / n if n else 0j
+        try:
+            lb = 2j * np.pi / n if n else 0j
+        except OverflowError:
+            raise ParameterDomainError(f"root-of-unity order N is too large (got {n})") from None
         return cls(value=complex(np.exp(lb)), order=int(n), log_branch=lb)
 
     def pow(self, z):

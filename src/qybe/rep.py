@@ -71,9 +71,9 @@ def _two_spin(ell) -> int:
 
 
 class _Factors(NamedTuple):
-    """One representation at S values of q, stacked along a leading sample
-    axis: ``sp`` and ``sm`` of shape (S, d, d), the q-independent ``weights``
-    (d,) and ``from_monomial`` (S, d) or None."""
+    """One representation at the S values ``qs`` of q, stacked along a
+    leading sample axis: ``sp`` and ``sm`` of shape (S, d, d), the
+    q-independent ``weights`` (d,) and ``from_monomial`` (S, d) or None."""
 
     sp: np.ndarray
     sm: np.ndarray
@@ -81,13 +81,14 @@ class _Factors(NamedTuple):
     from_monomial: np.ndarray | None
     ell: complex | None
     basis_tag: str
+    qs: tuple
 
     @classmethod
     def of_triple(cls, rep: OperatorTriple) -> "_Factors":
         """The stack of one of ``rep``."""
         dm = rep.from_monomial
         return cls(rep.sp[None], rep.sm[None], rep.weights, None if dm is None else dm[None],
-                   rep.ell, rep.basis_tag)
+                   rep.ell, rep.basis_tag, (rep.q,))
 
 
 def _spin_factors(ell, qs, basis: str) -> _Factors:
@@ -125,7 +126,7 @@ def _spin_factors(ell, qs, basis: str) -> _Factors:
     for arr in (sp, sm, weights, dm):
         if arr is not None:
             arr.setflags(write=False)
-    return _Factors(sp, sm, weights, dm, complex(ell), basis)
+    return _Factors(sp, sm, weights, dm, complex(ell), basis, tuple(qs))
 
 
 def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> OperatorTriple:

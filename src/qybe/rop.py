@@ -55,18 +55,6 @@ def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
                 "a power of q overflows")
 
 
-def _has_pole(ell1, ell2, us, qs) -> bool:
-    """Whether a denominator [l1+l2+1-n+u_s] of the eigenvalues at some
-    sample (u_s, q_s) is at a pole, with the q-number bits and the test of
-    :func:`_eigenvalues`, which then finds no pole at these samples."""
-    big_l = ell1 + ell2 + 1
-    sectors = range(1, _top_sector(ell1, ell2) + 1)
-    rows = [[big_l - n + u for n in sectors] for u in us]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dens = _qnum_rows(rows, qs).tolist()
-    return any(abs(den) < POLE_TOL for row in dens for den in row)
-
-
 def _eigenvalues(ell1, ell2, us, qs) -> tuple[np.ndarray, list]:
     """R_n of every sector n (columns) at every sample (u_s, q_s) (rows),
     by the recurrence of :func:`eigenvalue_sequence`, and each sample's
@@ -148,7 +136,7 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     u = complex(u)
     eig, poles = _eigenvalues(ell1, ell2, [u], [q])
     _raise_first(poles)
-    form, errors = ProductSpace.of_spins(ell1, ell2, q, basis)._stack.spectral_form()
+    form, errors = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
     _raise_first(errors)
     m, errors = _solve(ell1, ell2, [u], [q], eig, form)
     _raise_first(errors)

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis, _raise_first)
 from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows
-from .rep import (OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, build_spin_rep,
-                  casimir_matrix)
+from .rep import OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -60,33 +59,46 @@ def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> Non
 
 def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
     """Entry n is the raising chain of sector n, the live steps of the
-    chains c[..., m, :, n] (see :meth:`_SpaceStack.chains`)."""
+    chains c[..., m, :, n] (see :meth:`ProductSpace.chains`)."""
     steps, k = chains.shape[-3], chains.shape[-1]
     return [chains[..., :steps - 2 * n, :, n] for n in range(k)]
 
 
-class _SpaceStack:
-    """The tensor product of two factors at S sampled q values, every array
-    with a leading sample axis (the weights, which do not depend on q,
-    excepted).
+class ProductSpace:
+    """The tensor product of two factor representations at S values of q,
+    every array with a leading sample axis (the weights, which do not depend
+    on q, excepted).
 
-    Each method evaluates all samples in one stacked pass and gives slice s
-    equal, bit for bit, to what a stack of the one sample s gives: products
+    For each coproduct kind it holds the four Kronecker pieces that do not
+    depend on u (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both
+    kinds are built together the first time either kind is used.  A twisted
+    coproduct at any u is then two sums weighted by q^{u/2}, so one space
+    serves every u, every kind and every caller of its samples.  For two
+    finite spins it also holds the :class:`SpectralForm` of R, built the
+    first time it is asked for.
+
+    The stacked methods evaluate all samples in one pass and give slice s
+    equal, bit for bit, to what a space of the one sample s gives: products
     that a single sample forms from complex scalars keep scalar rounding
     (:func:`qcore._cmul`, :func:`qcore._qnum_rows`), and batched matmul,
     SVD and inverse treat each slice as its own matrix.  Methods that can
     fail for a sample return, next to their arrays, one error or None per
     sample (the first the sample meets), so a caller raises the error of
     the lowest failing sample; a failed sample's arrays are not meaningful.
-    :class:`ProductSpace` is the stack of one, and the sampled suites of
-    :mod:`verify` stack their samples here.  Its arrays are read-only, since
-    the suites of one pass, and the callers of a memoised
-    :class:`ProductSpace`, share one stack.
+    :meth:`coproduct` and :meth:`sectors` need a space of one q (else
+    :class:`DimensionMismatch`) and raise those errors.  Its arrays are
+    read-only, since the suites of one pass of :mod:`verify`, and the
+    callers of the memoised :meth:`of_spins`, share one space.
     """
 
-    def __init__(self, qs, f1: _Factors, f2: _Factors):
-        self.qs = tuple(qs)
-        self.factors = (f1, f2)
+    def __init__(self, rep1, rep2):
+        """``rep1`` and ``rep2`` are two :class:`OperatorTriple` over one q,
+        or two factor stacks (``rep._Factors``) over the same q values."""
+        if isinstance(rep1, OperatorTriple):
+            _require_shared_q(rep1.q, rep2.q)
+            rep1, rep2 = _Factors.of_triple(rep1), _Factors.of_triple(rep2)
+        f1, f2 = self.factors = (rep1, rep2)
+        self.qs = f1.qs
         self.log_branch = _read_only(np.array([q.log_branch for q in self.qs], complex))
         self.rational = all(q.log_branch == 0 for q in self.qs)
         self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
@@ -101,20 +113,35 @@ class _SpaceStack:
         self._form: tuple[SpectralForm, list] | None = None
 
     @staticmethod
-    def of_spins(ell1, ell2, qs, basis: str) -> "_SpaceStack":
-        """The stack of two finite spins in one single-spin basis at every q
-        of ``qs``, built from the spins 2l/2 as :meth:`ProductSpace.of_spins`
-        builds them; two equal spins share one factor representation."""
+    def of_spins(ell1, ell2, q: DeformationParameter,
+                 basis: str = "monomial") -> "ProductSpace":
+        """The space of two finite spins in one single-spin basis at one q:
+        :meth:`stack_of_spins` at ``(q,)``.
+
+        Memoised on (2 l1, 2 l2, q, basis) for the last
+        :data:`_SPACE_MEMO_SIZE` keys, so every caller at one point shares
+        one space and its spectral form.  Raises :class:`ParameterDomainError`,
+        before any chain is built, where a power of q overflows in the
+        generators or q^S of a factor.
+        """
+        return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
+
+    @staticmethod
+    def stack_of_spins(ell1, ell2, qs, basis: str) -> "ProductSpace":
+        """The space of two finite spins in one single-spin basis at every q
+        of ``qs``, unmemoised.  The factors are built from the spins 2l/2, so
+        every spelling of a spin (0.5, 0.5 + 0j) gives the same space, and
+        two equal spins share one factor representation."""
         two_ell1, two_ell2 = _two_spin(ell1), _two_spin(ell2)
         f1 = _spin_factors(two_ell1 / 2, qs, basis)
-        return _SpaceStack(qs, f1, f1 if two_ell2 == two_ell1
-                           else _spin_factors(two_ell2 / 2, qs, basis))
+        return ProductSpace(f1, f1 if two_ell2 == two_ell1
+                            else _spin_factors(two_ell2 / 2, qs, basis))
 
     @functools.cached_property
     def factor_powers(self) -> tuple[dict, dict]:
         """q^{S} and q^{-S} of each factor, keyed by the exponent's sign:
         (S, d, d) diagonal stacks, built once for the pieces and the
-        relations of the stack."""
+        relations of the space."""
         return tuple({a: _read_only(_q_powers(f.weights, self.log_branch, a)) for a in (1, -1)}
                      for f in self.factors)
 
@@ -134,9 +161,9 @@ class _SpaceStack:
             self._pieces = {"delta": tuple(pieces[0]), "deltabar": tuple(pieces[1])}
         return self._pieces[kind]
 
-    def coproduct(self, kind: str, us) -> tuple[np.ndarray, np.ndarray]:
-        """S+_u and S-_u of ``kind`` (see :meth:`ProductSpace.coproduct`)
-        at u_s for every sample s, as two (S, d, d) arrays."""
+    def coproducts(self, kind: str, us) -> tuple[np.ndarray, np.ndarray]:
+        """S+_u and S-_u of ``kind`` (see :meth:`coproduct`) at u_s for every
+        sample s, as two (S, d, d) arrays."""
         sm1, sm2, sp1, sp2 = self.kind_pieces(kind)
         qu = np.exp(np.array([(u / 2) * q.log_branch for u, q in zip(us, self.qs)],
                              complex))[:, None, None]
@@ -144,11 +171,28 @@ class _SpaceStack:
             return sp1 / qu + qu * sp2, qu * sm1 + sm2 / qu
         return qu * sp1 + sp2 / qu, sm1 / qu + qu * sm2
 
+    def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
+        """The tensor-product generators of ``kind`` twisted by the spectral
+        parameter u:
+
+            "delta":     S-_u = q^{u/2+S2} S1- + q^{-u/2-S1} S2-,
+                         S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
+            "deltabar":  the q -> 1/q twin (all twist exponents negated).
+        """
+        if len(self.qs) != 1:
+            raise DimensionMismatch("coproduct and sectors need a product space of one q")
+        sp, sm = self.coproducts(kind, [u])
+        f1, f2 = self.factors
+        fm = self.from_monomial
+        return OperatorTriple(sp=sp[0], sm=sm[0], weights=self.weights, q=self.qs[0],
+                              basis_tag=f"{f1.basis_tag}*{f2.basis_tag}", ell=None,
+                              from_monomial=None if fm is None else fm[0])
+
     def chains(self, us, kinds: tuple[str, ...], gens: list | None = None
                ) -> tuple[np.ndarray, list]:
         """The raising chains of every sector of each coproduct kind in
         ``kinds`` at u_s, for every sample s, raised together; ``gens``, when
-        given, holds the :meth:`coproduct` of each kind at ``us``.
+        given, holds the :meth:`coproducts` of each kind at ``us``.
 
         Returns c of shape (S, len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
         with c[s, f, m][:, n] = (S+_u)^m v_n for kind f and v_n the
@@ -164,7 +208,7 @@ class _SpaceStack:
         if f1.ell is None or f2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
         if gens is None:
-            gens = [self.coproduct(kind, us) for kind in kinds]
+            gens = [self.coproducts(kind, us) for kind in kinds]
         families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
         (d1, d2), count = self.dims, len(self.qs)
         k, steps = min(d1, d2), d1 + d2 - 1
@@ -210,20 +254,38 @@ class _SpaceStack:
             cond = s[..., 0] / s[..., -1]
         return unit, norms, cond
 
-    def sectors(self, us, kind: str, gens: tuple | None = None) -> tuple[np.ndarray, list]:
+    def sector_stack(self, us, kind: str, gens: tuple | None = None) -> tuple[np.ndarray, list]:
         """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
         at u_s (see :meth:`chains`), which must also pass the weight-block
         test of :class:`SpectralForm` against :data:`COND_LIMIT`, and each
         sample's first error: that of :meth:`chains`, then the
         :class:`ParameterDomainError` of :meth:`unit_blocks`, then
         :class:`SingularBasis`.  ``gens``, when given, is the
-        :meth:`coproduct` of ``kind`` at ``us``."""
+        :meth:`coproducts` of ``kind`` at ``us``."""
         chains, errors = self.chains(us, (kind,), None if gens is None else [gens])
         chains = chains[:, 0]
         cond = self.unit_blocks(chains, errors)[2]
         for s in np.flatnonzero((~(cond <= COND_LIMIT)).any(axis=1)):
             errors[s] = errors[s] or self.layout.conditioning_error(cond[s], COND_LIMIT)
         return chains, errors
+
+    def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
+        """All eigen-sectors of the coproduct ``kind`` at u.
+
+        Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
+        row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
+        chains come from :meth:`sector_stack`, and so does the error raised:
+        :class:`CompletenessFailure`, :class:`ParameterDomainError` where a
+        power of q overflows or, from the weight-block test of
+        :class:`SpectralForm` against :data:`COND_LIMIT`,
+        :class:`SingularBasis`.  The other kind's sectors are
+        ``sectors(u, other kind)``.
+        """
+        if len(self.qs) != 1:
+            raise DimensionMismatch("coproduct and sectors need a product space of one q")
+        chains, errors = self.sector_stack([u], kind)
+        _raise_first(errors)
+        return _sector_chains(chains[0])
 
     def spectral_form(self) -> tuple[SpectralForm, list]:
         """The u-independent spectral form of R at every sample, built from
@@ -252,7 +314,7 @@ class _SpaceStack:
 
 
 def _chain_error(families, resid, lw_ok, size, broken) -> QybeError:
-    """The error of one sample that :meth:`_SpaceStack.chains` flagged:
+    """The error of one sample that :meth:`ProductSpace.chains` flagged:
     the first broken chain among the kinds before its first failing
     lowest-weight condition, else that condition.  A chain that breaks by
     not being finite overflows, a :class:`ParameterDomainError`; one that
@@ -278,75 +340,6 @@ def _chain_error(families, resid, lw_ok, size, broken) -> QybeError:
         f"(residual {r[n]:.2e})")
 
 
-class ProductSpace:
-    """The tensor product of two factor representations over one q.
-
-    Holds the product ``weights`` and ``from_monomial`` and, for each
-    coproduct kind, the four Kronecker pieces that do not depend on u
-    (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both kinds are
-    built together the first time either kind is used.  A twisted coproduct
-    at any u is then two sums weighted by q^{u/2}, so one space serves every
-    u, every kind and every caller of one sampled point.  For two finite
-    spins its stack also holds the :class:`SpectralForm` of R, built the
-    first time it is asked for.  Its arrays are read-only, since
-    :meth:`of_spins` shares one space among all its callers.  It is the
-    stack of one of :class:`_SpaceStack`, which does the numerics, and
-    raises the errors that the stack records.
-    """
-
-    def __init__(self, rep1: OperatorTriple, rep2: OperatorTriple):
-        _require_shared_q(rep1.q, rep2.q)
-        self.parents = (rep1, rep2)
-        self.q = rep1.q
-        self._stack = _SpaceStack((rep1.q,), _Factors.of_triple(rep1), _Factors.of_triple(rep2))
-        self.weights = self._stack.weights
-        fm = self._stack.from_monomial
-        self.from_monomial = None if fm is None else fm[0]
-
-    @staticmethod
-    def of_spins(ell1, ell2, q: DeformationParameter,
-                 basis: str = "monomial") -> "ProductSpace":
-        """The space of two finite spins in one single-spin basis.
-
-        Memoised on (2 l1, 2 l2, q, basis) for the last
-        :data:`_SPACE_MEMO_SIZE` keys, so every caller at one point shares
-        one space and its spectral form.  The factors are built from the
-        spins 2l/2, so every spelling of a spin (0.5, 0.5 + 0j) gives the
-        same space.
-        """
-        return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
-
-    def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
-        """The tensor-product generators of ``kind`` twisted by the spectral
-        parameter u:
-
-            "delta":     S-_u = q^{u/2+S2} S1- + q^{-u/2-S1} S2-,
-                         S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
-            "deltabar":  the q -> 1/q twin (all twist exponents negated).
-        """
-        sp, sm = self._stack.coproduct(kind, [u])
-        rep1, rep2 = self.parents
-        return OperatorTriple(sp=sp[0], sm=sm[0], weights=self.weights, q=self.q,
-                              basis_tag=f"{rep1.basis_tag}*{rep2.basis_tag}",
-                              ell=None, from_monomial=self.from_monomial)
-
-    def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
-        """All eigen-sectors of the coproduct ``kind`` at u.
-
-        Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
-        row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
-        chains come from :meth:`_SpaceStack.sectors`, and so does the error
-        raised: :class:`CompletenessFailure`, :class:`ParameterDomainError`
-        where a power of q overflows or, from the weight-block test of
-        :class:`SpectralForm` against :data:`COND_LIMIT`,
-        :class:`SingularBasis`.  The other kind's sectors are
-        ``sectors(u, other kind)``.
-        """
-        chains, errors = self._stack.sectors([u], kind)
-        _raise_first(errors)
-        return _sector_chains(chains[0])
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -356,14 +349,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
                 basis: str) -> ProductSpace:
     """The space behind :meth:`ProductSpace.of_spins`; raises
-    :class:`ParameterDomainError`, before the space is built, where a
+    :class:`ParameterDomainError`, before any chain is built, where a
     power of q overflows in the generators or q^S of a factor."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reps = [build_spin_rep(two_ell / 2, q, basis) for two_ell in (two_ell1, two_ell2)]
-        finite = all(np.isfinite(m).all() for rep in reps for m in (rep.sp, rep.sm, rep.qs(1)))
+        space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, (q,), basis)
+        finite = all(np.isfinite(m).all() for f, powers in zip(space.factors, space.factor_powers)
+                     for m in (f.sp, f.sm, powers[1]))
     if not finite:
         raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
-    return ProductSpace(*reps)
+    return space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -416,7 +410,7 @@ class _BlockLayout:
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
         """The padded weight blocks of chains c[..., m, :, n] (see
-        :meth:`_SpaceStack.chains`), leading axes kept."""
+        :meth:`ProductSpace.chains`), leading axes kept."""
         return np.where(self.inside, chains[(..., *self.take)], np.eye(self.inside.shape[1]))
 
     def conditioning_error(self, cond: np.ndarray, limit: float) -> SingularBasis | None:
@@ -437,7 +431,7 @@ class _BlockLayout:
 @dataclasses.dataclass(frozen=True)
 class SpectralForm:
     """The u-independent part of R on a product of two spins at each of S
-    samples (see :meth:`_SpaceStack.spectral_form`): ``left`` and ``right``
+    samples (see :meth:`ProductSpace.spectral_form`): ``left`` and ``right``
     have shape (S, d1+d2-1, k, k), k = min(d1, d2), and ``cond`` (S, d1+d2-1).
 
     The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
@@ -521,9 +515,9 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     :func:`_casimir_sectors`.
     """
     c = casimir_matrix(space.coproduct(kind, u))
-    rep1, rep2 = space.parents
+    f1, f2 = space.factors
     sectors = [chain[None] for chain in space.sectors(u, kind)]
-    return _casimir_sectors(c[None], sectors, rep1.ell, rep2.ell, (space.q,))[0]
+    return _casimir_sectors(c[None], sectors, f1.ell, f2.ell, space.qs)[0]
 
 
 def _casimir_sectors(c: np.ndarray, sectors: list[np.ndarray], ell1, ell2,

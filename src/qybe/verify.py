@@ -17,10 +17,9 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, qnum, residual, sample_generic_q, sample_params, sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
-from .rop import RMatrix, _eigenvalues, _has_pole, _require_finite, _solve, _top_sector
+from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
-from .tensorrep import (ProductSpace, _casimir_sectors, _q_powers, _sector_chains, _SpaceStack,
-                        kron)
+from .tensorrep import ProductSpace, _casimir_sectors, _q_powers, _sector_chains, kron
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,7 +264,7 @@ def _branch_point(rng, i, ell1, ell2):
         u = sample_u(rng)
         shifted_q = q.with_branch_shift(1)
         shifted_u = u * q.log_branch / shifted_q.log_branch
-        if not _has_pole(ell1, ell2, (u, shifted_u), (q, shifted_q)):
+        if not any(_eigenvalues(ell1, ell2, (u, shifted_u), (q, shifted_q))[1]):
             return q, u, shifted_q, shifted_u
     raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
 
@@ -390,7 +389,7 @@ def _perturbed(r: np.ndarray, perturb: float) -> np.ndarray:
     return r
 
 
-def _decomposed(space: _SpaceStack, us, r: np.ndarray, delta_u: tuple,
+def _decomposed(space: ProductSpace, us, r: np.ndarray, delta_u: tuple,
                 diagonal: np.ndarray) -> list[dict[str, float]]:
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
     u_s on each sample of ``space``: one stacked matmul pair for all
@@ -401,8 +400,8 @@ def _decomposed(space: _SpaceStack, us, r: np.ndarray, delta_u: tuple,
     f1, f2 = space.factors
     lb = space.log_branch
     mus = [-u for u in us]
-    cop_u, cop_mu = delta_u, space.coproduct("delta", mus)
-    bar_u, bar_mu = space.coproduct("deltabar", us), space.coproduct("deltabar", mus)
+    cop_u, cop_mu = delta_u, space.coproducts("delta", mus)
+    bar_u, bar_mu = space.coproducts("deltabar", us), space.coproducts("deltabar", mus)
     qs_diag = _q_powers(space.weights, lb, 1)
 
     qu = np.exp(np.array([u * q.log_branch for u, q in zip(us, qs)], complex))[:, None, None]
@@ -454,20 +453,20 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.  The
     stack of one of the suite's stacked pass.
     """
-    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)._stack
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
     us = [rm.u]
-    return _decomposed(space, us, rm.matrix[None], space.coproduct("delta", us),
+    return _decomposed(space, us, rm.matrix[None], space.coproducts("delta", us),
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 
-def _casimir_reports(space: _SpaceStack, us, delta_u: tuple, diagonal: np.ndarray) -> list:
+def _casimir_reports(space: ProductSpace, us, delta_u: tuple, diagonal: np.ndarray) -> list:
     """The :func:`tensor_casimir` report of each sample of ``space`` at its
     u, unbarred, in one stacked pass, from the coproduct Delta at the us
     and the Casimir diagonal of the space; raises the error of the lowest
     failing sample."""
     sp, sm = delta_u
     c = sp @ sm + diagonal
-    chains, errors = space.sectors(us, "delta", delta_u)
+    chains, errors = space.sector_stack(us, "delta", delta_u)
     _raise_first(errors)
     f1, f2 = space.factors
     return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
@@ -476,14 +475,14 @@ def _casimir_reports(space: _SpaceStack, us, delta_u: tuple, diagonal: np.ndarra
 class _PairRun:
     """One run of at most :data:`_STACK_SIZE` samples (q_s, u_s) of a spin
     pair, and the pieces that its suites share, each built the first time
-    a suite asks for it: the :class:`_SpaceStack` of the run with its
+    a suite asks for it: the :class:`ProductSpace` of the run with its
     spectral form, R(u) with each sample's first error, the coproduct Delta
     at u and the Casimir diagonal.  The suites read the pieces and do not
     write them.  A piece that raises is not kept, so every suite that asks
     for it raises.
 
-    In the "xxz" mode the stack is orthonormal, at the run's q values; in
-    the "xxx" mode every sample is at q = 1, and the stack is the monomial
+    In the "xxz" mode the space is orthonormal, at the run's q values; in
+    the "xxx" mode every sample is at q = 1, and the space is the monomial
     one of the memoised :meth:`ProductSpace.of_spins`, with its one form.
     """
 
@@ -492,10 +491,10 @@ class _PairRun:
         self.qs, self.us = zip(*points)
 
     @functools.cached_property
-    def space(self) -> _SpaceStack:
+    def space(self) -> ProductSpace:
         if self.mode == "xxx":
-            return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")._stack
-        return _SpaceStack.of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
+            return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")
+        return ProductSpace.stack_of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
 
     @functools.cached_property
     def r_u(self) -> tuple[np.ndarray, list]:
@@ -505,7 +504,7 @@ class _PairRun:
 
     @functools.cached_property
     def delta_u(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.space.coproduct("delta", self.us)
+        return self.space.coproducts("delta", self.us)
 
     @functools.cached_property
     def casimir_diagonal(self) -> np.ndarray:

@@ -104,14 +104,20 @@ def test_rep_order_below_three_rejected(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+# --N values above cli.MAX_ORDER, each with a part of its error message: the
+# next odd order, and an order too large for a float
+ORDERS_ABOVE_THE_BOUND = [(cli.MAX_ORDER + 2, f"at most {cli.MAX_ORDER}"), (10**400, "too large")]
+
+
 def test_rep_cyclic_order_is_bounded(tmp_path, capsys):
     """--N above cli.MAX_ORDER exits 2 before any document is written, as
     verify --N does; the bound itself still writes its documents."""
     out = tmp_path / "big"
-    assert main(["rep", "--cyclic", "--N", str(cli.MAX_ORDER + 2), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"at most {cli.MAX_ORDER}" in err
-    assert not out.exists()
+    for order, message in ORDERS_ABOVE_THE_BOUND:
+        assert main(["rep", "--cyclic", "--N", str(order), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
     assert main(["rep", "--cyclic", "--N", str(cli.MAX_ORDER), "--out", str(out)]) == 0
     assert load_document(out / "sp.json")["dims"] == [cli.MAX_ORDER, cli.MAX_ORDER]
 
@@ -288,8 +294,9 @@ def test_rmatrix_overflow_is_validation_error(spin, u, tmp_path, capsys):
 def test_rmatrix_at_an_extreme_q_is_validation_error(spin, q, tmp_path, capsys):
     """Where |q| is so far from 1 that a power of q overflows, rmatrix exits 2
     and warns of nothing, instead of reporting a singular or incomplete
-    eigenbasis (exit 3): at spin 1 the factor generators are not finite, at
-    spin 1/2 the norms of the eigenvector chains overflow."""
+    eigenbasis (exit 3): at spin 1 the factor generators are not finite, which
+    the memoised space tests before it builds a chain, at spin 1/2 the norms
+    of the eigenvector chains overflow."""
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -298,6 +305,8 @@ def test_rmatrix_at_an_extreme_q_is_validation_error(spin, q, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error:") and err.rstrip().endswith("a power of q overflows")
+    if spin == "1":
+        assert err == "error: the generator matrices are not finite: a power of q overflows\n"
     assert not out.exists()
 
 
@@ -403,21 +412,30 @@ def test_verify_order_at_the_bound_passes():
 
 @pytest.mark.parametrize("suite", ["cyclic", "ybe", "all"])
 def test_verify_order_above_the_bound_rejected(suite, monkeypatch, capsys):
-    """The next odd N exits 2 before any suite runs."""
+    """The next odd N, and an N too large for a float, exit 2 before any
+    suite runs."""
     def no_suite(*args):
         raise AssertionError("a suite ran")
     monkeypatch.setattr(cli, "_run_suite", no_suite)
-    assert main(["verify", suite, "--N", str(cli.MAX_ORDER + 2), "--samples", "1"]) == 2
-    assert f"at most {cli.MAX_ORDER}" in capsys.readouterr().err
+    for order, message in ORDERS_ABOVE_THE_BOUND:
+        assert main(["verify", suite, "--N", str(order), "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 def test_verify_seed_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("QYBE_SEED", "123")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "ybe", "--samples", "2", "--json", str(a)]) == 0
-    assert main(["verify", "ybe", "--samples", "2", "--json", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-    assert json.loads(a.read_text())["seed"] == 123
+    """QYBE_SEED=N reports as --seed N does, also where N is too large for a
+    float."""
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    for seed in (123, 2**1024):
+        monkeypatch.setenv("QYBE_SEED", str(seed))
+        assert main(["verify", "ybe", "--samples", "2", "--json", str(a)]) == 0
+        assert main(["verify", "ybe", "--samples", "2", "--json", str(b)]) == 0
+        monkeypatch.delenv("QYBE_SEED")
+        assert main(["verify", "ybe", "--samples", "2", "--seed", str(seed),
+                     "--json", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert json.loads(a.read_text())["seed"] == seed
 
 
 def test_verify_perturbation_hook_fails(monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import qybe.rop as rop
-import qybe.tensorrep as tensorrep
 from conftest import product_values, q_inverse
 from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
@@ -420,23 +419,23 @@ def test_spin_three_envelope():
 
 def test_assembly_reuses_the_space_form(q_generic, monkeypatch):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal")
-    form = space._stack.spectral_form()
+    form = space.spectral_form()
 
     def no_chains(self, us, kinds):
         raise AssertionError(f"assemble_R built {kinds} chains of its own")
 
-    monkeypatch.setattr(tensorrep._SpaceStack, "chains", no_chains)
+    monkeypatch.setattr(ProductSpace, "chains", no_chains)
     for u in (0.3 - 0.2j, -0.3 + 0.2j):
         assemble_R(1.0, 1.5, u, q_generic)
     assert ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal") is space
-    assert space._stack.spectral_form() is form
+    assert space.spectral_form() is form
 
 
 def test_rational_assembly_solves_on_the_given_space(monkeypatch):
     us = (0.3 - 0.2j, -0.3 + 0.2j)
     want = [_cold(1.0, 1.5, u, mode="xxx").matrix for u in us]
     space = ProductSpace.of_spins(1.0, 1.5, RATIONAL, "monomial")
-    form = space._stack.spectral_form()
+    form = space.spectral_form()
 
     def no_new_space(*args):
         raise AssertionError("assemble_R built a space of its own")
@@ -444,7 +443,7 @@ def test_rational_assembly_solves_on_the_given_space(monkeypatch):
     monkeypatch.setattr(ProductSpace, "__init__", no_new_space)
     for u, m in zip(us, want):
         assert np.array_equal(assemble_R(1.0, 1.5, u, mode="xxx").matrix, m)
-    assert space._stack.spectral_form() is form
+    assert space.spectral_form() is form
 
 
 def test_warm_memo_assembles_what_a_cold_build_does(rng):

@@ -29,7 +29,7 @@ from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, Sample
 from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params, sample_u
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
-from qybe.tensorrep import _lowest_weights, _spin_space, _SpaceStack
+from qybe.tensorrep import _lowest_weights, _spin_space
 from qybe.verify import (_casimir_reports, _decomposed, _on_slots, _PairRun, _regular_point,
                          _residuals, _run, _stacked_R, _Suite, check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
@@ -182,12 +182,12 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     """R at u and -u, R(u) R(-u) and the eight decomposed residuals."""
     points = _points(pair, 7)
     qs, us = zip(*points)
-    space = _SpaceStack.of_spins(*pair, qs, basis)
+    space = ProductSpace.stack_of_spins(*pair, qs, basis)
     form = space.spectral_form()
     r_u, errors_u = _stacked_R(*pair, us, qs, *form)
     r_mu, errors_mu = _stacked_R(*pair, [-u for u in us], qs, *form)
     assert errors_u == errors_mu == [None] * COUNT
-    relations = _decomposed(space, us, r_u, space.coproduct("delta", us),
+    relations = _decomposed(space, us, r_u, space.coproducts("delta", us),
                             _casimir_diagonals(space.weights, qs))
     prod = r_u @ r_mu
     for s, (q, u) in enumerate(points):
@@ -203,7 +203,7 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
 def test_rational_R_shares_one_form_across_the_stack(pair):
     points = _points(pair, 9, "xxx")
     qs, us = zip(*points)
-    space = ProductSpace.of_spins(*pair, RATIONAL, "monomial")._stack
+    space = ProductSpace.of_spins(*pair, RATIONAL, "monomial")
     r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
     assert errors == [None] * COUNT
     for s, u in enumerate(us):
@@ -219,7 +219,7 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
     pair, count = (1.0, 1.0), 1000
     rng = np.random.default_rng(4)
     qs, us = zip(*(_regular_point(*pair, rng) for _ in range(count)))
-    form, errors = _SpaceStack.of_spins(*pair, qs, "orthonormal").spectral_form()
+    form, errors = ProductSpace.stack_of_spins(*pair, qs, "orthonormal").spectral_form()
     eig, poles = rop._eigenvalues(*pair, us, qs)
     r, solved = rop._solve(*pair, us, qs, eig, form)
     assert errors == poles == solved == [None] * count
@@ -645,14 +645,14 @@ def test_partial_r_completes_records_that_shift_laws_does_not_share():
 def _spy_on_stacks(monkeypatch) -> list:
     """A weak reference to every stack built at a sampled q, in order."""
     built = []
-    init = _SpaceStack.__init__
+    init = ProductSpace.__init__
 
     def spying_init(self, *args):
         init(self, *args)
         if not self.rational:
             built.append(weakref.ref(self))
 
-    monkeypatch.setattr(_SpaceStack, "__init__", spying_init)
+    monkeypatch.setattr(ProductSpace, "__init__", spying_init)
     return built
 
 
@@ -771,24 +771,24 @@ def _arrays(obj):
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             yield from _arrays(getattr(obj, field.name))
-    elif isinstance(obj, _SpaceStack):
+    elif isinstance(obj, ProductSpace):
         yield from _arrays(vars(obj))
 
 
 def test_equal_spins_share_one_factor_representation():
     qs, _ = zip(*_points((1.0, 1.0), 3))
-    f1, f2 = _SpaceStack.of_spins(1.0, 1 + 0j, qs, "orthonormal").factors
+    f1, f2 = ProductSpace.stack_of_spins(1.0, 1 + 0j, qs, "orthonormal").factors
     assert f1 is f2
-    f1, f2 = _SpaceStack.of_spins(0.5, 1.0, qs, "orthonormal").factors
+    f1, f2 = ProductSpace.stack_of_spins(0.5, 1.0, qs, "orthonormal").factors
     assert f1.weights.size == 2 and f2.weights.size == 3
 
 
 def test_writing_to_any_memoised_array_raises():
     """The suites of a pass share one stack, so no suite may write to it."""
     qs, us = zip(*_points((1.0, 1.5), 3))
-    stack = _SpaceStack.of_spins(1.0, 1.5, qs, "orthonormal")
+    stack = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal")
     stack.spectral_form()
-    stack.coproduct("delta", us)
+    stack.coproducts("delta", us)
     arrays = list(_arrays(stack))
     # factors, log q, weights, from_monomial, q-powers, pieces, form and layout
     assert len(arrays) > 30

@@ -366,7 +366,7 @@ def test_product_space_coproduct_matches_four_kron_reference(basis, rng):
             space = ProductSpace(r1, r2)
             _assert_space_matches_reference(space, r1, r2, (u, -u, 0.0))
             if basis == "orthonormal":
-                assert np.array_equal(space.from_monomial,
+                assert np.array_equal(space.from_monomial[0],
                                       kron(r1.from_monomial, r2.from_monomial))
             else:
                 assert space.from_monomial is None
@@ -407,6 +407,12 @@ def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
     r = build_cyclic_rep(CyclicRepSpec(*sample_params(rng, 3), 3))
     with pytest.raises(ParameterDomainError):
         ProductSpace(r, r).sectors(0.3)
+    # a space of two q values has no one-q coproduct or sectors
+    stack = ProductSpace.stack_of_spins(1.0, 1.0, (q_generic, sample_generic_q(rng)), "monomial")
+    with pytest.raises(DimensionMismatch, match="one q"):
+        stack.coproduct("delta", 0.3)
+    with pytest.raises(DimensionMismatch, match="one q"):
+        stack.sectors(0.3)
 
 
 def test_lowest_weight_condition_fails_on_nan(q_generic):
@@ -485,7 +491,7 @@ def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypa
     q = DeformationParameter.generic(np.exp(0.17 + 0.59j)) if order is None \
         else DeformationParameter.root_of_unity(order)
     with pytest.raises(CompletenessFailure, match=message):
-        _raise_first(ProductSpace.of_spins(1.0, 1.0, q)._stack.spectral_form()[1])
+        _raise_first(ProductSpace.of_spins(1.0, 1.0, q).spectral_form()[1])
 
 
 @pytest.mark.parametrize("pair", [(2.0, 4.0), (3.0, 3.0), (2.5, 4.0), (4.0, 4.0)])
@@ -507,8 +513,8 @@ def test_sectors_at_the_rational_point(pair):
 
 
 def _space_arrays(space):
-    form = space._stack.spectral_form()[0]
-    return [*(a for rep in space.parents for a in (rep.sp, rep.sm, rep.weights)),
+    form = space.spectral_form()[0]
+    return [*(a for f in space.factors for a in (f.sp, f.sm, f.weights)),
             space.weights, form.left, form.right, form.cond]
 
 
@@ -530,6 +536,32 @@ def test_every_spelling_of_a_spin_shares_one_space(q_generic):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (1.0, 1.5), (1.5, 1.0)])
+def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
+    """The memoised space, built from stacked factors, is bit for bit the
+    space of two built representations, at a generic q and at q = 1: its
+    pieces, its coproducts at +-u and its spectral form.  Equal spins share
+    one factor."""
+    u = 0.37 - 0.21j
+    for q in (q_generic, RATIONAL):
+        memo = ProductSpace.of_spins(*pair, q, basis)
+        assert (memo.factors[0] is memo.factors[1]) == (pair[0] == pair[1])
+        arrays = []
+        for space in (memo, ProductSpace(*_pair(*pair, q, basis))):
+            form, errors = space.spectral_form()
+            assert errors == [None]
+            kinds = ("delta", "deltabar")
+            arrays.append([*(p for kind in kinds for p in space.kind_pieces(kind)),
+                           *(m for kind in kinds for x in (u, -u)
+                             for m in space.coproducts(kind, [x])),
+                           form.left, form.right, form.cond])
+        got, want = arrays
+        assert len(got) == len(want) == 19
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_of_spins_rejects_a_spin_that_is_not_half_an_integer(q_generic):
     with pytest.raises(BadSpin, match="nonnegative integer"):
         ProductSpace.of_spins(0.3, 0.5, q_generic)
@@ -540,9 +572,9 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
     space.coproduct("delta", 0.3)
     space.coproduct("deltabar", 0.3)
-    shared = _space_arrays(space) + [p for pieces in space._stack._pieces.values() for p in pieces]
+    shared = _space_arrays(space) + [p for pieces in space._pieces.values() for p in pieces]
     if basis == "orthonormal":
-        shared += [rep.from_monomial for rep in space.parents] + [space.from_monomial]
+        shared += [f.from_monomial for f in space.factors] + [space.from_monomial]
     assert len(shared) == (18 if basis == "monomial" else 21)
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -557,13 +589,13 @@ STACK_PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (2.0, 2.5)]
 
 def _reference_chains(space, u, kind):
     """The chains of one kind, raised one 2-D product at a time."""
-    rep1, rep2 = space.parents
-    d1, d2 = rep1.dim, rep2.dim
-    lw = np.array([_lowest_weights(rep1.ell, rep2.ell, [u], [space.q], d1, d2,
+    f1, f2 = space.factors
+    d1, d2 = space.dims
+    lw = np.array([_lowest_weights(f1.ell, f2.ell, [u], space.qs, d1, d2,
                                    kind == "deltabar", n + 1)[0, n]
                    for n in range(min(d1, d2))]).T
     if space.from_monomial is not None:
-        lw = space.from_monomial[:, None] * lw
+        lw = space.from_monomial[0][:, None] * lw
     sp = space.coproduct(kind, u).sp
     chains = [lw]
     for _ in range(d1 + d2 - 2):
@@ -576,12 +608,12 @@ def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
     for ell1, ell2 in STACK_PAIRS:
         q, u = sample_generic_q(rng), sample_u(rng)
         space = ProductSpace(*_pair(ell1, ell2, q, basis))
-        both, errors = space._stack.chains([u], ("delta", "deltabar"))
+        both, errors = space.chains([u], ("delta", "deltabar"))
         assert errors == [None]
         for f, kind in enumerate(("delta", "deltabar")):
             want = _reference_chains(space, u, kind)
             assert np.array_equal(both[0, f], want)
-            one, errors = space._stack.chains([u], (kind,))
+            one, errors = space.chains([u], (kind,))
             assert errors == [None]
             assert np.array_equal(one[0, 0], want)
 
@@ -593,17 +625,18 @@ def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
         for kind, s in (("delta", 1), ("deltabar", -1)):
             want = (kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm),
                     kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp))
-            for got, ref in zip(space._stack.kind_pieces(kind), want, strict=True):
+            for got, ref in zip(space.kind_pieces(kind), want, strict=True):
                 assert np.array_equal(got[0], ref)
 
 
 def _reference_casimir(space, u, kind):
     """The sector entries of tensor_casimir, one vector at a time."""
     c = casimir_matrix(space.coproduct(kind, u))
-    ell = space.parents[0].ell + space.parents[1].ell
+    ell = space.factors[0].ell + space.factors[1].ell
+    (q,) = space.qs
     out = []
     for n, chain in enumerate(space.sectors(u, kind)):
-        lam = qnum(n - ell, space.q) * qnum(n - ell - 1, space.q)
+        lam = qnum(n - ell, q) * qnum(n - ell - 1, q)
         resid, rayleigh = 0.0, []
         for v in chain:
             cv = c @ v
