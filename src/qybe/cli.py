@@ -1,8 +1,9 @@
 """Command-line front end: build representations and R-matrices, run
 verification suites, export matrices as JSON documents.
 
-Exit codes: 0 success, 1 verification failure, 2 input validation,
-3 mathematical degeneracy (pole, or a singular or incomplete eigenbasis).
+Exit codes: 0 success, 1 verification failure, 2 input validation or an
+output path that cannot be written, 3 mathematical degeneracy (pole, or a
+singular or incomplete eigenbasis).
 """
 from __future__ import annotations
 
@@ -42,9 +43,9 @@ MAX_ORDER = 19
 MAX_SPIN = 6
 # the largest --samples that verify takes.  Every sample is drawn and
 # recorded before the first is evaluated, and time, memory and report grow
-# in proportion: `verify all --seed 3` took 2.5 s, 94 MB peak RSS and a
-# 7.4 MB report at 1,000 samples, 7.0 s, 162 MB and 22 MB at 3,000, and
-# 21.7 s, 450 MB and 74 MB at 10,000 (2-vCPU host)
+# in proportion: `verify all --seed 3` took 2.7 s, 57 MB peak RSS and a
+# 4.4 MB report at 1,000 samples, 7.3 s, 89 MB and 13 MB at 3,000, and
+# 19.9 s, 204 MB and 44 MB at 10,000 (2-vCPU host)
 MAX_SAMPLES = 10_000
 
 EXIT_OK = 0
@@ -156,55 +157,9 @@ def dump_document(doc: dict) -> str:
     return "{" + ",".join(fields) + "}\n"
 
 
-# how json spells the floats whose float.__repr__ is no JSON number
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _indented(obj, indent: str, memo: dict) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=1)`` writes it
-    nested at ``indent``.
-
-    Each dict is written once per ``memo``, keyed by its identity and
-    indent, so the sample records that several reports hold are encoded
-    once.  Exact dicts with string keys, lists, strings, floats, ints,
-    bools and None are written here; anything else, a subclass included,
-    goes through json itself.
-    """
-    kind = type(obj)
-    if kind is float:
-        text = float.__repr__(obj)
-        return _NONFINITE.get(text, text)
-    inner = indent + " "
-    if kind is list:
-        if not obj:
-            return "[]"
-        # a finite float inline, the commonest item; a NaN or inf has v - v NaN
-        items = [float.__repr__(v) if type(v) is float and v - v == 0
-                 else _indented(v, inner, memo) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        key = (id(obj), indent)
-        text = memo.get(key)
-        if text is None:
-            items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], inner, memo)
-                     for k in sorted(obj)]
-            text = memo[key] = "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-        return text
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None or kind is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    # json's own lines hold no newline but its indentation's
-    return json.dumps(obj, sort_keys=True, indent=1).replace("\n", "\n" + indent)
-
-
 def dump_report(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, written by
-    :func:`_indented`, which encodes a record dict once however many reports
-    hold it."""
-    return _indented(payload, "", {}) + "\n"
+    """``json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\\n"``."""
+    return _COMPACT.encode(payload) + "\n"
 
 
 def write_document(path: Path, doc: dict) -> None:
@@ -452,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except QybeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     parser.error("no command given")
     return EXIT_VALIDATION
 

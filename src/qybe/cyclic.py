@@ -17,9 +17,9 @@ The kernels behind the central elements, the tensor powers, the shift
 laws, the eigenvalue family and the partial R take S samples at one q
 along a leading axis; each public function is the stack of one of its
 kernel, and every slice equals the sample alone bit for bit.  Every
-product of two complex arrays there broadcasts one factor, so numpy never
-computes it into a large temporary operand with the factors swapped,
-which can move the last bit.
+product of two complex arrays there broadcasts one factor or has no
+temporary right operand, so numpy never computes it into a large
+temporary operand with the factors swapped, which can move the last bit.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
-from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, qnum, residual, sample_params
+from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, _relative, qnum, sample_params
 from .rep import OperatorTriple, _diag
 from .tensorrep import _require_shared_q
 
@@ -61,6 +61,19 @@ class CyclicRepSpec:
         return (self.alpha + self.beta) / 2
 
 
+class _Params(NamedTuple):
+    """The parameters of S specs, each an (S,) array; they stand in for a
+    spec wherever only alpha, beta and lam are read."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+
+
+def _params(specs) -> _Params:
+    return _Params(*np.array([(s.alpha, s.beta, s.lam) for s in specs], complex).T)
+
+
 class _RepBands(NamedTuple):
     """S cyclic representations of one order N at one q, stacked along a
     leading sample axis by their bands: ``lower`` (S, N), the entry of S-
@@ -84,19 +97,13 @@ class _RepBands(NamedTuple):
 
 def _rep_bands(specs) -> _RepBands:
     """The bands of every spec's representation, in one stacked pass; the
-    specs share their order N and q.
-
-    The prefactors q^{-+lam/2} are per-sample Python exponents before one
-    ``np.exp``, as :meth:`DeformationParameter.pow` forms them, and the
-    q-numbers are one array :func:`qcore.qnum`, so row s is the bands of
-    spec s alone, bit for bit.
-    """
+    specs share their order N and q."""
     n, q = specs[0].n, specs[0].q
-    lb = q.log_branch
     k = np.arange(n)
-    pre = np.exp(np.array([(-s.lam / 2 * lb, s.lam / 2 * lb) for s in specs], complex))
-    alpha, beta, ell = np.array([(s.alpha, s.beta, s.ell) for s in specs], complex).T[..., None]
-    return _RepBands(pre[:, :1] * qnum(k - beta, q), pre[:, 1:] * qnum(alpha - k, q), k - ell, q)
+    alpha, beta, lam = (x[:, None] for x in _params(specs))
+    x = lam / 2 * q.log_branch
+    return _RepBands(np.exp(-x) * qnum(k - beta, q), np.exp(x) * qnum(alpha - k, q),
+                     k - (alpha + beta) / 2, q)
 
 
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
@@ -115,14 +122,12 @@ def _scalar_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A scalar is the mean of its B N diagonal entries, summed in the order
     in which ``sum()`` of one matrix's diagonal sums them, and its residual
-    is :func:`qcore.residual` of the blocks against it, scaled by the
-    builtin modulus of the scalar.
+    is :func:`qcore.residual` of the blocks against it.
     """
     d = np.diagonal(m, axis1=-2, axis2=-1)
     s = d.sum(axis=(-2, -1)) / (d.shape[-2] * d.shape[-1])
     gaps = np.abs(m - s[..., None, None, None] * np.eye(m.shape[-1])).max(axis=(-3, -2, -1))
-    scales = [max(1.0, abs(x)) for x in s.ravel().tolist()]
-    return s, gaps / np.reshape(scales, s.shape)
+    return s, _relative(gaps, np.abs(s))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,13 +147,13 @@ def _central_elements(specs, bands: _RepBands) -> list[CentralElements]:
     mats = np.concatenate([np.linalg.matrix_power(bands.generators(), n),
                            _diag(bands.q.pow(n * bands.weights))[:, None]], axis=1)
     scalars, resids = _scalar_part(mats[:, :, None])
-    pre = np.exp(np.array([-n * s.lam / 2 * q.log_branch for s in specs], complex))
-    # phi_product(beta, q).product of every spec
-    prods = np.prod(qnum(np.array([[s.beta] for s in specs], complex) + np.arange(n), q), axis=-1)
+    params = _params(specs)
+    # phi_product(beta, q).product of every spec, times -q^{-N lam/2}
+    prods = np.prod(qnum(params.beta[:, None] + np.arange(n), q), axis=-1)
+    routes = -np.exp(-n * params.lam / 2 * q.log_branch) * prods
     return [CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
-                            max_offscalar_residual=_nan_max(*r),
-                            alpha_minus_product_route=complex(-p * complex(prod)))
-            for (ap, am, aq), r, p, prod in zip(scalars.tolist(), resids.tolist(), pre, prods)]
+                            max_offscalar_residual=_nan_max(*r), alpha_minus_product_route=route)
+            for (ap, am, aq), r, route in zip(scalars.tolist(), resids.tolist(), routes.tolist())]
 
 
 def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements:
@@ -205,7 +210,7 @@ def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
     k2 = (steps * k[:, None] - k) % n  # [g, i, k1]: k2 of column k1 of block i
     s1 = f1 * w2[:, g, k2]
     s2 = w1 * f2[:, g, k2]
-    qu = np.exp(np.array([u / 2 * q.log_branch for u in us], complex))[:, None, None, None]
+    qu = np.exp(np.asarray(us, complex) / 2 * q.log_branch)[:, None, None, None]
     times = np.array([True, False, False, True])[:, None, None]
     bands = np.zeros((len(us), 4, n, n, n), complex)
     bands[:, g, k[:, None], (k + steps) % n, k] = np.where(times, qu * s1, s1 / qu)
@@ -243,39 +248,28 @@ class TensorPowerReport:
         return _nan_max(*self.offscalar_residuals.values())
 
 
-def _closed_exponents(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> tuple:
-    """The q-exponents x of the closed forms of (S-_u)^N and (S+_u)^N, each
-    (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))."""
-    n = spec1.n
-    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
-    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
-    return ((n * (u - a2 - b2 - l1) / 2, -n * b1, n * b1,
-             n * (-u + a1 + b1 - l2) / 2, -n * b2, n * b2),
-            (n * (-u - a2 - b2 + l1) / 2, n * a1, -n * a1,
-             n * (u + a1 + b1 + l2) / 2, n * a2, -n * a2))
-
-
 def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
                           reps2: _RepBands) -> list[TensorPowerReport]:
     """:func:`tensor_power_scalars` of every sample, unguarded, from the
     stacks of its representations: the sector bands of all samples go
-    around the cycle together, and every closed-form power of q is a
-    per-sample Python exponent before one ``np.exp``, combined with the
-    rounding of the scalar formula."""
+    around the cycle together, and the closed forms
+    (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))
+    of (S-_u)^N and (S+_u)^N are arrays along the sample axis."""
     n, q = specs1[0].n, specs1[0].q
-    lb = q.log_branch
-    den = (q.value - 1 / q.value) ** (-n)
-    exps = np.exp(np.array([[[x * lb for x in form] for form in _closed_exponents(s1, s2, u)]
-                            for s1, s2, u in zip(specs1, specs2, us)], complex))
+    (a1, b1, l1), (a2, b2, l2), u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    x = np.array([(n * (u - a2 - b2 - l1) / 2, -n * b1, n * b1,
+                   n * (-u + a1 + b1 - l2) / 2, -n * b2, n * b2),
+                  (n * (-u - a2 - b2 + l1) / 2, n * a1, -n * a1,
+                   n * (u + a1 + b1 + l2) / 2, n * a2, -n * a2)])
+    p = np.exp(x * q.log_branch)
+    closed = (((p[:, 1] - p[:, 2]) * p[:, 0] + (p[:, 4] - p[:, 5]) * p[:, 3])
+              * (q.value - 1 / q.value) ** (-n)).T
     scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
-    reports = []
-    for sample, row, r in zip(exps, scalars.tolist(), resids.tolist()):
-        closed = [den * (p[0] * (p[1] - p[2]) + p[3] * (p[4] - p[5])) for p in sample]
-        reports.append(TensorPowerReport(
-            scalars=dict(zip(_GENERATORS, row)), offscalar_residuals=dict(zip(_GENERATORS, r)),
-            closed_form_errors={name: residual(s, c, c)
-                                for name, s, c in zip(_GENERATORS, row, closed)}))
-    return reports
+    errors = _relative(np.abs(scalars[:, :2] - closed), np.abs(closed))
+    return [TensorPowerReport(scalars=dict(zip(_GENERATORS, row)),
+                              offscalar_residuals=dict(zip(_GENERATORS, r)),
+                              closed_form_errors=dict(zip(_GENERATORS, e)))
+            for row, r, e in zip(scalars.tolist(), resids.tolist(), errors.tolist())]
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -306,9 +300,9 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
 # ---------------------------------------------------------------------------
 # eigenstate families
 
-def _ratio_exponent(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
-                    barred: bool) -> complex:
-    """The q-exponent of :func:`family_ratio`."""
+def _ratio_exponent(spec1, spec2, u, barred: bool):
+    """The q-exponent of :func:`family_ratio`; of arrays along the sample
+    axis for two :class:`_Params` and an array of u."""
     a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
     a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
     if barred:
@@ -334,18 +328,13 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
                  for barred in (False, True))
 
 
-def _ratio_powers(ratios, n: int) -> np.ndarray:
-    """ratio**j for j = 0 .. N-1 of every ratio, as Python complex powers:
-    shape (len(ratios), N)."""
-    return np.array([[ratio**j for j in range(n)] for ratio in ratios], complex)
-
-
 def _family_vectors(n: int, ratios) -> np.ndarray:
     """Rows phi_0 .. phi_{N-1} of the family of each ratio, shape
     (len(ratios), N, N^2): phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
     k = np.arange(n)
     fam = np.zeros((len(ratios), n, n * n), complex)
-    fam[:, k[:, None], ((k[:, None] - k) % n) * n + k] = _ratio_powers(ratios, n)[:, None]
+    powers = np.power(np.asarray(ratios, complex)[:, None], k)
+    fam[:, k[:, None], ((k[:, None] - k) % n) * n + k] = powers[:, None]
     return fam
 
 
@@ -365,23 +354,16 @@ _RELATIONS = ("lower", "raise", "lower_bar", "raise_bar")
 
 def _prefactors(specs1, specs2, us, m: np.ndarray) -> np.ndarray:
     """:func:`shift_prefactor` of the four relations at every m, for every
-    sample: shape (S, 4, *m.shape).
-
-    The powers of q are per-sample Python exponents before one ``np.exp``,
-    as :meth:`DeformationParameter.pow` forms them."""
+    sample: shape (S, 4, *m.shape)."""
     q = specs1[0].q
-    lb = q.log_branch
+    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    x = (u - p1.lam + p2.beta - p2.alpha) / 2
+    y = (u + p1.lam + p2.beta - p2.alpha) / 2
+    pre = np.exp(np.stack([-1 + x, 1 - x, 1 - y, -1 + y], axis=1) * q.log_branch)
     axes = (1,) * m.ndim
-    exps, params = [], []
-    for s1, s2, u in zip(specs1, specs2, us):
-        x = (u - s1.lam + s2.beta - s2.alpha) / 2
-        y = (u + s1.lam + s2.beta - s2.alpha) / 2
-        exps.append([z * lb for z in (-1 + x, 1 - x, 1 - y, -1 + y)])
-        params.append((s1.beta, s2.beta, s1.alpha + s2.alpha + 1))
-    b1, b2, top = np.array(params, complex).T.reshape(3, -1, *axes)
+    b1, b2, top = (z.reshape(-1, *axes) for z in (p1.beta, p2.beta, p1.alpha + p2.alpha + 1))
     down, up = qnum(m + 1 - b1 - b2, q), qnum(top - m, q)
-    pre = np.exp(np.array(exps, complex)).reshape(-1, 4, *axes)
-    return pre * np.stack([down, up, down, up], axis=1)
+    return pre.reshape(-1, 4, *axes) * np.stack([down, up, down, up], axis=1)
 
 
 def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
@@ -408,16 +390,15 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     is ratio^{(m - k1) mod N}.
     """
     n, q = specs1[0].n, specs1[0].q
-    lb = q.log_branch
-    ratios = np.exp(np.array([[_ratio_exponent(s1, s2, u, barred) * lb for barred in (False, True)]
-                              for s1, s2, u in zip(specs1, specs2, us)], complex))
+    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    ratios = np.exp(np.stack([_ratio_exponent(p1, p2, u, barred) for barred in (False, True)],
+                             axis=1) * q.log_branch)
     bands = _sector_bands(_rep_bands(specs1), _rep_bands(specs2), us)
     m = np.arange(n)
     g = np.arange(4)[:, None]
     steps = _STEPS[:, None]
     # [s, g, m, k1]: the family of generator g, phi_m on its sector
-    vec = _ratio_powers(ratios.ravel().tolist(), n)[:, (m[:, None] - m) % n]
-    vec = vec.reshape(-1, 2, n, n)[:, [0, 0, 1, 1]]
+    vec = np.power(ratios[..., None], m)[..., (m[:, None] - m) % n][:, [0, 0, 1, 1]]
     c = _prefactors(specs1, specs2, us, m)
     # block i of a generator acts on the sector i * step, the sector of phi_{i * step}
     turn = m * steps % n
@@ -498,15 +479,9 @@ def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex)
 
 def _eigenvalue_steps(specs1, specs2, us) -> tuple[np.ndarray, np.ndarray]:
     """The ratio q^{2 - u + alpha2 - beta2 - lam1} of :func:`cyclic_R_eigenvalues`
-    for every sample, (S,), and its powers R_m, (S, N).
-
-    Each ratio is a per-sample Python exponent before one ``np.exp``, as
-    :meth:`DeformationParameter.pow` forms it, and its powers are one
-    ``np.power`` with integer exponents, which takes a complex scalar's
-    ``**`` entry by entry."""
-    q = specs1[0].q
-    steps = np.exp(np.array([(2 - u + s2.alpha - s2.beta - s1.lam) * q.log_branch
-                             for s1, s2, u in zip(specs1, specs2, us)], complex))
+    for every sample, (S,), and its powers R_m, (S, N)."""
+    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    steps = np.exp((2 - u + p2.alpha - p2.beta - p1.lam) * specs1[0].q.log_branch)
     return steps, np.power(steps[:, None], np.arange(specs1[0].n))
 
 
@@ -547,23 +522,20 @@ def _partial_rs(specs1, specs2, us) -> list[PartialR]:
     the layout of a lone sample, so it is that sample alone bit for bit.
     """
     n, q = specs1[0].n, specs1[0].q
-    lb = q.log_branch
-    ratios = np.exp(np.array([[_ratio_exponent(s1, s2, x, barred) * lb
-                               for x in (u, -u) for barred in (False, True)]
-                              for s1, s2, u in zip(specs1, specs2, us)], complex))
+    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    ratios = np.exp(np.stack([_ratio_exponent(p1, p2, x, barred)
+                              for x in (u, -u) for barred in (False, True)], axis=1) * q.log_branch)
     # [s, f]: phi(u), phibar(u), phi(-u), phibar(-u)
-    fam = _family_vectors(n, ratios.ravel().tolist()).reshape(len(us), 4, n, n * n)
+    fam = _family_vectors(n, ratios.ravel()).reshape(len(us), 4, n, n * n)
     r_m = _eigenvalue_steps(specs1, specs2, us)[1]
     v = np.swapaxes(fam[:, :2].reshape(len(us), 2 * n, n * n), 1, 2)
     w = np.swapaxes((r_m[:, None, :, None] * fam[:, [3, 2]]).reshape(len(us), 2 * n, n * n), 1, 2)
     # one SVD gives the rank and numpy's pinv, step by step
     left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
-    cuts = np.array([[1e-8 * max(1.0, peak)] for peak in np.abs(v).max(axis=(1, 2)).tolist()])
+    cuts = 1e-8 * np.maximum(1.0, np.abs(v).max(axis=(1, 2)))[:, None]
     ranks = np.count_nonzero(s > cuts, axis=1).tolist()
     inv = 1 / np.where(s > 1e-15 * s.max(axis=1, keepdims=True), s, np.inf)
     mat = w @ (np.swapaxes(right, 1, 2) @ (inv[:, :, None] * np.swapaxes(left, 1, 2)))
-    gaps = np.abs(mat @ v - w).max(axis=(1, 2)).tolist()
-    scales = np.abs(w).max(axis=(1, 2)).tolist()
-    return [PartialR(matrix=m, span_rank=rank, max_residual=residual(gap, 0.0, scale),
-                     eigenvalues=r)
-            for m, rank, gap, scale, r in zip(mat, ranks, gaps, scales, r_m)]
+    resids = _relative(np.abs(mat @ v - w).max(axis=(1, 2)), np.abs(w).max(axis=(1, 2)))
+    return [PartialR(matrix=m, span_rank=rank, max_residual=resid, eigenvalues=r)
+            for m, rank, resid, r in zip(mat, ranks, resids.tolist(), r_m)]

@@ -158,85 +158,35 @@ def qnum(n, q: DeformationParameter):
     return (q.pow(n) - q.pow(-n)) / den
 
 
-def _qnum_rows(rows, qs) -> np.ndarray:
-    """qnum(x, q_s) for every x of rows[s], one row per q in ``qs``, as an
-    (S, len(rows[0])) complex array.
-
-    Each exponent x log q is a Python product, as :meth:`DeformationParameter.pow`
-    forms it, before one ``np.exp`` over the stack, so every entry equals the
-    scalar :func:`qnum` bit for bit.  A stack at :data:`RATIONAL` gives x itself.
-    """
-    if all(q.log_branch == 0 for q in qs):
-        return np.array(rows, complex)
-    dens = _denominators(qs)
-    # complex(log q) keeps the scalar product of pow and reads faster into an array
-    powers = np.exp(np.array([[x * lb for x in row] + [-x * lb for x in row]
-                              for lb, row in zip((complex(q.log_branch) for q in qs), rows)],
-                             complex))
-    half = powers.shape[1] // 2
-    return (powers[:, :half] - powers[:, half:]) / np.array(dens)[:, None]
-
-
-def _qnum_stack(n: np.ndarray, qs) -> np.ndarray:
-    """qnum(n, q) of one array n at every q of ``qs``, of shape (S, *n.shape)."""
-    n = np.asarray(n)
-    return _qnum_each(np.broadcast_to(n, (len(qs), *n.shape)), qs)
-
-
-def _qnum_each(n: np.ndarray, qs) -> np.ndarray:
-    """qnum(n[s], q_s) for every sample s of an array n of shape (S, ...).
-
-    The exponents are array products, as :func:`qnum` forms them for an
-    array, so slice s equals ``qnum(n[s], qs[s])`` bit for bit.
-    """
+def _qnums(n, qs) -> np.ndarray:
+    """The q-number [n] at every q of a stack ``qs``: ``n`` holds the
+    sample axis first, of length len(qs) or 1, and log q is broadcast
+    along it, (exp(n log q) - exp(-n log q)) / (q - 1/q).  A stack at
+    :data:`RATIONAL` gives n itself, as complex; a stack with a q - 1/q
+    below tolerance raises :class:`DegenerateDenominator`."""
     n = np.asarray(n)
     if all(q.log_branch == 0 for q in qs):
-        return n
-    dens = np.array(_denominators(qs))
-    lb = np.array([q.log_branch for q in qs], complex).reshape(-1, *(1,) * (n.ndim - 1))
-    return (np.exp(n * lb) - np.exp(-n * lb)) / dens.reshape(lb.shape)
-
-
-def _denominators(qs) -> list:
-    """q - 1/q of every q of a stack, which :func:`qnum` divides by;
-    :class:`DegenerateDenominator` where one is below tolerance."""
+        return np.broadcast_to(n, (len(qs), *n.shape[1:])).astype(complex)
     dens = [q.value - 1 / q.value for q in qs]
     if any(abs(den) < _QNUM_DEN_TOL for den in dens):
         raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
-    return dens
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b of two complex arrays of one shape, each entry the product of
-    two complex scalars.
-
-    numpy's vectorised complex product fuses a multiply and an add, so it
-    can differ in the last bit from the scalar product, which these few
-    entries keep.
-    """
-    a = np.asarray(a)
-    return np.array([x * y for x, y in zip(a.ravel().tolist(), np.ravel(b).tolist())],
-                    complex).reshape(a.shape)
-
-
-def _abs_max(x) -> float:
-    """The largest modulus among the entries of x.
-
-    A single entry, a scalar or a 1-element array, goes through the builtin
-    abs and more entries through np.abs; the two can differ in the last bit
-    of a complex modulus.
-    """
-    if isinstance(x, np.ndarray):
-        return abs(x.item()) if x.size == 1 else np.abs(x).max()
-    return abs(x)
+    shape = (len(qs), *(1,) * (n.ndim - 1))
+    x = n * np.array([q.log_branch for q in qs]).reshape(shape)
+    return (np.exp(x) - np.exp(-x)) / np.reshape(dens, shape)
 
 
 def residual(lhs, rhs, *inputs) -> float:
     """Infinity-norm difference normalized by the largest input entry, or by
     1 when that is smaller.  Operands are arrays or scalars; a NaN in
     lhs - rhs gives NaN."""
-    scale = max([1.0] + [_abs_max(m) for m in inputs])
-    return float(_abs_max(lhs - rhs) / scale)
+    scale = max([1.0] + [np.abs(m).max() for m in inputs])
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
+def _relative(gaps: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`residual` of stacked abs-maxima, entry by entry: each gap over
+    its scale, or over 1 where that is smaller; a NaN gives NaN."""
+    return gaps / np.maximum(1.0, scales)
 
 
 def _nan_max(*values: float) -> float:
@@ -264,21 +214,17 @@ def phi_product(alpha: complex, q: DeformationParameter) -> PhiProduct:
 
 
 def _phi_products(alphas, q: DeformationParameter) -> list[PhiProduct]:
-    """:func:`phi_product` of every alpha of ``alphas`` at one q: the
-    q-numbers of all products are one array :func:`qnum`, multiplied out
-    along its last axis, and each closed form is combined per sample with
-    scalar arithmetic, so entry s is ``phi_product(alphas[s], q)`` bit for
-    bit."""
+    """:func:`phi_product` of every alpha of ``alphas`` at one q, both
+    routes as arrays along the sample axis."""
     n = q.order
     if n is None:
         raise ParameterDomainError("phi_product requires a root of unity (q.order is None)")
-    prods = np.prod(qnum(np.array(alphas, complex)[:, None] + np.arange(n), q), axis=-1).tolist()
-    den = (q.value - 1 / q.value) ** (-n)
-    out = []
-    for alpha, prod in zip(alphas, prods):
-        closed = den * (q.pow(alpha * n) - q.pow(-alpha * n))
-        out.append(PhiProduct(prod, complex(closed), residual(prod, closed, closed)))
-    return out
+    alphas = np.array(alphas, complex)
+    prods = np.prod(qnum(alphas[:, None] + np.arange(n), q), axis=-1)
+    x = alphas * n * q.log_branch
+    closed = (np.exp(x) - np.exp(-x)) * (q.value - 1 / q.value) ** (-n)
+    resids = _relative(np.abs(prods - closed), np.abs(closed))
+    return [PhiProduct(*entry) for entry in zip(prods.tolist(), closed.tolist(), resids.tolist())]
 
 
 # ---------------------------------------------------------------------------

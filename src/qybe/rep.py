@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_each, _qnum_rows, _qnum_stack
+from .qcore import DeformationParameter, _nan_max, _qnums
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,12 +92,7 @@ class _Factors(NamedTuple):
 
 
 def _spin_factors(ell, qs, basis: str) -> _Factors:
-    """The spin-ell representation at every q of ``qs``, in one stacked pass.
-
-    Every q-number comes from :func:`qcore._qnum_rows` and every product of
-    two of them has the rounding of a scalar product, so slice s is what a
-    pass at q_s alone gives, bit for bit.
-    """
+    """The spin-ell representation at every q of ``qs``, in one stacked pass."""
     d = _two_spin(ell) + 1
     if basis not in ("monomial", "orthonormal"):
         raise ParameterDomainError(f"unknown basis {basis!r}")
@@ -107,19 +102,16 @@ def _spin_factors(ell, qs, basis: str) -> _Factors:
     # the flat super- and subdiagonal of each d x d slice
     upper, lower = sm.reshape(count, -1)[:, 1::d + 1], sp.reshape(count, -1)[:, d::d + 1]
     # [k+1] and [2l-k] for k < 2l
-    vals = _qnum_rows([[*range(1, d), *(2 * ell - j for j in range(d - 1))]] * count, qs)
-    a, b = vals[:, :d - 1], vals[:, d - 1:]
+    k = np.arange(d - 1)
+    a, b = _qnums(np.stack([k + 1, 2 * ell - k])[None], qs).transpose(1, 0, 2)
     dm = None
     if basis == "monomial":
         upper[:] = a
         lower[:] = b
     else:
-        upper[:] = lower[:] = s = np.sqrt(_cmul(a, b))
+        upper[:] = lower[:] = s = np.sqrt(a * b)
         dm = np.ones((count, d), complex)
-        # a short sequential recurrence: numpy scalar steps, one sample at a time
-        for row, a_row, s_row in zip(dm, a, s):
-            for j in range(d - 1):
-                row[j + 1] = row[j] * a_row[j] / s_row[j]
+        dm[:, 1:] = np.cumprod(a / s, axis=1)
     weights = (np.arange(d) - ell).astype(complex)
     # stacks of the tensor layer share these arrays, both slots of one stack
     # among them when its two spins are equal
@@ -160,7 +152,8 @@ def casimir_diagonal(weights: np.ndarray, q: DeformationParameter) -> np.ndarray
 
 def _casimir_diagonals(weights: np.ndarray, qs) -> np.ndarray:
     """:func:`casimir_diagonal` at every q of ``qs``, stacked: (S, d, d)."""
-    return _diag(_qnum_stack(weights, qs) * _qnum_stack(weights - 1, qs))
+    qn = _qnums(np.stack([weights, weights - 1])[None], qs)
+    return _diag(qn[:, 0] * qn[:, 1])
 
 
 def _diag(vals: np.ndarray) -> np.ndarray:
@@ -185,16 +178,12 @@ def _laxes(sp, sm, weights: np.ndarray, us, qs) -> np.ndarray:
     """:func:`build_lax` at (u_s, q_s) for every sample s, an (S, 2d, 2d)
     array; ``sp`` and ``sm`` are (S, d, d) stacks, or the (d, d) matrices of
     one representation that every sample shares.
-
-    The diagonal q-numbers of all samples are one :func:`qcore._qnum_each`,
-    whose exponents are array products as :func:`qnum` forms them for an
-    array, so slice s is the sample alone bit for bit.
     """
     d = weights.size
     u = np.asarray(us, complex)[:, None]
     lax = np.zeros((len(us), 2 * d, 2 * d), complex)
     k = np.arange(2 * d)
-    lax[:, k, k] = _qnum_each(np.concatenate([u + weights, u - weights], axis=1), qs)
+    lax[:, k, k] = _qnums(np.concatenate([u + weights, u - weights], axis=1), qs)
     lax[:, :d, d:] = sm
     lax[:, d:, :d] = sp
     return lax
@@ -209,9 +198,9 @@ def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
 
 def _fundamental_rs(us, qs) -> np.ndarray:
     """:func:`fundamental_r` at (u_s, q_s) for every sample s, an (S, 4, 4)
-    array; a and b of all samples come from one :func:`qcore._qnum_rows`,
-    so each equals the scalar :func:`qnum` bit for bit."""
-    ab = _qnum_rows([[u + 1, u] for u in us], qs)
+    array."""
+    u = np.asarray(us, complex)[:, None]
+    ab = _qnums(np.concatenate([u + 1, u], axis=1), qs)
     r = np.zeros((len(us), 4, 4), complex)
     r[:, [0, 3], [0, 3]] = ab[:, :1]
     r[:, [1, 2], [1, 2]] = ab[:, 1:]

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair, _raise_first
-from .qcore import RATIONAL, DeformationParameter, _qnum_rows, qnum
+from .qcore import RATIONAL, DeformationParameter, _qnums, qnum
 from .rep import _two_spin, fundamental_r
 from .tensorrep import COND_LIMIT, ProductSpace, SpectralForm, weight_reversed
 
@@ -58,33 +58,24 @@ def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
 def _eigenvalues(ell1, ell2, us, qs) -> tuple[np.ndarray, list]:
     """R_n of every sector n (columns) at every sample (u_s, q_s) (rows),
     by the recurrence of :func:`eigenvalue_sequence`, and each sample's
-    first :class:`PoleAtSector` or None.
-
-    The q-numbers of all samples come from one :func:`qcore._qnum_rows`
-    pass; at the rational point they are the numbers themselves.  The
-    recurrence is a few scalar steps per sample, each with the rounding of
-    the scalar recurrence (numpy's quotient, or Python's at the rational
-    point).  A sample past a pole or an overflow is not finite.
+    first :class:`PoleAtSector` or None.  The recurrence is one cumulative
+    product along the sectors; a sample past a pole or an overflow is not
+    finite.
     """
     if any(q is None for q in qs):
         raise ParameterDomainError(
             "the eigenvalues need a deformation parameter (RATIONAL for the rational point)")
-    big_l = ell1 + ell2 + 1
-    sectors = range(1, _top_sector(ell1, ell2) + 1)
-    rows = [[big_l - n + u for n in sectors] + [big_l - n - u for n in sectors] for u in us]
-    poles = [None] * len(us)
-    vals = []
+    x = ell1 + ell2 + 1 - np.arange(1, _top_sector(ell1, ell2) + 1)
+    u = np.asarray(us, complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        qn = rows if all(q.log_branch == 0 for q in qs) else _qnum_rows(rows, qs)
-        for s, row in enumerate(qn):
-            seq = [1.0 + 0j]
-            for den, num in zip(row[:len(sectors)], row[len(sectors):]):
-                if poles[s] is None and abs(den) < POLE_TOL:
-                    poles[s] = PoleAtSector(len(seq))
-                # a Python zero quotient raises; the sample is at a pole
-                seq.append(-seq[-1] * num / den if den else complex("nan"))
-            vals.append(seq)
-    return np.array(vals, complex), poles
+        qn = _qnums(np.concatenate([x + u, x - u], axis=1), qs)
+        den = qn[:, :x.size]
+        vals = np.ones((len(us), x.size + 1), complex)
+        vals[:, 1:] = np.cumprod(-qn[:, x.size:] / den, axis=1)
+    small = np.abs(den) < POLE_TOL
+    if not small.any():
+        return vals, [None] * len(us)
+    return vals, [PoleAtSector(int(np.argmax(row)) + 1) if row.any() else None for row in small]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis, _raise_first)
-from .qcore import DeformationParameter, _cmul, _nan_max, _qnum_rows
+from .qcore import DeformationParameter, _nan_max, _qnums, _relative
 from .rep import OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
@@ -78,10 +78,9 @@ class ProductSpace:
     first time it is asked for.
 
     The stacked methods evaluate all samples in one pass and give slice s
-    equal, bit for bit, to what a space of the one sample s gives: products
-    that a single sample forms from complex scalars keep scalar rounding
-    (:func:`qcore._cmul`, :func:`qcore._qnum_rows`), and batched matmul,
-    SVD and inverse treat each slice as its own matrix.  Methods that can
+    equal, bit for bit, to what a space of the one sample s gives: every
+    product is elementwise along the sample axis, and batched matmul, SVD
+    and inverse treat each slice as its own matrix.  Methods that can
     fail for a sample return, next to their arrays, one error or None per
     sample (the first the sample meets), so a caller raises the error of
     the lowest failing sample; a failed sample's arrays are not meaningful.
@@ -165,8 +164,7 @@ class ProductSpace:
         """S+_u and S-_u of ``kind`` (see :meth:`coproduct`) at u_s for every
         sample s, as two (S, d, d) arrays."""
         sm1, sm2, sp1, sp2 = self.kind_pieces(kind)
-        qu = np.exp(np.array([(u / 2) * q.log_branch for u, q in zip(us, self.qs)],
-                             complex))[:, None, None]
+        qu = np.exp(np.asarray(us, complex) / 2 * self.log_branch)[:, None, None]
         if kind == "delta":
             return sp1 / qu + qu * sp2, qu * sm1 + sm2 / qu
         return qu * sp1 + sp2 / qu, sm1 / qu + qu * sm2
@@ -469,17 +467,15 @@ def _lowest_weights(ell1, ell2, us, qs, d1: int, d2: int, barred: bool,
     s = -1.0 if barred else 1.0
     c = np.zeros((len(qs), count, d1, d2), complex)
     c[:, 0, 0, 0] = 1.0
-    if count > 1:
-        # exponents as per-sample Python products, as DeformationParameter.pow forms them
-        powers = np.exp(np.array(
-            [[s * (ell1 + 1 - i - u / 2) * q.log_branch for i in range(1, count)]
-             + [s * (u / 2 + i - 1 - ell2) * q.log_branch for i in range(1, count)]
-             for u, q in zip(us, qs)], complex))
-        for i in range(1, count):
-            a = powers[:, i - 1, None, None]
-            b = powers[:, count + i - 2, None, None]
-            c[:, i, 1:, :] += a * c[:, i - 1, :-1, :]
-            c[:, i, :, 1:] -= b * c[:, i - 1, :, :-1]
+    n = np.arange(1, count)
+    u = np.asarray(us, complex)[:, None] / 2
+    lb = np.array([q.log_branch for q in qs], complex)[:, None, None]
+    powers = np.exp(s * np.stack([ell1 + 1 - n - u, u + n - 1 - ell2], axis=1) * lb)
+    for i in range(1, count):
+        a = powers[:, 0, i - 1, None, None]
+        b = powers[:, 1, i - 1, None, None]
+        c[:, i, 1:, :] += a * c[:, i - 1, :-1, :]
+        c[:, i, :, 1:] -= b * c[:, i - 1, :, :-1]
     return c.reshape(len(qs), count, d1 * d2)
 
 
@@ -528,20 +524,18 @@ def _casimir_sectors(c: np.ndarray, sectors: list[np.ndarray], ell1, ell2,
     C acts on a sector's whole chain, for every sample, in one stacked
     mat-vec; row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``.
     """
-    count = len(sectors)
-    rows = [[x for n in range(count) for x in (n - ell1 - ell2, n - ell1 - ell2 - 1)]] * len(qs)
-    qn = _qnum_rows(rows, qs)
-    lam = _cmul(qn[:, 0::2], qn[:, 1::2])
+    x = np.arange(len(sectors)) - ell1 - ell2
+    qn = _qnums(np.stack([x, x - 1])[None], qs)
+    lam = qn[:, 0] * qn[:, 1]
     resid = np.empty(lam.shape)
     spread = np.empty(lam.shape)
     for n, chain in enumerate(sectors):
         cv = np.matmul(c[:, None], chain[..., None])[..., 0]
         gap = np.abs(cv - lam[:, n, None, None] * chain).max(axis=2)
-        resid[:, n] = (gap / np.maximum(1.0, np.abs(chain).max(axis=2))).max(axis=1)
+        resid[:, n] = _relative(gap, np.abs(chain).max(axis=2)).max(axis=1)
         rayleigh = np.vecdot(chain, cv) / np.vecdot(chain, chain).real
         dev = rayleigh - rayleigh[:, :1]
-        # np.hypot is the builtin abs of a complex scalar, bit for bit
-        spread[:, n] = np.hypot(dev.real, dev.imag).max(axis=1)
+        spread[:, n] = np.abs(dev).max(axis=1)
     return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
                                    in enumerate(zip(lam_s, resid_s, spread_s))])
             for lam_s, resid_s, spread_s in zip(lam.tolist(), resid.tolist(), spread.tolist())]

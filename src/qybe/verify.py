@@ -15,7 +15,8 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    _phi_products, qnum, residual, sample_generic_q, sample_params, sample_u)
+                    _phi_products, _relative, qnum, residual, sample_generic_q, sample_params,
+                    sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
@@ -194,11 +195,10 @@ def _check(suite):
 
 def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[float]:
     """``residual(lhs[s], rhs[s], *(m[s] for m in inputs))`` of every sample
-    s of (S, d, d) stacks: one abs-max of the gaps and one of the inputs,
-    whose :func:`qcore.residual` equals that of the matrices exactly."""
-    gaps = np.abs(lhs - rhs).max(axis=(1, 2)).tolist()
-    peaks = np.abs(np.stack(inputs, axis=1)).max(axis=(2, 3)).tolist()
-    return [residual(gap, 0.0, *peak) for gap, peak in zip(gaps, peaks)]
+    s of (S, d, d) stacks, from one abs-max of the gaps and one of the
+    inputs."""
+    return _relative(np.abs(lhs - rhs).max(axis=(1, 2)),
+                     np.abs(np.stack(inputs, axis=1)).max(axis=(1, 2, 3))).tolist()
 
 
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
@@ -256,16 +256,17 @@ def _alpha(rng, i):
 
 
 def _branch_point(rng, i, ell1, ell2):
-    """(q, u) and its shift to the branch log q + 2 pi i that keeps q^u,
-    with q on the unit circle at even i; a candidate with a pole on either
-    branch is drawn again."""
+    """(q, u), its shift to the branch log q + 2 pi i that keeps q^u, and
+    the eigenvalues on both branches, (2, k), with q on the unit circle at
+    even i; a candidate with a pole on either branch is drawn again."""
     for _ in range(MAX_DRAWS):
         q = sample_generic_q(rng, on_circle=(i % 2 == 0))
         u = sample_u(rng)
         shifted_q = q.with_branch_shift(1)
         shifted_u = u * q.log_branch / shifted_q.log_branch
-        if not any(_eigenvalues(ell1, ell2, (u, shifted_u), (q, shifted_q))[1]):
-            return q, u, shifted_q, shifted_u
+        vals, poles = _eigenvalues(ell1, ell2, (u, shifted_u), (q, shifted_q))
+        if not any(poles):
+            return q, u, shifted_q, shifted_u, vals
     raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
 
 
@@ -404,8 +405,9 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, delta_u: tuple,
     bar_u, bar_mu = space.coproducts("deltabar", us), space.coproducts("deltabar", mus)
     qs_diag = _q_powers(space.weights, lb, 1)
 
-    qu = np.exp(np.array([u * q.log_branch for u, q in zip(us, qs)], complex))[:, None, None]
-    c2 = np.array([(q.value - 1 / q.value) ** 2 for q in qs], complex)[:, None, None]
+    qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
+    values = np.array([q.value for q in qs], complex)[:, None, None]
+    c2 = (values - 1 / values) ** 2
     q1, q2 = space.factor_powers
     plus_minus = kron(q1[1], q2[-1], 2)
     minus_plus = kron(q1[-1], q2[1], 2)
@@ -433,15 +435,13 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, delta_u: tuple,
         "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
     }
     x, y, z, w = (np.stack(col, axis=1) for col in zip(*(rel[:4] for rel in relations.values())))
-    gaps = np.abs(x @ y - z @ w).max(axis=(2, 3)).tolist()
+    gaps = np.abs(x @ y - z @ w).max(axis=(2, 3))
     distinct = {id(m): m for rel in relations.values() for m in rel[4]}
     column = {key: j for j, key in enumerate(distinct)}
-    peaks = np.abs(np.stack(list(distinct.values()), axis=1)).max(axis=(2, 3)).tolist()
-    inputs = [[column[id(m)] for m in rel[4]] for rel in relations.values()]
-    # the residual of the abs-maxima is the residual of the matrices
-    return [{name: residual(gap, 0.0, *(peak[j] for j in idx))
-             for name, gap, idx in zip(relations, gap_row, inputs)}
-            for gap_row, peak in zip(gaps, peaks)]
+    peaks = np.abs(np.stack(list(distinct.values()), axis=1)).max(axis=(2, 3))
+    scales = np.stack([peaks[:, [column[id(m)] for m in rel[4]]].max(axis=1)
+                       for rel in relations.values()], axis=1)
+    return [dict(zip(relations, row)) for row in _relative(gaps, scales).tolist()]
 
 
 def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
@@ -449,7 +449,7 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     the :class:`ProductSpace` of R's spins in R's own basis.
 
     Each relation X Y = Z W is one slice of a stacked matmul pair, and each
-    distinct input gets one abs-max.  :func:`qcore.residual` of those
+    distinct input gets one abs-max; the residual read from those
     abs-maxima equals ``residual(X @ Y, Z @ W, *inputs)`` exactly.  The
     stack of one of the suite's stacked pass.
     """
@@ -575,11 +575,10 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
     keeps q^u fixed; only the spin-related powers of q move.  A draw with a
-    pole on either branch is drawn again (:func:`_branch_point`).  Each run
-    of samples is one :func:`rop._eigenvalues` pass over the base and the
-    shifted row of every sample, and a non-finite eigenvalue raises the
-    :class:`ParameterDomainError` of :func:`rop.eigenvalue_sequence` for the
-    lowest such sample, its base row first.
+    pole on either branch is drawn again (:func:`_branch_point`), and the
+    draw keeps the eigenvalues that it tested.  A non-finite eigenvalue
+    raises the :class:`ParameterDomainError` of :func:`rop.eigenvalue_sequence`
+    for the lowest such sample of a run, its base row first.
     """
     cfg = cfg or ToleranceConfig()
 
@@ -588,11 +587,9 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
         return {"q": _c2l(q.value), "u": _c2l(u), "on_circle": bool(abs(abs(q.value) - 1) < 1e-12)}
 
     def evaluate(points):
-        # rows 2s and 2s + 1 are sample s on its base and its shifted branch;
-        # the draw has tested their poles with these bits, so there are none
-        qs = [q for point in points for q in point[0::2]]
-        us = [u for point in points for u in point[1::2]]
-        vals, _ = _eigenvalues(ell1, ell2, us, qs)
+        # rows 2s and 2s + 1 are sample s on its base and its shifted branch
+        us = [u for point in points for u in point[1:4:2]]
+        vals = np.concatenate([point[4] for point in points])
         _require_finite(ell1, ell2, us, vals)
         base, shifted = vals[0::2, None], vals[1::2, None]
         return _residuals(base, shifted, base)
@@ -695,9 +692,8 @@ def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None):
 
     def evaluate(points):
         steps, vals = cy._eigenvalue_steps(*zip(*points))
-        gaps = np.abs(vals[:, 1:] / vals[:, :-1] - steps[:, None]).max(axis=1).tolist()
-        # a step's modulus is the scalar abs that residual takes of it
-        return [residual(gap, 0.0, step) for gap, step in zip(gaps, steps)]
+        return _relative(np.abs(vals[:, 1:] / vals[:, :-1] - steps[:, None]).max(axis=1),
+                         np.abs(steps)).tolist()
 
     return _Suite(f"cyclic_r_ratio[N={n}]", cfg, cfg.abs_tol, _cyclic_params,
                   (DeformationParameter.root_of_unity(n),),

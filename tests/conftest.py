@@ -36,6 +36,15 @@ def q_inverse(q: DeformationParameter) -> DeformationParameter:
     return dataclasses.replace(q, value=1 / q.value, log_branch=-q.log_branch)
 
 
+def assert_close(got, want) -> None:
+    """max |got - want| <= 8 eps max(1, max |want|): the bound within which a
+    stacked kernel meets a scalar reference that rounds differently."""
+    got, want = np.asarray(got, complex), np.asarray(want, complex)
+    assert got.shape == want.shape
+    bound = 8 * np.finfo(float).eps * max(1.0, np.abs(want).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= bound
+
+
 def product_values(ell1, ell2, u, q) -> list:
     """Reference for ``eigenvalue_sequence``: the closed product
     R_n = (-1)^n prod_{k=1}^n [L-k-u] / prod_{k=1}^n [L-k+u], L = l1+l2+1, R_0 = 1."""

@@ -268,6 +268,26 @@ def test_rmatrix_needs_exactly_one_of_q_and_xxx(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("verify", ["verify", "cyclic", "--samples", "1", "--json", "{dir}"]),
+    ("rmatrix", ["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "0.4", "--q", "0.3+0.4i",
+                 "--out", "{dir}"]),
+    ("rmatrix", ["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "0.4", "--q", "0.3+0.4i",
+                 "--out", "{file}/x.json"]),
+    ("rep", ["rep", "--ell", "1", "--q", "0.3+0.4i", "--out", "{file}"]),
+])
+def test_an_unwritable_output_path_is_a_validation_error(command, argv, tmp_path, capsys):
+    """A directory where a file is written, or a file where a directory is,
+    exits 2 with an error line, not with a traceback."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept", encoding="utf-8")
+    argv = [arg.format(dir=tmp_path / "dir", file=tmp_path / "file") for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(tmp_path) in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+
+
 def test_rmatrix_at_pole(tmp_path, capsys):
     code = main(["rmatrix", "--l1", "1/2", "--l2", "1/2", "--u", "-1",
                  "--q", "0.3+0.4i", "--out", str(tmp_path / "p.json")])

@@ -202,7 +202,7 @@ def test_residual_of_a_scalar_equals_that_of_a_one_element_array(rng):
         a, b, c = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
                    for _ in range(3))
         got = residual(a, b, c)
-        assert type(got) is float and got == abs(a - b) / max(1.0, abs(c))
+        assert type(got) is float and got == np.abs(a - b) / max(1.0, np.abs(c))
         assert got == residual(np.array([a]), np.array([b]), np.array([[c]]))
         assert got == residual(np.complex128(a), np.complex128(b), np.complex128(c))
 

@@ -38,6 +38,16 @@ def test_second_ratio_spin_one_pair(q_generic, rng):
     assert eig[2] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("ell", [0.5, 1.5])
+def test_a_spin_zero_factor_has_one_sector_and_R_is_the_identity(ell, q_generic, rng):
+    u = sample_u(rng)
+    for q in (q_generic, RATIONAL):
+        for pair in ((0, ell), (ell, 0)):
+            assert eigenvalue_sequence(*pair, u, q) == (1,)
+            m = assemble_R(*pair, u, q, basis="monomial").matrix
+            assert np.abs(m - np.eye(int(2 * ell + 1))).max() < 1e-15
+
+
 def test_u_zero_alternating_signs(q_generic):
     eig = eigenvalue_sequence(2.0, 2.0, 0.0, q_generic)
     for n, v in enumerate(eig):

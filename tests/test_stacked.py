@@ -1,14 +1,16 @@
-"""The stacked numerics against per-sample references, bit for bit.
+"""The stacked numerics against per-sample references.
 
-Each stacked pass must give slice s exactly as the same numerics on sample
-s alone: the scalar loops below for the factor generators, the eigenvalue
-recurrence, the lowest-weight recurrence, the six-vertex and Lax matrices,
-the phi products and the partial R, and the public stacks of one
-(``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``,
-``fundamental_r``, ``build_lax``, ``phi_product``, and at a root of unity
+Each stacked pass must give slice s exactly as the public stack of one of
+sample s (``assemble_R``, ``decomposed_residuals``, ``tensor_casimir``,
+``fundamental_r``, ``build_lax``, ``build_spin_rep``,
+``eigenvalue_sequence``, ``phi_product``, and at a root of unity
 ``build_cyclic_rep``, ``central_elements``, ``tensor_power_scalars``,
-``eigenstate_family``, ``cyclic_R_eigenvalues`` and ``partial_R``) for the
-rest.  Arrays are compared byte for byte, so a zero's sign counts.
+``eigenstate_family``, ``cyclic_R_eigenvalues`` and ``partial_R``); those
+arrays are compared byte for byte, so a zero's sign counts.  The scalar
+loops below for the factor generators, the eigenvalue recurrence, the
+lowest-weight recurrence, the six-vertex and Lax matrices, the phi
+products and the partial R round differently, so they are met within
+:func:`conftest.assert_close`'s bound of a few ulps.
 """
 import dataclasses
 import gc
@@ -19,6 +21,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import assert_close
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, ProductSpace,
                   ToleranceConfig, assemble_R, build_cyclic_rep, build_lax, build_spin_rep,
                   central_elements, cyclic_R_eigenvalues, eigenstate_family,
@@ -137,14 +140,14 @@ def test_stacked_factors_equal_the_scalar_loop(basis, rng):
         f = _spin_factors(ell, qs, basis)
         for s, q in enumerate(qs):
             sp, sm, dm = _scalar_spin_rep(ell, q, basis)
-            _same(f.sp[s], sp)
-            _same(f.sm[s], sm)
+            assert_close(f.sp[s], sp)
+            assert_close(f.sm[s], sm)
             assert (f.from_monomial is None) == (dm is None)
             if dm is not None:
-                _same(f.from_monomial[s], dm)
+                assert_close(f.from_monomial[s], dm)
             rep = build_spin_rep(ell, q, basis)
-            _same(rep.sp, sp)
-            _same(rep.sm, sm)
+            _same(rep.sp, f.sp[s])
+            _same(rep.sm, f.sm[s])
 
 
 @pytest.mark.parametrize("pair", PAIRS + [(3.0, 3.0)])
@@ -155,10 +158,10 @@ def test_stacked_eigenvalues_equal_the_scalar_recurrence(pair):
         vals, poles = verify._eigenvalues(*pair, us, qs)
         assert poles == [None] * COUNT
         for s, (q, u) in enumerate(points):
-            _same(vals[s], _scalar_eigenvalues(*pair, u, q))
-            _same(eigenvalue_sequence(*pair, u, q), _scalar_eigenvalues(*pair, u, q))
-    # at the rational point a float u keeps Python's quotient too
-    _same(eigenvalue_sequence(2.0, 2.0, 0.0, RATIONAL), _scalar_eigenvalues(2.0, 2.0, 0.0, RATIONAL))
+            assert_close(vals[s], _scalar_eigenvalues(*pair, u, q))
+            _same(eigenvalue_sequence(*pair, u, q), vals[s])
+    assert_close(eigenvalue_sequence(2.0, 2.0, 0.0, RATIONAL),
+                 _scalar_eigenvalues(2.0, 2.0, 0.0, RATIONAL))
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -170,7 +173,7 @@ def test_stacked_lowest_weights_equal_the_scalar_recurrence(pair):
     for barred in (False, True):
         got = _lowest_weights(*pair, us, qs, d1, d2, barred, k)
         for s, (q, u) in enumerate(points):
-            _same(got[s], _scalar_lowest_weights(*pair, u, q, d1, d2, barred, k))
+            assert_close(got[s], _scalar_lowest_weights(*pair, u, q, d1, d2, barred, k))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def test_stacked_six_vertex_matrices_equal_each_sample_alone(count):
         rs = _fundamental_rs(us, stack)
         for s, (q, u) in enumerate(zip(stack, us)):
             _same(rs[s], fundamental_r(u, q))
-            _same(rs[s], _scalar_fundamental_r(u, q))
+            assert_close(rs[s], _scalar_fundamental_r(u, q))
 
 
 @pytest.mark.parametrize("count", SIZES)
@@ -337,11 +340,11 @@ def test_stacked_lax_matrices_and_slots_equal_each_sample_alone(count):
         for s, (q, u) in enumerate(zip(qs, us)):
             rep = build_spin_rep(ell, q)
             _same(laxes[s], build_lax(rep, u))
-            _same(laxes[s], _scalar_lax(rep, u))
+            assert_close(laxes[s], _scalar_lax(rep, u))
     laxes = _laxes(fixed.sp, fixed.sm, fixed.weights, us, [fixed.q] * count)
     for s, u in enumerate(us):
         _same(laxes[s], build_lax(fixed, u))
-        _same(laxes[s], _scalar_lax(fixed, u))
+        assert_close(laxes[s], _scalar_lax(fixed, u))
     dims = (2, 2, fixed.dim)
     for slots in ((0, 2), (1, 2), (2, 0)):
         placed = _on_slots(laxes, dims, slots)
@@ -366,14 +369,15 @@ def test_stacked_phi_products_and_eigenvalue_steps_equal_each_sample_alone(n, co
     rng = np.random.default_rng(n * count)
     alphas = [complex(rng.normal(0, 0.6), rng.normal(0, 0.6)) for _ in range(count)]
     for got, alpha in zip(_phi_products(alphas, q), alphas):
-        assert _bits(got) == _bits(phi_product(alpha, q)) == _bits(_scalar_phi_product(alpha, q))
+        assert _bits(got) == _bits(phi_product(alpha, q))
+        assert_close(got, _scalar_phi_product(alpha, q))
     specs1, specs2, us = zip(*_cyclic_points(n, n + count, count))
     steps, vals = cyclic._eigenvalue_steps(specs1, specs2, us)
     for s, (s1, s2, u) in enumerate(zip(specs1, specs2, us)):
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
-        _same(steps[s], step)
+        assert_close(steps[s], step)
         _same(vals[s], cyclic_R_eigenvalues(s1, s2, u))
-        _same(vals[s], [step**m for m in range(n)])
+        assert_close(vals[s], [step**m for m in range(n)])
 
 
 def _conflicting(n, rng):
@@ -396,18 +400,19 @@ def test_stacked_partial_r_equals_each_sample_alone(n, count):
     conflicts = 0
     for got, (s1, s2, u) in zip(cyclic._partial_rs(*zip(*points)), points):
         mat, rank, resid, r_m = _scalar_partial_r(s1, s2, u)
-        _same(got.matrix, mat)
-        _same(got.eigenvalues, r_m)
-        assert (got.span_rank, _bits(got.max_residual)) == (rank, _bits(resid))
+        assert_close(got.matrix, mat)
+        assert_close(got.eigenvalues, r_m)
+        assert_close(got.max_residual, resid)
+        assert got.span_rank == rank
         try:
             alone = partial_R(s1, s2, u)
         except InconsistentConstraints as exc:
             conflicts += 1
-            assert (exc.span_rank, exc.residual) == (rank, resid) == (n, got.max_residual)
+            assert (exc.span_rank, exc.residual) == (n, got.max_residual)
             continue
-        _same(alone.matrix, mat)
-        _same(alone.eigenvalues, r_m)
-        assert (alone.span_rank, alone.max_residual) == (rank, resid) == (2 * n, got.max_residual)
+        _same(alone.matrix, got.matrix)
+        _same(alone.eigenvalues, got.eigenvalues)
+        assert (alone.span_rank, alone.max_residual) == (2 * n, got.max_residual)
     assert conflicts == 1
 
 

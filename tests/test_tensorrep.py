@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import q_inverse
+from conftest import assert_close, q_inverse
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
                   build_spin_rep, casimir_matrix, qnum, tensor_casimir, weight_reversed)
 from qybe import tensorrep
@@ -346,8 +346,8 @@ def _assert_space_matches_reference(space, rep1, rep2, us):
         for kind in ("deltabar", "delta"):
             cop = space.coproduct(kind, u)
             sm, sp = _four_kron_coproduct(rep1, rep2, kind, u)
-            assert np.array_equal(cop.sm, sm)
-            assert np.array_equal(cop.sp, sp)
+            assert_close(cop.sm, sm)
+            assert_close(cop.sp, sp)
             assert np.array_equal(cop.weights, weights)
             assert cop.q == rep1.q and cop.ell is None
             assert cop.basis_tag == f"{rep1.basis_tag}*{rep2.basis_tag}"
@@ -655,7 +655,7 @@ def test_tensor_casimir_equals_the_per_vector_reference(kind, rng):
             space = ProductSpace.of_spins(ell1, ell2, q, "orthonormal")
             got = [(s.expected, s.max_residual, s.m_spread)
                    for s in tensor_casimir(space, u, kind).sectors]
-            assert got == _reference_casimir(space, u, kind)
+            assert_close(got, _reference_casimir(space, u, kind))
 
 
 def test_block_layout_is_memoised_and_read_only():

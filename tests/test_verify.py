@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import assert_close
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, casimir_matrix, closed_form_R, eigenvalue_sequence,
                   fundamental_r, qnum)
@@ -418,6 +419,25 @@ def test_a_branch_candidate_at_a_pole_is_drawn_again_as_one_sample_at_a_time(mon
     assert list(report.samples) == records and report.max_residual == worst
 
 
+def test_branch_independence_computes_each_candidate_eigenvalues_once(monkeypatch):
+    """The draw computes the eigenvalues of every candidate on both branches,
+    and the evaluation reads those of the accepted ones: 5 samples, 2 of
+    whose candidates were at a pole, take 7 calls of two rows each."""
+    rows = []
+    real = verify._eigenvalues
+
+    def counting(ell1, ell2, us, qs):
+        rows.append(len(us))
+        return real(ell1, ell2, us, qs)
+
+    sampler = _ForcedBranchDraws()
+    monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
+    monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
+    monkeypatch.setattr(verify, "_eigenvalues", counting)
+    assert check_branch_independence(0.5, 1.0, ToleranceConfig(sample_count=5, rng_seed=11)).passed
+    assert rows == [2] * 7
+
+
 def test_a_non_finite_branch_eigenvalue_raises_for_its_sample(monkeypatch):
     """u = 1e5 i makes a power of q overflow on the 6th candidate, which is
     sample 3 (two candidates before it were at a pole): the error is the
@@ -521,7 +541,7 @@ def test_suite_reports_carry_every_sample_and_the_seed(suite, monkeypatch):
         assert rep.passed, rep.identity_id
         assert len(rep.samples) == expected and rep.seed == cfg.rng_seed
     if suite in ON_RESIDUAL:
-        monkeypatch.setattr(verify, "residual", lambda *args: float("nan"))
+        monkeypatch.setattr(verify, "_relative", lambda gaps, scales: np.full(gaps.shape, np.nan))
         for rep in _reports(SUITES[suite](cfg)):
             assert np.isnan(rep.max_residual) and rep.line().startswith("[FAIL]")
 
@@ -655,7 +675,9 @@ def test_decomposed_residuals_equal_one_residual_per_relation():
             for scale in (1.0, 1e-3):
                 scaled = dataclasses.replace(rm, matrix=scale * rm.matrix)
                 got = decomposed_residuals(scaled)
-                assert list(got.items()) == list(_reference_decomposed(scaled).items())
+                want = _reference_decomposed(scaled)
+                assert list(got) == list(want)
+                assert_close(list(got.values()), list(want.values()))
 
 
 def _reference_on_slots(op, dims, slots):

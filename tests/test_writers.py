@@ -1,9 +1,9 @@
 """The two JSON writers of the command line against the stdlib encoder.
 
-``cli.dump_report`` must write what ``json.dumps(payload, sort_keys=True,
-indent=1)`` writes, and ``cli.dump_document`` what ``json.dumps(doc,
-sort_keys=True, separators=(",", ":"))`` writes, byte for byte, on real
-reports and documents and on made-up ones that reach every fallback.
+``cli.dump_report`` and ``cli.dump_document`` must write what
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes, byte for
+byte, on real reports and documents and on made-up ones; the report is
+the stdlib's own text, and the document writer reaches every fallback.
 """
 import enum
 import json
@@ -12,41 +12,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qybe import RATIONAL, DeformationParameter, ToleranceConfig, assemble_R
+from qybe import RATIONAL, DeformationParameter, assemble_R
 from qybe import cli
 
 
-def _report_reference(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
-def _document_reference(doc) -> str:
+def _compact_reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _payload(suite: str, samples: int, seed: int, order: int = 3) -> dict:
-    """The payload that ``qybe verify SUITE --json`` writes, built as
-    :func:`cli._cmd_verify` builds it."""
-    reports = cli._run_suite(suite, ToleranceConfig(sample_count=samples, rng_seed=seed),
-                             order, 0.0)
-    return {"seed": seed, "samples": samples, "suite": suite, "tool_version": cli.__version__,
-            "reports": [rep.to_dict() for rep in reports]}
+def _written_report(tmp_path, *argv) -> str:
+    """The text of the report that ``qybe verify ... --json`` writes; the
+    command must pass."""
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", *argv, "--json", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("samples", [1, 5, 17])
-def test_the_report_of_verify_all_is_the_stdlib_text(samples):
+def test_the_report_of_verify_all_is_the_stdlib_text(samples, tmp_path):
     for seed in range(12):
-        payload = _payload("all", samples, seed)
-        records = [record for report in payload["reports"] for record in report["samples"]]
-        # the spin-pair suites share their records, so the memo is exercised
-        assert len({id(record) for record in records}) < len(records)
-        assert cli.dump_report(payload) == _report_reference(payload)
+        text = _written_report(tmp_path, "all", "--samples", str(samples), "--seed", str(seed))
+        assert text == _compact_reference(json.loads(text))
 
 
 @pytest.mark.parametrize("order", [3, 7, 19])
-def test_the_report_of_verify_cyclic_is_the_stdlib_text(order):
-    payload = _payload("cyclic", 10, 7, order)
-    assert cli.dump_report(payload) == _report_reference(payload)
+def test_the_report_of_verify_cyclic_is_the_stdlib_text(order, tmp_path):
+    text = _written_report(tmp_path, "cyclic", "--N", str(order), "--seed", "7")
+    assert text == _compact_reference(json.loads(text))
 
 
 class _Level(enum.IntEnum):
@@ -72,7 +64,7 @@ MADE_UP = [
                  {"samples": [SHARED, SHARED], "seed": 3, "ok": False}]},
     {"empty_list": [], "empty_dict": {}, "nested": [[], [{}], [[1, 2.5]]], "null": None},
     {"text": "é☃ \"quoted\"\n\ttab\\", "big": 10**30, "neg": -7},
-    # anything else goes through json: non-string keys, tuples, subclasses, numpy scalars
+    # non-string keys, tuples, subclasses, numpy scalars
     {"keys": {1: "int key", 2.5: "float key"}, "none": {None: 0}, "bool": {False: 1}},
     {"subclass key": {_Key("k"): 1.5}},
     {"tuple": (1.0, [2.0, (3,)]), "level": _Level.LOW, "sub": _Float(0.5)},
@@ -84,7 +76,7 @@ MADE_UP = [
 
 @pytest.mark.parametrize("payload", MADE_UP)
 def test_a_made_up_report_is_the_stdlib_text(payload):
-    assert cli.dump_report(payload) == _report_reference(payload)
+    assert cli.dump_report(payload) == _compact_reference(payload)
 
 
 def test_a_payload_that_json_rejects_is_rejected():
@@ -104,7 +96,7 @@ def test_the_documents_of_rmatrix_are_the_stdlib_text(ell1):
             doc = cli.matrix_document(rm.matrix, {"spins": [ell1, ell2], "mode": rm.mode,
                                                   "basis_tag": rm.basis_tag})
             assert cli._entries_text(doc["entries"]) is not None
-            assert cli.dump_document(doc) == _document_reference(doc)
+            assert cli.dump_document(doc) == _compact_reference(doc)
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,7 +110,7 @@ def test_the_documents_of_rep_are_the_stdlib_text(argv, tmp_path):
     assert cli.main(["rep", *argv, "--out", str(tmp_path)]) == 0
     for path in sorted(Path(tmp_path).glob("*.json")):
         text = path.read_text(encoding="utf-8")
-        assert _document_reference(json.loads(text)) == text
+        assert _compact_reference(json.loads(text)) == text
 
 
 def _doc(entries, dims=(1, 1)):
@@ -134,7 +126,7 @@ def _doc(entries, dims=(1, 1)):
 def test_entries_that_are_no_finite_float_pairs_go_through_json(entries):
     assert cli._entries_text(entries) is None
     doc = _doc(entries)
-    assert cli.dump_document(doc) == _document_reference(doc)
+    assert cli.dump_document(doc) == _compact_reference(doc)
 
 
 @pytest.mark.parametrize("entries,zeros", [
@@ -149,7 +141,7 @@ def test_only_a_pair_of_positive_zero_floats_is_the_constant(entries, zeros):
     writes it; only a pair of +0.0 floats is the constant entry."""
     assert cli._entries_text(entries).count(cli._ZERO_ENTRY) == zeros
     doc = _doc(entries)
-    assert cli.dump_document(doc) == _document_reference(doc)
+    assert cli.dump_document(doc) == _compact_reference(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -161,4 +153,4 @@ def test_only_a_pair_of_positive_zero_floats_is_the_constant(entries, zeros):
     [["not", "a", "dict"]],
 ])
 def test_an_unusual_document_is_the_stdlib_text(doc):
-    assert cli.dump_document(doc) == _document_reference(doc)
+    assert cli.dump_document(doc) == _compact_reference(doc)
