@@ -136,21 +136,23 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
 
 
 def _solve(ell1, ell2, us, qs, eig: np.ndarray, form: SpectralForm) -> tuple[np.ndarray, list]:
-    """R(u_s) at q_s for every sample s, an (S, d, d) array, from the sector
-    eigenvalues ``eig`` (S, k) and the spectral form of the samples' space
-    (one sample per row of ``eig``, or one form that every sample shares),
-    and each sample's first error: :class:`SingularBasis` against
-    :data:`COND_LIMIT`, then :class:`ParameterDomainError` where the matrix
-    is not finite."""
+    """R(u_s) at q_s for every row s, an (S, d, d) array, from the sector
+    eigenvalues ``eig`` (S, k) and the spectral form of F samples, and each
+    row's first error: :class:`SingularBasis` against :data:`COND_LIMIT`,
+    then :class:`ParameterDomainError` where the matrix is not finite.  Row
+    s reads sample s mod F of the form, broadcast, not copied: F is S (one
+    sample per row), a divisor of S (rows at several u per sample) or 1
+    (one form that every row shares)."""
     layout = form.layout
-    count = len(us)
+    count, samples = len(us), len(form.cond)
     singular = [None] * count
     if not (form.cond <= COND_LIMIT).all():
-        # one form that every sample shares gives every sample its error
+        # a form's error is that of every row that reads it
         singular = [layout.conditioning_error(cond, COND_LIMIT)
-                    for cond in form.cond] * (count // len(form.cond))
+                    for cond in form.cond] * (count // samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = ((form.left * eig[:, None, None, :]) @ form.right).reshape(count, -1)
+        scaled = form.left * eig.reshape(-1, samples, 1, 1, eig.shape[1])
+        blocks = (scaled @ form.right).reshape(count, -1)
         twist = np.asarray(us, complex)[:, None] * layout.twist
         lb = np.array([q.log_branch for q in qs], complex)[:, None]
         # named, so that numpy cannot reuse it as the output of the product:

@@ -57,6 +57,15 @@ def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> Non
         raise DimensionMismatch("tensor factors must share the deformation parameter")
 
 
+_KINDS = ("delta", "deltabar")
+
+
+def _kind_index(kind: str) -> int:
+    if kind not in _KINDS:
+        raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
+    return _KINDS.index(kind)
+
+
 def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
     """Entry n is the raising chain of sector n, the live steps of the
     chains c[..., m, :, n] (see :meth:`ProductSpace.chains`)."""
@@ -73,17 +82,20 @@ class ProductSpace:
     depend on u (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both
     kinds are built together the first time either kind is used.  A twisted
     coproduct at any u is then two sums weighted by q^{u/2}, so one space
-    serves every u, every kind and every caller of its samples.  For two
-    finite spins it also holds the :class:`SpectralForm` of R, built the
-    first time it is asked for.
+    serves every u, every kind and every caller of its samples, and the
+    generators of several families (kind, us) come from one broadcast.  For
+    two finite spins it also holds the :class:`SpectralForm` of R, built
+    the first time it is asked for, or by a :meth:`chain_pass` that raises
+    a sector family with it.
 
-    The stacked methods evaluate all samples in one pass and give slice s
-    equal, bit for bit, to what a space of the one sample s gives: every
-    product is elementwise along the sample axis, and batched matmul, SVD
-    and inverse treat each slice as its own matrix.  Methods that can
-    fail for a sample return, next to their arrays, one error or None per
-    sample (the first the sample meets), so a caller raises the error of
-    the lowest failing sample; a failed sample's arrays are not meaningful.
+    The stacked methods evaluate all samples, and all families, in one pass
+    and give slice s equal, bit for bit, to what a space of the one sample s
+    gives, family by family: every product is elementwise along the sample
+    and family axes, and batched matmul, SVD and inverse treat each slice
+    as its own matrix.  Methods that can fail for a sample return, next to
+    their arrays, one error or None per sample (the first the sample
+    meets), so a caller raises the error of the lowest failing sample; a
+    failed sample's arrays are not meaningful.
     :meth:`coproduct` and :meth:`sectors` need a space of one q (else
     :class:`DimensionMismatch`) and raise those errors.  Its arrays are
     read-only, since the suites of one pass of :mod:`verify`, and the
@@ -108,7 +120,6 @@ class ProductSpace:
                       else np.ones((len(self.qs), f.weights.size)) for f in (f1, f2))
             self.from_monomial = _read_only(kron(d1, d2, 1))
         self.layout = _BlockLayout.of_dims(*self.dims)
-        self._pieces: dict[str, tuple[np.ndarray, ...]] = {}
         self._form: tuple[SpectralForm, list] | None = None
 
     @staticmethod
@@ -144,30 +155,35 @@ class ProductSpace:
         return tuple({a: _read_only(_q_powers(f.weights, self.log_branch, a)) for a in (1, -1)}
                      for f in self.factors)
 
-    def kind_pieces(self, kind: str) -> tuple[np.ndarray, ...]:
-        """The four u-independent Kronecker pieces of coproduct ``kind``:
-        S1- x q^{+-S2}, q^{-+S1} x S2-, S1+ x q^{+-S2} and q^{-+S1} x S2+."""
-        if kind not in ("delta", "deltabar"):
-            raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
-        if not self._pieces:
-            # the eight pieces of both kinds, as one broadcast Kronecker
-            # product of stacked factors (kron's entries, bit for bit)
-            f1, f2 = self.factors
-            q1, q2 = self.factor_powers
-            left = np.array([(f1.sm, q1[-s], f1.sp, q1[-s]) for s in (1, -1)])
-            right = np.array([(q2[s], f2.sm, q2[s], f2.sp) for s in (1, -1)])
-            pieces = _read_only(kron(left, right, 2))
-            self._pieces = {"delta": tuple(pieces[0]), "deltabar": tuple(pieces[1])}
-        return self._pieces[kind]
+    @functools.cached_property
+    def _piece_stack(self) -> np.ndarray:
+        """The u-independent Kronecker pieces of both coproduct kinds,
+        (S, 2, 2, 2, d, d), indexed by sample, kind (Delta, Delta-bar), role
+        and generator (S+, S-): a generator at u is its role-0 piece over
+        q^{u/2} plus q^{u/2} times its role-1 piece (see :meth:`coproduct`).
+        For Delta the pieces are S1+ x q^{S2}, q^{-S1} x S2- and
+        q^{-S1} x S2+, S1- x q^{S2}; for Delta-bar q^{S1} x S2+,
+        S1- x q^{-S2} and S1+ x q^{-S2}, q^{S1} x S2-.  One broadcast
+        Kronecker product of stacked factors (kron's entries, bit for bit)."""
+        f1, f2 = self.factors
+        q1, q2 = self.factor_powers
+        left = np.array([[(f1.sp, q1[-1]), (q1[-1], f1.sm)], [(q1[1], f1.sm), (f1.sp, q1[1])]])
+        right = np.array([[(q2[1], f2.sm), (f2.sp, q2[1])], [(f2.sp, q2[-1]), (q2[-1], f2.sm)]])
+        return _read_only(np.moveaxis(kron(left, right, 2), 3, 0))
 
-    def coproducts(self, kind: str, us) -> tuple[np.ndarray, np.ndarray]:
-        """S+_u and S-_u of ``kind`` (see :meth:`coproduct`) at u_s for every
-        sample s, as two (S, d, d) arrays."""
-        sm1, sm2, sp1, sp2 = self.kind_pieces(kind)
-        qu = np.exp(np.asarray(us, complex) / 2 * self.log_branch)[:, None, None]
-        if kind == "delta":
-            return sp1 / qu + qu * sp2, qu * sm1 + sm2 / qu
-        return qu * sp1 + sp2 / qu, sm1 / qu + qu * sm2
+    def coproducts(self, families) -> tuple[np.ndarray, np.ndarray]:
+        """S+_u and S-_u (see :meth:`coproduct`) of each family (kind, us) at
+        u_s for every sample s, as two (S, F, d, d) arrays, from one broadcast
+        of the kind pieces."""
+        kinds = np.array([_kind_index(kind) for kind, _ in families])
+        us = np.array([us for _, us in families], complex).T
+        qu = np.exp(us / 2 * self.log_branch[:, None])[..., None, None]
+        pieces = self._piece_stack
+        # each product keeps its factors' order, and each sum is exact to swap;
+        # S+ and S- apart, since one gather of both is past the allocator's
+        # mmap threshold at d = 49, and its page faults cost more than two
+        sp, sm = (pieces[:, kinds, 0, g] / qu + qu * pieces[:, kinds, 1, g] for g in (0, 1))
+        return sp, sm
 
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
@@ -179,93 +195,146 @@ class ProductSpace:
         """
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
-        sp, sm = self.coproducts(kind, [u])
+        sp, sm = self.coproducts([(kind, [u])])
         f1, f2 = self.factors
         fm = self.from_monomial
-        return OperatorTriple(sp=sp[0], sm=sm[0], weights=self.weights, q=self.qs[0],
+        return OperatorTriple(sp=sp[0, 0], sm=sm[0, 0], weights=self.weights, q=self.qs[0],
                               basis_tag=f"{f1.basis_tag}*{f2.basis_tag}", ell=None,
                               from_monomial=None if fm is None else fm[0])
 
-    def chains(self, us, kinds: tuple[str, ...], gens: list | None = None
-               ) -> tuple[np.ndarray, list]:
-        """The raising chains of every sector of each coproduct kind in
-        ``kinds`` at u_s, for every sample s, raised together; ``gens``, when
-        given, holds the :meth:`coproducts` of each kind at ``us``.
+    def chains(self, families, gens: tuple | None = None) -> tuple[np.ndarray, list]:
+        """The raising chains of every sector of each family (kind, us) of
+        ``families`` at u_s, for every sample s, all raised in one pass: one
+        lowest-weight recurrence and one raising loop over the stacked
+        generators.  ``gens``, when given, is the :meth:`coproducts` of the
+        families.
 
-        Returns c of shape (S, len(kinds), d1+d2-1, d1*d2, k), k = min(d1, d2),
-        with c[s, f, m][:, n] = (S+_u)^m v_n for kind f and v_n the
-        lowest-weight vector of sector n from the closed product formula, and
-        each sample's error or None: a :class:`CompletenessFailure` where
-        S-_u v_n is not zero, or the chain of sector n vanishes before its
-        full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`, and a
-        :class:`ParameterDomainError` where the chain is not finite, since a
-        power of q overflows; a sample's kinds are tested in order, each
-        lowest-weight condition before its chains.
+        Returns c of shape (S, F, d1+d2-1, d1*d2, k), k = min(d1, d2), with
+        c[s, f, m][:, n] = (S+_u)^m v_n for family f and v_n the lowest-weight
+        vector of sector n from the closed product formula, and one list per
+        family of each sample's error or None: a :class:`CompletenessFailure`
+        where S-_u v_n is not zero, or the chain of sector n vanishes before
+        its full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`,
+        and a :class:`ParameterDomainError` where the chain is not finite,
+        since a power of q overflows; a family's lowest-weight condition is
+        tested before its chains.  Every step is elementwise along the family
+        axis, so each family's chains are those of a pass of it alone.
         """
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
-        if gens is None:
-            gens = [self.coproducts(kind, us) for kind in kinds]
-        families = ["barred" if kind == "deltabar" else "unbarred" for kind in kinds]
+        sp, sm = self.coproducts(families) if gens is None else gens
+        names = ["barred" if kind == "deltabar" else "unbarred" for kind, _ in families]
+        signs = [-1.0 if name == "barred" else 1.0 for name in names]
+        us = np.array([us for _, us in families], complex).T
         (d1, d2), count = self.dims, len(self.qs)
         k, steps = min(d1, d2), d1 + d2 - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            lw = np.stack([_lowest_weights(f1.ell, f2.ell, us, self.qs, d1, d2,
-                                           family == "barred", k).transpose(0, 2, 1)
-                           for family in families], axis=1)
+            lw = _lowest_weights(f1.ell, f2.ell, us, signs, self.qs, d1, d2, k).swapaxes(2, 3).copy()
             if self.from_monomial is not None:
                 lw = self.from_monomial[:, None, :, None] * lw
             scale = np.maximum(1.0, np.abs(lw).max(axis=2))
-            resid = np.abs(np.stack([sm for _, sm in gens], axis=1) @ lw).max(axis=2) / scale
-            chains = np.empty((count, len(kinds), steps, d1 * d2, k), complex)
+            resid = np.abs(sm @ lw).max(axis=2) / scale
+            chains = np.empty((count, len(families), steps, d1 * d2, k), complex)
             chains[:, :, 0] = lw
-            sp = np.stack([sp for sp, _ in gens], axis=1)
             for m in range(1, steps):
                 chains[:, :, m] = sp @ chains[:, :, m - 1]
             size = np.abs(chains).max(axis=3) / scale[:, :, None, :]
         broken = self.layout.live & ~((size >= CHAIN_TOL) & (size < np.inf))
         lw_ok = (resid <= CHAIN_TOL).all(axis=2)
-        errors = [None] * count
-        if broken.any() or not lw_ok.all():
-            for s in np.flatnonzero(~lw_ok.all(axis=1) | broken.any(axis=(1, 2, 3))):
-                errors[s] = _chain_error(families, resid[s], lw_ok[s], size[s], broken[s])
+        errors = [[None] * count for _ in families]
+        for s, f in np.argwhere(~lw_ok | broken.any(axis=(2, 3))).tolist():
+            errors[f][s] = _chain_error(names[f], resid[s, f], lw_ok[s, f], size[s, f], broken[s, f])
         return chains, errors
 
     def unit_blocks(self, chains: np.ndarray, errors: list):
-        """The weight blocks of chains (S, d1+d2-1, d1*d2, k) with unit
-        columns, the column norms and the condition number of every block;
-        the unit blocks of a failed sample are the identity.  A sample
-        whose column norms overflow, its chains finite, fails here: its
+        """The weight blocks of the chains (S, G, d1+d2-1, d1*d2, k) of G
+        families with unit columns, the column norms and the condition
+        number of every block; ``errors`` holds each family's errors, one per
+        sample, and the unit blocks of a failed sample are the identity.  A
+        sample whose column norms overflow, its chains finite, fails here: its
         entry of ``errors``, if None, becomes a :class:`ParameterDomainError`."""
         blocks = self.layout.cut(chains)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
             unit = blocks / norms
-            for sample in np.flatnonzero(np.isinf(norms).any(axis=(1, 2, 3))):
-                errors[sample] = errors[sample] or ParameterDomainError(
+            for s, g in np.argwhere(np.isinf(norms).any(axis=(2, 3, 4))).tolist():
+                errors[g][s] = errors[g][s] or ParameterDomainError(
                     "the eigenvector chains are too large to normalise: a power of q overflows")
-            failed = [s for s, e in enumerate(errors) if e is not None]
-            if failed:
-                unit[failed] = np.eye(unit.shape[-1])
+            for g, stage in enumerate(errors):
+                failed = [s for s, e in enumerate(stage) if e is not None]
+                if failed:
+                    unit[failed, g] = np.eye(unit.shape[-1])
             s = np.linalg.svd(unit, compute_uv=False)
             cond = s[..., 0] / s[..., -1]
         return unit, norms, cond
 
-    def sector_stack(self, us, kind: str, gens: tuple | None = None) -> tuple[np.ndarray, list]:
-        """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
-        at u_s (see :meth:`chains`), which must also pass the weight-block
-        test of :class:`SpectralForm` against :data:`COND_LIMIT`, and each
-        sample's first error: that of :meth:`chains`, then the
-        :class:`ParameterDomainError` of :meth:`unit_blocks`, then
-        :class:`SingularBasis`.  ``gens``, when given, is the
-        :meth:`coproducts` of ``kind`` at ``us``."""
-        chains, errors = self.chains(us, (kind,), None if gens is None else [gens])
-        chains = chains[:, 0]
-        cond = self.unit_blocks(chains, errors)[2]
+    def chain_pass(self, sector: tuple | None = None, form: bool = True, read=()):
+        """One pass that raises, in order, Delta and Delta-bar at u = 0 for the
+        spectral form, when ``form`` and the form is not built yet (at the
+        rational point, q on the zero log branch, the barred chains are the
+        unbarred ones, so Delta alone), then ``sector``, a family (kind, us),
+        when given: one :meth:`chains` call, one :meth:`unit_blocks` call that
+        conditions the form's unbarred family and the sector family together,
+        and one :meth:`coproducts` broadcast for those families and the
+        families ``read``.
+
+        It keeps the spectral form it builds.  It gives the sector family's
+        chains (S, d1+d2-1, d1*d2, k) and each sample's first error: that of
+        :meth:`chains`, then the :class:`ParameterDomainError` of
+        :meth:`unit_blocks`, then :class:`SingularBasis` from the
+        weight-block test of :class:`SpectralForm` against
+        :data:`COND_LIMIT` (or None without ``sector``), and the
+        :meth:`coproducts` of the families ``read`` (or None without any).
+        """
+        families = []
+        if form and self._form is None:
+            zeros = [0.0] * len(self.qs)
+            families = [("delta", zeros)] + ([] if self.rational else [("deltabar", zeros)])
+        families += [] if sector is None else [sector]
+        raised = len(families)
+        families += [family for family in read if family not in families]
+        if not families:
+            return None, None
+        sp, sm = self.coproducts(families)
+        at = [families.index(family) for family in read]
+        gens = (sp[:, at], sm[:, at]) if read else None
+        if not raised:
+            return None, gens
+        chains, errors = self.chains(families[:raised], (sp[:, :raised], sm[:, :raised]))
+        formed = raised - (sector is not None)
+        stages = []
+        if formed:
+            # each sample's first error over the form's families
+            stages.append([next(filter(None, first), None) for first in zip(*errors[:formed])])
+        if sector is not None:
+            stages.append(errors[formed])
+        # the form's unbarred family, first, and the sector family, last
+        unit, norms, cond = self.unit_blocks(chains[:, ::max(formed, 1)], stages)
+        if formed:
+            layout = self.layout
+            with np.errstate(divide="ignore", invalid="ignore"):
+                left = unit[:, 0] if formed == 1 else layout.cut(chains[:, 1]) / norms[:, 0]
+            conditioned = unit[:, 0]
+            if not np.isfinite(cond[:, 0]).all():
+                # such a block fails every limit; the identity stands in for
+                # it so that the batched inverse runs
+                conditioned = np.where(np.isfinite(cond[:, 0])[..., None, None], conditioned,
+                                       np.eye(unit.shape[-1]))
+            self._form = (SpectralForm(left=left, right=np.linalg.inv(conditioned),
+                                       cond=cond[:, 0], layout=layout), stages[0])
+        if sector is None:
+            return None, gens
+        cond, errors = cond[:, -1], stages[-1]
         for s in np.flatnonzero((~(cond <= COND_LIMIT)).any(axis=1)):
             errors[s] = errors[s] or self.layout.conditioning_error(cond[s], COND_LIMIT)
-        return chains, errors
+        return (chains[:, -1], errors), gens
+
+    def sector_stack(self, us, kind: str = "delta") -> tuple[np.ndarray, list]:
+        """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
+        at u_s (see :meth:`chains`) and each sample's first error, from a
+        :meth:`chain_pass` of that one family."""
+        return self.chain_pass((kind, us), form=False)[0]
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
         """All eigen-sectors of the coproduct ``kind`` at u.
@@ -287,55 +356,39 @@ class ProductSpace:
 
     def spectral_form(self) -> tuple[SpectralForm, list]:
         """The u-independent spectral form of R at every sample, built from
-        the chains at u = 0 the first time it is asked for, and each sample's
-        error of :meth:`chains` or :meth:`unit_blocks`, or None.
-
-        Both families come from one :meth:`chains` pass; at the rational
-        point (q on the zero log branch) the barred chains are the unbarred
-        ones, so one family is built.  The conditioning is recorded, not
-        tested: callers test it against their limit.
+        the chains at u = 0 the first time it is asked for, by a
+        :meth:`chain_pass` of its families alone unless one built it before,
+        and each sample's error of :meth:`chains` or :meth:`unit_blocks`, or
+        None.  The conditioning is recorded, not tested: callers test it
+        against their limit.
         """
         if self._form is None:
-            kinds = ("delta",) if self.rational else ("delta", "deltabar")
-            chains, errors = self.chains([0.0] * len(self.qs), kinds)
-            unit, norms, cond = self.unit_blocks(chains[:, 0], errors)
-            layout = self.layout
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left = unit if len(kinds) == 1 else layout.cut(chains[:, 1]) / norms
-            if not np.isfinite(cond).all():
-                # such a block fails every limit; the identity stands in for
-                # it so that the batched inverse runs
-                unit = np.where(np.isfinite(cond)[..., None, None], unit, np.eye(unit.shape[-1]))
-            right = np.linalg.inv(unit)
-            self._form = (SpectralForm(left=left, right=right, cond=cond, layout=layout), errors)
+            self.chain_pass()
         return self._form
 
 
-def _chain_error(families, resid, lw_ok, size, broken) -> QybeError:
-    """The error of one sample that :meth:`ProductSpace.chains` flagged:
-    the first broken chain among the kinds before its first failing
-    lowest-weight condition, else that condition.  A chain that breaks by
-    not being finite overflows, a :class:`ParameterDomainError`; one that
-    vanishes is a :class:`CompletenessFailure`."""
-    raised = len(families) if lw_ok.all() else int(np.argmin(lw_ok))
-    steps = size.shape[1]
-    for f in range(raised):
-        if broken[f].any():
-            n, m = (int(i) for i in np.argwhere(broken[f].T)[0])
-            if not np.isfinite(size[f, m, n]):
-                return ParameterDomainError(
-                    f"raising chain of sector {n} of the {families[f]} family is not finite at "
-                    f"step {m} of {steps - 2 * n}: a power of q overflows")
-            return CompletenessFailure(
-                n, families[f], float(size[f, m, n]),
-                f"raising chain of sector {n} of the {families[f]} family breaks at "
-                f"step {m} of {steps - 2 * n} (relative size {size[f, m, n]:.2e})")
-    family, r = families[raised], resid[raised]
-    n = int(np.argmin(r <= CHAIN_TOL))
+def _chain_error(family: str, resid, lw_ok, size, broken) -> QybeError:
+    """The error of one family of one sample that :meth:`ProductSpace.chains`
+    flagged: its failing lowest-weight condition, else its first broken
+    chain.  A chain that breaks by not being finite overflows, a
+    :class:`ParameterDomainError`; one that vanishes is a
+    :class:`CompletenessFailure`."""
+    if not lw_ok:
+        n = int(np.argmin(resid <= CHAIN_TOL))
+        return CompletenessFailure(
+            n, family, float(resid[n]),
+            f"lowest-weight condition fails at sector {n} of the {family} family "
+            f"(residual {resid[n]:.2e})")
+    steps = size.shape[0]
+    n, m = (int(i) for i in np.argwhere(broken.T)[0])
+    if not np.isfinite(size[m, n]):
+        return ParameterDomainError(
+            f"raising chain of sector {n} of the {family} family is not finite at "
+            f"step {m} of {steps - 2 * n}: a power of q overflows")
     return CompletenessFailure(
-        n, family, float(r[n]),
-        f"lowest-weight condition fails at sector {n} of the {family} family "
-        f"(residual {r[n]:.2e})")
+        n, family, float(size[m, n]),
+        f"raising chain of sector {n} of the {family} family breaks at "
+        f"step {m} of {steps - 2 * n} (relative size {size[m, n]:.2e})")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -455,28 +508,30 @@ class SpectralForm:
             arr.setflags(write=False)
 
 
-def _lowest_weights(ell1, ell2, us, qs, d1: int, d2: int, barred: bool,
-                    count: int) -> np.ndarray:
-    """For each sample (u_s, q_s), rows n < count: the monomial coefficients
-    of the degree-n lowest-weight polynomial, all from one product
-    recurrence; shape (S, count, d1*d2).
+def _lowest_weights(ell1, ell2, us, signs, qs, d1: int, d2: int, count: int) -> np.ndarray:
+    """For each sample s and family f, at (u_sf, q_s) with ``us`` of shape
+    (S, F), rows n < count: the monomial coefficients of the degree-n
+    lowest-weight polynomial, all from one product recurrence; shape
+    (S, F, count, d1*d2).
 
-    The unbarred polynomial is the product over i = 1..n of
-    (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one replaces q by 1/q.
+    The unbarred polynomial (sign +1) is the product over i = 1..n of
+    (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one (sign -1)
+    replaces q by 1/q.
     """
-    s = -1.0 if barred else 1.0
-    c = np.zeros((len(qs), count, d1, d2), complex)
-    c[:, 0, 0, 0] = 1.0
+    us = np.asarray(us, complex)
+    c = np.zeros((*us.shape, count, d1, d2), complex)
+    c[..., 0, 0, 0] = 1.0
     n = np.arange(1, count)
-    u = np.asarray(us, complex)[:, None] / 2
-    lb = np.array([q.log_branch for q in qs], complex)[:, None, None]
-    powers = np.exp(s * np.stack([ell1 + 1 - n - u, u + n - 1 - ell2], axis=1) * lb)
+    u = us[..., None] / 2
+    lb = np.array([q.log_branch for q in qs], complex)[:, None, None, None]
+    sign = np.asarray(signs)[:, None, None]
+    powers = np.exp(sign * np.stack([ell1 + 1 - n - u, u + n - 1 - ell2], axis=2) * lb)
     for i in range(1, count):
-        a = powers[:, 0, i - 1, None, None]
-        b = powers[:, 1, i - 1, None, None]
-        c[:, i, 1:, :] += a * c[:, i - 1, :-1, :]
-        c[:, i, :, 1:] -= b * c[:, i - 1, :, :-1]
-    return c.reshape(len(qs), count, d1 * d2)
+        a = powers[..., 0, i - 1, None, None]
+        b = powers[..., 1, i - 1, None, None]
+        c[..., i, 1:, :] += a * c[..., i - 1, :-1, :]
+        c[..., i, :, 1:] -= b * c[..., i - 1, :, :-1]
+    return c.reshape(*us.shape, count, d1 * d2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -511,31 +566,35 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     :func:`_casimir_sectors`.
     """
     c = casimir_matrix(space.coproduct(kind, u))
+    chains, errors = space.sector_stack([u], kind)
+    _raise_first(errors)
     f1, f2 = space.factors
-    sectors = [chain[None] for chain in space.sectors(u, kind)]
-    return _casimir_sectors(c[None], sectors, f1.ell, f2.ell, space.qs)[0]
+    return _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)[0]
 
 
-def _casimir_sectors(c: np.ndarray, sectors: list[np.ndarray], ell1, ell2,
+def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, ell2,
                      qs) -> list[CasimirSpectrumReport]:
     """The :func:`tensor_casimir` report of each sample of a stack: ``c`` is
-    (S, d, d), entry n of ``sectors`` the chains (S, L_n, d) of sector n.
+    (S, d, d), and ``chains`` (S, d1+d2-1, d, k) holds the chains of every
+    sector padded to full length, with ``live`` (d1+d2-1, k) marking the
+    steps of each (see :meth:`ProductSpace.chains`).
 
-    C acts on a sector's whole chain, for every sample, in one stacked
-    mat-vec; row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``.
+    C acts on every chain vector of every sample in one stacked mat-vec;
+    row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``, and each
+    sector's residual and spread are the largest over its own steps.
     """
-    x = np.arange(len(sectors)) - ell1 - ell2
+    x = np.arange(chains.shape[-1]) - ell1 - ell2
     qn = _qnums(np.stack([x, x - 1])[None], qs)
     lam = qn[:, 0] * qn[:, 1]
-    resid = np.empty(lam.shape)
-    spread = np.empty(lam.shape)
-    for n, chain in enumerate(sectors):
-        cv = np.matmul(c[:, None], chain[..., None])[..., 0]
-        gap = np.abs(cv - lam[:, n, None, None] * chain).max(axis=2)
-        resid[:, n] = _relative(gap, np.abs(chain).max(axis=2)).max(axis=1)
-        rayleigh = np.vecdot(chain, cv) / np.vecdot(chain, chain).real
-        dev = rayleigh - rayleigh[:, :1]
-        spread[:, n] = np.abs(dev).max(axis=1)
+    # v[s, m, n] is step m of the chain of sector n
+    v = chains.swapaxes(-1, -2)
+    # the padding steps hold vectors that vanish, some exactly
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = np.matmul(c[:, None, None], v[..., None])[..., 0]
+        gap = np.abs(cv - lam[:, None, :, None] * v).max(axis=3)
+        resid = np.where(live, _relative(gap, np.abs(v).max(axis=3)), 0.0).max(axis=1)
+        rayleigh = np.vecdot(v, cv) / np.vecdot(v, v).real
+        spread = np.where(live, np.abs(rayleigh - rayleigh[:, :1]), 0.0).max(axis=1)
     return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
                                    in enumerate(zip(lam_s, resid_s, spread_s))])
             for lam_s, resid_s, spread_s in zip(lam.tolist(), resid.tolist(), spread.tolist())]

@@ -15,12 +15,11 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    _phi_products, _relative, qnum, residual, sample_generic_q, sample_params,
-                    sample_u)
+                    _phi_products, _relative, qnum, sample_generic_q, sample_params, sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
-from .tensorrep import ProductSpace, _casimir_sectors, _q_powers, _sector_chains, kron
+from .tensorrep import ProductSpace, _casimir_sectors, _q_powers, kron
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +63,7 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _points(points: list, records: list, *params) -> list:
+def _points(points: list, records: list, reads: frozenset, *params) -> list:
     """A run as most suites evaluate it: its samples."""
     return points
 
@@ -76,9 +75,11 @@ class _Suite:
     Its samples are a random stream: ``draw(rng, i, *params)`` draws sample
     i of ``count`` (``cfg.sample_count`` by default) from the generator
     that ``cfg`` seeds, and ``record(sample)`` gives a sample's JSON record.
-    ``evaluate`` reads ``view(points, records, *params)`` of a run of at most
-    :data:`_STACK_SIZE` consecutive samples: the points, or the
-    :class:`_PairRun` that a golden pair's suites share.  It gives each
+    ``evaluate`` reads ``view(points, records, reads, *params)`` of a run of
+    at most :data:`_STACK_SIZE` consecutive samples: the points, or the
+    :class:`_PairRun` that a golden pair's suites share, where ``reads`` is
+    the set of the ``reads`` names of the suites that share the view and
+    evaluate the run, so a view builds only what they read.  It gives each
     sample's residual, or a dict of named residuals, each name a report
     with the name put in place of ``{}`` in ``identity_id``, in one stacked
     pass, and raises the error of the lowest failing sample.
@@ -93,6 +94,7 @@ class _Suite:
     evaluate: object
     view: object = _points
     count: int | None = None
+    reads: str = ""
 
 
 def _run(suites: list[_Suite]) -> list[ResidualReport]:
@@ -140,15 +142,16 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
         errors = dict.fromkeys(members)
         for start in range(0, len(points), _STACK_SIZE):
             run = slice(start, start + _STACK_SIZE)
+            live = [k for k in members if errors[k] is None]
             views = {}
-            for k in members:
+            for k in live:
                 suite = suites[k]
-                if errors[k] is not None:
-                    continue
                 try:
                     if suite.view not in views:
+                        reads = frozenset(suites[j].reads for j in live
+                                          if suites[j].view is suite.view)
                         views[suite.view] = suite.view(points[run], records[suite.record][run],
-                                                       *params)
+                                                       reads, *params)
                     residuals[k].extend(suite.evaluate(views[suite.view]))
                 except Exception as exc:  # the suite's own error, raised at its place
                     errors[k] = exc.with_traceback(None)
@@ -370,10 +373,11 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
 # the spin-pair suites, one stacked pass per golden pair and run of samples
 
 def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]:
-    """R(u_s) at q_s for every sample, from the spectral form of their
-    stack, and each sample's first error in the order of :func:`assemble_R`:
-    a pole, the form's error (one form's error is every sample's), then
-    the errors of :func:`rop._solve`."""
+    """R(u_s) at q_s for every row s, from the spectral form of the
+    samples' stack, which every row of a sample reads (see
+    :func:`rop._solve`), and each row's first error in the order of
+    :func:`assemble_R`: a pole, the form's error, then the errors of
+    :func:`rop._solve`."""
     eig, poles = _eigenvalues(ell1, ell2, us, qs)
     m, errors = _solve(ell1, ell2, us, qs, eig, form)
     form_errors = form_errors * (len(us) // len(form_errors))
@@ -390,19 +394,24 @@ def _perturbed(r: np.ndarray, perturb: float) -> np.ndarray:
     return r
 
 
-def _decomposed(space: ProductSpace, us, r: np.ndarray, delta_u: tuple,
+def _decomposed_families(us) -> list[tuple]:
+    """The coproduct families (kind, us) that :func:`_decomposed` reads, in
+    its order: Delta at u and at -u, then Delta-bar at u and at -u."""
+    mus = [-u for u in us]
+    return [("delta", us), ("delta", mus), ("deltabar", us), ("deltabar", mus)]
+
+
+def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
                 diagonal: np.ndarray) -> list[dict[str, float]]:
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
     u_s on each sample of ``space``: one stacked matmul pair for all
     relations and samples, one stacked abs-max per distinct input.
-    ``delta_u`` is the coproduct Delta at the us and ``diagonal`` the
-    Casimir diagonal of the space, which the Casimir suite reads too."""
+    ``gens`` is the :meth:`ProductSpace.coproducts` of the
+    :func:`_decomposed_families` at the us and ``diagonal`` the Casimir
+    diagonal of the space, which the Casimir suite reads too."""
     qs = space.qs
     f1, f2 = space.factors
     lb = space.log_branch
-    mus = [-u for u in us]
-    cop_u, cop_mu = delta_u, space.coproducts("delta", mus)
-    bar_u, bar_mu = space.coproducts("deltabar", us), space.coproducts("deltabar", mus)
     qs_diag = _q_powers(space.weights, lb, 1)
 
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
@@ -417,11 +426,11 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, delta_u: tuple,
     qmp = qu * minus_plus + plus_minus / qu
     k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
     k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
-    c_mu, c_bar_u = np.moveaxis(
-        np.matmul(np.stack([cop_mu[0], bar_u[0]], axis=1), np.stack([cop_mu[1], bar_u[1]], axis=1))
-        + diagonal[:, None], 1, 0)
-    (sp_u, sm_u), (sp_mu, sm_mu) = cop_u, cop_mu
-    (bsp_u, bsm_u), (bsp_mu, bsm_mu) = bar_u, bar_mu
+    sp, sm = gens
+    # Delta at -u and Delta-bar at u, the Casimirs of the intertwining relation
+    c_mu, c_bar_u = np.moveaxis(sp[:, 1:3] @ sm[:, 1:3] + diagonal[:, None], 1, 0)
+    sp_u, sp_mu, bsp_u, bsp_mu = np.moveaxis(sp, 1, 0)
+    sm_u, sm_mu, bsm_u, bsm_mu = np.moveaxis(sm, 1, 0)
 
     # name: (X, Y, Z, W, inputs) for the relation X Y = Z W
     relations = {
@@ -455,39 +464,51 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     """
     space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
     us = [rm.u]
-    return _decomposed(space, us, rm.matrix[None], space.coproducts("delta", us),
+    return _decomposed(space, us, rm.matrix[None], space.coproducts(_decomposed_families(us)),
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 
-def _casimir_reports(space: ProductSpace, us, delta_u: tuple, diagonal: np.ndarray) -> list:
+def _casimir_reports(space: ProductSpace, us, sectors: tuple, delta_u: tuple,
+                     diagonal: np.ndarray) -> list:
     """The :func:`tensor_casimir` report of each sample of ``space`` at its
-    u, unbarred, in one stacked pass, from the coproduct Delta at the us
-    and the Casimir diagonal of the space; raises the error of the lowest
-    failing sample."""
+    u, one of ``us``, unbarred, all sectors in one stacked pass of
+    :func:`tensorrep._casimir_sectors`, from the chains and errors of the
+    sectors at the us (see :meth:`ProductSpace.chain_pass`), the coproduct
+    Delta at the us and the Casimir diagonal of the space; raises the error
+    of the lowest failing sample."""
     sp, sm = delta_u
     c = sp @ sm + diagonal
-    chains, errors = space.sector_stack(us, "delta", delta_u)
+    chains, errors = sectors
     _raise_first(errors)
     f1, f2 = space.factors
-    return _casimir_sectors(c, _sector_chains(chains), f1.ell, f2.ell, space.qs)
+    return _casimir_sectors(c, chains, space.layout.live, f1.ell, f2.ell, space.qs)
 
 
 class _PairRun:
     """One run of at most :data:`_STACK_SIZE` samples (q_s, u_s) of a spin
-    pair, and the pieces that its suites share, each built the first time
-    a suite asks for it: the :class:`ProductSpace` of the run with its
-    spectral form, R(u) with each sample's first error, the coproduct Delta
-    at u and the Casimir diagonal.  The suites read the pieces and do not
-    write them.  A piece that raises is not kept, so every suite that asks
-    for it raises.
+    pair, and the pieces that its suites share: the view of the pair's
+    suites (see :class:`_Suite`), whose ``reads`` names the suites that
+    read it ("decomposed", "unitarity", "casimir"), so that it builds only
+    what they read, each piece the first time a suite asks for it.  The
+    suites read the pieces and do not write them.  A piece that raises is
+    not kept, so every suite that asks for it raises.
+
+    The pieces are the :class:`ProductSpace` of the run; one
+    :meth:`ProductSpace.chain_pass` of it, which raises Delta and Delta-bar
+    at u = 0 for the spectral form (when R is read) and Delta at the
+    samples' u for the Casimir sectors (when the Casimir suite reads the
+    run), conditions both Delta families in one call and gives, from one
+    broadcast, every coproduct that the suites read; R(u), and R(-u) when
+    the unitarity suite reads the run, from one :func:`_stacked_R` call;
+    and the Casimir diagonal.
 
     In the "xxz" mode the space is orthonormal, at the run's q values; in
     the "xxx" mode every sample is at q = 1, and the space is the monomial
     one of the memoised :meth:`ProductSpace.of_spins`, with its one form.
     """
 
-    def __init__(self, ell1, ell2, points, mode: str = "xxz"):
-        self.ell1, self.ell2, self.mode = ell1, ell2, mode
+    def __init__(self, points, records, reads: frozenset, ell1, ell2, mode: str = "xxz"):
+        self.ell1, self.ell2, self.mode, self.reads = ell1, ell2, mode, reads
         self.qs, self.us = zip(*points)
 
     @functools.cached_property
@@ -497,14 +518,30 @@ class _PairRun:
         return ProductSpace.stack_of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
 
     @functools.cached_property
-    def r_u(self) -> tuple[np.ndarray, list]:
-        r, errors = _stacked_R(self.ell1, self.ell2, self.us, self.qs, *self.space.spectral_form())
-        r.setflags(write=False)
-        return r, errors
+    def chain_pass(self) -> tuple:
+        """The run's :meth:`ProductSpace.chain_pass`: the Casimir sector chains
+        and errors, or None, and the coproducts of the
+        :func:`_decomposed_families` (Delta at u alone when the Casimir
+        suite reads the run without the decomposed one), or None."""
+        us = list(self.us)
+        read = (_decomposed_families(us) if "decomposed" in self.reads
+                else [("delta", us)] if "casimir" in self.reads else [])
+        return self.space.chain_pass(("delta", us) if "casimir" in self.reads else None,
+                                     form=bool(self.reads & {"decomposed", "unitarity"}),
+                                     read=read)
 
     @functools.cached_property
-    def delta_u(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.space.coproducts("delta", self.us)
+    def r(self) -> tuple[np.ndarray, list]:
+        """R(u_s), then R(-u_s) when the unitarity suite reads the run, for
+        every sample, with each row's first error."""
+        self.chain_pass  # the form comes from the run's one pass
+        us = list(self.us)
+        if "unitarity" in self.reads:
+            us += [-u for u in self.us]
+        r, errors = _stacked_R(self.ell1, self.ell2, us, self.qs * (len(us) // len(self.qs)),
+                               *self.space.spectral_form())
+        r.setflags(write=False)
+        return r, errors
 
     @functools.cached_property
     def casimir_diagonal(self) -> np.ndarray:
@@ -512,32 +549,28 @@ class _PairRun:
 
     def decomposed(self, perturb: float) -> list[dict[str, float]]:
         """The eight decomposed residuals of each sample."""
-        r, errors = self.r_u
-        _raise_first(errors)
-        return _decomposed(self.space, self.us, _perturbed(r, perturb), self.delta_u,
-                           self.casimir_diagonal)
+        r, errors = self.r
+        count = len(self.us)
+        _raise_first(errors[:count])
+        return _decomposed(self.space, self.us, _perturbed(r[:count], perturb),
+                           self.chain_pass[1], self.casimir_diagonal)
 
     def unitarity(self, perturb: float) -> list[float]:
-        """The residual of R(u) R(-u) = 1 of each sample, R(-u) from the
-        spectral form of R(u)."""
-        r_u, e_u = self.r_u
-        r_mu, e_mu = _stacked_R(self.ell1, self.ell2, [-u for u in self.us], self.qs,
-                                *self.space.spectral_form())
-        _raise_first(e_u, e_mu)
-        prod = _perturbed(r_u, perturb) @ r_mu
+        """The residual of R(u) R(-u) = 1 of each sample, R(u) and R(-u) from
+        one solve over the spectral form."""
+        r, errors = self.r
+        count = len(self.us)
+        _raise_first(errors[:count], errors[count:])
+        prod = _perturbed(r[:count], perturb) @ r[count:]
         return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
     def casimir(self) -> list[float]:
         """The worst Casimir residual or m-spread of each sample; no R is
         read, so no perturbation moves it."""
+        sectors, (sp, sm) = self.chain_pass
         return [_nan_max(report.max_residual, report.max_m_spread) for report in
-                _casimir_reports(self.space, self.us, self.delta_u, self.casimir_diagonal)]
-
-
-def _pair_run(points: list, records: list, ell1, ell2, mode: str) -> _PairRun:
-    """A run of a spin pair's (q, u) stream as its suites evaluate it: one
-    :class:`_PairRun`, which the pair's suites of a run of suites share."""
-    return _PairRun(ell1, ell2, points, mode)
+                _casimir_reports(self.space, self.us, sectors, (sp[:, 0], sm[:, 0]),
+                                 self.casimir_diagonal)]
 
 
 @_check
@@ -548,7 +581,8 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None, perturb
     they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
     return _Suite(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
-                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.decomposed(perturb), _pair_run)
+                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.decomposed(perturb), _PairRun,
+                  reads="decomposed")
 
 
 @_check
@@ -565,7 +599,8 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
     """
     cfg = cfg or ToleranceConfig()
     return _Suite(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, _pair_point,
-                  (ell1, ell2, mode), _pair_record, lambda run: run.unitarity(perturb), _pair_run)
+                  (ell1, ell2, mode), _pair_record, lambda run: run.unitarity(perturb), _PairRun,
+                  reads="unitarity")
 
 
 @_check
@@ -606,7 +641,8 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
     and unitarity suites share when they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
     return _Suite(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
-                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.casimir(), _pair_run)
+                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.casimir(), _PairRun,
+                  reads="casimir")
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +673,18 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
     def evaluate(points):
         specs1, specs2, us = zip(*points)
         reps1, reps2 = cy._rep_bands(specs1), cy._rep_bands(specs2)
+        ces1 = cy._central_elements(specs1, reps1)
+        am = np.array([ce.alpha_minus for ce in ces1])
+        route = np.array([ce.alpha_minus_product_route for ce in ces1])
         residuals = []
-        for ce1, ce2, tp in zip(cy._central_elements(specs1, reps1),
-                                cy._central_elements(specs2, reps2),
-                                cy._tensor_power_reports(specs1, specs2, us, reps1, reps2)):
+        for ce1, ce2, tp, cross in zip(ces1, cy._central_elements(specs2, reps2),
+                                       cy._tensor_power_reports(specs1, specs2, us, reps1, reps2),
+                                       _relative(np.abs(am - route), np.abs(am)).tolist()):
             guards = [ce1.max_offscalar_residual, ce2.max_offscalar_residual,
                       *tp.offscalar_residuals.values()]
             failed = [r for r in guards if not r <= 1.0]
             residuals.append(failed[0] if failed else _nan_max(
-                *guards, residual(ce1.alpha_minus, ce1.alpha_minus_product_route, ce1.alpha_minus),
-                *tp.closed_form_errors.values()))
+                *guards, cross, *tp.closed_form_errors.values()))
         return residuals
 
     return _Suite(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, _cyclic_params, (q,), record,
@@ -720,4 +758,4 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None):
 
     return _Suite(f"partial_r[N={n}]", cfg, cfg.rel_tol, _compatible,
                   (DeformationParameter.root_of_unity(n),), lambda sample: {"u": _c2l(sample[2])},
-                  evaluate, lambda points, records, q: (points, records))
+                  evaluate, lambda points, records, reads, q: (points, records))

@@ -11,9 +11,9 @@ from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, buil
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
 from qybe.errors import (BadSpin, ParameterDomainError, PoleAtSector, QybeError,
                          SingularBasis, UnsupportedPair)
-from qybe.qcore import sample_generic_q, sample_u
+from qybe.qcore import residual, sample_generic_q, sample_u
 from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space, kron
-from qybe.verify import _regular_point, decomposed_residuals, residual
+from qybe.verify import _regular_point, decomposed_residuals
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
 

@@ -32,9 +32,10 @@ from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, Sample
 from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params, sample_u
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
-from qybe.tensorrep import _lowest_weights, _spin_space
-from qybe.verify import (_casimir_reports, _decomposed, _on_slots, _PairRun, _regular_point,
-                         _residuals, _run, _stacked_R, _Suite, check_casimir_spectrum,
+from qybe.tensorrep import _lowest_weights, _sector_chains, _spin_space
+from qybe.verify import (_casimir_reports, _decomposed, _decomposed_families, _on_slots,
+                         _PairRun, _regular_point, _residuals, _run, _stacked_R, _Suite,
+                         check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity, check_rll,
                          check_shift_laws, check_unitarity, decomposed_residuals)
@@ -171,7 +172,8 @@ def test_stacked_lowest_weights_equal_the_scalar_recurrence(pair):
     d1, d2 = (int(round(2 * ell)) + 1 for ell in pair)
     k = min(d1, d2)
     for barred in (False, True):
-        got = _lowest_weights(*pair, us, qs, d1, d2, barred, k)
+        got = _lowest_weights(*pair, np.array(us)[:, None], [-1.0 if barred else 1.0], qs,
+                              d1, d2, k)[:, 0]
         for s, (q, u) in enumerate(points):
             assert_close(got[s], _scalar_lowest_weights(*pair, u, q, d1, d2, barred, k))
 
@@ -190,7 +192,7 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     r_u, errors_u = _stacked_R(*pair, us, qs, *form)
     r_mu, errors_mu = _stacked_R(*pair, [-u for u in us], qs, *form)
     assert errors_u == errors_mu == [None] * COUNT
-    relations = _decomposed(space, us, r_u, space.coproducts("delta", us),
+    relations = _decomposed(space, us, r_u, space.coproducts(_decomposed_families(us)),
                             _casimir_diagonals(space.weights, qs))
     prod = r_u @ r_mu
     for s, (q, u) in enumerate(points):
@@ -236,13 +238,62 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
 def test_stacked_casimir_equals_each_sample_alone(pair):
     points = _points(pair, 13)
     qs, us = zip(*points)
-    run = _PairRun(*pair, points)
-    reports = _casimir_reports(run.space, us, run.delta_u, run.casimir_diagonal)
+    run = _PairRun(points, None, frozenset({"casimir"}), *pair)
+    sectors, (sp, sm) = run.chain_pass
+    reports = _casimir_reports(run.space, us, sectors, (sp[:, 0], sm[:, 0]), run.casimir_diagonal)
     for report, (q, u) in zip(reports, points):
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
         assert report == alone
         assert (report.max_residual, report.max_m_spread) == (alone.max_residual,
                                                               alone.max_m_spread)
+
+
+@pytest.mark.parametrize("count", [1, COUNT])
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 1.5)])
+def test_one_family_pass_equals_the_per_family_calls(pair, count):
+    """A pass of Delta and Delta-bar at u = 0 and Delta at the samples' u,
+    on stacked q, is bit for bit a call per family: its chains and errors,
+    its unit blocks, norms and condition numbers, its spectral form and
+    its sectors, those of one q included; its Casimir reports are those of
+    tensor_casimir, sample by sample."""
+    points = _points(pair, 11)[:count]
+    qs, us = zip(*points)
+    us = list(us)
+    families = [("delta", [0.0] * count), ("deltabar", [0.0] * count), ("delta", us)]
+
+    def space():
+        return ProductSpace.stack_of_spins(*pair, qs, "orthonormal")
+
+    stacked = space()
+    chains, errors = stacked.chains(families)
+    assert errors == [[None] * count] * 3
+    for f, family in enumerate(families):
+        alone, alone_errors = space().chains([family])
+        _same(chains[:, f], alone[:, 0])
+        assert alone_errors == [errors[f]]
+    both = stacked.unit_blocks(chains[:, [0, 2]], [[None] * count] * 2)
+    for g, f in enumerate((0, 2)):
+        for got, want in zip(both, space().unit_blocks(chains[:, [f]], [[None] * count])):
+            _same(got[:, g], want[:, 0])
+
+    run = space()
+    (sectors, sector_errors), (sp, sm) = run.chain_pass(("delta", us), read=[("delta", us)])
+    form, form_errors = run.spectral_form()
+    want_form, want_errors = space().spectral_form()
+    assert form_errors == want_errors == [None] * count
+    for name in ("left", "right", "cond"):
+        _same(getattr(form, name), getattr(want_form, name))
+    want_sectors, want_sector_errors = space().sector_stack(us)
+    _same(sectors, want_sectors)
+    assert sector_errors == want_sector_errors == [None] * count
+    reports = _casimir_reports(run, us, (sectors, sector_errors), (sp[:, 0], sm[:, 0]),
+                               _casimir_diagonals(run.weights, qs))
+    for s, (q, u) in enumerate(points):
+        one = ProductSpace.stack_of_spins(*pair, (q,), "orthonormal")
+        for got, want in zip(one.sectors(u), _sector_chains(sectors[s]), strict=True):
+            _same(got, want)
+        alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
+        assert _bits(reports[s]) == _bits(alone)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +741,7 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     cli._run_suite(suite, ToleranceConfig(sample_count=5, rng_seed=5), 3, 0.0)
     assert len(built) == 3
     want = {"ybe": {"_decomposed": 3, "_stacked_R": 3},
-            "unitarity": {"_stacked_R": 2 * 3 + 2},
+            "unitarity": {"_stacked_R": 3 + 1},
             "casimir": {"_casimir_reports": 3}}[suite]
     assert {name: calls.count(name) for name in set(calls)} == want
 
@@ -793,7 +844,7 @@ def test_writing_to_any_memoised_array_raises():
     qs, us = zip(*_points((1.0, 1.5), 3))
     stack = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal")
     stack.spectral_form()
-    stack.coproducts("delta", us)
+    stack.coproducts([("delta", us)])
     arrays = list(_arrays(stack))
     # factors, log q, weights, from_monomial, q-powers, pieces, form and layout
     assert len(arrays) > 30

@@ -16,6 +16,11 @@ def _pair(ell1, ell2, q, basis="monomial"):
     return build_spin_rep(ell1, q, basis), build_spin_rep(ell2, q, basis)
 
 
+def _lowest(ell1, ell2, u, q, d1, d2, barred, count):
+    """The lowest-weight rows of one family at one sample (u, q)."""
+    return _lowest_weights(ell1, ell2, [[u]], [-1.0 if barred else 1.0], [q], d1, d2, count)[0, 0]
+
+
 def test_twisted_raising_matches_printed_table(q_generic, rng):
     u = sample_u(rng)
     r1, r2 = _pair(0.5, 0.5, q_generic)
@@ -199,7 +204,7 @@ def test_descent_laws(pair, rng):
         cq = q.value - 1 / q.value
         big_l = ell1 + ell2 + 1
         def phi(n, spec, barred):
-            return _lowest_weights(ell1, ell2, [spec], [q], d1, d2, barred, n + 1)[0, n]
+            return _lowest(ell1, ell2, spec, q, d1, d2, barred, n + 1)[n]
         sm_bar_u = ProductSpace(r1, r2).coproduct("deltabar", u).sm
         for n in range(1, min(d1, d2)):
             assert np.abs(sm_u @ phi(n, u, False)).max() < 1e-10
@@ -226,8 +231,8 @@ def test_barred_vectors_are_inverse_parameter_twins(rng):
     u = sample_u(rng)
     qi = q_inverse(q)
     for n in range(3):
-        direct = _lowest_weights(1.0, 1.0, [u], [q], 3, 3, True, n + 1)[0, n]
-        via_inverse = _lowest_weights(1.0, 1.0, [u], [qi], 3, 3, False, n + 1)[0, n]
+        direct = _lowest(1.0, 1.0, u, q, 3, 3, True, n + 1)[n]
+        via_inverse = _lowest(1.0, 1.0, u, qi, 3, 3, False, n + 1)[n]
         assert np.allclose(direct, via_inverse, atol=1e-12)
 
 
@@ -238,8 +243,8 @@ def test_barred_vectors_swap_factors(rng):
     ell1, ell2 = 0.5, 1.0
     d1, d2 = 2, 3
     for n in range(1, 3):
-        barred = _lowest_weights(ell1, ell2, [u], [q], d1, d2, True, n + 1)[0, n]
-        swapped = _lowest_weights(ell2, ell1, [u], [q], d2, d1, False, n + 1)[0, n]
+        barred = _lowest(ell1, ell2, u, q, d1, d2, True, n + 1)[n]
+        swapped = _lowest(ell2, ell1, u, q, d2, d1, False, n + 1)[n]
         swapped = swapped.reshape(d2, d1).T.ravel()
         assert np.allclose(barred, (-1) ** n * swapped, atol=1e-12)
 
@@ -433,9 +438,10 @@ def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng, monkeypatc
     u = sample_u(rng)
     # a space of its own: of_spins would hand out the shared, memoised one
     space = ProductSpace(*_pair(0.5, 0.5, q_generic))
-    v = space.sectors(u)[0][0]
-    monkeypatch.setattr(space, "sectors",
-                        lambda u, kind="delta": [np.array([v, np.full_like(v, np.nan)])])
+    chains, errors = space.sector_stack([u])
+    chains = chains.copy()
+    chains[0, 1, :, 0] = np.nan  # sector 0, after its finite lowest-weight vector
+    monkeypatch.setattr(space, "sector_stack", lambda us, kind="delta": (chains, errors))
     with np.errstate(invalid="ignore"):
         report = tensor_casimir(space, u)
     assert np.isnan(report.max_residual)
@@ -483,9 +489,9 @@ def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypa
     unbarred lowest weight, unbarred chain, barred lowest weight, barred chain."""
     lowest = tensorrep._lowest_weights
 
-    def shifted(ell1, ell2, u, q, d1, d2, barred, count):
-        c = lowest(ell1, ell2, u, q, d1, d2, barred, count)
-        return c + 1.0 if barred in corrupt else c
+    def shifted(ell1, ell2, us, signs, qs, d1, d2, count):
+        c = lowest(ell1, ell2, us, signs, qs, d1, d2, count)
+        return c + np.isin(np.less(signs, 0), corrupt)[:, None, None]
 
     monkeypatch.setattr(tensorrep, "_lowest_weights", shifted)
     q = DeformationParameter.generic(np.exp(0.17 + 0.59j)) if order is None \
@@ -552,9 +558,9 @@ def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
             form, errors = space.spectral_form()
             assert errors == [None]
             kinds = ("delta", "deltabar")
-            arrays.append([*(p for kind in kinds for p in space.kind_pieces(kind)),
-                           *(m for kind in kinds for x in (u, -u)
-                             for m in space.coproducts(kind, [x])),
+            arrays.append([*space._piece_stack.reshape(-1, *space._piece_stack.shape[-2:]),
+                           *(m[:, 0] for kind in kinds for x in (u, -u)
+                             for m in space.coproducts([(kind, [x])])),
                            form.left, form.right, form.cond])
         got, want = arrays
         assert len(got) == len(want) == 19
@@ -572,7 +578,8 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
     space.coproduct("delta", 0.3)
     space.coproduct("deltabar", 0.3)
-    shared = _space_arrays(space) + [p for pieces in space._pieces.values() for p in pieces]
+    d = space.layout.dim
+    shared = _space_arrays(space) + list(space._piece_stack[0].reshape(8, d, d))
     if basis == "orthonormal":
         shared += [f.from_monomial for f in space.factors] + [space.from_monomial]
     assert len(shared) == (18 if basis == "monomial" else 21)
@@ -591,8 +598,7 @@ def _reference_chains(space, u, kind):
     """The chains of one kind, raised one 2-D product at a time."""
     f1, f2 = space.factors
     d1, d2 = space.dims
-    lw = np.array([_lowest_weights(f1.ell, f2.ell, [u], space.qs, d1, d2,
-                                   kind == "deltabar", n + 1)[0, n]
+    lw = np.array([_lowest(f1.ell, f2.ell, u, space.qs[0], d1, d2, kind == "deltabar", n + 1)[n]
                    for n in range(min(d1, d2))]).T
     if space.from_monomial is not None:
         lw = space.from_monomial[0][:, None] * lw
@@ -608,13 +614,13 @@ def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
     for ell1, ell2 in STACK_PAIRS:
         q, u = sample_generic_q(rng), sample_u(rng)
         space = ProductSpace(*_pair(ell1, ell2, q, basis))
-        both, errors = space.chains([u], ("delta", "deltabar"))
-        assert errors == [None]
+        both, errors = space.chains([("delta", [u]), ("deltabar", [u])])
+        assert errors == [[None], [None]]
         for f, kind in enumerate(("delta", "deltabar")):
             want = _reference_chains(space, u, kind)
             assert np.array_equal(both[0, f], want)
-            one, errors = space.chains([u], (kind,))
-            assert errors == [None]
+            one, errors = space.chains([(kind, [u])])
+            assert errors == [[None]]
             assert np.array_equal(one[0, 0], want)
 
 
@@ -622,11 +628,12 @@ def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
     for ell1, ell2 in STACK_PAIRS:
         r1, r2 = _pair(ell1, ell2, sample_generic_q(rng), "orthonormal")
         space = ProductSpace(r1, r2)
-        for kind, s in (("delta", 1), ("deltabar", -1)):
-            want = (kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm),
-                    kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp))
-            for got, ref in zip(space.kind_pieces(kind), want, strict=True):
-                assert np.array_equal(got[0], ref)
+        for f, s in enumerate((1, -1)):
+            sm1, sm2 = kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm)
+            sp1, sp2 = kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp)
+            # the pieces each generator divides by q^{u/2}, then those it multiplies by it
+            want = [(sp1, sm2), (sp2, sm1)] if s == 1 else [(sp2, sm1), (sp1, sm2)]
+            assert np.array_equal(space._piece_stack[0, f], np.array(want))
 
 
 def _reference_casimir(space, u, kind):

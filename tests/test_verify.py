@@ -460,10 +460,10 @@ def _sample_us(report) -> tuple:
 
 @pytest.mark.parametrize("mode", ["xxz", "xxx"])
 def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
-    """R(u) and R(-u) of every sample are solved from one spectral form: a
-    stack of the samples' own q values, orthonormal, at a sampled q, and the
-    one monomial space at q = 1, which every sample shares, so the suite's
-    one stack is built here."""
+    """R(u) and R(-u) of every sample are solved in one call from one
+    spectral form: a stack of the samples' own q values, orthonormal, at a
+    sampled q, and the one monomial space at q = 1, which every sample
+    shares, so the suite's one stack is built here."""
     stacks, solved = [], []
     init = ProductSpace.__init__
     solve = verify._solve
@@ -483,7 +483,7 @@ def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
     (stack,) = stacks
     form = stack.spectral_form()[0]
     us = _sample_us(report)
-    assert solved == [(us, form), (tuple(-u for u in us), form)]
+    assert solved == [(us + tuple(-u for u in us), form)]
     if mode == "xxx":
         assert stack.qs == (RATIONAL,)
         assert ProductSpace.of_spins(1.0, 1.0, RATIONAL, "monomial") is stack
@@ -498,14 +498,51 @@ def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
     calls = []
     chains = ProductSpace.chains
 
-    def counting_chains(self, us, requested, gens=None):
-        calls.append((tuple(us), requested))
-        return chains(self, us, requested, gens)
+    def counting_chains(self, families, gens=None):
+        calls.append([(kind, tuple(us)) for kind, us in families])
+        return chains(self, families, gens)
 
     monkeypatch.setattr(ProductSpace, "chains", counting_chains)
     report = check_casimir_spectrum(1.0, 1.0, FAST)
     assert report.passed
-    assert calls == [(_sample_us(report), ("delta",))]
+    assert calls == [[("delta", _sample_us(report))]]
+
+
+def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, capsys):
+    """verify all --samples 5 makes one ProductSpace.chains call and one
+    rop._solve call per xxz golden-pair run: its three chain families, and
+    R(u) and R(-u) of its five samples; verify casimir alone raises the
+    Casimir sectors and builds no spectral form."""
+    chains, solve = ProductSpace.chains, verify._solve
+    calls, forms = [], []
+
+    def counting_chains(self, families, gens=None):
+        if not self.rational:
+            calls.append(("chains", [kind for kind, _ in families]))
+        return chains(self, families, gens)
+
+    def counting_solve(ell1, ell2, us, qs, eig, form):
+        if qs[0] is not RATIONAL:
+            calls.append(("solve", len(us)))
+        return solve(ell1, ell2, us, qs, eig, form)
+
+    post_init = tensorrep.SpectralForm.__post_init__
+
+    def counting_form(form):
+        forms.append(form)
+        post_init(form)
+
+    monkeypatch.setattr(ProductSpace, "chains", counting_chains)
+    monkeypatch.setattr(verify, "_solve", counting_solve)
+    monkeypatch.setattr(tensorrep.SpectralForm, "__post_init__", counting_form)
+    assert main(["verify", "all", "--samples", "5", "--seed", "5"]) == 0
+    assert calls == [("chains", ["delta", "deltabar", "delta"]), ("solve", 10)] * 3
+    calls.clear()
+    forms.clear()
+    assert main(["verify", "casimir", "--samples", "5", "--seed", "5"]) == 0
+    assert calls == [("chains", ["delta"])] * 3
+    assert forms == []
+    capsys.readouterr()
 
 
 SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
