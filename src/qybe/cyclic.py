@@ -11,7 +11,9 @@ acts as the identity.  Generators act by
 On a product theta_{k1, k2} every twisted generator moves the weight
 sector (k1 + k2) mod N by one, so the tensor checks run on its N
 sector-transition blocks (:func:`_sector_bands`) and never form the
-dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`.
+dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`; the
+partial R keeps each sector, so it is solved on one sector
+(:func:`_partial_rs`).
 
 The kernels behind the central elements, the tensor powers, the shift
 laws, the eigenvalue family and the partial R take S samples at one q
@@ -328,13 +330,20 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
                  for barred in (False, True))
 
 
+def _sector_index(n: int) -> np.ndarray:
+    """[m, k]: the index of theta_{(m-k) mod N, k} in the x1-major basis of
+    V1 x V2, the k-th basis vector of the weight sector m."""
+    k = np.arange(n)
+    return ((k[:, None] - k) % n) * n + k
+
+
 def _family_vectors(n: int, ratios) -> np.ndarray:
     """Rows phi_0 .. phi_{N-1} of the family of each ratio, shape
     (len(ratios), N, N^2): phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
     k = np.arange(n)
     fam = np.zeros((len(ratios), n, n * n), complex)
     powers = np.power(np.asarray(ratios, complex)[:, None], k)
-    fam[:, k[:, None], ((k[:, None] - k) % n) * n + k] = powers[:, None]
+    fam[:, k[:, None], _sector_index(n)] = powers[:, None]
     return fam
 
 
@@ -487,6 +496,10 @@ def _eigenvalue_steps(specs1, specs2, us) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclasses.dataclass(frozen=True)
 class PartialR:
+    """The partial R of one sample: ``matrix`` on the N^2 basis of V1 x V2,
+    zero outside the N weight-sector blocks, the rank of the joint family
+    span, the residual of the defining action and the eigenvalues R_m."""
+
     matrix: np.ndarray
     span_rank: int
     max_residual: float
@@ -498,44 +511,75 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     and phibar_m(u) -> R_m phi_m(-u).
 
     The family vectors are those of :func:`eigenstate_family`, built from
-    the family ratios alone, with no product space.  The solve is exact on
-    the joint span (pseudo-inverse of a full-column-rank stack); a residual
-    above 1e-9 (or NaN) means the prescribed images contradict a linear
-    dependence among the inputs.  The stack of one of :func:`_partial_rs`.
+    the family ratios alone, with no product space.  Each pair phi_m,
+    phibar_m lies in the weight sector m with the same coefficients in
+    every sector, so R is block-diagonal over the sectors: block m is R_m
+    times the sector-local solve of :func:`_partial_rs`, and every entry
+    outside the blocks is 0.  The solve is exact on the joint span
+    (pseudo-inverse of a full-column-rank pair); a residual above 1e-9 (or
+    NaN) means the prescribed images contradict a linear dependence among
+    the inputs.  The stack of one of :func:`_partial_rs`.
     """
     _require_same_q(spec1, spec2)
-    pr = _partial_rs([spec1], [spec2], [u])[0]
-    if not pr.max_residual <= 1e-9:
+    solves = _partial_rs([spec1], [spec2], [u])
+    rank, resid, r_m = solves.span_ranks[0], solves.max_residuals[0], solves.eigenvalues[0]
+    if not resid <= 1e-9:
         raise InconsistentConstraints(
-            pr.max_residual, pr.span_rank,
-            f"defining relations conflict on the joint span (residual {pr.max_residual:.3e})")
-    return pr
+            resid, rank, f"defining relations conflict on the joint span (residual {resid:.3e})")
+    n = spec1.n
+    idx = _sector_index(n)
+    matrix = np.zeros((n * n, n * n), complex)
+    matrix[idx[:, :, None], idx[:, None]] = r_m[:, None, None] * solves.local[0]
+    return PartialR(matrix=matrix, span_rank=rank, max_residual=resid, eigenvalues=r_m)
 
 
-def _partial_rs(specs1, specs2, us) -> list[PartialR]:
-    """:func:`partial_R` of every sample, unguarded: a conflicting sample
-    keeps its residual and span rank.
+class _SectorSolves(NamedTuple):
+    """The partial R of S samples by weight sector: ``local`` (S, N, N), the
+    map M0 of each sample on the sector basis ordered by k2, which block m
+    of R is R_m times; ``eigenvalues`` (S, N), the R_m; and the span rank
+    and residual of each sample, two lists."""
 
-    The four families of all samples come from one :func:`_family_vectors`
-    call, and one batched SVD of the S input stacks gives each sample its
-    rank and numpy's pseudo-inverse, cut off per sample; every slice has
-    the layout of a lone sample, so it is that sample alone bit for bit.
+    local: np.ndarray
+    eigenvalues: np.ndarray
+    span_ranks: list
+    max_residuals: list
+
+
+def _partial_rs(specs1, specs2, us) -> _SectorSolves:
+    """:func:`partial_R` of every sample, unguarded and by sector: a
+    conflicting sample keeps its residual and span rank, and no N^2 x N^2
+    array is formed.
+
+    In the sector m, phi_m and phibar_m at u have the coefficients rho^k
+    and sigma^k of theta_{(m-k) mod N, k}, for every m, and their images
+    R_m phibar_m and R_m phi_m at -u the coefficients R_m sigma'^k and
+    R_m rho'^k.  So block m of R is R_m M0, where M0 = W0 V0^+ with the
+    N x 2 pairs V0 = [rho^k, sigma^k] and W0 = [sigma'^k, rho'^k].  One
+    batched SVD of the S pairs V0 gives each sample numpy's pseudo-inverse,
+    cut off per sample as for the dense stack of the 2N family vectors,
+    whose singular values are those of V0, each N times: the span rank is
+    N times the rank of V0.  The residual is that of the dense solve on
+    the blocks, max_m |R_m (M0 V0) - R_m W0| over max(1, max_m |R_m W0|).
+    Every slice has the layout of a lone sample, so it is that sample
+    alone bit for bit.
     """
     n, q = specs1[0].n, specs1[0].q
     p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
     ratios = np.exp(np.stack([_ratio_exponent(p1, p2, x, barred)
                               for x in (u, -u) for barred in (False, True)], axis=1) * q.log_branch)
-    # [s, f]: phi(u), phibar(u), phi(-u), phibar(-u)
-    fam = _family_vectors(n, ratios.ravel()).reshape(len(us), 4, n, n * n)
+    # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
+    powers = np.power(ratios[:, None], np.arange(n)[:, None])
+    v, w = powers[..., :2], powers[..., [3, 2]]
     r_m = _eigenvalue_steps(specs1, specs2, us)[1]
-    v = np.swapaxes(fam[:, :2].reshape(len(us), 2 * n, n * n), 1, 2)
-    w = np.swapaxes((r_m[:, None, :, None] * fam[:, [3, 2]]).reshape(len(us), 2 * n, n * n), 1, 2)
     # one SVD gives the rank and numpy's pinv, step by step
     left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
     cuts = 1e-8 * np.maximum(1.0, np.abs(v).max(axis=(1, 2)))[:, None]
-    ranks = np.count_nonzero(s > cuts, axis=1).tolist()
+    ranks = (n * np.count_nonzero(s > cuts, axis=1)).tolist()
     inv = 1 / np.where(s > 1e-15 * s.max(axis=1, keepdims=True), s, np.inf)
-    mat = w @ (np.swapaxes(right, 1, 2) @ (inv[:, :, None] * np.swapaxes(left, 1, 2)))
-    resids = _relative(np.abs(mat @ v - w).max(axis=(1, 2)), np.abs(w).max(axis=(1, 2)))
-    return [PartialR(matrix=m, span_rank=rank, max_residual=resid, eigenvalues=r)
-            for m, rank, resid, r in zip(mat, ranks, resids.tolist(), r_m)]
+    local = w @ (np.swapaxes(right, 1, 2) @ (inv[:, :, None] * np.swapaxes(left, 1, 2)))
+    # [s, m, k, f]: the images and targets of the family vectors in the sector m
+    r = r_m[:, :, None, None]
+    targets = r * w[:, None]
+    gaps = np.abs(r * (local @ v)[:, None] - targets).max(axis=(1, 2, 3))
+    resids = _relative(gaps, np.abs(targets).max(axis=(1, 2, 3)))
+    return _SectorSolves(local, r_m, ranks, resids.tolist())

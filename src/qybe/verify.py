@@ -468,14 +468,14 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 
-def _casimir_reports(space: ProductSpace, us, sectors: tuple, delta_u: tuple,
+def _casimir_reports(space: ProductSpace, sectors: tuple, delta_u: tuple,
                      diagonal: np.ndarray) -> list:
     """The :func:`tensor_casimir` report of each sample of ``space`` at its
-    u, one of ``us``, unbarred, all sectors in one stacked pass of
+    u, unbarred, all sectors in one stacked pass of
     :func:`tensorrep._casimir_sectors`, from the chains and errors of the
-    sectors at the us (see :meth:`ProductSpace.chain_pass`), the coproduct
-    Delta at the us and the Casimir diagonal of the space; raises the error
-    of the lowest failing sample."""
+    sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
+    coproduct Delta at those u and the Casimir diagonal of the space;
+    raises the error of the lowest failing sample."""
     sp, sm = delta_u
     c = sp @ sm + diagonal
     chains, errors = sectors
@@ -569,7 +569,7 @@ class _PairRun:
         read, so no perturbation moves it."""
         sectors, (sp, sm) = self.chain_pass
         return [_nan_max(report.max_residual, report.max_m_spread) for report in
-                _casimir_reports(self.space, self.us, sectors, (sp[:, 0], sm[:, 0]),
+                _casimir_reports(self.space, sectors, (sp[:, 0], sm[:, 0]),
                                  self.casimir_diagonal)]
 
 
@@ -743,18 +743,17 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None):
     """Partial R reproduces its defining action on every family vector; a
     conflicting sample keeps its residual, so the suite's tolerance decides.
     The samples are the shift-law suite's stream.  Each run of samples is
-    one pass of :func:`cyclic._partial_rs`, which completes every record
-    with its span rank, so the suite reads its run with its records, and
-    its record function is its own."""
+    one pass of :func:`cyclic._partial_rs`, by weight sector, which
+    completes every record with its span rank, so the suite reads its run
+    with its records, and its record function is its own."""
     cfg = cfg or ToleranceConfig()
 
     def evaluate(run):
         points, records = run
-        residuals = []
-        for record, pr in zip(records, cy._partial_rs(*zip(*points))):
-            record["span_rank"] = pr.span_rank
-            residuals.append(pr.max_residual)
-        return residuals
+        solves = cy._partial_rs(*zip(*points))
+        for record, rank in zip(records, solves.span_ranks):
+            record["span_rank"] = rank
+        return solves.max_residuals
 
     return _Suite(f"partial_r[N={n}]", cfg, cfg.rel_tol, _compatible,
                   (DeformationParameter.root_of_unity(n),), lambda sample: {"u": _c2l(sample[2])},

@@ -118,20 +118,22 @@ def _scalar_phi_product(alpha, q):
 
 
 def _scalar_partial_r(s1, s2, u):
-    """The partial R of one sample, unguarded: matrix, rank, residual and
-    eigenvalues, from 2-d arrays."""
+    """The partial R of one sample by weight sector, unguarded: the
+    sector-local map M0, rank, residual and eigenvalues, from 2-d arrays
+    and a loop over the sectors."""
     n = s1.n
-    phi_u, phibar_u, phi_mu, phibar_mu = cyclic._family_vectors(
-        n, [family_ratio(s1, s2, x, barred) for x in (u, -u) for barred in (False, True)])
+    rho, sigma, rho_mu, sigma_mu = (family_ratio(s1, s2, x, barred)
+                                    for x in (u, -u) for barred in (False, True))
+    v = np.array([[rho**k, sigma**k] for k in range(n)])
+    w = np.array([[sigma_mu**k, rho_mu**k] for k in range(n)])
     step = s1.q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
     r_m = np.array([step**m for m in range(n)])
-    v = np.concatenate([phi_u, phibar_u]).T
-    w = np.concatenate([r_m[:, None] * phibar_mu, r_m[:, None] * phi_mu]).T
     left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
+    rank = n * int(np.count_nonzero(s > 1e-8 * max(1.0, np.abs(v).max())))
     inv = 1 / np.where(s > 1e-15 * s.max(), s, np.inf)
-    mat = w @ (right.T @ (inv[:, None] * left.T))
-    return mat, rank, residual(mat @ v, w, w), r_m
+    local = w @ (right.T @ (inv[:, None] * left.T))
+    targets = np.array([r * w for r in r_m])
+    return local, rank, residual(np.array([r * (local @ v) for r in r_m]), targets, targets), r_m
 
 
 @pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
@@ -237,10 +239,9 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
 @pytest.mark.parametrize("pair", PAIRS)
 def test_stacked_casimir_equals_each_sample_alone(pair):
     points = _points(pair, 13)
-    qs, us = zip(*points)
     run = _PairRun(points, None, frozenset({"casimir"}), *pair)
     sectors, (sp, sm) = run.chain_pass
-    reports = _casimir_reports(run.space, us, sectors, (sp[:, 0], sm[:, 0]), run.casimir_diagonal)
+    reports = _casimir_reports(run.space, sectors, (sp[:, 0], sm[:, 0]), run.casimir_diagonal)
     for report, (q, u) in zip(reports, points):
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
         assert report == alone
@@ -286,7 +287,7 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
     want_sectors, want_sector_errors = space().sector_stack(us)
     _same(sectors, want_sectors)
     assert sector_errors == want_sector_errors == [None] * count
-    reports = _casimir_reports(run, us, (sectors, sector_errors), (sp[:, 0], sm[:, 0]),
+    reports = _casimir_reports(run, (sectors, sector_errors), (sp[:, 0], sm[:, 0]),
                                _casimir_diagonals(run.weights, qs))
     for s, (q, u) in enumerate(points):
         one = ProductSpace.stack_of_spins(*pair, (q,), "orthonormal")
@@ -441,29 +442,32 @@ def _conflicting(n, rng):
 @pytest.mark.parametrize("n", [3, 7, 19])
 @pytest.mark.parametrize("count", SIZES)
 def test_stacked_partial_r_equals_each_sample_alone(n, count):
-    """Matrix, span rank, residual and eigenvalues of every sample; the
-    conflicting sample keeps the residual and rank that partial_R raises.
-    At N = 19 the stacked images pass numpy's 256 KiB temporary-elision
-    size."""
+    """Sector-local map, span rank, residual and eigenvalues of every
+    sample; partial_R alone has R_m times the slice's map as its block m;
+    the conflicting sample keeps the residual and rank that partial_R
+    raises."""
     rng = np.random.default_rng(40 + count)
     points = [cyclic.sample_compatible_params(n, rng) for _ in range(count)]
     points[count // 2] = _conflicting(n, rng)
+    solves = cyclic._partial_rs(*zip(*points))
+    idx = cyclic._sector_index(n)
     conflicts = 0
-    for got, (s1, s2, u) in zip(cyclic._partial_rs(*zip(*points)), points):
-        mat, rank, resid, r_m = _scalar_partial_r(s1, s2, u)
-        assert_close(got.matrix, mat)
-        assert_close(got.eigenvalues, r_m)
-        assert_close(got.max_residual, resid)
-        assert got.span_rank == rank
+    for (got_local, got_r_m, got_rank, got_resid), (s1, s2, u) in zip(zip(*solves), points,
+                                                                        strict=True):
+        local, rank, resid, r_m = _scalar_partial_r(s1, s2, u)
+        assert_close(got_local, local)
+        assert_close(got_r_m, r_m)
+        assert_close(got_resid, resid)
+        assert got_rank == rank
         try:
             alone = partial_R(s1, s2, u)
         except InconsistentConstraints as exc:
             conflicts += 1
-            assert (exc.span_rank, exc.residual) == (n, got.max_residual)
+            assert (exc.span_rank, exc.residual) == (n, got_resid)
             continue
-        _same(alone.matrix, got.matrix)
-        _same(alone.eigenvalues, got.eigenvalues)
-        assert (alone.span_rank, alone.max_residual) == (2 * n, got.max_residual)
+        _same(alone.matrix[idx[:, :, None], idx[:, None]], got_r_m[:, None, None] * got_local)
+        _same(alone.eigenvalues, got_r_m)
+        assert (alone.span_rank, alone.max_residual) == (2 * n, got_resid)
     assert conflicts == 1
 
 
@@ -786,11 +790,11 @@ def test_a_pass_raises_each_suite_error_at_the_suite_place(monkeypatch):
     cfg = ToleranceConfig(sample_count=verify._STACK_SIZE + 1, rng_seed=5)
     calls = []
 
-    def failing_casimir(space, us, *pieces):
-        calls.append(len(us))
+    def failing_casimir(space, sectors, delta_u, diagonal):
+        calls.append(len(diagonal))  # one Casimir diagonal per sample of the run
         if len(calls) == 2:  # the second run of the first pair
             raise _Forced("casimir")
-        return real_casimir(space, us, *pieces)
+        return real_casimir(space, sectors, delta_u, diagonal)
 
     real_casimir = verify._casimir_reports
     monkeypatch.setattr(verify, "_casimir_reports", failing_casimir)
