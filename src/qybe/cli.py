@@ -34,7 +34,7 @@ from .verify import _c2l
 
 DEFAULT_SEED = 42
 # the largest root-of-unity order whose cyclic suites pass at 10 samples for
-# every seed 0-11; at N = 21 cyclic_centrality reaches 1.5e-10 against 1e-10.
+# every seed 0-11; at N = 21 cyclic_centrality reaches 1.2e-10 against 1e-10.
 # It bounds `rep --cyclic --N` too, whose documents grow as N^2.
 MAX_ORDER = 19
 # the largest spin that `rmatrix` and `rep` take: at the 20 points of the

@@ -10,10 +10,16 @@ acts as the identity.  Generators act by
 
 On a product theta_{k1, k2} every twisted generator moves the weight
 sector (k1 + k2) mod N by one, so the tensor checks run on its N
-sector-transition blocks (:func:`_sector_bands`) and never form the
-dense N^2 x N^2 coproducts of :class:`tensorrep.ProductSpace`; the
-partial R keeps each sector, so it is solved on one sector
-(:func:`_partial_rs`).
+sector-transition blocks, each with two nonzero diagonals
+(:func:`_sector_diagonals`), and never form the dense N^2 x N^2
+coproducts of :class:`tensorrep.ProductSpace`.  The shift laws apply
+each block as its two diagonals; the tensor powers multiply the blocks
+(:func:`_sector_bands`) around the cycle of sectors, N products from
+shared windows in (N - 3)(N - 1)/2 + (N + 1)/2 + N block products, 23 at
+N = 7 (:func:`_around_the_cycle`).  Every one of those products is a
+band block times a window, so each entry of it, as of each image under a
+law, is a two-term sum.  The partial R keeps each sector, so it is solved
+on one sector (:func:`_partial_rs`).
 
 The kernels behind the central elements, the tensor powers, the shift
 laws, the eigenvalue family and the partial R take S samples at one q
@@ -96,6 +102,13 @@ class _RepBands(NamedTuple):
         gens[:, 1, (k - 1) % n, k] = self.lower
         return gens
 
+    def halves(self) -> tuple[_RepBands, _RepBands]:
+        """The first and the second half of the stack, as views: the factors
+        V1 and V2 of S samples whose 2 S representations are stacked."""
+        count = len(self.weights) // 2
+        return tuple(_RepBands(*(x[rows] for x in self[:3]), self.q)
+                     for rows in (slice(None, count), slice(count, None)))
+
 
 def _rep_bands(specs) -> _RepBands:
     """The bands of every spec's representation, in one stacked pass; the
@@ -141,7 +154,17 @@ class CentralElements:
     alpha_minus_product_route: complex
 
 
-def _central_elements(specs, bands: _RepBands) -> list[CentralElements]:
+class _Central(NamedTuple):
+    """The central elements of S representations: ``scalars`` and
+    ``offscalar_residuals`` (S, 3), of (S+)^N, (S-)^N and q^{NS}, and
+    ``routes`` (S,), the q-number-product route to (S-)^N."""
+
+    scalars: np.ndarray
+    offscalar_residuals: np.ndarray
+    routes: np.ndarray
+
+
+def _central_elements(specs, bands: _RepBands) -> _Central:
     """:func:`central_elements` of every spec, unguarded, from the stack
     ``bands`` of their representations: one ``matrix_power`` of all the
     S+ and S-, and the q-number products of the cross-check along one axis."""
@@ -152,10 +175,7 @@ def _central_elements(specs, bands: _RepBands) -> list[CentralElements]:
     params = _params(specs)
     # phi_product(beta, q).product of every spec, times -q^{-N lam/2}
     prods = np.prod(qnum(params.beta[:, None] + np.arange(n), q), axis=-1)
-    routes = -np.exp(-n * params.lam / 2 * q.log_branch) * prods
-    return [CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
-                            max_offscalar_residual=_nan_max(*r), alpha_minus_product_route=route)
-            for (ap, am, aq), r, route in zip(scalars.tolist(), resids.tolist(), routes.tolist())]
+    return _Central(scalars, resids, -np.exp(-n * params.lam / 2 * q.log_branch) * prods)
 
 
 def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements:
@@ -165,11 +185,14 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
     q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  The stack of one
     of :func:`_central_elements`.
     """
-    ce = _central_elements([spec], _rep_bands([spec]))[0]
-    worst = ce.max_offscalar_residual
+    central = _central_elements([spec], _rep_bands([spec]))
+    (ap, am, aq), resids = central.scalars[0].tolist(), central.offscalar_residuals[0].tolist()
+    worst = _nan_max(*resids)
     if not worst <= tol:
         raise NotScalar(worst, f"extended-center candidate has off-scalar residual {worst:.3e}")
-    return ce
+    return CentralElements(alpha_plus=ap, alpha_minus=am, qns_scalar=aq,
+                           max_offscalar_residual=worst,
+                           alpha_minus_product_route=central.routes[0].item())
 
 
 def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
@@ -185,20 +208,22 @@ _GENERATORS = ("sm_u", "sp_u", "sm_bar_u", "sp_bar_u")
 _STEPS = np.array([-1, 1, -1, 1])
 
 
-def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
-    """The sector-transition blocks of the four twisted generators on V1 x V2,
-    for every sample of the stacks at its u.
+def _sector_diagonals(reps1: _RepBands, reps2: _RepBands, us) -> tuple[np.ndarray, np.ndarray]:
+    """The two nonzero diagonals of every sector-transition block of the four
+    twisted generators on V1 x V2, for every sample of the stacks at its u.
 
     Each of sm_u, sp_u, sm_bar_u and sp_bar_u (steps -1, 1, -1, 1) moves
     the weight sector c = k1 + k2 mod N by its step, so it is N blocks of
-    N x N.  Returns shape (S, 4, N, N, N): [s, g, i] maps sector
-    i * step_g mod N to (i + 1) * step_g, on the basis vectors
-    theta_{k1, c - k1} ordered by k1.  The S2 term of a generator moves k2
-    and sits on the diagonal of a block; the S1 term moves k1 and sits on
-    the diagonal shifted by the step.  Each entry is formed as
-    :meth:`ProductSpace.coproduct` forms it, the piece product and then the
-    product or quotient with q^{u/2}, so the blocks are bit for bit the
-    slices of the dense generators.
+    N x N; block i maps sector i * step_g mod N to (i + 1) * step_g, on the
+    basis vectors theta_{k1, c - k1} ordered by k1.  The S2 term of a
+    generator moves k2 and sits on the diagonal of a block; the S1 term
+    moves k1 and sits on the diagonal shifted by the step.  Returns ``on``
+    and ``off``, each of shape (S, 4, N, N): [s, g, i, r] is the entry of
+    block i at [r, r] and at [r, (r - step_g) mod N], so row r of a block
+    applied to a vector v is on[r] v[r] + off[r] v[r - step], a two-term
+    sum.  Each entry is formed as :meth:`ProductSpace.coproduct` forms it,
+    the piece product and then the product or quotient with q^{u/2}, so the
+    diagonals are bit for bit those of the dense generators.
     """
     n, q = reps1.weights.shape[1], reps1.q
     k = np.arange(n)
@@ -207,35 +232,79 @@ def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
     # delta weights its pieces by q^{-S1} and q^{S2}, deltabar by q^{S1} and q^{-S2}
     w1 = np.stack([q.pow(-reps1.weights), q.pow(reps1.weights)], axis=1)[:, [0, 0, 1, 1], None]
     w2 = np.stack([q.pow(reps2.weights), q.pow(-reps2.weights)], axis=1)[:, [0, 0, 1, 1]]
-    f1 = np.stack([reps1.lower, reps1.lift], axis=1)[:, [0, 1, 0, 1], None]
+    f1 = np.stack([reps1.lower, reps1.lift], axis=1)[:, [0, 1, 0, 1]]
     f2 = np.stack([reps2.lower, reps2.lift], axis=1)[:, [0, 1, 0, 1]]
-    k2 = (steps * k[:, None] - k) % n  # [g, i, k1]: k2 of column k1 of block i
-    s1 = f1 * w2[:, g, k2]
+    k2 = (steps * k[:, None] - k) % n  # [g, i, r]: k2 of the basis vector k1 = r of block i
+    # the S1 term of row r acts on the column k1 = r - step, whose k2 is one step on
+    s1 = f1[:, g, (k - steps) % n] * w2[:, g, (k2 + steps) % n]
     s2 = w1 * f2[:, g, k2]
     qu = np.exp(np.asarray(us, complex) / 2 * q.log_branch)[:, None, None, None]
-    times = np.array([True, False, False, True])[:, None, None]
-    bands = np.zeros((len(us), 4, n, n, n), complex)
-    bands[:, g, k[:, None], (k + steps) % n, k] = np.where(times, qu * s1, s1 / qu)
-    bands[:, g, k[:, None], k, k] = np.where(times, s2 / qu, qu * s2)
+    # q^{u/2} multiplies the S1 term of sm_u and sp_bar_u (generators 0 and 3)
+    # and divides their S2 term, and the other way round for sp_u and sm_bar_u
+    for times, over in ((s1[:, ::3], s2[:, ::3]), (s2[:, 1:3], s1[:, 1:3])):
+        np.multiply(qu, times, out=times)
+        np.divide(over, qu, out=over)
+    return s2, s1
+
+
+def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
+    """The sector-transition blocks of :func:`_sector_diagonals` as dense
+    N x N matrices, shape (S, 4, N, N, N): [s, g, i] is block i of
+    generator g, bit for bit the slice of the dense generator."""
+    on, off = _sector_diagonals(reps1, reps2, us)
+    count, n = on.shape[0], on.shape[-1]
+    k = np.arange(n)
+    g = np.arange(4)[:, None, None]
+    bands = np.zeros((count, 4, n, n, n), complex)
+    bands[:, g, k[:, None], k, (k - _STEPS[:, None, None]) % n] = off
+    bands[:, g, k[:, None], k, k] = on
     return bands
 
 
 def _around_the_cycle(bands: np.ndarray) -> np.ndarray:
     """The N-th power of every generator of a stack of sector bands, as the
-    stack of its diagonal blocks: block i is the product of the generator's
-    N blocks once around the cycle of sectors from sector i.
+    stack of its diagonal blocks: block c is P_c = B_{c+N-1} ... B_{c+1} B_c,
+    the product of the generator's N blocks once around the cycle of
+    sectors from sector c (indices mod N, N odd).
 
-    Step j multiplies block i by block (i + j) mod N, as two batched
-    products of slices of the bands, written into a spare stack, so no
-    copy of the bands is made.
+    The N products share their windows W(s, L) = B_{s+L-1} ... B_s.  The
+    windows from every other start, s = 0, 2, ..., N - 3, grow left only,
+    B @ W, to length N - 2.  Each of them then gives W(s, N - 1), the
+    window that misses block s - 1, and W(0, N - 2) also gives
+    W(N - 1, N - 1) = W(0, N - 2) @ B_{N-1}, which misses block N - 2.  A
+    window that misses block c gives both P_c = W @ B_c and
+    P_{c+1} = B_c @ W.  That is (N - 3)(N - 1)/2 + (N + 1)/2 + N block
+    products in place of the N (N - 1) of the sequential chain: 5 for 6 at
+    N = 3, 23 for 42 at N = 7, 173 for 342 at N = 19.  Every product is a
+    band block times a window, so each entry of it is a two-term sum, as in
+    the chain, never a window times a window.
+
+    Each level is two or three batched products of slices of the bands,
+    written into one of two buffers allocated once per pass: the powers,
+    which also hold every other level of the growing windows, and the
+    (N + 1)/2 windows of length N - 1, which hold the others.
     """
     n = bands.shape[2]
-    powers, spare = bands, np.empty_like(bands)
-    for j in range(1, n):
-        np.matmul(bands[:, :, j:], powers[:, :, :n - j], out=spare[:, :, :n - j])
-        np.matmul(bands[:, :, :j], powers[:, :, n - j:], out=spare[:, :, n - j:])
-        # the bands themselves are never overwritten
-        powers, spare = spare, (np.empty_like(bands) if powers is bands else powers)
+    half = (n - 1) // 2
+    powers = np.empty_like(bands)
+    windows = np.empty((*bands.shape[:2], half + 1, n, n), complex)
+    # grown[:, :, j] is W(2j, length); N - 3 is even, so the last level is in powers
+    grown = bands[:, :, 0:n - 1:2]
+    for length in range(1, n - 2):
+        out = (powers, windows)[length % 2][:, :, :half]
+        # the next block of W(2j, length) is 2j + length, past the end of the cycle from j = split
+        split = (n - length + 1) // 2
+        np.matmul(bands[:, :, length::2], grown[:, :, :split], out=out[:, :, :split])
+        np.matmul(bands[:, :, 2 * split + length - n::2][:, :, :half - split], grown[:, :, split:],
+                  out=out[:, :, split:])
+        grown = out
+    # windows[:, :, j] is W(2j, N - 1), which misses block 2j - 1
+    np.matmul(bands[:, :, n - 2], grown[:, :, 0], out=windows[:, :, 0])
+    np.matmul(bands[:, :, 0:n - 3:2], grown[:, :, 1:], out=windows[:, :, 1:half])
+    np.matmul(grown[:, :, 0], bands[:, :, n - 1], out=windows[:, :, half])
+    np.matmul(bands[:, :, n - 1], windows[:, :, 0], out=powers[:, :, 0])
+    np.matmul(bands[:, :, 1::2], windows[:, :, 1:], out=powers[:, :, 2::2])
+    np.matmul(windows[:, :, 1:], bands[:, :, 1::2], out=powers[:, :, 1::2])
     return powers
 
 
@@ -250,11 +319,24 @@ class TensorPowerReport:
         return _nan_max(*self.offscalar_residuals.values())
 
 
+class _TensorPowers(NamedTuple):
+    """The N-th powers of the four twisted generators of S samples:
+    ``scalars`` and ``offscalar_residuals`` (S, 4), in the order sm_u,
+    sp_u, sm_bar_u, sp_bar_u, and ``closed_form_errors`` (S, 2), of sm_u
+    and sp_u."""
+
+    scalars: np.ndarray
+    offscalar_residuals: np.ndarray
+    closed_form_errors: np.ndarray
+
+
 def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
-                          reps2: _RepBands) -> list[TensorPowerReport]:
-    """:func:`tensor_power_scalars` of every sample, unguarded, from the
-    stacks of its representations: the sector bands of all samples go
-    around the cycle together, and the closed forms
+                          reps2: _RepBands) -> _TensorPowers:
+    """:func:`tensor_power_scalars` of every sample, unguarded, as arrays
+    along the sample axis, from the stacks of its representations: the
+    sector bands of all samples go around the cycle together
+    (:func:`_around_the_cycle`, 23 block products at N = 7, each entry a
+    two-term sum), and the closed forms
     (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))
     of (S-_u)^N and (S+_u)^N are arrays along the sample axis."""
     n, q = specs1[0].n, specs1[0].q
@@ -267,11 +349,8 @@ def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
     closed = (((p[:, 1] - p[:, 2]) * p[:, 0] + (p[:, 4] - p[:, 5]) * p[:, 3])
               * (q.value - 1 / q.value) ** (-n)).T
     scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
-    errors = _relative(np.abs(scalars[:, :2] - closed), np.abs(closed))
-    return [TensorPowerReport(scalars=dict(zip(_GENERATORS, row)),
-                              offscalar_residuals=dict(zip(_GENERATORS, r)),
-                              closed_form_errors=dict(zip(_GENERATORS, e)))
-            for row, r, e in zip(scalars.tolist(), resids.tolist(), errors.tolist())]
+    return _TensorPowers(scalars, resids,
+                         _relative(np.abs(scalars[:, :2] - closed), np.abs(closed)))
 
 
 def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -291,8 +370,8 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     sm_bar_u, sp_bar_u.
     """
     _require_same_q(spec1, spec2)
-    report = _tensor_power_reports([spec1], [spec2], [u], _rep_bands([spec1]),
-                                   _rep_bands([spec2]))[0]
+    powers = _tensor_power_reports([spec1], [spec2], [u], *_rep_bands([spec1, spec2]).halves())
+    report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
             raise NotScalar(r, f"(S^N) off-scalar residual {r:.3e} for {name}")
@@ -393,28 +472,37 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     """The family ratios [rho, sigma] of every sample and the residuals of
     its 4N shift laws, shape (S, 4, N), in one stacked pass.
 
-    phi_m lies in the sector m, so each law is evaluated there: its
-    generator's sector-transition block (:func:`_sector_bands`) applied to
-    phi_m restricted to the sector, whose coefficient of theta_{k1, m - k1}
-    is ratio^{(m - k1) mod N}.
+    phi_m lies in the sector m, so each law is evaluated there: block i of
+    its generator, which acts on the sector m = i * step, applied to phi_m
+    restricted to the sector, whose coefficient of theta_{k1, m - k1} is
+    ratio^{(m - k1) mod N}, against the prefactor times phi_{m + step} on
+    the next sector.  The block is applied as its two nonzero diagonals
+    (:func:`_sector_diagonals`): row r of the image is
+    on[r] phi_m[r] + off[r] phi_m[r - step], a two-term sum, and
+    phi_m[r - step] is phi_{m + step}[r], so the pass takes 2 N^2 products
+    per generator and sample and forms no N x N block.
     """
     n, q = specs1[0].n, specs1[0].q
     p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
     ratios = np.exp(np.stack([_ratio_exponent(p1, p2, u, barred) for barred in (False, True)],
                              axis=1) * q.log_branch)
-    bands = _sector_bands(_rep_bands(specs1), _rep_bands(specs2), us)
+    on, off = _sector_diagonals(*_rep_bands(specs1 + specs2).halves(), us)
     m = np.arange(n)
     g = np.arange(4)[:, None]
     steps = _STEPS[:, None]
-    # [s, g, m, k1]: the family of generator g, phi_m on its sector
-    vec = np.power(ratios[..., None], m)[..., (m[:, None] - m) % n][:, [0, 0, 1, 1]]
-    c = _prefactors(specs1, specs2, us, m)
-    # block i of a generator acts on the sector i * step, the sector of phi_{i * step}
-    turn = m * steps % n
-    image = (bands @ vec[:, g, turn][..., None])[..., 0][:, g, turn]
-    r = np.abs(image - c[..., None] * vec[:, g, (m + steps) % n]).max(axis=-1)
-    r /= np.maximum(np.maximum(1.0, np.abs(vec).max(axis=-1)), np.abs(c))
-    return ratios.tolist(), r
+    turn = m * steps % n  # [g, i]: the sector of block i, and the block of the sector i
+    # [s, g, i, k1]: the family of generator g on the sector of block i and on the next one
+    powers = np.power(ratios[..., None], m)[:, [0, 0, 1, 1]]
+    here = powers[:, g[..., None], (turn[..., None] - m) % n]
+    there = powers[:, g[..., None], (turn[..., None] + steps[..., None] - m) % n]
+    c = _prefactors(specs1, specs2, us, m)[:, g, turn]
+    # on[r] here[r] + off[r] there[r] - c there[r], in the buffers of the diagonals
+    image = np.multiply(on, here, out=on)
+    image += np.multiply(off, there, out=off)
+    image -= np.multiply(c[..., None], there, out=off)
+    r = np.abs(image).max(axis=-1)
+    r /= np.maximum(np.maximum(1.0, np.abs(powers).max(axis=-1, keepdims=True)), np.abs(c))
+    return ratios.tolist(), r[:, g, turn]
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,

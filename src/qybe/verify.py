@@ -652,15 +652,19 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
 def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
-    Each run of samples is one stacked pass: the bands of its 2 S
-    representations are built once and shared by
-    :func:`cyclic._central_elements` and :func:`cyclic._tensor_power_reports`.
-    A sample that the guards of :func:`cyclic.central_elements` and
-    :func:`cyclic.tensor_power_scalars` would reject (a NaN off-scalar
-    residual, or one above 1) has the residual of its first failing guard,
-    so it fails the report: rep 1's, rep 2's, then the generators' in the
-    order sm_u, sp_u, sm_bar_u, sp_bar_u.  The cyclic R-ratio suite reads
-    the same stream.
+    Each run of S samples is one stacked pass: the bands of its 2 S
+    representations are built in one stack, whose central elements
+    (:func:`cyclic._central_elements`) are one 2 S-row pass and whose halves
+    give the tensor powers (:func:`cyclic._tensor_power_reports`, the N
+    products around the cycle from shared windows, each entry of a product
+    a two-term sum).  The guards fold as arrays: a sample that the guards
+    of :func:`cyclic.central_elements` and :func:`cyclic.tensor_power_scalars`
+    would reject (a NaN off-scalar residual, or one above 1) has the
+    residual of its first failing guard, so it fails the report: rep 1's,
+    rep 2's, then the generators' in the order sm_u, sp_u, sm_bar_u,
+    sp_bar_u.  Any other sample has the NaN-keeping max of its guards, the
+    cross-check of (S-)^N and the closed-form errors.  The cyclic R-ratio
+    suite reads the same stream.
     """
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
@@ -672,20 +676,19 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
 
     def evaluate(points):
         specs1, specs2, us = zip(*points)
-        reps1, reps2 = cy._rep_bands(specs1), cy._rep_bands(specs2)
-        ces1 = cy._central_elements(specs1, reps1)
-        am = np.array([ce.alpha_minus for ce in ces1])
-        route = np.array([ce.alpha_minus_product_route for ce in ces1])
-        residuals = []
-        for ce1, ce2, tp, cross in zip(ces1, cy._central_elements(specs2, reps2),
-                                       cy._tensor_power_reports(specs1, specs2, us, reps1, reps2),
-                                       _relative(np.abs(am - route), np.abs(am)).tolist()):
-            guards = [ce1.max_offscalar_residual, ce2.max_offscalar_residual,
-                      *tp.offscalar_residuals.values()]
-            failed = [r for r in guards if not r <= 1.0]
-            residuals.append(failed[0] if failed else _nan_max(
-                *guards, cross, *tp.closed_form_errors.values()))
-        return residuals
+        count = len(points)
+        reps = cy._rep_bands(specs1 + specs2)
+        central = cy._central_elements(specs1 + specs2, reps)
+        powers = cy._tensor_power_reports(specs1, specs2, us, *reps.halves())
+        # [s, j]: rep 1's worst, rep 2's worst, then the four generators'; max keeps a NaN
+        guards = np.concatenate([central.offscalar_residuals.reshape(2, count, 3).max(axis=2).T,
+                                 powers.offscalar_residuals], axis=1)
+        am = central.scalars[:count, 1]
+        cross = _relative(np.abs(am - central.routes[:count]), np.abs(am))
+        folded = np.concatenate([guards, cross[:, None], powers.closed_form_errors], axis=1)
+        failing = ~(guards <= 1.0)
+        first = guards[np.arange(count), failing.argmax(axis=1)]
+        return np.where(failing.any(axis=1), first, folded.max(axis=1)).tolist()
 
     return _Suite(f"cyclic_centrality[N={n}]", cfg, cfg.abs_tol, _cyclic_params, (q,), record,
                   evaluate)

@@ -351,6 +351,135 @@ def test_shift_residuals_match_the_dense_evaluation(n, rng):
                 assert abs(fam.shift_residuals[(name, j)] - r[j]) <= 1e-15
 
 
+def _draws(n, seed, count=16):
+    """Samples as the centrality suite draws them."""
+    rng = np.random.default_rng(seed)
+    return [(_random_spec(n, rng), _random_spec(n, rng), sample_u(rng, scale=0.6))
+            for _ in range(count)]
+
+
+def _bands_of(points):
+    specs1, specs2, us = zip(*points)
+    return cyclic._sector_bands(cyclic._rep_bands(specs1), cyclic._rep_bands(specs2), us)
+
+
+def _sequential_chain(bands, offsets=None):
+    """Reference for the products around the cycle: block c is
+    B_{c+N-1} ... B_{c+1} B_c, one left product per step of the chain,
+    with the blocks at ``offsets`` from c after B_c (1 .. N-1 by default)."""
+    n = bands.shape[2]
+    powers = bands
+    for j in range(1, n) if offsets is None else offsets:
+        powers = np.stack([bands[:, :, (c + j) % n] @ powers[:, :, c] for c in range(n)], axis=2)
+    return powers
+
+
+def _blocks_agree(got, want, tol) -> bool:
+    """Every block of ``got`` within ``tol`` of ``want``, relative to the
+    block's largest entry."""
+    gaps = np.abs(got - want).max(axis=(-2, -1))
+    return bool((gaps <= tol * np.abs(want).max(axis=(-2, -1))).all())
+
+
+def _geometric_mean_ratio(got, want) -> float:
+    return float(np.exp(np.mean(np.log(got / want))))
+
+
+# at N = 19 any two orders of the products differ by the chain's own
+# rounding, which the off-scalar residual measures: up to 1.2e-11 relative
+# over 192 draws, so there the bound is the centrality gate
+_CHAIN_TOL = {3: 1e-12, 5: 1e-12, 7: 1e-12, 19: 1e-10}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 19])
+def test_products_around_the_cycle_match_the_sequential_chain(n):
+    """The shared-window products equal the sequential chain in every block,
+    their off-scalar residuals do not widen against the chain's (paired
+    geometric-mean ratio at most 1.05), and the same comparison rejects a
+    chain with a wrong block at one place or one block skipped.  (The
+    blocks of one generator commute to rounding, so a chain with two of
+    its blocks swapped gives the same product.)"""
+    bands = _bands_of(_draws(n, 40 + n))
+    got, want = cyclic._around_the_cycle(bands), _sequential_chain(bands)
+    assert _blocks_agree(got, want, _CHAIN_TOL[n])
+    resids = [cyclic._scalar_part(p)[1] for p in (got, want)]
+    assert _geometric_mean_ratio(*resids) <= 1.05
+    repeated = [1, 1, *range(3, n)]
+    skipped = list(range(1, n - 1))
+    for offsets in (repeated, skipped):
+        assert not _blocks_agree(got, _sequential_chain(bands, offsets), _CHAIN_TOL[n])
+
+
+def _dense_shift_residuals(points, roll=0):
+    """Reference for the shift residuals: each sector block applied as a
+    dense N x N matrix, bands @ vec; ``roll`` moves every block to the
+    sector of another."""
+    specs1, specs2, us = zip(*points)
+    n, q = specs1[0].n, specs1[0].q
+    ratios = np.array([[family_ratio(s1, s2, u, barred) for barred in (False, True)]
+                       for s1, s2, u in points])
+    bands = np.roll(_bands_of(points), roll, axis=2)
+    m = np.arange(n)
+    g = np.arange(4)[:, None]
+    steps = np.array([-1, 1, -1, 1])[:, None]
+    vec = np.power(ratios[..., None], m)[..., (m[:, None] - m) % n][:, [0, 0, 1, 1]]
+    c = np.array([[shift_prefactor(name, s1, s2, u, m)
+                   for name in ("lower", "raise", "lower_bar", "raise_bar")]
+                  for s1, s2, u in points])
+    turn = m * steps % n
+    image = (bands @ vec[:, g, turn][..., None])[..., 0][:, g, turn]
+    r = np.abs(image - c[..., None] * vec[:, g, (m + steps) % n]).max(axis=-1)
+    return r / np.maximum(np.maximum(1.0, np.abs(vec).max(axis=-1)), np.abs(c))
+
+
+def _residuals_agree(got, want) -> bool:
+    return bool((np.abs(got - want) <= 1e-15 + 1e-12 * want).all())
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 19])
+def test_banded_shift_laws_match_the_dense_blocks(n, monkeypatch):
+    """The laws applied by the two diagonals of each block equal the dense
+    bands @ vec route on and off the admissible set, do not widen on it
+    (paired geometric-mean ratio at most 1.05), and the same comparison
+    rejects the dense route with its blocks out of order or one block
+    skipped."""
+    rng = np.random.default_rng(60 + n)
+    points = [sample_compatible_params(n, rng) for _ in range(12)] + _draws(n, 80 + n, 4)
+    got = cyclic._shift_residuals(*zip(*points))[1]
+    want = _dense_shift_residuals(points)
+    assert _residuals_agree(got, want)
+    assert _geometric_mean_ratio(got[:12], want[:12]) <= 1.05
+    assert not _residuals_agree(got, _dense_shift_residuals(points, roll=1))
+    real = cyclic._sector_bands
+    skipped = lambda *args: real(*args) * (np.arange(n) != n // 2)[:, None, None]
+    monkeypatch.setattr(cyclic, "_sector_bands", skipped)
+    assert not _residuals_agree(got, _dense_shift_residuals(points))
+
+
+@pytest.mark.parametrize("kernel,bound_mb", [("tensor powers", 20), ("shift laws", 2)])
+def test_cyclic_tensor_passes_stay_within_their_memory(kernel, bound_mb):
+    """At N = 19 (cli.MAX_ORDER) and 16 samples (verify._STACK_SIZE) the
+    tensor-power pass holds the sector bands, the powers and the (N + 1)/2
+    windows of length N - 1, about 17 MB, and the shift laws only the two
+    diagonals of each block and the families on two sectors, about 1.6 MB."""
+    points = _draws(19, 3)
+    specs1, specs2, us = zip(*points)
+    if kernel == "tensor powers":
+        run = lambda: cyclic._tensor_power_reports(
+            specs1, specs2, us, *cyclic._rep_bands(specs1 + specs2).halves())
+    else:
+        rng = np.random.default_rng(3)
+        run = lambda: cyclic._shift_residuals(
+            *zip(*[sample_compatible_params(19, rng) for _ in range(16)]))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
+
+
 def test_cyclic_eigenvalue_geometry(rng):
     n = 5
     q = DeformationParameter.root_of_unity(n)

@@ -29,7 +29,8 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, Pro
                   qnum, tensor_casimir, tensor_power_scalars)
 from qybe import cli, cyclic, rop, verify
 from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted
-from qybe.qcore import _phi_products, residual, sample_generic_q, sample_params, sample_u
+from qybe.qcore import (_nan_max, _phi_products, _relative, residual, sample_generic_q,
+                        sample_params, sample_u)
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
 from qybe.tensorrep import _lowest_weights, _sector_chains, _spin_space
@@ -334,7 +335,7 @@ def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
     specs1, specs2, us = zip(*points)
     reps1, reps2 = cyclic._rep_bands(specs1), cyclic._rep_bands(specs2)
     bands = cyclic._sector_bands(reps1, reps2, us)
-    central = cyclic._central_elements(specs1, reps1) + cyclic._central_elements(specs2, reps2)
+    central = cyclic._central_elements(specs1 + specs2, cyclic._rep_bands(specs1 + specs2))
     powers = cyclic._tensor_power_reports(specs1, specs2, us, reps1, reps2)
     ratios, shifts = cyclic._shift_residuals(specs1, specs2, us)
     for s, (s1, s2, u) in enumerate(points):
@@ -344,9 +345,15 @@ def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
             _same(got, want)
         alone1, alone2 = cyclic._rep_bands([s1]), cyclic._rep_bands([s2])
         _same(bands[s], cyclic._sector_bands(alone1, alone2, [u])[0])
-        for ce, spec in ((central[s], s1), (central[COUNT + s], s2)):
-            assert _bits(ce) == _bits(central_elements(spec, tol=np.inf))
-        assert _bits(powers[s]) == _bits(tensor_power_scalars(s1, s2, u, tol=np.inf))
+        for row, spec in ((s, s1), (COUNT + s, s2)):
+            alone = central_elements(spec, tol=np.inf)
+            _same(central.scalars[row], [alone.alpha_plus, alone.alpha_minus, alone.qns_scalar])
+            _same(central.offscalar_residuals[row].max(), alone.max_offscalar_residual)
+            _same(central.routes[row], alone.alpha_minus_product_route)
+        alone = tensor_power_scalars(s1, s2, u, tol=np.inf)
+        for got, want in zip(powers, (alone.scalars, alone.offscalar_residuals,
+                                      alone.closed_form_errors)):
+            _same(got[s], list(want.values()))
         family = eigenstate_family(s1, s2, u, enforce=False)
         assert _bits(ratios[s]) == _bits([family.ratio, family.barred_ratio])
         _same(shifts[s].ravel(), list(family.shift_residuals.values()))
@@ -474,20 +481,22 @@ def test_stacked_partial_r_equals_each_sample_alone(n, count):
 def _guard_residuals(injected: dict, real, monkeypatch) -> None:
     """Make the off-scalar residuals of the centrality suite read
     ``injected[(kind, sample, entry)]``, whatever stacks the samples are
-    evaluated in.  A stack's pass takes three scalar parts: kind 0 is the
-    central elements of rep 1, kind 1 those of rep 2 (entries S+, S-,
-    q^{NS}), kind 2 the tensor powers (entries sm_u, sp_u, sm_bar_u,
-    sp_bar_u).  ``real`` is the unpatched scalar part."""
-    seen = {"calls": 0, "offset": 0}
+    evaluated in.  A stack's pass takes two scalar parts: the central
+    elements of its 2 S representations (one block per matrix), rep 1 of
+    every sample (kind 0) and then rep 2 (kind 1), entries S+, S-, q^{NS};
+    then the tensor powers (N blocks, kind 2), entries sm_u, sp_u,
+    sm_bar_u, sp_bar_u.  ``real`` is the unpatched scalar part."""
+    seen = {"offset": 0}
 
     def fake(m):
         scalars, resids = real(m)
-        kind, offset, size = seen["calls"] % 3, seen["offset"], m.shape[0]
-        for (at, sample, entry), value in injected.items():
-            if at == kind and offset <= sample < offset + size:
-                resids[sample - offset, entry] = value
-        seen["calls"] += 1
-        seen["offset"] += size if kind == 2 else 0
+        central = m.shape[-3] == 1
+        size = m.shape[0] // 2 if central else m.shape[0]
+        for (kind, sample, entry), value in injected.items():
+            row = sample - seen["offset"]
+            if (kind < 2) == central and 0 <= row < size:
+                resids[row + kind * size if central else row, entry] = value
+        seen["offset"] += 0 if central else size
         return scalars, resids
 
     monkeypatch.setattr(cyclic, "_scalar_part", fake)
@@ -514,6 +523,92 @@ def test_a_cyclic_stack_reports_the_first_failing_guard(injected, want, monkeypa
         _guard_residuals(injected, real, monkeypatch)
         got = check_cyclic_centrality(5, cfg).max_residual
         assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+# [sample]: the values injected into its guards, (kind, entry) -> value; kind 0
+# is rep 1's central elements and 1 rep 2's (entries S+, S-, q^{NS}), kind 2
+# the tensor powers (sm_u, sp_u, sm_bar_u, sp_bar_u), kind 3 the closed-form
+# errors (sm_u, sp_u)
+_FOLD_INJECTIONS = (
+    {},
+    {(0, 0): np.nan},
+    {(0, 2): 3.0},
+    {(1, 1): np.nan},
+    {(1, 0): 2.5},
+    {(2, 0): np.nan},
+    {(2, 1): 4.0},
+    {(2, 2): np.nan},
+    {(2, 3): 1.5},
+    {(3, 0): np.nan},
+    {(3, 1): np.nan, (1, 2): 0.5},
+    {(2, 1): 6.0, (0, 1): np.nan},
+    {(2, 2): 2.0, (2, 3): np.nan},
+    {(0, 1): 1.0, (3, 0): 7.0},
+    {(1, 2): 2.0, (2, 0): 3.0, (3, 1): np.nan},
+    {(2, 3): np.nan},
+)
+
+
+def _inject_centrality(points, monkeypatch) -> None:
+    """Make the central elements and tensor powers of every sample of
+    ``points`` read its ``_FOLD_INJECTIONS``, in any stack, keyed by the
+    specs of each row."""
+    where = {id(spec): (kind, s) for s, point in enumerate(points)
+             for kind, spec in enumerate(point[:2])}
+    real_central, real_powers = cyclic._central_elements, cyclic._tensor_power_reports
+
+    def central(specs, bands):
+        out = real_central(specs, bands)
+        for row, spec in enumerate(specs):
+            kind, s = where[id(spec)]
+            for (at, entry), value in _FOLD_INJECTIONS[s].items():
+                if at == kind:
+                    out.offscalar_residuals[row, entry] = value
+        return out
+
+    def powers(specs1, *args):
+        out = real_powers(specs1, *args)
+        for row, spec in enumerate(specs1):
+            for (at, entry), value in _FOLD_INJECTIONS[where[id(spec)][1]].items():
+                if at >= 2:
+                    (out.offscalar_residuals, out.closed_form_errors)[at - 2][row, entry] = value
+        return out
+
+    monkeypatch.setattr(cyclic, "_central_elements", central)
+    monkeypatch.setattr(cyclic, "_tensor_power_reports", powers)
+
+
+def _centrality_fold(s1, s2, u) -> float:
+    """Reference for the centrality residual of one sample: its kernels
+    alone, folded by a loop over its guards, rep 1's, rep 2's, then sm_u,
+    sp_u, sm_bar_u, sp_bar_u; the first failing guard (NaN or above 1),
+    otherwise the NaN-keeping max of the guards, the cross-check of (S-)^N
+    and the closed-form errors."""
+    ce1, ce2 = (cyclic._central_elements([s], cyclic._rep_bands([s])) for s in (s1, s2))
+    tp = cyclic._tensor_power_reports([s1], [s2], [u], cyclic._rep_bands([s1]),
+                                      cyclic._rep_bands([s2]))
+    am = ce1.scalars[:, 1]
+    cross = _relative(np.abs(am - ce1.routes), np.abs(am)).item()
+    guards = [_nan_max(*ce1.offscalar_residuals[0].tolist()),
+              _nan_max(*ce2.offscalar_residuals[0].tolist()), *tp.offscalar_residuals[0].tolist()]
+    failed = [r for r in guards if not r <= 1.0]
+    return failed[0] if failed else _nan_max(*guards, cross, *tp.closed_form_errors[0].tolist())
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_the_centrality_fold_is_the_per_sample_fold(n, monkeypatch):
+    """A NaN or a value above 1 in each guard, and a NaN in a closed-form
+    error: the suite's array fold over its stacked pass gives every sample
+    the residual of the per-sample loop, bit for bit."""
+    points = _cyclic_points(n, 31 + n, count=len(_FOLD_INJECTIONS))
+    _inject_centrality(points, monkeypatch)
+    got = check_cyclic_centrality.suite(n, ToleranceConfig()).evaluate(points)
+    want = [_centrality_fold(*point) for point in points]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    nan = np.nan
+    np.testing.assert_array_equal(got[1:], [nan, 3.0, nan, 2.5, nan, 4.0, nan, 1.5, nan, nan,
+                                            nan, 2.0, 7.0, 2.0, nan])
+    assert got[0] < 1e-9
 
 
 # ---------------------------------------------------------------------------

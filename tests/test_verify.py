@@ -616,14 +616,14 @@ def _count_cyclic_reps(monkeypatch) -> list:
 
 
 def test_cyclic_centrality_builds_two_reps_per_sample(monkeypatch):
-    """Two representations per sample, in two stacks per run of samples;
-    the central elements and the tensor powers share them instead of
-    building their own."""
+    """Two representations per sample, in one stack of 2 S per run of
+    samples; the central elements and the tensor powers share them instead
+    of building their own."""
     built = []
     real = cyclic._rep_bands
     monkeypatch.setattr(cyclic, "_rep_bands", lambda specs: built.append(len(specs)) or real(specs))
     assert check_cyclic_centrality(3, FAST).passed
-    assert built == [FAST.sample_count] * 2
+    assert built == [2 * FAST.sample_count]
 
 
 @pytest.mark.parametrize("suite", [check_cyclic_centrality, check_shift_laws])
