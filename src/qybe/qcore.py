@@ -158,21 +158,69 @@ def qnum(n, q: DeformationParameter):
     return (q.pow(n) - q.pow(-n)) / den
 
 
-def _qnums(n, qs) -> np.ndarray:
-    """The q-number [n] at every q of a stack ``qs``: ``n`` holds the
+@dataclasses.dataclass(frozen=True, eq=False)
+class _QStack:
+    """The S values of q of a stack of samples, with what the stacked
+    kernels read of them, derived once per stack by :meth:`of`:
+    ``log_branch`` (log q on each q's fixed branch) and ``den`` (q - 1/q),
+    two read-only (S,) arrays; ``rational``, that every q is on the zero
+    log branch (:data:`RATIONAL`); and ``degenerate``, that some q - 1/q is
+    below the tolerance of :func:`qnum`.  It is the sequence of its
+    :class:`DeformationParameter` values, and, as a tuple, ``stack * k``
+    repeats them k times."""
+
+    params: tuple
+    log_branch: np.ndarray
+    den: np.ndarray
+    rational: bool
+    degenerate: bool
+
+    @classmethod
+    def of(cls, qs) -> "_QStack":
+        """The stack of the q values ``qs``; :class:`ParameterDomainError`
+        where one is missing (None)."""
+        qs = tuple(qs)
+        if any(q is None for q in qs):
+            raise ParameterDomainError(
+                "a stacked kernel needs a deformation parameter at every sample "
+                "(RATIONAL for the rational point)")
+        dens = [q.value - 1 / q.value for q in qs]
+        return cls(qs, np.array([q.log_branch for q in qs], complex), np.array(dens, complex),
+                   all(q.log_branch == 0 for q in qs),
+                   any(abs(den) < _QNUM_DEN_TOL for den in dens))
+
+    def __post_init__(self):
+        self.log_branch.setflags(write=False)
+        self.den.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, i):
+        return self.params[i]
+
+    def __iter__(self):
+        return iter(self.params)
+
+    def __mul__(self, k: int) -> "_QStack":
+        return dataclasses.replace(self, params=self.params * k,
+                                   log_branch=np.tile(self.log_branch, k), den=np.tile(self.den, k))
+
+
+def _qnums(n, qs: _QStack) -> np.ndarray:
+    """The q-number [n] at every q of the stack ``qs``: ``n`` holds the
     sample axis first, of length len(qs) or 1, and log q is broadcast
     along it, (exp(n log q) - exp(-n log q)) / (q - 1/q).  A stack at
     :data:`RATIONAL` gives n itself, as complex; a stack with a q - 1/q
     below tolerance raises :class:`DegenerateDenominator`."""
     n = np.asarray(n)
-    if all(q.log_branch == 0 for q in qs):
+    if qs.rational:
         return np.broadcast_to(n, (len(qs), *n.shape[1:])).astype(complex)
-    dens = [q.value - 1 / q.value for q in qs]
-    if any(abs(den) < _QNUM_DEN_TOL for den in dens):
+    if qs.degenerate:
         raise DegenerateDenominator("q - 1/q below tolerance; use the rational (undeformed) mode")
     shape = (len(qs), *(1,) * (n.ndim - 1))
-    x = n * np.array([q.log_branch for q in qs]).reshape(shape)
-    return (np.exp(x) - np.exp(-x)) / np.reshape(dens, shape)
+    x = n * qs.log_branch.reshape(shape)
+    return (np.exp(x) - np.exp(-x)) / qs.den.reshape(shape)
 
 
 def residual(lhs, rhs, *inputs) -> float:

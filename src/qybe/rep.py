@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _nan_max, _qnums
+from .qcore import DeformationParameter, _nan_max, _qnums, _QStack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,9 +71,10 @@ def _two_spin(ell) -> int:
 
 
 class _Factors(NamedTuple):
-    """One representation at the S values ``qs`` of q, stacked along a
-    leading sample axis: ``sp`` and ``sm`` of shape (S, d, d), the
-    q-independent ``weights`` (d,) and ``from_monomial`` (S, d) or None."""
+    """One representation at the S values of q of the stack ``qs``
+    (:class:`qcore._QStack`), stacked along a leading sample axis: ``sp``
+    and ``sm`` of shape (S, d, d), the q-independent ``weights`` (d,) and
+    ``from_monomial`` (S, d) or None."""
 
     sp: np.ndarray
     sm: np.ndarray
@@ -81,18 +82,19 @@ class _Factors(NamedTuple):
     from_monomial: np.ndarray | None
     ell: complex | None
     basis_tag: str
-    qs: tuple
+    qs: _QStack
 
     @classmethod
     def of_triple(cls, rep: OperatorTriple) -> "_Factors":
         """The stack of one of ``rep``."""
         dm = rep.from_monomial
         return cls(rep.sp[None], rep.sm[None], rep.weights, None if dm is None else dm[None],
-                   rep.ell, rep.basis_tag, (rep.q,))
+                   rep.ell, rep.basis_tag, _QStack.of((rep.q,)))
 
 
-def _spin_factors(ell, qs, basis: str) -> _Factors:
-    """The spin-ell representation at every q of ``qs``, in one stacked pass."""
+def _spin_factors(ell, qs: _QStack, basis: str) -> _Factors:
+    """The spin-ell representation at every q of the stack ``qs``, in one
+    stacked pass."""
     d = _two_spin(ell) + 1
     if basis not in ("monomial", "orthonormal"):
         raise ParameterDomainError(f"unknown basis {basis!r}")
@@ -118,7 +120,7 @@ def _spin_factors(ell, qs, basis: str) -> _Factors:
     for arr in (sp, sm, weights, dm):
         if arr is not None:
             arr.setflags(write=False)
-    return _Factors(sp, sm, weights, dm, complex(ell), basis, tuple(qs))
+    return _Factors(sp, sm, weights, dm, complex(ell), basis, qs)
 
 
 def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> OperatorTriple:
@@ -129,7 +131,7 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> Ope
     carry sqrt([k+1][2l-k]) on the sub/superdiagonal.  The stack of one
     of :func:`_spin_factors`.
     """
-    f = _spin_factors(ell, (q,), basis)
+    f = _spin_factors(ell, _QStack.of((q,)), basis)
     return OperatorTriple(sp=f.sp[0], sm=f.sm[0], weights=f.weights, q=q, basis_tag=basis,
                           ell=f.ell, from_monomial=None if f.from_monomial is None
                           else f.from_monomial[0])
@@ -147,11 +149,11 @@ def casimir_matrix(rep: OperatorTriple) -> np.ndarray:
 def casimir_diagonal(weights: np.ndarray, q: DeformationParameter) -> np.ndarray:
     """The diagonal part [S][S-1] of :func:`casimir_matrix`, for the
     eigenvalues ``weights`` of S."""
-    return _casimir_diagonals(weights, (q,))[0]
+    return _casimir_diagonals(weights, _QStack.of((q,)))[0]
 
 
-def _casimir_diagonals(weights: np.ndarray, qs) -> np.ndarray:
-    """:func:`casimir_diagonal` at every q of ``qs``, stacked: (S, d, d)."""
+def _casimir_diagonals(weights: np.ndarray, qs: _QStack) -> np.ndarray:
+    """:func:`casimir_diagonal` at every q of the stack ``qs``: (S, d, d)."""
     qn = _qnums(np.stack([weights, weights - 1])[None], qs)
     return _diag(qn[:, 0] * qn[:, 1])
 
@@ -171,13 +173,14 @@ def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:
     at q = 1 (:data:`qcore.RATIONAL`) it is the rational [[u+S, S-], [S+, u-S]].
     The stack of one of :func:`_laxes`.
     """
-    return _laxes(rep.sp, rep.sm, rep.weights, [u], [rep.q])[0]
+    return _laxes(rep.sp, rep.sm, rep.weights, [u], _QStack.of((rep.q,)))[0]
 
 
-def _laxes(sp, sm, weights: np.ndarray, us, qs) -> np.ndarray:
+def _laxes(sp, sm, weights: np.ndarray, us, qs: _QStack) -> np.ndarray:
     """:func:`build_lax` at (u_s, q_s) for every sample s, an (S, 2d, 2d)
-    array; ``sp`` and ``sm`` are (S, d, d) stacks, or the (d, d) matrices of
-    one representation that every sample shares.
+    array, q_s from the stack ``qs``; ``sp`` and ``sm`` are (S, d, d)
+    stacks, or the (d, d) matrices of one representation that every sample
+    shares.
     """
     d = weights.size
     u = np.asarray(us, complex)[:, None]
@@ -193,12 +196,12 @@ def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
     """The 4x4 six-vertex matrix with entries a = [u+1], b = [u], c = 1:
     trigonometric at generic q, rational (a = u+1, b = u) at q = 1.  The
     stack of one of :func:`_fundamental_rs`."""
-    return _fundamental_rs([u], [q])[0]
+    return _fundamental_rs([u], _QStack.of((q,)))[0]
 
 
-def _fundamental_rs(us, qs) -> np.ndarray:
+def _fundamental_rs(us, qs: _QStack) -> np.ndarray:
     """:func:`fundamental_r` at (u_s, q_s) for every sample s, an (S, 4, 4)
-    array."""
+    array, q_s from the stack ``qs``."""
     u = np.asarray(us, complex)[:, None]
     ab = _qnums(np.concatenate([u + 1, u], axis=1), qs)
     r = np.zeros((len(us), 4, 4), complex)

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair, _raise_first
-from .qcore import RATIONAL, DeformationParameter, _qnums, qnum
+from .qcore import RATIONAL, DeformationParameter, _qnums, _QStack, qnum
 from .rep import _two_spin, fundamental_r
 from .tensorrep import COND_LIMIT, ProductSpace, SpectralForm, weight_reversed
 
@@ -38,7 +38,7 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     large that an eigenvalue is not finite.  The stack of one of
     :func:`_eigenvalues`.
     """
-    vals, poles = _eigenvalues(ell1, ell2, [u], [q])
+    vals, poles = _eigenvalues(ell1, ell2, [u], _QStack.of((q,)))
     _raise_first(poles)
     _require_finite(ell1, ell2, [u], vals)
     return tuple(vals[0])
@@ -55,16 +55,13 @@ def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
                 "a power of q overflows")
 
 
-def _eigenvalues(ell1, ell2, us, qs) -> tuple[np.ndarray, list]:
-    """R_n of every sector n (columns) at every sample (u_s, q_s) (rows),
-    by the recurrence of :func:`eigenvalue_sequence`, and each sample's
-    first :class:`PoleAtSector` or None.  The recurrence is one cumulative
-    product along the sectors; a sample past a pole or an overflow is not
-    finite.
+def _eigenvalues(ell1, ell2, us, qs: _QStack) -> tuple[np.ndarray, list]:
+    """R_n of every sector n (columns) at every sample (u_s, q_s) (rows), q_s
+    from the stack ``qs``, by the recurrence of :func:`eigenvalue_sequence`,
+    and each sample's first :class:`PoleAtSector` or None.  The recurrence
+    is one cumulative product along the sectors; a sample past a pole or an
+    overflow is not finite.
     """
-    if any(q is None for q in qs):
-        raise ParameterDomainError(
-            "the eigenvalues need a deformation parameter (RATIONAL for the rational point)")
     x = ell1 + ell2 + 1 - np.arange(1, _top_sector(ell1, ell2) + 1)
     u = np.asarray(us, complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -125,20 +122,22 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
     u = complex(u)
-    eig, poles = _eigenvalues(ell1, ell2, [u], [q])
+    qs = _QStack.of((q,))
+    eig, poles = _eigenvalues(ell1, ell2, [u], qs)
     _raise_first(poles)
     form, errors = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
     _raise_first(errors)
-    m, errors = _solve(ell1, ell2, [u], [q], eig, form)
+    m, errors = _solve(ell1, ell2, [u], qs, eig, form)
     _raise_first(errors)
     return RMatrix(matrix=m[0], u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
                    basis_tag=basis)
 
 
-def _solve(ell1, ell2, us, qs, eig: np.ndarray, form: SpectralForm) -> tuple[np.ndarray, list]:
-    """R(u_s) at q_s for every row s, an (S, d, d) array, from the sector
-    eigenvalues ``eig`` (S, k) and the spectral form of F samples, and each
-    row's first error: :class:`SingularBasis` against :data:`COND_LIMIT`,
+def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm
+           ) -> tuple[np.ndarray, list]:
+    """R(u_s) at q_s for every row s, an (S, d, d) array, q_s from the stack
+    ``qs``, from the sector eigenvalues ``eig`` (S, k) and the spectral form
+    of F samples, and each row's first error: :class:`SingularBasis` against :data:`COND_LIMIT`,
     then :class:`ParameterDomainError` where the matrix is not finite.  Row
     s reads sample s mod F of the form, broadcast, not copied: F is S (one
     sample per row), a divisor of S (rows at several u per sample) or 1
@@ -154,7 +153,7 @@ def _solve(ell1, ell2, us, qs, eig: np.ndarray, form: SpectralForm) -> tuple[np.
         scaled = form.left * eig.reshape(-1, samples, 1, 1, eig.shape[1])
         blocks = (scaled @ form.right).reshape(count, -1)
         twist = np.asarray(us, complex)[:, None] * layout.twist
-        lb = np.array([q.log_branch for q in qs], complex)[:, None]
+        lb = qs.log_branch[:, None]
         # named, so that numpy cannot reuse it as the output of the product:
         # it computes into a temporary right operand of 256 KiB or more with
         # the factors swapped, which can move a last bit

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis, _raise_first)
-from .qcore import DeformationParameter, _nan_max, _qnums, _relative
+from .qcore import DeformationParameter, _nan_max, _qnums, _QStack, _relative
 from .rep import OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
@@ -58,12 +58,23 @@ def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> Non
 
 
 _KINDS = ("delta", "deltabar")
+# the family name of each kind in chain errors
+_FAMILY_NAMES = ("unbarred", "barred")
 
 
 def _kind_index(kind: str) -> int:
     if kind not in _KINDS:
         raise ParameterDomainError(f"unknown coproduct kind {kind!r}")
     return _KINDS.index(kind)
+
+
+def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
+    """The kind index (F,) of each family (kind, us) of ``families``, 0 for
+    Delta and 1 for Delta-bar, and the us as an (S, F) array: what
+    :meth:`ProductSpace.coproducts` and :meth:`ProductSpace.chains` read of
+    the families."""
+    kinds = np.array([_kind_index(kind) for kind, _ in families])
+    return kinds, np.array([us for _, us in families], complex).T
 
 
 def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
@@ -110,8 +121,8 @@ class ProductSpace:
             rep1, rep2 = _Factors.of_triple(rep1), _Factors.of_triple(rep2)
         f1, f2 = self.factors = (rep1, rep2)
         self.qs = f1.qs
-        self.log_branch = _read_only(np.array([q.log_branch for q in self.qs], complex))
-        self.rational = all(q.log_branch == 0 for q in self.qs)
+        self.log_branch = self.qs.log_branch
+        self.rational = self.qs.rational
         self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
         self.dims = (f1.weights.size, f2.weights.size)
         self.from_monomial = None
@@ -137,11 +148,11 @@ class ProductSpace:
         return _spin_space(_two_spin(ell1), _two_spin(ell2), q, basis)
 
     @staticmethod
-    def stack_of_spins(ell1, ell2, qs, basis: str) -> "ProductSpace":
+    def stack_of_spins(ell1, ell2, qs: _QStack, basis: str) -> "ProductSpace":
         """The space of two finite spins in one single-spin basis at every q
-        of ``qs``, unmemoised.  The factors are built from the spins 2l/2, so
-        every spelling of a spin (0.5, 0.5 + 0j) gives the same space, and
-        two equal spins share one factor representation."""
+        of the stack ``qs``, unmemoised.  The factors are built from the
+        spins 2l/2, so every spelling of a spin (0.5, 0.5 + 0j) gives the
+        same space, and two equal spins share one factor representation."""
         two_ell1, two_ell2 = _two_spin(ell1), _two_spin(ell2)
         f1 = _spin_factors(two_ell1 / 2, qs, basis)
         return ProductSpace(f1, f1 if two_ell2 == two_ell1
@@ -151,9 +162,14 @@ class ProductSpace:
     def factor_powers(self) -> tuple[dict, dict]:
         """q^{S} and q^{-S} of each factor, keyed by the exponent's sign:
         (S, d, d) diagonal stacks, built once for the pieces and the
-        relations of the space."""
-        return tuple({a: _read_only(_q_powers(f.weights, self.log_branch, a)) for a in (1, -1)}
-                     for f in self.factors)
+        relations of the space; the powers of both factors and signs come
+        from one exp, each slice equal to :func:`_q_powers` at its q."""
+        f1, f2 = self.factors
+        d1 = f1.weights.size
+        weights = np.concatenate([f1.weights, f2.weights])
+        powers = np.exp((np.array([1, -1])[:, None] * weights) * self.log_branch[:, None, None])
+        return tuple({a: _read_only(diag[:, i]) for i, a in enumerate((1, -1))}
+                     for diag in (_diag(powers[..., :d1]), _diag(powers[..., d1:])))
 
     @functools.cached_property
     def _piece_stack(self) -> np.ndarray:
@@ -175,8 +191,7 @@ class ProductSpace:
         """S+_u and S-_u (see :meth:`coproduct`) of each family (kind, us) at
         u_s for every sample s, as two (S, F, d, d) arrays, from one broadcast
         of the kind pieces."""
-        kinds = np.array([_kind_index(kind) for kind, _ in families])
-        us = np.array([us for _, us in families], complex).T
+        kinds, us = _family_arrays(families)
         qu = np.exp(us / 2 * self.log_branch[:, None])[..., None, None]
         pieces = self._piece_stack
         # each product keeps its factors' order, and each sum is exact to swap;
@@ -224,43 +239,52 @@ class ProductSpace:
         if f1.ell is None or f2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
         sp, sm = self.coproducts(families) if gens is None else gens
-        names = ["barred" if kind == "deltabar" else "unbarred" for kind, _ in families]
-        signs = [-1.0 if name == "barred" else 1.0 for name in names]
-        us = np.array([us for _, us in families], complex).T
+        kinds, us = _family_arrays(families)
         (d1, d2), count = self.dims, len(self.qs)
         k, steps = min(d1, d2), d1 + d2 - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            lw = _lowest_weights(f1.ell, f2.ell, us, signs, self.qs, d1, d2, k).swapaxes(2, 3).copy()
-            if self.from_monomial is not None:
-                lw = self.from_monomial[:, None, :, None] * lw
+            lw = _lowest_weights(f1.ell, f2.ell, us, 1.0 - 2.0 * kinds, self.qs, d1, d2, k)
+            lw = lw.swapaxes(2, 3)
+            chains = np.empty((count, kinds.size, steps, d1 * d2, k), complex)
+            if self.from_monomial is None:
+                chains[:, :, 0] = lw
+            else:
+                np.multiply(self.from_monomial[:, None, :, None], lw, out=chains[:, :, 0])
+            lw = chains[:, :, 0]
             scale = np.maximum(1.0, np.abs(lw).max(axis=2))
             resid = np.abs(sm @ lw).max(axis=2) / scale
-            chains = np.empty((count, len(families), steps, d1 * d2, k), complex)
-            chains[:, :, 0] = lw
             for m in range(1, steps):
-                chains[:, :, m] = sp @ chains[:, :, m - 1]
+                np.matmul(sp, chains[:, :, m - 1], out=chains[:, :, m])
             size = np.abs(chains).max(axis=3) / scale[:, :, None, :]
-        broken = self.layout.live & ~((size >= CHAIN_TOL) & (size < np.inf))
+            # a live step is sound where its relative size is in [CHAIN_TOL, inf)
+            sizes = np.where(self.layout.live, size, CHAIN_TOL)
+            sound = resid.max() <= CHAIN_TOL and CHAIN_TOL <= sizes.min() and sizes.max() < np.inf
+        errors = [[None] * count for _ in kinds]
+        if sound:
+            return chains, errors
+        broken = ~((sizes >= CHAIN_TOL) & (sizes < np.inf))
         lw_ok = (resid <= CHAIN_TOL).all(axis=2)
-        errors = [[None] * count for _ in families]
         for s, f in np.argwhere(~lw_ok | broken.any(axis=(2, 3))).tolist():
-            errors[f][s] = _chain_error(names[f], resid[s, f], lw_ok[s, f], size[s, f], broken[s, f])
+            errors[f][s] = _chain_error(_FAMILY_NAMES[kinds[f]], resid[s, f], lw_ok[s, f],
+                                        size[s, f], broken[s, f])
         return chains, errors
 
-    def unit_blocks(self, chains: np.ndarray, errors: list):
-        """The weight blocks of the chains (S, G, d1+d2-1, d1*d2, k) of G
-        families with unit columns, the column norms and the condition
-        number of every block; ``errors`` holds each family's errors, one per
-        sample, and the unit blocks of a failed sample are the identity.  A
-        sample whose column norms overflow, its chains finite, fails here: its
-        entry of ``errors``, if None, becomes a :class:`ParameterDomainError`."""
-        blocks = self.layout.cut(chains)
+    def unit_blocks(self, blocks: np.ndarray, errors: list):
+        """The weight blocks (S, G, d1+d2-1, k, k) of G families (see
+        :meth:`_BlockLayout.cut`) with unit columns, the column norms and the
+        condition number of every block; ``errors`` holds each family's
+        errors, one per sample, and the unit blocks of a failed sample are
+        the identity.  A sample whose column norms overflow, its chains
+        finite, fails here: its entry of ``errors``, if None, becomes a
+        :class:`ParameterDomainError`."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
             unit = blocks / norms
-            for s, g in np.argwhere(np.isinf(norms).any(axis=(2, 3, 4))).tolist():
-                errors[g][s] = errors[g][s] or ParameterDomainError(
-                    "the eigenvector chains are too large to normalise: a power of q overflows")
+            overflow = np.isinf(norms)
+            if overflow.any():
+                for s, g in np.argwhere(overflow.any(axis=(2, 3, 4))).tolist():
+                    errors[g][s] = errors[g][s] or ParameterDomainError(
+                        "the eigenvector chains are too large to normalise: a power of q overflows")
             for g, stage in enumerate(errors):
                 failed = [s for s, e in enumerate(stage) if e is not None]
                 if failed:
@@ -274,10 +298,11 @@ class ProductSpace:
         spectral form, when ``form`` and the form is not built yet (at the
         rational point, q on the zero log branch, the barred chains are the
         unbarred ones, so Delta alone), then ``sector``, a family (kind, us),
-        when given: one :meth:`chains` call, one :meth:`unit_blocks` call that
-        conditions the form's unbarred family and the sector family together,
-        and one :meth:`coproducts` broadcast for those families and the
-        families ``read``.
+        when given: one :meth:`chains` pass, one cut of the chains into
+        weight blocks, one :meth:`unit_blocks` call that conditions the
+        form's unbarred family and the sector family together, and one
+        :meth:`coproducts` broadcast for those families and the families
+        ``read``.
 
         It keeps the spectral form it builds.  It gives the sector family's
         chains (S, d1+d2-1, d1*d2, k) and each sample's first error: that of
@@ -309,25 +334,31 @@ class ProductSpace:
             stages.append([next(filter(None, first), None) for first in zip(*errors[:formed])])
         if sector is not None:
             stages.append(errors[formed])
+        layout = self.layout
+        blocks = layout.cut(chains)
         # the form's unbarred family, first, and the sector family, last
-        unit, norms, cond = self.unit_blocks(chains[:, ::max(formed, 1)], stages)
+        unit, norms, cond = self.unit_blocks(blocks[:, ::max(formed, 1)], stages)
+        # a condition number that is not a number fails the limit too
+        within = cond <= COND_LIMIT
+        conditioned = within.all()
         if formed:
-            layout = self.layout
             with np.errstate(divide="ignore", invalid="ignore"):
-                left = unit[:, 0] if formed == 1 else layout.cut(chains[:, 1]) / norms[:, 0]
-            conditioned = unit[:, 0]
-            if not np.isfinite(cond[:, 0]).all():
+                left = unit[:, 0] if formed == 1 else blocks[:, 1] / norms[:, 0]
+            right = unit[:, 0]
+            if not conditioned and not np.isfinite(cond[:, 0]).all():
                 # such a block fails every limit; the identity stands in for
                 # it so that the batched inverse runs
-                conditioned = np.where(np.isfinite(cond[:, 0])[..., None, None], conditioned,
-                                       np.eye(unit.shape[-1]))
-            self._form = (SpectralForm(left=left, right=np.linalg.inv(conditioned),
-                                       cond=cond[:, 0], layout=layout), stages[0])
+                right = np.where(np.isfinite(cond[:, 0])[..., None, None], right,
+                                 np.eye(unit.shape[-1]))
+            self._form = (SpectralForm(left=left, right=np.linalg.inv(right), cond=cond[:, 0],
+                                       layout=layout), stages[0])
         if sector is None:
             return None, gens
-        cond, errors = cond[:, -1], stages[-1]
-        for s in np.flatnonzero((~(cond <= COND_LIMIT)).any(axis=1)):
-            errors[s] = errors[s] or self.layout.conditioning_error(cond[s], COND_LIMIT)
+        errors = stages[-1]
+        if not conditioned:
+            cond = cond[:, -1]
+            for s in np.flatnonzero((~within[:, -1]).any(axis=1)):
+                errors[s] = errors[s] or layout.conditioning_error(cond[s], COND_LIMIT)
         return (chains[:, -1], errors), gens
 
     def sector_stack(self, us, kind: str = "delta") -> tuple[np.ndarray, list]:
@@ -403,7 +434,7 @@ def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
     :class:`ParameterDomainError`, before any chain is built, where a
     power of q overflows in the generators or q^S of a factor."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, (q,), basis)
+        space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, _QStack.of((q,)), basis)
         finite = all(np.isfinite(m).all() for f, powers in zip(space.factors, space.factor_powers)
                      for m in (f.sp, f.sm, powers[1]))
     if not finite:
@@ -508,11 +539,12 @@ class SpectralForm:
             arr.setflags(write=False)
 
 
-def _lowest_weights(ell1, ell2, us, signs, qs, d1: int, d2: int, count: int) -> np.ndarray:
+def _lowest_weights(ell1, ell2, us, signs, qs: _QStack, d1: int, d2: int,
+                    count: int) -> np.ndarray:
     """For each sample s and family f, at (u_sf, q_s) with ``us`` of shape
-    (S, F), rows n < count: the monomial coefficients of the degree-n
-    lowest-weight polynomial, all from one product recurrence; shape
-    (S, F, count, d1*d2).
+    (S, F) and q_s from the stack ``qs``, rows n < count: the monomial
+    coefficients of the degree-n lowest-weight polynomial, all from one
+    product recurrence; shape (S, F, count, d1*d2).
 
     The unbarred polynomial (sign +1) is the product over i = 1..n of
     (q^{l1+1-i-u/2} x1 - q^{u/2+i-1-l2} x2); the barred one (sign -1)
@@ -523,7 +555,7 @@ def _lowest_weights(ell1, ell2, us, signs, qs, d1: int, d2: int, count: int) -> 
     c[..., 0, 0, 0] = 1.0
     n = np.arange(1, count)
     u = us[..., None] / 2
-    lb = np.array([q.log_branch for q in qs], complex)[:, None, None, None]
+    lb = qs.log_branch[:, None, None, None]
     sign = np.asarray(signs)[:, None, None]
     powers = np.exp(sign * np.stack([ell1 + 1 - n - u, u + n - 1 - ell2], axis=2) * lb)
     for i in range(1, count):
@@ -569,15 +601,19 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     chains, errors = space.sector_stack([u], kind)
     _raise_first(errors)
     f1, f2 = space.factors
-    return _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)[0]
+    rows = _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)
+    return CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
+                                  in enumerate(zip(*(row[0].tolist() for row in rows)))])
 
 
 def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, ell2,
-                     qs) -> list[CasimirSpectrumReport]:
-    """The :func:`tensor_casimir` report of each sample of a stack: ``c`` is
-    (S, d, d), and ``chains`` (S, d1+d2-1, d, k) holds the chains of every
-    sector padded to full length, with ``live`` (d1+d2-1, k) marking the
-    steps of each (see :meth:`ProductSpace.chains`).
+                     qs: _QStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the :func:`tensor_casimir` report of each sample of a stack
+    holds, as three (S, k) arrays: the expected eigenvalue, the residual and
+    the spread of every sector.  ``c`` is (S, d, d), and ``chains``
+    (S, d1+d2-1, d, k) holds the chains of every sector padded to full
+    length, with ``live`` (d1+d2-1, k) marking the steps of each (see
+    :meth:`ProductSpace.chains`).
 
     C acts on every chain vector of every sample in one stacked mat-vec;
     row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``, and each
@@ -595,9 +631,7 @@ def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, 
         resid = np.where(live, _relative(gap, np.abs(v).max(axis=3)), 0.0).max(axis=1)
         rayleigh = np.vecdot(v, cv) / np.vecdot(v, v).real
         spread = np.where(live, np.abs(rayleigh - rayleigh[:, :1]), 0.0).max(axis=1)
-    return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
-                                   in enumerate(zip(lam_s, resid_s, spread_s))])
-            for lam_s, resid_s, spread_s in zip(lam.tolist(), resid.tolist(), spread.tolist())]
+    return lam, resid, spread
 
 
 def weight_reversed(arr: np.ndarray) -> np.ndarray:

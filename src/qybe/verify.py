@@ -15,7 +15,8 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    _phi_products, _relative, qnum, sample_generic_q, sample_params, sample_u)
+                    _phi_products, _QStack, _relative, qnum, sample_generic_q, sample_params,
+                    sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
@@ -267,7 +268,7 @@ def _branch_point(rng, i, ell1, ell2):
         u = sample_u(rng)
         shifted_q = q.with_branch_shift(1)
         shifted_u = u * q.log_branch / shifted_q.log_branch
-        vals, poles = _eigenvalues(ell1, ell2, (u, shifted_u), (q, shifted_q))
+        vals, poles = _eigenvalues(ell1, ell2, (u, shifted_u), _QStack.of((q, shifted_q)))
         if not any(poles):
             return q, u, shifted_q, shifted_u, vals
     raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
@@ -324,7 +325,7 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
             points = [(RATIONAL, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         r12, r13, r23 = _fundamental_rs([u - v for u, v in zip(us, vs)] + [*us, *vs],
-                                        qs * 3).reshape(3, len(points), 4, 4)
+                                        _QStack.of(qs * 3)).reshape(3, len(points), 4, 4)
         if perturb:
             r12[:, 0, 1] += perturb
         m12 = _on_slots(r12, (2, 2, 2), (0, 1))
@@ -356,6 +357,7 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
         if fixed is not None:
             points = [(fixed.q, u, v) for u, v in points]
         qs, us, vs = zip(*points)
+        qs = _QStack.of(qs)
         rep = _spin_factors(quantum, qs, "monomial") if fixed is None else fixed
         dims = (2, 2, rep.weights.size)
         l1 = _on_slots(_laxes(rep.sp, rep.sm, rep.weights, us, qs), dims, (0, 2))
@@ -401,21 +403,35 @@ def _decomposed_families(us) -> list[tuple]:
     return [("delta", us), ("delta", mus), ("deltabar", us), ("deltabar", mus)]
 
 
+# the decomposed relations, each X Y = Z W, in report order
+_RELATIONS = ("qs_commute", "lower_twisted", "raise_twisted", "lower_twisted_bar",
+              "raise_twisted_bar", "k_plus_minus", "k_minus_plus", "casimir_intertwine")
+# the operand slots of _decomposed whose abs-maxima scale each relation: R
+# (slot 15) and the relation's other inputs, of a k relation its K alone
+# (K-bar, in slot 7 + j, is no input)
+_SCALE_SLOTS = np.array([[15, 7 - j, 7 - j if name.startswith("k_") else 7 + j]
+                         for j, name in enumerate(_RELATIONS)])
+
+
 def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
                 diagonal: np.ndarray) -> list[dict[str, float]]:
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
-    u_s on each sample of ``space``: one stacked matmul pair for all
-    relations and samples, one stacked abs-max per distinct input.
+    u_s on each sample of ``space``: one broadcast matmul of R on each side
+    for all relations and samples, and one abs-max over the operands.
     ``gens`` is the :meth:`ProductSpace.coproducts` of the
     :func:`_decomposed_families` at the us and ``diagonal`` the Casimir
-    diagonal of the space, which the Casimir suite reads too."""
-    qs = space.qs
+    diagonal of the space, which the Casimir suite reads too.
+
+    Every relation reads R Y = Z R, the Casimir intertwining relation
+    C(-u) R = R Cbar(u) as R Cbar(u) = C(-u) R, whose gap is the same
+    modulus.  The operands share one buffer: Y of relation j in slot 7 - j,
+    Z in slot 7 + j (q^S, both operands of the first relation, in slot 7),
+    and R in slot 15."""
     f1, f2 = space.factors
     lb = space.log_branch
-    qs_diag = _q_powers(space.weights, lb, 1)
-
+    count, d = r.shape[0], r.shape[-1]
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
-    values = np.array([q.value for q in qs], complex)[:, None, None]
+    values = np.array([q.value for q in space.qs], complex)[:, None, None]
     c2 = (values - 1 / values) ** 2
     q1, q2 = space.factor_powers
     plus_minus = kron(q1[1], q2[-1], 2)
@@ -424,33 +440,23 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     c2_sp_sm = c2 * kron(f1.sp, f2.sm, 2)
     qpm = qu * plus_minus + minus_plus / qu
     qmp = qu * minus_plus + plus_minus / qu
-    k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
-    k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
     sp, sm = gens
-    # Delta at -u and Delta-bar at u, the Casimirs of the intertwining relation
-    c_mu, c_bar_u = np.moveaxis(sp[:, 1:3] @ sm[:, 1:3] + diagonal[:, None], 1, 0)
-    sp_u, sp_mu, bsp_u, bsp_mu = np.moveaxis(sp, 1, 0)
-    sm_u, sm_mu, bsm_u, bsm_mu = np.moveaxis(sm, 1, 0)
-
-    # name: (X, Y, Z, W, inputs) for the relation X Y = Z W
-    relations = {
-        "qs_commute": (r, qs_diag, qs_diag, r, (r, qs_diag)),
-        "lower_twisted": (r, sm_u, bsm_mu, r, (r, sm_u, bsm_mu)),
-        "raise_twisted": (r, sp_u, bsp_mu, r, (r, sp_u, bsp_mu)),
-        "lower_twisted_bar": (r, bsm_u, sm_mu, r, (r, bsm_u, sm_mu)),
-        "raise_twisted_bar": (r, bsp_u, sp_mu, r, (r, bsp_u, sp_mu)),
-        "k_plus_minus": (r, k_pm, k_pm_bar, r, (r, k_pm)),
-        "k_minus_plus": (r, k_mp, k_mp_bar, r, (r, k_mp)),
-        "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
-    }
-    x, y, z, w = (np.stack(col, axis=1) for col in zip(*(rel[:4] for rel in relations.values())))
-    gaps = np.abs(x @ y - z @ w).max(axis=(2, 3))
-    distinct = {id(m): m for rel in relations.values() for m in rel[4]}
-    column = {key: j for j, key in enumerate(distinct)}
-    peaks = np.abs(np.stack(list(distinct.values()), axis=1)).max(axis=(2, 3))
-    scales = np.stack([peaks[:, [column[id(m)] for m in rel[4]]].max(axis=1)
-                       for rel in relations.values()], axis=1)
-    return [dict(zip(relations, row)) for row in _relative(gaps, scales).tolist()]
+    ops = np.empty((count, 16, d, d), complex)
+    right, left = ops[:, 7::-1], ops[:, 7:15]
+    right[:, 0] = _q_powers(space.weights, lb, 1)
+    # Delta at u and Delta-bar at u right of R; Delta-bar at -u and Delta at -u left of it
+    right[:, 1:5:2], right[:, 2:5:2] = sm[:, 0::2], sp[:, 0::2]
+    left[:, 1:5:2], left[:, 2:5:2] = sm[:, 3::-2], sp[:, 3::-2]
+    np.subtract(qpm, c2_sm_sp, out=right[:, 5])
+    np.subtract(qmp, c2_sp_sm, out=right[:, 6])
+    np.subtract(qpm, c2_sp_sm, out=left[:, 5])
+    np.subtract(qmp, c2_sm_sp, out=left[:, 6])
+    # Cbar(u) and C(-u), the Casimirs of Delta-bar at u and Delta at -u, in slots 0 and 14
+    np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], diagonal[:, None], out=ops[:, ::14])
+    ops[:, 15] = r
+    gaps = np.abs(r[:, None] @ right - left @ r[:, None]).max(axis=(2, 3))
+    scales = np.abs(ops).max(axis=(2, 3))[:, _SCALE_SLOTS].max(axis=2)
+    return [dict(zip(_RELATIONS, row)) for row in _relative(gaps, scales).tolist()]
 
 
 def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
@@ -468,12 +474,13 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 
-def _casimir_reports(space: ProductSpace, sectors: tuple, delta_u: tuple,
-                     diagonal: np.ndarray) -> list:
-    """The :func:`tensor_casimir` report of each sample of ``space`` at its
-    u, unbarred, all sectors in one stacked pass of
-    :func:`tensorrep._casimir_sectors`, from the chains and errors of the
-    sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
+def _casimir_residuals(space: ProductSpace, sectors: tuple, delta_u: tuple,
+                       diagonal: np.ndarray) -> list[float]:
+    """The worst Casimir residual or m-spread of each sample of ``space`` at
+    its u, unbarred: the largest, or a NaN, of the sector residuals and
+    spreads of its :func:`tensor_casimir` report, all sectors in one stacked
+    pass of :func:`tensorrep._casimir_sectors`, from the chains and errors of
+    the sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
     coproduct Delta at those u and the Casimir diagonal of the space;
     raises the error of the lowest failing sample."""
     sp, sm = delta_u
@@ -481,7 +488,9 @@ def _casimir_reports(space: ProductSpace, sectors: tuple, delta_u: tuple,
     chains, errors = sectors
     _raise_first(errors)
     f1, f2 = space.factors
-    return _casimir_sectors(c, chains, space.layout.live, f1.ell, f2.ell, space.qs)
+    _, resid, spread = _casimir_sectors(c, chains, space.layout.live, f1.ell, f2.ell, space.qs)
+    # max keeps a NaN
+    return np.concatenate([resid, spread], axis=1).max(axis=1).tolist()
 
 
 class _PairRun:
@@ -505,11 +514,15 @@ class _PairRun:
     In the "xxz" mode the space is orthonormal, at the run's q values; in
     the "xxx" mode every sample is at q = 1, and the space is the monomial
     one of the memoised :meth:`ProductSpace.of_spins`, with its one form.
+    The q values of the run are one :class:`qcore._QStack`, built once, which
+    the space and the Casimir diagonal read, and the solve for R(u) and
+    R(-u) repeated.
     """
 
     def __init__(self, points, records, reads: frozenset, ell1, ell2, mode: str = "xxz"):
         self.ell1, self.ell2, self.mode, self.reads = ell1, ell2, mode, reads
-        self.qs, self.us = zip(*points)
+        qs, self.us = zip(*points)
+        self.qs = _QStack.of(qs)
 
     @functools.cached_property
     def space(self) -> ProductSpace:
@@ -568,9 +581,7 @@ class _PairRun:
         """The worst Casimir residual or m-spread of each sample; no R is
         read, so no perturbation moves it."""
         sectors, (sp, sm) = self.chain_pass
-        return [_nan_max(report.max_residual, report.max_m_spread) for report in
-                _casimir_reports(self.space, sectors, (sp[:, 0], sm[:, 0]),
-                                 self.casimir_diagonal)]
+        return _casimir_residuals(self.space, sectors, (sp[:, 0], sm[:, 0]), self.casimir_diagonal)
 
 
 @_check

@@ -8,7 +8,8 @@ from conftest import q_inverse
 from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
                   qnum)
 from qybe.errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
-from qybe.qcore import GENERIC_GUARD_BOUND, MAX_DRAWS, residual, sample_generic_q
+from qybe.qcore import (GENERIC_GUARD_BOUND, MAX_DRAWS, _qnums, _QStack, residual,
+                        sample_generic_q)
 
 
 def test_qnum_one_is_one(q_generic):
@@ -308,6 +309,100 @@ def test_scalar_pow_and_qnum_are_bit_identical_to_numpy():
             assert got.tobytes() == np.exp(z * lb).tobytes()
             ref = (np.exp(z * lb) - np.exp(-z * lb)) / den
             assert qnum(z, q).tobytes() == ref.tobytes()
+
+
+def _qnums_from_params(n, qs):
+    """qcore._qnums as it derived log q and q - 1/q from the parameters of
+    the stack on each call, and its test of the rational point."""
+    n = np.asarray(n)
+    if all(q.log_branch == 0 for q in qs):
+        return np.broadcast_to(n, (len(qs), *n.shape[1:])).astype(complex)
+    dens = [q.value - 1 / q.value for q in qs]
+    if any(abs(den) < 1e-10 for den in dens):
+        raise DegenerateDenominator("q - 1/q below tolerance")
+    shape = (len(qs), *(1,) * (n.ndim - 1))
+    x = n * np.array([q.log_branch for q in qs]).reshape(shape)
+    return (np.exp(x) - np.exp(-x)) / np.reshape(dens, shape)
+
+
+def _q_stacks():
+    rng = np.random.default_rng(12)
+    generic = [sample_generic_q(rng) for _ in range(4)]
+    on_circle = [sample_generic_q(rng, on_circle=True) for _ in range(4)]
+    return {
+        "generic": generic,
+        "on_circle": on_circle,
+        "branch_shifted": [q.with_branch_shift(k) for q, k in zip(generic + on_circle,
+                                                                   (1, -1, 2, -3) * 2)],
+        "mixed_branches": [generic[0], generic[0].with_branch_shift(1), on_circle[0]],
+        "root_of_unity": [DeformationParameter.root_of_unity(7)] * 2,
+        "rational": [RATIONAL] * 3,
+        "one": [generic[1]],
+    }
+
+
+_DEGENERATE = {
+    "rational_and_generic": lambda stacks: [RATIONAL, stacks["generic"][0]],
+    "generic_and_rational": lambda stacks: stacks["generic"] + [RATIONAL],
+    "shifted_rational": lambda stacks: [RATIONAL.with_branch_shift(1)] * 2,
+    "near_one": lambda stacks: [stacks["generic"][0],
+                                DeformationParameter(value=1 + 1e-13,
+                                                     log_branch=np.log(1 + 1e-13))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_q_stacks()))
+def test_stacked_qnums_equal_qnum_sample_by_sample(name):
+    """_qnums over a q stack is, bit for bit, _qnums as it read the
+    parameters on each call, and qnum at each q of the stack; n shared by
+    every sample or one row per sample, integer, real or complex, zero
+    included.  A q-number that is zero compares with qnum's as a value: at
+    an integer n = 0, qnum's -n is an unsigned 0 while _qnums negates the
+    product n log q, so the signs of the zero parts can differ."""
+    qs = _q_stacks()[name]
+    stack = _QStack.of(qs)
+    rng = np.random.default_rng(len(qs))
+    shared = np.stack([np.arange(-2.0, 3.0), 2 * np.arange(5) - 4.5])[None]
+    rows = rng.normal(0, 3, (len(qs), 6)) + 1j * rng.normal(0, 3, (len(qs), 6))
+    rows[:, 0] = 0
+    for n in (shared, rows, np.arange(4)[None]):
+        got = _qnums(n, stack)
+        assert got.shape == (len(qs), *n.shape[1:]) and got.dtype == complex
+        assert got.tobytes() == _qnums_from_params(n, qs).tobytes()
+        for s, q in enumerate(qs):
+            want = np.asarray(qnum(n[s if len(n) > 1 else 0], q), complex)
+            assert np.array_equal(got[s], want), (name, s)
+            assert got[s][want != 0].tobytes() == want[want != 0].tobytes(), (name, s)
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_stacked_qnums_reject_the_stacks_they_rejected(name):
+    """A stack with q - 1/q below tolerance, a mix of the rational point
+    and a generic q among them, raises, as _qnums did when it read the
+    parameters on each call; the error is raised when a q-number is asked
+    for, not when the stack is built."""
+    qs = _DEGENERATE[name](_q_stacks())
+    stack = _QStack.of(qs)
+    assert stack.degenerate and not stack.rational
+    with pytest.raises(DegenerateDenominator):
+        _qnums_from_params(np.ones((1, 2)), qs)
+    with pytest.raises(DegenerateDenominator):
+        _qnums(np.ones((1, 2)), stack)
+
+
+def test_a_q_stack_repeats_and_reads_as_its_parameters():
+    qs = _q_stacks()["mixed_branches"]
+    stack = _QStack.of(qs)
+    assert list(stack) == qs and len(stack) == 3 and stack[1] is qs[1]
+    twice = stack * 2
+    assert tuple(twice) == tuple(qs) * 2
+    n = np.arange(6.0)[:, None] - 2.5
+    assert _qnums(n, twice).tobytes() == _qnums_from_params(n, qs * 2).tobytes()
+    for arr in (stack.log_branch, stack.den, twice.log_branch, twice.den):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(ParameterDomainError):
+        _QStack.of([qs[0], None])
 
 
 def test_scalar_pow_overflow_falls_back_to_numpy():

@@ -27,14 +27,16 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, Pro
                   central_elements, cyclic_R_eigenvalues, eigenstate_family,
                   eigenvalue_sequence, family_ratio, fundamental_r, partial_R, phi_product,
                   qnum, tensor_casimir, tensor_power_scalars)
-from qybe import cli, cyclic, rop, verify
-from qybe.errors import InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted
-from qybe.qcore import (_nan_max, _phi_products, _relative, residual, sample_generic_q,
-                        sample_params, sample_u)
+from qybe import cli, cyclic, rop, tensorrep, verify
+from qybe.errors import (InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted,
+                         SingularBasis)
+from qybe.qcore import (_nan_max, _phi_products, _QStack, _relative, residual,
+                        sample_generic_q, sample_params, sample_u)
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
-from qybe.tensorrep import _lowest_weights, _sector_chains, _spin_space
-from qybe.verify import (_casimir_reports, _decomposed, _decomposed_families, _on_slots,
+from qybe.tensorrep import (CasimirSpectrumReport, SectorEigenvalue, _casimir_sectors,
+                            _lowest_weights, _sector_chains, _spin_space)
+from qybe.verify import (_casimir_residuals, _decomposed, _decomposed_families, _on_slots,
                          _PairRun, _regular_point, _residuals, _run, _stacked_R, _Suite,
                          check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
@@ -141,7 +143,7 @@ def _scalar_partial_r(s1, s2, u):
 def test_stacked_factors_equal_the_scalar_loop(basis, rng):
     stacks = ([sample_generic_q(rng) for _ in range(COUNT)], [RATIONAL] * 2)
     for qs, ell in itertools.product(stacks, (0.0, 0.5, 1.0, 1.5, 3.0)):
-        f = _spin_factors(ell, qs, basis)
+        f = _spin_factors(ell, _QStack.of(qs), basis)
         for s, q in enumerate(qs):
             sp, sm, dm = _scalar_spin_rep(ell, q, basis)
             assert_close(f.sp[s], sp)
@@ -159,7 +161,7 @@ def test_stacked_eigenvalues_equal_the_scalar_recurrence(pair):
     for mode in ("xxz", "xxx"):
         points = _points(pair, 3, mode)
         qs, us = zip(*points)
-        vals, poles = verify._eigenvalues(*pair, us, qs)
+        vals, poles = verify._eigenvalues(*pair, us, _QStack.of(qs))
         assert poles == [None] * COUNT
         for s, (q, u) in enumerate(points):
             assert_close(vals[s], _scalar_eigenvalues(*pair, u, q))
@@ -175,8 +177,8 @@ def test_stacked_lowest_weights_equal_the_scalar_recurrence(pair):
     d1, d2 = (int(round(2 * ell)) + 1 for ell in pair)
     k = min(d1, d2)
     for barred in (False, True):
-        got = _lowest_weights(*pair, np.array(us)[:, None], [-1.0 if barred else 1.0], qs,
-                              d1, d2, k)[:, 0]
+        got = _lowest_weights(*pair, np.array(us)[:, None], [-1.0 if barred else 1.0],
+                              _QStack.of(qs), d1, d2, k)[:, 0]
         for s, (q, u) in enumerate(points):
             assert_close(got[s], _scalar_lowest_weights(*pair, u, q, d1, d2, barred, k))
 
@@ -190,6 +192,7 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     """R at u and -u, R(u) R(-u) and the eight decomposed residuals."""
     points = _points(pair, 7)
     qs, us = zip(*points)
+    qs = _QStack.of(qs)
     space = ProductSpace.stack_of_spins(*pair, qs, basis)
     form = space.spectral_form()
     r_u, errors_u = _stacked_R(*pair, us, qs, *form)
@@ -207,10 +210,104 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
         assert relations[s] == decomposed_residuals(alone_u)
 
 
+def _stacked_decomposed(space, us, r, gens, diagonal, swap=None):
+    """The eight decomposed relations as verify._decomposed formed them
+    before R was broadcast: each relation X Y = Z W a slice of four stacked
+    (S, 8, d, d) operands, one abs-max per distinct input, and the factor
+    powers from one _q_powers call each.  ``swap`` names a relation whose
+    Y and Z trade places: a mutant, which a bit-for-bit comparison must
+    tell from the real formulation wherever the two differ."""
+    f1, f2 = space.factors
+    lb = space.log_branch
+    qs_diag = tensorrep._q_powers(space.weights, lb, 1)
+    qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
+    values = np.array([q.value for q in space.qs], complex)[:, None, None]
+    c2 = (values - 1 / values) ** 2
+    q1, q2 = ({a: tensorrep._q_powers(f.weights, lb, a) for a in (1, -1)} for f in (f1, f2))
+    plus_minus = tensorrep.kron(q1[1], q2[-1], 2)
+    minus_plus = tensorrep.kron(q1[-1], q2[1], 2)
+    c2_sm_sp = c2 * tensorrep.kron(f1.sm, f2.sp, 2)
+    c2_sp_sm = c2 * tensorrep.kron(f1.sp, f2.sm, 2)
+    qpm = qu * plus_minus + minus_plus / qu
+    qmp = qu * minus_plus + plus_minus / qu
+    k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
+    k_mp, k_mp_bar = qmp - c2_sp_sm, qmp - c2_sm_sp
+    sp, sm = gens
+    c_mu, c_bar_u = np.moveaxis(sp[:, 1:3] @ sm[:, 1:3] + diagonal[:, None], 1, 0)
+    sp_u, sp_mu, bsp_u, bsp_mu = np.moveaxis(sp, 1, 0)
+    sm_u, sm_mu, bsm_u, bsm_mu = np.moveaxis(sm, 1, 0)
+    relations = {
+        "qs_commute": (r, qs_diag, qs_diag, r, (r, qs_diag)),
+        "lower_twisted": (r, sm_u, bsm_mu, r, (r, sm_u, bsm_mu)),
+        "raise_twisted": (r, sp_u, bsp_mu, r, (r, sp_u, bsp_mu)),
+        "lower_twisted_bar": (r, bsm_u, sm_mu, r, (r, bsm_u, sm_mu)),
+        "raise_twisted_bar": (r, bsp_u, sp_mu, r, (r, bsp_u, sp_mu)),
+        "k_plus_minus": (r, k_pm, k_pm_bar, r, (r, k_pm)),
+        "k_minus_plus": (r, k_mp, k_mp_bar, r, (r, k_mp)),
+        "casimir_intertwine": (c_mu, r, r, c_bar_u, (r, c_mu, c_bar_u)),
+    }
+    if swap is not None:
+        x, y, z, w, inputs = relations[swap]
+        relations[swap] = (x, z, y, w, inputs)
+    x, y, z, w = (np.stack(col, axis=1) for col in zip(*(rel[:4] for rel in relations.values())))
+    gaps = np.abs(x @ y - z @ w).max(axis=(2, 3))
+    distinct = {id(m): m for rel in relations.values() for m in rel[4]}
+    column = {key: j for j, key in enumerate(distinct)}
+    peaks = np.abs(np.stack(list(distinct.values()), axis=1)).max(axis=(2, 3))
+    scales = np.stack([peaks[:, [column[id(m)] for m in rel[4]]].max(axis=1)
+                       for rel in relations.values()], axis=1)
+    return [dict(zip(relations, row)) for row in _relative(gaps, scales).tolist()]
+
+
+def _residual_bits(rows):
+    return [(list(row), np.array(list(row.values())).tobytes()) for row in rows]
+
+
+@pytest.mark.parametrize("basis", ["orthonormal", "monomial", "xxx"])
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("count", [1, COUNT, 16])
+def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basis, count):
+    """verify._decomposed multiplies R by broadcast and takes one abs-max
+    over a buffer of its operands; every residual, a NaN of R included,
+    is bit for bit that of the eight relations stacked into four operands,
+    and a mutant with two inputs of one relation swapped is told apart."""
+    mode = "xxx" if basis == "xxx" else "xxz"
+    rng = np.random.default_rng(count)
+    qs, us = zip(*(_regular_point(*pair, rng, mode=mode) for _ in range(count)))
+    qs, us = _QStack.of(qs), list(us)
+    space = ProductSpace.stack_of_spins(*pair, qs, "monomial" if mode == "xxx" else basis)
+    r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
+    assert errors == [None] * count
+    gens = space.coproducts(_decomposed_families(us))
+    diagonal = _casimir_diagonals(space.weights, qs)
+    got = _decomposed(space, us, r, gens, diagonal)
+    assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
+    # at q = 1 the barred and unbarred coproducts are the same bits, so the swap changes nothing
+    mutant = _stacked_decomposed(space, us, r, gens, diagonal, swap="lower_twisted")
+    assert (_residual_bits(mutant) == _residual_bits(got)) == (mode == "xxx")
+
+    # a space with S1+ scaled up: not an intertwiner's, but K-bar is then the largest
+    # operand, and no relation's scale reads it
+    f1, f2 = space.factors
+    loud = ProductSpace(f1._replace(sp=f1.sp * 1e3), f2)
+    assert _residual_bits(_decomposed(loud, us, r, gens, diagonal)) == _residual_bits(
+        _stacked_decomposed(loud, us, r, gens, diagonal))
+
+    # one NaN entry of R: every relation reads R, so every residual of its sample is NaN
+    r = r.copy()
+    r[count // 2, 1, 0] = np.nan
+    got = _decomposed(space, us, r, gens, diagonal)
+    assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
+    assert all(np.isnan(value) for value in got[count // 2].values())
+    assert not any(np.isnan(value) for s, row in enumerate(got) if s != count // 2
+                   for value in row.values())
+
+
 @pytest.mark.parametrize("pair", PAIRS)
 def test_rational_R_shares_one_form_across_the_stack(pair):
     points = _points(pair, 9, "xxx")
     qs, us = zip(*points)
+    qs = _QStack.of(qs)
     space = ProductSpace.of_spins(*pair, RATIONAL, "monomial")
     r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
     assert errors == [None] * COUNT
@@ -227,6 +324,7 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
     pair, count = (1.0, 1.0), 1000
     rng = np.random.default_rng(4)
     qs, us = zip(*(_regular_point(*pair, rng) for _ in range(count)))
+    qs = _QStack.of(qs)
     form, errors = ProductSpace.stack_of_spins(*pair, qs, "orthonormal").spectral_form()
     eig, poles = rop._eigenvalues(*pair, us, qs)
     r, solved = rop._solve(*pair, us, qs, eig, form)
@@ -234,7 +332,20 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
     for s in range(count):
         alone = dataclasses.replace(form, left=form.left[s:s + 1], right=form.right[s:s + 1],
                                     cond=form.cond[s:s + 1])
-        _same(r[s], rop._solve(*pair, us[s:s + 1], qs[s:s + 1], eig[s:s + 1], alone)[0][0])
+        _same(r[s], rop._solve(*pair, us[s:s + 1], _QStack.of(qs[s:s + 1]), eig[s:s + 1],
+                               alone)[0][0])
+
+
+def _casimir_reports(space, sectors, delta_u, diagonal):
+    """The tensor_casimir report of each sample of a pass, as tensor_casimir
+    builds it from the arrays of _casimir_sectors."""
+    (sp, sm), (chains, _) = delta_u, sectors
+    f1, f2 = space.factors
+    rows = _casimir_sectors(sp @ sm + diagonal, chains, space.layout.live, f1.ell, f2.ell,
+                            space.qs)
+    return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
+                                   in enumerate(zip(*(row[s].tolist() for row in rows)))])
+            for s in range(len(space.qs))]
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -242,12 +353,15 @@ def test_stacked_casimir_equals_each_sample_alone(pair):
     points = _points(pair, 13)
     run = _PairRun(points, None, frozenset({"casimir"}), *pair)
     sectors, (sp, sm) = run.chain_pass
-    reports = _casimir_reports(run.space, sectors, (sp[:, 0], sm[:, 0]), run.casimir_diagonal)
-    for report, (q, u) in zip(reports, points):
+    delta_u = (sp[:, 0], sm[:, 0])
+    reports = _casimir_reports(run.space, sectors, delta_u, run.casimir_diagonal)
+    worst = _casimir_residuals(run.space, sectors, delta_u, run.casimir_diagonal)
+    for report, w, (q, u) in zip(reports, worst, points, strict=True):
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
         assert report == alone
         assert (report.max_residual, report.max_m_spread) == (alone.max_residual,
                                                               alone.max_m_spread)
+        assert w == _nan_max(alone.max_residual, alone.max_m_spread)
 
 
 @pytest.mark.parametrize("count", [1, COUNT])
@@ -260,7 +374,7 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
     tensor_casimir, sample by sample."""
     points = _points(pair, 11)[:count]
     qs, us = zip(*points)
-    us = list(us)
+    qs, us = _QStack.of(qs), list(us)
     families = [("delta", [0.0] * count), ("deltabar", [0.0] * count), ("delta", us)]
 
     def space():
@@ -273,9 +387,11 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
         alone, alone_errors = space().chains([family])
         _same(chains[:, f], alone[:, 0])
         assert alone_errors == [errors[f]]
-    both = stacked.unit_blocks(chains[:, [0, 2]], [[None] * count] * 2)
+    both = stacked.unit_blocks(stacked.layout.cut(chains[:, [0, 2]]), [[None] * count] * 2)
     for g, f in enumerate((0, 2)):
-        for got, want in zip(both, space().unit_blocks(chains[:, [f]], [[None] * count])):
+        alone = space()
+        for got, want in zip(both, alone.unit_blocks(alone.layout.cut(chains[:, [f]]),
+                                                     [[None] * count])):
             _same(got[:, g], want[:, 0])
 
     run = space()
@@ -291,7 +407,7 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
     reports = _casimir_reports(run, (sectors, sector_errors), (sp[:, 0], sm[:, 0]),
                                _casimir_diagonals(run.weights, qs))
     for s, (q, u) in enumerate(points):
-        one = ProductSpace.stack_of_spins(*pair, (q,), "orthonormal")
+        one = ProductSpace.stack_of_spins(*pair, _QStack.of((q,)), "orthonormal")
         for got, want in zip(one.sectors(u), _sector_chains(sectors[s]), strict=True):
             _same(got, want)
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
@@ -300,6 +416,28 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
 
 # ---------------------------------------------------------------------------
 # the cyclic suites' stacked kernels against their stacks of one
+
+def test_a_sector_pass_names_each_samples_worst_block(monkeypatch):
+    """chain_pass tests the weight blocks of the sector family against
+    COND_LIMIT sample by sample: a sample whose worst block is above the
+    limit gets the SingularBasis of that block, the others no error."""
+    qs, us = zip(*_points((1.0, 1.5), 21))
+    qs, us = _QStack.of(qs), list(us)
+    space = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal")
+    chains, errors = space.chains([("delta", us)])
+    cond = space.unit_blocks(space.layout.cut(chains), errors)[2][:, 0]
+    worst = cond.max(axis=1)
+    limit = float(np.median(worst))
+    monkeypatch.setattr(tensorrep, "COND_LIMIT", limit)
+    _, got = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal").sector_stack(us)
+    assert sum(error is not None for error in got) == COUNT // 2
+    for s, error in enumerate(got):
+        if worst[s] <= limit:
+            assert error is None
+        else:
+            assert isinstance(error, SingularBasis) and error.cond == worst[s]
+            assert str(error) == str(space.layout.conditioning_error(cond[s], limit))
+
 
 def _bits(obj):
     """The bytes of every number in a report, dict or list, so that equal
@@ -380,7 +518,7 @@ def _generic_points(count, seed):
 def test_stacked_six_vertex_matrices_equal_each_sample_alone(count):
     qs, us = _generic_points(count, count)
     for stack in (qs, [RATIONAL] * count, [ROOT7] * count):
-        rs = _fundamental_rs(us, stack)
+        rs = _fundamental_rs(us, _QStack.of(stack))
         for s, (q, u) in enumerate(zip(stack, us)):
             _same(rs[s], fundamental_r(u, q))
             assert_close(rs[s], _scalar_fundamental_r(u, q))
@@ -394,13 +532,13 @@ def test_stacked_lax_matrices_and_slots_equal_each_sample_alone(count):
     qs, us = _generic_points(count, 30 + count)
     fixed = build_cyclic_rep(SPEC5)
     for ell in (0.5, 1.0, 1.5):
-        f = _spin_factors(ell, qs, "monomial")
-        laxes = _laxes(f.sp, f.sm, f.weights, us, qs)
+        f = _spin_factors(ell, _QStack.of(qs), "monomial")
+        laxes = _laxes(f.sp, f.sm, f.weights, us, f.qs)
         for s, (q, u) in enumerate(zip(qs, us)):
             rep = build_spin_rep(ell, q)
             _same(laxes[s], build_lax(rep, u))
             assert_close(laxes[s], _scalar_lax(rep, u))
-    laxes = _laxes(fixed.sp, fixed.sm, fixed.weights, us, [fixed.q] * count)
+    laxes = _laxes(fixed.sp, fixed.sm, fixed.weights, us, _QStack.of([fixed.q] * count))
     for s, u in enumerate(us):
         _same(laxes[s], build_lax(fixed, u))
         assert_close(laxes[s], _scalar_lax(fixed, u))
@@ -833,7 +971,7 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     only: no R(-u), no sectors; verify casimir assembles no R."""
     built = _spy_on_stacks(monkeypatch)
     calls = []
-    for name in ("_decomposed", "_casimir_reports", "_stacked_R"):
+    for name in ("_decomposed", "_casimir_residuals", "_stacked_R"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
@@ -841,7 +979,7 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     assert len(built) == 3
     want = {"ybe": {"_decomposed": 3, "_stacked_R": 3},
             "unitarity": {"_stacked_R": 3 + 1},
-            "casimir": {"_casimir_reports": 3}}[suite]
+            "casimir": {"_casimir_residuals": 3}}[suite]
     assert {name: calls.count(name) for name in set(calls)} == want
 
 
@@ -891,8 +1029,8 @@ def test_a_pass_raises_each_suite_error_at_the_suite_place(monkeypatch):
             raise _Forced("casimir")
         return real_casimir(space, sectors, delta_u, diagonal)
 
-    real_casimir = verify._casimir_reports
-    monkeypatch.setattr(verify, "_casimir_reports", failing_casimir)
+    real_casimir = verify._casimir_residuals
+    monkeypatch.setattr(verify, "_casimir_residuals", failing_casimir)
     built = _spy_on_stacks(monkeypatch)
     with pytest.raises(_Forced, match="casimir") as raised:
         cli._run_suite("all", cfg, 3, 0.0)
@@ -932,6 +1070,7 @@ def _arrays(obj):
 
 def test_equal_spins_share_one_factor_representation():
     qs, _ = zip(*_points((1.0, 1.0), 3))
+    qs = _QStack.of(qs)
     f1, f2 = ProductSpace.stack_of_spins(1.0, 1 + 0j, qs, "orthonormal").factors
     assert f1 is f2
     f1, f2 = ProductSpace.stack_of_spins(0.5, 1.0, qs, "orthonormal").factors
@@ -941,7 +1080,7 @@ def test_equal_spins_share_one_factor_representation():
 def test_writing_to_any_memoised_array_raises():
     """The suites of a pass share one stack, so no suite may write to it."""
     qs, us = zip(*_points((1.0, 1.5), 3))
-    stack = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal")
+    stack = ProductSpace.stack_of_spins(1.0, 1.5, _QStack.of(qs), "orthonormal")
     stack.spectral_form()
     stack.coproducts([("delta", us)])
     arrays = list(_arrays(stack))

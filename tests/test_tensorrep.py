@@ -7,7 +7,7 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_re
 from qybe import tensorrep
 from qybe.errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
                          _raise_first)
-from qybe.qcore import residual, sample_generic_q, sample_params, sample_u
+from qybe.qcore import _QStack, residual, sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, ProductSpace, SectorEigenvalue,
                             _lowest_weights, kron)
 
@@ -18,7 +18,8 @@ def _pair(ell1, ell2, q, basis="monomial"):
 
 def _lowest(ell1, ell2, u, q, d1, d2, barred, count):
     """The lowest-weight rows of one family at one sample (u, q)."""
-    return _lowest_weights(ell1, ell2, [[u]], [-1.0 if barred else 1.0], [q], d1, d2, count)[0, 0]
+    return _lowest_weights(ell1, ell2, [[u]], [-1.0 if barred else 1.0], _QStack.of([q]), d1, d2,
+                           count)[0, 0]
 
 
 def test_twisted_raising_matches_printed_table(q_generic, rng):
@@ -413,7 +414,8 @@ def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
     with pytest.raises(ParameterDomainError):
         ProductSpace(r, r).sectors(0.3)
     # a space of two q values has no one-q coproduct or sectors
-    stack = ProductSpace.stack_of_spins(1.0, 1.0, (q_generic, sample_generic_q(rng)), "monomial")
+    stack = ProductSpace.stack_of_spins(1.0, 1.0, _QStack.of((q_generic, sample_generic_q(rng))),
+                                        "monomial")
     with pytest.raises(DimensionMismatch, match="one q"):
         stack.coproduct("delta", 0.3)
     with pytest.raises(DimensionMismatch, match="one q"):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,10 +10,10 @@ from conftest import assert_close
 from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, build_lax,
                   build_spin_rep, casimir_matrix, closed_form_R, eigenvalue_sequence,
                   fundamental_r, qnum)
-from qybe import cli, cyclic, tensorrep, verify
+from qybe import cli, cyclic, rep, rop, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, RATIONAL, residual, sample_generic_q, sample_u
+from qybe.qcore import MAX_DRAWS, RATIONAL, _QStack, residual, sample_generic_q, sample_u
 from qybe.tensorrep import ProductSpace
 from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          check_branch_independence,
@@ -485,7 +486,7 @@ def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
     us = _sample_us(report)
     assert solved == [(us + tuple(-u for u in us), form)]
     if mode == "xxx":
-        assert stack.qs == (RATIONAL,)
+        assert tuple(stack.qs) == (RATIONAL,)
         assert ProductSpace.of_spins(1.0, 1.0, RATIONAL, "monomial") is stack
     else:
         assert [q.value for q in stack.qs] == [complex(*r["q"]) for r in report.samples]
@@ -512,9 +513,15 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     """verify all --samples 5 makes one ProductSpace.chains call and one
     rop._solve call per xxz golden-pair run: its three chain families, and
     R(u) and R(-u) of its five samples; verify casimir alone raises the
-    Casimir sectors and builds no spectral form."""
+    Casimir sectors and builds no spectral form.
+
+    Each run derives its q arrays once: one q stack, which its factors,
+    Casimir diagonal and Casimir sectors read, and which the eigenvalues of
+    R(u) and R(-u) read repeated; its chains are cut into weight blocks
+    once; and the product space's q^S is its one _q_powers call, the
+    factor powers coming from one exponential of their own."""
     chains, solve = ProductSpace.chains, verify._solve
-    calls, forms = [], []
+    calls, forms, stacks, reads, cuts, powers = [], [], [], [], [], []
 
     def counting_chains(self, families, gens=None):
         if not self.rational:
@@ -532,11 +539,47 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
         forms.append(form)
         post_init(form)
 
+    of = _QStack.of.__func__
+
+    def counting_of(cls, qs):
+        stacks.append(of(cls, qs))
+        return stacks[-1]
+
+    def reading(module):
+        real = module._qnums
+
+        def qnums(n, qs):
+            reads.append((sys._getframe(1).f_code.co_name, qs))
+            return real(n, qs)
+        return qnums
+
+    cut, q_powers = tensorrep._BlockLayout.cut, tensorrep._q_powers
     monkeypatch.setattr(ProductSpace, "chains", counting_chains)
     monkeypatch.setattr(verify, "_solve", counting_solve)
     monkeypatch.setattr(tensorrep.SpectralForm, "__post_init__", counting_form)
+    monkeypatch.setattr(_QStack, "of", classmethod(counting_of))
+    for module in (rep, rop, tensorrep):
+        monkeypatch.setattr(module, "_qnums", reading(module))
+    monkeypatch.setattr(tensorrep._BlockLayout, "cut",
+                        lambda self, chains: cuts.append(chains.shape[1]) or cut(self, chains))
+    monkeypatch.setattr(verify, "_q_powers", lambda *args: powers.append(args) or q_powers(*args))
     assert main(["verify", "all", "--samples", "5", "--seed", "5"]) == 0
     assert calls == [("chains", ["delta", "deltabar", "delta"]), ("solve", 10)] * 3
+    runs = [qs for kernel, qs in reads if kernel == "_casimir_sectors"]
+    assert len(runs) == 3
+    # R(u) and R(-u) of each run, the three xxz ones and the xxx one, read its stack repeated
+    repeated = [qs for kernel, qs in reads if kernel == "_eigenvalues" and len(qs) == 10]
+    assert len(repeated) == 4 and not any(stack is qs for qs in repeated for stack in stacks)
+    for run in runs:
+        assert sum(stack is run for stack in stacks) == 1
+        assert {kernel for kernel, qs in reads if qs is run} == {
+            "_spin_factors", "_casimir_diagonals", "_casimir_sectors"}
+        assert any(tuple(qs) == tuple(run) * 2
+                   and qs.log_branch.tobytes() == np.tile(run.log_branch, 2).tobytes()
+                   for qs in repeated)
+    # the xxz passes cut their three families once each; the xxx form its one
+    assert sorted(cuts) == [1, 3, 3, 3]
+    assert len(powers) == 3
     calls.clear()
     forms.clear()
     assert main(["verify", "casimir", "--samples", "5", "--seed", "5"]) == 0
