@@ -1,25 +1,23 @@
 """Cyclic representations at odd roots of unity.
 
-The N-dimensional basis {theta_k} is treated as purely cyclic: all index
-arithmetic is mod N and multiplication by the N-th power of the variable
-acts as the identity.  Generators act by
+The N-dimensional basis {theta_k} extends the monomials {x^k} of the spin
+representations: indices run mod N, and the generators act by the spin
+formulas at (alpha, beta, lam) in place of (2l, 0, 0),
 
     S- theta_k = q^{-lam/2} [k - beta] theta_{k-1},
     S+ theta_k = q^{ lam/2} [alpha - k] theta_{k+1},
-    q^{aS} theta_k = q^{a (k - (alpha+beta)/2)} theta_k.
+    q^{aS} theta_k = q^{a (k - (alpha+beta)/2)} theta_k,
 
-On a product theta_{k1, k2} every twisted generator moves the weight
-sector (k1 + k2) mod N by one, so the tensor checks run on its N
-sector-transition blocks, each with two nonzero diagonals
-(:func:`_sector_diagonals`), and never form the dense N^2 x N^2
-coproducts of :class:`tensorrep.ProductSpace`.  The shift laws apply
-each block as its two diagonals; the tensor powers multiply the blocks
-(:func:`_sector_bands`) around the cycle of sectors, N products from
-shared windows in (N - 3)(N - 1)/2 + (N + 1)/2 + N block products, 23 at
-N = 7 (:func:`_around_the_cycle`).  Every one of those products is a
-band block times a window, so each entry of it, as of each image under a
-law, is a two-term sum.  The partial R keeps each sector, so it is solved
-on one sector (:func:`_partial_rs`).
+so a stack of them is the band record ``rep._Bands`` of the spin layer,
+its wrap entries S+ theta_{N-1} and S- theta_0 no longer 0.  On a product
+theta_{k1, k2} every twisted generator moves the weight sector
+(k1 + k2) mod N by one, so the tensor checks run on its N sector blocks,
+each two diagonals of the terms of the coproduct kernel
+(:func:`_sector_diagonals`), never on the dense N^2 x N^2 coproducts.  The
+shift laws apply each block as its two diagonals; the tensor powers
+multiply the blocks around the cycle of sectors from shared windows, 23
+block products at N = 7 (:func:`_around_the_cycle`), each entry a
+two-term sum.  The partial R is solved on one sector (:func:`_partial_rs`).
 
 The kernels behind the central elements, the tensor powers, the shift
 laws, the eigenvalue family and the partial R take S samples at one q
@@ -38,9 +36,10 @@ import numpy as np
 
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
-from .qcore import MAX_DRAWS, DeformationParameter, _nan_max, _relative, qnum, sample_params
-from .rep import OperatorTriple, _diag
-from .tensorrep import _require_shared_q
+from .qcore import (MAX_DRAWS, DeformationParameter, _check_finite, _nan_max, _QStack,
+                    _relative, qnum, sample_params)
+from .rep import OperatorTriple, _Bands, _diag
+from .tensorrep import _family_arrays, _require_shared_q, _twisted_terms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,6 +57,7 @@ class CyclicRepSpec:
     q: DeformationParameter | None = None
 
     def __post_init__(self):
+        _check_finite(alpha=self.alpha, beta=self.beta, lam=self.lam)
         if self.q is None:
             object.__setattr__(self, "q", DeformationParameter.root_of_unity(self.n))
         elif self.q.order != self.n:
@@ -82,50 +82,31 @@ def _params(specs) -> _Params:
     return _Params(*np.array([(s.alpha, s.beta, s.lam) for s in specs], complex).T)
 
 
-class _RepBands(NamedTuple):
-    """S cyclic representations of one order N at one q, stacked along a
-    leading sample axis by their bands: ``lower`` (S, N), the entry of S-
-    at [(k - 1) mod N, k]; ``lift`` (S, N), the entry of S+ at
-    [(k + 1) mod N, k]; and ``weights`` (S, N), the eigenvalues of S."""
-
-    lower: np.ndarray
-    lift: np.ndarray
-    weights: np.ndarray
-    q: DeformationParameter
-
-    def generators(self) -> np.ndarray:
-        """S+ and S- of every representation as matrices, (S, 2, N, N)."""
-        count, n = self.weights.shape
-        k = np.arange(n)
-        gens = np.zeros((count, 2, n, n), complex)
-        gens[:, 0, (k + 1) % n, k] = self.lift
-        gens[:, 1, (k - 1) % n, k] = self.lower
-        return gens
-
-    def halves(self) -> tuple[_RepBands, _RepBands]:
-        """The first and the second half of the stack, as views: the factors
-        V1 and V2 of S samples whose 2 S representations are stacked."""
-        count = len(self.weights) // 2
-        return tuple(_RepBands(*(x[rows] for x in self[:3]), self.q)
-                     for rows in (slice(None, count), slice(count, None)))
-
-
-def _rep_bands(specs) -> _RepBands:
-    """The bands of every spec's representation, in one stacked pass; the
-    specs share their order N and q."""
+def _rep_bands(specs) -> _Bands:
+    """The bands of every spec's representation, in one stacked pass, with
+    weights (S, N); the specs share N and q, which the stack holds once."""
     n, q = specs[0].n, specs[0].q
     k = np.arange(n)
     alpha, beta, lam = (x[:, None] for x in _params(specs))
     x = lam / 2 * q.log_branch
-    return _RepBands(np.exp(-x) * qnum(k - beta, q), np.exp(x) * qnum(alpha - k, q),
-                     k - (alpha + beta) / 2, q)
+    return _Bands(lift=np.exp(x) * qnum(alpha - k, q), lower=np.exp(-x) * qnum(k - beta, q),
+                  weights=k - (alpha + beta) / 2, from_monomial=None, ell=None, basis_tag="theta",
+                  qs=_QStack.of((q,)))
+
+
+def _halves(bands: _Bands) -> tuple[_Bands, _Bands]:
+    """The factors V1 and V2, as views, of a :func:`_rep_bands` stack of 2 S."""
+    half = len(bands.lift) // 2
+    return tuple(bands._replace(lift=bands.lift[rows], lower=bands.lower[rows],
+                                weights=bands.weights[rows])
+                 for rows in (slice(half), slice(half, None)))
 
 
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
     """Generator matrices of the cyclic representation on {theta_k}; the
     stack of one of :func:`_rep_bands`."""
     bands = _rep_bands([spec])
-    sp, sm = bands.generators()[0]
+    sp, sm = bands.dense()[0]
     return OperatorTriple(sp=sp, sm=sm, weights=bands.weights[0], q=spec.q,
                           basis_tag="theta", ell=None, from_monomial=None)
 
@@ -141,7 +122,10 @@ def _scalar_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = np.diagonal(m, axis1=-2, axis2=-1)
     s = d.sum(axis=(-2, -1)) / (d.shape[-2] * d.shape[-1])
-    gaps = np.abs(m - s[..., None, None, None] * np.eye(m.shape[-1])).max(axis=(-3, -2, -1))
+    # the blocks less the scalar on their diagonals, in one copy of the blocks
+    off = m.copy()
+    np.einsum("...ii->...i", off)[...] -= s[..., None, None]
+    gaps = np.abs(off).max(axis=(-3, -2, -1))
     return s, _relative(gaps, np.abs(s))
 
 
@@ -164,13 +148,13 @@ class _Central(NamedTuple):
     routes: np.ndarray
 
 
-def _central_elements(specs, bands: _RepBands) -> _Central:
+def _central_elements(specs, bands: _Bands) -> _Central:
     """:func:`central_elements` of every spec, unguarded, from the stack
     ``bands`` of their representations: one ``matrix_power`` of all the
     S+ and S-, and the q-number products of the cross-check along one axis."""
     n, q = specs[0].n, specs[0].q
-    mats = np.concatenate([np.linalg.matrix_power(bands.generators(), n),
-                           _diag(bands.q.pow(n * bands.weights))[:, None]], axis=1)
+    mats = np.concatenate([np.linalg.matrix_power(bands.dense(), n),
+                           _diag(q.pow(n * bands.weights))[:, None]], axis=1)
     scalars, resids = _scalar_part(mats[:, :, None])
     params = _params(specs)
     # phi_product(beta, q).product of every spec, times -q^{-N lam/2}
@@ -208,46 +192,35 @@ _GENERATORS = ("sm_u", "sp_u", "sm_bar_u", "sp_bar_u")
 _STEPS = np.array([-1, 1, -1, 1])
 
 
-def _sector_diagonals(reps1: _RepBands, reps2: _RepBands, us) -> tuple[np.ndarray, np.ndarray]:
+def _sector_diagonals(reps1: _Bands, reps2: _Bands, us) -> tuple[np.ndarray, np.ndarray]:
     """The two nonzero diagonals of every sector-transition block of the four
     twisted generators on V1 x V2, for every sample of the stacks at its u.
 
-    Each of sm_u, sp_u, sm_bar_u and sp_bar_u (steps -1, 1, -1, 1) moves
-    the weight sector c = k1 + k2 mod N by its step, so it is N blocks of
-    N x N; block i maps sector i * step_g mod N to (i + 1) * step_g, on the
-    basis vectors theta_{k1, c - k1} ordered by k1.  The S2 term of a
-    generator moves k2 and sits on the diagonal of a block; the S1 term
-    moves k1 and sits on the diagonal shifted by the step.  Returns ``on``
-    and ``off``, each of shape (S, 4, N, N): [s, g, i, r] is the entry of
-    block i at [r, r] and at [r, (r - step_g) mod N], so row r of a block
-    applied to a vector v is on[r] v[r] + off[r] v[r - step], a two-term
-    sum.  Each entry is formed as :meth:`ProductSpace.coproduct` forms it,
-    the piece product and then the product or quotient with q^{u/2}, so the
-    diagonals are bit for bit those of the dense generators.
+    Each of sm_u, sp_u, sm_bar_u and sp_bar_u (steps -1, 1, -1, 1) is N
+    blocks of N x N: block i maps sector i * step_g mod N to
+    (i + 1) * step_g, on the basis vectors theta_{k1, c - k1} of sector c
+    ordered by k1.  ``on`` and ``off``, each (S, 4, N, N), hold at
+    [s, g, i, r] the entries of block i at [r, r], the S2 term, and at
+    [r, (r - step_g) mod N], the S1 term, so row r of a block applied to v
+    is on[r] v[r] + off[r] v[r - step].  They are the terms of the coproduct
+    kernel :func:`tensorrep._twisted_terms` gathered by sector, so bit for
+    bit the entries of the dense generators.
     """
-    n, q = reps1.weights.shape[1], reps1.q
+    n = reps1.lift.shape[1]
+    terms = _twisted_terms(reps1, reps2, *_family_arrays([("delta", us), ("deltabar", us)]))
     k = np.arange(n)
-    g = np.arange(4)[:, None, None]
     steps = _STEPS[:, None, None]
-    # delta weights its pieces by q^{-S1} and q^{S2}, deltabar by q^{S1} and q^{-S2}
-    w1 = np.stack([q.pow(-reps1.weights), q.pow(reps1.weights)], axis=1)[:, [0, 0, 1, 1], None]
-    w2 = np.stack([q.pow(reps2.weights), q.pow(-reps2.weights)], axis=1)[:, [0, 0, 1, 1]]
-    f1 = np.stack([reps1.lower, reps1.lift], axis=1)[:, [0, 1, 0, 1]]
-    f2 = np.stack([reps2.lower, reps2.lift], axis=1)[:, [0, 1, 0, 1]]
     k2 = (steps * k[:, None] - k) % n  # [g, i, r]: k2 of the basis vector k1 = r of block i
+    # term [f, a, t, k1, k2] of a sample is at (4 f + 2 a + t) n^2 + k1 n + k2, generator g of
+    # kind f = g // 2 in slot a = (g + f) % 2 (see _twisted_terms)
+    base = np.array([0, 2, 6, 4])[:, None, None] * (n * n)
+    terms = terms.reshape(len(terms), -1)
     # the S1 term of row r acts on the column k1 = r - step, whose k2 is one step on
-    s1 = f1[:, g, (k - steps) % n] * w2[:, g, (k2 + steps) % n]
-    s2 = w1 * f2[:, g, k2]
-    qu = np.exp(np.asarray(us, complex) / 2 * q.log_branch)[:, None, None, None]
-    # q^{u/2} multiplies the S1 term of sm_u and sp_bar_u (generators 0 and 3)
-    # and divides their S2 term, and the other way round for sp_u and sm_bar_u
-    for times, over in ((s1[:, ::3], s2[:, ::3]), (s2[:, 1:3], s1[:, 1:3])):
-        np.multiply(qu, times, out=times)
-        np.divide(over, qu, out=over)
-    return s2, s1
+    return (terms[:, base + n * n + k * n + k2],
+            terms[:, base + (k - steps) % n * n + (k2 + steps) % n])
 
 
-def _sector_bands(reps1: _RepBands, reps2: _RepBands, us) -> np.ndarray:
+def _sector_bands(reps1: _Bands, reps2: _Bands, us) -> np.ndarray:
     """The sector-transition blocks of :func:`_sector_diagonals` as dense
     N x N matrices, shape (S, 4, N, N, N): [s, g, i] is block i of
     generator g, bit for bit the slice of the dense generator."""
@@ -269,20 +242,16 @@ def _around_the_cycle(bands: np.ndarray) -> np.ndarray:
 
     The N products share their windows W(s, L) = B_{s+L-1} ... B_s.  The
     windows from every other start, s = 0, 2, ..., N - 3, grow left only,
-    B @ W, to length N - 2.  Each of them then gives W(s, N - 1), the
-    window that misses block s - 1, and W(0, N - 2) also gives
-    W(N - 1, N - 1) = W(0, N - 2) @ B_{N-1}, which misses block N - 2.  A
-    window that misses block c gives both P_c = W @ B_c and
-    P_{c+1} = B_c @ W.  That is (N - 3)(N - 1)/2 + (N + 1)/2 + N block
-    products in place of the N (N - 1) of the sequential chain: 5 for 6 at
-    N = 3, 23 for 42 at N = 7, 173 for 342 at N = 19.  Every product is a
-    band block times a window, so each entry of it is a two-term sum, as in
-    the chain, never a window times a window.
-
-    Each level is two or three batched products of slices of the bands,
-    written into one of two buffers allocated once per pass: the powers,
-    which also hold every other level of the growing windows, and the
-    (N + 1)/2 windows of length N - 1, which hold the others.
+    B @ W, to length N - 2, and each then gives W(s, N - 1), which misses
+    block s - 1; W(0, N - 2) also gives W(N - 1, N - 1) = W(0, N - 2) @ B_{N-1},
+    which misses block N - 2.  A window that misses block c gives both
+    P_c = W @ B_c and P_{c+1} = B_c @ W: (N - 3)(N - 1)/2 + (N + 1)/2 + N
+    block products for the N (N - 1) of the sequential chain, 23 for 42 at
+    N = 7, each a band block times a window, so each entry a two-term sum.
+    Each level is two or three batched products written into one of two
+    buffers allocated once per pass: the powers, which also hold every
+    other level of the growing windows, and the (N + 1)/2 windows of
+    length N - 1, which hold the others.
     """
     n = bands.shape[2]
     half = (n - 1) // 2
@@ -330,8 +299,8 @@ class _TensorPowers(NamedTuple):
     closed_form_errors: np.ndarray
 
 
-def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
-                          reps2: _RepBands) -> _TensorPowers:
+def _tensor_power_reports(specs1, specs2, us, reps1: _Bands,
+                          reps2: _Bands) -> _TensorPowers:
     """:func:`tensor_power_scalars` of every sample, unguarded, as arrays
     along the sample axis, from the stacks of its representations: the
     sector bands of all samples go around the cycle together
@@ -339,6 +308,8 @@ def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
     two-term sum), and the closed forms
     (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))
     of (S-_u)^N and (S+_u)^N are arrays along the sample axis."""
+    # the closed forms after the powers, so that their arrays do not add to the peak
+    scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
     n, q = specs1[0].n, specs1[0].q
     (a1, b1, l1), (a2, b2, l2), u = _params(specs1), _params(specs2), np.asarray(us, complex)
     x = np.array([(n * (u - a2 - b2 - l1) / 2, -n * b1, n * b1,
@@ -348,7 +319,6 @@ def _tensor_power_reports(specs1, specs2, us, reps1: _RepBands,
     p = np.exp(x * q.log_branch)
     closed = (((p[:, 1] - p[:, 2]) * p[:, 0] + (p[:, 4] - p[:, 5]) * p[:, 3])
               * (q.value - 1 / q.value) ** (-n)).T
-    scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
     return _TensorPowers(scalars, resids,
                          _relative(np.abs(scalars[:, :2] - closed), np.abs(closed)))
 
@@ -360,17 +330,16 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     The unbarred powers telescope to
     (S-_u)^N = q^{N(u/2+S2)} (S1-)^N + q^{-N(u/2+S1)} (S2-)^N  (and the
     raising analogue), which yields explicit scalars in the parameters.
-    Each generator moves the sector k1 + k2 mod N by one, so its N-th power
-    is block-diagonal: the block of a sector is the product of the
-    generator's N sector-transition blocks (:func:`_sector_bands`) taken
-    once around the cycle of sectors, and the scalar is read from the
-    diagonal of those blocks.  The stack of one of
+    Each N-th power is block-diagonal over the sectors k1 + k2 mod N, each
+    block the product of the generator's N sector blocks
+    (:func:`_sector_bands`) once around the cycle.  The stack of one of
     :func:`_tensor_power_reports`; it raises at the first generator whose
     off-scalar residual is above ``tol``, in the order sm_u, sp_u,
     sm_bar_u, sp_bar_u.
     """
     _require_same_q(spec1, spec2)
-    powers = _tensor_power_reports([spec1], [spec2], [u], *_rep_bands([spec1, spec2]).halves())
+    _check_finite(u=u)
+    powers = _tensor_power_reports([spec1], [spec2], [u], *_halves(_rep_bands([spec1, spec2])))
     report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
@@ -395,6 +364,7 @@ def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
     """Geometric coefficient ratio along the support cycle of the family."""
     _require_same_q(spec1, spec2)
+    _check_finite(u=u)
     return complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
 
 
@@ -464,6 +434,7 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     """
     if relation not in _RELATIONS:
         raise ParameterDomainError(f"unknown relation {relation!r}")
+    _check_finite(u=u)
     c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
     return c if np.ndim(m) else complex(c[0])
 
@@ -486,18 +457,19 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
     ratios = np.exp(np.stack([_ratio_exponent(p1, p2, u, barred) for barred in (False, True)],
                              axis=1) * q.log_branch)
-    on, off = _sector_diagonals(*_rep_bands(specs1 + specs2).halves(), us)
+    on, off = _sector_diagonals(*_halves(_rep_bands(specs1 + specs2)), us)
     m = np.arange(n)
     g = np.arange(4)[:, None]
     steps = _STEPS[:, None]
     turn = m * steps % n  # [g, i]: the sector of block i, and the block of the sector i
     # [s, g, i, k1]: the family of generator g on the sector of block i and on the next one
     powers = np.power(ratios[..., None], m)[:, [0, 0, 1, 1]]
-    here = powers[:, g[..., None], (turn[..., None] - m) % n]
     there = powers[:, g[..., None], (turn[..., None] + steps[..., None] - m) % n]
     c = _prefactors(specs1, specs2, us, m)[:, g, turn]
-    # on[r] here[r] + off[r] there[r] - c there[r], in the buffers of the diagonals
-    image = np.multiply(on, here, out=on)
+    # on[r] here[r] + off[r] there[r] - c there[r], in the buffers of the diagonals; here is
+    # read once, so it is not kept past its product
+    here = (turn[..., None] - m) % n
+    image = np.multiply(on, powers[:, g[..., None], here], out=on)
     image += np.multiply(off, there, out=off)
     image -= np.multiply(c[..., None], there, out=off)
     r = np.abs(image).max(axis=-1)
@@ -519,6 +491,7 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     reported.
     """
     _require_same_q(spec1, spec2)
+    _check_finite(u=u)
     ratios, resids = _shift_residuals([spec1], [spec2], [u])
     for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
@@ -571,6 +544,7 @@ def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex)
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1.
     The stack of one of :func:`_eigenvalue_steps`."""
     _require_same_q(spec1, spec2)
+    _check_finite(u=u)
     return _eigenvalue_steps([spec1], [spec2], [u])[1][0]
 
 
@@ -609,6 +583,7 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     the inputs.  The stack of one of :func:`_partial_rs`.
     """
     _require_same_q(spec1, spec2)
+    _check_finite(u=u)
     solves = _partial_rs([spec1], [spec2], [u])
     rank, resid, r_m = solves.span_ranks[0], solves.max_residuals[0], solves.eigenvalues[0]
     if not resid <= 1e-9:
@@ -644,12 +619,10 @@ def _partial_rs(specs1, specs2, us) -> _SectorSolves:
     R_m rho'^k.  So block m of R is R_m M0, where M0 = W0 V0^+ with the
     N x 2 pairs V0 = [rho^k, sigma^k] and W0 = [sigma'^k, rho'^k].  One
     batched SVD of the S pairs V0 gives each sample numpy's pseudo-inverse,
-    cut off per sample as for the dense stack of the 2N family vectors,
-    whose singular values are those of V0, each N times: the span rank is
-    N times the rank of V0.  The residual is that of the dense solve on
-    the blocks, max_m |R_m (M0 V0) - R_m W0| over max(1, max_m |R_m W0|).
-    Every slice has the layout of a lone sample, so it is that sample
-    alone bit for bit.
+    cut off as for the dense stack of the 2N family vectors, whose singular
+    values are those of V0, each N times, so the span rank is N times the
+    rank of V0.  The residual is max_m |R_m (M0 V0) - R_m W0| over
+    max(1, max_m |R_m W0|).  Every slice is its sample alone bit for bit.
     """
     n, q = specs1[0].n, specs1[0].q
     p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)

@@ -223,6 +223,14 @@ def _qnums(n, qs: _QStack) -> np.ndarray:
     return (np.exp(x) - np.exp(-x)) / qs.den.reshape(shape)
 
 
+def _check_finite(**values) -> None:
+    """:class:`ParameterDomainError` naming the first of ``values`` that is
+    not finite, so that no NaN or inf reaches a kernel."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite (got {name}={value})")
+
+
 def residual(lhs, rhs, *inputs) -> float:
     """Infinity-norm difference normalized by the largest input entry, or by
     1 when that is smaller.  Operands are arrays or scalars; a NaN in

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _nan_max, _qnums, _QStack
+from .qcore import DeformationParameter, _check_finite, _nan_max, _qnums, _QStack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,14 +70,18 @@ def _two_spin(ell) -> int:
     raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
 
 
-class _Factors(NamedTuple):
-    """One representation at the S values of q of the stack ``qs``
-    (:class:`qcore._QStack`), stacked along a leading sample axis: ``sp``
-    and ``sm`` of shape (S, d, d), the q-independent ``weights`` (d,) and
-    ``from_monomial`` (S, d) or None."""
+class _Bands(NamedTuple):
+    """S representations on d labels, spin or cyclic, stacked along a leading
+    sample axis by their bands: ``lift`` (S, d), the entry of S+ at
+    [(k + 1) mod d, k], and ``lower`` (S, d), that of S- at [(k - 1) mod d, k],
+    every other entry 0; the eigenvalues ``weights`` of S, (d,) or (S, d);
+    ``from_monomial`` (S, d) or None; and ``qs``, the q of each sample or
+    the one q they share.  The spin-l monomial representation is the cyclic
+    one at (alpha, beta, lam) = (2l, 0, 0) on 2l + 1 labels, whose wrap
+    entries lift[2l] and lower[0] are [0] = 0, held as +0.0."""
 
-    sp: np.ndarray
-    sm: np.ndarray
+    lift: np.ndarray
+    lower: np.ndarray
     weights: np.ndarray
     from_monomial: np.ndarray | None
     ell: complex | None
@@ -85,42 +89,57 @@ class _Factors(NamedTuple):
     qs: _QStack
 
     @classmethod
-    def of_triple(cls, rep: OperatorTriple) -> "_Factors":
-        """The stack of one of ``rep``."""
+    def of_triple(cls, rep: OperatorTriple) -> "_Bands":
+        """The stack of one of ``rep``; :class:`ParameterDomainError` where
+        its S+ or S- has an entry off its band."""
+        k = np.arange(rep.dim)
         dm = rep.from_monomial
-        return cls(rep.sp[None], rep.sm[None], rep.weights, None if dm is None else dm[None],
-                   rep.ell, rep.basis_tag, _QStack.of((rep.q,)))
+        bands = cls(rep.sp[(k + 1) % rep.dim, k][None], rep.sm[(k - 1) % rep.dim, k][None],
+                    rep.weights, None if dm is None else dm[None], rep.ell, rep.basis_tag,
+                    _QStack.of((rep.q,)))
+        if not np.array_equal(bands.dense()[0], [rep.sp, rep.sm], equal_nan=True):
+            raise ParameterDomainError("a factor's S+ and S- must lie on their bands, "
+                                       "[(k+1) mod d, k] and [(k-1) mod d, k]")
+        return bands
+
+    def dense(self) -> np.ndarray:
+        """S+ and S- of every sample as matrices, (S, 2, d, d), +0.0 off the bands."""
+        count, d = self.lift.shape
+        k = np.arange(d)
+        gens = np.zeros((count, 2, d, d), complex)
+        gens[:, 0, (k + 1) % d, k], gens[:, 1, (k - 1) % d, k] = self.lift, self.lower
+        return gens
+
+    def powers(self) -> np.ndarray:
+        """The diagonals of q^S and q^-S of every sample, (S, 2, d)."""
+        signs = np.array([[1], [-1]])
+        return np.exp((signs * self.weights[..., None, :]) * self.qs.log_branch[:, None, None])
 
 
-def _spin_factors(ell, qs: _QStack, basis: str) -> _Factors:
+def _spin_factors(ell, qs: _QStack, basis: str) -> _Bands:
     """The spin-ell representation at every q of the stack ``qs``, in one
     stacked pass."""
     d = _two_spin(ell) + 1
     if basis not in ("monomial", "orthonormal"):
         raise ParameterDomainError(f"unknown basis {basis!r}")
-    count = len(qs)
-    sp = np.zeros((count, d, d), complex)
-    sm = np.zeros((count, d, d), complex)
-    # the flat super- and subdiagonal of each d x d slice
-    upper, lower = sm.reshape(count, -1)[:, 1::d + 1], sp.reshape(count, -1)[:, d::d + 1]
+    lift, lower = np.zeros((2, len(qs), d), complex)
     # [k+1] and [2l-k] for k < 2l
     k = np.arange(d - 1)
     a, b = _qnums(np.stack([k + 1, 2 * ell - k])[None], qs).transpose(1, 0, 2)
     dm = None
     if basis == "monomial":
-        upper[:] = a
-        lower[:] = b
+        lower[:, 1:], lift[:, :-1] = a, b
     else:
-        upper[:] = lower[:] = s = np.sqrt(a * b)
-        dm = np.ones((count, d), complex)
+        lift[:, :-1] = lower[:, 1:] = s = np.sqrt(a * b)
+        dm = np.ones((len(qs), d), complex)
         dm[:, 1:] = np.cumprod(a / s, axis=1)
     weights = (np.arange(d) - ell).astype(complex)
     # stacks of the tensor layer share these arrays, both slots of one stack
     # among them when its two spins are equal
-    for arr in (sp, sm, weights, dm):
+    for arr in (lift, lower, weights, dm):
         if arr is not None:
             arr.setflags(write=False)
-    return _Factors(sp, sm, weights, dm, complex(ell), basis, qs)
+    return _Bands(lift, lower, weights, dm, complex(ell), basis, qs)
 
 
 def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> OperatorTriple:
@@ -132,7 +151,8 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> Ope
     of :func:`_spin_factors`.
     """
     f = _spin_factors(ell, _QStack.of((q,)), basis)
-    return OperatorTriple(sp=f.sp[0], sm=f.sm[0], weights=f.weights, q=q, basis_tag=basis,
+    sp, sm = f.dense()[0]
+    return OperatorTriple(sp=sp, sm=sm, weights=f.weights, q=q, basis_tag=basis,
                           ell=f.ell, from_monomial=None if f.from_monomial is None
                           else f.from_monomial[0])
 
@@ -173,6 +193,7 @@ def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:
     at q = 1 (:data:`qcore.RATIONAL`) it is the rational [[u+S, S-], [S+, u-S]].
     The stack of one of :func:`_laxes`.
     """
+    _check_finite(u=u)
     return _laxes(rep.sp, rep.sm, rep.weights, [u], _QStack.of((rep.q,)))[0]
 
 
@@ -196,6 +217,7 @@ def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
     """The 4x4 six-vertex matrix with entries a = [u+1], b = [u], c = 1:
     trigonometric at generic q, rational (a = u+1, b = u) at q = 1.  The
     stack of one of :func:`_fundamental_rs`."""
+    _check_finite(u=u)
     return _fundamental_rs([u], _QStack.of((q,)))[0]
 
 

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair, _raise_first
-from .qcore import RATIONAL, DeformationParameter, _qnums, _QStack, qnum
+from .qcore import RATIONAL, DeformationParameter, _check_finite, _qnums, _QStack, qnum
 from .rep import _two_spin, fundamental_r
 from .tensorrep import COND_LIMIT, ProductSpace, SpectralForm, weight_reversed
 
@@ -38,6 +38,7 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     large that an eigenvalue is not finite.  The stack of one of
     :func:`_eigenvalues`.
     """
+    _check_finite(u=u)
     vals, poles = _eigenvalues(ell1, ell2, [u], _QStack.of((q,)))
     _raise_first(poles)
     _require_finite(ell1, ell2, [u], vals)
@@ -121,6 +122,7 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
         q, basis = RATIONAL, "monomial"
     elif mode != "xxz":
         raise ParameterDomainError(f"unknown mode {mode!r}")
+    _check_finite(u=u)
     u = complex(u)
     qs = _QStack.of((q,))
     eig, poles = _eigenvalues(ell1, ell2, [u], qs)
@@ -177,6 +179,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
     Where |u| is so large that a power of q overflows,
     :class:`ParameterDomainError` names the spins and u.
     """
+    _check_finite(u=u)
     with np.errstate(over="ignore", invalid="ignore"):
         m, tag = _tabulated(ell1, ell2, u, q)
     if not np.isfinite(m).all():

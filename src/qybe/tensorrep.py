@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis, _raise_first)
-from .qcore import DeformationParameter, _nan_max, _qnums, _QStack, _relative
-from .rep import OperatorTriple, _diag, _Factors, _spin_factors, _two_spin, casimir_matrix
+from .qcore import DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative
+from .rep import OperatorTriple, _Bands, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -27,28 +27,6 @@ CHAIN_TOL = 1e-10
 _SPACE_MEMO_SIZE = 2
 # how many block layouts _BlockLayout.of_dims keeps, one per (d1, d2)
 _LAYOUT_MEMO_SIZE = 16
-
-
-def kron(a: np.ndarray, b: np.ndarray, nd: int | None = None) -> np.ndarray:
-    """Kronecker product over the last ``nd`` axes: 1 for vectors, 2 for
-    matrices, and by default ``a.ndim``, for two vectors or two matrices.
-    Leading axes are a stack and broadcast.
-
-    One broadcast product: every entry is the single product a_ij * b_kl
-    that ``np.kron`` forms, so the result is the same bit for bit, without
-    ``np.kron``'s generic axis handling, which dominates at these sizes.
-    """
-    if (a.ndim if nd is None else nd) == 1:
-        p = a[..., :, None] * b[..., None, :]
-        return p.reshape(*p.shape[:-2], -1)
-    p = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return p.reshape(*p.shape[:-4], p.shape[-4] * p.shape[-3], p.shape[-2] * p.shape[-1])
-
-
-def _q_powers(weights: np.ndarray, log_branch: np.ndarray, a) -> np.ndarray:
-    """diag(q^{a w}) of the weights w at each log q of a stack: (S, d, d),
-    each slice equal to :meth:`OperatorTriple.qs` at its q."""
-    return _diag(np.exp((np.asarray(a) * weights) * log_branch[:, None]))
 
 
 def _require_shared_q(q1: DeformationParameter, q2: DeformationParameter) -> None:
@@ -77,6 +55,33 @@ def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
     return kinds, np.array([us for _, us in families], complex).T
 
 
+def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The coproduct kernel, the one place the formula of
+    :meth:`ProductSpace.coproduct` is written: the terms of the twisted
+    generators of V1 x V2 for each sample of the band stacks ``f1``, ``f2``
+    and each family of the kinds and us of :func:`_family_arrays`.
+    t[s, f, a, 0] (d1, d2) holds the S1 terms and t[s, f, a, 1] the S2
+    terms of generator a ^ kind_f (0 for S-, 1 for S+), one per source label
+    (k1, k2): slot a = 0 holds those that q^{u/2} multiplies, slot 1 those
+    it divides.  Each is a band entry times the other factor's q-power, then
+    times or over q^{u/2}: an entry of a Kronecker piece S1 x q^{S2} or
+    q^{-S1} x S2, bit for bit.
+    """
+    (count, d1), d2 = f1.lift.shape, f2.lift.shape[1]
+    p1, p2 = f1.powers(), f2.powers()
+    terms = np.empty((count, kinds.size, 2, 2, d1, d2), complex)
+    # Delta weights the S1 terms by q^{S2} and the S2 terms by q^{-S1}, Delta-bar the other way
+    bands1, bands2 = (np.stack([f.lower, f.lift], axis=1)[:, kinds[:, None] ^ np.arange(2)]
+                      for f in (f1, f2))
+    np.multiply(bands1[..., None], p2[:, kinds, None, None], out=terms[:, :, :, 0])
+    np.multiply(p1[:, 1 - kinds, None, :, None], bands2[:, :, :, None], out=terms[:, :, :, 1])
+    qu = np.exp(us / 2 * f1.qs.log_branch[:, None])[..., None, None, None]
+    flat = terms.reshape(count, kinds.size, 4, d1, d2)
+    np.multiply(qu, flat[:, :, ::3], out=flat[:, :, ::3])
+    np.divide(flat[:, :, 1:3], qu, out=flat[:, :, 1:3])
+    return terms
+
+
 def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
     """Entry n is the raising chain of sector n, the live steps of the
     chains c[..., m, :, n] (see :meth:`ProductSpace.chains`)."""
@@ -89,15 +94,14 @@ class ProductSpace:
     every array with a leading sample axis (the weights, which do not depend
     on q, excepted).
 
-    For each coproduct kind it holds the four Kronecker pieces that do not
-    depend on u (S1-/+ x q^{+-S2} and q^{-+S1} x S2-/+); the pieces of both
-    kinds are built together the first time either kind is used.  A twisted
-    coproduct at any u is then two sums weighted by q^{u/2}, so one space
-    serves every u, every kind and every caller of its samples, and the
-    generators of several families (kind, us) come from one broadcast.  For
-    two finite spins it also holds the :class:`SpectralForm` of R, built
-    the first time it is asked for, or by a :meth:`chain_pass` that raises
-    a sector family with it.
+    Its factors are two band stacks (``rep._Bands``), spin or cyclic, and a
+    twisted coproduct at any u is built from them by one call of the
+    coproduct kernel :func:`_twisted_terms`, scattered into dense matrices,
+    so one space serves every u, every kind and every caller of its
+    samples, and the generators of several families (kind, us) come from
+    one broadcast.  For two finite spins it also holds the
+    :class:`SpectralForm` of R, built the first time it is asked for, or by
+    a :meth:`chain_pass` that raises a sector family with it.
 
     The stacked methods evaluate all samples, and all families, in one pass
     and give slice s equal, bit for bit, to what a space of the one sample s
@@ -115,10 +119,11 @@ class ProductSpace:
 
     def __init__(self, rep1, rep2):
         """``rep1`` and ``rep2`` are two :class:`OperatorTriple` over one q,
-        or two factor stacks (``rep._Factors``) over the same q values."""
+        each with S+ and S- on their bands (else :class:`ParameterDomainError`),
+        or two band stacks (``rep._Bands``) over the same q values."""
         if isinstance(rep1, OperatorTriple):
             _require_shared_q(rep1.q, rep2.q)
-            rep1, rep2 = _Factors.of_triple(rep1), _Factors.of_triple(rep2)
+            rep1, rep2 = _Bands.of_triple(rep1), _Bands.of_triple(rep2)
         f1, f2 = self.factors = (rep1, rep2)
         self.qs = f1.qs
         self.log_branch = self.qs.log_branch
@@ -129,7 +134,7 @@ class ProductSpace:
         if f1.from_monomial is not None or f2.from_monomial is not None:
             d1, d2 = (f.from_monomial if f.from_monomial is not None
                       else np.ones((len(self.qs), f.weights.size)) for f in (f1, f2))
-            self.from_monomial = _read_only(kron(d1, d2, 1))
+            self.from_monomial = _read_only((d1[:, :, None] * d2[:, None, :]).reshape(len(d1), -1))
         self.layout = _BlockLayout.of_dims(*self.dims)
         self._form: tuple[SpectralForm, list] | None = None
 
@@ -158,47 +163,21 @@ class ProductSpace:
         return ProductSpace(f1, f1 if two_ell2 == two_ell1
                             else _spin_factors(two_ell2 / 2, qs, basis))
 
-    @functools.cached_property
-    def factor_powers(self) -> tuple[dict, dict]:
-        """q^{S} and q^{-S} of each factor, keyed by the exponent's sign:
-        (S, d, d) diagonal stacks, built once for the pieces and the
-        relations of the space; the powers of both factors and signs come
-        from one exp, each slice equal to :func:`_q_powers` at its q."""
-        f1, f2 = self.factors
-        d1 = f1.weights.size
-        weights = np.concatenate([f1.weights, f2.weights])
-        powers = np.exp((np.array([1, -1])[:, None] * weights) * self.log_branch[:, None, None])
-        return tuple({a: _read_only(diag[:, i]) for i, a in enumerate((1, -1))}
-                     for diag in (_diag(powers[..., :d1]), _diag(powers[..., d1:])))
-
-    @functools.cached_property
-    def _piece_stack(self) -> np.ndarray:
-        """The u-independent Kronecker pieces of both coproduct kinds,
-        (S, 2, 2, 2, d, d), indexed by sample, kind (Delta, Delta-bar), role
-        and generator (S+, S-): a generator at u is its role-0 piece over
-        q^{u/2} plus q^{u/2} times its role-1 piece (see :meth:`coproduct`).
-        For Delta the pieces are S1+ x q^{S2}, q^{-S1} x S2- and
-        q^{-S1} x S2+, S1- x q^{S2}; for Delta-bar q^{S1} x S2+,
-        S1- x q^{-S2} and S1+ x q^{-S2}, q^{S1} x S2-.  One broadcast
-        Kronecker product of stacked factors (kron's entries, bit for bit)."""
-        f1, f2 = self.factors
-        q1, q2 = self.factor_powers
-        left = np.array([[(f1.sp, q1[-1]), (q1[-1], f1.sm)], [(q1[1], f1.sm), (f1.sp, q1[1])]])
-        right = np.array([[(q2[1], f2.sm), (f2.sp, q2[1])], [(f2.sp, q2[-1]), (q2[-1], f2.sm)]])
-        return _read_only(np.moveaxis(kron(left, right, 2), 3, 0))
-
     def coproducts(self, families) -> tuple[np.ndarray, np.ndarray]:
         """S+_u and S-_u (see :meth:`coproduct`) of each family (kind, us) at
-        u_s for every sample s, as two (S, F, d, d) arrays, from one broadcast
-        of the kind pieces."""
+        u_s for every sample s, as two (S, F, d, d) arrays: the terms of
+        :func:`_twisted_terms` scattered to their targets, k1 and k2 moved
+        mod d1 and mod d2 (:attr:`_BlockLayout.moves`)."""
         kinds, us = _family_arrays(families)
-        qu = np.exp(us / 2 * self.log_branch[:, None])[..., None, None]
-        pieces = self._piece_stack
-        # each product keeps its factors' order, and each sum is exact to swap;
-        # S+ and S- apart, since one gather of both is past the allocator's
+        (count, size), dim = us.shape, self.layout.dim
+        terms = _twisted_terms(*self.factors, kinds, us).reshape(count, size, 2, 2, -1)
+        # S+ and S- apart, since one array of both is past the allocator's
         # mmap threshold at d = 49, and its page faults cost more than two
-        sp, sm = (pieces[:, kinds, 0, g] / qu + qu * pieces[:, kinds, 1, g] for g in (0, 1))
-        return sp, sm
+        gens = [np.zeros((count, size, dim * dim), complex) for _ in range(2)]
+        for g, t in np.ndindex(2, 2):
+            # where a factor has dimension 1, both terms land on one entry and add
+            gens[g][..., self.layout.moves[g, t]] += terms[:, np.arange(size), g ^ kinds, t]
+        return tuple(gen.reshape(count, size, dim, dim) for gen in gens[::-1])
 
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
@@ -435,11 +414,18 @@ def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
     power of q overflows in the generators or q^S of a factor."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, _QStack.of((q,)), basis)
-        finite = all(np.isfinite(m).all() for f, powers in zip(space.factors, space.factor_powers)
-                     for m in (f.sp, f.sm, powers[1]))
+        finite = all(np.isfinite(m).all() for f in space.factors
+                     for m in (f.lift, f.lower, f.powers()))
     if not finite:
         raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
     return space
+
+
+def _targets(d1: int, d2: int, step1: int, step2: int) -> np.ndarray:
+    """For every column x1^j x2^k of a d1 x d2 product, the flat position in
+    the d x d matrix of the row x1^(j + step1 mod d1) x2^(k + step2 mod d2)."""
+    j, k = np.divmod(np.arange(d1 * d2), d2)
+    return ((j + step1) % d1 * d2 + (k + step2) % d2) * (d1 * d2) + np.arange(d1 * d2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -455,8 +441,11 @@ class _BlockLayout:
     flat position in the d x d matrix and ``twist`` is j' - j for the entry
     that maps x1^j' x2^. to x1^j x2^.: the power of q^u that the twist
     T_u = q^{-u(S1-S2)/2} puts on it; ``inside_flat`` is where those entries
-    sit in the flattened padded blocks.  Layouts are memoised on (d1, d2),
-    so their arrays are read-only.
+    sit in the flattened padded blocks.  ``moves[g, t]`` is where term t of
+    generator g (:func:`_twisted_terms`) of each column lands in the flat
+    d x d matrix: k1 (S1 term) or k2 (S2 term) moved by -1 for S-, 1 for S+,
+    mod d1 or d2.  Layouts are memoised on (d1, d2), so their arrays are
+    read-only.
     """
 
     sizes: np.ndarray
@@ -466,11 +455,12 @@ class _BlockLayout:
     dst: np.ndarray
     twist: np.ndarray
     inside_flat: np.ndarray
+    moves: np.ndarray
     dim: int
 
     def __post_init__(self):
         for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist,
-                    self.inside_flat):
+                    self.inside_flat, self.moves):
             arr.setflags(write=False)
 
     @classmethod
@@ -488,7 +478,9 @@ class _BlockLayout:
                    take=(b[:, :, None] - n, rows[:, :, None], n),
                    dst=(rows[:, :, None] * (d1 * d2) + rows[:, None, :])[inside],
                    twist=(j[:, None, :] - j[:, :, None])[inside],
-                   inside_flat=np.flatnonzero(inside), dim=d1 * d2)
+                   inside_flat=np.flatnonzero(inside),
+                   moves=np.array([[_targets(d1, d2, step, 0), _targets(d1, d2, 0, step)]
+                                   for step in (-1, 1)]), dim=d1 * d2)
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
         """The padded weight blocks of chains c[..., m, :, n] (see
@@ -597,6 +589,7 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     Rayleigh estimates across each chain.  The stack of one of
     :func:`_casimir_sectors`.
     """
+    _check_finite(u=u)
     c = casimir_matrix(space.coproduct(kind, u))
     chains, errors = space.sector_stack([u], kind)
     _raise_first(errors)

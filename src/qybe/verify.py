@@ -17,10 +17,10 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, _QStack, _relative, qnum, sample_generic_q, sample_params,
                     sample_u)
-from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
+from .rep import _Bands, _casimir_diagonals, _diag, _fundamental_rs, _laxes, _spin_factors
 from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
-from .tensorrep import ProductSpace, _casimir_sectors, _q_powers, kron
+from .tensorrep import ProductSpace, _casimir_sectors, _targets
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,7 +298,8 @@ def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]
     Leading axes of ``op`` are a stack and are kept.
 
     Every entry is one product op_ij * 1 or op_ij * 0, so it equals the
-    entry that ``kron`` forms (a zero may differ in sign).
+    entry of the Kronecker product with the identity (a zero may differ in
+    sign).
     """
     a, b = slots
     c = 3 - a - b
@@ -351,24 +352,26 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
     """
     cfg = cfg or ToleranceConfig()
     # a cyclic quantum space is one fixed representation for every sample
-    fixed = cy.build_cyclic_rep(quantum) if isinstance(quantum, cy.CyclicRepSpec) else None
+    fixed = (_Bands.of_triple(cy.build_cyclic_rep(quantum))
+             if isinstance(quantum, cy.CyclicRepSpec) else None)
 
     def evaluate(points):
         if fixed is not None:
-            points = [(fixed.q, u, v) for u, v in points]
+            points = [(quantum.q, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         qs = _QStack.of(qs)
         rep = _spin_factors(quantum, qs, "monomial") if fixed is None else fixed
+        gens = rep.dense()
         dims = (2, 2, rep.weights.size)
-        l1 = _on_slots(_laxes(rep.sp, rep.sm, rep.weights, us, qs), dims, (0, 2))
-        l2 = _on_slots(_laxes(rep.sp, rep.sm, rep.weights, vs, qs), dims, (1, 2))
+        l1 = _on_slots(_laxes(gens[:, 0], gens[:, 1], rep.weights, us, qs), dims, (0, 2))
+        l2 = _on_slots(_laxes(gens[:, 0], gens[:, 1], rep.weights, vs, qs), dims, (1, 2))
         r12 = _on_slots(_fundamental_rs([u - v for u, v in zip(us, vs)], qs), dims, (0, 1))
         return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
     if fixed is None:
         return _Suite(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _quv, (), _quv_record, evaluate)
     return _Suite(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _uv, (),
-                  lambda uv: _quv_record((fixed.q, *uv)), evaluate)
+                  lambda uv: _quv_record((quantum.q, *uv)), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +429,35 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     C(-u) R = R Cbar(u) as R Cbar(u) = C(-u) R, whose gap is the same
     modulus.  The operands share one buffer: Y of relation j in slot 7 - j,
     Z in slot 7 + j (q^S, both operands of the first relation, in slot 7),
-    and R in slot 15."""
+    and R in slot 15.  A K operator is its q-power diagonal less
+    (q - 1/q)^2 S1-+ S2+-, products of the factor bands at their targets."""
     f1, f2 = space.factors
     lb = space.log_branch
     count, d = r.shape[0], r.shape[-1]
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
     values = np.array([q.value for q in space.qs], complex)[:, None, None]
     c2 = (values - 1 / values) ** 2
-    q1, q2 = space.factor_powers
-    plus_minus = kron(q1[1], q2[-1], 2)
-    minus_plus = kron(q1[-1], q2[1], 2)
-    c2_sm_sp = c2 * kron(f1.sm, f2.sp, 2)
-    c2_sp_sm = c2 * kron(f1.sp, f2.sm, 2)
-    qpm = qu * plus_minus + minus_plus / qu
-    qmp = qu * minus_plus + plus_minus / qu
+    p1, p2 = f1.powers(), f2.powers()
+    # q^{+-(S1 - S2)} and (q - 1/q)^2 S1-+ S2+-, each (S, d1, d2)
+    plus_minus, minus_plus = (p1[:, a, :, None] * p2[:, 1 - a, None, :] for a in (0, 1))
+    c2_sm_sp, c2_sp_sm = (c2 * (a[:, :, None] * b[:, None, :])
+                          for a, b in ((f1.lower, f2.lift), (f1.lift, f2.lower)))
+    qpm, qmp = qu * plus_minus + minus_plus / qu, qu * minus_plus + plus_minus / qu
     sp, sm = gens
     ops = np.empty((count, 16, d, d), complex)
     right, left = ops[:, 7::-1], ops[:, 7:15]
-    right[:, 0] = _q_powers(space.weights, lb, 1)
+    right[:, 0] = _diag(np.exp(space.weights * lb[:, None]))
     # Delta at u and Delta-bar at u right of R; Delta-bar at -u and Delta at -u left of it
     right[:, 1:5:2], right[:, 2:5:2] = sm[:, 0::2], sp[:, 0::2]
     left[:, 1:5:2], left[:, 2:5:2] = sm[:, 3::-2], sp[:, 3::-2]
-    np.subtract(qpm, c2_sm_sp, out=right[:, 5])
-    np.subtract(qmp, c2_sp_sm, out=right[:, 6])
-    np.subtract(qpm, c2_sp_sm, out=left[:, 5])
-    np.subtract(qmp, c2_sm_sp, out=left[:, 6])
+    # K and K-bar of k_plus_minus in slots 2 and 12, of k_minus_plus in 1 and 13
+    flat = ops.reshape(count, 16, d * d)
+    flat[:, [1, 2, 12, 13]] = 0
+    flat[:, [2, 12], ::d + 1] = qpm.reshape(count, 1, -1)
+    flat[:, [1, 13], ::d + 1] = qmp.reshape(count, 1, -1)
+    down_up, up_down = _targets(*space.dims, np.array([[-1], [1]]), np.array([[1], [-1]]))
+    flat[:, [[2], [13]], down_up] -= c2_sm_sp.reshape(count, 1, -1)
+    flat[:, [[1], [12]], up_down] -= c2_sp_sm.reshape(count, 1, -1)
     # Cbar(u) and C(-u), the Casimirs of Delta-bar at u and Delta at -u, in slots 0 and 14
     np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], diagonal[:, None], out=ops[:, ::14])
     ops[:, 15] = r
@@ -507,16 +514,12 @@ class _PairRun:
     at u = 0 for the spectral form (when R is read) and Delta at the
     samples' u for the Casimir sectors (when the Casimir suite reads the
     run), conditions both Delta families in one call and gives, from one
-    broadcast, every coproduct that the suites read; R(u), and R(-u) when
-    the unitarity suite reads the run, from one :func:`_stacked_R` call;
-    and the Casimir diagonal.
-
-    In the "xxz" mode the space is orthonormal, at the run's q values; in
-    the "xxx" mode every sample is at q = 1, and the space is the monomial
-    one of the memoised :meth:`ProductSpace.of_spins`, with its one form.
-    The q values of the run are one :class:`qcore._QStack`, built once, which
-    the space and the Casimir diagonal read, and the solve for R(u) and
-    R(-u) repeated.
+    call of the coproduct kernel, every coproduct that the suites read;
+    R(u), and R(-u) for the unitarity suite, from one :func:`_stacked_R`
+    call; and the Casimir diagonal.  In the "xxz" mode the space is
+    orthonormal, at the run's q values, one :class:`qcore._QStack` built
+    once; in the "xxx" mode every sample is at q = 1, and the space is the
+    monomial one of the memoised :meth:`ProductSpace.of_spins`.
     """
 
     def __init__(self, points, records, reads: frozenset, ell1, ell2, mode: str = "xxz"):
@@ -663,19 +666,16 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
 def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
-    Each run of S samples is one stacked pass: the bands of its 2 S
-    representations are built in one stack, whose central elements
-    (:func:`cyclic._central_elements`) are one 2 S-row pass and whose halves
-    give the tensor powers (:func:`cyclic._tensor_power_reports`, the N
-    products around the cycle from shared windows, each entry of a product
-    a two-term sum).  The guards fold as arrays: a sample that the guards
-    of :func:`cyclic.central_elements` and :func:`cyclic.tensor_power_scalars`
-    would reject (a NaN off-scalar residual, or one above 1) has the
-    residual of its first failing guard, so it fails the report: rep 1's,
-    rep 2's, then the generators' in the order sm_u, sp_u, sm_bar_u,
-    sp_bar_u.  Any other sample has the NaN-keeping max of its guards, the
-    cross-check of (S-)^N and the closed-form errors.  The cyclic R-ratio
-    suite reads the same stream.
+    Each run of S samples is one stacked pass: one band stack of its 2 S
+    representations gives the central elements (:func:`cyclic._central_elements`)
+    and, by halves, the tensor powers (:func:`cyclic._tensor_power_reports`).
+    A sample that the guards of :func:`cyclic.central_elements` and
+    :func:`cyclic.tensor_power_scalars` would reject (a NaN off-scalar
+    residual, or one above 1) has the residual of its first failing guard:
+    rep 1's, rep 2's, then sm_u's, sp_u's, sm_bar_u's and sp_bar_u's.  Any
+    other sample has the NaN-keeping max of its guards, the cross-check of
+    (S-)^N and the closed-form errors.  The cyclic R-ratio suite reads the
+    same stream.
     """
     cfg = cfg or ToleranceConfig()
     q = DeformationParameter.root_of_unity(n)
@@ -690,7 +690,7 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
         count = len(points)
         reps = cy._rep_bands(specs1 + specs2)
         central = cy._central_elements(specs1 + specs2, reps)
-        powers = cy._tensor_power_reports(specs1, specs2, us, *reps.halves())
+        powers = cy._tensor_power_reports(specs1, specs2, us, *cy._halves(reps))
         # [s, j]: rep 1's worst, rep 2's worst, then the four generators'; max keeps a NaN
         guards = np.concatenate([central.offscalar_residuals.reshape(2, count, 3).max(axis=2).T,
                                  powers.offscalar_residuals], axis=1)

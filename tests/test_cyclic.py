@@ -466,7 +466,7 @@ def test_cyclic_tensor_passes_stay_within_their_memory(kernel, bound_mb):
     specs1, specs2, us = zip(*points)
     if kernel == "tensor powers":
         run = lambda: cyclic._tensor_power_reports(
-            specs1, specs2, us, *cyclic._rep_bands(specs1 + specs2).halves())
+            specs1, specs2, us, *cyclic._halves(cyclic._rep_bands(specs1 + specs2)))
     else:
         rng = np.random.default_rng(3)
         run = lambda: cyclic._shift_residuals(

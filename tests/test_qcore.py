@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qybe
 from conftest import q_inverse
 from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, phi_product,
                   qnum)
@@ -428,3 +429,38 @@ def test_nonfinite_q_rejected(value, log_branch):
 def test_nonfinite_q_rejected_on_direct_construction():
     with pytest.raises(ParameterDomainError, match="finite"):
         DeformationParameter(value=complex("nan"))
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs: one typed error, raised at the boundary
+
+_Q = DeformationParameter.generic(np.exp(0.17 + 0.59j))
+_SPECS = (qybe.CyclicRepSpec(0.1, 0.2, 0.3, 3), qybe.CyclicRepSpec(0.2, 0.1, 0.3, 3))
+NON_FINITE_CALLS = {
+    "alpha": lambda z: qybe.CyclicRepSpec(z, 0.1, 0.2, 3),
+    "beta": lambda z: qybe.CyclicRepSpec(0.1, z, 0.2, 3),
+    "lam": lambda z: qybe.CyclicRepSpec(0.1, 0.2, z, 3),
+    "build_lax": lambda z: qybe.build_lax(qybe.build_spin_rep(0.5, _Q), z),
+    "fundamental_r": lambda z: qybe.fundamental_r(z, _Q),
+    "eigenvalue_sequence": lambda z: qybe.eigenvalue_sequence(0.5, 1, z, _Q),
+    "assemble_R": lambda z: qybe.assemble_R(0.5, 0.5, z, _Q),
+    "closed_form_R": lambda z: qybe.closed_form_R(0.5, 1, z, _Q),
+    "tensor_casimir": lambda z: qybe.tensor_casimir(qybe.ProductSpace.of_spins(0.5, 1, _Q), z),
+    "tensor_power_scalars": lambda z: qybe.tensor_power_scalars(*_SPECS, z),
+    "family_ratio": lambda z: qybe.family_ratio(*_SPECS, z),
+    "family_closure_defect": lambda z: qybe.family_closure_defect(*_SPECS, z),
+    "shift_prefactor": lambda z: qybe.shift_prefactor("lower", *_SPECS, z, 1),
+    "eigenstate_family": lambda z: qybe.eigenstate_family(*_SPECS, z),
+    "cyclic_R_eigenvalues": lambda z: qybe.cyclic_R_eigenvalues(*_SPECS, z),
+    "partial_R": lambda z: qybe.partial_R(*_SPECS, z),
+}
+
+
+@pytest.mark.parametrize("value", [complex("nan"), float("inf"), complex(0.3, float("-inf"))])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
+def test_a_non_finite_parameter_raises_a_domain_error_naming_it(call, value):
+    """A NaN or infinite alpha, beta or lam of a cyclic spec, or u of any
+    public function, is refused with ParameterDomainError, not a raw numpy
+    error, a NaN matrix or an overflow message."""
+    with pytest.raises(ParameterDomainError, match=r"(u|alpha|beta|lam) must be finite \(got "):
+        call(value)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import qybe
-from qybe import (RATIONAL, OperatorTriple, build_lax, build_spin_rep, casimir_matrix,
-                  fundamental_r, qnum, weight_reversed)
+from qybe import (RATIONAL, CyclicRepSpec, OperatorTriple, build_cyclic_rep, build_lax,
+                  build_spin_rep, casimir_matrix, fundamental_r, qnum, weight_reversed)
 from qybe.errors import BadSpin
-from qybe.qcore import sample_generic_q, sample_u
+from qybe.qcore import sample_generic_q, sample_params, sample_u
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -236,3 +236,56 @@ def test_algebra_residual_keeps_nan_after_finite_relation(q_generic):
     bad = _NanConjugation(sp=rep.sp, sm=rep.sm, weights=rep.weights, q=rep.q)
     with np.errstate(invalid="ignore"):
         assert np.isnan(bad.algebra_residual())
+
+
+# ---------------------------------------------------------------------------
+# the band-to-dense boundary, bit for bit
+
+def _dense(d, up, down):
+    """S+ with ``up`` at [(k+1) mod d, k] and S- with ``down`` at
+    [(k-1) mod d, k], for the k of the keys; +0.0 everywhere else."""
+    sp, sm = np.zeros((d, d), complex), np.zeros((d, d), complex)
+    for k, value in up.items():
+        sp[(k + 1) % d, k] = value
+    for k, value in down.items():
+        sm[(k - 1) % d, k] = value
+    return sp, sm
+
+
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+@pytest.mark.parametrize("ell", [0.0, 0.5, 1.0, 1.5, 3.0])
+def test_spin_rep_is_the_readme_formula_bit_for_bit(ell, basis, q_generic):
+    """S- x^k = [k] x^{k-1} and S+ x^k = [2l-k] x^{k+1} in the monomial basis,
+    sqrt([k+1][2l-k]) on both bands in the orthonormal one, at a generic q
+    and at q = 1; no wrap entry, and every entry off the bands is +0.0, with
+    no sign bit, so a rep document writes [0.0,0.0] there."""
+    d = int(2 * ell) + 1
+    k = np.arange(d - 1)
+    for q in (q_generic, RATIONAL):
+        # [k+1] and [2l-k] for k < 2l, each as numpy computes it
+        a, b = (np.asarray(qnum(n, q), complex) for n in (k + 1.0, 2 * ell - k))
+        if basis == "orthonormal":
+            a = b = np.sqrt(a * b)
+        rep = build_spin_rep(ell, q, basis)
+        sp, sm = _dense(d, dict(zip(k.tolist(), b)), dict(zip((k + 1).tolist(), a)))
+        assert rep.sp.tobytes() == sp.tobytes() and rep.sm.tobytes() == sm.tobytes()
+        assert not np.signbit(rep.sp[rep.sp == 0].view(float)).any()
+        assert not np.signbit(rep.sm[rep.sm == 0].view(float)).any()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cyclic_rep_is_the_readme_formula_bit_for_bit(n, rng):
+    """S- theta_k = q^{-lam/2} [k - beta] theta_{k-1} and
+    S+ theta_k = q^{lam/2} [alpha - k] theta_{k+1}, indices mod N, and +0.0
+    off the bands."""
+    for _ in range(3):
+        spec = CyclicRepSpec(*sample_params(rng, 3), n)
+        q, k = spec.q, np.arange(n)
+        # the powers of q from numpy arrays, as the kernels form them
+        half = np.full(n, spec.lam / 2)
+        up = q.pow(half) * qnum(spec.alpha - k, q)
+        down = q.pow(-half) * qnum(k - spec.beta, q)
+        rep = build_cyclic_rep(spec)
+        sp, sm = _dense(n, dict(enumerate(up)), dict(enumerate(down)))
+        assert rep.sp.tobytes() == sp.tobytes() and rep.sm.tobytes() == sm.tobytes()
+        assert not np.signbit(rep.sp[rep.sp == 0].view(float)).any()

@@ -12,7 +12,7 @@ from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, buil
 from qybe.errors import (BadSpin, ParameterDomainError, PoleAtSector, QybeError,
                          SingularBasis, UnsupportedPair)
 from qybe.qcore import residual, sample_generic_q, sample_u
-from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space, kron
+from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space
 from qybe.verify import _regular_point, decomposed_residuals
 
 PAIRS = [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
@@ -200,7 +200,7 @@ def _assemble_rational(ell1, ell2, u):
     sp1, _, _ = _classical_triple(ell1)
     sp2, _, _ = _classical_triple(ell2)
     d1, d2 = sp1.shape[0], sp2.shape[0]
-    sp = kron(sp1, np.eye(d2)) + kron(np.eye(d1), sp2)
+    sp = np.kron(sp1, np.eye(d2)) + np.kron(np.eye(d1), sp2)
     eig = eigenvalue_sequence(ell1, ell2, u, RATIONAL)
     cols, diag = [], []
     for n in range(min(d1, d2)):

@@ -144,16 +144,17 @@ def test_stacked_factors_equal_the_scalar_loop(basis, rng):
     stacks = ([sample_generic_q(rng) for _ in range(COUNT)], [RATIONAL] * 2)
     for qs, ell in itertools.product(stacks, (0.0, 0.5, 1.0, 1.5, 3.0)):
         f = _spin_factors(ell, _QStack.of(qs), basis)
+        gens = f.dense()
         for s, q in enumerate(qs):
             sp, sm, dm = _scalar_spin_rep(ell, q, basis)
-            assert_close(f.sp[s], sp)
-            assert_close(f.sm[s], sm)
+            assert_close(gens[s, 0], sp)
+            assert_close(gens[s, 1], sm)
             assert (f.from_monomial is None) == (dm is None)
             if dm is not None:
                 assert_close(f.from_monomial[s], dm)
             rep = build_spin_rep(ell, q, basis)
-            _same(rep.sp, f.sp[s])
-            _same(rep.sm, f.sm[s])
+            _same(rep.sp, gens[s, 0])
+            _same(rep.sm, gens[s, 1])
 
 
 @pytest.mark.parametrize("pair", PAIRS + [(3.0, 3.0)])
@@ -210,24 +211,39 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
         assert relations[s] == decomposed_residuals(alone_u)
 
 
+def _stacked_kron(a, b):
+    """The Kronecker product of each slice of two (S, d, d) stacks, every
+    entry the one product a_ij * b_kl that np.kron forms."""
+    p = a[:, :, None, :, None] * b[:, None, :, None, :]
+    return p.reshape(len(p), a.shape[1] * b.shape[1], -1)
+
+
+def _q_powers(weights, log_branch, a):
+    """diag(q^{a w}) of the weights w at each log q of a stack: (S, d, d)."""
+    return np.array([np.diag(row) for row in np.exp((a * weights) * log_branch[:, None])])
+
+
 def _stacked_decomposed(space, us, r, gens, diagonal, swap=None):
     """The eight decomposed relations as verify._decomposed formed them
-    before R was broadcast: each relation X Y = Z W a slice of four stacked
-    (S, 8, d, d) operands, one abs-max per distinct input, and the factor
-    powers from one _q_powers call each.  ``swap`` names a relation whose
-    Y and Z trade places: a mutant, which a bit-for-bit comparison must
-    tell from the real formulation wherever the two differ."""
+    before R was broadcast and the K operators were read from the factor
+    bands: each relation X Y = Z W a slice of four stacked (S, 8, d, d)
+    operands, the K operators from dense Kronecker products of the factor
+    generators and powers, and one abs-max per distinct input.  ``swap``
+    names a relation whose Y and Z trade places: a mutant, which a
+    bit-for-bit comparison must tell from the real formulation wherever
+    the two differ."""
+    (sp1, sm1), (sp2, sm2) = (np.moveaxis(f.dense(), 1, 0) for f in space.factors)
     f1, f2 = space.factors
     lb = space.log_branch
-    qs_diag = tensorrep._q_powers(space.weights, lb, 1)
+    qs_diag = _q_powers(space.weights, lb, 1)
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
     values = np.array([q.value for q in space.qs], complex)[:, None, None]
     c2 = (values - 1 / values) ** 2
-    q1, q2 = ({a: tensorrep._q_powers(f.weights, lb, a) for a in (1, -1)} for f in (f1, f2))
-    plus_minus = tensorrep.kron(q1[1], q2[-1], 2)
-    minus_plus = tensorrep.kron(q1[-1], q2[1], 2)
-    c2_sm_sp = c2 * tensorrep.kron(f1.sm, f2.sp, 2)
-    c2_sp_sm = c2 * tensorrep.kron(f1.sp, f2.sm, 2)
+    q1, q2 = ({a: _q_powers(f.weights, lb, a) for a in (1, -1)} for f in (f1, f2))
+    plus_minus = _stacked_kron(q1[1], q2[-1])
+    minus_plus = _stacked_kron(q1[-1], q2[1])
+    c2_sm_sp = c2 * _stacked_kron(sm1, sp2)
+    c2_sp_sm = c2 * _stacked_kron(sp1, sm2)
     qpm = qu * plus_minus + minus_plus / qu
     qmp = qu * minus_plus + plus_minus / qu
     k_pm, k_pm_bar = qpm - c2_sm_sp, qpm - c2_sp_sm
@@ -289,7 +305,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     # a space with S1+ scaled up: not an intertwiner's, but K-bar is then the largest
     # operand, and no relation's scale reads it
     f1, f2 = space.factors
-    loud = ProductSpace(f1._replace(sp=f1.sp * 1e3), f2)
+    loud = ProductSpace(f1._replace(lift=f1.lift * 1e3), f2)
     assert _residual_bits(_decomposed(loud, us, r, gens, diagonal)) == _residual_bits(
         _stacked_decomposed(loud, us, r, gens, diagonal))
 
@@ -478,7 +494,7 @@ def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
     ratios, shifts = cyclic._shift_residuals(specs1, specs2, us)
     for s, (s1, s2, u) in enumerate(points):
         rep = build_cyclic_rep(s1)
-        gens = reps1.generators()[s]
+        gens = reps1.dense()[s]
         for got, want in ((gens[0], rep.sp), (gens[1], rep.sm), (reps1.weights[s], rep.weights)):
             _same(got, want)
         alone1, alone2 = cyclic._rep_bands([s1]), cyclic._rep_bands([s2])
@@ -533,7 +549,8 @@ def test_stacked_lax_matrices_and_slots_equal_each_sample_alone(count):
     fixed = build_cyclic_rep(SPEC5)
     for ell in (0.5, 1.0, 1.5):
         f = _spin_factors(ell, _QStack.of(qs), "monomial")
-        laxes = _laxes(f.sp, f.sm, f.weights, us, f.qs)
+        gens = f.dense()
+        laxes = _laxes(gens[:, 0], gens[:, 1], f.weights, us, f.qs)
         for s, (q, u) in enumerate(zip(qs, us)):
             rep = build_spin_rep(ell, q)
             _same(laxes[s], build_lax(rep, u))

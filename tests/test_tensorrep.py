@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from qybe.errors import (BadSpin, CompletenessFailure, DimensionMismatch, Parame
                          _raise_first)
 from qybe.qcore import _QStack, residual, sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, ProductSpace, SectorEigenvalue,
-                            _lowest_weights, kron)
+                            _family_arrays, _lowest_weights, _twisted_terms)
 
 
 def _pair(ell1, ell2, q, basis="monomial"):
@@ -311,36 +313,62 @@ def test_casimir_full_spectrum_oracle(rng):
     assert np.allclose(np.sort_complex(eigs), np.sort_complex(expected), atol=1e-8)
 
 
-def _cplx(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b) \
         and a.tobytes() == b.tobytes()
 
 
+def _kron_pieces(rep1, rep2, kind, gen):
+    """The two u-independent Kronecker pieces of generator ``gen`` (0 for
+    S-, 1 for S+) of ``kind``: the S1 piece S1 x q^{+-S2} and the S2 piece
+    q^{-+S1} x S2, with np.kron."""
+    s = 1 if kind == "delta" else -1
+    a, b = (rep1.sm, rep2.sm) if gen == 0 else (rep1.sp, rep2.sp)
+    return np.kron(a, rep2.qs(s)), np.kron(rep1.qs(-s), b)
+
+
+def _assert_terms_are_the_kron_pieces(rep1, rep2):
+    """At u = 0, where q^{u/2} = 1, the coproduct kernel's terms are the
+    entries of the Kronecker pieces at the targets the layout sends them
+    to, bit for bit up to the sign of a zero, which the two routes may give
+    apart, and the pieces vanish everywhere else."""
+    space = ProductSpace(rep1, rep2)
+    kinds = ("delta", "deltabar")
+    terms = _twisted_terms(*space.factors, *_family_arrays([(k, [0.0]) for k in kinds]))[0]
+    for f, kind in enumerate(kinds):
+        for gen in (0, 1):
+            for t, piece in enumerate(_kron_pieces(rep1, rep2, kind, gen)):
+                at = space.layout.moves[gen, t]
+                # adding 0.0 clears the sign of a zero
+                assert _same_bits(terms[f, gen ^ f, t].ravel() + 0.0, piece.ravel()[at] + 0.0)
+                assert not np.delete(piece.ravel(), at).any()
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_kron_matches_numpy_bit_for_bit(d, rng):
-    """np.kron stays the reference for the broadcast kernel."""
+    """np.kron stays the reference for the product space's broadcast
+    products: for a factor of dimension d against every dimension up to 7,
+    the change of coordinates from monomials is np.kron of the factors'
+    bit for bit, and so are the coproduct kernel's terms, the entries of
+    the Kronecker pieces; a factor of dimension 1 sends its S1 terms to
+    their own column."""
     for e in range(1, 8):
-        v, w = _cplx(rng, d), _cplx(rng, e)
-        assert _same_bits(kron(v, w), np.kron(v, w))
-        a = _cplx(rng, d, d)
-        diag = np.diag(_cplx(rng, e))
-        for a_, b_ in ((a, np.eye(e)), (np.eye(e), a), (a, diag), (diag, a)):
-            assert _same_bits(kron(a_, b_), np.kron(a_, b_))
+        q = sample_generic_q(rng)
+        r1, r2 = (build_spin_rep((n - 1) / 2, q, "orthonormal") for n in (d, e))
+        space = ProductSpace(r1, r2)
+        assert _same_bits(space.from_monomial[0], np.kron(r1.from_monomial, r2.from_monomial))
+        _assert_terms_are_the_kron_pieces(r1, r2)
 
 
 def _four_kron_coproduct(rep1, rep2, kind, u):
     """Reference: the twisted generators as four Kronecker products per call."""
     qu = rep1.q.pow(u / 2)
     if kind == "delta":
-        sm = qu * kron(rep1.sm, rep2.qs(1)) + kron(rep1.qs(-1), rep2.sm) / qu
-        sp = kron(rep1.sp, rep2.qs(1)) / qu + qu * kron(rep1.qs(-1), rep2.sp)
+        sm = qu * np.kron(rep1.sm, rep2.qs(1)) + np.kron(rep1.qs(-1), rep2.sm) / qu
+        sp = np.kron(rep1.sp, rep2.qs(1)) / qu + qu * np.kron(rep1.qs(-1), rep2.sp)
     else:
-        sm = kron(rep1.sm, rep2.qs(-1)) / qu + qu * kron(rep1.qs(1), rep2.sm)
-        sp = qu * kron(rep1.sp, rep2.qs(-1)) + kron(rep1.qs(1), rep2.sp) / qu
+        sm = np.kron(rep1.sm, rep2.qs(-1)) / qu + qu * np.kron(rep1.qs(1), rep2.sm)
+        sp = qu * np.kron(rep1.sp, rep2.qs(-1)) + np.kron(rep1.qs(1), rep2.sp) / qu
     return sm, sp
 
 
@@ -372,8 +400,8 @@ def test_product_space_coproduct_matches_four_kron_reference(basis, rng):
             space = ProductSpace(r1, r2)
             _assert_space_matches_reference(space, r1, r2, (u, -u, 0.0))
             if basis == "orthonormal":
-                assert np.array_equal(space.from_monomial[0],
-                                      kron(r1.from_monomial, r2.from_monomial))
+                assert _same_bits(space.from_monomial[0],
+                                  np.kron(r1.from_monomial, r2.from_monomial))
             else:
                 assert space.from_monomial is None
 
@@ -385,6 +413,22 @@ def test_product_space_coproduct_matches_reference_on_cyclic_reps(n, rng):
         r2 = build_cyclic_rep(CyclicRepSpec(*sample_params(rng, 3), n))
         u = sample_u(rng)
         _assert_space_matches_reference(ProductSpace(r1, r2), r1, r2, (u, -u))
+
+
+def test_product_space_rejects_a_factor_off_its_bands(q_generic):
+    """A factor's S+ and S- must sit on their bands, [(k+1) mod d, k] and
+    [(k-1) mod d, k]: a coproduct's generators do not, so a space of a
+    coproduct and a representation is refused, not built without the
+    entries off the bands."""
+    rep = build_spin_rep(0.5, q_generic)
+    space = ProductSpace(rep, rep)
+    with pytest.raises(ParameterDomainError, match="band"):
+        ProductSpace(space.coproduct("delta", 0.3), rep)
+    with pytest.raises(ParameterDomainError, match="band"):
+        ProductSpace(rep, space.coproduct("deltabar", 0.3))
+    diagonal = dataclasses.replace(rep, sp=rep.sp + np.eye(2))
+    with pytest.raises(ParameterDomainError, match="band"):
+        ProductSpace(diagonal, rep)
 
 
 def test_product_space_sectors_match_fresh_spaces(rng):
@@ -522,7 +566,7 @@ def test_sectors_at_the_rational_point(pair):
 
 def _space_arrays(space):
     form = space.spectral_form()[0]
-    return [*(a for f in space.factors for a in (f.sp, f.sm, f.weights)),
+    return [*(a for f in space.factors for a in (f.lift, f.lower, f.weights)),
             space.weights, form.left, form.right, form.cond]
 
 
@@ -549,8 +593,8 @@ def test_every_spelling_of_a_spin_shares_one_space(q_generic):
 def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
     """The memoised space, built from stacked factors, is bit for bit the
     space of two built representations, at a generic q and at q = 1: its
-    pieces, its coproducts at +-u and its spectral form.  Equal spins share
-    one factor."""
+    factor bands, its coproducts at +-u and its spectral form.  Equal spins
+    share one factor."""
     u = 0.37 - 0.21j
     for q in (q_generic, RATIONAL):
         memo = ProductSpace.of_spins(*pair, q, basis)
@@ -560,12 +604,12 @@ def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
             form, errors = space.spectral_form()
             assert errors == [None]
             kinds = ("delta", "deltabar")
-            arrays.append([*space._piece_stack.reshape(-1, *space._piece_stack.shape[-2:]),
+            arrays.append([*(a for f in space.factors for a in (f.lift, f.lower)),
                            *(m[:, 0] for kind in kinds for x in (u, -u)
                              for m in space.coproducts([(kind, [x])])),
                            form.left, form.right, form.cond])
         got, want = arrays
-        assert len(got) == len(want) == 19
+        assert len(got) == len(want) == 15
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -580,11 +624,10 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
     space.coproduct("delta", 0.3)
     space.coproduct("deltabar", 0.3)
-    d = space.layout.dim
-    shared = _space_arrays(space) + list(space._piece_stack[0].reshape(8, d, d))
+    shared = _space_arrays(space) + [space.layout.moves]
     if basis == "orthonormal":
         shared += [f.from_monomial for f in space.factors] + [space.from_monomial]
-    assert len(shared) == (18 if basis == "monomial" else 21)
+    assert len(shared) == (11 if basis == "monomial" else 14)
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 7
@@ -628,14 +671,8 @@ def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
 
 def test_stacked_pieces_equal_the_kron_of_each_pair(rng):
     for ell1, ell2 in STACK_PAIRS:
-        r1, r2 = _pair(ell1, ell2, sample_generic_q(rng), "orthonormal")
-        space = ProductSpace(r1, r2)
-        for f, s in enumerate((1, -1)):
-            sm1, sm2 = kron(r1.sm, r2.qs(s)), kron(r1.qs(-s), r2.sm)
-            sp1, sp2 = kron(r1.sp, r2.qs(s)), kron(r1.qs(-s), r2.sp)
-            # the pieces each generator divides by q^{u/2}, then those it multiplies by it
-            want = [(sp1, sm2), (sp2, sm1)] if s == 1 else [(sp2, sm1), (sp1, sm2)]
-            assert np.array_equal(space._piece_stack[0, f], np.array(want))
+        for basis in ("monomial", "orthonormal"):
+            _assert_terms_are_the_kron_pieces(*_pair(ell1, ell2, sample_generic_q(rng), basis))
 
 
 def _reference_casimir(space, u, kind):

@@ -518,10 +518,11 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     Each run derives its q arrays once: one q stack, which its factors,
     Casimir diagonal and Casimir sectors read, and which the eigenvalues of
     R(u) and R(-u) read repeated; its chains are cut into weight blocks
-    once; and the product space's q^S is its one _q_powers call, the
-    factor powers coming from one exponential of their own."""
+    once; and its six coproduct families, Delta and Delta-bar at 0, Delta
+    at u and -u and Delta-bar at u and -u, come from one call of the
+    coproduct kernel."""
     chains, solve = ProductSpace.chains, verify._solve
-    calls, forms, stacks, reads, cuts, powers = [], [], [], [], [], []
+    calls, forms, stacks, reads, cuts, terms = [], [], [], [], [], []
 
     def counting_chains(self, families, gens=None):
         if not self.rational:
@@ -553,7 +554,13 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
             return real(n, qs)
         return qnums
 
-    cut, q_powers = tensorrep._BlockLayout.cut, tensorrep._q_powers
+    cut, twisted_terms = tensorrep._BlockLayout.cut, tensorrep._twisted_terms
+
+    def counting_terms(f1, f2, kinds, us):
+        if not f1.qs.rational:
+            terms.append(kinds.tolist())
+        return twisted_terms(f1, f2, kinds, us)
+
     monkeypatch.setattr(ProductSpace, "chains", counting_chains)
     monkeypatch.setattr(verify, "_solve", counting_solve)
     monkeypatch.setattr(tensorrep.SpectralForm, "__post_init__", counting_form)
@@ -562,7 +569,7 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
         monkeypatch.setattr(module, "_qnums", reading(module))
     monkeypatch.setattr(tensorrep._BlockLayout, "cut",
                         lambda self, chains: cuts.append(chains.shape[1]) or cut(self, chains))
-    monkeypatch.setattr(verify, "_q_powers", lambda *args: powers.append(args) or q_powers(*args))
+    monkeypatch.setattr(tensorrep, "_twisted_terms", counting_terms)
     assert main(["verify", "all", "--samples", "5", "--seed", "5"]) == 0
     assert calls == [("chains", ["delta", "deltabar", "delta"]), ("solve", 10)] * 3
     runs = [qs for kernel, qs in reads if kernel == "_casimir_sectors"]
@@ -579,7 +586,7 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
                    for qs in repeated)
     # the xxz passes cut their three families once each; the xxx form its one
     assert sorted(cuts) == [1, 3, 3, 3]
-    assert len(powers) == 3
+    assert terms == [[0, 1, 0, 0, 1, 1]] * 3
     calls.clear()
     forms.clear()
     assert main(["verify", "casimir", "--samples", "5", "--seed", "5"]) == 0
@@ -675,7 +682,7 @@ def test_cyclic_tensor_suites_build_no_dense_coproduct(suite, n, monkeypatch):
     """The tensor checks run on the sector bands: no dense twisted generator
     and no Kronecker product is formed."""
     calls = []
-    for owner, name in ((ProductSpace, "coproduct"), (tensorrep, "kron"), (np, "kron")):
+    for owner, name in ((ProductSpace, "coproduct"), (ProductSpace, "coproducts"), (np, "kron")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *a, _real=real, _name=name, **k: calls.append(_name)
@@ -733,7 +740,7 @@ def _reference_decomposed(rm):
                        ("raise_twisted_bar", bar_u.sp, cop_mu.sp)):
         out[name] = residual(r @ a, b @ r, r, a, b)
     qu, c2 = q.pow(u), (q.value - 1 / q.value) ** 2
-    kron = tensorrep.kron
+    kron = np.kron
     qpm = qu * kron(rep1.qs(1), rep2.qs(-1)) + kron(rep1.qs(-1), rep2.qs(1)) / qu
     qmp = qu * kron(rep1.qs(-1), rep2.qs(1)) + kron(rep1.qs(1), rep2.qs(-1)) / qu
     k_pm = qpm - c2 * kron(rep1.sm, rep2.sp)
