@@ -223,6 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--N", type=int, default=3,
                      help=f"root-of-unity order for cyclic suites (odd, 3 to {MAX_ORDER})")
     ver.add_argument("--json", type=Path, default=None, help="write the JSON report here")
+    ver.add_argument("--timings", type=Path, default=None,
+                     help="write the draw and evaluation seconds of each stream and suite "
+                          "here, as JSON (the report does not change)")
     return p
 
 
@@ -310,11 +313,12 @@ def _cmd_rmatrix(args) -> int:
 GOLDEN_PAIRS = ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0))
 
 
-def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
-               perturb: float) -> list[verify.ResidualReport]:
+def _run_suite(suite: str, cfg: ToleranceConfig, order: int, perturb: float,
+               timings: dict | None = None) -> list[verify.ResidualReport]:
     """The reports of the verify ``suite``: its suites in report order, in
     one run of the sampling harness (verify._run), which shares each random
-    stream, and each golden pair's pass, among the suites that read it."""
+    stream, and each golden pair's pass, among the suites that read it, and
+    books its times in the sink ``timings`` when given."""
     suites = []
     if suite in ("ybe", "all"):
         suites.append(verify.check_fundamental_ybe.suite(cfg, mode="xxz", perturb=perturb))
@@ -342,7 +346,7 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int,
     if suite == "all":
         suites.append(verify.check_branch_independence.suite(0.5, 1.0, cfg))
         suites.append(verify.check_branch_independence.suite(1.0, 1.0, cfg))
-    return verify._run(suites)
+    return verify._run(suites, timings)
 
 
 def _hook_value(name: str, kind, default):
@@ -371,7 +375,8 @@ def _cmd_verify(args) -> int:
         kwargs["rel_tol"] = args.tol
     cfg = ToleranceConfig(**kwargs)
     perturb = _hook_value("QYBE_PERTURB", float, 0.0)
-    reports = _run_suite(args.suite, cfg, order, perturb)
+    timings = None if args.timings is None else {"streams": [], "runs": []}
+    reports = _run_suite(args.suite, cfg, order, perturb, timings)
     for rep in reports:
         print(rep.line())
     n_fail = sum(not rep.passed for rep in reports)
@@ -382,6 +387,10 @@ def _cmd_verify(args) -> int:
                    "tool_version": __version__,
                    "reports": [rep.to_dict() for rep in reports]}
         args.json.write_text(dump_report(payload), encoding="utf-8")
+    if timings is not None:
+        args.timings.parent.mkdir(parents=True, exist_ok=True)
+        args.timings.write_text(dump_report({"seed": seed, "samples": args.samples,
+                                             "suite": args.suite, **timings}), encoding="utf-8")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
 
 

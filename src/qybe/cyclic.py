@@ -97,8 +97,8 @@ def _rep_bands(specs) -> _Bands:
 def _halves(bands: _Bands) -> tuple[_Bands, _Bands]:
     """The factors V1 and V2, as views, of a :func:`_rep_bands` stack of 2 S."""
     half = len(bands.lift) // 2
-    return tuple(bands._replace(lift=bands.lift[rows], lower=bands.lower[rows],
-                                weights=bands.weights[rows])
+    return tuple(dataclasses.replace(bands, lift=bands.lift[rows], lower=bands.lower[rows],
+                                     weights=bands.weights[rows])
                  for rows in (slice(half), slice(half, None)))
 
 

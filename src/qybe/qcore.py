@@ -291,25 +291,36 @@ def sample_generic_q(rng: np.random.Generator, on_circle: bool = False
     """Draw a generic q away from roots of unity and from q = +-1.
 
     log q gets imaginary part in (0.15, pi - 0.15) with a random sign, and
-    real part in [-0.25, 0.25] (zero when on_circle).
+    real part in [-0.25, 0.25] (zero when on_circle).  Each draw takes its
+    parts in one ``rng.random`` call, scaled as ``rng.uniform`` scales them,
+    low + (high - low) x, so the stream is bit for bit that of one
+    ``uniform`` call per part.
     """
+    low, high = 0.15, np.pi - 0.15
     for _ in range(MAX_DRAWS):
-        re = 0.0 if on_circle else rng.uniform(-0.25, 0.25)
+        if on_circle:
+            re, x = 0.0, rng.random()
+        else:
+            re, x = rng.random(2).tolist()
+            re = -0.25 + 0.5 * re
         # integers(0, 2) draws the sign from the stream that choice([-1, 1]) reads
-        im = rng.uniform(0.15, np.pi - 0.15) * (1.0 if rng.integers(0, 2) else -1.0)
+        im = (low + (high - low) * x) * (1.0 if rng.integers(0, 2) else -1.0)
         try:
-            return DeformationParameter.generic(np.exp(complex(re, im)))
+            return DeformationParameter.generic(cmath.exp(complex(re, im)))
         except ParameterDomainError:
             continue
     raise SamplerExhausted("generic q", MAX_DRAWS)
 
 
 def sample_u(rng: np.random.Generator, scale: float = 1.2) -> complex:
-    """A complex spectral parameter in a centred box."""
-    return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+    """A complex spectral parameter in a centred box, both parts from one
+    ``rng.uniform`` call."""
+    return complex(*rng.uniform(-scale, scale, 2).tolist())
 
 
 def sample_params(rng: np.random.Generator, count: int = 1) -> list[complex]:
     """Moderate complex parameter draws, each part normal with deviation 0.5
-    (keeps root-of-unity powers well scaled)."""
-    return [complex(rng.normal(0, 0.5), rng.normal(0, 0.5)) for _ in range(count)]
+    (keeps root-of-unity powers well scaled), all from one ``rng.normal``
+    call, real and imaginary part of each draw in turn."""
+    parts = rng.normal(0, 0.5, 2 * count).tolist()
+    return [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])]

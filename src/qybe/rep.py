@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-from typing import NamedTuple
+import functools
 
 import numpy as np
 
@@ -70,7 +70,8 @@ def _two_spin(ell) -> int:
     raise BadSpin(f"2*ell must be a nonnegative integer (got ell={ell})")
 
 
-class _Bands(NamedTuple):
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Bands:
     """S representations on d labels, spin or cyclic, stacked along a leading
     sample axis by their bands: ``lift`` (S, d), the entry of S+ at
     [(k + 1) mod d, k], and ``lower`` (S, d), that of S- at [(k - 1) mod d, k],
@@ -110,10 +111,15 @@ class _Bands(NamedTuple):
         gens[:, 0, (k + 1) % d, k], gens[:, 1, (k - 1) % d, k] = self.lift, self.lower
         return gens
 
+    @functools.cached_property
     def powers(self) -> np.ndarray:
-        """The diagonals of q^S and q^-S of every sample, (S, 2, d)."""
+        """The diagonals of q^S and q^-S of every sample, (S, 2, d), formed
+        once per stack, read-only: the coproduct kernel and the decomposed
+        pass of one run read the same array."""
         signs = np.array([[1], [-1]])
-        return np.exp((signs * self.weights[..., None, :]) * self.qs.log_branch[:, None, None])
+        powers = np.exp((signs * self.weights[..., None, :]) * self.qs.log_branch[:, None, None])
+        powers.setflags(write=False)
+        return powers
 
 
 def _spin_factors(ell, qs: _QStack, basis: str) -> _Bands:

@@ -68,7 +68,7 @@ def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray) ->
     q^{-S1} x S2, bit for bit.
     """
     (count, d1), d2 = f1.lift.shape, f2.lift.shape[1]
-    p1, p2 = f1.powers(), f2.powers()
+    p1, p2 = f1.powers, f2.powers
     terms = np.empty((count, kinds.size, 2, 2, d1, d2), complex)
     # Delta weights the S1 terms by q^{S2} and the S2 terms by q^{-S1}, Delta-bar the other way
     bands1, bands2 = (np.stack([f.lower, f.lift], axis=1)[:, kinds[:, None] ^ np.arange(2)]
@@ -186,7 +186,10 @@ class ProductSpace:
             "delta":     S-_u = q^{u/2+S2} S1- + q^{-u/2-S1} S2-,
                          S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
             "deltabar":  the q -> 1/q twin (all twist exponents negated).
+
+        A u that is not finite raises :class:`ParameterDomainError`.
         """
+        _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
         sp, sm = self.coproducts([(kind, [u])])
@@ -255,7 +258,12 @@ class ProductSpace:
         errors, one per sample, and the unit blocks of a failed sample are
         the identity.  A sample whose column norms overflow, its chains
         finite, fails here: its entry of ``errors``, if None, becomes a
-        :class:`ParameterDomainError`."""
+        :class:`ParameterDomainError`.
+
+        A block of size 1 is diag(x, 1, ..., 1) with unit columns, so its
+        condition number is max(|x|, 1) / min(|x|, 1) in closed form, not a
+        number where x is NaN or 0; only the blocks of size 2 or more go to
+        the SVD."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
             unit = blocks / norms
@@ -268,8 +276,16 @@ class ProductSpace:
                 failed = [s for s, e in enumerate(stage) if e is not None]
                 if failed:
                     unit[failed, g] = np.eye(unit.shape[-1])
-            s = np.linalg.svd(unit, compute_uv=False)
-            cond = s[..., 0] / s[..., -1]
+            k = unit.shape[-1]
+            # the blocks of size 1: the two end blocks, or every block where k = 1
+            ends = slice(None) if k == 1 else slice(None, None, unit.shape[-3] - 1)
+            cond = np.empty(unit.shape[:-2])
+            x = np.abs(unit[..., ends, 0, 0])
+            # max(|x|, 1) / min(|x|, 1), bit for bit, as dividing by 1 is exact
+            np.maximum(x, 1 / x, out=cond[..., ends])
+            if k > 1:
+                s = np.linalg.svd(unit[..., 1:-1, :, :], compute_uv=False)
+                np.divide(s[..., 0], s[..., -1], out=cond[..., 1:-1])
         return unit, norms, cond
 
     def chain_pass(self, sector: tuple | None = None, form: bool = True, read=()):
@@ -356,8 +372,10 @@ class ProductSpace:
         power of q overflows or, from the weight-block test of
         :class:`SpectralForm` against :data:`COND_LIMIT`,
         :class:`SingularBasis`.  The other kind's sectors are
-        ``sectors(u, other kind)``.
+        ``sectors(u, other kind)``.  A u that is not finite raises
+        :class:`ParameterDomainError`.
         """
+        _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
         chains, errors = self.sector_stack([u], kind)
@@ -415,7 +433,7 @@ def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, _QStack.of((q,)), basis)
         finite = all(np.isfinite(m).all() for f in space.factors
-                     for m in (f.lift, f.lower, f.powers()))
+                     for m in (f.lift, f.lower, f.powers))
     if not finite:
         raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
     return space
@@ -444,8 +462,9 @@ class _BlockLayout:
     sit in the flattened padded blocks.  ``moves[g, t]`` is where term t of
     generator g (:func:`_twisted_terms`) of each column lands in the flat
     d x d matrix: k1 (S1 term) or k2 (S2 term) moved by -1 for S-, 1 for S+,
-    mod d1 or d2.  Layouts are memoised on (d1, d2), so their arrays are
-    read-only.
+    mod d1 or d2; ``exchanges`` is where S1- S2+ (row 0) and S1+ S2- (row 1)
+    move each column, k1 and k2 moved together, mod d1 and d2.  Layouts are
+    memoised on (d1, d2), so their arrays are read-only.
     """
 
     sizes: np.ndarray
@@ -456,11 +475,12 @@ class _BlockLayout:
     twist: np.ndarray
     inside_flat: np.ndarray
     moves: np.ndarray
+    exchanges: np.ndarray
     dim: int
 
     def __post_init__(self):
         for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist,
-                    self.inside_flat, self.moves):
+                    self.inside_flat, self.moves, self.exchanges):
             arr.setflags(write=False)
 
     @classmethod
@@ -480,7 +500,9 @@ class _BlockLayout:
                    twist=(j[:, None, :] - j[:, :, None])[inside],
                    inside_flat=np.flatnonzero(inside),
                    moves=np.array([[_targets(d1, d2, step, 0), _targets(d1, d2, 0, step)]
-                                   for step in (-1, 1)]), dim=d1 * d2)
+                                   for step in (-1, 1)]),
+                   exchanges=np.array([_targets(d1, d2, -1, 1), _targets(d1, d2, 1, -1)]),
+                   dim=d1 * d2)
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
         """The padded weight blocks of chains c[..., m, :, n] (see

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import time
 
 import numpy as np
 
@@ -17,10 +18,10 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, _QStack, _relative, qnum, sample_generic_q, sample_params,
                     sample_u)
-from .rep import _Bands, _casimir_diagonals, _diag, _fundamental_rs, _laxes, _spin_factors
-from .rop import RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
+from .rep import _Bands, _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
+from .rop import POLE_TOL, RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
-from .tensorrep import ProductSpace, _casimir_sectors, _targets
+from .tensorrep import ProductSpace, _casimir_sectors
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,19 +99,21 @@ class _Suite:
     reads: str = ""
 
 
-def _run(suites: list[_Suite]) -> list[ResidualReport]:
+def _run(suites: list[_Suite], timings: dict | None = None) -> list[ResidualReport]:
     """The sampling harness behind every suite: the reports of ``suites``,
     in their order, the same as each suite gives when it runs alone.
 
     Suites that read one random stream (draw function, params, seed and
-    count) share it.  It is drawn once, from a fresh generator, in sample
-    order, and no evaluation feeds a draw, so the stream is that of a loop
-    that evaluates each sample as it is drawn; a draw that raises a
-    :class:`QybeError` ends it.  Each record function's dicts are built once
-    per stream, so a suite that completes its records in its evaluation
-    (partial R's span rank) has a record function of its own.  Each run of
-    samples is evaluated for all suites of its stream, which share one view
-    per view function, and no view outlives its run.
+    count) share it.  It is drawn once, in sample order, from the one
+    generator of its seed, reset to the seeded state before each further
+    stream, so that each stream is that of a fresh generator.  No evaluation
+    feeds a draw, so the stream is that of a loop that evaluates each sample
+    as it is drawn; a draw that raises a :class:`QybeError` ends it.  Each
+    record function's dicts are built once per stream, so a suite that
+    completes its records in its evaluation (partial R's span rank) has a
+    record function of its own.  Each run of samples is evaluated for all
+    suites of its stream, which share one view per view function, and no
+    view outlives its run.
 
     Each suite keeps its residuals, or its first error, of whatever type,
     without the traceback that holds the run's arrays, and then the error
@@ -118,6 +121,12 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
     raised, so it is the one that the suites raise one after another; an
     error of another type in a draw is raised at the place of the stream's
     first suite, before its evaluation.
+
+    ``timings``, when given, is a sink that the reports do not read: its
+    "streams" list gets one row per stream, with the seconds its draws
+    took, and its "runs" list one row per suite and run of samples, with
+    the run's first sample, its size and the seconds the suite's evaluation
+    took, the view that it builds for the suites that share it included.
     """
     streams: dict[tuple, list[int]] = {}
     for k, suite in enumerate(suites):
@@ -126,9 +135,16 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
             raise ParameterDomainError("a suite needs at least one sample")
         streams.setdefault((suite.draw, suite.params, suite.cfg.rng_seed, count), []).append(k)
     outcomes = [None] * len(suites)
-    for (draw, params, _, count), members in streams.items():
-        rng = suites[members[0]].cfg.rng()
+    generators = {}
+    for (draw, params, seed, count), members in streams.items():
+        if seed in generators:
+            rng, state = generators[seed]
+            rng.bit_generator.state = state
+        else:
+            rng = suites[members[0]].cfg.rng()
+            generators[seed] = rng, rng.bit_generator.state
         points, stop = [], None
+        draw_start = time.perf_counter()
         try:
             for i in range(count):
                 points.append(draw(rng, i, *params))
@@ -137,6 +153,12 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
         except Exception as exc:  # not a sampler's error: the stream's first suite raises it
             outcomes[members[0]] = exc
             continue
+        finally:
+            if timings is not None:
+                timings.setdefault("streams", []).append({
+                    "draw": draw.__name__, "seed": seed, "count": count, "drawn": len(points),
+                    "suites": [suites[k].identity_id for k in members],
+                    "draw_s": time.perf_counter() - draw_start})
         record_functions = dict.fromkeys(suites[k].record for k in members)
         records = {record: [record(point) for point in points] for record in record_functions}
         residuals = {k: [] for k in members}
@@ -147,6 +169,7 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
             views = {}
             for k in live:
                 suite = suites[k]
+                eval_start = time.perf_counter()
                 try:
                     if suite.view not in views:
                         reads = frozenset(suites[j].reads for j in live
@@ -156,6 +179,10 @@ def _run(suites: list[_Suite]) -> list[ResidualReport]:
                     residuals[k].extend(suite.evaluate(views[suite.view]))
                 except Exception as exc:  # the suite's own error, raised at its place
                     errors[k] = exc.with_traceback(None)
+                if timings is not None:
+                    timings.setdefault("runs", []).append({
+                        "suite": suite.identity_id, "start": start, "size": len(points[run]),
+                        "eval_s": time.perf_counter() - eval_start})
             views.clear()
         for k in members:
             outcomes[k] = errors[k] or stop or _reports(suites[k], records[suites[k].record],
@@ -205,19 +232,36 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[fl
                      np.abs(np.stack(inputs, axis=1)).max(axis=(1, 2, 3))).tolist()
 
 
+def _pole_offsets(ell1, ell2) -> list:
+    """l1+l2+1-n for every sector n = 1..top: the eigenvalue denominators of
+    :func:`rop._eigenvalues` are the q-numbers [l1+l2+1-n+u]."""
+    return [ell1 + ell2 + 1 - n for n in range(1, _top_sector(ell1, ell2) + 1)]
+
+
+def _pole_gaps(offsets: list, points) -> list:
+    """|[x+u]| at q for every (u, q) of ``points`` and every x of the
+    :func:`_pole_offsets`, each one scalar :func:`qcore.qnum`, whose bits
+    are those of the stacked q-number.  A power of q that overflows gives
+    an infinite or NaN gap; callers run it under the errstate of
+    :func:`rop._eigenvalues`."""
+    return [abs(qnum(x + u, q)) for u, q in points for x in offsets]
+
+
 def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
-    """A sampled (q, u) with all eigenvalue denominators away from poles.
+    """A sampled (q, u) with all eigenvalue denominators, at u and at -u,
+    more than ``min_gap`` from 0 (:func:`_pole_gaps`; a NaN gap is no such
+    gap).
 
     In the rational mode ("xxx") q is :data:`qcore.RATIONAL`, where the
     denominators are plain numbers, and only u is drawn.
     """
-    # every pole gap [l1+l2+1-n +- u], n = 1..top, is l1+l2+1-n plus +-u
-    sectors = ell1 + ell2 + 1 - np.arange(1, _top_sector(ell1, ell2) + 1)
-    for _ in range(MAX_DRAWS):
-        q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
-        u = sample_u(rng)
-        if (np.abs(qnum(np.add.outer(sectors, (u, -u)), q)) > min_gap).all():
-            return q, u
+    offsets = _pole_offsets(ell1, ell2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(MAX_DRAWS):
+            q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
+            u = sample_u(rng)
+            if all(gap > min_gap for gap in _pole_gaps(offsets, ((u, q), (-u, q)))):
+                return q, u
     what = "regular rational u" if mode == "xxx" else "regular (q, u)"
     raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
 
@@ -242,10 +286,10 @@ def _uv(rng, i):
 
 
 def _cyclic_params(rng, i, q):
-    """Two specs of cyclic parameter triples at the root of unity q and a
-    spectral parameter."""
-    p1, p2 = sample_params(rng, 3), sample_params(rng, 3)
-    return (cy.CyclicRepSpec(*p1, q.order, q), cy.CyclicRepSpec(*p2, q.order, q),
+    """Two specs of cyclic parameter triples at the root of unity q, from
+    one draw of six parameters, and a spectral parameter."""
+    params = sample_params(rng, 6)
+    return (cy.CyclicRepSpec(*params[:3], q.order, q), cy.CyclicRepSpec(*params[3:], q.order, q),
             sample_u(rng, scale=0.6))
 
 
@@ -255,22 +299,27 @@ def _compatible(rng, i, q):
 
 
 def _alpha(rng, i):
-    """One complex alpha of the phi products."""
-    return complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
+    """One complex alpha of the phi products, both parts from one
+    ``rng.normal`` call."""
+    return complex(*rng.normal(0, 0.6, 2).tolist())
 
 
 def _branch_point(rng, i, ell1, ell2):
-    """(q, u), its shift to the branch log q + 2 pi i that keeps q^u, and
-    the eigenvalues on both branches, (2, k), with q on the unit circle at
-    even i; a candidate with a pole on either branch is drawn again."""
-    for _ in range(MAX_DRAWS):
-        q = sample_generic_q(rng, on_circle=(i % 2 == 0))
-        u = sample_u(rng)
-        shifted_q = q.with_branch_shift(1)
-        shifted_u = u * q.log_branch / shifted_q.log_branch
-        vals, poles = _eigenvalues(ell1, ell2, (u, shifted_u), _QStack.of((q, shifted_q)))
-        if not any(poles):
-            return q, u, shifted_q, shifted_u, vals
+    """(q, u) and its shift to the branch log q + 2 pi i that keeps q^u,
+    with q on the unit circle at even i; a candidate with a pole on either
+    branch, a denominator of :func:`rop._eigenvalues` below
+    :data:`rop.POLE_TOL` (:func:`_pole_gaps`; a NaN one is no pole), is
+    drawn again."""
+    offsets = _pole_offsets(ell1, ell2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(MAX_DRAWS):
+            q = sample_generic_q(rng, on_circle=(i % 2 == 0))
+            u = sample_u(rng)
+            shifted_q = q.with_branch_shift(1)
+            shifted_u = u * q.log_branch / shifted_q.log_branch
+            points = ((u, q), (shifted_u, shifted_q))
+            if not any(gap < POLE_TOL for gap in _pole_gaps(offsets, points)):
+                return q, u, shifted_q, shifted_u
     raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
 
 
@@ -430,34 +479,35 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     modulus.  The operands share one buffer: Y of relation j in slot 7 - j,
     Z in slot 7 + j (q^S, both operands of the first relation, in slot 7),
     and R in slot 15.  A K operator is its q-power diagonal less
-    (q - 1/q)^2 S1-+ S2+-, products of the factor bands at their targets."""
+    (q - 1/q)^2 S1-+ S2+-, products of the factor bands at their targets
+    (:attr:`tensorrep._BlockLayout.exchanges`); the factors' q^{+-S} are
+    those that the coproduct kernel read."""
     f1, f2 = space.factors
     lb = space.log_branch
     count, d = r.shape[0], r.shape[-1]
-    qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
+    qu = np.exp(np.asarray(us, complex) * lb)[:, None, None, None]
     values = np.array([q.value for q in space.qs], complex)[:, None, None]
     c2 = (values - 1 / values) ** 2
-    p1, p2 = f1.powers(), f2.powers()
-    # q^{+-(S1 - S2)} and (q - 1/q)^2 S1-+ S2+-, each (S, d1, d2)
-    plus_minus, minus_plus = (p1[:, a, :, None] * p2[:, 1 - a, None, :] for a in (0, 1))
-    c2_sm_sp, c2_sp_sm = (c2 * (a[:, :, None] * b[:, None, :])
-                          for a, b in ((f1.lower, f2.lift), (f1.lift, f2.lower)))
-    qpm, qmp = qu * plus_minus + minus_plus / qu, qu * minus_plus + plus_minus / qu
+    # q^{S1 - S2} and q^{S2 - S1}, (S, 2, d1, d2), then the K diagonals: the
+    # first times q^u plus the second over q^u, and the other way round
+    p1, p2 = f1.powers, f2.powers
+    plus_minus = p1[:, :, :, None] * p2[:, ::-1, None, :]
+    k_diagonals = (qu * plus_minus + plus_minus[:, ::-1] / qu).reshape(count, 2, 1, d)
     sp, sm = gens
-    ops = np.empty((count, 16, d, d), complex)
+    ops = np.zeros((count, 16, d, d), complex)
     right, left = ops[:, 7::-1], ops[:, 7:15]
-    right[:, 0] = _diag(np.exp(space.weights * lb[:, None]))
     # Delta at u and Delta-bar at u right of R; Delta-bar at -u and Delta at -u left of it
     right[:, 1:5:2], right[:, 2:5:2] = sm[:, 0::2], sp[:, 0::2]
     left[:, 1:5:2], left[:, 2:5:2] = sm[:, 3::-2], sp[:, 3::-2]
+    diagonals = ops.reshape(count, 16, d * d)[..., ::d + 1]
+    diagonals[:, 7] = np.exp(space.weights * lb[:, None])
     # K and K-bar of k_plus_minus in slots 2 and 12, of k_minus_plus in 1 and 13
-    flat = ops.reshape(count, 16, d * d)
-    flat[:, [1, 2, 12, 13]] = 0
-    flat[:, [2, 12], ::d + 1] = qpm.reshape(count, 1, -1)
-    flat[:, [1, 13], ::d + 1] = qmp.reshape(count, 1, -1)
-    down_up, up_down = _targets(*space.dims, np.array([[-1], [1]]), np.array([[1], [-1]]))
-    flat[:, [[2], [13]], down_up] -= c2_sm_sp.reshape(count, 1, -1)
-    flat[:, [[1], [12]], up_down] -= c2_sp_sm.reshape(count, 1, -1)
+    diagonals[:, 2:13:10], diagonals[:, 1:14:12] = k_diagonals[:, 0], k_diagonals[:, 1]
+    flat = ops.reshape(count, 16 * d * d)
+    slots = np.array([[[2], [13]], [[1], [12]]])
+    down_up, up_down = slots * (d * d) + space.layout.exchanges[:, None]
+    flat[:, down_up] -= (c2 * (f1.lower[:, :, None] * f2.lift[:, None, :])).reshape(count, 1, d)
+    flat[:, up_down] -= (c2 * (f1.lift[:, :, None] * f2.lower[:, None, :])).reshape(count, 1, d)
     # Cbar(u) and C(-u), the Casimirs of Delta-bar at u and Delta at -u, in slots 0 and 14
     np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], diagonal[:, None], out=ops[:, ::14])
     ops[:, 15] = r
@@ -624,10 +674,12 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
 
     On the shifted branch the spectral parameter u log q / (log q + 2 pi i)
     keeps q^u fixed; only the spin-related powers of q move.  A draw with a
-    pole on either branch is drawn again (:func:`_branch_point`), and the
-    draw keeps the eigenvalues that it tested.  A non-finite eigenvalue
-    raises the :class:`ParameterDomainError` of :func:`rop.eigenvalue_sequence`
-    for the lowest such sample of a run, its base row first.
+    pole on either branch is drawn again (:func:`_branch_point`, which
+    tests the poles in scalar arithmetic), and each run of samples computes
+    its eigenvalues in one :func:`rop._eigenvalues` call over both branches
+    of every sample.  A non-finite eigenvalue raises the
+    :class:`ParameterDomainError` of :func:`rop.eigenvalue_sequence` for
+    the lowest such sample of a run, its base row first.
     """
     cfg = cfg or ToleranceConfig()
 
@@ -637,8 +689,9 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
 
     def evaluate(points):
         # rows 2s and 2s + 1 are sample s on its base and its shifted branch
-        us = [u for point in points for u in point[1:4:2]]
-        vals = np.concatenate([point[4] for point in points])
+        us = [u for point in points for u in point[1::2]]
+        vals, _ = _eigenvalues(ell1, ell2, us, _QStack.of(q for point in points
+                                                          for q in point[0::2]))
         _require_finite(ell1, ell2, us, vals)
         base, shifted = vals[0::2, None], vals[1::2, None]
         return _residuals(base, shifted, base)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -476,6 +477,39 @@ def test_bad_seed_or_hook_is_validation_error(env, argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "identities passed" not in captured.out
+
+
+def test_timings_cover_every_report_and_leave_the_report_alone(tmp_path, monkeypatch, capsys):
+    """verify --timings writes the draw seconds of each stream and the
+    evaluation seconds and size of each suite's runs; every report id of
+    verify all has a run row (a suite of named residuals holds {} for each
+    name), and the report and stdout are byte-identical without it."""
+    monkeypatch.delenv("QYBE_PERTURB", raising=False)
+    argv = ["verify", "all", "--samples", "20", "--seed", "4"]
+    assert main(argv + ["--json", str(tmp_path / "plain.json")]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--json", str(tmp_path / "timed.json"),
+                        "--timings", str(tmp_path / "t" / "timings.json")]) == 0
+    assert capsys.readouterr().out == plain
+    assert (tmp_path / "timed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    timings = json.loads((tmp_path / "t" / "timings.json").read_text())
+    assert (timings["seed"], timings["samples"], timings["suite"]) == (4, 20, "all")
+    report_ids = [r["identity_id"] for r in
+                  json.loads((tmp_path / "plain.json").read_text())["reports"]]
+    runs = timings["runs"]
+    for report_id in report_ids:
+        rows = [row for row in runs if row["suite"] == report_id
+                or "{}" in row["suite"] and re.fullmatch(
+                    re.escape(row["suite"]).replace(r"\{\}", r"\w+"), report_id)]
+        # 20 samples are two runs, of 16 and 4
+        assert [(row["start"], row["size"]) for row in rows] == [(0, 16), (16, 4)], report_id
+        assert all(row["eval_s"] > 0 for row in rows)
+    streams = timings["streams"]
+    assert len(streams) == 11 and all(row["drawn"] == row["count"] == 20 for row in streams
+                                      if row["draw"] != "_alpha")
+    assert sorted(suite for row in streams for suite in row["suites"]) == sorted(
+        {row["suite"] for row in runs})
+    assert all(row["draw_s"] > 0 for row in streams)
 
 
 def test_json_round_trip_is_byte_identical(tmp_path):

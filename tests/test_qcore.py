@@ -10,7 +10,7 @@ from qybe import (RATIONAL, DeformationParameter, PhiProduct, ToleranceConfig, p
                   qnum)
 from qybe.errors import DegenerateDenominator, ParameterDomainError, SamplerExhausted
 from qybe.qcore import (GENERIC_GUARD_BOUND, MAX_DRAWS, _qnums, _QStack, residual,
-                        sample_generic_q)
+                        sample_generic_q, sample_params, sample_u)
 
 
 def test_qnum_one_is_one(q_generic):
@@ -249,13 +249,15 @@ def test_sampler_avoids_degenerate_q(rng):
 
 
 class _RejectedRng:
-    """Every draw gives log q = 0, so q = 1, which generic() always rejects."""
+    """Every draw takes the middle of both ranges, log q = i pi / 2 to
+    rounding, so q = i, a root of unity of order 4, which generic() always
+    rejects."""
 
     def __init__(self):
         self.draws = 0
 
-    def uniform(self, low, high):
-        return 0.0
+    def random(self, size=None):
+        return 0.5 if size is None else np.full(size, 0.5)
 
     def integers(self, low, high):
         self.draws += 1
@@ -270,6 +272,47 @@ def test_generic_q_sign_reads_the_stream_of_choice(on_circle):
         re = 0.0 if on_circle else ref.uniform(-0.25, 0.25)
         im = ref.uniform(0.15, np.pi - 0.15) * ref.choice([-1.0, 1.0])
         assert sample_generic_q(got, on_circle=on_circle).value == np.exp(complex(re, im))
+    assert got.bit_generator.state == ref.bit_generator.state
+
+
+def _scalar_generic_q(rng, on_circle=False):
+    """sample_generic_q as one uniform call per part of log q."""
+    for _ in range(MAX_DRAWS):
+        re = 0.0 if on_circle else rng.uniform(-0.25, 0.25)
+        im = rng.uniform(0.15, np.pi - 0.15) * (1.0 if rng.integers(0, 2) else -1.0)
+        try:
+            return DeformationParameter.generic(np.exp(complex(re, im)))
+        except ParameterDomainError:
+            continue
+    raise SamplerExhausted("generic q", MAX_DRAWS)
+
+
+def _scalar_u(rng, scale=1.2):
+    return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+
+def _scalar_params(rng, count=1):
+    return [complex(rng.normal(0, 0.5), rng.normal(0, 0.5)) for _ in range(count)]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, complex).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_each_sampler_gives_the_stream_of_its_scalar_calls(seed):
+    """Each sampler takes a sample's numbers in one generator call; its
+    values, q's log branch among them, and the generator's state after 200
+    draws of each kind are those of one scalar call per number."""
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(200):
+        for on_circle in (False, True):
+            q, expected = sample_generic_q(got, on_circle), _scalar_generic_q(ref, on_circle)
+            assert _bits([q.value, q.log_branch]) == _bits([expected.value, expected.log_branch])
+        for scale in (1.2, 0.6):
+            assert _bits([sample_u(got, scale)]) == _bits([_scalar_u(ref, scale)])
+        count = 1 + i % 4
+        assert _bits(sample_params(got, count)) == _bits(_scalar_params(ref, count))
     assert got.bit_generator.state == ref.bit_generator.state
 
 

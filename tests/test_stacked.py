@@ -305,7 +305,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     # a space with S1+ scaled up: not an intertwiner's, but K-bar is then the largest
     # operand, and no relation's scale reads it
     f1, f2 = space.factors
-    loud = ProductSpace(f1._replace(lift=f1.lift * 1e3), f2)
+    loud = ProductSpace(dataclasses.replace(f1, lift=f1.lift * 1e3), f2)
     assert _residual_bits(_decomposed(loud, us, r, gens, diagonal)) == _residual_bits(
         _stacked_decomposed(loud, us, r, gens, diagonal))
 

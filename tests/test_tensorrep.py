@@ -467,9 +467,47 @@ def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
 
 
 def test_lowest_weight_condition_fails_on_nan(q_generic):
-    # a NaN residual used to pass the r > tol guard
-    with pytest.raises(CompletenessFailure, match="sector 0"), np.errstate(invalid="ignore"):
-        ProductSpace.of_spins(0.5, 0.5, q_generic).sectors(complex("nan"))
+    # a NaN residual used to pass the r > tol guard; sectors() now rejects a
+    # NaN u at its boundary, so the guard is reached through sector_stack
+    with np.errstate(invalid="ignore"):
+        _, errors = ProductSpace.of_spins(0.5, 0.5, q_generic).sector_stack([complex("nan")])
+    assert isinstance(errors[0], CompletenessFailure) and "sector 0" in str(errors[0])
+
+
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), complex(0.3, float("-inf"))])
+def test_coproduct_and_sectors_reject_a_non_finite_u(u, q_generic):
+    space = ProductSpace.of_spins(0.5, 1.0, q_generic)
+    for call in (lambda: space.coproduct("delta", u), lambda: space.coproduct("deltabar", u),
+                 lambda: space.sectors(u), lambda: space.sectors(u, "deltabar")):
+        with pytest.raises(ParameterDomainError, match="u must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0), (1.5, 2.0), (3.0, 3.0)])
+def test_a_size_one_block_has_its_closed_form_condition_number(pair):
+    """The end blocks, every block where one factor has dimension 1, have
+    size 1: each is diag(x, 1, ..., 1) with unit columns, whose condition
+    number max(|x|, 1) / min(|x|, 1) is within 4 ulps of the SVD's, as is
+    every block's on seeded chains; a NaN or zero x fails the limit."""
+    rng = np.random.default_rng(int(4 * sum(pair)))
+    qs = _QStack.of([sample_generic_q(rng, on_circle=(s % 2 == 0)) for s in range(6)])
+    space = ProductSpace.stack_of_spins(*pair, qs, "orthonormal")
+    us = [[sample_u(rng) for _ in range(6)] for _ in range(2)]
+    chains, errors = space.chains([("delta", us[0]), ("deltabar", us[1])])
+    blocks = space.layout.cut(chains)
+    size_one = space.layout.sizes == 1
+    assert size_one[[0, -1]].all() and size_one.all() == (min(space.dims) == 1)
+    unit, _, cond = space.unit_blocks(blocks, errors)
+    assert not any(filter(None, sum(errors, [])))
+    s = np.linalg.svd(unit, compute_uv=False)
+    ref = s[..., 0] / s[..., -1]
+    assert (np.abs(cond - ref) <= 4 * np.spacing(ref)).all()
+    for x in (complex("nan"), 0j):
+        broken = blocks.copy()
+        broken[2, 1, -1, 0, 0] = x
+        cond = space.unit_blocks(broken, [[None] * len(qs) for _ in range(2)])[2]
+        assert not cond[2, 1, -1] <= tensorrep.COND_LIMIT
+        assert (cond[[0, 1, 3, 4, 5]] <= tensorrep.COND_LIMIT).all()
 
 
 def test_casimir_report_folds_keep_nan():

@@ -265,10 +265,17 @@ def test_regular_point_gives_up_after_max_draws():
 
 
 def test_branch_independence_gives_up_after_max_draws(monkeypatch):
-    # every draw has a pole on one of its branches
-    monkeypatch.setattr(verify, "_eigenvalues", lambda *args: (None, [PoleAtSector(1)]))
+    """Every candidate has a pole on one of its branches, since every
+    denominator is below an infinite tolerance: the draw gives up after
+    MAX_DRAWS candidates, each tested once."""
+    monkeypatch.setattr(verify, "POLE_TOL", float("inf"))
+    tested = []
+    real = verify._pole_gaps
+    monkeypatch.setattr(verify, "_pole_gaps",
+                        lambda offsets, points: tested.append(points) or real(offsets, points))
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
         check_branch_independence(0.5, 1.0, FAST)
+    assert len(tested) == MAX_DRAWS
 
 
 def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
@@ -340,14 +347,35 @@ def test_a_run_that_raises_leaves_no_draws_behind(monkeypatch, capsys):
 
 @pytest.mark.parametrize("suite,phases", [("all", 11), ("cyclic", 3)])
 def test_one_run_draws_each_stream_once(suite, phases, monkeypatch, capsys):
-    """Every stream of a run is drawn in one draw phase, a generator seeded
-    once: verify all reads 17 suites' samples from 11 streams, verify cyclic
-    5 suites' from 3."""
+    """Every stream of a run is drawn in one draw phase, from the one
+    generator of the run's seed: verify all reads 23 suites' samples from 11
+    streams, verify cyclic 5 suites' from 3."""
     seeded = []
     real = ToleranceConfig.rng
     monkeypatch.setattr(ToleranceConfig, "rng", lambda cfg: seeded.append(cfg) or real(cfg))
-    assert main(["verify", suite, "--samples", "5", "--seed", "3"]) == 0
-    assert len(seeded) == phases
+    timings = {}
+    cli._run_suite(suite, ToleranceConfig(sample_count=5, rng_seed=3), 3, 0.0, timings)
+    assert len(seeded) == 1
+    assert len(timings["streams"]) == phases
+    assert sum(len(row["suites"]) for row in timings["streams"]) == (23 if suite == "all" else 5)
+
+
+def test_a_run_builds_one_generator_per_seed(monkeypatch):
+    """Streams of one seed share a generator, reset to its seeded state
+    before each further stream; each suite's report is the one it gives
+    alone, from a fresh generator."""
+    suites = [check_unitarity.suite(0.5, 0.5, ToleranceConfig(sample_count=3, rng_seed=seed))
+              for seed in (3, 4)]
+    suites += [check_casimir_spectrum.suite(1.0, 1.0, ToleranceConfig(sample_count=3,
+                                                                      rng_seed=seed))
+               for seed in (4, 3)]
+    suites.append(check_phi_identity.suite(5, ToleranceConfig(rng_seed=3), count=4))
+    alone = [verify._run([suite])[0].to_dict() for suite in suites]
+    built = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed) or real(seed))
+    assert [report.to_dict() for report in verify._run(suites)] == alone
+    assert built == [3, 4]
 
 
 @pytest.mark.parametrize("samples", [5, 17, 33])
@@ -383,6 +411,83 @@ class _ForcedBranchDraws:
         lb = self.q.log_branch
         forced = {2: -1.5 + 0j, 4: -1.5 * (lb + 2j * np.pi) / lb, 6: self.overflow}
         return forced.get(self.calls) or u
+
+
+class _Candidates:
+    """sample_generic_q and sample_u that give the listed (q, u) candidates
+    in turn, q ignored in the rational mode."""
+
+    def __init__(self, candidates):
+        self.qs = iter([q for q, _ in candidates])
+        self.us = iter([u for _, u in candidates])
+
+    def sample_generic_q(self, rng, on_circle=False):
+        return next(self.qs)
+
+    def sample_u(self, rng, scale=1.2):
+        return next(self.us)
+
+
+def _at_gap(q, offset: float, gap: float) -> complex:
+    """A u with |[offset + u]| = gap at q, to rounding: the w near 0 with
+    q^w - q^-w = gap (q - 1/q), less the offset."""
+    if q.log_branch == 0:
+        return gap - offset + 0j
+    c = gap * (q.value - 1 / q.value)
+    return complex(np.log((c + np.sqrt(c * c + 4)) / 2) / q.log_branch) - offset
+
+
+def _array_regular(ell1, ell2, q, u, min_gap=0.05) -> bool:
+    """The pole test of _regular_point as one array expression."""
+    sectors = ell1 + ell2 + 1 - np.arange(1, rop._top_sector(ell1, ell2) + 1)
+    with np.errstate(all="ignore"):
+        return bool((np.abs(qnum(np.add.outer(sectors, (u, -u)), q)) > min_gap).all())
+
+
+def _array_branch(ell1, ell2, q, u) -> bool:
+    """The pole test of _branch_point as the poles of one two-row _eigenvalues call."""
+    shifted_q = q.with_branch_shift(1)
+    shifted_u = u * q.log_branch / shifted_q.log_branch
+    _, poles = rop._eigenvalues(ell1, ell2, (u, shifted_u), _QStack.of((q, shifted_q)))
+    return not any(poles)
+
+
+POLE_QS = [verify.RATIONAL, verify.DeformationParameter.generic(np.exp(0.1 + 0.9j)),
+           verify.DeformationParameter.generic(np.exp(1.1j))]
+OVERFLOWING_US = [1e5j, 800 + 0j, -800 + 3j, 3e2 - 2e2j]
+
+
+@pytest.mark.parametrize("q", POLE_QS)
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.5)])
+def test_scalar_pole_tests_decide_as_the_array_tests(pair, q, monkeypatch):
+    """_regular_point and _branch_point accept and reject each candidate as
+    the array tests did, and as its gap says: candidates whose gap at u or
+    at -u is 0.05 +- 1e-9 or POLE_TOL +- 1e-12, and candidates whose powers
+    of q overflow."""
+    safe = (q, 0.013 + 0.017j)
+    # [x + u] (sign 1) or [x - u] (sign -1) of one pole offset x at the gap
+    cases = [(sign, gap, sign * _at_gap(q, x, gap)) for x in verify._pole_offsets(*pair)
+             for sign in (1, -1) for gap in (0.05 - 1e-9, 0.05 + 1e-9, rop.POLE_TOL - 1e-12,
+                                             rop.POLE_TOL + 1e-12)]
+    cases += [(None, None, u) for u in OVERFLOWING_US]
+    for sign, gap, u in cases:
+        for draw, array_test in ((_regular_point, _array_regular),
+                                 (verify._branch_point, _array_branch)):
+            if draw is verify._branch_point and q is verify.RATIONAL:
+                continue
+            sampler = _Candidates([(q, u), safe])
+            monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
+            monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
+            if draw is _regular_point:
+                accepted = draw(*pair, None, mode="xxx" if q is verify.RATIONAL else "xxz")[1] == u
+            else:
+                accepted = draw(None, 1, *pair)[1] == u
+            assert accepted == array_test(*pair, q, u), (draw.__name__, gap, u)
+            if gap is not None:
+                # the base branch's denominators are the [x + u]
+                expected = (gap > 0.05 if draw is _regular_point
+                            else sign != 1 or gap > rop.POLE_TOL)
+                assert accepted == expected, (draw.__name__, gap, u)
 
 
 def _reference_branch_independence(ell1, ell2, cfg, sampler):
@@ -421,11 +526,13 @@ def test_a_branch_candidate_at_a_pole_is_drawn_again_as_one_sample_at_a_time(mon
 
 
 def test_branch_independence_computes_each_candidate_eigenvalues_once(monkeypatch):
-    """The draw computes the eigenvalues of every candidate on both branches,
-    and the evaluation reads those of the accepted ones: 5 samples, 2 of
-    whose candidates were at a pole, take 7 calls of two rows each."""
-    rows = []
-    real = verify._eigenvalues
+    """The draw tests the poles of every candidate once, on both branches,
+    in scalar arithmetic, and computes no eigenvalue; the evaluation
+    computes those of the accepted samples in one call over both branches
+    of each: 5 samples, 2 of whose candidates were at a pole, take 7 pole
+    tests of two points each and one call of 10 rows."""
+    rows, tested = [], []
+    real, gaps = verify._eigenvalues, verify._pole_gaps
 
     def counting(ell1, ell2, us, qs):
         rows.append(len(us))
@@ -435,8 +542,22 @@ def test_branch_independence_computes_each_candidate_eigenvalues_once(monkeypatc
     monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
     monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
     monkeypatch.setattr(verify, "_eigenvalues", counting)
+    monkeypatch.setattr(verify, "_pole_gaps",
+                        lambda offsets, points: tested.append(len(points)) or gaps(offsets, points))
     assert check_branch_independence(0.5, 1.0, ToleranceConfig(sample_count=5, rng_seed=11)).passed
-    assert rows == [2] * 7
+    assert tested == [2] * 7
+    assert rows == [10]
+
+
+def test_a_branch_draw_computes_no_eigenvalue(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the draw computed eigenvalues")
+
+    monkeypatch.setattr(verify, "_eigenvalues", forbidden)
+    rng = np.random.default_rng(4)
+    for i in range(20):
+        q, u, shifted_q, shifted_u = verify._branch_point(rng, i, 1.0, 1.0)
+        assert shifted_q.value == q.value and shifted_u == u * q.log_branch / shifted_q.log_branch
 
 
 def test_a_non_finite_branch_eigenvalue_raises_for_its_sample(monkeypatch):
@@ -574,9 +695,15 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     assert calls == [("chains", ["delta", "deltabar", "delta"]), ("solve", 10)] * 3
     runs = [qs for kernel, qs in reads if kernel == "_casimir_sectors"]
     assert len(runs) == 3
-    # R(u) and R(-u) of each run, the three xxz ones and the xxx one, read its stack repeated
-    repeated = [qs for kernel, qs in reads if kernel == "_eigenvalues" and len(qs) == 10]
+    # R(u) and R(-u) of each run, the three xxz ones and the xxx one, read its stack
+    # repeated; each branch-independence run reads the base and shifted q of its samples
+    eigenvalue_stacks = [qs for kernel, qs in reads if kernel == "_eigenvalues"]
+    repeated = [qs for qs in eigenvalue_stacks if qs.params[:5] == qs.params[5:]]
     assert len(repeated) == 4 and not any(stack is qs for qs in repeated for stack in stacks)
+    branches = [qs for qs in eigenvalue_stacks if qs not in repeated]
+    assert [len(qs) for qs in branches] == [10, 10]
+    assert all(qs[2 * s + 1] == qs[2 * s].with_branch_shift(1)
+               for qs in branches for s in range(5))
     for run in runs:
         assert sum(stack is run for stack in stacks) == 1
         assert {kernel for kernel, qs in reads if qs is run} == {
