@@ -166,10 +166,6 @@ def write_document(path: Path, doc: dict) -> None:
     path.write_text(dump_document(doc), encoding="utf-8")
 
 
-def load_document(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse takes an argument that starts with "-" for an option flag
     unless it is a plain number such as -5 or -0.5.  Here one that starts
@@ -218,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=["ybe", "rll", "unitarity", "casimir", "cyclic", "all"])
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--samples", type=int, default=10,
-                     help=f"samples per suite (at most {MAX_SAMPLES})")
+                     help=f"samples per suite (at most {MAX_SAMPLES}); the phi_product "
+                          "suite always draws 20")
     ver.add_argument("--tol", type=float, default=None)
     ver.add_argument("--N", type=int, default=3,
                      help=f"root-of-unity order for cyclic suites (odd, 3 to {MAX_ORDER})")
@@ -321,8 +318,8 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int, perturb: float,
     books its times in the sink ``timings`` when given."""
     suites = []
     if suite in ("ybe", "all"):
-        suites.append(verify.check_fundamental_ybe.suite(cfg, mode="xxz", perturb=perturb))
-        suites.append(verify.check_fundamental_ybe.suite(cfg, mode="xxx", perturb=perturb))
+        suites.append(verify.check_fundamental_ybe.suite(cfg, perturb=perturb))
+        suites.append(verify.check_fundamental_ybe.suite(cfg, q=RATIONAL, perturb=perturb))
         for l1, l2 in GOLDEN_PAIRS:
             suites.append(verify.check_decomposed_ybe.suite(l1, l2, cfg, perturb=perturb))
     if suite in ("rll", "all"):
@@ -333,7 +330,7 @@ def _run_suite(suite: str, cfg: ToleranceConfig, order: int, perturb: float,
     if suite in ("unitarity", "all"):
         for l1, l2 in GOLDEN_PAIRS:
             suites.append(verify.check_unitarity.suite(l1, l2, cfg, perturb=perturb))
-        suites.append(verify.check_unitarity.suite(0.5, 0.5, cfg, mode="xxx", perturb=perturb))
+        suites.append(verify.check_unitarity.suite(0.5, 0.5, cfg, q=RATIONAL, perturb=perturb))
     if suite in ("casimir", "all"):
         for l1, l2 in GOLDEN_PAIRS:
             suites.append(verify.check_casimir_spectrum.suite(l1, l2, cfg))

@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _check_finite, _nan_max, _qnums, _QStack
+from .qcore import DeformationParameter, _check_finite, _qnums, _QStack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,17 +46,6 @@ class OperatorTriple:
 
     def qs(self, a) -> np.ndarray:
         return np.diag(self.q.pow(np.asarray(a) * self.weights))
-
-    def algebra_residual(self) -> float:
-        """Max deviation from the defining relations, normalized by entry scale."""
-        q = self.q.value
-        comm = self.sp @ self.sm - self.sm @ self.sp
-        rhs = (self.qs(2) - self.qs(-2)) / (q - 1 / q)
-        scale = max(1.0, np.abs(self.sp).max(), np.abs(self.sm).max(), np.abs(rhs).max())
-        r = _nan_max(np.abs(comm - rhs).max(),
-                     np.abs(self.qs(1) @ self.sp @ self.qs(-1) - q * self.sp).max(),
-                     np.abs(self.qs(1) @ self.sm @ self.qs(-1) - self.sm / q).max())
-        return float(r / scale)
 
 
 def _two_spin(ell) -> int:

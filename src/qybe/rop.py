@@ -28,6 +28,13 @@ def _top_sector(ell1, ell2) -> int:
     return min(_two_spin(ell1), _two_spin(ell2))
 
 
+def _pole_offsets(ell1, ell2) -> list:
+    """l1+l2+1-n for every sector n = 1..top, the offsets x of the
+    eigenvalues' denominators [x+u] and numerators [x-u]; Python numbers,
+    so that a scalar :func:`qcore.qnum` of one takes its ``cmath`` path."""
+    return [ell1 + ell2 + 1 - n for n in range(1, _top_sector(ell1, ell2) + 1)]
+
+
 def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tuple:
     """R_n for every sector n by the two-term recurrence, with R_0 = 1.
 
@@ -63,7 +70,7 @@ def _eigenvalues(ell1, ell2, us, qs: _QStack) -> tuple[np.ndarray, list]:
     is one cumulative product along the sectors; a sample past a pole or an
     overflow is not finite.
     """
-    x = ell1 + ell2 + 1 - np.arange(1, _top_sector(ell1, ell2) + 1)
+    x = np.array(_pole_offsets(ell1, ell2))
     u = np.asarray(us, complex)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         qn = _qnums(np.concatenate([x + u, x - u], axis=1), qs)

@@ -18,8 +18,8 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, _QStack, _relative, qnum, sample_generic_q, sample_params,
                     sample_u)
-from .rep import _Bands, _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
-from .rop import POLE_TOL, RMatrix, _eigenvalues, _require_finite, _solve, _top_sector
+from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
+from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _require_finite, _solve
 from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
 from .tensorrep import ProductSpace, _casimir_sectors
 
@@ -232,57 +232,54 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray, *inputs: np.ndarray) -> list[fl
                      np.abs(np.stack(inputs, axis=1)).max(axis=(1, 2, 3))).tolist()
 
 
-def _pole_offsets(ell1, ell2) -> list:
-    """l1+l2+1-n for every sector n = 1..top: the eigenvalue denominators of
-    :func:`rop._eigenvalues` are the q-numbers [l1+l2+1-n+u]."""
-    return [ell1 + ell2 + 1 - n for n in range(1, _top_sector(ell1, ell2) + 1)]
-
-
 def _pole_gaps(offsets: list, points) -> list:
     """|[x+u]| at q for every (u, q) of ``points`` and every x of the
-    :func:`_pole_offsets`, each one scalar :func:`qcore.qnum`, whose bits
+    :func:`rop._pole_offsets`, each one scalar :func:`qcore.qnum`, whose bits
     are those of the stacked q-number.  A power of q that overflows gives
     an infinite or NaN gap; callers run it under the errstate of
     :func:`rop._eigenvalues`."""
     return [abs(qnum(x + u, q)) for u, q in points for x in offsets]
 
 
-def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, mode: str = "xxz"):
-    """A sampled (q, u) with all eigenvalue denominators, at u and at -u,
-    more than ``min_gap`` from 0 (:func:`_pole_gaps`; a NaN gap is no such
-    gap).
-
-    In the rational mode ("xxx") q is :data:`qcore.RATIONAL`, where the
-    denominators are plain numbers, and only u is drawn.
+def _regular_point(ell1, ell2, rng, min_gap: float = 0.05, q: DeformationParameter | None = None):
+    """A (q, u) with all eigenvalue denominators, at u and at -u, more than
+    ``min_gap`` from 0 (:func:`_pole_gaps`; a NaN gap is no such gap): q
+    is drawn when it is None, and at a fixed q (:data:`qcore.RATIONAL`,
+    where the denominators are plain numbers) only u is drawn.
     """
     offsets = _pole_offsets(ell1, ell2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(MAX_DRAWS):
-            q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
+            point_q = sample_generic_q(rng) if q is None else q
             u = sample_u(rng)
-            if all(gap > min_gap for gap in _pole_gaps(offsets, ((u, q), (-u, q)))):
-                return q, u
-    what = "regular rational u" if mode == "xxx" else "regular (q, u)"
+            if all(gap > min_gap for gap in _pole_gaps(offsets, ((u, point_q), (-u, point_q)))):
+                return point_q, u
+    what = "regular (q, u)" if q is None else "regular rational u"
     raise SamplerExhausted(f"{what} for spins ({ell1}, {ell2})", MAX_DRAWS)
+
+
+def _q_tag(q) -> str:
+    """The id tag of a suite at ``q``: "xxz" where q is drawn (None) and "xxx"
+    at :data:`qcore.RATIONAL`; :class:`ParameterDomainError` for any other q."""
+    if q is None:
+        return "xxz"
+    if q == RATIONAL:
+        return "xxx"
+    raise ParameterDomainError(f"a suite runs at a drawn q (None) or at RATIONAL (got q={q!r})")
 
 
 # ---------------------------------------------------------------------------
 # the random streams: each draw(rng, i, *params) gives sample i of a stream
 # (see _Suite), and the record functions here are those of more than one suite
 
-def _pair_point(rng, i, ell1, ell2, mode):
+def _pair_point(rng, i, ell1, ell2, q):
     """The (q, u) of the spin-pair suites, a :func:`_regular_point`."""
-    return _regular_point(ell1, ell2, rng, mode=mode)
+    return _regular_point(ell1, ell2, rng, q=q)
 
 
-def _quv(rng, i):
-    """A generic q and two spectral parameters u, v."""
-    return sample_generic_q(rng), sample_u(rng), sample_u(rng)
-
-
-def _uv(rng, i):
-    """Two spectral parameters u, v at a q that is not drawn."""
-    return sample_u(rng), sample_u(rng)
+def _quv(rng, i, q):
+    """A q, drawn generic when ``q`` is None, and two spectral parameters u, v."""
+    return sample_generic_q(rng) if q is None else q, sample_u(rng), sample_u(rng)
 
 
 def _cyclic_params(rng, i, q):
@@ -323,19 +320,12 @@ def _branch_point(rng, i, ell1, ell2):
     raise SamplerExhausted(f"pole-free (q, u) for spins ({ell1}, {ell2})", MAX_DRAWS)
 
 
-def _quv_record(sample) -> dict:
-    q, u, v = sample
-    return {"q": _c2l(q.value), "u": _c2l(u), "v": _c2l(v)}
-
-
-def _rational_uv_record(sample) -> dict:
-    u, v = sample
-    return {"q": None, "u": _c2l(u), "v": _c2l(v)}
-
-
-def _pair_record(sample) -> dict:
-    q, u = sample
-    return {"q": None if q is RATIONAL else _c2l(q.value), "u": _c2l(u)}
+def _q_record(sample) -> dict:
+    """The record of a (q, u) or (q, u, v) sample, q null at :data:`qcore.RATIONAL`."""
+    q, *params = sample
+    record = {"q": None if q == RATIONAL else _c2l(q.value)}
+    record.update(zip("uv", map(_c2l, params)))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +352,17 @@ def _on_slots(op: np.ndarray, dims: tuple[int, int, int], slots: tuple[int, int]
 
 
 @_check
-def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
+def check_fundamental_ybe(cfg: ToleranceConfig | None = None, q: DeformationParameter | None = None,
                           perturb: float = 0.0):
-    """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v);
-    each run of samples is one stacked pass.  The xxz (q, u, v) stream is
-    that of the spin RLL suites, and the xxx stream of (u, v) that of the
-    cyclic one."""
+    """Braid-form identity R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v)
+    at a drawn q (``q`` None, "xxz") or at :data:`qcore.RATIONAL` ("xxx",
+    gated at a hundredth of the tolerance); each run of samples is one
+    stacked pass.  The (q, u, v) stream at a drawn q is that of the spin
+    RLL suites."""
     cfg = cfg or ToleranceConfig()
+    tag = _q_tag(q)
 
     def evaluate(points):
-        if mode == "xxx":
-            points = [(RATIONAL, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         r12, r13, r23 = _fundamental_rs([u - v for u, v in zip(us, vs)] + [*us, *vs],
                                         _QStack.of(qs * 3)).reshape(3, len(points), 4, 4)
@@ -383,10 +373,8 @@ def check_fundamental_ybe(cfg: ToleranceConfig | None = None, mode: str = "xxz",
         m23 = _on_slots(r23, (2, 2, 2), (1, 2))
         return _residuals(m12 @ m13 @ m23, m23 @ m13 @ m12, m12, m13, m23)
 
-    if mode == "xxx":
-        return _Suite("fundamental_ybe[xxx]", cfg, cfg.abs_tol / 100, _uv, (),
-                      _rational_uv_record, evaluate)
-    return _Suite(f"fundamental_ybe[{mode}]", cfg, cfg.abs_tol, _quv, (), _quv_record, evaluate)
+    return _Suite(f"fundamental_ybe[{tag}]", cfg, cfg.abs_tol if q is None else cfg.abs_tol / 100,
+                  _quv, (q,), _q_record, evaluate)
 
 
 @_check
@@ -395,18 +383,15 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
     each run of samples is one stacked pass.
 
     ``quantum`` is either a half-integer spin or a :class:`CyclicRepSpec`.
-    The points come from the streams of :func:`check_fundamental_ybe`, the
-    xxz one for a spin (with its records) and the (u, v) one at the
-    cyclic q.
+    The points are (q, u, v) samples: of a spin at a drawn q, the stream
+    of :func:`check_fundamental_ybe` at a drawn q, and of a cyclic
+    representation at its root of unity.
     """
     cfg = cfg or ToleranceConfig()
     # a cyclic quantum space is one fixed representation for every sample
-    fixed = (_Bands.of_triple(cy.build_cyclic_rep(quantum))
-             if isinstance(quantum, cy.CyclicRepSpec) else None)
+    fixed = cy._rep_bands([quantum]) if isinstance(quantum, cy.CyclicRepSpec) else None
 
     def evaluate(points):
-        if fixed is not None:
-            points = [(quantum.q, u, v) for u, v in points]
         qs, us, vs = zip(*points)
         qs = _QStack.of(qs)
         rep = _spin_factors(quantum, qs, "monomial") if fixed is None else fixed
@@ -418,9 +403,9 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
         return _residuals(r12 @ l1 @ l2, l2 @ l1 @ r12, r12, l1, l2)
 
     if fixed is None:
-        return _Suite(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _quv, (), _quv_record, evaluate)
-    return _Suite(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _uv, (),
-                  lambda uv: _quv_record((quantum.q, *uv)), evaluate)
+        return _Suite(f"rll[spin {quantum}]", cfg, cfg.abs_tol, _quv, (None,), _q_record, evaluate)
+    return _Suite(f"rll[cyclic N={quantum.n}]", cfg, cfg.rel_tol, _quv, (quantum.q,), _q_record,
+                  evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +551,22 @@ class _PairRun:
     run), conditions both Delta families in one call and gives, from one
     call of the coproduct kernel, every coproduct that the suites read;
     R(u), and R(-u) for the unitarity suite, from one :func:`_stacked_R`
-    call; and the Casimir diagonal.  In the "xxz" mode the space is
-    orthonormal, at the run's q values, one :class:`qcore._QStack` built
-    once; in the "xxx" mode every sample is at q = 1, and the space is the
-    monomial one of the memoised :meth:`ProductSpace.of_spins`.
+    call; and the Casimir diagonal.  The run's q values are one
+    :class:`qcore._QStack`, built once, and the samples carry them, so the
+    stream's fixed q (``q``, None where q is drawn) is not read.  At drawn
+    q values the space is orthonormal, at the run's q values; where every
+    sample is at :data:`qcore.RATIONAL` it is the monomial one of the
+    memoised :meth:`ProductSpace.of_spins`.
     """
 
-    def __init__(self, points, records, reads: frozenset, ell1, ell2, mode: str = "xxz"):
-        self.ell1, self.ell2, self.mode, self.reads = ell1, ell2, mode, reads
+    def __init__(self, points, records, reads: frozenset, ell1, ell2, q=None):
+        self.ell1, self.ell2, self.reads = ell1, ell2, reads
         qs, self.us = zip(*points)
         self.qs = _QStack.of(qs)
 
     @functools.cached_property
     def space(self) -> ProductSpace:
-        if self.mode == "xxx":
+        if self.qs.rational:
             return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")
         return ProductSpace.stack_of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
 
@@ -645,13 +632,13 @@ def check_decomposed_ybe(ell1, ell2, cfg: ToleranceConfig | None = None, perturb
     they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
     return _Suite(f"decomposed[{{}}]({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
-                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.decomposed(perturb), _PairRun,
+                  (ell1, ell2, None), _q_record, lambda run: run.decomposed(perturb), _PairRun,
                   reads="decomposed")
 
 
 @_check
-def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = "xxz",
-                    perturb: float = 0.0):
+def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None,
+                    q: DeformationParameter | None = None, perturb: float = 0.0):
     """R(u) R(-u) = 1 with unit normalization of the sector-0 eigenvalue.
 
     R(u) and R(-u) of a run of samples come from one stacked spectral form
@@ -659,11 +646,12 @@ def check_unitarity(ell1, ell2, cfg: ToleranceConfig | None = None, mode: str = 
     values, in the pass that the pair's decomposed and Casimir suites
     share when they run with it, or, in the monomial basis at q = 1, the
     one memoised form of :meth:`ProductSpace.of_spins`, which every sample
-    shares.  The points are the pair's (q, u) stream in ``mode``.
+    shares.  The points are the pair's (q, u) stream at a drawn q (``q``
+    None, "xxz") or at :data:`qcore.RATIONAL` ("xxx").
     """
     cfg = cfg or ToleranceConfig()
-    return _Suite(f"unitarity[{mode}]({ell1},{ell2})", cfg, cfg.rel_tol, _pair_point,
-                  (ell1, ell2, mode), _pair_record, lambda run: run.unitarity(perturb), _PairRun,
+    return _Suite(f"unitarity[{_q_tag(q)}]({ell1},{ell2})", cfg, cfg.rel_tol, _pair_point,
+                  (ell1, ell2, q), _q_record, lambda run: run.unitarity(perturb), _PairRun,
                   reads="unitarity")
 
 
@@ -708,7 +696,7 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
     and unitarity suites share when they run with it (see :class:`_PairRun`)."""
     cfg = cfg or ToleranceConfig()
     return _Suite(f"casimir_spectrum({ell1},{ell2})", cfg, cfg.abs_tol, _pair_point,
-                  (ell1, ell2, "xxz"), _pair_record, lambda run: run.casimir(), _PairRun,
+                  (ell1, ell2, None), _q_record, lambda run: run.casimir(), _PairRun,
                   reads="casimir")
 
 

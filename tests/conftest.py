@@ -1,9 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qybe import DeformationParameter, ToleranceConfig, qnum
+from qybe import DeformationParameter, OperatorTriple, ToleranceConfig, qnum
+from qybe.qcore import _nan_max
 from qybe.rop import _top_sector
 from qybe.tensorrep import _spin_space
 
@@ -56,3 +59,23 @@ def product_values(ell1, ell2, u, q) -> list:
         den_prod *= qnum(big_l - n + u, q)
         prods.append((-1) ** n * num_prod / den_prod)
     return prods
+
+
+def algebra_residual(rep: OperatorTriple) -> float:
+    """The reference check of the algebra relations: the max deviation of
+    ``rep`` from [S+, S-] = (q^{2S} - q^{-2S}) / (q - 1/q) and q^S S+- q^-S
+    = q^{+-1} S+-, normalized by entry scale; a NaN in any relation gives
+    NaN."""
+    q = rep.q.value
+    comm = rep.sp @ rep.sm - rep.sm @ rep.sp
+    rhs = (rep.qs(2) - rep.qs(-2)) / (q - 1 / q)
+    scale = max(1.0, np.abs(rep.sp).max(), np.abs(rep.sm).max(), np.abs(rhs).max())
+    r = _nan_max(np.abs(comm - rhs).max(),
+                 np.abs(rep.qs(1) @ rep.sp @ rep.qs(-1) - q * rep.sp).max(),
+                 np.abs(rep.qs(1) @ rep.sm @ rep.qs(-1) - rep.sm / q).max())
+    return float(r / scale)
+
+
+def load_document(path: Path) -> dict:
+    """A JSON document that ``qybe rep`` or ``qybe rmatrix`` wrote."""
+    return json.loads(path.read_text(encoding="utf-8"))

@@ -72,7 +72,7 @@ def test_criterion_4_recurrence_vs_product():
 
 def test_criterion_5_ybe_suites():
     cfg = ToleranceConfig(sample_count=10, rng_seed=SEED)
-    worst = check_fundamental_ybe(cfg, mode="xxz").max_residual
+    worst = check_fundamental_ybe(cfg).max_residual
     for ell in (0.5, 1.0, 1.5):
         worst = _nan_max(worst, check_rll(ell, cfg).max_residual)
     for pair in GOLDEN_PAIRS:
@@ -88,7 +88,7 @@ def test_criterion_6_unitarity():
     worst = 0.0
     for pair in GOLDEN_PAIRS:
         worst = _nan_max(worst, check_unitarity(*pair, cfg).max_residual)
-    worst = _nan_max(worst, check_unitarity(0.5, 0.5, cfg, mode="xxx").max_residual)
+    worst = _nan_max(worst, check_unitarity(0.5, 0.5, cfg, q=RATIONAL).max_residual)
     _criterion(6, "R(u) R(-u) = 1 on golden pairs and rational mode", worst, 1e-9)
 
 

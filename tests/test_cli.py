@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import load_document
 from qybe import (RATIONAL, DeformationParameter, assemble_R, build_spin_rep, closed_form_R,
                   normalize_global)
 from qybe import cli, verify
-from qybe.cli import (document_matrix, dump_document, load_document, main,
-                      matrix_document, parse_complex, parse_spin)
+from qybe.cli import (document_matrix, dump_document, main, matrix_document, parse_complex,
+                      parse_spin)
 from qybe.errors import CompletenessFailure, ParameterDomainError
 from qybe.verify import _c2l
 
@@ -505,7 +506,7 @@ def test_timings_cover_every_report_and_leave_the_report_alone(tmp_path, monkeyp
         assert [(row["start"], row["size"]) for row in rows] == [(0, 16), (16, 4)], report_id
         assert all(row["eval_s"] > 0 for row in rows)
     streams = timings["streams"]
-    assert len(streams) == 11 and all(row["drawn"] == row["count"] == 20 for row in streams
+    assert len(streams) == 12 and all(row["drawn"] == row["count"] == 20 for row in streams
                                       if row["draw"] != "_alpha")
     assert sorted(suite for row in streams for suite in row["suites"]) == sorted(
         {row["suite"] for row in runs})

@@ -53,9 +53,9 @@ def _same(got, want) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def _points(pair, seed, mode="xxz"):
+def _points(pair, seed, q=None):
     rng = np.random.default_rng(seed)
-    return [_regular_point(*pair, rng, mode=mode) for _ in range(COUNT)]
+    return [_regular_point(*pair, rng, q=q) for _ in range(COUNT)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,8 @@ def test_stacked_factors_equal_the_scalar_loop(basis, rng):
 
 @pytest.mark.parametrize("pair", PAIRS + [(3.0, 3.0)])
 def test_stacked_eigenvalues_equal_the_scalar_recurrence(pair):
-    for mode in ("xxz", "xxx"):
-        points = _points(pair, 3, mode)
+    for fixed in (None, RATIONAL):
+        points = _points(pair, 3, fixed)
         qs, us = zip(*points)
         vals, poles = verify._eigenvalues(*pair, us, _QStack.of(qs))
         assert poles == [None] * COUNT
@@ -287,11 +287,12 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     over a buffer of its operands; every residual, a NaN of R included,
     is bit for bit that of the eight relations stacked into four operands,
     and a mutant with two inputs of one relation swapped is told apart."""
-    mode = "xxx" if basis == "xxx" else "xxz"
+    rational = basis == "xxx"
     rng = np.random.default_rng(count)
-    qs, us = zip(*(_regular_point(*pair, rng, mode=mode) for _ in range(count)))
+    qs, us = zip(*(_regular_point(*pair, rng, q=RATIONAL if rational else None)
+                   for _ in range(count)))
     qs, us = _QStack.of(qs), list(us)
-    space = ProductSpace.stack_of_spins(*pair, qs, "monomial" if mode == "xxx" else basis)
+    space = ProductSpace.stack_of_spins(*pair, qs, "monomial" if rational else basis)
     r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
     assert errors == [None] * count
     gens = space.coproducts(_decomposed_families(us))
@@ -300,7 +301,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
     # at q = 1 the barred and unbarred coproducts are the same bits, so the swap changes nothing
     mutant = _stacked_decomposed(space, us, r, gens, diagonal, swap="lower_twisted")
-    assert (_residual_bits(mutant) == _residual_bits(got)) == (mode == "xxx")
+    assert (_residual_bits(mutant) == _residual_bits(got)) == rational
 
     # a space with S1+ scaled up: not an intertwiner's, but K-bar is then the largest
     # operand, and no relation's scale reads it
@@ -321,7 +322,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_rational_R_shares_one_form_across_the_stack(pair):
-    points = _points(pair, 9, "xxx")
+    points = _points(pair, 9, RATIONAL)
     qs, us = zip(*points)
     qs = _QStack.of(qs)
     space = ProductSpace.of_spins(*pair, RATIONAL, "monomial")
@@ -825,19 +826,19 @@ def test_a_shared_form_gives_every_sample_its_error(monkeypatch):
     want = _first_error(lambda u: assemble_R(0.5, 0.5, u, mode="xxx"), [(0.3 + 0.2j,)])
     assert want.startswith("SingularBasis")
     with pytest.raises(QybeError) as exc:
-        check_unitarity(0.5, 0.5, ToleranceConfig(sample_count=3, rng_seed=2), mode="xxx")
+        check_unitarity(0.5, 0.5, ToleranceConfig(sample_count=3, rng_seed=2), q=RATIONAL)
     assert f"{type(exc.value).__name__}: {exc.value}" == want
 
 
 SUITES = {
     "decomposed": lambda cfg: check_decomposed_ybe(0.5, 1.0, cfg),
     "unitarity[xxz]": lambda cfg: [check_unitarity(1.0, 1.0, cfg)],
-    "unitarity[xxx]": lambda cfg: [check_unitarity(0.5, 0.5, cfg, mode="xxx")],
+    "unitarity[xxx]": lambda cfg: [check_unitarity(0.5, 0.5, cfg, q=RATIONAL)],
     "casimir_spectrum": lambda cfg: [check_casimir_spectrum(0.5, 1.0, cfg)],
     "cyclic_centrality": lambda cfg: [check_cyclic_centrality(7, cfg)],
     "shift_laws": lambda cfg: [check_shift_laws(7, cfg)],
     "fundamental_ybe[xxz]": lambda cfg: [check_fundamental_ybe(cfg)],
-    "fundamental_ybe[xxx]": lambda cfg: [check_fundamental_ybe(cfg, mode="xxx")],
+    "fundamental_ybe[xxx]": lambda cfg: [check_fundamental_ybe(cfg, q=RATIONAL)],
     "rll[spin]": lambda cfg: [check_rll(1.5, cfg)],
     "rll[cyclic]": lambda cfg: [check_rll(SPEC5, cfg)],
     "phi_product": lambda cfg: [check_phi_identity(7, cfg, count=cfg.sample_count)],

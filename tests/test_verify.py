@@ -13,7 +13,8 @@ from qybe import (CyclicRepSpec, ToleranceConfig, assemble_R, build_cyclic_rep, 
 from qybe import cli, cyclic, rep, rop, tensorrep, verify
 from qybe.cli import main
 from qybe.errors import ParameterDomainError, PoleAtSector, SamplerExhausted
-from qybe.qcore import MAX_DRAWS, RATIONAL, _QStack, residual, sample_generic_q, sample_u
+from qybe.qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, _QStack, residual,
+                        sample_generic_q, sample_u)
 from qybe.tensorrep import ProductSpace
 from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          check_branch_independence,
@@ -24,6 +25,8 @@ from qybe.verify import (ResidualReport, _on_slots, _regular_point,
                          decomposed_residuals)
 
 FAST = ToleranceConfig(sample_count=3, rng_seed=7)
+# the fixed q of the xxz suites (None: q is drawn) and of the xxx ones
+FIXED_QS = [pytest.param(None, id="xxz"), pytest.param(RATIONAL, id="xxx")]
 
 SYMMETRY_IDS = ("qs_commute", "lower_twisted", "raise_twisted",
                 "lower_twisted_bar", "raise_twisted_bar")
@@ -46,7 +49,7 @@ def test_nonfinite_residual_fails():
 def _at(monkeypatch, point):
     """check_fundamental_ybe at the one (q, u, v) ``point``: its draw
     gives that point."""
-    monkeypatch.setattr(verify, "_quv", lambda rng, i: point)
+    monkeypatch.setattr(verify, "_quv", lambda rng, i, q: point)
     return ToleranceConfig(sample_count=1)
 
 
@@ -57,13 +60,33 @@ def test_nan_point_is_not_dropped(q_generic, monkeypatch):
 
 
 def test_fundamental_ybe_trigonometric():
-    rep = check_fundamental_ybe(FAST, mode="xxz")
+    rep = check_fundamental_ybe(FAST)
     assert rep.passed and rep.max_residual < 1e-10
 
 
 def test_fundamental_ybe_rational():
-    rep = check_fundamental_ybe(FAST, mode="xxx")
+    rep = check_fundamental_ybe(FAST, q=RATIONAL)
     assert rep.passed and rep.max_residual < 1e-12
+
+
+@pytest.mark.parametrize("q", ["xxx", "xxz", 1.0, DeformationParameter.generic(np.exp(0.3j)),
+                               RATIONAL.with_branch_shift(1),
+                               DeformationParameter.root_of_unity(3)])
+@pytest.mark.parametrize("check", [lambda cfg, q: check_fundamental_ybe(cfg, q=q),
+                                   lambda cfg, q: check_unitarity(0.5, 0.5, cfg, q=q)],
+                         ids=["fundamental_ybe", "unitarity"])
+def test_a_suite_runs_at_a_drawn_q_or_at_rational_alone(check, q):
+    """q is None (drawn) or RATIONAL; any other q, a mode string included,
+    is rejected before anything is drawn."""
+    with pytest.raises(ParameterDomainError, match="RATIONAL"):
+        check(FAST, q)
+
+
+def test_mode_is_no_keyword():
+    with pytest.raises(TypeError):
+        check_fundamental_ybe(FAST, mode="xxx")
+    with pytest.raises(TypeError):
+        check_unitarity(0.5, 0.5, FAST, mode="xxx")
 
 
 def test_fundamental_ybe_equal_arguments(rng, monkeypatch):
@@ -186,7 +209,7 @@ def test_unitarity(pair):
 
 
 def test_unitarity_rational():
-    rep = check_unitarity(0.5, 0.5, FAST, mode="xxx")
+    rep = check_unitarity(0.5, 0.5, FAST, q=RATIONAL)
     assert rep.max_residual < 1e-9
 
 
@@ -282,26 +305,26 @@ def test_rational_unitarity_gives_up_after_max_draws(monkeypatch):
     # u = 1 sits on the pole of the (1/2, 1/2) rational eigenvalues
     monkeypatch.setattr(verify, "sample_u", lambda rng: 1 + 0j)
     with pytest.raises(SamplerExhausted, match=f"{MAX_DRAWS} draws"):
-        check_unitarity(0.5, 0.5, FAST, mode="xxx")
+        check_unitarity(0.5, 0.5, FAST, q=RATIONAL)
 
 
-def _spy_on_draws(monkeypatch, fail_mode: str | None = None) -> Counter:
-    """Count the _regular_point draws by (ell1, ell2, mode); a draw in
-    ``fail_mode`` raises SamplerExhausted."""
+def _spy_on_draws(monkeypatch, failing: tuple = ()) -> Counter:
+    """Count the _regular_point draws by (ell1, ell2, q), q None where it is
+    drawn; a draw at a q of ``failing`` raises SamplerExhausted."""
     drawn = Counter()
     real = verify._regular_point
 
-    def spy(ell1, ell2, rng, *args, mode="xxz", **kwargs):
-        if mode == fail_mode:
+    def spy(ell1, ell2, rng, *args, q=None, **kwargs):
+        if q in failing:
             raise SamplerExhausted("test point", 1)
-        drawn[ell1, ell2, mode] += 1
-        return real(ell1, ell2, rng, *args, mode=mode, **kwargs)
+        drawn[ell1, ell2, q] += 1
+        return real(ell1, ell2, rng, *args, q=q, **kwargs)
 
     monkeypatch.setattr(verify, "_regular_point", spy)
     return drawn
 
 
-GOLDEN_STREAMS = [(0.5, 0.5, "xxz"), (0.5, 1.0, "xxz"), (1.0, 1.0, "xxz"), (0.5, 0.5, "xxx")]
+GOLDEN_STREAMS = [(0.5, 0.5, None), (0.5, 1.0, None), (1.0, 1.0, None), (0.5, 0.5, RATIONAL)]
 
 
 def test_one_run_draws_each_pair_and_mode_once(monkeypatch, capsys):
@@ -320,10 +343,10 @@ def test_one_run_draws_each_pair_and_mode_once(monkeypatch, capsys):
     for name in ("unitarity[xxz](1.0,1.0)", "casimir_spectrum(1.0,1.0)"):
         assert all(a is b for a, b in zip(by_id[name].samples, records, strict=True))
 
-    before = drawn[0.5, 0.5, "xxz"]
+    before = drawn[0.5, 0.5, None]
     monkeypatch.setattr(verify, "sample_u", lambda rng: 0.125 + 0.25j)
     report = check_unitarity(0.5, 0.5, ToleranceConfig(sample_count=5, rng_seed=42))
-    assert drawn[0.5, 0.5, "xxz"] == before + 5
+    assert drawn[0.5, 0.5, None] == before + 5
     assert {tuple(record["u"]) for record in report.samples} == {(0.125, 0.25)}
 
 
@@ -335,7 +358,7 @@ def test_a_run_that_raises_leaves_no_draws_behind(monkeypatch, capsys):
     assert main(argv) == 0
     clean = capsys.readouterr().out
     with monkeypatch.context() as patched:
-        failing = _spy_on_draws(patched, fail_mode="xxx")
+        failing = _spy_on_draws(patched, failing=(RATIONAL,))
         assert main(argv) == 2
         assert "no admissible test point" in capsys.readouterr().err
     assert failing == dict.fromkeys(GOLDEN_STREAMS[:3], 3)
@@ -345,11 +368,13 @@ def test_a_run_that_raises_leaves_no_draws_behind(monkeypatch, capsys):
     assert capsys.readouterr().out == clean
 
 
-@pytest.mark.parametrize("suite,phases", [("all", 11), ("cyclic", 3)])
+@pytest.mark.parametrize("suite,phases", [("all", 12), ("cyclic", 3)])
 def test_one_run_draws_each_stream_once(suite, phases, monkeypatch, capsys):
     """Every stream of a run is drawn in one draw phase, from the one
-    generator of the run's seed: verify all reads 23 suites' samples from 11
-    streams, verify cyclic 5 suites' from 3."""
+    generator of the run's seed: verify all reads 23 suites' samples from 12
+    streams, verify cyclic 5 suites' from 3.  The (q, u, v) streams at
+    RATIONAL and at the cyclic rll's root of unity are two streams of the
+    same (u, v) values."""
     seeded = []
     real = ToleranceConfig.rng
     monkeypatch.setattr(ToleranceConfig, "rng", lambda cfg: seeded.append(cfg) or real(cfg))
@@ -415,7 +440,7 @@ class _ForcedBranchDraws:
 
 class _Candidates:
     """sample_generic_q and sample_u that give the listed (q, u) candidates
-    in turn, q ignored in the rational mode."""
+    in turn, q ignored at a fixed q."""
 
     def __init__(self, candidates):
         self.qs = iter([q for q, _ in candidates])
@@ -479,7 +504,7 @@ def test_scalar_pole_tests_decide_as_the_array_tests(pair, q, monkeypatch):
             monkeypatch.setattr(verify, "sample_generic_q", sampler.sample_generic_q)
             monkeypatch.setattr(verify, "sample_u", sampler.sample_u)
             if draw is _regular_point:
-                accepted = draw(*pair, None, mode="xxx" if q is verify.RATIONAL else "xxz")[1] == u
+                accepted = draw(*pair, None, q=q if q is verify.RATIONAL else None)[1] == u
             else:
                 accepted = draw(None, 1, *pair)[1] == u
             assert accepted == array_test(*pair, q, u), (draw.__name__, gap, u)
@@ -580,8 +605,8 @@ def _sample_us(report) -> tuple:
     return tuple(complex(*record["u"]) for record in report.samples)
 
 
-@pytest.mark.parametrize("mode", ["xxz", "xxx"])
-def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
+@pytest.mark.parametrize("q", FIXED_QS)
+def test_unitarity_solves_both_signs_on_one_space_per_sample(q, monkeypatch):
     """R(u) and R(-u) of every sample are solved in one call from one
     spectral form: a stack of the samples' own q values, orthonormal, at a
     sampled q, and the one monomial space at q = 1, which every sample
@@ -600,18 +625,18 @@ def test_unitarity_solves_both_signs_on_one_space_per_sample(mode, monkeypatch):
 
     monkeypatch.setattr(ProductSpace, "__init__", counting_init)
     monkeypatch.setattr(verify, "_solve", spying_solve)
-    report = check_unitarity(1.0, 1.0, FAST, mode=mode)
+    report = check_unitarity(1.0, 1.0, FAST, q=q)
     assert report.passed
     (stack,) = stacks
     form = stack.spectral_form()[0]
     us = _sample_us(report)
     assert solved == [(us + tuple(-u for u in us), form)]
-    if mode == "xxx":
+    if q is RATIONAL:
         assert tuple(stack.qs) == (RATIONAL,)
         assert ProductSpace.of_spins(1.0, 1.0, RATIONAL, "monomial") is stack
     else:
         assert [q.value for q in stack.qs] == [complex(*r["q"]) for r in report.samples]
-    basis = "monomial" if mode == "xxx" else "orthonormal"
+    basis = "monomial" if q is RATIONAL else "orthonormal"
     assert {factor.basis_tag for factor in stack.factors} == {basis}
 
 
@@ -725,12 +750,12 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
 SPEC3 = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
 SUITES = {
     "fundamental_ybe[xxz]": lambda cfg: check_fundamental_ybe(cfg),
-    "fundamental_ybe[xxx]": lambda cfg: check_fundamental_ybe(cfg, mode="xxx"),
+    "fundamental_ybe[xxx]": lambda cfg: check_fundamental_ybe(cfg, q=RATIONAL),
     "rll[spin]": lambda cfg: check_rll(1.0, cfg),
     "rll[cyclic]": lambda cfg: check_rll(SPEC3, cfg),
     "decomposed": lambda cfg: check_decomposed_ybe(0.5, 1.0, cfg),
     "unitarity[xxz]": lambda cfg: check_unitarity(0.5, 1.0, cfg),
-    "unitarity[xxx]": lambda cfg: check_unitarity(0.5, 0.5, cfg, mode="xxx"),
+    "unitarity[xxx]": lambda cfg: check_unitarity(0.5, 0.5, cfg, q=RATIONAL),
     "branch_independence": lambda cfg: check_branch_independence(0.5, 1.0, cfg),
     "casimir_spectrum": lambda cfg: check_casimir_spectrum(0.5, 1.0, cfg),
     "cyclic_centrality": lambda cfg: check_cyclic_centrality(3, cfg),
@@ -766,7 +791,7 @@ def test_suites_need_a_sample():
 
 
 def test_regular_point_rational_mode_draws_u_alone():
-    q, u = _regular_point(0.5, 1.0, np.random.default_rng(3), mode="xxx")
+    q, u = _regular_point(0.5, 1.0, np.random.default_rng(3), q=RATIONAL)
     assert q is RATIONAL
     # spins (1/2, 1): the only denominators are 3/2 + u and 3/2 - u
     ref = np.random.default_rng(3)
@@ -786,9 +811,11 @@ def test_cyclic_centrality_nan_residual_fails_the_report(monkeypatch, capsys):
 
 
 def _count_cyclic_reps(monkeypatch) -> list:
+    """The specs of each cyclic band stack built."""
     built = []
-    real = cyclic.build_cyclic_rep
-    monkeypatch.setattr(cyclic, "build_cyclic_rep", lambda spec: built.append(spec) or real(spec))
+    real = cyclic._rep_bands
+    monkeypatch.setattr(cyclic, "_rep_bands",
+                        lambda specs: built.append(list(specs)) or real(specs))
     return built
 
 
@@ -822,7 +849,7 @@ def test_rll_builds_its_cyclic_rep_once(monkeypatch):
     spec = CyclicRepSpec(0.31 + 0.11j, -0.42 + 0.2j, 0.17 - 0.23j, 3)
     built = _count_cyclic_reps(monkeypatch)
     assert check_rll(spec, FAST).passed
-    assert built == [spec]
+    assert built == [[spec]]
 
 
 def _conflicting_sample(n, rng, q=None):
@@ -882,8 +909,8 @@ def _reference_decomposed(rm):
 def test_decomposed_residuals_equal_one_residual_per_relation():
     rng = np.random.default_rng(5)
     for ell1, ell2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)):
-        for mode, basis in (("xxz", "orthonormal"), ("xxz", "monomial"), ("xxx", "monomial")):
-            q, u = _regular_point(ell1, ell2, rng, mode=mode)
+        for fixed, basis in ((None, "orthonormal"), (None, "monomial"), (RATIONAL, "monomial")):
+            q, u = _regular_point(ell1, ell2, rng, q=fixed)
             rm = assemble_R(ell1, ell2, u, q, basis=basis)
             # a small R leaves the scale of each residual to its other inputs
             for scale in (1.0, 1e-3):
@@ -912,24 +939,24 @@ def test_on_slots_equals_the_einsum_reference(slots, rng):
     assert np.array_equal(_on_slots(op, dims, slots), _reference_on_slots(op, dims, slots))
 
 
-def _reference_regular_point(ell1, ell2, rng, min_gap=0.05, mode="xxz"):
+def _reference_regular_point(ell1, ell2, rng, min_gap=0.05, q=None):
     big_l = ell1 + ell2 + 1
     top = int(round(2 * min(ell1, ell2)))
     for _ in range(MAX_DRAWS):
-        q = RATIONAL if mode == "xxx" else sample_generic_q(rng)
+        point_q = sample_generic_q(rng) if q is None else q
         u = sample_u(rng)
-        if all(abs(qnum(big_l - n + s * u, q)) > min_gap
+        if all(abs(qnum(big_l - n + s * u, point_q)) > min_gap
                for n in range(1, top + 1) for s in (1, -1)):
-            return q, u
+            return point_q, u
     raise AssertionError("no regular point")
 
 
-@pytest.mark.parametrize("mode", ["xxz", "xxx"])
-def test_regular_point_accepts_what_the_per_gap_test_accepts(mode):
+@pytest.mark.parametrize("q", FIXED_QS)
+def test_regular_point_accepts_what_the_per_gap_test_accepts(q):
     for ell1, ell2 in ((0.0, 1.0), (0.5, 0.5), (1.0, 1.0), (2.5, 2.0)):
         for min_gap in (0.05, 0.6):
             got, ref = np.random.default_rng(17), np.random.default_rng(17)
             for _ in range(25):
-                assert (_regular_point(ell1, ell2, got, min_gap, mode)
-                        == _reference_regular_point(ell1, ell2, ref, min_gap, mode))
+                assert (_regular_point(ell1, ell2, got, min_gap, q)
+                        == _reference_regular_point(ell1, ell2, ref, min_gap, q))
             assert got.bit_generator.state == ref.bit_generator.state
