@@ -43,9 +43,9 @@ MAX_ORDER = 19
 MAX_SPIN = 6
 # the largest --samples that verify takes.  Every sample is drawn and
 # recorded before the first is evaluated, and time, memory and report grow
-# in proportion: `verify all --seed 3` took 2.7 s, 57 MB peak RSS and a
-# 4.4 MB report at 1,000 samples, 7.3 s, 89 MB and 13 MB at 3,000, and
-# 19.9 s, 204 MB and 44 MB at 10,000 (2-vCPU host)
+# in proportion: `verify all --seed 3 --json` took 1.1 s, 56 MB peak RSS and
+# a 4.4 MB report at 1,000 samples, 3.3 s, 90 MB and 13 MB at 3,000, and
+# 9.7-10.9 s, 203 MB and 44 MB at 10,000 (2-vCPU host)
 MAX_SAMPLES = 10_000
 
 EXIT_OK = 0

@@ -580,7 +580,8 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     outside the blocks is 0.  The solve is exact on the joint span
     (pseudo-inverse of a full-column-rank pair); a residual above 1e-9 (or
     NaN) means the prescribed images contradict a linear dependence among
-    the inputs.  The stack of one of :func:`_partial_rs`.
+    the inputs.  A u so large that a power of a family ratio is not finite
+    raises :class:`ParameterDomainError`.  The stack of one of :func:`_partial_rs`.
     """
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
@@ -611,7 +612,8 @@ class _SectorSolves(NamedTuple):
 def _partial_rs(specs1, specs2, us) -> _SectorSolves:
     """:func:`partial_R` of every sample, unguarded and by sector: a
     conflicting sample keeps its residual and span rank, and no N^2 x N^2
-    array is formed.
+    array is formed; a power of a family ratio that is not finite raises
+    :class:`ParameterDomainError` naming the lowest such sample's u.
 
     In the sector m, phi_m and phibar_m at u have the coefficients rho^k
     and sigma^k of theta_{(m-k) mod N, k}, for every m, and their images
@@ -626,10 +628,15 @@ def _partial_rs(specs1, specs2, us) -> _SectorSolves:
     """
     n, q = specs1[0].n, specs1[0].q
     p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
-    ratios = np.exp(np.stack([_ratio_exponent(p1, p2, x, barred)
-                              for x in (u, -u) for barred in (False, True)], axis=1) * q.log_branch)
-    # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
-    powers = np.power(ratios[:, None], np.arange(n)[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(np.stack([_ratio_exponent(p1, p2, x, barred) for x in (u, -u)
+                                  for barred in (False, True)], axis=1) * q.log_branch)
+        # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
+        powers = np.power(ratios[:, None], np.arange(n)[:, None])
+    finite = np.isfinite(powers).all(axis=(1, 2))
+    if not finite.all():
+        raise ParameterDomainError(f"the family ratios are not finite at "
+                                   f"u = {us[int(np.argmin(finite))]}: a power of q overflows")
     v, w = powers[..., :2], powers[..., [3, 2]]
     r_m = _eigenvalue_steps(specs1, specs2, us)[1]
     # one SVD gives the rank and numpy's pinv, step by step

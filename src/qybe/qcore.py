@@ -44,6 +44,10 @@ class ToleranceConfig:
             raise ParameterDomainError(
                 f"tolerances must be positive and finite (got abs_tol={self.abs_tol}, "
                 f"rel_tol={self.rel_tol})")
+        for name in ("sample_count", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterDomainError(f"{name} must be an integer (got {value!r})")
         if self.sample_count < 1:
             raise ParameterDomainError("sample_count must be at least 1")
         if self.rng_seed < 0:

@@ -14,10 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair, _raise_first
+from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
 from .qcore import RATIONAL, DeformationParameter, _check_finite, _qnums, _QStack, qnum
 from .rep import _two_spin, fundamental_r
-from .tensorrep import COND_LIMIT, ProductSpace, SpectralForm, weight_reversed
+from .tensorrep import ProductSpace, SpectralForm, weight_reversed
 
 POLE_TOL = 1e-8
 
@@ -46,8 +46,7 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     :func:`_eigenvalues`.
     """
     _check_finite(u=u)
-    vals, poles = _eigenvalues(ell1, ell2, [u], _QStack.of((q,)))
-    _raise_first(poles)
+    vals = _eigenvalues(ell1, ell2, [u], _QStack.of((q,)))
     _require_finite(ell1, ell2, [u], vals)
     return tuple(vals[0])
 
@@ -63,12 +62,12 @@ def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
                 "a power of q overflows")
 
 
-def _eigenvalues(ell1, ell2, us, qs: _QStack) -> tuple[np.ndarray, list]:
+def _eigenvalues(ell1, ell2, us, qs: _QStack) -> np.ndarray:
     """R_n of every sector n (columns) at every sample (u_s, q_s) (rows), q_s
-    from the stack ``qs``, by the recurrence of :func:`eigenvalue_sequence`,
-    and each sample's first :class:`PoleAtSector` or None.  The recurrence
-    is one cumulative product along the sectors; a sample past a pole or an
-    overflow is not finite.
+    from the stack ``qs``, by the recurrence of :func:`eigenvalue_sequence`;
+    raises the :class:`PoleAtSector` of the first sector with a pole in the
+    lowest row that has one.  The recurrence is one cumulative product along
+    the sectors; a sample past an overflow is not finite.
     """
     x = np.array(_pole_offsets(ell1, ell2))
     u = np.asarray(us, complex)[:, None]
@@ -78,9 +77,9 @@ def _eigenvalues(ell1, ell2, us, qs: _QStack) -> tuple[np.ndarray, list]:
         vals = np.ones((len(us), x.size + 1), complex)
         vals[:, 1:] = np.cumprod(-qn[:, x.size:] / den, axis=1)
     small = np.abs(den) < POLE_TOL
-    if not small.any():
-        return vals, [None] * len(us)
-    return vals, [PoleAtSector(int(np.argmax(row)) + 1) if row.any() else None for row in small]
+    if small.any():
+        raise PoleAtSector(int(np.argmax(small[small.any(axis=1)][0])) + 1)
+    return vals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,32 +131,24 @@ def assemble_R(ell1, ell2, u: complex, q: DeformationParameter | None = None,
     _check_finite(u=u)
     u = complex(u)
     qs = _QStack.of((q,))
-    eig, poles = _eigenvalues(ell1, ell2, [u], qs)
-    _raise_first(poles)
-    form, errors = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
-    _raise_first(errors)
-    m, errors = _solve(ell1, ell2, [u], qs, eig, form)
-    _raise_first(errors)
+    eig = _eigenvalues(ell1, ell2, [u], qs)
+    form = ProductSpace.of_spins(ell1, ell2, q, basis).spectral_form()
+    m = _solve(ell1, ell2, [u], qs, eig, form)
     return RMatrix(matrix=m[0], u=u, q=q, ell1=complex(ell1), ell2=complex(ell2),
                    basis_tag=basis)
 
 
-def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm
-           ) -> tuple[np.ndarray, list]:
+def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm) -> np.ndarray:
     """R(u_s) at q_s for every row s, an (S, d, d) array, q_s from the stack
     ``qs``, from the sector eigenvalues ``eig`` (S, k) and the spectral form
-    of F samples, and each row's first error: :class:`SingularBasis` against :data:`COND_LIMIT`,
-    then :class:`ParameterDomainError` where the matrix is not finite.  Row
-    s reads sample s mod F of the form, broadcast, not copied: F is S (one
-    sample per row), a divisor of S (rows at several u per sample) or 1
-    (one form that every row shares)."""
+    of F samples, whose blocks :meth:`ProductSpace.chain_pass` judged when
+    it cut them; raises :class:`ParameterDomainError`, naming the u of the
+    lowest such row, where the matrix is not finite.  Row s reads sample s
+    mod F of the form, broadcast, not copied: F is S (one sample per row),
+    a divisor of S (rows at several u per sample) or 1 (one form that every
+    row shares)."""
     layout = form.layout
     count, samples = len(us), len(form.cond)
-    singular = [None] * count
-    if not (form.cond <= COND_LIMIT).all():
-        # a form's error is that of every row that reads it
-        singular = [layout.conditioning_error(cond, COND_LIMIT)
-                    for cond in form.cond] * (count // samples)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = form.left * eig.reshape(-1, samples, 1, 1, eig.shape[1])
         blocks = (scaled @ form.right).reshape(count, -1)
@@ -170,10 +161,10 @@ def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm
         m = np.zeros((count, layout.dim * layout.dim), complex)
         m[:, layout.dst] = blocks[:, layout.inside_flat] * powers
     finite = np.isfinite(m).all(axis=1)
-    errors = [error or (None if ok else ParameterDomainError(
-        f"R is not finite at spins ({ell1}, {ell2}), u = {u}: a power of q overflows"))
-        for error, ok, u in zip(singular, finite, us)]
-    return m.reshape(count, layout.dim, layout.dim), errors
+    if not finite.all():
+        raise ParameterDomainError(f"R is not finite at spins ({ell1}, {ell2}), "
+                                   f"u = {us[int(np.argmin(finite))]}: a power of q overflows")
+    return m.reshape(count, layout.dim, layout.dim)
 
 
 def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
-                     SingularBasis, _raise_first)
+                     SingularBasis)
 from .qcore import DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative
 from .rep import OperatorTriple, _Bands, _spin_factors, _two_spin, casimir_matrix
 
@@ -107,36 +107,39 @@ class ProductSpace:
     and give slice s equal, bit for bit, to what a space of the one sample s
     gives, family by family: every product is elementwise along the sample
     and family axes, and batched matmul, SVD and inverse treat each slice
-    as its own matrix.  Methods that can fail for a sample return, next to
-    their arrays, one error or None per sample (the first the sample
-    meets), so a caller raises the error of the lowest failing sample; a
-    failed sample's arrays are not meaningful.
+    as its own matrix.  They return arrays and raise as soon as a sample
+    fails a test, with the error of the lowest sample that fails it, so a
+    space of one sample raises that sample's first error (the harness of
+    :mod:`verify` replays a failed stack one sample at a time).
     :meth:`coproduct` and :meth:`sectors` need a space of one q (else
-    :class:`DimensionMismatch`) and raise those errors.  Its arrays are
-    read-only, since the suites of one pass of :mod:`verify`, and the
-    callers of the memoised :meth:`of_spins`, share one space.
+    :class:`DimensionMismatch`).  Its arrays are read-only, since the suites
+    of one pass of :mod:`verify`, and the callers of the memoised
+    :meth:`of_spins`, share one space.
     """
 
     def __init__(self, rep1, rep2):
         """``rep1`` and ``rep2`` are two :class:`OperatorTriple` over one q,
         each with S+ and S- on their bands (else :class:`ParameterDomainError`),
-        or two band stacks (``rep._Bands``) over the same q values."""
+        or two band stacks (``rep._Bands``) over the same q values, each with
+        one weight vector, not one per sample (else :class:`ParameterDomainError`)."""
         if isinstance(rep1, OperatorTriple):
             _require_shared_q(rep1.q, rep2.q)
             rep1, rep2 = _Bands.of_triple(rep1), _Bands.of_triple(rep2)
         f1, f2 = self.factors = (rep1, rep2)
+        if any(f.weights.ndim > 1 and len(f.weights) > 1 for f in self.factors):
+            raise ParameterDomainError("a product space takes one weight vector per factor")
         self.qs = f1.qs
         self.log_branch = self.qs.log_branch
         self.rational = self.qs.rational
         self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
-        self.dims = (f1.weights.size, f2.weights.size)
+        self.dims = (f1.lift.shape[1], f2.lift.shape[1])
         self.from_monomial = None
         if f1.from_monomial is not None or f2.from_monomial is not None:
             d1, d2 = (f.from_monomial if f.from_monomial is not None
                       else np.ones((len(self.qs), f.weights.size)) for f in (f1, f2))
             self.from_monomial = _read_only((d1[:, :, None] * d2[:, None, :]).reshape(len(d1), -1))
         self.layout = _BlockLayout.of_dims(*self.dims)
-        self._form: tuple[SpectralForm, list] | None = None
+        self._form: SpectralForm | None = None
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -199,7 +202,7 @@ class ProductSpace:
                               basis_tag=f"{f1.basis_tag}*{f2.basis_tag}", ell=None,
                               from_monomial=None if fm is None else fm[0])
 
-    def chains(self, families, gens: tuple | None = None) -> tuple[np.ndarray, list]:
+    def chains(self, families, gens: tuple | None = None) -> np.ndarray:
         """The raising chains of every sector of each family (kind, us) of
         ``families`` at u_s, for every sample s, all raised in one pass: one
         lowest-weight recurrence and one raising loop over the stacked
@@ -208,14 +211,15 @@ class ProductSpace:
 
         Returns c of shape (S, F, d1+d2-1, d1*d2, k), k = min(d1, d2), with
         c[s, f, m][:, n] = (S+_u)^m v_n for family f and v_n the lowest-weight
-        vector of sector n from the closed product formula, and one list per
-        family of each sample's error or None: a :class:`CompletenessFailure`
-        where S-_u v_n is not zero, or the chain of sector n vanishes before
-        its full length d1+d2-1-2n, each measured against :data:`CHAIN_TOL`,
-        and a :class:`ParameterDomainError` where the chain is not finite,
-        since a power of q overflows; a family's lowest-weight condition is
-        tested before its chains.  Every step is elementwise along the family
-        axis, so each family's chains are those of a pass of it alone.
+        vector of sector n from the closed product formula.  Raises, for the
+        lowest failing sample and its first failing family, a
+        :class:`CompletenessFailure` where S-_u v_n is not zero, or the chain
+        of sector n vanishes before its full length d1+d2-1-2n, each measured
+        against :data:`CHAIN_TOL`, or a :class:`ParameterDomainError` where
+        the chain is not finite, since a power of q overflows; a family's
+        lowest-weight condition is tested before its chains.  Every step is
+        elementwise along the family axis, so each family's chains are those
+        of a pass of it alone.
         """
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
@@ -241,24 +245,20 @@ class ProductSpace:
             # a live step is sound where its relative size is in [CHAIN_TOL, inf)
             sizes = np.where(self.layout.live, size, CHAIN_TOL)
             sound = resid.max() <= CHAIN_TOL and CHAIN_TOL <= sizes.min() and sizes.max() < np.inf
-        errors = [[None] * count for _ in kinds]
         if sound:
-            return chains, errors
+            return chains
         broken = ~((sizes >= CHAIN_TOL) & (sizes < np.inf))
         lw_ok = (resid <= CHAIN_TOL).all(axis=2)
-        for s, f in np.argwhere(~lw_ok | broken.any(axis=(2, 3))).tolist():
-            errors[f][s] = _chain_error(_FAMILY_NAMES[kinds[f]], resid[s, f], lw_ok[s, f],
-                                        size[s, f], broken[s, f])
-        return chains, errors
+        s, f = np.argwhere(~lw_ok | broken.any(axis=(2, 3)))[0].tolist()
+        raise _chain_error(_FAMILY_NAMES[kinds[f]], resid[s, f], lw_ok[s, f], size[s, f],
+                           broken[s, f])
 
-    def unit_blocks(self, blocks: np.ndarray, errors: list):
+    def unit_blocks(self, blocks: np.ndarray):
         """The weight blocks (S, G, d1+d2-1, k, k) of G families (see
         :meth:`_BlockLayout.cut`) with unit columns, the column norms and the
-        condition number of every block; ``errors`` holds each family's
-        errors, one per sample, and the unit blocks of a failed sample are
-        the identity.  A sample whose column norms overflow, its chains
-        finite, fails here: its entry of ``errors``, if None, becomes a
-        :class:`ParameterDomainError`.
+        condition number of every block.  Where the column norms of a block
+        overflow, its chains finite, a :class:`ParameterDomainError` is
+        raised.
 
         A block of size 1 is diag(x, 1, ..., 1) with unit columns, so its
         condition number is max(|x|, 1) / min(|x|, 1) in closed form, not a
@@ -266,16 +266,10 @@ class ProductSpace:
         the SVD."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
+            if np.isinf(norms).any():
+                raise ParameterDomainError(
+                    "the eigenvector chains are too large to normalise: a power of q overflows")
             unit = blocks / norms
-            overflow = np.isinf(norms)
-            if overflow.any():
-                for s, g in np.argwhere(overflow.any(axis=(2, 3, 4))).tolist():
-                    errors[g][s] = errors[g][s] or ParameterDomainError(
-                        "the eigenvector chains are too large to normalise: a power of q overflows")
-            for g, stage in enumerate(errors):
-                failed = [s for s, e in enumerate(stage) if e is not None]
-                if failed:
-                    unit[failed, g] = np.eye(unit.shape[-1])
             k = unit.shape[-1]
             # the blocks of size 1: the two end blocks, or every block where k = 1
             ends = slice(None) if k == 1 else slice(None, None, unit.shape[-3] - 1)
@@ -295,17 +289,16 @@ class ProductSpace:
         unbarred ones, so Delta alone), then ``sector``, a family (kind, us),
         when given: one :meth:`chains` pass, one cut of the chains into
         weight blocks, one :meth:`unit_blocks` call that conditions the
-        form's unbarred family and the sector family together, and one
-        :meth:`coproducts` broadcast for those families and the families
-        ``read``.
+        form's unbarred family and the sector family together, one test of
+        those blocks against :data:`COND_LIMIT`, which raises
+        :class:`SingularBasis` for the worst block of the lowest failing
+        sample, and one :meth:`coproducts` broadcast for those families and
+        the families ``read``.
 
         It keeps the spectral form it builds.  It gives the sector family's
-        chains (S, d1+d2-1, d1*d2, k) and each sample's first error: that of
-        :meth:`chains`, then the :class:`ParameterDomainError` of
-        :meth:`unit_blocks`, then :class:`SingularBasis` from the
-        weight-block test of :class:`SpectralForm` against
-        :data:`COND_LIMIT` (or None without ``sector``), and the
-        :meth:`coproducts` of the families ``read`` (or None without any).
+        chains (S, d1+d2-1, d1*d2, k), or None without ``sector``, and the
+        :meth:`coproducts` of the families ``read``, or None without any.
+        A sample fails on its chains, then on an overflow, then on its blocks.
         """
         families = []
         if form and self._form is None:
@@ -321,45 +314,28 @@ class ProductSpace:
         gens = (sp[:, at], sm[:, at]) if read else None
         if not raised:
             return None, gens
-        chains, errors = self.chains(families[:raised], (sp[:, :raised], sm[:, :raised]))
+        chains = self.chains(families[:raised], (sp[:, :raised], sm[:, :raised]))
         formed = raised - (sector is not None)
-        stages = []
-        if formed:
-            # each sample's first error over the form's families
-            stages.append([next(filter(None, first), None) for first in zip(*errors[:formed])])
-        if sector is not None:
-            stages.append(errors[formed])
         layout = self.layout
         blocks = layout.cut(chains)
         # the form's unbarred family, first, and the sector family, last
-        unit, norms, cond = self.unit_blocks(blocks[:, ::max(formed, 1)], stages)
+        unit, norms, cond = self.unit_blocks(blocks[:, ::max(formed, 1)])
         # a condition number that is not a number fails the limit too
-        within = cond <= COND_LIMIT
-        conditioned = within.all()
+        failed = ~(cond <= COND_LIMIT)
+        if failed.any():
+            s, g = np.argwhere(failed.any(axis=2))[0].tolist()
+            raise layout.conditioning_error(cond[s, g], COND_LIMIT)
         if formed:
             with np.errstate(divide="ignore", invalid="ignore"):
                 left = unit[:, 0] if formed == 1 else blocks[:, 1] / norms[:, 0]
-            right = unit[:, 0]
-            if not conditioned and not np.isfinite(cond[:, 0]).all():
-                # such a block fails every limit; the identity stands in for
-                # it so that the batched inverse runs
-                right = np.where(np.isfinite(cond[:, 0])[..., None, None], right,
-                                 np.eye(unit.shape[-1]))
-            self._form = (SpectralForm(left=left, right=np.linalg.inv(right), cond=cond[:, 0],
-                                       layout=layout), stages[0])
-        if sector is None:
-            return None, gens
-        errors = stages[-1]
-        if not conditioned:
-            cond = cond[:, -1]
-            for s in np.flatnonzero((~within[:, -1]).any(axis=1)):
-                errors[s] = errors[s] or layout.conditioning_error(cond[s], COND_LIMIT)
-        return (chains[:, -1], errors), gens
+            self._form = SpectralForm(left=left, right=np.linalg.inv(unit[:, 0]),
+                                      cond=cond[:, 0], layout=layout)
+        return (None if sector is None else chains[:, -1]), gens
 
-    def sector_stack(self, us, kind: str = "delta") -> tuple[np.ndarray, list]:
+    def sector_stack(self, us, kind: str = "delta") -> np.ndarray:
         """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
-        at u_s (see :meth:`chains`) and each sample's first error, from a
-        :meth:`chain_pass` of that one family."""
+        at u_s (see :meth:`chains`), from a :meth:`chain_pass` of that one
+        family, which raises its errors."""
         return self.chain_pass((kind, us), form=False)[0]
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
@@ -369,27 +345,22 @@ class ProductSpace:
         row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
         chains come from :meth:`sector_stack`, and so does the error raised:
         :class:`CompletenessFailure`, :class:`ParameterDomainError` where a
-        power of q overflows or, from the weight-block test of
-        :class:`SpectralForm` against :data:`COND_LIMIT`,
-        :class:`SingularBasis`.  The other kind's sectors are
-        ``sectors(u, other kind)``.  A u that is not finite raises
-        :class:`ParameterDomainError`.
+        power of q overflows or, from the weight-block test against
+        :data:`COND_LIMIT`, :class:`SingularBasis`.  The other kind's
+        sectors are ``sectors(u, other kind)``.  A u that is not finite
+        raises :class:`ParameterDomainError`.
         """
         _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
-        chains, errors = self.sector_stack([u], kind)
-        _raise_first(errors)
-        return _sector_chains(chains[0])
+        return _sector_chains(self.sector_stack([u], kind)[0])
 
-    def spectral_form(self) -> tuple[SpectralForm, list]:
+    def spectral_form(self) -> SpectralForm:
         """The u-independent spectral form of R at every sample, built from
         the chains at u = 0 the first time it is asked for, by a
-        :meth:`chain_pass` of its families alone unless one built it before,
-        and each sample's error of :meth:`chains` or :meth:`unit_blocks`, or
-        None.  The conditioning is recorded, not tested: callers test it
-        against their limit.
-        """
+        :meth:`chain_pass` of its families alone unless one built it before;
+        that pass raises the form's errors, and a form that fails is not
+        kept, so every call raises them."""
         if self._form is None:
             self.chain_pass()
         return self._form
@@ -509,12 +480,10 @@ class _BlockLayout:
         :meth:`ProductSpace.chains`), leading axes kept."""
         return np.where(self.inside, chains[(..., *self.take)], np.eye(self.inside.shape[1]))
 
-    def conditioning_error(self, cond: np.ndarray, limit: float) -> SingularBasis | None:
+    def conditioning_error(self, cond: np.ndarray, limit: float) -> SingularBasis:
         """:class:`SingularBasis` for the worst block whose condition number
-        is above ``limit`` or not a number, or None."""
+        is above ``limit`` or not a number, of which there is one at least."""
         bad = np.flatnonzero(~(cond <= limit))
-        if not bad.size:
-            return None
         b = int(bad[np.argmax(cond[bad])])
         weight = b - (len(self.sizes) - 1) / 2
         size = int(self.sizes[b])
@@ -613,8 +582,7 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     """
     _check_finite(u=u)
     c = casimir_matrix(space.coproduct(kind, u))
-    chains, errors = space.sector_stack([u], kind)
-    _raise_first(errors)
+    chains = space.sector_stack([u], kind)
     f1, f2 = space.factors
     rows = _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)
     return CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry

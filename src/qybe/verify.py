@@ -20,7 +20,7 @@ from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, 
                     sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _require_finite, _solve
-from .errors import ParameterDomainError, QybeError, SamplerExhausted, _raise_first
+from .errors import ParameterDomainError, PoleAtSector, QybeError, SamplerExhausted
 from .tensorrep import ProductSpace, _casimir_sectors
 
 
@@ -84,7 +84,8 @@ class _Suite:
     evaluate the run, so a view builds only what they read.  It gives each
     sample's residual, or a dict of named residuals, each name a report
     with the name put in place of ``{}`` in ``identity_id``, in one stacked
-    pass, and raises the error of the lowest failing sample.
+    pass, and raises where a sample fails; evaluated on a run of one sample
+    it raises that sample's first error.
     """
 
     identity_id: str
@@ -115,18 +116,23 @@ def _run(suites: list[_Suite], timings: dict | None = None) -> list[ResidualRepo
     suites of its stream, which share one view per view function, and no
     view outlives its run.
 
-    Each suite keeps its residuals, or its first error, of whatever type,
-    without the traceback that holds the run's arrays, and then the error
-    that ended its draws.  The first error in the order of ``suites`` is
-    raised, so it is the one that the suites raise one after another; an
-    error of another type in a draw is raised at the place of the stream's
-    first suite, before its evaluation.
+    A suite whose evaluation of a run of several samples raises replays
+    the run (:func:`_replay`), so it gets the error, of whatever type, of
+    the lowest failing sample, or, where none fails alone (the piece that
+    raised belongs to another suite of the view), the replay's residuals.
+    Each suite keeps its residuals, or its first error, without the
+    traceback that holds the run's arrays, and then the error that ended
+    its draws.  The first error in the order of ``suites`` is raised, so it
+    is the one that the suites raise one after another; an error of another
+    type in a draw is raised at the place of the stream's first suite,
+    before its evaluation.
 
     ``timings``, when given, is a sink that the reports do not read: its
     "streams" list gets one row per stream, with the seconds its draws
     took, and its "runs" list one row per suite and run of samples, with
-    the run's first sample, its size and the seconds the suite's evaluation
-    took, the view that it builds for the suites that share it included.
+    the run's first sample, its size, whether it was replayed and the
+    seconds the suite's evaluation took, the view that it builds for the
+    suites that share it and the replay included.
     """
     streams: dict[tuple, list[int]] = {}
     for k, suite in enumerate(suites):
@@ -170,6 +176,7 @@ def _run(suites: list[_Suite], timings: dict | None = None) -> list[ResidualRepo
             for k in live:
                 suite = suites[k]
                 eval_start = time.perf_counter()
+                replayed = False
                 try:
                     if suite.view not in views:
                         reads = frozenset(suites[j].reads for j in live
@@ -178,11 +185,13 @@ def _run(suites: list[_Suite], timings: dict | None = None) -> list[ResidualRepo
                                                        reads, *params)
                     residuals[k].extend(suite.evaluate(views[suite.view]))
                 except Exception as exc:  # the suite's own error, raised at its place
-                    errors[k] = exc.with_traceback(None)
+                    replayed = len(points[run]) > 1
+                    errors[k] = (_replay(suite, points[run], records[suite.record][run], params,
+                                         residuals[k]) if replayed else exc.with_traceback(None))
                 if timings is not None:
                     timings.setdefault("runs", []).append({
                         "suite": suite.identity_id, "start": start, "size": len(points[run]),
-                        "eval_s": time.perf_counter() - eval_start})
+                        "replayed": replayed, "eval_s": time.perf_counter() - eval_start})
             views.clear()
         for k in members:
             outcomes[k] = errors[k] or stop or _reports(suites[k], records[suites[k].record],
@@ -193,6 +202,20 @@ def _run(suites: list[_Suite], timings: dict | None = None) -> list[ResidualRepo
             raise outcome
         reports.extend(outcome)
     return reports
+
+
+def _replay(suite: _Suite, points, records, params, residuals: list) -> Exception | None:
+    """Evaluate ``suite`` on a run one sample at a time, each through a view
+    of its own that builds only what the suite reads, adding each sample's
+    residuals to ``residuals``; the first error, without its traceback, or
+    None."""
+    for i in range(len(points)):
+        try:
+            view = suite.view(points[i:i + 1], records[i:i + 1], frozenset({suite.reads}), *params)
+            residuals.extend(suite.evaluate(view))
+        except Exception as exc:  # the lowest failing sample's error
+            return exc.with_traceback(None)
+    return None
 
 
 def _reports(suite: _Suite, records: list, residuals: list) -> list[ResidualReport]:
@@ -411,18 +434,6 @@ def check_rll(quantum, cfg: ToleranceConfig | None = None):
 # ---------------------------------------------------------------------------
 # the spin-pair suites, one stacked pass per golden pair and run of samples
 
-def _stacked_R(ell1, ell2, us, qs, form, form_errors) -> tuple[np.ndarray, list]:
-    """R(u_s) at q_s for every row s, from the spectral form of the
-    samples' stack, which every row of a sample reads (see
-    :func:`rop._solve`), and each row's first error in the order of
-    :func:`assemble_R`: a pole, the form's error, then the errors of
-    :func:`rop._solve`."""
-    eig, poles = _eigenvalues(ell1, ell2, us, qs)
-    m, errors = _solve(ell1, ell2, us, qs, eig, form)
-    form_errors = form_errors * (len(us) // len(form_errors))
-    return m, [p or f or e for p, f, e in zip(poles, form_errors, errors)]
-
-
 def _perturbed(r: np.ndarray, perturb: float) -> np.ndarray:
     """``r``, or with ``perturb`` added to entry (0, 1) of every sample, in a
     copy, since the suites of a pass share one R(u)."""
@@ -516,19 +527,16 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 
-def _casimir_residuals(space: ProductSpace, sectors: tuple, delta_u: tuple,
+def _casimir_residuals(space: ProductSpace, chains: np.ndarray, delta_u: tuple,
                        diagonal: np.ndarray) -> list[float]:
     """The worst Casimir residual or m-spread of each sample of ``space`` at
     its u, unbarred: the largest, or a NaN, of the sector residuals and
     spreads of its :func:`tensor_casimir` report, all sectors in one stacked
-    pass of :func:`tensorrep._casimir_sectors`, from the chains and errors of
-    the sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
-    coproduct Delta at those u and the Casimir diagonal of the space;
-    raises the error of the lowest failing sample."""
+    pass of :func:`tensorrep._casimir_sectors`, from the chains of the
+    sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
+    coproduct Delta at those u and the Casimir diagonal of the space."""
     sp, sm = delta_u
     c = sp @ sm + diagonal
-    chains, errors = sectors
-    _raise_first(errors)
     f1, f2 = space.factors
     _, resid, spread = _casimir_sectors(c, chains, space.layout.live, f1.ell, f2.ell, space.qs)
     # max keeps a NaN
@@ -542,7 +550,8 @@ class _PairRun:
     read it ("decomposed", "unitarity", "casimir"), so that it builds only
     what they read, each piece the first time a suite asks for it.  The
     suites read the pieces and do not write them.  A piece that raises is
-    not kept, so every suite that asks for it raises.
+    not kept, so every suite that asks for it raises, and :func:`_run`
+    replays the run for each such suite with a view of its own.
 
     The pieces are the :class:`ProductSpace` of the run; one
     :meth:`ProductSpace.chain_pass` of it, which raises Delta and Delta-bar
@@ -550,7 +559,7 @@ class _PairRun:
     samples' u for the Casimir sectors (when the Casimir suite reads the
     run), conditions both Delta families in one call and gives, from one
     call of the coproduct kernel, every coproduct that the suites read;
-    R(u), and R(-u) for the unitarity suite, from one :func:`_stacked_R`
+    R(u), and R(-u) for the unitarity suite, from one :func:`rop._solve`
     call; and the Casimir diagonal.  The run's q values are one
     :class:`qcore._QStack`, built once, and the samples carry them, so the
     stream's fixed q (``q``, None where q is drawn) is not read.  At drawn
@@ -572,8 +581,8 @@ class _PairRun:
 
     @functools.cached_property
     def chain_pass(self) -> tuple:
-        """The run's :meth:`ProductSpace.chain_pass`: the Casimir sector chains
-        and errors, or None, and the coproducts of the
+        """The run's :meth:`ProductSpace.chain_pass`: the Casimir sector
+        chains, or None, and the coproducts of the
         :func:`_decomposed_families` (Delta at u alone when the Casimir
         suite reads the run without the decomposed one), or None."""
         us = list(self.us)
@@ -584,17 +593,29 @@ class _PairRun:
                                      read=read)
 
     @functools.cached_property
-    def r(self) -> tuple[np.ndarray, list]:
+    def r(self) -> np.ndarray:
         """R(u_s), then R(-u_s) when the unitarity suite reads the run, for
-        every sample, with each row's first error."""
-        self.chain_pass  # the form comes from the run's one pass
+        every sample.  A run of one sample raises what :func:`assemble_R`
+        at u, then at -u, raises: a pole, the form's, then a non-finite R."""
         us = list(self.us)
-        if "unitarity" in self.reads:
-            us += [-u for u in self.us]
-        r, errors = _stacked_R(self.ell1, self.ell2, us, self.qs * (len(us) // len(self.qs)),
-                               *self.space.spectral_form())
+        if "unitarity" not in self.reads:
+            return self._solved(us)
+        try:
+            return self._solved(us + [-u for u in us])
+        except PoleAtSector as exc:
+            pole = exc
+        self._solved(us)  # an error of R(u) comes before a pole at -u
+        raise pole
+
+    def _solved(self, us) -> np.ndarray:
+        """R at the rows ``us``, the samples' us once or twice over: their
+        poles, then the form from the run's one pass, then the solve."""
+        qs = self.qs * (len(us) // len(self.qs))
+        eig = _eigenvalues(self.ell1, self.ell2, us, qs)
+        self.chain_pass  # the form comes from the run's one pass
+        r = _solve(self.ell1, self.ell2, us, qs, eig, self.space.spectral_form())
         r.setflags(write=False)
-        return r, errors
+        return r
 
     @functools.cached_property
     def casimir_diagonal(self) -> np.ndarray:
@@ -602,26 +623,21 @@ class _PairRun:
 
     def decomposed(self, perturb: float) -> list[dict[str, float]]:
         """The eight decomposed residuals of each sample."""
-        r, errors = self.r
-        count = len(self.us)
-        _raise_first(errors[:count])
-        return _decomposed(self.space, self.us, _perturbed(r[:count], perturb),
-                           self.chain_pass[1], self.casimir_diagonal)
+        r = _perturbed(self.r[:len(self.us)], perturb)
+        return _decomposed(self.space, self.us, r, self.chain_pass[1], self.casimir_diagonal)
 
     def unitarity(self, perturb: float) -> list[float]:
         """The residual of R(u) R(-u) = 1 of each sample, R(u) and R(-u) from
         one solve over the spectral form."""
-        r, errors = self.r
-        count = len(self.us)
-        _raise_first(errors[:count], errors[count:])
+        r, count = self.r, len(self.us)
         prod = _perturbed(r[:count], perturb) @ r[count:]
         return _residuals(prod, np.eye(prod.shape[-1]), prod)
 
     def casimir(self) -> list[float]:
         """The worst Casimir residual or m-spread of each sample; no R is
         read, so no perturbation moves it."""
-        sectors, (sp, sm) = self.chain_pass
-        return _casimir_residuals(self.space, sectors, (sp[:, 0], sm[:, 0]), self.casimir_diagonal)
+        chains, (sp, sm) = self.chain_pass
+        return _casimir_residuals(self.space, chains, (sp[:, 0], sm[:, 0]), self.casimir_diagonal)
 
 
 @_check
@@ -678,8 +694,8 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
     def evaluate(points):
         # rows 2s and 2s + 1 are sample s on its base and its shifted branch
         us = [u for point in points for u in point[1::2]]
-        vals, _ = _eigenvalues(ell1, ell2, us, _QStack.of(q for point in points
-                                                          for q in point[0::2]))
+        vals = _eigenvalues(ell1, ell2, us, _QStack.of(q for point in points
+                                                       for q in point[0::2]))
         _require_finite(ell1, ell2, us, vals)
         base, shifted = vals[0::2, None], vals[1::2, None]
         return _residuals(base, shifted, base)

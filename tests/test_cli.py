@@ -482,9 +482,10 @@ def test_bad_seed_or_hook_is_validation_error(env, argv, monkeypatch, capsys):
 
 def test_timings_cover_every_report_and_leave_the_report_alone(tmp_path, monkeypatch, capsys):
     """verify --timings writes the draw seconds of each stream and the
-    evaluation seconds and size of each suite's runs; every report id of
-    verify all has a run row (a suite of named residuals holds {} for each
-    name), and the report and stdout are byte-identical without it."""
+    evaluation seconds, size and replay mark of each suite's runs; every
+    report id of verify all has a run row (a suite of named residuals holds
+    {} for each name), none of them replayed, and the report and stdout are
+    byte-identical without it."""
     monkeypatch.delenv("QYBE_PERTURB", raising=False)
     argv = ["verify", "all", "--samples", "20", "--seed", "4"]
     assert main(argv + ["--json", str(tmp_path / "plain.json")]) == 0
@@ -504,7 +505,7 @@ def test_timings_cover_every_report_and_leave_the_report_alone(tmp_path, monkeyp
                     re.escape(row["suite"]).replace(r"\{\}", r"\w+"), report_id)]
         # 20 samples are two runs, of 16 and 4
         assert [(row["start"], row["size"]) for row in rows] == [(0, 16), (16, 4)], report_id
-        assert all(row["eval_s"] > 0 for row in rows)
+        assert all(row["eval_s"] > 0 and row["replayed"] is False for row in rows)
     streams = timings["streams"]
     assert len(streams) == 12 and all(row["drawn"] == row["count"] == 20 for row in streams
                                       if row["draw"] != "_alpha")

@@ -9,7 +9,7 @@ from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, central_element
                   cyclic_R_eigenvalues, eigenstate_family, family_closure_defect,
                   family_ratio, partial_R, qnum, sample_compatible_params, shift_prefactor,
                   tensor_power_scalars)
-from qybe import cyclic
+from qybe import ToleranceConfig, cyclic, verify
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
                          OrderMismatch, ParameterDomainError, SamplerExhausted,
@@ -599,6 +599,28 @@ def test_partial_r_rejects_factors_on_different_roots(rng):
     for pair in ((s1, s2), (s2, s1)):
         with pytest.raises(DimensionMismatch):
             partial_R(*pair, 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_partial_r_names_a_u_whose_family_ratios_overflow(n):
+    """At u = 500j a power of a family ratio is not finite, which once gave
+    a NaN residual at N = 3 and a raw LinAlgError from the SVD at N = 7."""
+    with pytest.raises(ParameterDomainError, match=r"not finite at u = 500j: a power of q"):
+        partial_R(CyclicRepSpec(0, 0, 0, n), CyclicRepSpec(0.1, 0, 0.2, n), 500j)
+
+
+def test_a_partial_r_stack_raises_at_its_lowest_overflowing_sample(rng, monkeypatch):
+    """A stack with two such samples names the u of the lower one, and so
+    does the partial-R suite over the same samples."""
+    points = [sample_compatible_params(7, rng) for _ in range(4)]
+    for s, u in ((1, 500j), (2, 600j)):
+        points[s] = (*points[s][:2], u)
+    with pytest.raises(ParameterDomainError, match="u = 500j"):
+        cyclic._partial_rs(*zip(*points))
+    drawn = iter(points)
+    monkeypatch.setattr(verify, "_compatible", lambda rng, i, q: next(drawn))
+    with pytest.raises(ParameterDomainError, match="u = 500j"):
+        verify.check_partial_r(7, ToleranceConfig(sample_count=4, rng_seed=1))
 
 
 @pytest.mark.parametrize("func", [cyclic_R_eigenvalues, family_closure_defect, family_ratio])

@@ -226,6 +226,11 @@ def test_tolerance_config_validation():
         ToleranceConfig(abs_tol=-1)
     with pytest.raises(ParameterDomainError):
         ToleranceConfig(sample_count=0)
+    # counts and seeds that are no integers once failed later, in range or the rng
+    for field, value in (("sample_count", 2.5), ("sample_count", float("inf")),
+                         ("rng_seed", 1.5), ("rng_seed", float("nan"))):
+        with pytest.raises(ParameterDomainError, match=f"{field} must be an integer"):
+            ToleranceConfig(**{field: value})
 
 
 def test_tolerance_config_rejects_a_negative_seed():

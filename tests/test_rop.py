@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qybe.rop as rop
+import qybe.tensorrep as tensorrep
 from conftest import product_values, q_inverse
 from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
@@ -213,7 +214,7 @@ def _assemble_rational(ell1, ell2, u):
             diag.append(eig[n])
             v = sp @ v
     phi = np.array(cols).T
-    if np.linalg.cond(phi) > rop.COND_LIMIT:
+    if np.linalg.cond(phi) > tensorrep.COND_LIMIT:
         raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
     return phi @ np.diag(diag) @ np.linalg.inv(phi)
 
@@ -303,7 +304,8 @@ def test_assemble_R_rejects_a_bad_spin(ell1, ell2, bad, mode, q_generic):
 
 
 def test_singular_basis_guard(monkeypatch, q_generic):
-    monkeypatch.setattr(rop, "COND_LIMIT", 1.0)
+    monkeypatch.setattr(tensorrep, "COND_LIMIT", 1.0)
+    _spin_space.cache_clear()  # a form built at the default limit would serve the call
     with pytest.raises(SingularBasis):
         assemble_R(0.5, 0.5, 0.4 + 0.2j, q_generic)
 
@@ -385,7 +387,7 @@ def _full_solve(ell1, ell2, u, q, basis):
         cols_mu.extend(s_mu)
         diag.extend([eig[n]] * len(s_u))
     phi = np.array(cols_u).T
-    if np.linalg.cond(phi) > rop.COND_LIMIT:
+    if np.linalg.cond(phi) > tensorrep.COND_LIMIT:
         raise SingularBasis("eigenvector matrix is ill-conditioned at this point")
     return np.array(cols_mu).T @ np.diag(diag) @ np.linalg.inv(phi)
 
@@ -499,13 +501,15 @@ def test_a_missing_q_or_an_unknown_mode_is_rejected():
 
 
 def test_singular_basis_names_its_block(monkeypatch, q_generic):
-    monkeypatch.setattr(rop, "COND_LIMIT", 1.0)
+    # the sectors at u = 0, taken at the default limit, which they pass
+    sectors = ProductSpace.of_spins(1.0, 1.0, q_generic, "orthonormal").sectors(0.0)
+    monkeypatch.setattr(tensorrep, "COND_LIMIT", 1.0)
+    _spin_space.cache_clear()  # a form built at the default limit would serve the call
     with pytest.raises(SingularBasis) as exc:
         assemble_R(1.0, 1.0, 0.4 + 0.2j, q_generic)
     err = exc.value
-    # the condition number of each weight block from the sectors at u = 0,
-    # one block per total degree b, columns scaled to unit length
-    sectors = ProductSpace.of_spins(1.0, 1.0, q_generic, "orthonormal").sectors(0.0)
+    # the condition number of each weight block from those sectors, one
+    # block per total degree b, columns scaled to unit length
     degree = np.add.outer(np.arange(3), np.arange(3)).ravel()
     conds = []
     for b in range(5):

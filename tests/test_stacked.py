@@ -28,8 +28,8 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, Pro
                   eigenvalue_sequence, family_ratio, fundamental_r, partial_R, phi_product,
                   qnum, tensor_casimir, tensor_power_scalars)
 from qybe import cli, cyclic, rop, tensorrep, verify
-from qybe.errors import (InconsistentConstraints, PoleAtSector, QybeError, SamplerExhausted,
-                         SingularBasis)
+from qybe.errors import (CompletenessFailure, InconsistentConstraints, PoleAtSector, QybeError,
+                         SamplerExhausted, SingularBasis)
 from qybe.qcore import (_nan_max, _phi_products, _QStack, _relative, residual,
                         sample_generic_q, sample_params, sample_u)
 from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
@@ -37,7 +37,7 @@ from qybe.rop import _top_sector
 from qybe.tensorrep import (CasimirSpectrumReport, SectorEigenvalue, _casimir_sectors,
                             _lowest_weights, _sector_chains, _spin_space)
 from qybe.verify import (_casimir_residuals, _decomposed, _decomposed_families, _on_slots,
-                         _PairRun, _regular_point, _residuals, _run, _stacked_R, _Suite,
+                         _PairRun, _regular_point, _residuals, _run, _Suite,
                          check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
                          check_fundamental_ybe, check_partial_r, check_phi_identity, check_rll,
@@ -56,6 +56,12 @@ def _same(got, want) -> None:
 def _points(pair, seed, q=None):
     rng = np.random.default_rng(seed)
     return [_regular_point(*pair, rng, q=q) for _ in range(COUNT)]
+
+
+def _stacked_R(ell1, ell2, us, qs, form):
+    """R(u_s) at q_s for every row s from the spectral form ``form``, as a
+    golden-pair run solves it."""
+    return rop._solve(ell1, ell2, us, qs, rop._eigenvalues(ell1, ell2, us, qs), form)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +168,7 @@ def test_stacked_eigenvalues_equal_the_scalar_recurrence(pair):
     for fixed in (None, RATIONAL):
         points = _points(pair, 3, fixed)
         qs, us = zip(*points)
-        vals, poles = verify._eigenvalues(*pair, us, _QStack.of(qs))
-        assert poles == [None] * COUNT
+        vals = verify._eigenvalues(*pair, us, _QStack.of(qs))
         for s, (q, u) in enumerate(points):
             assert_close(vals[s], _scalar_eigenvalues(*pair, u, q))
             _same(eigenvalue_sequence(*pair, u, q), vals[s])
@@ -196,9 +201,8 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     qs = _QStack.of(qs)
     space = ProductSpace.stack_of_spins(*pair, qs, basis)
     form = space.spectral_form()
-    r_u, errors_u = _stacked_R(*pair, us, qs, *form)
-    r_mu, errors_mu = _stacked_R(*pair, [-u for u in us], qs, *form)
-    assert errors_u == errors_mu == [None] * COUNT
+    r_u = _stacked_R(*pair, us, qs, form)
+    r_mu = _stacked_R(*pair, [-u for u in us], qs, form)
     relations = _decomposed(space, us, r_u, space.coproducts(_decomposed_families(us)),
                             _casimir_diagonals(space.weights, qs))
     prod = r_u @ r_mu
@@ -293,8 +297,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
                    for _ in range(count)))
     qs, us = _QStack.of(qs), list(us)
     space = ProductSpace.stack_of_spins(*pair, qs, "monomial" if rational else basis)
-    r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
-    assert errors == [None] * count
+    r = _stacked_R(*pair, us, qs, space.spectral_form())
     gens = space.coproducts(_decomposed_families(us))
     diagonal = _casimir_diagonals(space.weights, qs)
     got = _decomposed(space, us, r, gens, diagonal)
@@ -326,8 +329,7 @@ def test_rational_R_shares_one_form_across_the_stack(pair):
     qs, us = zip(*points)
     qs = _QStack.of(qs)
     space = ProductSpace.of_spins(*pair, RATIONAL, "monomial")
-    r, errors = _stacked_R(*pair, us, qs, *space.spectral_form())
-    assert errors == [None] * COUNT
+    r = _stacked_R(*pair, us, qs, space.spectral_form())
     for s, u in enumerate(us):
         _same(r[s], assemble_R(*pair, u, mode="xxx").matrix)
 
@@ -342,21 +344,20 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
     rng = np.random.default_rng(4)
     qs, us = zip(*(_regular_point(*pair, rng) for _ in range(count)))
     qs = _QStack.of(qs)
-    form, errors = ProductSpace.stack_of_spins(*pair, qs, "orthonormal").spectral_form()
-    eig, poles = rop._eigenvalues(*pair, us, qs)
-    r, solved = rop._solve(*pair, us, qs, eig, form)
-    assert errors == poles == solved == [None] * count
+    form = ProductSpace.stack_of_spins(*pair, qs, "orthonormal").spectral_form()
+    eig = rop._eigenvalues(*pair, us, qs)
+    r = rop._solve(*pair, us, qs, eig, form)
     for s in range(count):
         alone = dataclasses.replace(form, left=form.left[s:s + 1], right=form.right[s:s + 1],
                                     cond=form.cond[s:s + 1])
         _same(r[s], rop._solve(*pair, us[s:s + 1], _QStack.of(qs[s:s + 1]), eig[s:s + 1],
-                               alone)[0][0])
+                               alone)[0])
 
 
 def _casimir_reports(space, sectors, delta_u, diagonal):
     """The tensor_casimir report of each sample of a pass, as tensor_casimir
     builds it from the arrays of _casimir_sectors."""
-    (sp, sm), (chains, _) = delta_u, sectors
+    (sp, sm), chains = delta_u, sectors
     f1, f2 = space.factors
     rows = _casimir_sectors(sp @ sm + diagonal, chains, space.layout.live, f1.ell, f2.ell,
                             space.qs)
@@ -385,7 +386,7 @@ def test_stacked_casimir_equals_each_sample_alone(pair):
 @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 1.5)])
 def test_one_family_pass_equals_the_per_family_calls(pair, count):
     """A pass of Delta and Delta-bar at u = 0 and Delta at the samples' u,
-    on stacked q, is bit for bit a call per family: its chains and errors,
+    on stacked q, is bit for bit a call per family: its chains,
     its unit blocks, norms and condition numbers, its spectral form and
     its sectors, those of one q included; its Casimir reports are those of
     tensor_casimir, sample by sample."""
@@ -398,30 +399,22 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
         return ProductSpace.stack_of_spins(*pair, qs, "orthonormal")
 
     stacked = space()
-    chains, errors = stacked.chains(families)
-    assert errors == [[None] * count] * 3
+    chains = stacked.chains(families)
     for f, family in enumerate(families):
-        alone, alone_errors = space().chains([family])
-        _same(chains[:, f], alone[:, 0])
-        assert alone_errors == [errors[f]]
-    both = stacked.unit_blocks(stacked.layout.cut(chains[:, [0, 2]]), [[None] * count] * 2)
+        _same(chains[:, f], space().chains([family])[:, 0])
+    both = stacked.unit_blocks(stacked.layout.cut(chains[:, [0, 2]]))
     for g, f in enumerate((0, 2)):
         alone = space()
-        for got, want in zip(both, alone.unit_blocks(alone.layout.cut(chains[:, [f]]),
-                                                     [[None] * count])):
+        for got, want in zip(both, alone.unit_blocks(alone.layout.cut(chains[:, [f]]))):
             _same(got[:, g], want[:, 0])
 
     run = space()
-    (sectors, sector_errors), (sp, sm) = run.chain_pass(("delta", us), read=[("delta", us)])
-    form, form_errors = run.spectral_form()
-    want_form, want_errors = space().spectral_form()
-    assert form_errors == want_errors == [None] * count
+    sectors, (sp, sm) = run.chain_pass(("delta", us), read=[("delta", us)])
+    form, want_form = run.spectral_form(), space().spectral_form()
     for name in ("left", "right", "cond"):
         _same(getattr(form, name), getattr(want_form, name))
-    want_sectors, want_sector_errors = space().sector_stack(us)
-    _same(sectors, want_sectors)
-    assert sector_errors == want_sector_errors == [None] * count
-    reports = _casimir_reports(run, (sectors, sector_errors), (sp[:, 0], sm[:, 0]),
+    _same(sectors, space().sector_stack(us))
+    reports = _casimir_reports(run, sectors, (sp[:, 0], sm[:, 0]),
                                _casimir_diagonals(run.weights, qs))
     for s, (q, u) in enumerate(points):
         one = ProductSpace.stack_of_spins(*pair, _QStack.of((q,)), "orthonormal")
@@ -437,23 +430,27 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
 def test_a_sector_pass_names_each_samples_worst_block(monkeypatch):
     """chain_pass tests the weight blocks of the sector family against
     COND_LIMIT sample by sample: a sample whose worst block is above the
-    limit gets the SingularBasis of that block, the others no error."""
+    limit raises the SingularBasis of that block alone, the others nothing,
+    and the stack raises that of its lowest failing sample."""
     qs, us = zip(*_points((1.0, 1.5), 21))
     qs, us = _QStack.of(qs), list(us)
     space = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal")
-    chains, errors = space.chains([("delta", us)])
-    cond = space.unit_blocks(space.layout.cut(chains), errors)[2][:, 0]
+    cond = space.unit_blocks(space.layout.cut(space.chains([("delta", us)])))[2][:, 0]
     worst = cond.max(axis=1)
     limit = float(np.median(worst))
     monkeypatch.setattr(tensorrep, "COND_LIMIT", limit)
-    _, got = ProductSpace.stack_of_spins(1.0, 1.5, qs, "orthonormal").sector_stack(us)
-    assert sum(error is not None for error in got) == COUNT // 2
-    for s, error in enumerate(got):
-        if worst[s] <= limit:
-            assert error is None
-        else:
-            assert isinstance(error, SingularBasis) and error.cond == worst[s]
-            assert str(error) == str(space.layout.conditioning_error(cond[s], limit))
+    failing = [s for s in range(COUNT) if worst[s] > limit]
+    assert len(failing) == COUNT // 2
+    for s, stack in [(failing[0], qs)] + [(s, _QStack.of(qs[s:s + 1])) for s in range(COUNT)]:
+        at = us if len(stack) == COUNT else us[s:s + 1]
+        one = ProductSpace.stack_of_spins(1.0, 1.5, stack, "orthonormal")
+        if s not in failing:
+            one.sector_stack(at)
+            continue
+        with pytest.raises(SingularBasis) as error:
+            one.sector_stack(at)
+        assert error.value.cond == worst[s]
+        assert str(error.value) == str(space.layout.conditioning_error(cond[s], limit))
 
 
 def _bits(obj):
@@ -822,12 +819,82 @@ def test_a_stack_raises_its_lowest_failing_sample(suite, alone, monkeypatch):
 def test_a_shared_form_gives_every_sample_its_error(monkeypatch):
     """The rational unitarity samples share one form; below its conditioning
     every sample fails, and the first with the error one sample raises."""
-    monkeypatch.setattr(rop, "COND_LIMIT", 1.0)
+    monkeypatch.setattr(tensorrep, "COND_LIMIT", 1.0)
+    _spin_space.cache_clear()  # a form built at the default limit would serve both
     want = _first_error(lambda u: assemble_R(0.5, 0.5, u, mode="xxx"), [(0.3 + 0.2j,)])
     assert want.startswith("SingularBasis")
     with pytest.raises(QybeError) as exc:
         check_unitarity(0.5, 0.5, ToleranceConfig(sample_count=3, rng_seed=2), q=RATIONAL)
     assert f"{type(exc.value).__name__}: {exc.value}" == want
+
+
+def test_a_form_error_of_r_u_comes_before_a_pole_at_minus_u(monkeypatch):
+    """At u = 1 the (1, 1) R(-u) sits on its sector-2 pole and R(u) on no
+    pole.  Below the form's conditioning the unitarity suite raises the
+    form's SingularBasis, as assemble_R(u) followed by assemble_R(-u) does,
+    for that sample alone and for a run of two."""
+    monkeypatch.setattr(tensorrep, "COND_LIMIT", 1.0)
+    _spin_space.cache_clear()  # a form built at the default limit would serve both
+    point = (DeformationParameter.generic(np.exp(0.17 + 0.59j)), 1.0 + 0j)
+    assert _first_error(lambda q, u: assemble_R(1.0, 1.0, -u, q), [point]).startswith(
+        "PoleAtSector")
+    want = _first_error(_unitarity_alone, [point])
+    assert want.startswith("SingularBasis")
+    for points in ([point], [point, point]):
+        assert _suite_error(check_unitarity, points, monkeypatch) == want
+
+
+def test_a_casimir_failure_of_a_shared_pass_leaves_the_other_suites_alone(monkeypatch):
+    """The Casimir sector family of each golden pair's pass fails here, a
+    lowest weight corrupted in every pass of more than one sample, so the
+    pass raises in each of the pair's suites.  Each replays the run one
+    sample at a time, where nothing fails, and reports what it reports
+    alone; the timings mark exactly those runs as replayed."""
+    cfg = ToleranceConfig(sample_count=5, rng_seed=5)
+    alone = {report.identity_id: report.to_dict() for suite in ("ybe", "unitarity", "casimir")
+             for report in cli._run_suite(suite, cfg, 3, 0.0)}
+    lowest = tensorrep._lowest_weights
+    several = True  # whether a stack of one sample is corrupted too
+
+    def corrupted(ell1, ell2, us, signs, qs, d1, d2, count):
+        # the family at the samples' u, not the form's at u = 0
+        broken = (us != 0).all(axis=0) & (len(us) > 1 or not several)
+        return lowest(ell1, ell2, us, signs, qs, d1, d2, count) + broken[None, :, None, None]
+
+    monkeypatch.setattr(tensorrep, "_lowest_weights", corrupted)
+    timings = {}
+    inside = {report.identity_id: report.to_dict()
+              for report in cli._run_suite("all", cfg, 3, 0.0, timings)}
+    assert {name: inside[name] for name in alone} == alone
+    replayed = {row["suite"] for row in timings["runs"] if row["replayed"]}
+    assert replayed == {f"{name}({l1},{l2})" for l1, l2 in cli.GOLDEN_PAIRS
+                        for name in ("decomposed[{}]", "unitarity[xxz]", "casimir_spectrum")}
+
+    # where the Casimir family fails alone too, a replay of the decomposed
+    # suite still builds what that suite reads, and no Casimir sectors
+    several = False
+    suites = [build.suite(1.0, 1.0, cfg) for build in (check_decomposed_ybe,
+                                                        check_casimir_spectrum)]
+    rng = cfg.rng()
+    points = [verify._pair_point(rng, i, 1.0, 1.0, None) for i in range(5)]
+    records = [verify._q_record(point) for point in points]
+    decomposed, casimir = [], []
+    assert verify._replay(suites[0], points, records, suites[0].params, decomposed) is None
+    assert decomposed == suites[0].evaluate(_PairRun(points, records, frozenset({"decomposed"}),
+                                                     *suites[0].params))
+    error = verify._replay(suites[1], points, records, suites[1].params, casimir)
+    assert isinstance(error, CompletenessFailure) and casimir == []
+
+
+@pytest.mark.parametrize("suite,order,count,seeds", [
+    ("all", 3, 5, range(12)), ("all", 3, verify._STACK_SIZE + 1, [7]),
+    ("cyclic", 3, 10, [7]), ("cyclic", 7, 10, [7]), ("cyclic", 19, 10, [7])])
+def test_passing_runs_make_no_replay(suite, order, count, seeds):
+    for seed in seeds:
+        timings = {}
+        cli._run_suite(suite, ToleranceConfig(sample_count=count, rng_seed=seed), order, 0.0,
+                       timings)
+        assert timings["runs"] and not any(row["replayed"] for row in timings["runs"])
 
 
 SUITES = {
@@ -909,19 +976,21 @@ def _failing(name, evaluated):
 def test_the_first_error_in_report_order_is_raised():
     """The harness evaluates the stream of the first suite first, c's error
     included, but b, on a stream of its own, comes before c in the run of
-    suites, so b's error is raised."""
+    suites, so b's error is raised.  Each failing run is replayed up to its
+    first sample, which fails too."""
     evaluated = []
     other = ToleranceConfig(sample_count=5, rng_seed=2)
     with pytest.raises(_Forced, match="b"):
         _run([_suite("a", _zeros), _suite("b", _failing("b", evaluated), cfg=other),
               _suite("c", _failing("c", evaluated))])
-    assert evaluated == ["c", "b"]
+    assert evaluated == ["c", "c", "b", "b"]
 
 
 def test_a_draw_error_of_another_type_is_raised_at_its_first_reader():
     """An error that is no sampler's, raised in a draw, is raised at the
     place of the first suite that reads the stream, which evaluates
-    nothing; an earlier suite's error still comes first."""
+    nothing; an earlier suite's error still comes first.  Each failing run
+    is replayed up to its first sample, which fails too."""
     evaluated = []
 
     def draw(rng, i):
@@ -932,10 +1001,10 @@ def test_a_draw_error_of_another_type_is_raised_at_its_first_reader():
     reader = _failing("reader", evaluated)
     with pytest.raises(RuntimeError, match="draw"):
         _run([_suite("a", _zeros), _suite("b", reader, draw), _suite("c", _failing("c", evaluated))])
-    assert evaluated == ["c"]
+    assert evaluated == ["c", "c"]
     with pytest.raises(_Forced, match="a"):
         _run([_suite("a", _failing("a", evaluated)), _suite("b", reader, draw)])
-    assert evaluated == ["c", "a"]
+    assert evaluated == ["c", "c", "a", "a"]
 
 
 def test_partial_r_completes_records_that_shift_laws_does_not_share():
@@ -989,14 +1058,14 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     only: no R(-u), no sectors; verify casimir assembles no R."""
     built = _spy_on_stacks(monkeypatch)
     calls = []
-    for name in ("_decomposed", "_casimir_residuals", "_stacked_R"):
+    for name in ("_decomposed", "_casimir_residuals", "_solve"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     cli._run_suite(suite, ToleranceConfig(sample_count=5, rng_seed=5), 3, 0.0)
     assert len(built) == 3
-    want = {"ybe": {"_decomposed": 3, "_stacked_R": 3},
-            "unitarity": {"_stacked_R": 3 + 1},
+    want = {"ybe": {"_decomposed": 3, "_solve": 3},
+            "unitarity": {"_solve": 3 + 1},
             "casimir": {"_casimir_residuals": 3}}[suite]
     assert {name: calls.count(name) for name in set(calls)} == want
 

@@ -6,9 +6,8 @@ import pytest
 from conftest import algebra_residual, assert_close, q_inverse
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_rep,
                   build_spin_rep, casimir_matrix, qnum, tensor_casimir, weight_reversed)
-from qybe import tensorrep
-from qybe.errors import (BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError,
-                         _raise_first)
+from qybe import cyclic, tensorrep
+from qybe.errors import BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError
 from qybe.qcore import _QStack, residual, sample_generic_q, sample_params, sample_u
 from qybe.tensorrep import (CasimirSpectrumReport, ProductSpace, SectorEigenvalue,
                             _family_arrays, _lowest_weights, _twisted_terms)
@@ -431,6 +430,23 @@ def test_product_space_rejects_a_factor_off_its_bands(q_generic):
         ProductSpace(diagonal, rep)
 
 
+def test_product_space_of_cyclic_band_stacks(rng):
+    """Band stacks of one cyclic sample each give the dimensions of their
+    bands and the coproducts of the built representations; the halves of a
+    stack of four specs carry weights per sample, which a product space
+    refuses, instead of reading 2N labels per factor from them."""
+    specs = [CyclicRepSpec(*sample_params(rng, 3), 3) for _ in range(4)]
+    space = ProductSpace(cyclic._rep_bands(specs[:1]), cyclic._rep_bands(specs[1:2]))
+    built = ProductSpace(*(build_cyclic_rep(spec) for spec in specs[:2]))
+    assert space.dims == built.dims == (3, 3)
+    assert np.array_equal(space.weights, built.weights)
+    families = [("delta", [0.3 - 0.1j]), ("deltabar", [0.2j])]
+    for got, want in zip(space.coproducts(families), built.coproducts(families), strict=True):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ParameterDomainError, match="weight"):
+        ProductSpace(*cyclic._halves(cyclic._rep_bands(specs)))
+
+
 def test_product_space_sectors_match_fresh_spaces(rng):
     """One space shared across u, -u and both kinds gives the sectors that a
     new space gives for each of them."""
@@ -469,9 +485,8 @@ def test_product_space_rejects_bad_kind_and_cyclic_sectors(q_generic, rng):
 def test_lowest_weight_condition_fails_on_nan(q_generic):
     # a NaN residual used to pass the r > tol guard; sectors() now rejects a
     # NaN u at its boundary, so the guard is reached through sector_stack
-    with np.errstate(invalid="ignore"):
-        _, errors = ProductSpace.of_spins(0.5, 0.5, q_generic).sector_stack([complex("nan")])
-    assert isinstance(errors[0], CompletenessFailure) and "sector 0" in str(errors[0])
+    with np.errstate(invalid="ignore"), pytest.raises(CompletenessFailure, match="sector 0"):
+        ProductSpace.of_spins(0.5, 0.5, q_generic).sector_stack([complex("nan")])
 
 
 @pytest.mark.parametrize("u", [float("nan"), float("inf"), complex(0.3, float("-inf"))])
@@ -493,19 +508,17 @@ def test_a_size_one_block_has_its_closed_form_condition_number(pair):
     qs = _QStack.of([sample_generic_q(rng, on_circle=(s % 2 == 0)) for s in range(6)])
     space = ProductSpace.stack_of_spins(*pair, qs, "orthonormal")
     us = [[sample_u(rng) for _ in range(6)] for _ in range(2)]
-    chains, errors = space.chains([("delta", us[0]), ("deltabar", us[1])])
-    blocks = space.layout.cut(chains)
+    blocks = space.layout.cut(space.chains([("delta", us[0]), ("deltabar", us[1])]))
     size_one = space.layout.sizes == 1
     assert size_one[[0, -1]].all() and size_one.all() == (min(space.dims) == 1)
-    unit, _, cond = space.unit_blocks(blocks, errors)
-    assert not any(filter(None, sum(errors, [])))
+    unit, _, cond = space.unit_blocks(blocks)
     s = np.linalg.svd(unit, compute_uv=False)
     ref = s[..., 0] / s[..., -1]
     assert (np.abs(cond - ref) <= 4 * np.spacing(ref)).all()
     for x in (complex("nan"), 0j):
         broken = blocks.copy()
         broken[2, 1, -1, 0, 0] = x
-        cond = space.unit_blocks(broken, [[None] * len(qs) for _ in range(2)])[2]
+        cond = space.unit_blocks(broken)[2]
         assert not cond[2, 1, -1] <= tensorrep.COND_LIMIT
         assert (cond[[0, 1, 3, 4, 5]] <= tensorrep.COND_LIMIT).all()
 
@@ -522,10 +535,9 @@ def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng, monkeypatc
     u = sample_u(rng)
     # a space of its own: of_spins would hand out the shared, memoised one
     space = ProductSpace(*_pair(0.5, 0.5, q_generic))
-    chains, errors = space.sector_stack([u])
-    chains = chains.copy()
+    chains = space.sector_stack([u]).copy()
     chains[0, 1, :, 0] = np.nan  # sector 0, after its finite lowest-weight vector
-    monkeypatch.setattr(space, "sector_stack", lambda us, kind="delta": (chains, errors))
+    monkeypatch.setattr(space, "sector_stack", lambda us, kind="delta": chains)
     with np.errstate(invalid="ignore"):
         report = tensor_casimir(space, u)
     assert np.isnan(report.max_residual)
@@ -581,7 +593,7 @@ def test_one_chain_pass_raises_in_family_order(order, corrupt, message, monkeypa
     q = DeformationParameter.generic(np.exp(0.17 + 0.59j)) if order is None \
         else DeformationParameter.root_of_unity(order)
     with pytest.raises(CompletenessFailure, match=message):
-        _raise_first(ProductSpace.of_spins(1.0, 1.0, q).spectral_form()[1])
+        ProductSpace.of_spins(1.0, 1.0, q).spectral_form()
 
 
 @pytest.mark.parametrize("pair", [(2.0, 4.0), (3.0, 3.0), (2.5, 4.0), (4.0, 4.0)])
@@ -603,7 +615,7 @@ def test_sectors_at_the_rational_point(pair):
 
 
 def _space_arrays(space):
-    form = space.spectral_form()[0]
+    form = space.spectral_form()
     return [*(a for f in space.factors for a in (f.lift, f.lower, f.weights)),
             space.weights, form.left, form.right, form.cond]
 
@@ -639,8 +651,7 @@ def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
         assert (memo.factors[0] is memo.factors[1]) == (pair[0] == pair[1])
         arrays = []
         for space in (memo, ProductSpace(*_pair(*pair, q, basis))):
-            form, errors = space.spectral_form()
-            assert errors == [None]
+            form = space.spectral_form()
             kinds = ("delta", "deltabar")
             arrays.append([*(a for f in space.factors for a in (f.lift, f.lower)),
                            *(m[:, 0] for kind in kinds for x in (u, -u)
@@ -697,13 +708,11 @@ def test_stacked_chains_equal_the_per_kind_chains(basis, rng):
     for ell1, ell2 in STACK_PAIRS:
         q, u = sample_generic_q(rng), sample_u(rng)
         space = ProductSpace(*_pair(ell1, ell2, q, basis))
-        both, errors = space.chains([("delta", [u]), ("deltabar", [u])])
-        assert errors == [[None], [None]]
+        both = space.chains([("delta", [u]), ("deltabar", [u])])
         for f, kind in enumerate(("delta", "deltabar")):
             want = _reference_chains(space, u, kind)
             assert np.array_equal(both[0, f], want)
-            one, errors = space.chains([(kind, [u])])
-            assert errors == [[None]]
+            one = space.chains([(kind, [u])])
             assert np.array_equal(one[0, 0], want)
 
 
