@@ -39,7 +39,7 @@ from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
 from .qcore import (MAX_DRAWS, DeformationParameter, _check_finite, _nan_max, _QStack,
                     _relative, qnum, sample_params)
 from .rep import OperatorTriple, _Bands, _diag
-from .tensorrep import _family_arrays, _require_shared_q, _twisted_terms
+from .tensorrep import _require_shared_q, _twisted_terms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,6 +190,12 @@ def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
 # the steps by which each moves the weight sector
 _GENERATORS = ("sm_u", "sp_u", "sm_bar_u", "sp_bar_u")
 _STEPS = np.array([-1, 1, -1, 1])
+# the coproduct kind of each (0 for Delta, 1 for Delta-bar) and whether it raises (0 for S-,
+# 1 for S+), as the coproduct kernel reads them
+_KIND_INDEX = np.array([0, 0, 1, 1])
+_RAISING = np.array([0, 1, 0, 1])
+# [g, t, 1, 1]: the step by which term t of each moves the label k1
+_SHIFTS = (_STEPS[:, None] * np.array([1, 0]))[..., None, None]
 
 
 def _sector_diagonals(reps1: _Bands, reps2: _Bands, us) -> tuple[np.ndarray, np.ndarray]:
@@ -203,21 +209,23 @@ def _sector_diagonals(reps1: _Bands, reps2: _Bands, us) -> tuple[np.ndarray, np.
     [s, g, i, r] the entries of block i at [r, r], the S2 term, and at
     [r, (r - step_g) mod N], the S1 term, so row r of a block applied to v
     is on[r] v[r] + off[r] v[r - step].  They are the terms of the coproduct
-    kernel :func:`tensorrep._twisted_terms` gathered by sector, so bit for
-    bit the entries of the dense generators.
+    kernel :func:`tensorrep._twisted_terms` at the labels of
+    :func:`_sector_labels`, so bit for bit the entries of the dense
+    generators.
     """
-    n = reps1.lift.shape[1]
-    terms = _twisted_terms(reps1, reps2, *_family_arrays([("delta", us), ("deltabar", us)]))
-    k = np.arange(n)
-    steps = _STEPS[:, None, None]
-    k2 = (steps * k[:, None] - k) % n  # [g, i, r]: k2 of the basis vector k1 = r of block i
-    # term [f, a, t, k1, k2] of a sample is at (4 f + 2 a + t) n^2 + k1 n + k2, generator g of
-    # kind f = g // 2 in slot a = (g + f) % 2 (see _twisted_terms)
-    base = np.array([0, 2, 6, 4])[:, None, None] * (n * n)
-    terms = terms.reshape(len(terms), -1)
-    # the S1 term of row r acts on the column k1 = r - step, whose k2 is one step on
-    return (terms[:, base + n * n + k * n + k2],
-            terms[:, base + (k - steps) % n * n + (k2 + steps) % n])
+    terms = _twisted_terms(reps1, reps2, _KIND_INDEX, np.asarray(us, complex)[:, None], _RAISING,
+                           _sector_labels(reps1.lift.shape[1]))
+    return terms[1], terms[0]
+
+
+def _sector_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The source labels (k1, k2) of the terms of :func:`_sector_diagonals`,
+    indexed [g, t, i, r]: the S2 term (t = 1) of row r of block i acts on
+    the column k1 = r of the sector i * step_g, whose k2 is i * step_g - r,
+    and the S1 term (t = 0) on the column k1 = r - step_g, whose k2 is one
+    step on."""
+    r = np.arange(n)
+    return (r - _SHIFTS) % n, (_STEPS[:, None, None, None] * r[:, None] + _SHIFTS - r) % n
 
 
 def _sector_bands(reps1: _Bands, reps2: _Bands, us) -> np.ndarray:

@@ -158,12 +158,13 @@ def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm) -> 
         # it computes into a temporary right operand of 256 KiB or more with
         # the factors swapped, which can move a last bit
         powers = np.exp(twist * lb)
-        m = np.zeros((count, layout.dim * layout.dim), complex)
-        m[:, layout.dst] = blocks[:, layout.inside_flat] * powers
-    finite = np.isfinite(m).all(axis=1)
+        entries = blocks[:, layout.inside_flat] * powers
+    finite = np.isfinite(entries).all(axis=1)
     if not finite.all():
         raise ParameterDomainError(f"R is not finite at spins ({ell1}, {ell2}), "
                                    f"u = {us[int(np.argmin(finite))]}: a power of q overflows")
+    m = np.zeros((count, layout.dim * layout.dim), complex)
+    m[:, layout.dst] = entries
     return m.reshape(count, layout.dim, layout.dim)
 
 

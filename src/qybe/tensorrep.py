@@ -55,30 +55,59 @@ def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
     return kinds, np.array([us for _, us in families], complex).T
 
 
-def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray,
+                   gens: np.ndarray | None = None, labels: tuple | None = None) -> np.ndarray:
     """The coproduct kernel, the one place the formula of
     :meth:`ProductSpace.coproduct` is written: the terms of the twisted
     generators of V1 x V2 for each sample of the band stacks ``f1``, ``f2``
-    and each family of the kinds and us of :func:`_family_arrays`.
-    t[s, f, a, 0] (d1, d2) holds the S1 terms and t[s, f, a, 1] the S2
-    terms of generator a ^ kind_f (0 for S-, 1 for S+), one per source label
-    (k1, k2): slot a = 0 holds those that q^{u/2} multiplies, slot 1 those
-    it divides.  Each is a band entry times the other factor's q-power, then
-    times or over q^{u/2}: an entry of a Kronecker piece S1 x q^{S2} or
-    q^{-S1} x S2, bit for bit.
+    and each entry, a generator (0 for S-, 1 for S+) of the coproduct of a
+    kind (0 for Delta, 1 for Delta-bar) at u_s.  t[0, s, e] holds the S1
+    terms of entry e and t[1, s, e] its S2 terms, one per source label
+    (k1, k2), the d1 x d2 grid of them by default.  Each is a band entry
+    times the other factor's q-power, then times q^{u/2} where t is the
+    entry's slot, generator ^ kind, and over it elsewhere: an entry of a
+    Kronecker piece S1 x q^{S2} or q^{-S1} x S2, bit for bit.
+
+    By default the entries are the two generators of each family of the
+    kinds and us of :func:`_family_arrays`, e = (f, a) with generator
+    a ^ kind_f in slot a.  ``gens``, when given, is the generator of each
+    entry e, one per kind, and ``us`` is (S, 1) or (S, E).  ``labels``,
+    when given with ``gens``, is a pair of integer arrays (k1, k2), each
+    indexed [e, t] over two trailing axes, those of k1 broadcast to those
+    of k2: the source labels of the terms to form in place of the grid.
+    The bands and q-powers are gathered at them, one flat take each, before
+    they multiply.
     """
-    (count, d1), d2 = f1.lift.shape, f2.lift.shape[1]
-    p1, p2 = f1.powers, f2.powers
-    terms = np.empty((count, kinds.size, 2, 2, d1, d2), complex)
+    if gens is None:
+        kinds, us = kinds[:, None], us[..., None]
+        gens = kinds ^ np.arange(2)
+    slots = gens ^ kinds
+    bands1 = np.stack([f1.lower, f1.lift], axis=1)
+    bands2 = bands1 if f2 is f1 else np.stack([f2.lower, f2.lift], axis=1)
+    # [t]: the two factors of term t, each an array (S, 2, d) and the rows it is read at;
     # Delta weights the S1 terms by q^{S2} and the S2 terms by q^{-S1}, Delta-bar the other way
-    bands1, bands2 = (np.stack([f.lower, f.lift], axis=1)[:, kinds[:, None] ^ np.arange(2)]
-                      for f in (f1, f2))
-    np.multiply(bands1[..., None], p2[:, kinds, None, None], out=terms[:, :, :, 0])
-    np.multiply(p1[:, 1 - kinds, None, :, None], bands2[:, :, :, None], out=terms[:, :, :, 1])
-    qu = np.exp(us / 2 * f1.qs.log_branch[:, None])[..., None, None, None]
-    flat = terms.reshape(count, kinds.size, 4, d1, d2)
-    np.multiply(qu, flat[:, :, ::3], out=flat[:, :, ::3])
-    np.divide(flat[:, :, 1:3], qu, out=flat[:, :, 1:3])
+    left = (bands1, gens), (f1.powers, 1 - kinds)
+    right = (f2.powers, kinds), (bands2, gens)
+    count = len(us)
+    if labels is None:
+        terms = np.empty((2, count, *slots.shape, f1.lift.shape[1], f2.lift.shape[1]), complex)
+        for t, ((m1, rows1), (m2, rows2)) in enumerate(zip(left, right)):
+            np.multiply(m1[:, rows1, :, None], m2[:, rows2, None, :], out=terms[t])
+    else:
+        k1, k2 = labels
+        terms = np.empty((2, count, len(k2), *k2.shape[2:]), complex)
+        for t, ((m1, rows1), (m2, rows2)) in enumerate(zip(left, right)):
+            # the right factor is taken into the terms, and the left multiplies it there; the
+            # labels are in range, and "clip" lets numpy take into the terms without a buffer
+            np.take(m2.reshape(count, -1), rows2[:, None, None] * m2.shape[-1] + k2[:, t], axis=1,
+                    out=terms[t], mode="clip")
+            np.multiply(np.take(m1.reshape(count, -1), rows1[:, None, None] * m1.shape[-1]
+                                + k1[:, t], axis=1), terms[t], out=terms[t])
+    qu = np.exp(us / 2 * f1.qs.log_branch.reshape(-1, *(1,) * (us.ndim - 1)))[..., None, None]
+    # q^{u/2} multiplies the term t = slot of each entry and divides the other
+    times = (np.arange(2).reshape(2, 1, *(1,) * slots.ndim) == slots)[..., None, None]
+    np.multiply(qu, terms, out=terms, where=times)
+    np.divide(terms, qu, out=terms, where=~times)
     return terms
 
 
@@ -140,6 +169,7 @@ class ProductSpace:
             self.from_monomial = _read_only((d1[:, :, None] * d2[:, None, :]).reshape(len(d1), -1))
         self.layout = _BlockLayout.of_dims(*self.dims)
         self._form: SpectralForm | None = None
+        self._form_error: QybeError | None = None
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -168,19 +198,12 @@ class ProductSpace:
 
     def coproducts(self, families) -> tuple[np.ndarray, np.ndarray]:
         """S+_u and S-_u (see :meth:`coproduct`) of each family (kind, us) at
-        u_s for every sample s, as two (S, F, d, d) arrays: the terms of
-        :func:`_twisted_terms` scattered to their targets, k1 and k2 moved
-        mod d1 and mod d2 (:attr:`_BlockLayout.moves`)."""
+        u_s for every sample s, as two (S, F, d, d) views of one buffer of
+        both: the terms of :func:`_twisted_terms` written to their targets,
+        k1 and k2 moved mod d1 and mod d2, by one scatter
+        (:attr:`_BlockLayout.scatter`)."""
         kinds, us = _family_arrays(families)
-        (count, size), dim = us.shape, self.layout.dim
-        terms = _twisted_terms(*self.factors, kinds, us).reshape(count, size, 2, 2, -1)
-        # S+ and S- apart, since one array of both is past the allocator's
-        # mmap threshold at d = 49, and its page faults cost more than two
-        gens = [np.zeros((count, size, dim * dim), complex) for _ in range(2)]
-        for g, t in np.ndindex(2, 2):
-            # where a factor has dimension 1, both terms land on one entry and add
-            gens[g][..., self.layout.moves[g, t]] += terms[:, np.arange(size), g ^ kinds, t]
-        return tuple(gen.reshape(count, size, dim, dim) for gen in gens[::-1])
+        return self.layout.generators(_twisted_terms(*self.factors, kinds, us), kinds)
 
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
@@ -230,18 +253,19 @@ class ProductSpace:
         k, steps = min(d1, d2), d1 + d2 - 1
         with np.errstate(over="ignore", invalid="ignore"):
             lw = _lowest_weights(f1.ell, f2.ell, us, 1.0 - 2.0 * kinds, self.qs, d1, d2, k)
-            lw = lw.swapaxes(2, 3)
             chains = np.empty((count, kinds.size, steps, d1 * d2, k), complex)
             if self.from_monomial is None:
-                chains[:, :, 0] = lw
+                chains[:, :, 0] = lw.swapaxes(2, 3)
             else:
-                np.multiply(self.from_monomial[:, None, :, None], lw, out=chains[:, :, 0])
-            lw = chains[:, :, 0]
-            scale = np.maximum(1.0, np.abs(lw).max(axis=2))
-            resid = np.abs(sm @ lw).max(axis=2) / scale
+                np.multiply(self.from_monomial[:, None, :, None], lw.swapaxes(2, 3),
+                            out=chains[:, :, 0])
             for m in range(1, steps):
                 np.matmul(sp, chains[:, :, m - 1], out=chains[:, :, m])
-            size = np.abs(chains).max(axis=3) / scale[:, :, None, :]
+            size = np.abs(chains).max(axis=3)
+            # the largest lowest-weight entry, step 0 of the sizes, or 1
+            scale = np.maximum(1.0, size[:, :, :1])
+            resid = np.abs(sm @ chains[:, :, 0]).max(axis=2) / scale[:, :, 0]
+            size /= scale
             # a live step is sound where its relative size is in [CHAIN_TOL, inf)
             sizes = np.where(self.layout.live, size, CHAIN_TOL)
             sound = resid.max() <= CHAIN_TOL and CHAIN_TOL <= sizes.min() and sizes.max() < np.inf
@@ -265,7 +289,8 @@ class ProductSpace:
         number where x is NaN or 0; only the blocks of size 2 or more go to
         the SVD."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            norms = np.linalg.norm(blocks, axis=-2, keepdims=True)
+            # the column norms, as np.linalg.norm forms them
+            norms = np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-2, keepdims=True))
             if np.isinf(norms).any():
                 raise ParameterDomainError(
                     "the eigenvector chains are too large to normalise: a power of q overflows")
@@ -287,13 +312,13 @@ class ProductSpace:
         spectral form, when ``form`` and the form is not built yet (at the
         rational point, q on the zero log branch, the barred chains are the
         unbarred ones, so Delta alone), then ``sector``, a family (kind, us),
-        when given: one :meth:`chains` pass, one cut of the chains into
-        weight blocks, one :meth:`unit_blocks` call that conditions the
-        form's unbarred family and the sector family together, one test of
-        those blocks against :data:`COND_LIMIT`, which raises
-        :class:`SingularBasis` for the worst block of the lowest failing
-        sample, and one :meth:`coproducts` broadcast for those families and
-        the families ``read``.
+        when given: one :meth:`coproducts` scatter for those families and
+        the families ``read``, one :meth:`chains` pass, one cut of the chains
+        into weight blocks (one flat take, :meth:`_BlockLayout.cut`), one
+        :meth:`unit_blocks` call that conditions the form's unbarred family
+        and the sector family together, and one test of those blocks
+        against :data:`COND_LIMIT`, which raises :class:`SingularBasis` for
+        the worst block of the lowest failing sample.
 
         It keeps the spectral form it builds.  It gives the sector family's
         chains (S, d1+d2-1, d1*d2, k), or None without ``sector``, and the
@@ -310,8 +335,13 @@ class ProductSpace:
         if not families:
             return None, None
         sp, sm = self.coproducts(families)
-        at = [families.index(family) for family in read]
-        gens = (sp[:, at], sm[:, at]) if read else None
+        gens = None
+        if read:
+            at = [families.index(family) for family in read]
+            # the families read follow those raised, so they are mostly one slice, not a copy
+            if at == list(range(at[0], at[0] + len(at))):
+                at = slice(at[0], at[0] + len(at))
+            gens = sp[:, at], sm[:, at]
         if not raised:
             return None, gens
         chains = self.chains(families[:raised], (sp[:, :raised], sm[:, :raised]))
@@ -358,11 +388,17 @@ class ProductSpace:
     def spectral_form(self) -> SpectralForm:
         """The u-independent spectral form of R at every sample, built from
         the chains at u = 0 the first time it is asked for, by a
-        :meth:`chain_pass` of its families alone unless one built it before;
-        that pass raises the form's errors, and a form that fails is not
-        kept, so every call raises them."""
-        if self._form is None:
-            self.chain_pass()
+        :meth:`chain_pass` of its families alone unless one built it before.
+        That pass raises the form's errors; the space keeps the error, so
+        each later call raises it again, its traceback cleared, with no
+        second pass."""
+        if self._form is None and self._form_error is None:
+            try:
+                self.chain_pass()
+            except QybeError as exc:
+                self._form_error = exc
+        if self._form_error is not None:
+            raise self._form_error.with_traceback(None)
         return self._form
 
 
@@ -419,45 +455,55 @@ def _targets(d1: int, d2: int, step1: int, step2: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class _BlockLayout:
-    """Where the weight blocks of a d1 x d2 product sit.
+    """Where the weight blocks of a d1 x d2 product sit, and the flat indices
+    of every gather and scatter of the spin-pair pass.
 
     Block b (b = 0..d1+d2-2, weight b - (d1+d2-2)/2) spans the ``sizes[b]``
     monomials x1^j x2^(b-j), in ascending j.  Sector n has one vector in
     block b for each n < sizes[b]: its (b-n)-th descendant, so ``live[m, n]``
     marks the steps m < d1+d2-1-2n of the chain of sector n.  Blocks are
-    padded to k x k, k = min(d1, d2), with the identity outside the
-    ``inside`` mask.  For the entries inside, in C order, ``dst`` is the
-    flat position in the d x d matrix and ``twist`` is j' - j for the entry
-    that maps x1^j' x2^. to x1^j x2^.: the power of q^u that the twist
-    T_u = q^{-u(S1-S2)/2} puts on it; ``inside_flat`` is where those entries
-    sit in the flattened padded blocks.  ``moves[g, t]`` is where term t of
-    generator g (:func:`_twisted_terms`) of each column lands in the flat
-    d x d matrix: k1 (S1 term) or k2 (S2 term) moved by -1 for S-, 1 for S+,
-    mod d1 or d2; ``exchanges`` is where S1- S2+ (row 0) and S1+ S2- (row 1)
-    move each column, k1 and k2 moved together, mod d1 and d2.  Layouts are
+    padded to k x k, k = min(d1, d2), with the identity ``padding`` where
+    ``outside`` is set; ``gather[b, i, n]`` is where entry i of the vector
+    of sector n in block b sits in a family's flattened chains
+    (d1+d2-1, d, k), 0 outside.  For the entries inside, in C order,
+    ``dst`` is the flat position in the d x d matrix and
+    ``twist`` is j' - j for the entry that maps x1^j' x2^. to x1^j x2^.: the
+    power of q^u that the twist T_u = q^{-u(S1-S2)/2} puts on it;
+    ``inside_flat`` is where those entries sit in the flattened padded
+    blocks.  ``scatter[t, kind]`` is where term t of each (slot a, column)
+    of a family of that kind (:func:`_twisted_terms`) lands in the family's
+    S- and S+, flattened together (2, d, d): the term of generator
+    g = a ^ kind, k1 (S1 term, t = 0) or k2 (S2 term) moved by -1 for S-,
+    1 for S+, mod d1 or d2; only where both factors have dimension 1 do two
+    terms land on one entry (``repeats``).  ``exchanges`` is where S1- S2+
+    (row 0) and S1+ S2- (row 1) move each column, k1 and k2 moved together,
+    mod d1 and d2, and ``identity`` is the d x d identity.  Layouts are
     memoised on (d1, d2), so their arrays are read-only.
     """
 
     sizes: np.ndarray
     live: np.ndarray
-    inside: np.ndarray
-    take: tuple
+    outside: np.ndarray
+    padding: np.ndarray
+    gather: np.ndarray
     dst: np.ndarray
     twist: np.ndarray
     inside_flat: np.ndarray
-    moves: np.ndarray
+    scatter: np.ndarray
+    repeats: bool
     exchanges: np.ndarray
+    identity: np.ndarray
     dim: int
 
     def __post_init__(self):
-        for arr in (self.sizes, self.live, self.inside, *self.take, self.dst, self.twist,
-                    self.inside_flat, self.moves, self.exchanges):
+        for arr in (self.sizes, self.live, self.outside, self.padding, self.gather, self.dst,
+                    self.twist, self.inside_flat, self.scatter, self.exchanges, self.identity):
             arr.setflags(write=False)
 
     @classmethod
     @functools.lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
     def of_dims(cls, d1: int, d2: int) -> "_BlockLayout":
-        k, nb = min(d1, d2), d1 + d2 - 1
+        k, nb, dim = min(d1, d2), d1 + d2 - 1, d1 * d2
         b = np.arange(nb)[:, None]
         n = np.arange(k)
         j = np.maximum(0, b - d2 + 1) + n
@@ -465,20 +511,49 @@ class _BlockLayout:
         row_ok = n < sizes[:, None]
         rows = np.where(row_ok, j * d2 + b - j, 0)
         inside = row_ok[:, :, None] & row_ok[:, None, :]
-        return cls(sizes=sizes, live=b < nb - 2 * n, inside=inside,
-                   take=(b[:, :, None] - n, rows[:, :, None], n),
-                   dst=(rows[:, :, None] * (d1 * d2) + rows[:, None, :])[inside],
+        # [g, t]: term t of generator g (0 for S-, 1 for S+) of every column
+        moves = np.array([[_targets(d1, d2, step, 0), _targets(d1, d2, 0, step)]
+                          for step in (-1, 1)])
+        gens = np.arange(2)[:, None] ^ np.arange(2)  # [kind, a]: the generator in slot a
+        # [t, kind, a, column]
+        scatter = gens[:, :, None] * dim * dim + moves[gens].transpose(2, 0, 1, 3)
+        return cls(sizes=sizes, live=b < nb - 2 * n, outside=~inside,
+                   padding=np.eye(k),
+                   gather=np.where(inside, ((b[:, :, None] - n) * dim + rows[:, :, None]) * k + n,
+                                   0),
+                   dst=(rows[:, :, None] * dim + rows[:, None, :])[inside],
                    twist=(j[:, None, :] - j[:, :, None])[inside],
-                   inside_flat=np.flatnonzero(inside),
-                   moves=np.array([[_targets(d1, d2, step, 0), _targets(d1, d2, 0, step)]
-                                   for step in (-1, 1)]),
+                   inside_flat=np.flatnonzero(inside), scatter=scatter,
+                   repeats=len(set(scatter[:, 0].ravel().tolist())) < scatter[:, 0].size,
                    exchanges=np.array([_targets(d1, d2, -1, 1), _targets(d1, d2, 1, -1)]),
-                   dim=d1 * d2)
+                   identity=np.eye(dim), dim=dim)
+
+    def generators(self, terms: np.ndarray, kinds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S+ and S- of each family, two (S, F, d, d) views of one buffer of
+        both, from the terms (2, S, F, 2, d1, d2) of :func:`_twisted_terms`
+        of the families' kinds, by one scatter onto +0.0; ``terms`` is
+        written over."""
+        count, size = terms.shape[1:3]
+        gens = np.zeros((count, size, 2, self.dim, self.dim), complex)
+        # [t, f, a, column]
+        targets = np.arange(size)[:, None, None] * (2 * self.dim ** 2) + self.scatter[:, kinds]
+        flat, terms = gens.reshape(count, -1), terms.reshape(2, count, -1)
+        if self.repeats:
+            # both factors of dimension 1: the two terms of a generator land on one entry and add
+            np.add.at(flat, (slice(None), targets.reshape(2, -1)), terms.swapaxes(0, 1))
+        else:
+            # as an addition onto the +0.0 would, a -0.0 term lands as +0.0
+            np.add(terms, 0.0, out=terms)
+            flat[:, targets.reshape(2, -1)] = terms.swapaxes(0, 1)
+        return gens[:, :, 1], gens[:, :, 0]
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
         """The padded weight blocks of chains c[..., m, :, n] (see
-        :meth:`ProductSpace.chains`), leading axes kept."""
-        return np.where(self.inside, chains[(..., *self.take)], np.eye(self.inside.shape[1]))
+        :meth:`ProductSpace.chains`), leading axes kept: one flat take and
+        the identity padding."""
+        blocks = chains.reshape(*chains.shape[:-3], -1)[..., self.gather]
+        np.copyto(blocks, self.padding, where=self.outside)
+        return blocks
 
     def conditioning_error(self, cond: np.ndarray, limit: float) -> SingularBasis:
         """:class:`SingularBasis` for the worst block whose condition number
@@ -603,7 +678,7 @@ def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, 
     sector's residual and spread are the largest over its own steps.
     """
     x = np.arange(chains.shape[-1]) - ell1 - ell2
-    qn = _qnums(np.stack([x, x - 1])[None], qs)
+    qn = _qnums(np.array([[x, x - 1]]), qs)
     lam = qn[:, 0] * qn[:, 1]
     # v[s, m, n] is step m of the chain of sector n
     v = chains.swapaxes(-1, -2)

@@ -220,15 +220,19 @@ def _replay(suite: _Suite, points, records, params, residuals: list) -> Exceptio
 
 def _reports(suite: _Suite, records: list, residuals: list) -> list[ResidualReport]:
     """The reports of ``suite``, whose samples have ``records`` and
-    ``residuals``: one, or one per name of dicts of named residuals.
-    Residuals fold with a NaN-keeping max, so a non-finite one fails the
-    report."""
-    worst = {}
-    for res in residuals:
-        for name, r in (res.items() if isinstance(res, dict) else [(None, res)]):
-            worst[name] = _nan_max(worst.get(name, 0.0), r)
-    return [ResidualReport(suite.identity_id.format(name), tuple(records), w, suite.tol,
-                           suite.cfg.rng_seed) for name, w in worst.items()]
+    ``residuals``: one, or one per name of dicts of named residuals, in the
+    order the names first come.  Each name's residuals fold in one
+    NaN-keeping max from 0.0, so a non-finite one fails the report."""
+    if not residuals or isinstance(residuals[0], dict):
+        named = {}
+        for res in residuals:
+            for name, r in res.items():
+                named.setdefault(name, []).append(r)
+    else:
+        named = {None: residuals}
+    samples = tuple(records)
+    return [ResidualReport(suite.identity_id.format(name), samples, _nan_max(0.0, *values),
+                           suite.tol, suite.cfg.rng_seed) for name, values in named.items()]
 
 
 def _check(suite):
@@ -459,6 +463,9 @@ _RELATIONS = ("qs_commute", "lower_twisted", "raise_twisted", "lower_twisted_bar
 # (K-bar, in slot 7 + j, is no input)
 _SCALE_SLOTS = np.array([[15, 7 - j, 7 - j if name.startswith("k_") else 7 + j]
                          for j, name in enumerate(_RELATIONS)])
+# the operand slots of the K operators less (q - 1/q)^2 S1- S2+ (row 0) and of
+# those less (q - 1/q)^2 S1+ S2- (row 1)
+_K_SLOTS = np.array([[[2], [13]], [[1], [12]]])
 
 
 def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
@@ -495,15 +502,16 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     # Delta at u and Delta-bar at u right of R; Delta-bar at -u and Delta at -u left of it
     right[:, 1:5:2], right[:, 2:5:2] = sm[:, 0::2], sp[:, 0::2]
     left[:, 1:5:2], left[:, 2:5:2] = sm[:, 3::-2], sp[:, 3::-2]
-    diagonals = ops.reshape(count, 16, d * d)[..., ::d + 1]
+    flat = ops.reshape(count, 16, d * d)
+    diagonals = flat[..., ::d + 1]
     diagonals[:, 7] = np.exp(space.weights * lb[:, None])
     # K and K-bar of k_plus_minus in slots 2 and 12, of k_minus_plus in 1 and 13
     diagonals[:, 2:13:10], diagonals[:, 1:14:12] = k_diagonals[:, 0], k_diagonals[:, 1]
-    flat = ops.reshape(count, 16 * d * d)
-    slots = np.array([[[2], [13]], [[1], [12]]])
-    down_up, up_down = slots * (d * d) + space.layout.exchanges[:, None]
-    flat[:, down_up] -= (c2 * (f1.lower[:, :, None] * f2.lift[:, None, :])).reshape(count, 1, d)
-    flat[:, up_down] -= (c2 * (f1.lift[:, :, None] * f2.lower[:, None, :])).reshape(count, 1, d)
+    down_up, up_down = space.layout.exchanges
+    flat[:, _K_SLOTS[0], down_up] -= (c2 * (f1.lower[:, :, None] * f2.lift[:, None, :])
+                                      ).reshape(count, 1, d)
+    flat[:, _K_SLOTS[1], up_down] -= (c2 * (f1.lift[:, :, None] * f2.lower[:, None, :])
+                                      ).reshape(count, 1, d)
     # Cbar(u) and C(-u), the Casimirs of Delta-bar at u and Delta at -u, in slots 0 and 14
     np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], diagonal[:, None], out=ops[:, ::14])
     ops[:, 15] = r
@@ -543,15 +551,34 @@ def _casimir_residuals(space: ProductSpace, chains: np.ndarray, delta_u: tuple,
     return np.concatenate([resid, spread], axis=1).max(axis=1).tolist()
 
 
+class _piece(functools.cached_property):
+    """A piece of a :class:`_PairRun`, built the first time a suite reads
+    it and kept, or, where the build raises, its error kept in the run's
+    ``errors``, which every later read raises again, its traceback
+    cleared."""
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            return self
+        error = run.errors.get(self.attrname)
+        if error is None:
+            try:
+                return super().__get__(run, owner)
+            except Exception as exc:  # what every suite that reads the piece raises
+                run.errors[self.attrname] = error = exc
+        raise error.with_traceback(None)
+
+
 class _PairRun:
     """One run of at most :data:`_STACK_SIZE` samples (q_s, u_s) of a spin
     pair, and the pieces that its suites share: the view of the pair's
     suites (see :class:`_Suite`), whose ``reads`` names the suites that
     read it ("decomposed", "unitarity", "casimir"), so that it builds only
     what they read, each piece the first time a suite asks for it.  The
-    suites read the pieces and do not write them.  A piece that raises is
-    not kept, so every suite that asks for it raises, and :func:`_run`
-    replays the run for each such suite with a view of its own.
+    suites read the pieces and do not write them.  A piece that raises
+    keeps its error (:class:`_piece`), so it is built once per run, and every
+    suite that asks for it raises that error; :func:`_run` then replays the
+    run for each such suite with a view of its own.
 
     The pieces are the :class:`ProductSpace` of the run; one
     :meth:`ProductSpace.chain_pass` of it, which raises Delta and Delta-bar
@@ -572,14 +599,15 @@ class _PairRun:
         self.ell1, self.ell2, self.reads = ell1, ell2, reads
         qs, self.us = zip(*points)
         self.qs = _QStack.of(qs)
+        self.errors = {}
 
-    @functools.cached_property
+    @_piece
     def space(self) -> ProductSpace:
         if self.qs.rational:
             return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")
         return ProductSpace.stack_of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
 
-    @functools.cached_property
+    @_piece
     def chain_pass(self) -> tuple:
         """The run's :meth:`ProductSpace.chain_pass`: the Casimir sector
         chains, or None, and the coproducts of the
@@ -592,7 +620,7 @@ class _PairRun:
                                      form=bool(self.reads & {"decomposed", "unitarity"}),
                                      read=read)
 
-    @functools.cached_property
+    @_piece
     def r(self) -> np.ndarray:
         """R(u_s), then R(-u_s) when the unitarity suite reads the run, for
         every sample.  A run of one sample raises what :func:`assemble_R`
@@ -617,7 +645,7 @@ class _PairRun:
         r.setflags(write=False)
         return r
 
-    @functools.cached_property
+    @_piece
     def casimir_diagonal(self) -> np.ndarray:
         return _casimir_diagonals(self.space.weights, self.qs)
 
@@ -631,7 +659,7 @@ class _PairRun:
         one solve over the spectral form."""
         r, count = self.r, len(self.us)
         prod = _perturbed(r[:count], perturb) @ r[count:]
-        return _residuals(prod, np.eye(prod.shape[-1]), prod)
+        return _residuals(prod, self.space.layout.identity, prod)
 
     def casimir(self) -> list[float]:
         """The worst Casimir residual or m-spread of each sample; no R is

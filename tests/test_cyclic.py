@@ -9,7 +9,7 @@ from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, central_element
                   cyclic_R_eigenvalues, eigenstate_family, family_closure_defect,
                   family_ratio, partial_R, qnum, sample_compatible_params, shift_prefactor,
                   tensor_power_scalars)
-from qybe import ToleranceConfig, cyclic, verify
+from qybe import ToleranceConfig, cyclic, tensorrep, verify
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
                          OrderMismatch, ParameterDomainError, SamplerExhausted,
@@ -310,6 +310,34 @@ def test_sector_bands_are_the_slices_of_the_dense_coproduct(n, rng):
                 rows = _sector_indices(n, (i + 1) * step)
                 cols = _sector_indices(n, i * step)
                 assert np.array_equal(blocks[i], mat[np.ix_(rows, cols)])
+
+
+def _gathered_diagonals(reps1, reps2, us):
+    """The sector diagonals gathered from the coproduct kernel's dense grid
+    of terms [t, s, f, a, k1, k2]: sm_u, sp_u, sm_bar_u and sp_bar_u are
+    slots (0, 0), (0, 1), (1, 1) and (1, 0)."""
+    n = reps1.lift.shape[1]
+    terms = tensorrep._twisted_terms(
+        reps1, reps2, *tensorrep._family_arrays([("delta", us), ("deltabar", us)]))
+    r = np.arange(n)
+    steps = cyclic._STEPS[:, None, None]
+    k2 = (steps * r[:, None] - r) % n
+    f, a = np.array([0, 0, 1, 1])[:, None, None], np.array([0, 1, 1, 0])[:, None, None]
+    return terms[1][:, f, a, r, k2], terms[0][:, f, a, (r - steps) % n, (k2 + steps) % n]
+
+
+@pytest.mark.parametrize("n", [3, 7, 19])
+def test_sector_diagonals_are_the_dense_terms_gathered_by_sector(n, rng):
+    """Gathering the bands and q-powers by sector before they multiply gives
+    the terms of the dense grid, bit for bit, at stacks of 1 and 3."""
+    for count in (1, 3):
+        specs = [_random_spec(n, rng) for _ in range(2 * count)]
+        us = [sample_u(rng, scale=0.6) for _ in range(count)]
+        reps = cyclic._halves(cyclic._rep_bands(specs))
+        for got, want in zip(cyclic._sector_diagonals(*reps, us), _gathered_diagonals(*reps, us),
+                             strict=True):
+            assert got.shape == want.shape == (count, 4, n, n)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])

@@ -10,8 +10,8 @@ import qybe.tensorrep as tensorrep
 from conftest import product_values, q_inverse
 from qybe import (RATIONAL, DeformationParameter, ProductSpace, assemble_R, build_spin_rep,
                   closed_form_R, eigenvalue_sequence, normalize_global, qnum)
-from qybe.errors import (BadSpin, ParameterDomainError, PoleAtSector, QybeError,
-                         SingularBasis, UnsupportedPair)
+from qybe.errors import (BadSpin, CompletenessFailure, ParameterDomainError, PoleAtSector,
+                         QybeError, SingularBasis, UnsupportedPair)
 from qybe.qcore import residual, sample_generic_q, sample_u
 from qybe.tensorrep import _SPACE_MEMO_SIZE, _spin_space
 from qybe.verify import _regular_point, decomposed_residuals
@@ -441,6 +441,28 @@ def test_assembly_reuses_the_space_form(q_generic, monkeypatch):
         assemble_R(1.0, 1.5, u, q_generic)
     assert ProductSpace.of_spins(1.0, 1.5, q_generic, "orthonormal") is space
     assert space.spectral_form() is form
+
+
+@pytest.mark.parametrize("ell", [1.0, 3.0])
+def test_a_failed_form_is_raised_again_without_a_pass(ell, monkeypatch):
+    """The memoised space keeps the error of the form that failed: three
+    failing calls make one chain pass, raise the same type and message,
+    and the traceback of the third is no longer than that of the first."""
+    passes = []
+    chain_pass = ProductSpace.chain_pass
+
+    def counting_pass(self, *args, **kwargs):
+        passes.append(args)
+        return chain_pass(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProductSpace, "chain_pass", counting_pass)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(CompletenessFailure) as exc:
+            assemble_R(ell, ell, 0.3 - 0.1j, DeformationParameter.root_of_unity(3))
+        raised.append((type(exc.value), str(exc.value), len(exc.traceback)))
+    assert passes == [()]
+    assert raised[1:] == raised[:1] * 2
 
 
 def test_rational_assembly_solves_on_the_given_space(monkeypatch):

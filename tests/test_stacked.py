@@ -862,6 +862,15 @@ def test_a_casimir_failure_of_a_shared_pass_leaves_the_other_suites_alone(monkey
         return lowest(ell1, ell2, us, signs, qs, d1, d2, count) + broken[None, :, None, None]
 
     monkeypatch.setattr(tensorrep, "_lowest_weights", corrupted)
+    chain_pass = ProductSpace.chain_pass
+    shared_passes = []
+
+    def counting_pass(self, *args, **kwargs):
+        if len(self.qs) > 1:
+            shared_passes.append(self.dims)
+        return chain_pass(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProductSpace, "chain_pass", counting_pass)
     timings = {}
     inside = {report.identity_id: report.to_dict()
               for report in cli._run_suite("all", cfg, 3, 0.0, timings)}
@@ -869,6 +878,9 @@ def test_a_casimir_failure_of_a_shared_pass_leaves_the_other_suites_alone(monkey
     replayed = {row["suite"] for row in timings["runs"] if row["replayed"]}
     assert replayed == {f"{name}({l1},{l2})" for l1, l2 in cli.GOLDEN_PAIRS
                         for name in ("decomposed[{}]", "unitarity[xxz]", "casimir_spectrum")}
+    # the shared view of each golden pair keeps its failed pass: one pass per
+    # pair, not one per suite, before the three suites replay the run
+    assert shared_passes == [(int(2 * l1 + 1), int(2 * l2 + 1)) for l1, l2 in cli.GOLDEN_PAIRS]
 
     # where the Casimir family fails alone too, a replay of the decomposed
     # suite still builds what that suite reads, and no Casimir sectors

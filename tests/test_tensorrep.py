@@ -333,13 +333,13 @@ def _assert_terms_are_the_kron_pieces(rep1, rep2):
     apart, and the pieces vanish everywhere else."""
     space = ProductSpace(rep1, rep2)
     kinds = ("delta", "deltabar")
-    terms = _twisted_terms(*space.factors, *_family_arrays([(k, [0.0]) for k in kinds]))[0]
+    terms = _twisted_terms(*space.factors, *_family_arrays([(k, [0.0]) for k in kinds]))[:, 0]
     for f, kind in enumerate(kinds):
         for gen in (0, 1):
             for t, piece in enumerate(_kron_pieces(rep1, rep2, kind, gen)):
-                at = space.layout.moves[gen, t]
+                at = _reference_moves(*space.dims)[gen, t]
                 # adding 0.0 clears the sign of a zero
-                assert _same_bits(terms[f, gen ^ f, t].ravel() + 0.0, piece.ravel()[at] + 0.0)
+                assert _same_bits(terms[t, f, gen ^ f].ravel() + 0.0, piece.ravel()[at] + 0.0)
                 assert not np.delete(piece.ravel(), at).any()
 
 
@@ -673,7 +673,7 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     space = ProductSpace.of_spins(1.0, 1.5, q_generic, basis)
     space.coproduct("delta", 0.3)
     space.coproduct("deltabar", 0.3)
-    shared = _space_arrays(space) + [space.layout.moves]
+    shared = _space_arrays(space) + [space.layout.scatter]
     if basis == "orthonormal":
         shared += [f.from_monomial for f in space.factors] + [space.from_monomial]
     assert len(shared) == (11 if basis == "monomial" else 14)
@@ -755,9 +755,83 @@ def test_block_layout_is_memoised_and_read_only():
     layout = tensorrep._BlockLayout.of_dims(3, 4)
     assert tensorrep._BlockLayout.of_dims(3, 4) is layout
     fresh = tensorrep._BlockLayout.of_dims.__wrapped__(tensorrep._BlockLayout, 3, 4)
-    arrays = [layout.sizes, layout.live, layout.inside, *layout.take, layout.dst, layout.twist]
-    for arr, ref in zip(arrays, [fresh.sizes, fresh.live, fresh.inside, *fresh.take,
-                                 fresh.dst, fresh.twist], strict=True):
+    names = ["sizes", "live", "outside", "padding", "gather", "dst", "twist", "inside_flat",
+             "scatter", "exchanges", "identity"]
+    for arr, ref in zip(*([getattr(lay, name) for name in names] for lay in (layout, fresh)),
+                        strict=True):
         assert np.array_equal(arr, ref)
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# the layout-held scatter and cut against the four-way scatter-add and the
+# take-and-where that they replace
+
+def _reference_moves(d1, d2):
+    """Where term t of generator g (0 for S-, 1 for S+) lands for each
+    column in the flat d x d matrix, [g, t]: k1 (t = 0) or k2 (t = 1)
+    moved by -1 for S-, 1 for S+."""
+    return np.array([[tensorrep._targets(d1, d2, step, 0), tensorrep._targets(d1, d2, 0, step)]
+                     for step in (-1, 1)])
+
+
+def _reference_generators(terms, kinds, d1, d2):
+    """S+ and S- from the terms [t, s, f, a] of :func:`_twisted_terms`, one
+    scatter-add per generator and term onto zeros."""
+    count, size = terms.shape[1:3]
+    dim = d1 * d2
+    terms = terms.reshape(2, count, size, 2, dim)
+    moves = _reference_moves(d1, d2)
+    gens = [np.zeros((count, size, dim * dim), complex) for _ in range(2)]
+    for g, t in np.ndindex(2, 2):
+        gens[g][..., moves[g, t]] += terms[t, :, np.arange(size), g ^ kinds].swapaxes(0, 1)
+    return tuple(gen.reshape(count, size, dim, dim) for gen in gens[::-1])
+
+
+def _reference_cut(chains, d1, d2):
+    """The padded weight blocks of the chains, by one take of three index
+    arrays (m, row, n) and a where against the identity."""
+    k, nb = min(d1, d2), d1 + d2 - 1
+    b = np.arange(nb)[:, None]
+    n = np.arange(k)
+    j = np.maximum(0, b - d2 + 1) + n
+    sizes = np.minimum(b, d1 - 1)[:, 0] - j[:, 0] + 1
+    row_ok = n < sizes[:, None]
+    rows = np.where(row_ok, j * d2 + b - j, 0)
+    inside = row_ok[:, :, None] & row_ok[:, None, :]
+    return np.where(inside, chains[..., b[:, :, None] - n, rows[:, :, None], n], np.eye(k))
+
+
+def _signed(rng, shape):
+    """Complex entries whose real and imaginary parts are normal draws, a
+    third of them replaced by +0.0 or -0.0 and a few by inf or NaN."""
+    parts = rng.normal(size=(*shape, 2))
+    pick = rng.random(parts.shape)
+    parts[pick < 0.3] = rng.choice([0.0, -0.0], size=parts.shape)[pick < 0.3]
+    parts[pick > 0.98] = rng.choice([np.inf, -np.inf, np.nan], size=parts.shape)[pick > 0.98]
+    return parts.view(complex)[..., 0]
+
+
+def _same_bits_array(got, want):
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d1", range(1, 8))
+def test_layout_scatter_and_cut_equal_the_four_way_references(d1):
+    rng = np.random.default_rng(d1)
+    for d2 in range(1, 8):
+        layout = tensorrep._BlockLayout.of_dims(d1, d2)
+        k, steps, dim = min(d1, d2), d1 + d2 - 1, d1 * d2
+        for count in (1, 3):
+            for kinds in (np.array([0]), np.array([1]), np.array([0, 1, 1, 0, 1])):
+                terms = _signed(rng, (2, count, kinds.size, 2, d1, d2))
+                want = _reference_generators(terms, kinds, d1, d2)
+                got = layout.generators(terms.copy(), kinds)
+                assert all(_same_bits_array(g, w) for g, w in zip(got, want, strict=True))
+            chains = _signed(rng, (count, 3, steps, dim, k))
+            assert _same_bits_array(layout.cut(chains), _reference_cut(chains, d1, d2))
+        # the terms of a family of either kind land on distinct entries, but at (1, 1)
+        distinct = [np.unique(targets).size == targets.size
+                    for targets in layout.scatter.swapaxes(0, 1)]
+        assert distinct == [(d1, d2) != (1, 1)] * 2 and layout.repeats == ((d1, d2) == (1, 1))
