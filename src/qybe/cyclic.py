@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
 from .qcore import (MAX_DRAWS, DeformationParameter, _check_finite, _nan_max, _QStack,
-                    _relative, qnum, sample_params)
+                    _relative, _require_finite_at, qnum, sample_params)
 from .rep import OperatorTriple, _Bands, _diag
 from .tensorrep import _require_shared_q, _twisted_terms
 
@@ -341,13 +341,17 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     Each N-th power is block-diagonal over the sectors k1 + k2 mod N, each
     block the product of the generator's N sector blocks
     (:func:`_sector_bands`) once around the cycle.  The stack of one of
-    :func:`_tensor_power_reports`; it raises at the first generator whose
-    off-scalar residual is above ``tol``, in the order sm_u, sp_u,
-    sm_bar_u, sp_bar_u.
+    :func:`_tensor_power_reports`.  It raises :class:`ParameterDomainError`
+    naming u where a scalar or closed form overflows, then at the first
+    generator whose off-scalar residual is above ``tol``, in the order sm_u,
+    sp_u, sm_bar_u, sp_bar_u.
     """
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
-    powers = _tensor_power_reports([spec1], [spec2], [u], *_halves(_rep_bands([spec1, spec2])))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        powers = _tensor_power_reports([spec1], [spec2], [u],
+                                       *_halves(_rep_bands([spec1, spec2])))
+    _require_finite_at(u, "the tensor powers are", powers.scalars, powers.closed_form_errors)
     report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
@@ -370,10 +374,14 @@ def _ratio_exponent(spec1, spec2, u, barred: bool):
 
 def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
-    """Geometric coefficient ratio along the support cycle of the family."""
+    """Geometric coefficient ratio along the support cycle of the family;
+    :class:`ParameterDomainError` names u where it overflows."""
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
-    return complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
+    _require_finite_at(u, "the family ratio is", ratio)
+    return ratio
 
 
 def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
@@ -382,9 +390,12 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
     The coefficients run along a closed N-cycle of basis labels, so a
     geometric ratio is consistent only when its N-th power is 1.
+    :class:`ParameterDomainError` names u where a defect overflows.
     """
-    return tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
-                 for barred in (False, True))
+    defects = tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
+                    for barred in (False, True))
+    _require_finite_at(u, "the closure defects are", defects)
+    return defects
 
 
 def _sector_index(n: int) -> np.ndarray:
@@ -438,12 +449,15 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
     A ``complex`` for an int m; an array of the prefactors for an array of
     m.  The stack of one of :func:`_prefactors`, so an int m gives the bits
-    of its entry in an array.
+    of its entry in an array.  :class:`ParameterDomainError` names u where
+    a prefactor overflows.
     """
     if relation not in _RELATIONS:
         raise ParameterDomainError(f"unknown relation {relation!r}")
     _check_finite(u=u)
-    c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
+    _require_finite_at(u, "the prefactors are", c)
     return c if np.ndim(m) else complex(c[0])
 
 
@@ -494,13 +508,17 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     prefactors (see :func:`shift_prefactor`).  The residuals are the stack
     of one of :func:`_shift_residuals`.  When the closure condition
     ratio^N = 1 fails the laws break at the cycle seam; with ``enforce`` the
-    first violation (or NaN residual) is raised, in the order lower, raise,
-    lower_bar, raise_bar with m ascending; otherwise residuals are just
-    reported.
+    first violation is raised, in the order lower, raise, lower_bar,
+    raise_bar with m ascending; otherwise residuals are just reported.
+    :class:`ParameterDomainError` names u where a vector or residual overflows.
     """
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
-    ratios, resids = _shift_residuals([spec1], [spec2], [u])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios, resids = _shift_residuals([spec1], [spec2], [u])
+        rho, sig = ratios[0]
+        phi, phibar = _family_vectors(spec1.n, (rho, sig))
+    _require_finite_at(u, "the family vectors and their shift residuals are", resids, phi, phibar)
     for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
@@ -509,8 +527,6 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                 name, j, float(r[j]),
                 f"shift relation '{name}' fails at m={j} (residual {r[j]:.3e}); "
                 f"closure defects |ratio^N - 1| = ({dm:.2e}, {db:.2e})")
-    rho, sig = ratios[0]
-    phi, phibar = _family_vectors(spec1.n, (rho, sig))
     return CyclicEigenFamily(phi=list(phi), phibar=list(phibar), ratio=rho, barred_ratio=sig,
                              shift_residuals={(name, j): x for name, r in
                                               zip(_RELATIONS, resids[0].tolist())
@@ -550,10 +566,14 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
 
 def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> np.ndarray:
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1.
-    The stack of one of :func:`_eigenvalue_steps`."""
+    The stack of one of :func:`_eigenvalue_steps`; :class:`ParameterDomainError`
+    names u where an R_m overflows."""
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
-    return _eigenvalue_steps([spec1], [spec2], [u])[1][0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r_m = _eigenvalue_steps([spec1], [spec2], [u])[1][0]
+    _require_finite_at(u, "the eigenvalues are", r_m)
+    return r_m
 
 
 def _eigenvalue_steps(specs1, specs2, us) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,15 @@ def _check_finite(**values) -> None:
             raise ParameterDomainError(f"{name} must be finite (got {name}={value})")
 
 
+def _require_finite_at(u, what: str, *values) -> None:
+    """:class:`ParameterDomainError`, naming u, where an entry of ``values``
+    (``what`` at u) is not finite: a power of q overflows.  The public
+    functions at one u run their kernels with numpy's overflow warnings off
+    and check the results here; the suites' stacked kernels do not."""
+    if not all(np.isfinite(value).all() for value in values):
+        raise ParameterDomainError(f"{what} not finite at u = {complex(u)}: a power of q overflows")
+
+
 def residual(lhs, rhs, *inputs) -> float:
     """Infinity-norm difference normalized by the largest input entry, or by
     1 when that is smaller.  Operands are arrays or scalars; a NaN in

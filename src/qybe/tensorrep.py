@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis)
-from .qcore import DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative
+from .qcore import (DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative,
+                    _require_finite_at)
 from .rep import OperatorTriple, _Bands, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
@@ -49,8 +50,8 @@ def _kind_index(kind: str) -> int:
 def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
     """The kind index (F,) of each family (kind, us) of ``families``, 0 for
     Delta and 1 for Delta-bar, and the us as an (S, F) array: what
-    :meth:`ProductSpace.coproducts` and :meth:`ProductSpace.chains` read of
-    the families."""
+    :meth:`ProductSpace.coproducts` and :meth:`ProductSpace.chain_pass` read
+    of the families."""
     kinds = np.array([_kind_index(kind) for kind, _ in families])
     return kinds, np.array([us for _, us in families], complex).T
 
@@ -113,7 +114,7 @@ def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray,
 
 def _sector_chains(chains: np.ndarray) -> list[np.ndarray]:
     """Entry n is the raising chain of sector n, the live steps of the
-    chains c[..., m, :, n] (see :meth:`ProductSpace.chains`)."""
+    chains c[..., m, :, n] (see :meth:`ProductSpace._chains`)."""
     steps, k = chains.shape[-3], chains.shape[-1]
     return [chains[..., :steps - 2 * n, :, n] for n in range(k)]
 
@@ -169,7 +170,6 @@ class ProductSpace:
             self.from_monomial = _read_only((d1[:, :, None] * d2[:, None, :]).reshape(len(d1), -1))
         self.layout = _BlockLayout.of_dims(*self.dims)
         self._form: SpectralForm | None = None
-        self._form_error: QybeError | None = None
 
     @staticmethod
     def of_spins(ell1, ell2, q: DeformationParameter,
@@ -213,24 +213,30 @@ class ProductSpace:
                          S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
             "deltabar":  the q -> 1/q twin (all twist exponents negated).
 
-        A u that is not finite raises :class:`ParameterDomainError`.
+        A u that is not finite raises :class:`ParameterDomainError`, and so
+        does, naming u, a u so large that a power of q overflows in the
+        matrices.
         """
         _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
-        sp, sm = self.coproducts([(kind, [u])])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sp, sm = self.coproducts([(kind, [u])])
+        _require_finite_at(u, "the coproduct is", sp, sm)
         f1, f2 = self.factors
         fm = self.from_monomial
         return OperatorTriple(sp=sp[0, 0], sm=sm[0, 0], weights=self.weights, q=self.qs[0],
                               basis_tag=f"{f1.basis_tag}*{f2.basis_tag}", ell=None,
                               from_monomial=None if fm is None else fm[0])
 
-    def chains(self, families, gens: tuple | None = None) -> np.ndarray:
-        """The raising chains of every sector of each family (kind, us) of
-        ``families`` at u_s, for every sample s, all raised in one pass: one
-        lowest-weight recurrence and one raising loop over the stacked
-        generators.  ``gens``, when given, is the :meth:`coproducts` of the
-        families.
+    def _chains(self, kinds: np.ndarray, us: np.ndarray, sp: np.ndarray,
+                sm: np.ndarray) -> np.ndarray:
+        """The chain stage of :meth:`chain_pass`: the raising chains of every
+        sector of F families, of the kind indices ``kinds`` (F,) at the us
+        (S, F) of :func:`_family_arrays`, for every sample s, all raised in
+        one pass from their coproducts ``sp`` and ``sm`` (S, F, d, d), under
+        the errstate of the pass: one lowest-weight recurrence and one
+        raising loop over the stacked generators.
 
         Returns c of shape (S, F, d1+d2-1, d1*d2, k), k = min(d1, d2), with
         c[s, f, m][:, n] = (S+_u)^m v_n for family f and v_n the lowest-weight
@@ -247,29 +253,25 @@ class ProductSpace:
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
             raise ParameterDomainError("eigen-sectors need two finite spins")
-        sp, sm = self.coproducts(families) if gens is None else gens
-        kinds, us = _family_arrays(families)
         (d1, d2), count = self.dims, len(self.qs)
         k, steps = min(d1, d2), d1 + d2 - 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            lw = _lowest_weights(f1.ell, f2.ell, us, 1.0 - 2.0 * kinds, self.qs, d1, d2, k)
-            chains = np.empty((count, kinds.size, steps, d1 * d2, k), complex)
-            if self.from_monomial is None:
-                chains[:, :, 0] = lw.swapaxes(2, 3)
-            else:
-                np.multiply(self.from_monomial[:, None, :, None], lw.swapaxes(2, 3),
-                            out=chains[:, :, 0])
-            for m in range(1, steps):
-                np.matmul(sp, chains[:, :, m - 1], out=chains[:, :, m])
-            size = np.abs(chains).max(axis=3)
-            # the largest lowest-weight entry, step 0 of the sizes, or 1
-            scale = np.maximum(1.0, size[:, :, :1])
-            resid = np.abs(sm @ chains[:, :, 0]).max(axis=2) / scale[:, :, 0]
-            size /= scale
-            # a live step is sound where its relative size is in [CHAIN_TOL, inf)
-            sizes = np.where(self.layout.live, size, CHAIN_TOL)
-            sound = resid.max() <= CHAIN_TOL and CHAIN_TOL <= sizes.min() and sizes.max() < np.inf
-        if sound:
+        lw = _lowest_weights(f1.ell, f2.ell, us, 1.0 - 2.0 * kinds, self.qs, d1, d2, k)
+        chains = np.empty((count, kinds.size, steps, d1 * d2, k), complex)
+        if self.from_monomial is None:
+            chains[:, :, 0] = lw.swapaxes(2, 3)
+        else:
+            np.multiply(self.from_monomial[:, None, :, None], lw.swapaxes(2, 3),
+                        out=chains[:, :, 0])
+        for m in range(1, steps):
+            np.matmul(sp, chains[:, :, m - 1], out=chains[:, :, m])
+        size = np.abs(chains).max(axis=3)
+        # the largest lowest-weight entry, step 0 of the sizes, or 1
+        scale = np.maximum(1.0, size[:, :, :1])
+        resid = np.abs(sm @ chains[:, :, 0]).max(axis=2) / scale[:, :, 0]
+        size /= scale
+        # a live step is sound where its relative size is in [CHAIN_TOL, inf)
+        sizes = np.where(self.layout.live, size, CHAIN_TOL)
+        if resid.max() <= CHAIN_TOL and CHAIN_TOL <= sizes.min() and sizes.max() < np.inf:
             return chains
         broken = ~((sizes >= CHAIN_TOL) & (sizes < np.inf))
         lw_ok = (resid <= CHAIN_TOL).all(axis=2)
@@ -277,48 +279,23 @@ class ProductSpace:
         raise _chain_error(_FAMILY_NAMES[kinds[f]], resid[s, f], lw_ok[s, f], size[s, f],
                            broken[s, f])
 
-    def unit_blocks(self, blocks: np.ndarray):
-        """The weight blocks (S, G, d1+d2-1, k, k) of G families (see
-        :meth:`_BlockLayout.cut`) with unit columns, the column norms and the
-        condition number of every block.  Where the column norms of a block
-        overflow, its chains finite, a :class:`ParameterDomainError` is
-        raised.
-
-        A block of size 1 is diag(x, 1, ..., 1) with unit columns, so its
-        condition number is max(|x|, 1) / min(|x|, 1) in closed form, not a
-        number where x is NaN or 0; only the blocks of size 2 or more go to
-        the SVD."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # the column norms, as np.linalg.norm forms them
-            norms = np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-2, keepdims=True))
-            if np.isinf(norms).any():
-                raise ParameterDomainError(
-                    "the eigenvector chains are too large to normalise: a power of q overflows")
-            unit = blocks / norms
-            k = unit.shape[-1]
-            # the blocks of size 1: the two end blocks, or every block where k = 1
-            ends = slice(None) if k == 1 else slice(None, None, unit.shape[-3] - 1)
-            cond = np.empty(unit.shape[:-2])
-            x = np.abs(unit[..., ends, 0, 0])
-            # max(|x|, 1) / min(|x|, 1), bit for bit, as dividing by 1 is exact
-            np.maximum(x, 1 / x, out=cond[..., ends])
-            if k > 1:
-                s = np.linalg.svd(unit[..., 1:-1, :, :], compute_uv=False)
-                np.divide(s[..., 0], s[..., -1], out=cond[..., 1:-1])
-        return unit, norms, cond
-
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def chain_pass(self, sector: tuple | None = None, form: bool = True, read=()):
-        """One pass that raises, in order, Delta and Delta-bar at u = 0 for the
-        spectral form, when ``form`` and the form is not built yet (at the
-        rational point, q on the zero log branch, the barred chains are the
-        unbarred ones, so Delta alone), then ``sector``, a family (kind, us),
-        when given: one :meth:`coproducts` scatter for those families and
-        the families ``read``, one :meth:`chains` pass, one cut of the chains
+        """The one pass that raises chains.  It raises, in order, Delta and
+        Delta-bar at u = 0 for the spectral form, when ``form`` and the form
+        is not built yet (at the rational point, q on the zero log branch,
+        the barred chains are the unbarred ones, so Delta alone), then
+        ``sector``, a family (kind, us), when given: the kinds and us of
+        those families and the families ``read`` derived once
+        (:func:`_family_arrays`), one scatter of their coproducts (see
+        :meth:`coproducts`), one :meth:`_chains` pass, one cut of the chains
         into weight blocks (one flat take, :meth:`_BlockLayout.cut`), one
-        :meth:`unit_blocks` call that conditions the form's unbarred family
+        :func:`_unit_blocks` call that conditions the form's unbarred family
         and the sector family together, and one test of those blocks
         against :data:`COND_LIMIT`, which raises :class:`SingularBasis` for
-        the worst block of the lowest failing sample.
+        the worst block of the lowest failing sample.  The pass runs with
+        numpy's overflow, division and invalid-value warnings off, since its
+        own tests find what is not finite.
 
         It keeps the spectral form it builds.  It gives the sector family's
         chains (S, d1+d2-1, d1*d2, k), or None without ``sector``, and the
@@ -334,7 +311,8 @@ class ProductSpace:
         families += [family for family in read if family not in families]
         if not families:
             return None, None
-        sp, sm = self.coproducts(families)
+        kinds, us = _family_arrays(families)
+        sp, sm = self.layout.generators(_twisted_terms(*self.factors, kinds, us), kinds)
         gens = None
         if read:
             at = [families.index(family) for family in read]
@@ -344,66 +322,53 @@ class ProductSpace:
             gens = sp[:, at], sm[:, at]
         if not raised:
             return None, gens
-        chains = self.chains(families[:raised], (sp[:, :raised], sm[:, :raised]))
+        chains = self._chains(kinds[:raised], us[:, :raised], sp[:, :raised], sm[:, :raised])
         formed = raised - (sector is not None)
-        layout = self.layout
-        blocks = layout.cut(chains)
+        blocks = self.layout.cut(chains)
         # the form's unbarred family, first, and the sector family, last
-        unit, norms, cond = self.unit_blocks(blocks[:, ::max(formed, 1)])
+        unit, norms, cond = _unit_blocks(blocks[:, ::max(formed, 1)])
         # a condition number that is not a number fails the limit too
         failed = ~(cond <= COND_LIMIT)
         if failed.any():
             s, g = np.argwhere(failed.any(axis=2))[0].tolist()
-            raise layout.conditioning_error(cond[s, g], COND_LIMIT)
+            raise self.layout.conditioning_error(cond[s, g], COND_LIMIT)
         if formed:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left = unit[:, 0] if formed == 1 else blocks[:, 1] / norms[:, 0]
+            left = unit[:, 0] if formed == 1 else blocks[:, 1] / norms[:, 0]
             self._form = SpectralForm(left=left, right=np.linalg.inv(unit[:, 0]),
-                                      cond=cond[:, 0], layout=layout)
+                                      cond=cond[:, 0], layout=self.layout)
         return (None if sector is None else chains[:, -1]), gens
-
-    def sector_stack(self, us, kind: str = "delta") -> np.ndarray:
-        """The chains c[s, m, :, n] of every sector of the coproduct ``kind``
-        at u_s (see :meth:`chains`), from a :meth:`chain_pass` of that one
-        family, which raises its errors."""
-        return self.chain_pass((kind, us), form=False)[0]
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
         """All eigen-sectors of the coproduct ``kind`` at u.
 
         Entry n is the raising chain of sector n, of shape (d1+d2-1-2n, d1*d2):
         row m is (S+_u)^m applied to the lowest-weight vector, row 0.  The
-        chains come from :meth:`sector_stack`, and so does the error raised:
-        :class:`CompletenessFailure`, :class:`ParameterDomainError` where a
-        power of q overflows or, from the weight-block test against
-        :data:`COND_LIMIT`, :class:`SingularBasis`.  The other kind's
-        sectors are ``sectors(u, other kind)``.  A u that is not finite
-        raises :class:`ParameterDomainError`.
+        chains come from a :meth:`chain_pass` of that one family, and so does
+        the error raised: :class:`CompletenessFailure`,
+        :class:`ParameterDomainError` where a power of q overflows or, from
+        the weight-block test against :data:`COND_LIMIT`,
+        :class:`SingularBasis`.  The other kind's sectors are
+        ``sectors(u, other kind)``.  A u that is not finite raises
+        :class:`ParameterDomainError`.
         """
         _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
-        return _sector_chains(self.sector_stack([u], kind)[0])
+        return _sector_chains(self.chain_pass((kind, [u]), form=False)[0][0])
 
     def spectral_form(self) -> SpectralForm:
         """The u-independent spectral form of R at every sample, built from
         the chains at u = 0 the first time it is asked for, by a
-        :meth:`chain_pass` of its families alone unless one built it before.
-        That pass raises the form's errors; the space keeps the error, so
-        each later call raises it again, its traceback cleared, with no
-        second pass."""
-        if self._form is None and self._form_error is None:
-            try:
-                self.chain_pass()
-            except QybeError as exc:
-                self._form_error = exc
-        if self._form_error is not None:
-            raise self._form_error.with_traceback(None)
+        :meth:`chain_pass` of its families alone unless one built it before;
+        that pass raises the form's errors, and a form that fails is not
+        kept, so every call raises them."""
+        if self._form is None:
+            self.chain_pass()
         return self._form
 
 
 def _chain_error(family: str, resid, lw_ok, size, broken) -> QybeError:
-    """The error of one family of one sample that :meth:`ProductSpace.chains`
+    """The error of one family of one sample that :meth:`ProductSpace._chains`
     flagged: its failing lowest-weight condition, else its first broken
     chain.  A chain that breaks by not being finite overflows, a
     :class:`ParameterDomainError`; one that vanishes is a
@@ -424,6 +389,36 @@ def _chain_error(family: str, resid, lw_ok, size, broken) -> QybeError:
         n, family, float(size[m, n]),
         f"raising chain of sector {n} of the {family} family breaks at "
         f"step {m} of {steps - 2 * n} (relative size {size[m, n]:.2e})")
+
+
+def _unit_blocks(blocks: np.ndarray):
+    """The weight blocks (S, G, d1+d2-1, k, k) of G families (see
+    :meth:`_BlockLayout.cut`) with unit columns, the column norms and the
+    condition number of every block, under the errstate of
+    :meth:`ProductSpace.chain_pass`.  Where the column norms of a block
+    overflow, its chains finite, a :class:`ParameterDomainError` is raised.
+
+    A block of size 1 is diag(x, 1, ..., 1) with unit columns, so its
+    condition number is max(|x|, 1) / min(|x|, 1) in closed form, not a
+    number where x is NaN or 0; only the blocks of size 2 or more go to
+    the SVD."""
+    # the column norms, as np.linalg.norm forms them
+    norms = np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-2, keepdims=True))
+    if np.isinf(norms).any():
+        raise ParameterDomainError(
+            "the eigenvector chains are too large to normalise: a power of q overflows")
+    unit = blocks / norms
+    k = unit.shape[-1]
+    # the blocks of size 1: the two end blocks, or every block where k = 1
+    ends = slice(None) if k == 1 else slice(None, None, unit.shape[-3] - 1)
+    cond = np.empty(unit.shape[:-2])
+    x = np.abs(unit[..., ends, 0, 0])
+    # max(|x|, 1) / min(|x|, 1), bit for bit, as dividing by 1 is exact
+    np.maximum(x, 1 / x, out=cond[..., ends])
+    if k > 1:
+        s = np.linalg.svd(unit[..., 1:-1, :, :], compute_uv=False)
+        np.divide(s[..., 0], s[..., -1], out=cond[..., 1:-1])
+    return unit, norms, cond
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -549,7 +544,7 @@ class _BlockLayout:
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
         """The padded weight blocks of chains c[..., m, :, n] (see
-        :meth:`ProductSpace.chains`), leading axes kept: one flat take and
+        :meth:`ProductSpace._chains`), leading axes kept: one flat take and
         the identity padding."""
         blocks = chains.reshape(*chains.shape[:-3], -1)[..., self.gather]
         np.copyto(blocks, self.padding, where=self.outside)
@@ -656,8 +651,9 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     :func:`_casimir_sectors`.
     """
     _check_finite(u=u)
-    c = casimir_matrix(space.coproduct(kind, u))
-    chains = space.sector_stack([u], kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = casimir_matrix(space.coproduct(kind, u))
+    chains = space.chain_pass((kind, [u]), form=False)[0]
     f1, f2 = space.factors
     rows = _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)
     return CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
@@ -671,7 +667,7 @@ def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, 
     the spread of every sector.  ``c`` is (S, d, d), and ``chains``
     (S, d1+d2-1, d, k) holds the chains of every sector padded to full
     length, with ``live`` (d1+d2-1, k) marking the steps of each (see
-    :meth:`ProductSpace.chains`).
+    :meth:`ProductSpace._chains`).
 
     C acts on every chain vector of every sample in one stacked mat-vec;
     row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``, and each

@@ -20,7 +20,7 @@ from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, 
                     sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _require_finite, _solve
-from .errors import ParameterDomainError, PoleAtSector, QybeError, SamplerExhausted
+from .errors import ParameterDomainError, QybeError, SamplerExhausted
 from .tensorrep import ProductSpace, _casimir_sectors
 
 
@@ -551,34 +551,15 @@ def _casimir_residuals(space: ProductSpace, chains: np.ndarray, delta_u: tuple,
     return np.concatenate([resid, spread], axis=1).max(axis=1).tolist()
 
 
-class _piece(functools.cached_property):
-    """A piece of a :class:`_PairRun`, built the first time a suite reads
-    it and kept, or, where the build raises, its error kept in the run's
-    ``errors``, which every later read raises again, its traceback
-    cleared."""
-
-    def __get__(self, run, owner=None):
-        if run is None:
-            return self
-        error = run.errors.get(self.attrname)
-        if error is None:
-            try:
-                return super().__get__(run, owner)
-            except Exception as exc:  # what every suite that reads the piece raises
-                run.errors[self.attrname] = error = exc
-        raise error.with_traceback(None)
-
-
 class _PairRun:
     """One run of at most :data:`_STACK_SIZE` samples (q_s, u_s) of a spin
     pair, and the pieces that its suites share: the view of the pair's
     suites (see :class:`_Suite`), whose ``reads`` names the suites that
     read it ("decomposed", "unitarity", "casimir"), so that it builds only
     what they read, each piece the first time a suite asks for it.  The
-    suites read the pieces and do not write them.  A piece that raises
-    keeps its error (:class:`_piece`), so it is built once per run, and every
-    suite that asks for it raises that error; :func:`_run` then replays the
-    run for each such suite with a view of its own.
+    suites read the pieces and do not write them.  A piece that raises is
+    not kept, so every suite that asks for it raises, and :func:`_run`
+    replays the run for each such suite with a view of its own.
 
     The pieces are the :class:`ProductSpace` of the run; one
     :meth:`ProductSpace.chain_pass` of it, which raises Delta and Delta-bar
@@ -599,15 +580,14 @@ class _PairRun:
         self.ell1, self.ell2, self.reads = ell1, ell2, reads
         qs, self.us = zip(*points)
         self.qs = _QStack.of(qs)
-        self.errors = {}
 
-    @_piece
+    @functools.cached_property
     def space(self) -> ProductSpace:
         if self.qs.rational:
             return ProductSpace.of_spins(self.ell1, self.ell2, RATIONAL, "monomial")
         return ProductSpace.stack_of_spins(self.ell1, self.ell2, self.qs, "orthonormal")
 
-    @_piece
+    @functools.cached_property
     def chain_pass(self) -> tuple:
         """The run's :meth:`ProductSpace.chain_pass`: the Casimir sector
         chains, or None, and the coproducts of the
@@ -620,24 +600,16 @@ class _PairRun:
                                      form=bool(self.reads & {"decomposed", "unitarity"}),
                                      read=read)
 
-    @_piece
+    @functools.cached_property
     def r(self) -> np.ndarray:
         """R(u_s), then R(-u_s) when the unitarity suite reads the run, for
-        every sample.  A run of one sample raises what :func:`assemble_R`
-        at u, then at -u, raises: a pole, the form's, then a non-finite R."""
+        every sample, from one solve.  It raises the poles of its rows, then
+        the form's error, then a non-finite R; a drawn sample has no pole at
+        u or at -u (:func:`_regular_point`), so a run of one sample raises
+        what :func:`assemble_R` at u, then at -u, raises."""
         us = list(self.us)
-        if "unitarity" not in self.reads:
-            return self._solved(us)
-        try:
-            return self._solved(us + [-u for u in us])
-        except PoleAtSector as exc:
-            pole = exc
-        self._solved(us)  # an error of R(u) comes before a pole at -u
-        raise pole
-
-    def _solved(self, us) -> np.ndarray:
-        """R at the rows ``us``, the samples' us once or twice over: their
-        poles, then the form from the run's one pass, then the solve."""
+        if "unitarity" in self.reads:
+            us += [-u for u in us]
         qs = self.qs * (len(us) // len(self.qs))
         eig = _eigenvalues(self.ell1, self.ell2, us, qs)
         self.chain_pass  # the form comes from the run's one pass
@@ -645,7 +617,7 @@ class _PairRun:
         r.setflags(write=False)
         return r
 
-    @_piece
+    @functools.cached_property
     def casimir_diagonal(self) -> np.ndarray:
         return _casimir_diagonals(self.space.weights, self.qs)
 

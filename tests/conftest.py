@@ -8,7 +8,7 @@ import pytest
 from qybe import DeformationParameter, OperatorTriple, ToleranceConfig, qnum
 from qybe.qcore import _nan_max
 from qybe.rop import _top_sector
-from qybe.tensorrep import _spin_space
+from qybe.tensorrep import _family_arrays, _spin_space
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +74,13 @@ def algebra_residual(rep: OperatorTriple) -> float:
                  np.abs(rep.qs(1) @ rep.sp @ rep.qs(-1) - q * rep.sp).max(),
                  np.abs(rep.qs(1) @ rep.sm @ rep.qs(-1) - rep.sm / q).max())
     return float(r / scale)
+
+
+def raised_chains(space, families):
+    """The chains of ``families`` as :meth:`ProductSpace.chain_pass` raises
+    them: its chain stage, fed the kinds, us and coproducts of the families."""
+    kinds, us = _family_arrays(families)
+    return space._chains(kinds, us, *space.coproducts(families))
 
 
 def load_document(path: Path) -> dict:

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from conftest import algebra_residual
 from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, central_elements,
                   cyclic_R_eigenvalues, eigenstate_family, family_closure_defect,
                   family_ratio, partial_R, qnum, sample_compatible_params, shift_prefactor,
-                  tensor_power_scalars)
+                  tensor_casimir, tensor_power_scalars)
 from qybe import ToleranceConfig, cyclic, tensorrep, verify
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
-                         OrderMismatch, ParameterDomainError, SamplerExhausted,
+                         OrderMismatch, ParameterDomainError, QybeError, SamplerExhausted,
                          ShiftLawViolation)
 from qybe.qcore import MAX_DRAWS, DeformationParameter, sample_params, sample_u
 
@@ -238,18 +240,18 @@ def test_first_failing_shift_law_after_the_closed_family(rng):
         assert exc.value.residual == fam.shift_residuals[("lower_bar", m)]
 
 
-def test_nan_shift_residual_is_a_violation():
+def test_an_overflowing_shift_residual_is_a_domain_error():
     """Far outside the numerical envelope the q-powers overflow and every
-    shift residual is NaN; enforce must raise rather than pass them."""
+    shift residual of the stacked kernel is NaN; eigenstate_family raises
+    the ParameterDomainError of the overflow, with or without enforce,
+    rather than pass or report them."""
     s1 = CyclicRepSpec(0.1 + 400j, 0.2, 0.3, 3)
     s2 = CyclicRepSpec(0.1, 0.2 + 400j, 0.3, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        fam = eigenstate_family(s1, s2, 0.5, enforce=False)
-        assert all(np.isnan(r) for r in fam.shift_residuals.values())
-        with pytest.raises(ShiftLawViolation) as exc:
-            eigenstate_family(s1, s2, 0.5)
-    assert (exc.value.relation, exc.value.m) == ("lower", 0)
-    assert np.isnan(exc.value.residual)
+        assert np.isnan(cyclic._shift_residuals([s1], [s2], [0.5])[1]).all()
+    for enforce in (False, True):
+        with pytest.raises(ParameterDomainError, match=r"u = \(0\.5\+0j\): a power of q overflows"):
+            eigenstate_family(s1, s2, 0.5, enforce=enforce)
 
 
 def test_shift_prefactor_scalar_and_array(rng):
@@ -749,3 +751,61 @@ def test_tensor_power_scalars_fails_on_nan_residual(rng, monkeypatch):
     _nan_second_scalar_part(monkeypatch)
     with pytest.raises(NotScalar, match="sp_u"):
         tensor_power_scalars(s1, s2, 0.3, tol=1.0)
+
+
+def _all_finite(value) -> bool:
+    """Whether every number in a result, its dataclass fields, dicts, lists
+    and arrays included, is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(_all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    return value is None or isinstance(value, str) or bool(np.isfinite(value).all())
+
+
+def test_a_large_u_gives_a_finite_result_or_a_typed_error():
+    """At a u far outside the numerical envelope every call of the product
+    space of spins (1, 1) and of the cyclic pair below returns a finite
+    result or raises a QybeError, and numpy warns of nothing; where a
+    power of q overflows, ParameterDomainError names u, as partial_R's
+    does.  build_lax, fundamental_r, qnum and phi_product are left out."""
+    q = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))
+    space = ProductSpace.of_spins(1, 1, q, "orthonormal")
+    s1 = CyclicRepSpec(0.3 + 0.1j, -0.2, 0.1j, 3)
+    s2 = CyclicRepSpec(0.1, 0.4j, -0.3, 3)
+    calls = {
+        "coproduct": lambda u: space.coproduct("delta", u),
+        "coproduct_bar": lambda u: space.coproduct("deltabar", u),
+        "sectors": lambda u: space.sectors(u),
+        "sectors_bar": lambda u: space.sectors(u, "deltabar"),
+        "tensor_casimir": lambda u: tensor_casimir(space, u),
+        "family_closure_defect": lambda u: family_closure_defect(s1, s2, u),
+        "family_ratio": lambda u: family_ratio(s1, s2, u),
+        "family_ratio_bar": lambda u: family_ratio(s1, s2, u, barred=True),
+        "cyclic_R_eigenvalues": lambda u: cyclic_R_eigenvalues(s1, s2, u),
+        **{f"shift_prefactor_{relation}": lambda u, relation=relation:
+           shift_prefactor(relation, s1, s2, u, 1) for relation in cyclic._RELATIONS},
+        "eigenstate_family": lambda u: eigenstate_family(s1, s2, u, enforce=False),
+        "eigenstate_family_enforced": lambda u: eigenstate_family(s1, s2, u),
+        "tensor_power_scalars": lambda u: tensor_power_scalars(s1, s2, u),
+        "partial_R": lambda u: partial_R(s1, s2, u),
+    }
+    overflows = set()
+    for u in (1000j, -1000j, -300j, 5000, 1e6):
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    assert _all_finite(call(u)), (name, u)
+                except ParameterDomainError as exc:
+                    if str(exc).endswith(f"at u = {complex(u)}: a power of q overflows"):
+                        overflows.add((name, u))
+                except QybeError:
+                    pass
+    assert {("coproduct", 1e6), ("family_ratio", -1000j), ("cyclic_R_eigenvalues", 1000j),
+            ("shift_prefactor_lower", -1000j), ("eigenstate_family", -1000j)} <= overflows
+    for u in (1000j, -1000j, -300j):
+        for name in ("family_closure_defect", "tensor_power_scalars", "partial_R"):
+            assert (name, u) in overflows

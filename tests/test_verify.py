@@ -646,37 +646,38 @@ def test_unitarity_solves_both_signs_on_one_space_per_sample(q, monkeypatch):
 def test_casimir_spectrum_builds_one_chain_family_per_sample(monkeypatch):
     """One stacked pass raises the unbarred chains of every sample at its u."""
     calls = []
-    chains = ProductSpace.chains
+    chains = ProductSpace._chains
 
-    def counting_chains(self, families, gens=None):
-        calls.append([(kind, tuple(us)) for kind, us in families])
-        return chains(self, families, gens)
+    def counting_chains(self, kinds, us, sp, sm):
+        calls.append([(tensorrep._KINDS[k], tuple(us[:, f].tolist()))
+                      for f, k in enumerate(kinds.tolist())])
+        return chains(self, kinds, us, sp, sm)
 
-    monkeypatch.setattr(ProductSpace, "chains", counting_chains)
+    monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
     report = check_casimir_spectrum(1.0, 1.0, FAST)
     assert report.passed
     assert calls == [[("delta", _sample_us(report))]]
 
 
 def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, capsys):
-    """verify all --samples 5 makes one ProductSpace.chains call and one
-    rop._solve call per xxz golden-pair run: its three chain families, and
-    R(u) and R(-u) of its five samples; verify casimir alone raises the
-    Casimir sectors and builds no spectral form.
+    """verify all --samples 5 makes one chain stage (ProductSpace._chains)
+    and one rop._solve call per xxz golden-pair run: its three chain
+    families, and R(u) and R(-u) of its five samples; verify casimir alone
+    raises the Casimir sectors and builds no spectral form.
 
     Each run derives its q arrays once: one q stack, which its factors,
     Casimir diagonal and Casimir sectors read, and which the eigenvalues of
     R(u) and R(-u) read repeated; its chains are cut into weight blocks
     once; and its six coproduct families, Delta and Delta-bar at 0, Delta
-    at u and -u and Delta-bar at u and -u, come from one call of the
-    coproduct kernel."""
-    chains, solve = ProductSpace.chains, verify._solve
-    calls, forms, stacks, reads, cuts, terms = [], [], [], [], [], []
+    at u and -u and Delta-bar at u and -u, have their kinds and us derived
+    once and come from one call of the coproduct kernel."""
+    chains, solve = ProductSpace._chains, verify._solve
+    calls, forms, stacks, reads, cuts, terms, derived = [], [], [], [], [], [], []
 
-    def counting_chains(self, families, gens=None):
+    def counting_chains(self, kinds, us, sp, sm):
         if not self.rational:
-            calls.append(("chains", [kind for kind, _ in families]))
-        return chains(self, families, gens)
+            calls.append(("chains", [tensorrep._KINDS[k] for k in kinds.tolist()]))
+        return chains(self, kinds, us, sp, sm)
 
     def counting_solve(ell1, ell2, us, qs, eig, form):
         if qs[0] is not RATIONAL:
@@ -704,13 +705,14 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
         return qnums
 
     cut, twisted_terms = tensorrep._BlockLayout.cut, tensorrep._twisted_terms
+    family_arrays = tensorrep._family_arrays
 
     def counting_terms(f1, f2, kinds, us):
         if not f1.qs.rational:
             terms.append(kinds.tolist())
         return twisted_terms(f1, f2, kinds, us)
 
-    monkeypatch.setattr(ProductSpace, "chains", counting_chains)
+    monkeypatch.setattr(ProductSpace, "_chains", counting_chains)
     monkeypatch.setattr(verify, "_solve", counting_solve)
     monkeypatch.setattr(tensorrep.SpectralForm, "__post_init__", counting_form)
     monkeypatch.setattr(_QStack, "of", classmethod(counting_of))
@@ -719,6 +721,8 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     monkeypatch.setattr(tensorrep._BlockLayout, "cut",
                         lambda self, chains: cuts.append(chains.shape[1]) or cut(self, chains))
     monkeypatch.setattr(tensorrep, "_twisted_terms", counting_terms)
+    monkeypatch.setattr(tensorrep, "_family_arrays",
+                        lambda families: derived.append(len(families)) or family_arrays(families))
     assert main(["verify", "all", "--samples", "5", "--seed", "5"]) == 0
     assert calls == [("chains", ["delta", "deltabar", "delta"]), ("solve", 10)] * 3
     runs = [qs for kernel, qs in reads if kernel == "_casimir_sectors"]
@@ -742,6 +746,8 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     # the xxz passes cut their three families once each; the xxx form its one
     assert sorted(cuts) == [1, 3, 3, 3]
     assert terms == [[0, 1, 0, 0, 1, 1]] * 3
+    # the six families of each xxz pass; the one xxx form, when not memoised, has one family
+    assert [count for count in derived if count > 1] == [6] * 3
     calls.clear()
     forms.clear()
     assert main(["verify", "casimir", "--samples", "5", "--seed", "5"]) == 0
