@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (InconsistentConstraints, NotScalar, OrderMismatch,
                      ParameterDomainError, SamplerExhausted, ShiftLawViolation)
 from .qcore import (MAX_DRAWS, DeformationParameter, _check_finite, _nan_max, _QStack,
-                    _relative, _require_finite_at, qnum, sample_params)
+                    _relative, _require_finite, qnum, sample_params)
 from .rep import OperatorTriple, _Bands, _diag
 from .tensorrep import _require_shared_q, _twisted_terms
 
@@ -104,8 +104,9 @@ def _halves(bands: _Bands) -> tuple[_Bands, _Bands]:
 
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
     """Generator matrices of the cyclic representation on {theta_k}; the
-    stack of one of :func:`_rep_bands`."""
-    bands = _rep_bands([spec])
+    stack of one of :func:`_rep_bands`; :class:`ParameterDomainError` where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bands = _rep_bands([spec]).require_finite()
     sp, sm = bands.dense()[0]
     return OperatorTriple(sp=sp, sm=sm, weights=bands.weights[0], q=spec.q,
                           basis_tag="theta", ell=None, from_monomial=None)
@@ -167,9 +168,11 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
 
     (S-)^N is cross-checked against the independent q-number-product route
     q^{-N lam/2} * (-1) * prod_{j=0}^{N-1} [beta + j].  The stack of one
-    of :func:`_central_elements`.
+    of :func:`_central_elements`; an overflow is a :class:`ParameterDomainError`.
     """
-    central = _central_elements([spec], _rep_bands([spec]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        central = _central_elements([spec], _rep_bands([spec]))
+    _require_finite("the central elements are not finite", central.scalars, central.routes)
     (ap, am, aq), resids = central.scalars[0].tolist(), central.offscalar_residuals[0].tolist()
     worst = _nan_max(*resids)
     if not worst <= tol:
@@ -351,7 +354,8 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         powers = _tensor_power_reports([spec1], [spec2], [u],
                                        *_halves(_rep_bands([spec1, spec2])))
-    _require_finite_at(u, "the tensor powers are", powers.scalars, powers.closed_form_errors)
+    _require_finite("the tensor powers are not finite at", powers.scalars,
+                    powers.closed_form_errors, us=[u])
     report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
@@ -380,7 +384,7 @@ def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
-    _require_finite_at(u, "the family ratio is", ratio)
+    _require_finite("the family ratio is not finite at", ratio, us=[u])
     return ratio
 
 
@@ -394,7 +398,7 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     """
     defects = tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
                     for barred in (False, True))
-    _require_finite_at(u, "the closure defects are", defects)
+    _require_finite("the closure defects are not finite at", defects, us=[u])
     return defects
 
 
@@ -457,7 +461,7 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
-    _require_finite_at(u, "the prefactors are", c)
+    _require_finite("the prefactors are not finite at", c, us=[u])
     return c if np.ndim(m) else complex(c[0])
 
 
@@ -518,7 +522,8 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         ratios, resids = _shift_residuals([spec1], [spec2], [u])
         rho, sig = ratios[0]
         phi, phibar = _family_vectors(spec1.n, (rho, sig))
-    _require_finite_at(u, "the family vectors and their shift residuals are", resids, phi, phibar)
+    _require_finite("the family vectors and their shift residuals are not finite at", resids, phi,
+                    phibar, us=[u])
     for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
@@ -572,7 +577,7 @@ def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex)
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r_m = _eigenvalue_steps([spec1], [spec2], [u])[1][0]
-    _require_finite_at(u, "the eigenvalues are", r_m)
+    _require_finite("the eigenvalues are not finite at", r_m, us=[u])
     return r_m
 
 
@@ -661,10 +666,7 @@ def _partial_rs(specs1, specs2, us) -> _SectorSolves:
                                   for barred in (False, True)], axis=1) * q.log_branch)
         # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
         powers = np.power(ratios[:, None], np.arange(n)[:, None])
-    finite = np.isfinite(powers).all(axis=(1, 2))
-    if not finite.all():
-        raise ParameterDomainError(f"the family ratios are not finite at "
-                                   f"u = {us[int(np.argmin(finite))]}: a power of q overflows")
+    _require_finite("the family ratios are not finite at", powers, us=us)
     v, w = powers[..., :2], powers[..., [3, 2]]
     r_m = _eigenvalue_steps(specs1, specs2, us)[1]
     # one SVD gives the rank and numpy's pinv, step by step

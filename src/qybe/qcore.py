@@ -151,6 +151,8 @@ def qnum(n, q: DeformationParameter):
     """The q-number [n] = (q^n - q^{-n}) / (q - 1/q); n may be an array.
 
     On the zero log branch (:data:`RATIONAL`) it is its limit n itself.
+    Where a power of q overflows it returns inf or NaN with numpy's warning,
+    unchecked: ``verify._pole_gaps`` reads those gaps as no pole.
     """
     if not isinstance(n, _SCALARS) and np.ndim(n):
         n = np.asarray(n)
@@ -235,13 +237,20 @@ def _check_finite(**values) -> None:
             raise ParameterDomainError(f"{name} must be finite (got {name}={value})")
 
 
-def _require_finite_at(u, what: str, *values) -> None:
-    """:class:`ParameterDomainError`, naming u, where an entry of ``values``
-    (``what`` at u) is not finite: a power of q overflows.  The public
-    functions at one u run their kernels with numpy's overflow warnings off
-    and check the results here; the suites' stacked kernels do not."""
-    if not all(np.isfinite(value).all() for value in values):
-        raise ParameterDomainError(f"{what} not finite at u = {complex(u)}: a power of q overflows")
+def _require_finite(what: str, *values, us=None) -> None:
+    """The one overflow check: where an entry of ``values`` is not finite, a
+    :class:`ParameterDomainError` "<what> u = <u>: a power of q overflows",
+    u being that of the lowest failing row when ``us`` holds the u of each
+    leading row of the values, else "<what>: a power of q overflows".  Public
+    functions run their kernels with numpy's warnings off and check here; the
+    suites' stacked kernels and :func:`qnum` do not."""
+    if all(np.isfinite(value).all() for value in values):
+        return
+    if us is not None:
+        rows = np.logical_and.reduce([np.isfinite(np.reshape(value, (len(us), -1))).all(axis=1)
+                                      for value in values])
+        what += f" u = {complex(us[int(np.argmin(rows))])}"
+    raise ParameterDomainError(f"{what}: a power of q overflows")
 
 
 def residual(lhs, rhs, *inputs) -> float:
@@ -277,9 +286,12 @@ def phi_product(alpha: complex, q: DeformationParameter) -> PhiProduct:
 
     Only defined at a root of unity, where it collapses to
     (q - 1/q)^{-N} (q^{alpha N} - q^{-alpha N}); both routes are returned
-    together with their normalized disagreement.
+    together with their normalized disagreement, or :class:`ParameterDomainError` on overflow.
     """
-    return _phi_products([alpha], q)[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi = _phi_products([alpha], q)[0]
+    _require_finite("the phi product is not finite", phi.product, phi.closed_form)
+    return phi
 
 
 def _phi_products(alphas, q: DeformationParameter) -> list[PhiProduct]:

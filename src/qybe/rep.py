@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .errors import BadSpin, ParameterDomainError
-from .qcore import DeformationParameter, _check_finite, _qnums, _QStack
+from .qcore import DeformationParameter, _check_finite, _qnums, _QStack, _require_finite
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +110,11 @@ class _Bands:
         powers.setflags(write=False)
         return powers
 
+    def require_finite(self) -> "_Bands":
+        """The stack; :class:`ParameterDomainError` where its bands or :attr:`powers` overflow."""
+        _require_finite("the generator matrices are not finite", self.lift, self.lower, self.powers)
+        return self
+
 
 def _spin_factors(ell, qs: _QStack, basis: str) -> _Bands:
     """The spin-ell representation at every q of the stack ``qs``, in one
@@ -143,9 +148,10 @@ def build_spin_rep(ell, q: DeformationParameter, basis: str = "monomial") -> Ope
     Monomial basis: S- x^k = [k] x^{k-1}, S+ x^k = [2l-k] x^{k+1},
     q^{aS} x^k = q^{a(k-l)} x^k.  Orthonormal basis: both shift operators
     carry sqrt([k+1][2l-k]) on the sub/superdiagonal.  The stack of one
-    of :func:`_spin_factors`.
+    of :func:`_spin_factors`; :class:`ParameterDomainError` where they overflow.
     """
-    f = _spin_factors(ell, _QStack.of((q,)), basis)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = _spin_factors(ell, _QStack.of((q,)), basis).require_finite()
     sp, sm = f.dense()[0]
     return OperatorTriple(sp=sp, sm=sm, weights=f.weights, q=q, basis_tag=basis,
                           ell=f.ell, from_monomial=None if f.from_monomial is None
@@ -186,10 +192,13 @@ def build_lax(rep: OperatorTriple, u: complex) -> np.ndarray:
 
     Blocks: [[[u+S], S-], [S+, [u-S]]] with q-numbers of the diagonal S, so
     at q = 1 (:data:`qcore.RATIONAL`) it is the rational [[u+S, S-], [S+, u-S]].
-    The stack of one of :func:`_laxes`.
+    The stack of one of :func:`_laxes`; :class:`ParameterDomainError` names u on overflow.
     """
     _check_finite(u=u)
-    return _laxes(rep.sp, rep.sm, rep.weights, [u], _QStack.of((rep.q,)))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lax = _laxes(rep.sp, rep.sm, rep.weights, [u], _QStack.of((rep.q,)))
+    _require_finite("the Lax matrix is not finite at", lax, us=[u])
+    return lax[0]
 
 
 def _laxes(sp, sm, weights: np.ndarray, us, qs: _QStack) -> np.ndarray:
@@ -211,9 +220,12 @@ def _laxes(sp, sm, weights: np.ndarray, us, qs: _QStack) -> np.ndarray:
 def fundamental_r(u: complex, q: DeformationParameter) -> np.ndarray:
     """The 4x4 six-vertex matrix with entries a = [u+1], b = [u], c = 1:
     trigonometric at generic q, rational (a = u+1, b = u) at q = 1.  The
-    stack of one of :func:`_fundamental_rs`."""
+    stack of one of :func:`_fundamental_rs`; :class:`ParameterDomainError` on overflow."""
     _check_finite(u=u)
-    return _fundamental_rs([u], _QStack.of((q,)))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = _fundamental_rs([u], _QStack.of((q,)))
+    _require_finite("the six-vertex matrix is not finite at", r, us=[u])
+    return r[0]
 
 
 def _fundamental_rs(us, qs: _QStack) -> np.ndarray:

@@ -15,8 +15,9 @@ import dataclasses
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtSector, UnsupportedPair
-from .qcore import RATIONAL, DeformationParameter, _check_finite, _qnums, _QStack, qnum
-from .rep import _two_spin, fundamental_r
+from .qcore import (RATIONAL, DeformationParameter, _check_finite, _qnums, _QStack,
+                    _require_finite, qnum)
+from .rep import _fundamental_rs, _two_spin
 from .tensorrep import ProductSpace, SpectralForm, weight_reversed
 
 POLE_TOL = 1e-8
@@ -47,19 +48,8 @@ def eigenvalue_sequence(ell1, ell2, u: complex, q: DeformationParameter) -> tupl
     """
     _check_finite(u=u)
     vals = _eigenvalues(ell1, ell2, [u], _QStack.of((q,)))
-    _require_finite(ell1, ell2, [u], vals)
+    _require_finite(f"the eigenvalues are not finite at spins ({ell1}, {ell2}),", vals, us=[u])
     return tuple(vals[0])
-
-
-def _require_finite(ell1, ell2, us, vals: np.ndarray) -> None:
-    """The :class:`ParameterDomainError` of :func:`eigenvalue_sequence` for
-    the first row of ``vals``, the eigenvalues at u = us[s], that is not
-    finite."""
-    for u, finite in zip(us, np.isfinite(vals).all(axis=1).tolist()):
-        if not finite:
-            raise ParameterDomainError(
-                f"the eigenvalues are not finite at spins ({ell1}, {ell2}), u = {complex(u)}: "
-                "a power of q overflows")
 
 
 def _eigenvalues(ell1, ell2, us, qs: _QStack) -> np.ndarray:
@@ -148,7 +138,7 @@ def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm) -> 
     a divisor of S (rows at several u per sample) or 1 (one form that every
     row shares)."""
     layout = form.layout
-    count, samples = len(us), len(form.cond)
+    count, samples = len(us), len(form.left)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = form.left * eig.reshape(-1, samples, 1, 1, eig.shape[1])
         blocks = (scaled @ form.right).reshape(count, -1)
@@ -159,10 +149,7 @@ def _solve(ell1, ell2, us, qs: _QStack, eig: np.ndarray, form: SpectralForm) -> 
         # the factors swapped, which can move a last bit
         powers = np.exp(twist * lb)
         entries = blocks[:, layout.inside_flat] * powers
-    finite = np.isfinite(entries).all(axis=1)
-    if not finite.all():
-        raise ParameterDomainError(f"R is not finite at spins ({ell1}, {ell2}), "
-                                   f"u = {us[int(np.argmin(finite))]}: a power of q overflows")
+    _require_finite(f"R is not finite at spins ({ell1}, {ell2}),", entries, us=us)
     m = np.zeros((count, layout.dim * layout.dim), complex)
     m[:, layout.dst] = entries
     return m.reshape(count, layout.dim, layout.dim)
@@ -181,9 +168,7 @@ def closed_form_R(ell1, ell2, u: complex, q: DeformationParameter) -> RMatrix:
     _check_finite(u=u)
     with np.errstate(over="ignore", invalid="ignore"):
         m, tag = _tabulated(ell1, ell2, u, q)
-    if not np.isfinite(m).all():
-        raise ParameterDomainError(
-            f"R is not finite at spins ({ell1}, {ell2}), u = {complex(u)}: a power of q overflows")
+    _require_finite(f"R is not finite at spins ({ell1}, {ell2}),", m, us=[u])
     return RMatrix(matrix=weight_reversed(m), u=complex(u), q=q, ell1=complex(ell1),
                    ell2=complex(ell2), basis_tag=tag)
 
@@ -193,7 +178,7 @@ def _tabulated(ell1, ell2, u: complex, q: DeformationParameter) -> tuple[np.ndar
     key = (_two_spin(ell1), _two_spin(ell2))
     b = lambda x: qnum(x, q)
     if key == (1, 1):
-        m = fundamental_r(u, q) / b(u + 1)
+        m = _fundamental_rs([u], _QStack.of((q,)))[0] / b(u + 1)
         tag = "monomial"
     elif key == (1, 2):
         s = np.sqrt(qnum(1, q) * qnum(2, q))

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainError, QybeError,
                      SingularBasis)
 from .qcore import (DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative,
-                    _require_finite_at)
+                    _require_finite)
 from .rep import OperatorTriple, _Bands, _spin_factors, _two_spin, casimir_matrix
 
 # the largest condition number an eigenvector weight block may have
@@ -222,7 +222,7 @@ class ProductSpace:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             sp, sm = self.coproducts([(kind, [u])])
-        _require_finite_at(u, "the coproduct is", sp, sm)
+        _require_finite("the coproduct is not finite at", sp, sm, us=[u])
         f1, f2 = self.factors
         fm = self.from_monomial
         return OperatorTriple(sp=sp[0, 0], sm=sm[0, 0], weights=self.weights, q=self.qs[0],
@@ -242,13 +242,14 @@ class ProductSpace:
         c[s, f, m][:, n] = (S+_u)^m v_n for family f and v_n the lowest-weight
         vector of sector n from the closed product formula.  Raises, for the
         lowest failing sample and its first failing family, a
-        :class:`CompletenessFailure` where S-_u v_n is not zero, or the chain
-        of sector n vanishes before its full length d1+d2-1-2n, each measured
-        against :data:`CHAIN_TOL`, or a :class:`ParameterDomainError` where
-        the chain is not finite, since a power of q overflows; a family's
-        lowest-weight condition is tested before its chains.  Every step is
-        elementwise along the family axis, so each family's chains are those
-        of a pass of it alone.
+        :class:`ParameterDomainError` naming u where S-_u or a v_n is not
+        finite at a finite u, a :class:`CompletenessFailure` where S-_u v_n
+        is not zero, or the chain of sector n vanishes before its full length
+        d1+d2-1-2n, each measured against :data:`CHAIN_TOL`, or a
+        :class:`ParameterDomainError` where the chain is not finite, since a
+        power of q overflows; a family's lowest-weight vectors are tested
+        before its chains.  Every step is elementwise along the family axis,
+        so each family's chains are those of a pass of it alone.
         """
         f1, f2 = self.factors
         if f1.ell is None or f2.ell is None:
@@ -275,9 +276,14 @@ class ProductSpace:
             return chains
         broken = ~((sizes >= CHAIN_TOL) & (sizes < np.inf))
         lw_ok = (resid <= CHAIN_TOL).all(axis=2)
-        s, f = np.argwhere(~lw_ok | broken.any(axis=(2, 3)))[0].tolist()
-        raise _chain_error(_FAMILY_NAMES[kinds[f]], resid[s, f], lw_ok[s, f], size[s, f],
-                           broken[s, f])
+        # S-_u or a lowest-weight vector that is not finite at a finite u overflows
+        overflow = np.isfinite(us) & ~np.isfinite(np.concatenate([sm, lw], axis=2)).all(axis=(2, 3))
+        s, f = np.argwhere(overflow | ~lw_ok | broken.any(axis=(2, 3)))[0].tolist()
+        family = _FAMILY_NAMES[kinds[f]]
+        if overflow[s, f]:
+            _require_finite(f"the {family} family is not finite at", sm[s, f], lw[s, f],
+                            us=[us[s, f]])
+        raise _chain_error(family, resid[s, f], lw_ok[s, f], size[s, f], broken[s, f])
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def chain_pass(self, sector: tuple | None = None, form: bool = True, read=()):
@@ -335,7 +341,7 @@ class ProductSpace:
         if formed:
             left = unit[:, 0] if formed == 1 else blocks[:, 1] / norms[:, 0]
             self._form = SpectralForm(left=left, right=np.linalg.inv(unit[:, 0]),
-                                      cond=cond[:, 0], layout=self.layout)
+                                      layout=self.layout)
         return (None if sector is None else chains[:, -1]), gens
 
     def sectors(self, u: complex, kind: str = "delta") -> list[np.ndarray]:
@@ -404,9 +410,9 @@ def _unit_blocks(blocks: np.ndarray):
     the SVD."""
     # the column norms, as np.linalg.norm forms them
     norms = np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-2, keepdims=True))
+    # the chains are finite here, so only an infinite norm overflows; a NaN fails the limit
     if np.isinf(norms).any():
-        raise ParameterDomainError(
-            "the eigenvector chains are too large to normalise: a power of q overflows")
+        _require_finite("the eigenvector chains are too large to normalise", norms)
     unit = blocks / norms
     k = unit.shape[-1]
     # the blocks of size 1: the two end blocks, or every block where k = 1
@@ -434,10 +440,8 @@ def _spin_space(two_ell1: int, two_ell2: int, q: DeformationParameter,
     power of q overflows in the generators or q^S of a factor."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         space = ProductSpace.stack_of_spins(two_ell1 / 2, two_ell2 / 2, _QStack.of((q,)), basis)
-        finite = all(np.isfinite(m).all() for f in space.factors
-                     for m in (f.lift, f.lower, f.powers))
-    if not finite:
-        raise ParameterDomainError("the generator matrices are not finite: a power of q overflows")
+        for f in space.factors:
+            f.require_finite()
     return space
 
 
@@ -469,8 +473,7 @@ class _BlockLayout:
     of a family of that kind (:func:`_twisted_terms`) lands in the family's
     S- and S+, flattened together (2, d, d): the term of generator
     g = a ^ kind, k1 (S1 term, t = 0) or k2 (S2 term) moved by -1 for S-,
-    1 for S+, mod d1 or d2; only where both factors have dimension 1 do two
-    terms land on one entry (``repeats``).  ``exchanges`` is where S1- S2+
+    1 for S+, mod d1 or d2.  ``exchanges`` is where S1- S2+
     (row 0) and S1+ S2- (row 1) move each column, k1 and k2 moved together,
     mod d1 and d2, and ``identity`` is the d x d identity.  Layouts are
     memoised on (d1, d2), so their arrays are read-only.
@@ -485,7 +488,6 @@ class _BlockLayout:
     twist: np.ndarray
     inside_flat: np.ndarray
     scatter: np.ndarray
-    repeats: bool
     exchanges: np.ndarray
     identity: np.ndarray
     dim: int
@@ -519,7 +521,6 @@ class _BlockLayout:
                    dst=(rows[:, :, None] * dim + rows[:, None, :])[inside],
                    twist=(j[:, None, :] - j[:, :, None])[inside],
                    inside_flat=np.flatnonzero(inside), scatter=scatter,
-                   repeats=len(set(scatter[:, 0].ravel().tolist())) < scatter[:, 0].size,
                    exchanges=np.array([_targets(d1, d2, -1, 1), _targets(d1, d2, 1, -1)]),
                    identity=np.eye(dim), dim=dim)
 
@@ -533,13 +534,10 @@ class _BlockLayout:
         # [t, f, a, column]
         targets = np.arange(size)[:, None, None] * (2 * self.dim ** 2) + self.scatter[:, kinds]
         flat, terms = gens.reshape(count, -1), terms.reshape(2, count, -1)
-        if self.repeats:
-            # both factors of dimension 1: the two terms of a generator land on one entry and add
-            np.add.at(flat, (slice(None), targets.reshape(2, -1)), terms.swapaxes(0, 1))
-        else:
-            # as an addition onto the +0.0 would, a -0.0 term lands as +0.0
-            np.add(terms, 0.0, out=terms)
-            flat[:, targets.reshape(2, -1)] = terms.swapaxes(0, 1)
+        # as an addition onto the +0.0 would, a -0.0 term lands as +0.0; where both factors have
+        # dimension 1 the two terms of a generator land on one entry, both exact zeros
+        np.add(terms, 0.0, out=terms)
+        flat[:, targets.reshape(2, -1)] = terms.swapaxes(0, 1)
         return gens[:, :, 1], gens[:, :, 0]
 
     def cut(self, chains: np.ndarray) -> np.ndarray:
@@ -567,7 +565,7 @@ class _BlockLayout:
 class SpectralForm:
     """The u-independent part of R on a product of two spins at each of S
     samples (see :meth:`ProductSpace.spectral_form`): ``left`` and ``right``
-    have shape (S, d1+d2-1, k, k), k = min(d1, d2), and ``cond`` (S, d1+d2-1).
+    have shape (S, d1+d2-1, k, k), k = min(d1, d2).
 
     The twist is a diagonal similarity, Delta_u = T_u Delta_0 T_u^{-1} with
     T_u = q^{-u(S1-S2)/2}, and the barred coproduct at -u carries the same
@@ -577,18 +575,16 @@ class SpectralForm:
 
     where Phi_b holds the unbarred chain vectors of weight block b and D(u)
     the sector eigenvalues.  ``right`` is the inverse of each block with
-    unit columns, ``left`` the barred block over the same column norms, and
-    ``cond`` the condition number of each unit-column block.  The three
-    arrays are read-only.
+    unit columns and ``left`` the barred block over the same column norms,
+    both read-only.
     """
 
     left: np.ndarray
     right: np.ndarray
-    cond: np.ndarray
     layout: _BlockLayout
 
     def __post_init__(self):
-        for arr in (self.left, self.right, self.cond):
+        for arr in (self.left, self.right):
             arr.setflags(write=False)
 
 
@@ -650,7 +646,6 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     Rayleigh estimates across each chain.  The stack of one of
     :func:`_casimir_sectors`.
     """
-    _check_finite(u=u)
     with np.errstate(over="ignore", invalid="ignore"):
         c = casimir_matrix(space.coproduct(kind, u))
     chains = space.chain_pass((kind, [u]), form=False)[0]

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
-                    _phi_products, _QStack, _relative, qnum, sample_generic_q, sample_params,
-                    sample_u)
+                    _phi_products, _QStack, _relative, _require_finite, qnum, sample_generic_q,
+                    sample_params, sample_u)
 from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
-from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _require_finite, _solve
+from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _solve
 from .errors import ParameterDomainError, QybeError, SamplerExhausted
 from .tensorrep import ProductSpace, _casimir_sectors
 
@@ -696,7 +696,7 @@ def check_branch_independence(ell1, ell2, cfg: ToleranceConfig | None = None):
         us = [u for point in points for u in point[1::2]]
         vals = _eigenvalues(ell1, ell2, us, _QStack.of(q for point in points
                                                        for q in point[0::2]))
-        _require_finite(ell1, ell2, us, vals)
+        _require_finite(f"the eigenvalues are not finite at spins ({ell1}, {ell2}),", vals, us=us)
         base, shifted = vals[0::2, None], vals[1::2, None]
         return _residuals(base, shifted, base)
 

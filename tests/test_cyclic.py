@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import algebra_residual
-from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, central_elements,
-                  cyclic_R_eigenvalues, eigenstate_family, family_closure_defect,
-                  family_ratio, partial_R, qnum, sample_compatible_params, shift_prefactor,
-                  tensor_casimir, tensor_power_scalars)
+from qybe import (CyclicRepSpec, ProductSpace, build_cyclic_rep, build_lax, build_spin_rep,
+                  central_elements, cyclic_R_eigenvalues, eigenstate_family,
+                  family_closure_defect, family_ratio, fundamental_r, partial_R, phi_product,
+                  qnum, sample_compatible_params, shift_prefactor, tensor_casimir,
+                  tensor_power_scalars)
 from qybe import ToleranceConfig, cyclic, tensorrep, verify
 from qybe.cyclic import TensorPowerReport
 from qybe.errors import (DimensionMismatch, InconsistentConstraints, NotScalar,
@@ -770,7 +771,8 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     space of spins (1, 1) and of the cyclic pair below returns a finite
     result or raises a QybeError, and numpy warns of nothing; where a
     power of q overflows, ParameterDomainError names u, as partial_R's
-    does.  build_lax, fundamental_r, qnum and phi_product are left out."""
+    does.  build_lax, fundamental_r and phi_product are in the sweep below,
+    and qnum, which returns what overflows, is left out."""
     q = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))
     space = ProductSpace.of_spins(1, 1, q, "orthonormal")
     s1 = CyclicRepSpec(0.3 + 0.1j, -0.2, 0.1j, 3)
@@ -809,3 +811,33 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     for u in (1000j, -1000j, -300j):
         for name in ("family_closure_defect", "tensor_power_scalars", "partial_R"):
             assert (name, u) in overflows
+
+
+_Q_FAR = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))
+_SPACE_FAR = ProductSpace.of_spins(1, 1, _Q_FAR, "orthonormal")
+_HUGE_ALPHA = CyclicRepSpec(1000j, -0.2, 0.1j, 3)
+OVERFLOWING_CALLS = {
+    "sectors_5000": lambda: _SPACE_FAR.sectors(5000),
+    "sectors_1e6": lambda: _SPACE_FAR.sectors(1e6),
+    "sectors_spin_0_1e6": lambda: ProductSpace.of_spins(0, 0, _Q_FAR).sectors(1e6),
+    "tensor_casimir_5000": lambda: tensor_casimir(_SPACE_FAR, 5000),
+    "tensor_casimir_1e6": lambda: tensor_casimir(_SPACE_FAR, 1e6),
+    "central_elements": lambda: central_elements(_HUGE_ALPHA),
+    "build_cyclic_rep": lambda: build_cyclic_rep(_HUGE_ALPHA),
+    "build_lax": lambda: build_lax(build_spin_rep(1, _Q_FAR), 5000),
+    "fundamental_r": lambda: fundamental_r(1e6, _Q_FAR),
+    "phi_product": lambda: phi_product(1000j, DeformationParameter.root_of_unity(3)),
+    "build_spin_rep": lambda: build_spin_rep(6, DeformationParameter.generic(1e-100)),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWING_CALLS.values(), ids=OVERFLOWING_CALLS)
+def test_an_overflow_is_a_domain_error_and_no_warning(call):
+    """Where a power of q overflows, each public call raises the
+    ParameterDomainError of the one overflow check, with no numpy warning:
+    not a CompletenessFailure or a NotScalar of a NaN residual, and not a
+    non-finite result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match=r"a power of q overflows\Z"):
+            call()

@@ -348,8 +348,7 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
     eig = rop._eigenvalues(*pair, us, qs)
     r = rop._solve(*pair, us, qs, eig, form)
     for s in range(count):
-        alone = dataclasses.replace(form, left=form.left[s:s + 1], right=form.right[s:s + 1],
-                                    cond=form.cond[s:s + 1])
+        alone = dataclasses.replace(form, left=form.left[s:s + 1], right=form.right[s:s + 1])
         _same(r[s], rop._solve(*pair, us[s:s + 1], _QStack.of(qs[s:s + 1]), eig[s:s + 1],
                                alone)[0])
 
@@ -411,7 +410,7 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
     run = space()
     sectors, (sp, sm) = run.chain_pass(("delta", us), read=[("delta", us)])
     form, want_form = run.spectral_form(), space().spectral_form()
-    for name in ("left", "right", "cond"):
+    for name in ("left", "right"):
         _same(getattr(form, name), getattr(want_form, name))
     _same(sectors, space().chain_pass(("delta", us), form=False)[0])
     reports = _casimir_reports(run, sectors, (sp[:, 0], sm[:, 0]),

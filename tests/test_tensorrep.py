@@ -620,7 +620,7 @@ def test_sectors_at_the_rational_point(pair):
 def _space_arrays(space):
     form = space.spectral_form()
     return [*(a for f in space.factors for a in (f.lift, f.lower, f.weights)),
-            space.weights, form.left, form.right, form.cond]
+            space.weights, form.left, form.right]
 
 
 def test_every_spelling_of_a_spin_shares_one_space(q_generic):
@@ -659,9 +659,9 @@ def test_of_spins_is_the_space_of_two_built_reps(pair, basis, q_generic):
             arrays.append([*(a for f in space.factors for a in (f.lift, f.lower)),
                            *(m[:, 0] for kind in kinds for x in (u, -u)
                              for m in space.coproducts([(kind, [x])])),
-                           form.left, form.right, form.cond])
+                           form.left, form.right])
         got, want = arrays
-        assert len(got) == len(want) == 15
+        assert len(got) == len(want) == 14
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -679,7 +679,7 @@ def test_shared_arrays_are_read_only(basis, q_generic):
     shared = _space_arrays(space) + [space.layout.scatter]
     if basis == "orthonormal":
         shared += [f.from_monomial for f in space.factors] + [space.from_monomial]
-    assert len(shared) == (11 if basis == "monomial" else 14)
+    assert len(shared) == (10 if basis == "monomial" else 13)
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 7
@@ -829,6 +829,10 @@ def test_layout_scatter_and_cut_equal_the_four_way_references(d1):
         for count in (1, 3):
             for kinds in (np.array([0]), np.array([1]), np.array([0, 1, 1, 0, 1])):
                 terms = _signed(rng, (2, count, kinds.size, 2, d1, d2))
+                if dim == 1:
+                    # both factors of dimension 1: every term is a band entry [0] = +0.0 times
+                    # a power, a signed zero, and the two terms of a generator land on one entry
+                    terms = np.copysign(0.0, terms.view(float)).view(complex)
                 want = _reference_generators(terms, kinds, d1, d2)
                 got = layout.generators(terms.copy(), kinds)
                 assert all(_same_bits_array(g, w) for g, w in zip(got, want, strict=True))
@@ -837,4 +841,4 @@ def test_layout_scatter_and_cut_equal_the_four_way_references(d1):
         # the terms of a family of either kind land on distinct entries, but at (1, 1)
         distinct = [np.unique(targets).size == targets.size
                     for targets in layout.scatter.swapaxes(0, 1)]
-        assert distinct == [(d1, d2) != (1, 1)] * 2 and layout.repeats == ((d1, d2) == (1, 1))
+        assert distinct == [(d1, d2) != (1, 1)] * 2
