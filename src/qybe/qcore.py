@@ -244,13 +244,11 @@ def _require_finite(what: str, *values, us=None) -> None:
     leading row of the values, else "<what>: a power of q overflows".  Public
     functions run their kernels with numpy's warnings off and check here; the
     suites' stacked kernels and :func:`qnum` do not."""
-    if all(np.isfinite(value).all() for value in values):
-        return
-    if us is not None:
-        rows = np.logical_and.reduce([np.isfinite(np.reshape(value, (len(us), -1))).all(axis=1)
-                                      for value in values])
-        what += f" u = {complex(us[int(np.argmin(rows))])}"
-    raise ParameterDomainError(f"{what}: a power of q overflows")
+    if not all(np.isfinite(value).all() for value in values):
+        if us is not None:
+            ok = np.all([np.isfinite(np.reshape(v, (len(us), -1))).all(axis=1) for v in values], 0)
+            what += f" u = {complex(us[int(np.argmin(ok))])}"
+        raise ParameterDomainError(f"{what}: a power of q overflows")
 
 
 def residual(lhs, rhs, *inputs) -> float:

@@ -527,17 +527,19 @@ class _BlockLayout:
     def generators(self, terms: np.ndarray, kinds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S+ and S- of each family, two (S, F, d, d) views of one buffer of
         both, from the terms (2, S, F, 2, d1, d2) of :func:`_twisted_terms`
-        of the families' kinds, by one scatter onto +0.0; ``terms`` is
-        written over."""
+        of the families' kinds, by one scatter onto +0.0, or one scatter-add
+        where both factors have dimension 1; ``terms`` is written over."""
         count, size = terms.shape[1:3]
         gens = np.zeros((count, size, 2, self.dim, self.dim), complex)
         # [t, f, a, column]
         targets = np.arange(size)[:, None, None] * (2 * self.dim ** 2) + self.scatter[:, kinds]
         flat, terms = gens.reshape(count, -1), terms.reshape(2, count, -1)
-        # as an addition onto the +0.0 would, a -0.0 term lands as +0.0; where both factors have
-        # dimension 1 the two terms of a generator land on one entry, both exact zeros
-        np.add(terms, 0.0, out=terms)
-        flat[:, targets.reshape(2, -1)] = terms.swapaxes(0, 1)
+        if self.dim == 1:
+            # both factors of dimension 1: the two terms of a generator land on one entry and add
+            np.add.at(flat, (slice(None), targets.reshape(2, -1)), terms.swapaxes(0, 1))
+        else:
+            # as an addition onto the +0.0 would, a -0.0 term lands as +0.0
+            flat[:, targets.reshape(2, -1)] = np.add(terms, 0.0, out=terms).swapaxes(0, 1)
         return gens[:, :, 1], gens[:, :, 0]
 
     def cut(self, chains: np.ndarray) -> np.ndarray:

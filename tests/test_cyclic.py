@@ -820,6 +820,9 @@ OVERFLOWING_CALLS = {
     "sectors_5000": lambda: _SPACE_FAR.sectors(5000),
     "sectors_1e6": lambda: _SPACE_FAR.sectors(1e6),
     "sectors_spin_0_1e6": lambda: ProductSpace.of_spins(0, 0, _Q_FAR).sectors(1e6),
+    # at a real q one term of each generator overflows to NaN and the other to 0, on one entry
+    "sectors_spin_0_real_q": lambda: ProductSpace.of_spins(
+        0, 0, DeformationParameter.generic(2.0)).sectors(3000),
     "tensor_casimir_5000": lambda: tensor_casimir(_SPACE_FAR, 5000),
     "tensor_casimir_1e6": lambda: tensor_casimir(_SPACE_FAR, 1e6),
     "central_elements": lambda: central_elements(_HUGE_ALPHA),
