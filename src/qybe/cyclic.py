@@ -189,6 +189,18 @@ def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
     _require_shared_q(spec1.q, spec2.q)
 
 
+def _sample(what: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex):
+    """The words "<what> at <the sample>" of a pair wrapper's overflow error,
+    as a function of none for :func:`qcore._require_finite`, so that only a
+    call that overflows forms them.  The sample is alpha, beta and lam of
+    both specs as well as u, since the powers of q read all of them."""
+    def words() -> str:
+        params = ", ".join(str(tuple(complex(x) for x in (s.alpha, s.beta, s.lam)))
+                           for s in (spec1, spec2))
+        return f"{what} at (alpha, beta, lam) = {params}, u = {complex(u)}"
+    return words
+
+
 # the four twisted generators, in the order of every stack over them, and
 # the steps by which each moves the weight sector
 _GENERATORS = ("sm_u", "sp_u", "sm_bar_u", "sp_bar_u")
@@ -345,7 +357,7 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     block the product of the generator's N sector blocks
     (:func:`_sector_bands`) once around the cycle.  The stack of one of
     :func:`_tensor_power_reports`.  It raises :class:`ParameterDomainError`
-    naming u where a scalar or closed form overflows, then at the first
+    naming the sample where a scalar or closed form overflows, then at the first
     generator whose off-scalar residual is above ``tol``, in the order sm_u,
     sp_u, sm_bar_u, sp_bar_u.
     """
@@ -354,8 +366,8 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         powers = _tensor_power_reports([spec1], [spec2], [u],
                                        *_halves(_rep_bands([spec1, spec2])))
-    _require_finite("the tensor powers are not finite at", powers.scalars,
-                    powers.closed_form_errors, us=[u])
+    _require_finite(_sample("the tensor powers are not finite", spec1, spec2, u),
+                    powers.scalars, powers.closed_form_errors)
     report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
@@ -379,12 +391,12 @@ def _ratio_exponent(spec1, spec2, u, barred: bool):
 def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
     """Geometric coefficient ratio along the support cycle of the family;
-    :class:`ParameterDomainError` names u where it overflows."""
+    :class:`ParameterDomainError` names the sample where it overflows."""
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
-    _require_finite("the family ratio is not finite at", ratio, us=[u])
+    _require_finite(_sample("the family ratio is not finite", spec1, spec2, u), ratio)
     return ratio
 
 
@@ -394,11 +406,11 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
     The coefficients run along a closed N-cycle of basis labels, so a
     geometric ratio is consistent only when its N-th power is 1.
-    :class:`ParameterDomainError` names u where a defect overflows.
+    :class:`ParameterDomainError` names the sample where a defect overflows.
     """
     defects = tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
                     for barred in (False, True))
-    _require_finite("the closure defects are not finite at", defects, us=[u])
+    _require_finite(_sample("the closure defects are not finite", spec1, spec2, u), defects)
     return defects
 
 
@@ -453,15 +465,17 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
     A ``complex`` for an int m; an array of the prefactors for an array of
     m.  The stack of one of :func:`_prefactors`, so an int m gives the bits
-    of its entry in an array.  :class:`ParameterDomainError` names u where
-    a prefactor overflows.
+    of its entry in an array.  Specs of different orders raise
+    :class:`OrderMismatch`, and :class:`ParameterDomainError` names the
+    sample where a prefactor overflows.
     """
+    _require_same_q(spec1, spec2)
     if relation not in _RELATIONS:
         raise ParameterDomainError(f"unknown relation {relation!r}")
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
-    _require_finite("the prefactors are not finite at", c, us=[u])
+    _require_finite(_sample("the prefactors are not finite", spec1, spec2, u), c)
     return c if np.ndim(m) else complex(c[0])
 
 
@@ -514,7 +528,8 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     ratio^N = 1 fails the laws break at the cycle seam; with ``enforce`` the
     first violation is raised, in the order lower, raise, lower_bar,
     raise_bar with m ascending; otherwise residuals are just reported.
-    :class:`ParameterDomainError` names u where a vector or residual overflows.
+    :class:`ParameterDomainError` names the sample where a vector or residual
+    overflows.
     """
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
@@ -522,8 +537,8 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
         ratios, resids = _shift_residuals([spec1], [spec2], [u])
         rho, sig = ratios[0]
         phi, phibar = _family_vectors(spec1.n, (rho, sig))
-    _require_finite("the family vectors and their shift residuals are not finite at", resids, phi,
-                    phibar, us=[u])
+    _require_finite(_sample("the family vectors and their shift residuals are not finite", spec1,
+                            spec2, u), resids, phi, phibar)
     for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
@@ -572,12 +587,12 @@ def sample_compatible_params(n: int, rng: np.random.Generator,
 def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> np.ndarray:
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1.
     The stack of one of :func:`_eigenvalue_steps`; :class:`ParameterDomainError`
-    names u where an R_m overflows."""
+    names the sample where an R_m overflows."""
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r_m = _eigenvalue_steps([spec1], [spec2], [u])[1][0]
-    _require_finite("the eigenvalues are not finite at", r_m, us=[u])
+    _require_finite(_sample("the eigenvalues are not finite", spec1, spec2, u), r_m)
     return r_m
 
 
@@ -613,13 +628,17 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     outside the blocks is 0.  The solve is exact on the joint span
     (pseudo-inverse of a full-column-rank pair); a residual above 1e-9 (or
     NaN) means the prescribed images contradict a linear dependence among
-    the inputs.  A u so large that a power of a family ratio is not finite
-    raises :class:`ParameterDomainError`.  The stack of one of :func:`_partial_rs`.
+    the inputs.  Where a power of a family ratio or an R_m is not finite, a
+    :class:`ParameterDomainError` names the sample, before the residual is
+    judged.  The stack of one of :func:`_partial_rs`.
     """
     _require_same_q(spec1, spec2)
     _check_finite(u=u)
-    solves = _partial_rs([spec1], [spec2], [u])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        solves = _partial_rs([spec1], [spec2], [u],
+                             _sample("the family ratios are not finite", spec1, spec2, u))
     rank, resid, r_m = solves.span_ranks[0], solves.max_residuals[0], solves.eigenvalues[0]
+    _require_finite(_sample("the eigenvalues are not finite", spec1, spec2, u), r_m)
     if not resid <= 1e-9:
         raise InconsistentConstraints(
             resid, rank, f"defining relations conflict on the joint span (residual {resid:.3e})")
@@ -642,11 +661,12 @@ class _SectorSolves(NamedTuple):
     max_residuals: list
 
 
-def _partial_rs(specs1, specs2, us) -> _SectorSolves:
+def _partial_rs(specs1, specs2, us, what=None) -> _SectorSolves:
     """:func:`partial_R` of every sample, unguarded and by sector: a
     conflicting sample keeps its residual and span rank, and no N^2 x N^2
     array is formed; a power of a family ratio that is not finite raises
-    :class:`ParameterDomainError` naming the lowest such sample's u.
+    :class:`ParameterDomainError` naming the lowest such sample's u, or in
+    the words ``what`` (:func:`_sample`) of the one sample of :func:`partial_R`.
 
     In the sector m, phi_m and phibar_m at u have the coefficients rho^k
     and sigma^k of theta_{(m-k) mod N, k}, for every m, and their images
@@ -666,7 +686,10 @@ def _partial_rs(specs1, specs2, us) -> _SectorSolves:
                                   for barred in (False, True)], axis=1) * q.log_branch)
         # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
         powers = np.power(ratios[:, None], np.arange(n)[:, None])
-    _require_finite("the family ratios are not finite at", powers, us=us)
+    if what is None:
+        _require_finite("the family ratios are not finite at", powers, us=us)
+    else:
+        _require_finite(what, powers)
     v, w = powers[..., :2], powers[..., [3, 2]]
     r_m = _eigenvalue_steps(specs1, specs2, us)[1]
     # one SVD gives the rank and numpy's pinv, step by step

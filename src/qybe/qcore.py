@@ -76,7 +76,12 @@ class DeformationParameter:
                 f"q and its log branch must be finite (got {self.value}, {self.log_branch})")
         if self.value == 0:
             raise ParameterDomainError("q must be nonzero")
-        if abs(np.exp(self.log_branch) - self.value) > _BRANCH_TOL * max(1.0, abs(self.value)):
+        try:
+            gap = abs(cmath.exp(self.log_branch) - self.value)
+        except OverflowError:
+            # e^log_branch is past the float range, so it is no finite q
+            gap = math.inf
+        if gap > _BRANCH_TOL * max(1.0, abs(self.value)):
             raise ParameterDomainError("log_branch is not a logarithm of q")
         n = self.order
         if n is not None:
@@ -237,14 +242,18 @@ def _check_finite(**values) -> None:
             raise ParameterDomainError(f"{name} must be finite (got {name}={value})")
 
 
-def _require_finite(what: str, *values, us=None) -> None:
+def _require_finite(what, *values, us=None) -> None:
     """The one overflow check: where an entry of ``values`` is not finite, a
     :class:`ParameterDomainError` "<what> u = <u>: a power of q overflows",
     u being that of the lowest failing row when ``us`` holds the u of each
-    leading row of the values, else "<what>: a power of q overflows".  Public
-    functions run their kernels with numpy's warnings off and check here; the
-    suites' stacked kernels and :func:`qnum` do not."""
+    leading row of the values, else "<what>: a power of q overflows".
+    ``what`` is a string, or a function of none that gives it, for words
+    that cost more to form than the check.  Public functions run their
+    kernels with numpy's warnings off and check here; the suites' stacked
+    kernels and :func:`qnum` do not."""
     if not all(np.isfinite(value).all() for value in values):
+        if callable(what):
+            what = what()
         if us is not None:
             ok = np.all([np.isfinite(np.reshape(v, (len(us), -1))).all(axis=1) for v in values], 0)
             what += f" u = {complex(us[int(np.argmin(ok))])}"

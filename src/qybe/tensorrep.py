@@ -50,8 +50,7 @@ def _kind_index(kind: str) -> int:
 def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
     """The kind index (F,) of each family (kind, us) of ``families``, 0 for
     Delta and 1 for Delta-bar, and the us as an (S, F) array: what
-    :meth:`ProductSpace.coproducts` and :meth:`ProductSpace.chain_pass` read
-    of the families."""
+    :meth:`ProductSpace.chain_pass` reads of the families."""
     kinds = np.array([_kind_index(kind) for kind, _ in families])
     return kinds, np.array([us for _, us in families], complex).T
 
@@ -159,8 +158,6 @@ class ProductSpace:
         if any(f.weights.ndim > 1 and len(f.weights) > 1 for f in self.factors):
             raise ParameterDomainError("a product space takes one weight vector per factor")
         self.qs = f1.qs
-        self.log_branch = self.qs.log_branch
-        self.rational = self.qs.rational
         self.weights = _read_only(np.add.outer(f1.weights, f2.weights).ravel())
         self.dims = (f1.lift.shape[1], f2.lift.shape[1])
         self.from_monomial = None
@@ -196,15 +193,6 @@ class ProductSpace:
         return ProductSpace(f1, f1 if two_ell2 == two_ell1
                             else _spin_factors(two_ell2 / 2, qs, basis))
 
-    def coproducts(self, families) -> tuple[np.ndarray, np.ndarray]:
-        """S+_u and S-_u (see :meth:`coproduct`) of each family (kind, us) at
-        u_s for every sample s, as two (S, F, d, d) views of one buffer of
-        both: the terms of :func:`_twisted_terms` written to their targets,
-        k1 and k2 moved mod d1 and mod d2, by one scatter
-        (:attr:`_BlockLayout.scatter`)."""
-        kinds, us = _family_arrays(families)
-        return self.layout.generators(_twisted_terms(*self.factors, kinds, us), kinds)
-
     def coproduct(self, kind: str = "delta", u: complex = 0.0) -> OperatorTriple:
         """The tensor-product generators of ``kind`` twisted by the spectral
         parameter u:
@@ -213,15 +201,14 @@ class ProductSpace:
                          S+_u = q^{-u/2+S2} S1+ + q^{u/2-S1} S2+;
             "deltabar":  the q -> 1/q twin (all twist exponents negated).
 
-        A u that is not finite raises :class:`ParameterDomainError`, and so
-        does, naming u, a u so large that a power of q overflows in the
-        matrices.
+        They are the :meth:`chain_pass` read of that one family.  A u that is
+        not finite raises :class:`ParameterDomainError`, and so does, naming
+        u, a u so large that a power of q overflows in the matrices.
         """
         _check_finite(u=u)
         if len(self.qs) != 1:
             raise DimensionMismatch("coproduct and sectors need a product space of one q")
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sp, sm = self.coproducts([(kind, [u])])
+        sp, sm = self.chain_pass(form=False, read=[(kind, [u])])[1]
         _require_finite("the coproduct is not finite at", sp, sm, us=[u])
         f1, f2 = self.factors
         fm = self.from_monomial
@@ -293,8 +280,8 @@ class ProductSpace:
         the barred chains are the unbarred ones, so Delta alone), then
         ``sector``, a family (kind, us), when given: the kinds and us of
         those families and the families ``read`` derived once
-        (:func:`_family_arrays`), one scatter of their coproducts (see
-        :meth:`coproducts`), one :meth:`_chains` pass, one cut of the chains
+        (:func:`_family_arrays`), one scatter of their coproducts (the one
+        dense scatter), one :meth:`_chains` pass, one cut of the chains
         into weight blocks (one flat take, :meth:`_BlockLayout.cut`), one
         :func:`_unit_blocks` call that conditions the form's unbarred family
         and the sector family together, and one test of those blocks
@@ -304,14 +291,16 @@ class ProductSpace:
         own tests find what is not finite.
 
         It keeps the spectral form it builds.  It gives the sector family's
-        chains (S, d1+d2-1, d1*d2, k), or None without ``sector``, and the
-        :meth:`coproducts` of the families ``read``, or None without any.
-        A sample fails on its chains, then on an overflow, then on its blocks.
+        chains (S, d1+d2-1, d1*d2, k), or None without ``sector``, and S+_u
+        and S-_u (S, F, d, d) of the F families ``read``, or None without
+        any; a family read that equals one before it, as u = -0.0 does 0.0,
+        is that one.  A sample fails on its chains, then on an overflow, then
+        on its blocks.
         """
         families = []
         if form and self._form is None:
             zeros = [0.0] * len(self.qs)
-            families = [("delta", zeros)] + ([] if self.rational else [("deltabar", zeros)])
+            families = [("delta", zeros)] + ([] if self.qs.rational else [("deltabar", zeros)])
         families += [] if sector is None else [sector]
         raised = len(families)
         families += [family for family in read if family not in families]

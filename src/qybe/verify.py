@@ -473,7 +473,7 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
     u_s on each sample of ``space``: one broadcast matmul of R on each side
     for all relations and samples, and one abs-max over the operands.
-    ``gens`` is the :meth:`ProductSpace.coproducts` of the
+    ``gens`` is the :meth:`ProductSpace.chain_pass` read of the
     :func:`_decomposed_families` at the us and ``diagonal`` the Casimir
     diagonal of the space, which the Casimir suite reads too.
 
@@ -486,7 +486,7 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     (:attr:`tensorrep._BlockLayout.exchanges`); the factors' q^{+-S} are
     those that the coproduct kernel read."""
     f1, f2 = space.factors
-    lb = space.log_branch
+    lb = space.qs.log_branch
     count, d = r.shape[0], r.shape[-1]
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None, None]
     values = np.array([q.value for q in space.qs], complex)[:, None, None]
@@ -531,7 +531,8 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     """
     space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
     us = [rm.u]
-    return _decomposed(space, us, rm.matrix[None], space.coproducts(_decomposed_families(us)),
+    gens = space.chain_pass(form=False, read=_decomposed_families(us))[1]
+    return _decomposed(space, us, rm.matrix[None], gens,
                        _casimir_diagonals(space.weights, space.qs))[0]
 
 

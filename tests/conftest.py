@@ -80,7 +80,7 @@ def raised_chains(space, families):
     """The chains of ``families`` as :meth:`ProductSpace.chain_pass` raises
     them: its chain stage, fed the kinds, us and coproducts of the families."""
     kinds, us = _family_arrays(families)
-    return space._chains(kinds, us, *space.coproducts(families))
+    return space._chains(kinds, us, *space.chain_pass(form=False, read=families)[1])
 
 
 def load_document(path: Path) -> dict:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -245,13 +246,16 @@ def test_an_overflowing_shift_residual_is_a_domain_error():
     """Far outside the numerical envelope the q-powers overflow and every
     shift residual of the stacked kernel is NaN; eigenstate_family raises
     the ParameterDomainError of the overflow, with or without enforce,
-    rather than pass or report them."""
+    rather than pass or report them, and names alpha, beta and lam of both
+    specs, whose powers overflow, as well as u."""
     s1 = CyclicRepSpec(0.1 + 400j, 0.2, 0.3, 3)
     s2 = CyclicRepSpec(0.1, 0.2 + 400j, 0.3, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(cyclic._shift_residuals([s1], [s2], [0.5])[1]).all()
     for enforce in (False, True):
-        with pytest.raises(ParameterDomainError, match=r"u = \(0\.5\+0j\): a power of q overflows"):
+        with pytest.raises(ParameterDomainError, match=re.escape(
+                "not finite at (alpha, beta, lam) = ((0.1+400j), (0.2+0j), (0.3+0j)), "
+                "((0.1+0j), (0.2+400j), (0.3+0j)), u = (0.5+0j): a power of q overflows")):
             eigenstate_family(s1, s2, 0.5, enforce=enforce)
 
 
@@ -635,8 +639,11 @@ def test_partial_r_rejects_factors_on_different_roots(rng):
 @pytest.mark.parametrize("n", [3, 7])
 def test_partial_r_names_a_u_whose_family_ratios_overflow(n):
     """At u = 500j a power of a family ratio is not finite, which once gave
-    a NaN residual at N = 3 and a raw LinAlgError from the SVD at N = 7."""
-    with pytest.raises(ParameterDomainError, match=r"not finite at u = 500j: a power of q"):
+    a NaN residual at N = 3 and a raw LinAlgError from the SVD at N = 7;
+    the error names the sample, alpha, beta and lam of both specs and u."""
+    with pytest.raises(ParameterDomainError, match=re.escape(
+            "not finite at (alpha, beta, lam) = (0j, 0j, 0j), ((0.1+0j), 0j, (0.2+0j)), "
+            "u = 500j: a power of q")):
         partial_R(CyclicRepSpec(0, 0, 0, n), CyclicRepSpec(0.1, 0, 0.2, n), 500j)
 
 
@@ -654,7 +661,12 @@ def test_a_partial_r_stack_raises_at_its_lowest_overflowing_sample(rng, monkeypa
         verify.check_partial_r(7, ToleranceConfig(sample_count=4, rng_seed=1))
 
 
-@pytest.mark.parametrize("func", [cyclic_R_eigenvalues, family_closure_defect, family_ratio])
+def shift_prefactor_lower(spec1, spec2, u):
+    return shift_prefactor("lower", spec1, spec2, u, 1)
+
+
+@pytest.mark.parametrize("func", [cyclic_R_eigenvalues, family_closure_defect, family_ratio,
+                                  shift_prefactor_lower])
 def test_family_functions_reject_mismatched_factors(func, rng):
     """N = 5 against 3, and order 5 on q = e^{2 pi i/5} against e^{4 pi i/5}."""
     s5, s3 = _random_spec(5, rng), _random_spec(3, rng)
@@ -769,48 +781,83 @@ def _all_finite(value) -> bool:
 def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     """At a u far outside the numerical envelope every call of the product
     space of spins (1, 1) and of the cyclic pair below returns a finite
-    result or raises a QybeError, and numpy warns of nothing; where a
-    power of q overflows, ParameterDomainError names u, as partial_R's
-    does.  build_lax, fundamental_r and phi_product are in the sweep below,
-    and qnum, which returns what overflows, is left out."""
+    result or raises a QybeError, and numpy warns of nothing; so does every
+    cyclic pair call at u = 0.5 where alpha, beta or lam of either spec is
+    +-400j, and a q of 1e300 with a log branch of 800.  Where a power of q
+    overflows, ParameterDomainError names u on the product space, and the
+    cyclic pair calls name alpha, beta and lam of both specs as well as u.
+    build_lax, fundamental_r and phi_product are in the sweep below, and
+    qnum, which returns what overflows, is left out."""
     q = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))
     space = ProductSpace.of_spins(1, 1, q, "orthonormal")
     s1 = CyclicRepSpec(0.3 + 0.1j, -0.2, 0.1j, 3)
     s2 = CyclicRepSpec(0.1, 0.4j, -0.3, 3)
-    calls = {
+    space_calls = {
         "coproduct": lambda u: space.coproduct("delta", u),
         "coproduct_bar": lambda u: space.coproduct("deltabar", u),
         "sectors": lambda u: space.sectors(u),
         "sectors_bar": lambda u: space.sectors(u, "deltabar"),
         "tensor_casimir": lambda u: tensor_casimir(space, u),
-        "family_closure_defect": lambda u: family_closure_defect(s1, s2, u),
-        "family_ratio": lambda u: family_ratio(s1, s2, u),
-        "family_ratio_bar": lambda u: family_ratio(s1, s2, u, barred=True),
-        "cyclic_R_eigenvalues": lambda u: cyclic_R_eigenvalues(s1, s2, u),
-        **{f"shift_prefactor_{relation}": lambda u, relation=relation:
-           shift_prefactor(relation, s1, s2, u, 1) for relation in cyclic._RELATIONS},
-        "eigenstate_family": lambda u: eigenstate_family(s1, s2, u, enforce=False),
-        "eigenstate_family_enforced": lambda u: eigenstate_family(s1, s2, u),
-        "tensor_power_scalars": lambda u: tensor_power_scalars(s1, s2, u),
-        "partial_R": lambda u: partial_R(s1, s2, u),
     }
-    overflows = set()
+    pair_calls = {
+        "family_closure_defect": family_closure_defect,
+        "family_ratio": family_ratio,
+        "family_ratio_bar": lambda a, b, u: family_ratio(a, b, u, barred=True),
+        "cyclic_R_eigenvalues": cyclic_R_eigenvalues,
+        **{f"shift_prefactor_{relation}": lambda a, b, u, relation=relation:
+           shift_prefactor(relation, a, b, u, 1) for relation in cyclic._RELATIONS},
+        "eigenstate_family": lambda a, b, u: eigenstate_family(a, b, u, enforce=False),
+        "eigenstate_family_enforced": eigenstate_family,
+        "tensor_power_scalars": tensor_power_scalars,
+        "partial_R": partial_R,
+    }
+    # (name, key) -> (call, " at <sample>": the words that its overflow error names it by)
+    sweep = {}
     for u in (1000j, -1000j, -300j, 5000, 1e6):
-        for name, call in calls.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    assert _all_finite(call(u)), (name, u)
-                except ParameterDomainError as exc:
-                    if str(exc).endswith(f"at u = {complex(u)}: a power of q overflows"):
-                        overflows.add((name, u))
-                except QybeError:
-                    pass
+        for name, call in space_calls.items():
+            sweep[name, u] = (lambda call=call, u=u: call(u)), f" at u = {complex(u)}"
+        for name, call in pair_calls.items():
+            sweep[name, u] = ((lambda call=call, u=u: call(s1, s2, u)),
+                              cyclic._sample("", s1, s2, u)())
+    # alpha1 and beta2 cancel in the family ratios, and only the R_m overflow
+    large = {"alpha1+beta2": [dataclasses.replace(s1, alpha=s1.alpha + 400j),
+                              dataclasses.replace(s2, beta=s2.beta + 400j)]}
+    for slot in (0, 1):
+        for param in ("alpha", "beta", "lam"):
+            for z in (400j, -400j):
+                specs = [s1, s2]
+                specs[slot] = dataclasses.replace(specs[slot], **{param: z})
+                large[slot, param, z] = specs
+    for key, specs in large.items():
+        for name, call in pair_calls.items():
+            sweep[name, key] = ((lambda call=call, specs=specs: call(*specs, 0.5)),
+                                cyclic._sample("", *specs, 0.5)())
+    overflows = set()
+    for key, (call, sample) in sweep.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert _all_finite(call()), key
+            except ParameterDomainError as exc:
+                if str(exc).endswith(f"{sample}: a power of q overflows"):
+                    overflows.add(key)
+            except QybeError:
+                pass
     assert {("coproduct", 1e6), ("family_ratio", -1000j), ("cyclic_R_eigenvalues", 1000j),
             ("shift_prefactor_lower", -1000j), ("eigenstate_family", -1000j)} <= overflows
     for u in (1000j, -1000j, -300j):
         for name in ("family_closure_defect", "tensor_power_scalars", "partial_R"):
             assert (name, u) in overflows
+    assert ("cyclic_R_eigenvalues", "alpha1+beta2") in overflows
+    for key, specs in large.items():
+        assert ("tensor_power_scalars", key) in overflows
+        # a lam of one spec moves the family ratios by half as much as alpha or beta
+        if specs[0].lam == s1.lam and specs[1].lam == s2.lam:
+            assert {("eigenstate_family", key), ("partial_R", key)} <= overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="log_branch is not a logarithm of q"):
+            DeformationParameter(value=1e300 + 0j, log_branch=800 + 0j)
 
 
 _Q_FAR = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))

@@ -203,7 +203,8 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     form = space.spectral_form()
     r_u = _stacked_R(*pair, us, qs, form)
     r_mu = _stacked_R(*pair, [-u for u in us], qs, form)
-    relations = _decomposed(space, us, r_u, space.coproducts(_decomposed_families(us)),
+    relations = _decomposed(space, us, r_u,
+                            space.chain_pass(form=False, read=_decomposed_families(us))[1],
                             _casimir_diagonals(space.weights, qs))
     prod = r_u @ r_mu
     for s, (q, u) in enumerate(points):
@@ -238,7 +239,7 @@ def _stacked_decomposed(space, us, r, gens, diagonal, swap=None):
     the two differ."""
     (sp1, sm1), (sp2, sm2) = (np.moveaxis(f.dense(), 1, 0) for f in space.factors)
     f1, f2 = space.factors
-    lb = space.log_branch
+    lb = space.qs.log_branch
     qs_diag = _q_powers(space.weights, lb, 1)
     qu = np.exp(np.asarray(us, complex) * lb)[:, None, None]
     values = np.array([q.value for q in space.qs], complex)[:, None, None]
@@ -298,7 +299,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     qs, us = _QStack.of(qs), list(us)
     space = ProductSpace.stack_of_spins(*pair, qs, "monomial" if rational else basis)
     r = _stacked_R(*pair, us, qs, space.spectral_form())
-    gens = space.coproducts(_decomposed_families(us))
+    gens = space.chain_pass(form=False, read=_decomposed_families(us))[1]
     diagonal = _casimir_diagonals(space.weights, qs)
     got = _decomposed(space, us, r, gens, diagonal)
     assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
@@ -1044,7 +1045,7 @@ def _spy_on_stacks(monkeypatch) -> list:
 
     def spying_init(self, *args):
         init(self, *args)
-        if not self.rational:
+        if not self.qs.rational:
             built.append(weakref.ref(self))
 
     monkeypatch.setattr(ProductSpace, "__init__", spying_init)
@@ -1184,7 +1185,7 @@ def test_writing_to_any_memoised_array_raises():
     qs, us = zip(*_points((1.0, 1.5), 3))
     stack = ProductSpace.stack_of_spins(1.0, 1.5, _QStack.of(qs), "orthonormal")
     stack.spectral_form()
-    stack.coproducts([("delta", us)])
+    stack.chain_pass(form=False, read=[("delta", us)])
     arrays = list(_arrays(stack))
     # factors, log q, weights, from_monomial, q-powers, pieces, form and layout
     assert len(arrays) > 30

@@ -675,7 +675,7 @@ def test_each_golden_pair_run_raises_its_chains_and_solves_r_once(monkeypatch, c
     calls, forms, stacks, reads, cuts, terms, derived = [], [], [], [], [], [], []
 
     def counting_chains(self, kinds, us, sp, sm):
-        if not self.rational:
+        if not self.qs.rational:
             calls.append(("chains", [tensorrep._KINDS[k] for k in kinds.tolist()]))
         return chains(self, kinds, us, sp, sm)
 
@@ -843,9 +843,9 @@ def test_cyclic_centrality_builds_two_reps_per_sample(monkeypatch):
 @pytest.mark.parametrize("n", [3, 7])
 def test_cyclic_tensor_suites_build_no_dense_coproduct(suite, n, monkeypatch):
     """The tensor checks run on the sector bands: no dense twisted generator
-    and no Kronecker product is formed."""
+    is scattered and no Kronecker product is formed."""
     calls = []
-    for owner, name in ((ProductSpace, "coproduct"), (ProductSpace, "coproducts"), (np, "kron")):
+    for owner, name in ((tensorrep._BlockLayout, "generators"), (np, "kron")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *a, _real=real, _name=name, **k: calls.append(_name)
@@ -915,19 +915,35 @@ def _reference_decomposed(rm):
     return out
 
 
+def _unmerged_decomposed(rm):
+    """decomposed_residuals with each coproduct family scattered alone, so
+    that u = 0.0 and -0.0, which compare equal, stay two families."""
+    space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
+    cops = [space.coproduct(kind, us[0]) for kind, us in verify._decomposed_families([rm.u])]
+    gens = tuple(np.stack([getattr(c, name) for c in cops])[None] for name in ("sp", "sm"))
+    return verify._decomposed(space, [rm.u], rm.matrix[None], gens,
+                              verify._casimir_diagonals(space.weights, space.qs))[0]
+
+
 def test_decomposed_residuals_equal_one_residual_per_relation():
+    """Each residual is one qcore.residual, to rounding, and at a drawn u and
+    at u = +-0.0 bit for bit the one read from coproducts scattered one
+    family at a time."""
     rng = np.random.default_rng(5)
     for ell1, ell2 in ((0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (1.5, 1.0)):
         for fixed, basis in ((None, "orthonormal"), (None, "monomial"), (RATIONAL, "monomial")):
-            q, u = _regular_point(ell1, ell2, rng, q=fixed)
-            rm = assemble_R(ell1, ell2, u, q, basis=basis)
-            # a small R leaves the scale of each residual to its other inputs
-            for scale in (1.0, 1e-3):
-                scaled = dataclasses.replace(rm, matrix=scale * rm.matrix)
-                got = decomposed_residuals(scaled)
-                want = _reference_decomposed(scaled)
-                assert list(got) == list(want)
-                assert_close(list(got.values()), list(want.values()))
+            q, drawn = _regular_point(ell1, ell2, rng, q=fixed)
+            for u in (drawn, 0.0, -0.0):
+                rm = assemble_R(ell1, ell2, u, q, basis=basis)
+                # a small R leaves the scale of each residual to its other inputs
+                for scale in (1.0, 1e-3):
+                    scaled = dataclasses.replace(rm, matrix=scale * rm.matrix)
+                    got = decomposed_residuals(scaled)
+                    want = _reference_decomposed(scaled)
+                    assert list(got) == list(want)
+                    assert_close(list(got.values()), list(want.values()))
+                    assert (np.array(list(got.values())).tobytes()
+                            == np.array(list(_unmerged_decomposed(scaled).values())).tobytes())
 
 
 def _reference_on_slots(op, dims, slots):
