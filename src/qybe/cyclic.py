@@ -21,15 +21,17 @@ two-term sum.  The partial R is solved on one sector (:func:`_partial_rs`).
 
 The kernels behind the central elements, the tensor powers, the shift
 laws, the eigenvalue family and the partial R take S samples at one q
-along a leading axis; each public function is the stack of one of its
-kernel, and every slice equals the sample alone bit for bit.  Every
-product of two complex arrays there broadcasts one factor or has no
-temporary right operand, so numpy never computes it into a large
-temporary operand with the factors swapped, which can move the last bit.
+along a leading axis, a pair kernel as one :class:`_Pairs`; each public
+function is the stack of one of its kernel, and every slice equals the
+sample alone bit for bit.  Every product of two complex arrays there
+broadcasts one factor or has no temporary right operand, so numpy never
+computes it into a large temporary operand with the factors swapped,
+which can move the last bit.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -92,14 +94,6 @@ def _rep_bands(specs) -> _Bands:
     return _Bands(lift=np.exp(x) * qnum(alpha - k, q), lower=np.exp(-x) * qnum(k - beta, q),
                   weights=k - (alpha + beta) / 2, from_monomial=None, ell=None, basis_tag="theta",
                   qs=_QStack.of((q,)))
-
-
-def _halves(bands: _Bands) -> tuple[_Bands, _Bands]:
-    """The factors V1 and V2, as views, of a :func:`_rep_bands` stack of 2 S."""
-    half = len(bands.lift) // 2
-    return tuple(dataclasses.replace(bands, lift=bands.lift[rows], lower=bands.lower[rows],
-                                     weights=bands.weights[rows])
-                 for rows in (slice(half), slice(half, None)))
 
 
 def build_cyclic_rep(spec: CyclicRepSpec) -> OperatorTriple:
@@ -182,23 +176,68 @@ def central_elements(spec: CyclicRepSpec, tol: float = 1e-10) -> CentralElements
                            alpha_minus_product_route=central.routes[0].item())
 
 
-def _require_same_q(spec1: CyclicRepSpec, spec2: CyclicRepSpec) -> None:
-    """Cyclic factors must share their order N, and q with its log branch."""
-    if spec1.n != spec2.n:
-        raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
-    _require_shared_q(spec1.q, spec2.q)
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Pairs:
+    """S samples of two cyclic specs at one q, each with its u, as every pair
+    kernel reads them: ``us`` is (S,) complex, ``p1`` and ``p2`` the
+    parameters of ``specs1`` and ``specs2``, and ``q`` and ``n`` shared."""
 
+    specs1: tuple
+    specs2: tuple
+    p1: _Params
+    p2: _Params
+    us: np.ndarray
+    q: DeformationParameter
+    n: int
 
-def _sample(what: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex):
-    """The words "<what> at <the sample>" of a pair wrapper's overflow error,
-    as a function of none for :func:`qcore._require_finite`, so that only a
-    call that overflows forms them.  The sample is alpha, beta and lam of
-    both specs as well as u, since the powers of q read all of them."""
-    def words() -> str:
-        params = ", ".join(str(tuple(complex(x) for x in (s.alpha, s.beta, s.lam)))
-                           for s in (spec1, spec2))
-        return f"{what} at (alpha, beta, lam) = {params}, u = {complex(u)}"
-    return words
+    @classmethod
+    def of(cls, specs1, specs2, us) -> "_Pairs":
+        """A suite's run of samples, whose specs share q as the suites draw them."""
+        return cls(tuple(specs1), tuple(specs2), _params(specs1), _params(specs2),
+                   np.asarray(us, complex), specs1[0].q, specs1[0].n)
+
+    @classmethod
+    def one(cls, spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> "_Pairs":
+        """The one pair of a public function: cyclic factors must share their
+        order N, and q with its log branch, and u must be finite."""
+        if spec1.n != spec2.n:
+            raise OrderMismatch(f"orders differ: {spec1.n} vs {spec2.n}")
+        _require_shared_q(spec1.q, spec2.q)
+        _check_finite(u=u)
+        return cls.of((spec1,), (spec2,), (u,))
+
+    @functools.cached_property
+    def bands(self) -> _Bands:
+        """The :func:`_rep_bands` stack of the 2 S specs, built once."""
+        return _rep_bands(self.specs1 + self.specs2)
+
+    @functools.cached_property
+    def halves(self) -> tuple[_Bands, _Bands]:
+        """The factors V1 and V2 of :attr:`bands`, as views."""
+        bands, half = self.bands, len(self.us)
+        return tuple(dataclasses.replace(bands, lift=bands.lift[rows], lower=bands.lower[rows],
+                                         weights=bands.weights[rows])
+                     for rows in (slice(half), slice(half, None)))
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def ratios(self, sign: int = 1) -> np.ndarray:
+        """The family ratios [rho, sigma] of every sample at sign * u, (S, 2):
+        rho = q^{u - 2 + (beta1 + beta2 - alpha1 - alpha2 + lam2 - lam1)/2}, and
+        sigma = q^{2 - u + (alpha1 + alpha2 - beta1 - beta2 + lam2 - lam1)/2}."""
+        (a1, b1, l1), (a2, b2, l2) = self.p1, self.p2
+        u = self.us if sign > 0 else -self.us
+        return np.exp(np.stack([u - 2 + (b1 + b2 - a1 - a2 + l2 - l1) / 2,
+                                2 - u + (a1 + a2 - b1 - b2 + l2 - l1) / 2], axis=1)
+                      * self.q.log_branch)
+
+    def require_finite(self, what: str, *values) -> None:
+        """:func:`qcore._require_finite` of ``values``, each with a leading
+        sample axis, naming the lowest failing sample in words formed only
+        then: "<what> at (alpha, beta, lam) = (a1, b1, l1), (a2, b2, l2), u = <u>"."""
+        def words(s: int) -> str:
+            params = ", ".join(str(tuple(complex(x[s]) for x in p)) for p in (self.p1, self.p2))
+            return f"{what} at (alpha, beta, lam) = {params}, u = {complex(self.us[s])}"
+        _require_finite(words, *values, us=self.us)
 
 
 # the four twisted generators, in the order of every stack over them, and
@@ -322,19 +361,19 @@ class _TensorPowers(NamedTuple):
     closed_form_errors: np.ndarray
 
 
-def _tensor_power_reports(specs1, specs2, us, reps1: _Bands,
-                          reps2: _Bands) -> _TensorPowers:
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _tensor_power_reports(pairs: _Pairs) -> _TensorPowers:
     """:func:`tensor_power_scalars` of every sample, unguarded, as arrays
-    along the sample axis, from the stacks of its representations: the
+    along the sample axis, from the halves of its representations: the
     sector bands of all samples go around the cycle together
     (:func:`_around_the_cycle`, 23 block products at N = 7, each entry a
     two-term sum), and the closed forms
     (S+-)^N = (q - 1/q)^{-N} (q^x0 (q^x1 - q^x2) + q^x3 (q^x4 - q^x5))
     of (S-_u)^N and (S+_u)^N are arrays along the sample axis."""
     # the closed forms after the powers, so that their arrays do not add to the peak
-    scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(reps1, reps2, us)))
-    n, q = specs1[0].n, specs1[0].q
-    (a1, b1, l1), (a2, b2, l2), u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    scalars, resids = _scalar_part(_around_the_cycle(_sector_bands(*pairs.halves, pairs.us)))
+    n, q = pairs.n, pairs.q
+    (a1, b1, l1), (a2, b2, l2), u = pairs.p1, pairs.p2, pairs.us
     x = np.array([(n * (u - a2 - b2 - l1) / 2, -n * b1, n * b1,
                    n * (-u + a1 + b1 - l2) / 2, -n * b2, n * b2),
                   (n * (-u - a2 - b2 + l1) / 2, n * a1, -n * a1,
@@ -361,13 +400,10 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     generator whose off-scalar residual is above ``tol``, in the order sm_u,
     sp_u, sm_bar_u, sp_bar_u.
     """
-    _require_same_q(spec1, spec2)
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        powers = _tensor_power_reports([spec1], [spec2], [u],
-                                       *_halves(_rep_bands([spec1, spec2])))
-    _require_finite(_sample("the tensor powers are not finite", spec1, spec2, u),
-                    powers.scalars, powers.closed_form_errors)
+    pairs = _Pairs.one(spec1, spec2, u)
+    powers = _tensor_power_reports(pairs)
+    pairs.require_finite("the tensor powers are not finite", powers.scalars,
+                         powers.closed_form_errors)
     report = TensorPowerReport(*(dict(zip(_GENERATORS, x[0].tolist())) for x in powers))
     for name, r in report.offscalar_residuals.items():
         if not r <= tol:
@@ -378,26 +414,15 @@ def tensor_power_scalars(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
 # ---------------------------------------------------------------------------
 # eigenstate families
 
-def _ratio_exponent(spec1, spec2, u, barred: bool):
-    """The q-exponent of :func:`family_ratio`; of arrays along the sample
-    axis for two :class:`_Params` and an array of u."""
-    a1, b1, l1 = spec1.alpha, spec1.beta, spec1.lam
-    a2, b2, l2 = spec2.alpha, spec2.beta, spec2.lam
-    if barred:
-        return 2 - u + (a1 + a2 - b1 - b2 + l2 - l1) / 2
-    return u - 2 + (b1 + b2 - a1 - a2 + l2 - l1) / 2
-
-
 def family_ratio(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
                  barred: bool = False) -> complex:
-    """Geometric coefficient ratio along the support cycle of the family;
-    :class:`ParameterDomainError` names the sample where it overflows."""
-    _require_same_q(spec1, spec2)
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = complex(spec1.q.pow(_ratio_exponent(spec1, spec2, u, barred)))
-    _require_finite(_sample("the family ratio is not finite", spec1, spec2, u), ratio)
-    return ratio
+    """Geometric coefficient ratio along the support cycle of the family,
+    an entry of :meth:`_Pairs.ratios`; :class:`ParameterDomainError` names
+    the sample where it overflows."""
+    pairs = _Pairs.one(spec1, spec2, u)
+    ratio = pairs.ratios()[:, int(barred)]
+    pairs.require_finite("the family ratio is not finite", ratio)
+    return ratio.item()
 
 
 def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
@@ -410,7 +435,7 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     """
     defects = tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
                     for barred in (False, True))
-    _require_finite(_sample("the closure defects are not finite", spec1, spec2, u), defects)
+    _Pairs.one(spec1, spec2, u).require_finite("the closure defects are not finite", defects)
     return defects
 
 
@@ -421,6 +446,7 @@ def _sector_index(n: int) -> np.ndarray:
     return ((k[:, None] - k) % n) * n + k
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _family_vectors(n: int, ratios) -> np.ndarray:
     """Rows phi_0 .. phi_{N-1} of the family of each ratio, shape
     (len(ratios), N, N^2): phi_m = sum_k ratio^k theta_{(m-k) mod N, k}."""
@@ -445,11 +471,11 @@ class CyclicEigenFamily:
 _RELATIONS = ("lower", "raise", "lower_bar", "raise_bar")
 
 
-def _prefactors(specs1, specs2, us, m: np.ndarray) -> np.ndarray:
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _prefactors(pairs: _Pairs, m: np.ndarray) -> np.ndarray:
     """:func:`shift_prefactor` of the four relations at every m, for every
     sample: shape (S, 4, *m.shape)."""
-    q = specs1[0].q
-    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
+    q, p1, p2, u = pairs.q, pairs.p1, pairs.p2, pairs.us
     x = (u - p1.lam + p2.beta - p2.alpha) / 2
     y = (u + p1.lam + p2.beta - p2.alpha) / 2
     pre = np.exp(np.stack([-1 + x, 1 - x, 1 - y, -1 + y], axis=1) * q.log_branch)
@@ -469,19 +495,18 @@ def shift_prefactor(relation: str, spec1: CyclicRepSpec, spec2: CyclicRepSpec,
     :class:`OrderMismatch`, and :class:`ParameterDomainError` names the
     sample where a prefactor overflows.
     """
-    _require_same_q(spec1, spec2)
+    pairs = _Pairs.one(spec1, spec2, u)
     if relation not in _RELATIONS:
         raise ParameterDomainError(f"unknown relation {relation!r}")
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = _prefactors([spec1], [spec2], [u], np.atleast_1d(m))[0, _RELATIONS.index(relation)]
-    _require_finite(_sample("the prefactors are not finite", spec1, spec2, u), c)
+    c = _prefactors(pairs, np.atleast_1d(m))[0, _RELATIONS.index(relation)]
+    pairs.require_finite("the prefactors are not finite", c)
     return c if np.ndim(m) else complex(c[0])
 
 
-def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
-    """The family ratios [rho, sigma] of every sample and the residuals of
-    its 4N shift laws, shape (S, 4, N), in one stacked pass.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _shift_residuals(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The family ratios [rho, sigma] of every sample, (S, 2), and the
+    residuals of its 4N shift laws, shape (S, 4, N), in one stacked pass.
 
     phi_m lies in the sector m, so each law is evaluated there: block i of
     its generator, which acts on the sector m = i * step, applied to phi_m
@@ -493,11 +518,9 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     phi_m[r - step] is phi_{m + step}[r], so the pass takes 2 N^2 products
     per generator and sample and forms no N x N block.
     """
-    n, q = specs1[0].n, specs1[0].q
-    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
-    ratios = np.exp(np.stack([_ratio_exponent(p1, p2, u, barred) for barred in (False, True)],
-                             axis=1) * q.log_branch)
-    on, off = _sector_diagonals(*_halves(_rep_bands(specs1 + specs2)), us)
+    n = pairs.n
+    ratios = pairs.ratios()
+    on, off = _sector_diagonals(*pairs.halves, pairs.us)
     m = np.arange(n)
     g = np.arange(4)[:, None]
     steps = _STEPS[:, None]
@@ -505,7 +528,7 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     # [s, g, i, k1]: the family of generator g on the sector of block i and on the next one
     powers = np.power(ratios[..., None], m)[:, [0, 0, 1, 1]]
     there = powers[:, g[..., None], (turn[..., None] + steps[..., None] - m) % n]
-    c = _prefactors(specs1, specs2, us, m)[:, g, turn]
+    c = _prefactors(pairs, m)[:, g, turn]
     # on[r] here[r] + off[r] there[r] - c there[r], in the buffers of the diagonals; here is
     # read once, so it is not kept past its product
     here = (turn[..., None] - m) % n
@@ -514,7 +537,7 @@ def _shift_residuals(specs1, specs2, us) -> tuple[list, np.ndarray]:
     image -= np.multiply(c[..., None], there, out=off)
     r = np.abs(image).max(axis=-1)
     r /= np.maximum(np.maximum(1.0, np.abs(powers).max(axis=-1, keepdims=True)), np.abs(c))
-    return ratios.tolist(), r[:, g, turn]
+    return ratios, r[:, g, turn]
 
 
 def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
@@ -531,14 +554,12 @@ def eigenstate_family(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex,
     :class:`ParameterDomainError` names the sample where a vector or residual
     overflows.
     """
-    _require_same_q(spec1, spec2)
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios, resids = _shift_residuals([spec1], [spec2], [u])
-        rho, sig = ratios[0]
-        phi, phibar = _family_vectors(spec1.n, (rho, sig))
-    _require_finite(_sample("the family vectors and their shift residuals are not finite", spec1,
-                            spec2, u), resids, phi, phibar)
+    pairs = _Pairs.one(spec1, spec2, u)
+    ratios, resids = _shift_residuals(pairs)
+    rho, sig = ratios[0].tolist()
+    phi, phibar = _family_vectors(spec1.n, (rho, sig))
+    pairs.require_finite("the family vectors and their shift residuals are not finite", resids,
+                         phi, phibar)
     for name, r in zip(_RELATIONS, resids[0]):
         if enforce and not (r <= tol).all():
             j = int(np.argmin(r <= tol))
@@ -588,20 +609,19 @@ def cyclic_R_eigenvalues(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex)
     """Geometric eigenvalue family R_m = q^{m (2 - u + alpha2 - beta2 - lam1)}, with R_0 = 1.
     The stack of one of :func:`_eigenvalue_steps`; :class:`ParameterDomainError`
     names the sample where an R_m overflows."""
-    _require_same_q(spec1, spec2)
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r_m = _eigenvalue_steps([spec1], [spec2], [u])[1][0]
-    _require_finite(_sample("the eigenvalues are not finite", spec1, spec2, u), r_m)
+    pairs = _Pairs.one(spec1, spec2, u)
+    r_m = _eigenvalue_steps(pairs)[1][0]
+    pairs.require_finite("the eigenvalues are not finite", r_m)
     return r_m
 
 
-def _eigenvalue_steps(specs1, specs2, us) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _eigenvalue_steps(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
     """The ratio q^{2 - u + alpha2 - beta2 - lam1} of :func:`cyclic_R_eigenvalues`
     for every sample, (S,), and its powers R_m, (S, N)."""
-    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
-    steps = np.exp((2 - u + p2.alpha - p2.beta - p1.lam) * specs1[0].q.log_branch)
-    return steps, np.power(steps[:, None], np.arange(specs1[0].n))
+    steps = np.exp((2 - pairs.us + pairs.p2.alpha - pairs.p2.beta - pairs.p1.lam)
+                   * pairs.q.log_branch)
+    return steps, np.power(steps[:, None], np.arange(pairs.n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -632,13 +652,8 @@ def partial_R(spec1: CyclicRepSpec, spec2: CyclicRepSpec, u: complex) -> Partial
     :class:`ParameterDomainError` names the sample, before the residual is
     judged.  The stack of one of :func:`_partial_rs`.
     """
-    _require_same_q(spec1, spec2)
-    _check_finite(u=u)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        solves = _partial_rs([spec1], [spec2], [u],
-                             _sample("the family ratios are not finite", spec1, spec2, u))
+    solves = _partial_rs(_Pairs.one(spec1, spec2, u))
     rank, resid, r_m = solves.span_ranks[0], solves.max_residuals[0], solves.eigenvalues[0]
-    _require_finite(_sample("the eigenvalues are not finite", spec1, spec2, u), r_m)
     if not resid <= 1e-9:
         raise InconsistentConstraints(
             resid, rank, f"defining relations conflict on the joint span (residual {resid:.3e})")
@@ -661,12 +676,13 @@ class _SectorSolves(NamedTuple):
     max_residuals: list
 
 
-def _partial_rs(specs1, specs2, us, what=None) -> _SectorSolves:
-    """:func:`partial_R` of every sample, unguarded and by sector: a
-    conflicting sample keeps its residual and span rank, and no N^2 x N^2
-    array is formed; a power of a family ratio that is not finite raises
-    :class:`ParameterDomainError` naming the lowest such sample's u, or in
-    the words ``what`` (:func:`_sample`) of the one sample of :func:`partial_R`.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _partial_rs(pairs: _Pairs) -> _SectorSolves:
+    """:func:`partial_R` of every sample, by sector: a conflicting sample
+    keeps its residual and span rank, and no N^2 x N^2 array is formed; a
+    power of a family ratio, then an R_m, that is not finite raises
+    :class:`ParameterDomainError` naming the lowest such sample
+    (:meth:`_Pairs.require_finite`).
 
     In the sector m, phi_m and phibar_m at u have the coefficients rho^k
     and sigma^k of theta_{(m-k) mod N, k}, for every m, and their images
@@ -679,19 +695,14 @@ def _partial_rs(specs1, specs2, us, what=None) -> _SectorSolves:
     rank of V0.  The residual is max_m |R_m (M0 V0) - R_m W0| over
     max(1, max_m |R_m W0|).  Every slice is its sample alone bit for bit.
     """
-    n, q = specs1[0].n, specs1[0].q
-    p1, p2, u = _params(specs1), _params(specs2), np.asarray(us, complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(np.stack([_ratio_exponent(p1, p2, x, barred) for x in (u, -u)
-                                  for barred in (False, True)], axis=1) * q.log_branch)
-        # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
-        powers = np.power(ratios[:, None], np.arange(n)[:, None])
-    if what is None:
-        _require_finite("the family ratios are not finite at", powers, us=us)
-    else:
-        _require_finite(what, powers)
+    n = pairs.n
+    # [s, k, f]: ratio^k of phi(u), phibar(u), phi(-u), phibar(-u)
+    powers = np.power(np.concatenate([pairs.ratios(1), pairs.ratios(-1)], axis=1)[:, None],
+                      np.arange(n)[:, None])
+    pairs.require_finite("the family ratios are not finite", powers)
+    r_m = _eigenvalue_steps(pairs)[1]
+    pairs.require_finite("the eigenvalues are not finite", r_m)
     v, w = powers[..., :2], powers[..., [3, 2]]
-    r_m = _eigenvalue_steps(specs1, specs2, us)[1]
     # one SVD gives the rank and numpy's pinv, step by step
     left, s, right = np.linalg.svd(v.conj(), full_matrices=False)
     cuts = 1e-8 * np.maximum(1.0, np.abs(v).max(axis=(1, 2)))[:, None]

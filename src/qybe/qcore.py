@@ -247,16 +247,17 @@ def _require_finite(what, *values, us=None) -> None:
     :class:`ParameterDomainError` "<what> u = <u>: a power of q overflows",
     u being that of the lowest failing row when ``us`` holds the u of each
     leading row of the values, else "<what>: a power of q overflows".
-    ``what`` is a string, or a function of none that gives it, for words
-    that cost more to form than the check.  Public functions run their
-    kernels with numpy's warnings off and check here; the suites' stacked
-    kernels and :func:`qnum` do not."""
+    With ``us``, ``what`` may instead be a function of the lowest failing
+    row that gives the words before the colon, for words that cost more to
+    form than the check (:meth:`cyclic._Pairs.require_finite`).  Public
+    functions run their kernels with numpy's warnings off and check here,
+    as the partial-R suite's kernel does; the other suites' stacked kernels
+    and :func:`qnum` do not."""
     if not all(np.isfinite(value).all() for value in values):
-        if callable(what):
-            what = what()
         if us is not None:
             ok = np.all([np.isfinite(np.reshape(v, (len(us), -1))).all(axis=1) for v in values], 0)
-            what += f" u = {complex(us[int(np.argmin(ok))])}"
+            row = int(np.argmin(ok))
+            what = what(row) if callable(what) else f"{what} u = {complex(us[row])}"
         raise ParameterDomainError(f"{what}: a power of q overflows")
 
 

@@ -81,7 +81,8 @@ class _Bands:
     @classmethod
     def of_triple(cls, rep: OperatorTriple) -> "_Bands":
         """The stack of one of ``rep``; :class:`ParameterDomainError` where
-        its S+ or S- has an entry off its band."""
+        its S+ or S- has an entry off its band, or, at d = 1, where the band
+        is the diagonal, any nonzero entry."""
         k = np.arange(rep.dim)
         dm = rep.from_monomial
         bands = cls(rep.sp[(k + 1) % rep.dim, k][None], rep.sm[(k - 1) % rep.dim, k][None],
@@ -90,6 +91,8 @@ class _Bands:
         if not np.array_equal(bands.dense()[0], [rep.sp, rep.sm], equal_nan=True):
             raise ParameterDomainError("a factor's S+ and S- must lie on their bands, "
                                        "[(k+1) mod d, k] and [(k-1) mod d, k]")
+        if rep.dim == 1 and (rep.sp.any() or rep.sm.any()):
+            raise ParameterDomainError("a factor of dimension 1 must have S+ = S- = 0")
         return bands
 
     def dense(self) -> np.ndarray:

@@ -724,9 +724,10 @@ def check_casimir_spectrum(ell1, ell2, cfg: ToleranceConfig | None = None):
 def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
     """Off-scalar residuals of (S+-)^N and q^{NS} on single and tensor reps.
 
-    Each run of S samples is one stacked pass: one band stack of its 2 S
-    representations gives the central elements (:func:`cyclic._central_elements`)
-    and, by halves, the tensor powers (:func:`cyclic._tensor_power_reports`).
+    Each run of S samples is one stacked pass over one :class:`cyclic._Pairs`,
+    with numpy's warnings off: one band stack of its 2 S representations
+    gives the central elements (:func:`cyclic._central_elements`) and, by
+    halves, the tensor powers (:func:`cyclic._tensor_power_reports`).
     A sample that the guards of :func:`cyclic.central_elements` and
     :func:`cyclic.tensor_power_scalars` would reject (a NaN off-scalar
     residual, or one above 1) has the residual of its first failing guard:
@@ -743,12 +744,12 @@ def check_cyclic_centrality(n: int, cfg: ToleranceConfig | None = None):
         return {"params1": [_c2l(z) for z in (s1.alpha, s1.beta, s1.lam)],
                 "params2": [_c2l(z) for z in (s2.alpha, s2.beta, s2.lam)], "u": _c2l(u)}
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(points):
-        specs1, specs2, us = zip(*points)
+        pairs = cy._Pairs.of(*zip(*points))
         count = len(points)
-        reps = cy._rep_bands(specs1 + specs2)
-        central = cy._central_elements(specs1 + specs2, reps)
-        powers = cy._tensor_power_reports(specs1, specs2, us, *cy._halves(reps))
+        central = cy._central_elements(pairs.specs1 + pairs.specs2, pairs.bands)
+        powers = cy._tensor_power_reports(pairs)
         # [s, j]: rep 1's worst, rep 2's worst, then the four generators'; max keeps a NaN
         guards = np.concatenate([central.offscalar_residuals.reshape(2, count, 3).max(axis=2).T,
                                  powers.offscalar_residuals], axis=1)
@@ -786,7 +787,7 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None):
         return {"u": _c2l(u), "alpha1": _c2l(s1.alpha), "beta2": _c2l(s2.beta)}
 
     def evaluate(points):
-        _, resids = cy._shift_residuals(*zip(*points))
+        _, resids = cy._shift_residuals(cy._Pairs.of(*zip(*points)))
         return resids.reshape(len(points), -1).max(axis=1).tolist()
 
     return _Suite(f"shift_laws[N={n}]", cfg, cfg.rel_tol, _compatible,
@@ -797,11 +798,13 @@ def check_shift_laws(n: int, cfg: ToleranceConfig | None = None):
 def check_cyclic_r_ratio(n: int, cfg: ToleranceConfig | None = None):
     """Consecutive cyclic eigenvalues have the constant ratio
     q^{2 - u + alpha2 - beta2 - lam1}, on the stream of the centrality
-    suite; each run of samples is one pass of :func:`cyclic._eigenvalue_steps`."""
+    suite; each run of samples is one pass of :func:`cyclic._eigenvalue_steps`,
+    with numpy's warnings off."""
     cfg = cfg or ToleranceConfig()
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(points):
-        steps, vals = cy._eigenvalue_steps(*zip(*points))
+        steps, vals = cy._eigenvalue_steps(cy._Pairs.of(*zip(*points)))
         return _relative(np.abs(vals[:, 1:] / vals[:, :-1] - steps[:, None]).max(axis=1),
                          np.abs(steps)).tolist()
 
@@ -822,7 +825,7 @@ def check_partial_r(n: int, cfg: ToleranceConfig | None = None):
 
     def evaluate(run):
         points, records = run
-        solves = cy._partial_rs(*zip(*points))
+        solves = cy._partial_rs(cy._Pairs.of(*zip(*points)))
         for record, rank in zip(records, solves.span_ranks):
             record["span_rank"] = rank
         return solves.max_residuals

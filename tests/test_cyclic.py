@@ -28,7 +28,7 @@ def _random_spec(n, rng):
 def cyclic_space(spec1, spec2):
     """The dense reference: the product space of two cyclic representations,
     on the N^2 basis theta_{k1, k2}, whose coproducts the sector bands slice."""
-    cyclic._require_same_q(spec1, spec2)
+    cyclic._Pairs.one(spec1, spec2, 0)
     return ProductSpace(build_cyclic_rep(spec1), build_cyclic_rep(spec2))
 
 
@@ -250,8 +250,7 @@ def test_an_overflowing_shift_residual_is_a_domain_error():
     specs, whose powers overflow, as well as u."""
     s1 = CyclicRepSpec(0.1 + 400j, 0.2, 0.3, 3)
     s2 = CyclicRepSpec(0.1, 0.2 + 400j, 0.3, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(cyclic._shift_residuals([s1], [s2], [0.5])[1]).all()
+    assert np.isnan(cyclic._shift_residuals(cyclic._Pairs.of([s1], [s2], [0.5]))[1]).all()
     for enforce in (False, True):
         with pytest.raises(ParameterDomainError, match=re.escape(
                 "not finite at (alpha, beta, lam) = ((0.1+400j), (0.2+0j), (0.3+0j)), "
@@ -340,7 +339,7 @@ def test_sector_diagonals_are_the_dense_terms_gathered_by_sector(n, rng):
     for count in (1, 3):
         specs = [_random_spec(n, rng) for _ in range(2 * count)]
         us = [sample_u(rng, scale=0.6) for _ in range(count)]
-        reps = cyclic._halves(cyclic._rep_bands(specs))
+        reps = cyclic._Pairs.of(specs[:count], specs[count:], us).halves
         for got, want in zip(cyclic._sector_diagonals(*reps, us), _gathered_diagonals(*reps, us),
                              strict=True):
             assert got.shape == want.shape == (count, 4, n, n)
@@ -481,7 +480,7 @@ def test_banded_shift_laws_match_the_dense_blocks(n, monkeypatch):
     skipped."""
     rng = np.random.default_rng(60 + n)
     points = [sample_compatible_params(n, rng) for _ in range(12)] + _draws(n, 80 + n, 4)
-    got = cyclic._shift_residuals(*zip(*points))[1]
+    got = cyclic._shift_residuals(cyclic._Pairs.of(*zip(*points)))[1]
     want = _dense_shift_residuals(points)
     assert _residuals_agree(got, want)
     assert _geometric_mean_ratio(got[:12], want[:12]) <= 1.05
@@ -501,12 +500,11 @@ def test_cyclic_tensor_passes_stay_within_their_memory(kernel, bound_mb):
     points = _draws(19, 3)
     specs1, specs2, us = zip(*points)
     if kernel == "tensor powers":
-        run = lambda: cyclic._tensor_power_reports(
-            specs1, specs2, us, *cyclic._halves(cyclic._rep_bands(specs1 + specs2)))
+        run = lambda: cyclic._tensor_power_reports(cyclic._Pairs.of(specs1, specs2, us))
     else:
         rng = np.random.default_rng(3)
-        run = lambda: cyclic._shift_residuals(
-            *zip(*[sample_compatible_params(19, rng) for _ in range(16)]))
+        run = lambda: cyclic._shift_residuals(cyclic._Pairs.of(
+            *zip(*[sample_compatible_params(19, rng) for _ in range(16)])))
     tracemalloc.start()
     try:
         run()
@@ -654,11 +652,34 @@ def test_a_partial_r_stack_raises_at_its_lowest_overflowing_sample(rng, monkeypa
     for s, u in ((1, 500j), (2, 600j)):
         points[s] = (*points[s][:2], u)
     with pytest.raises(ParameterDomainError, match="u = 500j"):
-        cyclic._partial_rs(*zip(*points))
+        cyclic._partial_rs(cyclic._Pairs.of(*zip(*points)))
     drawn = iter(points)
     monkeypatch.setattr(verify, "_compatible", lambda rng, i, q: next(drawn))
     with pytest.raises(ParameterDomainError, match="u = 500j"):
         verify.check_partial_r(7, ToleranceConfig(sample_count=4, rng_seed=1))
+
+
+def test_cyclic_suites_over_overflowing_draws_warn_of_nothing(monkeypatch):
+    """Where alpha1 and beta2 are 400i the family ratios stay finite and
+    R_m overflows: the partial-R suite raises the overflow error, as
+    partial_R does, where it once reported a NaN residual and let five numpy
+    warnings out; the shift-law, R-ratio and centrality suites over the same
+    draws give failing reports, and no suite lets a numpy warning out."""
+    pair = (CyclicRepSpec(0.1 + 400j, 0.2, 0.3, 3), CyclicRepSpec(0.1, 0.2 + 400j, 0.3, 3), 0.5)
+    for draw in ("_compatible", "_cyclic_params"):
+        monkeypatch.setattr(verify, draw, lambda rng, i, q: pair)
+    cfg = ToleranceConfig(sample_count=2, rng_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match=re.escape(
+                "the eigenvalues are not finite at (alpha, beta, lam) = ((0.1+400j), (0.2+0j), "
+                "(0.3+0j)), ((0.1+0j), (0.2+400j), (0.3+0j)), u = (0.5+0j): "
+                "a power of q overflows")):
+            verify.check_partial_r(3, cfg)
+        for suite in (verify.check_shift_laws, verify.check_cyclic_r_ratio,
+                      verify.check_cyclic_centrality):
+            report = suite(3, cfg)
+            assert not report.passed and np.isnan(report.max_residual)
 
 
 def shift_prefactor_lower(spec1, spec2, u):
@@ -727,7 +748,7 @@ def test_stacked_partial_r_forms_no_dense_array():
     points = [sample_compatible_params(19, rng) for _ in range(16)]
     tracemalloc.start()
     try:
-        solves = cyclic._partial_rs(*zip(*points))
+        solves = cyclic._partial_rs(cyclic._Pairs.of(*zip(*points)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -778,6 +799,14 @@ def _all_finite(value) -> bool:
     return value is None or isinstance(value, str) or bool(np.isfinite(value).all())
 
 
+def _words_of_sample(specs, u) -> str:
+    """The words by which a cyclic pair call's overflow error names its
+    sample, " at (alpha, beta, lam) = (a1, b1, l1), (a2, b2, l2), u = <u>",
+    every number a Python complex."""
+    params = ", ".join(str((complex(s.alpha), complex(s.beta), complex(s.lam))) for s in specs)
+    return f" at (alpha, beta, lam) = {params}, u = {complex(u)}"
+
+
 def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     """At a u far outside the numerical envelope every call of the product
     space of spins (1, 1) and of the cyclic pair below returns a finite
@@ -818,7 +847,7 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
             sweep[name, u] = (lambda call=call, u=u: call(u)), f" at u = {complex(u)}"
         for name, call in pair_calls.items():
             sweep[name, u] = ((lambda call=call, u=u: call(s1, s2, u)),
-                              cyclic._sample("", s1, s2, u)())
+                              _words_of_sample((s1, s2), u))
     # alpha1 and beta2 cancel in the family ratios, and only the R_m overflow
     large = {"alpha1+beta2": [dataclasses.replace(s1, alpha=s1.alpha + 400j),
                               dataclasses.replace(s2, beta=s2.beta + 400j)]}
@@ -831,7 +860,7 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     for key, specs in large.items():
         for name, call in pair_calls.items():
             sweep[name, key] = ((lambda call=call, specs=specs: call(*specs, 0.5)),
-                                cyclic._sample("", *specs, 0.5)())
+                                _words_of_sample(specs, 0.5))
     overflows = set()
     for key, (call, sample) in sweep.items():
         with warnings.catch_warnings():

@@ -25,8 +25,9 @@ from conftest import assert_close, raised_chains
 from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, PhiProduct, ProductSpace,
                   ToleranceConfig, assemble_R, build_cyclic_rep, build_lax, build_spin_rep,
                   central_elements, cyclic_R_eigenvalues, eigenstate_family,
-                  eigenvalue_sequence, family_ratio, fundamental_r, partial_R, phi_product,
-                  qnum, tensor_casimir, tensor_power_scalars)
+                  eigenvalue_sequence, family_closure_defect, family_ratio, fundamental_r,
+                  partial_R, phi_product, qnum, shift_prefactor, tensor_casimir,
+                  tensor_power_scalars)
 from qybe import cli, cyclic, rop, tensorrep, verify
 from qybe.errors import (CompletenessFailure, InconsistentConstraints, PoleAtSector, QybeError,
                          SamplerExhausted, SingularBasis)
@@ -482,14 +483,16 @@ def _cyclic_points(n, seed, count=COUNT):
 @pytest.mark.parametrize("n", [3, 7, 19])
 def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
     """Bands, central scalars and residuals, tensor-power scalars with their
-    residuals and closed-form errors, and shift residuals."""
+    residuals and closed-form errors, shift residuals, and the family
+    ratios, closure defects and prefactors of the public functions."""
     points = _cyclic_points(n, 11 + n)
-    specs1, specs2, us = zip(*points)
-    reps1, reps2 = cyclic._rep_bands(specs1), cyclic._rep_bands(specs2)
-    bands = cyclic._sector_bands(reps1, reps2, us)
-    central = cyclic._central_elements(specs1 + specs2, cyclic._rep_bands(specs1 + specs2))
-    powers = cyclic._tensor_power_reports(specs1, specs2, us, reps1, reps2)
-    ratios, shifts = cyclic._shift_residuals(specs1, specs2, us)
+    pairs = cyclic._Pairs.of(*zip(*points))
+    reps1, reps2 = cyclic._rep_bands(pairs.specs1), cyclic._rep_bands(pairs.specs2)
+    bands = cyclic._sector_bands(reps1, reps2, pairs.us)
+    central = cyclic._central_elements(pairs.specs1 + pairs.specs2, pairs.bands)
+    powers = cyclic._tensor_power_reports(pairs)
+    ratios, shifts = cyclic._shift_residuals(pairs)
+    prefactors = cyclic._prefactors(pairs, np.arange(n))
     for s, (s1, s2, u) in enumerate(points):
         rep = build_cyclic_rep(s1)
         gens = reps1.dense()[s]
@@ -507,8 +510,14 @@ def test_stacked_cyclic_kernels_equal_each_sample_alone(n):
                                       alone.closed_form_errors)):
             _same(got[s], list(want.values()))
         family = eigenstate_family(s1, s2, u, enforce=False)
-        assert _bits(ratios[s]) == _bits([family.ratio, family.barred_ratio])
+        _same(ratios[s], [family.ratio, family.barred_ratio])
         _same(shifts[s].ravel(), list(family.shift_residuals.values()))
+        for barred in (False, True):
+            _same(family_ratio(s1, s2, u, barred), ratios[s, int(barred)])
+        # the defects keep the power of a Python complex
+        _same(family_closure_defect(s1, s2, u), [abs(complex(r) ** n - 1) for r in ratios[s]])
+        for relation, want in zip(cyclic._RELATIONS, prefactors[s]):
+            _same([shift_prefactor(relation, s1, s2, u, m) for m in range(n)], want)
     # the off-set samples break their laws; the admissible ones keep them
     worst = shifts.reshape(COUNT, -1).max(axis=1)
     assert (worst[1::2] < 1e-9).all() and (worst[::2] > 1e-3).all()
@@ -584,7 +593,7 @@ def test_stacked_phi_products_and_eigenvalue_steps_equal_each_sample_alone(n, co
         assert _bits(got) == _bits(phi_product(alpha, q))
         assert_close(got, _scalar_phi_product(alpha, q))
     specs1, specs2, us = zip(*_cyclic_points(n, n + count, count))
-    steps, vals = cyclic._eigenvalue_steps(specs1, specs2, us)
+    steps, vals = cyclic._eigenvalue_steps(cyclic._Pairs.of(specs1, specs2, us))
     for s, (s1, s2, u) in enumerate(zip(specs1, specs2, us)):
         step = q.pow(2 - u + s2.alpha - s2.beta - s1.lam)
         assert_close(steps[s], step)
@@ -609,7 +618,7 @@ def test_stacked_partial_r_equals_each_sample_alone(n, count):
     rng = np.random.default_rng(40 + count)
     points = [cyclic.sample_compatible_params(n, rng) for _ in range(count)]
     points[count // 2] = _conflicting(n, rng)
-    solves = cyclic._partial_rs(*zip(*points))
+    solves = cyclic._partial_rs(cyclic._Pairs.of(*zip(*points)))
     idx = cyclic._sector_index(n)
     conflicts = 0
     for (got_local, got_r_m, got_rank, got_resid), (s1, s2, u) in zip(zip(*solves), points,
@@ -719,9 +728,9 @@ def _inject_centrality(points, monkeypatch) -> None:
                     out.offscalar_residuals[row, entry] = value
         return out
 
-    def powers(specs1, *args):
-        out = real_powers(specs1, *args)
-        for row, spec in enumerate(specs1):
+    def powers(pairs):
+        out = real_powers(pairs)
+        for row, spec in enumerate(pairs.specs1):
             for (at, entry), value in _FOLD_INJECTIONS[where[id(spec)][1]].items():
                 if at >= 2:
                     (out.offscalar_residuals, out.closed_form_errors)[at - 2][row, entry] = value
@@ -738,8 +747,7 @@ def _centrality_fold(s1, s2, u) -> float:
     otherwise the NaN-keeping max of the guards, the cross-check of (S-)^N
     and the closed-form errors."""
     ce1, ce2 = (cyclic._central_elements([s], cyclic._rep_bands([s])) for s in (s1, s2))
-    tp = cyclic._tensor_power_reports([s1], [s2], [u], cyclic._rep_bands([s1]),
-                                      cyclic._rep_bands([s2]))
+    tp = cyclic._tensor_power_reports(cyclic._Pairs.of([s1], [s2], [u]))
     am = ce1.scalars[:, 1]
     cross = _relative(np.abs(am - ce1.routes), np.abs(am)).item()
     guards = [_nan_max(*ce1.offscalar_residuals[0].tolist()),

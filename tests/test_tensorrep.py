@@ -430,6 +430,25 @@ def test_product_space_rejects_a_factor_off_its_bands(q_generic):
         ProductSpace(diagonal, rep)
 
 
+def test_product_space_rejects_a_nonzero_generator_of_dimension_1():
+    """At d = 1 the band is the diagonal, so the band test alone let a
+    nonzero 1 x 1 S+ or S- through into the coproduct; spin 0, whose
+    generators are 0, gives the coproducts of the zero map either way."""
+    q = DeformationParameter.generic(0.3 + 0.4j)
+    zero = build_spin_rep(0, q)
+    for generator in ("sp", "sm"):
+        bad = dataclasses.replace(zero, **{generator: np.ones((1, 1), complex)})
+        for pair in ((bad, zero), (zero, bad)):
+            with pytest.raises(ParameterDomainError, match="dimension 1"):
+                ProductSpace(*pair)
+    for space in (ProductSpace(zero, zero), ProductSpace.of_spins(0, 0, q)):
+        for kind in ("delta", "deltabar"):
+            for u in (0.3, 0.0, -0.0, 1.3j):
+                c = space.coproduct(kind, u)
+                for got, want in ((c.sp, [[0j]]), (c.sm, [[0j]]), (c.weights, [0j])):
+                    assert _same_bits(got, np.array(want))
+
+
 def test_product_space_of_cyclic_band_stacks(rng):
     """Band stacks of one cyclic sample each give the dimensions of their
     bands and the coproducts of the built representations; the halves of a
@@ -445,7 +464,7 @@ def test_product_space_of_cyclic_band_stacks(rng):
                          built.chain_pass(form=False, read=families)[1], strict=True):
         assert got.tobytes() == want.tobytes()
     with pytest.raises(ParameterDomainError, match="weight"):
-        ProductSpace(*cyclic._halves(cyclic._rep_bands(specs)))
+        ProductSpace(*cyclic._Pairs.of(specs[:2], specs[2:], [0.3, 0.2]).halves)
 
 
 def test_product_space_sectors_match_fresh_spaces(rng):
