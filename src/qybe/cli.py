@@ -392,8 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_rep(args)
         if args.command == "rmatrix":
             return _cmd_rmatrix(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return _cmd_verify(args)
     except PoleAtSector as exc:
         print(f"error: spectral parameter at a pole (sector {exc.sector})", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -409,8 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    parser.error("no command given")
-    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

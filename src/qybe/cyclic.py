@@ -267,8 +267,8 @@ def _sector_diagonals(reps1: _Bands, reps2: _Bands, us) -> tuple[np.ndarray, np.
     :func:`_sector_labels`, so bit for bit the entries of the dense
     generators.
     """
-    terms = _twisted_terms(reps1, reps2, _KIND_INDEX, np.asarray(us, complex)[:, None], _RAISING,
-                           _sector_labels(reps1.lift.shape[1]))
+    terms = _twisted_terms(reps1, reps2, _KIND_INDEX, np.asarray(us, complex)[:, None],
+                           (_RAISING, _sector_labels(reps1.lift.shape[1])))
     return terms[1], terms[0]
 
 
@@ -431,11 +431,16 @@ def family_closure_defect(spec1: CyclicRepSpec, spec2: CyclicRepSpec,
 
     The coefficients run along a closed N-cycle of basis labels, so a
     geometric ratio is consistent only when its N-th power is 1.
-    :class:`ParameterDomainError` names the sample where a defect overflows.
+    :class:`ParameterDomainError` names the sample where a ratio or defect overflows.
     """
-    defects = tuple(abs(family_ratio(spec1, spec2, u, barred) ** spec1.n - 1)
-                    for barred in (False, True))
-    _Pairs.one(spec1, spec2, u).require_finite("the closure defects are not finite", defects)
+    pairs = _Pairs.one(spec1, spec2, u)
+    ratios = pairs.ratios()
+    pairs.require_finite("the family ratio is not finite", ratios)
+    try:
+        defects = tuple(abs(r ** spec1.n - 1) for r in ratios[0].tolist())
+    except OverflowError:  # a Python complex power that overflows raises
+        defects = (np.inf,)
+    pairs.require_finite("the closure defects are not finite", defects)
     return defects
 
 

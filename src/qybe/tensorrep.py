@@ -16,7 +16,7 @@ from .errors import (CompletenessFailure, DimensionMismatch, ParameterDomainErro
                      SingularBasis)
 from .qcore import (DeformationParameter, _check_finite, _nan_max, _qnums, _QStack, _relative,
                     _require_finite)
-from .rep import OperatorTriple, _Bands, _spin_factors, _two_spin, casimir_matrix
+from .rep import OperatorTriple, _Bands, _casimir_diagonals, _spin_factors, _two_spin
 
 # the largest condition number an eigenvector weight block may have
 COND_LIMIT = 1e12
@@ -56,7 +56,7 @@ def _family_arrays(families) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray,
-                   gens: np.ndarray | None = None, labels: tuple | None = None) -> np.ndarray:
+                   gathered: tuple | None = None) -> np.ndarray:
     """The coproduct kernel, the one place the formula of
     :meth:`ProductSpace.coproduct` is written: the terms of the twisted
     generators of V1 x V2 for each sample of the band stacks ``f1``, ``f2``
@@ -70,17 +70,19 @@ def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray,
 
     By default the entries are the two generators of each family of the
     kinds and us of :func:`_family_arrays`, e = (f, a) with generator
-    a ^ kind_f in slot a.  ``gens``, when given, is the generator of each
-    entry e, one per kind, and ``us`` is (S, 1) or (S, E).  ``labels``,
-    when given with ``gens``, is a pair of integer arrays (k1, k2), each
-    indexed [e, t] over two trailing axes, those of k1 broadcast to those
-    of k2: the source labels of the terms to form in place of the grid.
-    The bands and q-powers are gathered at them, one flat take each, before
+    a ^ kind_f in slot a.  ``gathered``, when given, is a pair (gens,
+    labels): the generator of each entry e, one per kind, with ``us``
+    (S, 1) or (S, E), and a pair of integer arrays (k1, k2), each indexed
+    [e, t] over two trailing axes, those of k1 broadcast to those of k2:
+    the source labels of the terms to form in place of the grid.  The
+    bands and q-powers are gathered at them, one flat take each, before
     they multiply.
     """
-    if gens is None:
+    if gathered is None:
         kinds, us = kinds[:, None], us[..., None]
         gens = kinds ^ np.arange(2)
+    else:
+        gens, (k1, k2) = gathered
     slots = gens ^ kinds
     bands1 = np.stack([f1.lower, f1.lift], axis=1)
     bands2 = bands1 if f2 is f1 else np.stack([f2.lower, f2.lift], axis=1)
@@ -89,12 +91,11 @@ def _twisted_terms(f1: _Bands, f2: _Bands, kinds: np.ndarray, us: np.ndarray,
     left = (bands1, gens), (f1.powers, 1 - kinds)
     right = (f2.powers, kinds), (bands2, gens)
     count = len(us)
-    if labels is None:
+    if gathered is None:
         terms = np.empty((2, count, *slots.shape, f1.lift.shape[1], f2.lift.shape[1]), complex)
         for t, ((m1, rows1), (m2, rows2)) in enumerate(zip(left, right)):
             np.multiply(m1[:, rows1, :, None], m2[:, rows2, None, :], out=terms[t])
     else:
-        k1, k2 = labels
         terms = np.empty((2, count, len(k2), *k2.shape[2:]), complex)
         for t, ((m1, rows1), (m2, rows2)) in enumerate(zip(left, right)):
             # the right factor is taken into the terms, and the left multiplies it there; the
@@ -205,9 +206,7 @@ class ProductSpace:
         not finite raises :class:`ParameterDomainError`, and so does, naming
         u, a u so large that a power of q overflows in the matrices.
         """
-        _check_finite(u=u)
-        if len(self.qs) != 1:
-            raise DimensionMismatch("coproduct and sectors need a product space of one q")
+        self._require_one_q(u)
         sp, sm = self.chain_pass(form=False, read=[(kind, [u])])[1]
         _require_finite("the coproduct is not finite at", sp, sm, us=[u])
         f1, f2 = self.factors
@@ -215,6 +214,17 @@ class ProductSpace:
         return OperatorTriple(sp=sp[0, 0], sm=sm[0, 0], weights=self.weights, q=self.qs[0],
                               basis_tag=f"{f1.basis_tag}*{f2.basis_tag}", ell=None,
                               from_monomial=None if fm is None else fm[0])
+
+    def _require_one_q(self, u: complex) -> None:
+        """The guard of the calls at one u: a finite u, and a space of one q."""
+        _check_finite(u=u)
+        if len(self.qs) != 1:
+            raise DimensionMismatch("coproduct and sectors need a product space of one q")
+
+    @functools.cached_property
+    def _casimir_diagonal(self) -> np.ndarray:
+        """The diagonal part [S][S-1] of the Casimir at every q, (S, d, d)."""
+        return _read_only(_casimir_diagonals(self.weights, self.qs))
 
     def _chains(self, kinds: np.ndarray, us: np.ndarray, sp: np.ndarray,
                 sm: np.ndarray) -> np.ndarray:
@@ -346,9 +356,7 @@ class ProductSpace:
         ``sectors(u, other kind)``.  A u that is not finite raises
         :class:`ParameterDomainError`.
         """
-        _check_finite(u=u)
-        if len(self.qs) != 1:
-            raise DimensionMismatch("coproduct and sectors need a product space of one q")
+        self._require_one_q(u)
         return _sector_chains(self.chain_pass((kind, [u]), form=False)[0][0])
 
     def spectral_form(self) -> SpectralForm:
@@ -635,37 +643,41 @@ def tensor_casimir(space: ProductSpace, u: complex, kind: str = "delta"
     On sector n the eigenvalue is [n-l1-l2][n-l1-l2-1], independent of the
     descendant index m; the report records the residual and the spread of
     Rayleigh estimates across each chain.  The stack of one of
-    :func:`_casimir_sectors`.
+    :func:`_casimir_sectors`, over one :meth:`ProductSpace.chain_pass` of
+    that family, which raises what :meth:`ProductSpace.sectors` raises.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = casimir_matrix(space.coproduct(kind, u))
-    chains = space.chain_pass((kind, [u]), form=False)[0]
-    f1, f2 = space.factors
-    rows = _casimir_sectors(c[None], chains, space.layout.live, f1.ell, f2.ell, space.qs)
+    space._require_one_q(u)
+    chains, (sp, sm) = space.chain_pass((kind, [u]), form=False, read=[(kind, [u])])
+    rows = _casimir_sectors(space, chains, sp[:, 0], sm[:, 0])
     return CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
                                   in enumerate(zip(*(row[0].tolist() for row in rows)))])
 
 
-def _casimir_sectors(c: np.ndarray, chains: np.ndarray, live: np.ndarray, ell1, ell2,
-                     qs: _QStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the :func:`tensor_casimir` report of each sample of a stack
+def _casimir_sectors(space: ProductSpace, chains: np.ndarray, sp: np.ndarray,
+                     sm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the :func:`tensor_casimir` report of each sample of ``space``
     holds, as three (S, k) arrays: the expected eigenvalue, the residual and
-    the spread of every sector.  ``c`` is (S, d, d), and ``chains``
-    (S, d1+d2-1, d, k) holds the chains of every sector padded to full
-    length, with ``live`` (d1+d2-1, k) marking the steps of each (see
-    :meth:`ProductSpace._chains`).
+    the spread of every sector.  ``chains`` (S, d1+d2-1, d, k) holds the
+    chains of every sector padded to full length, with the layout's
+    ``live`` (d1+d2-1, k) marking the steps of each (see
+    :meth:`ProductSpace._chains`), and ``sp`` and ``sm`` (S, d, d) are the
+    coproduct that raised them.
 
-    C acts on every chain vector of every sample in one stacked mat-vec;
+    C = S+ S- plus the space's Casimir diagonal acts on every chain vector
+    of every sample in one stacked mat-vec, with numpy's warnings off;
     row m's residual is ``qcore.residual(C v_m, lambda v_m, v_m)``, and each
     sector's residual and spread are the largest over its own steps.
     """
-    x = np.arange(chains.shape[-1]) - ell1 - ell2
-    qn = _qnums(np.array([[x, x - 1]]), qs)
+    f1, f2 = space.factors
+    live = space.layout.live
+    x = np.arange(chains.shape[-1]) - f1.ell - f2.ell
+    qn = _qnums(np.array([[x, x - 1]]), space.qs)
     lam = qn[:, 0] * qn[:, 1]
     # v[s, m, n] is step m of the chain of sector n
     v = chains.swapaxes(-1, -2)
-    # the padding steps hold vectors that vanish, some exactly
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # C may overflow, and the padding steps hold vectors that vanish, some exactly
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = sp @ sm + space._casimir_diagonal
         cv = np.matmul(c[:, None, None], v[..., None])[..., 0]
         gap = np.abs(cv - lam[:, None, :, None] * v).max(axis=3)
         resid = np.where(live, _relative(gap, np.abs(v).max(axis=3)), 0.0).max(axis=1)

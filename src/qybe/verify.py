@@ -18,7 +18,7 @@ from . import cyclic as cy
 from .qcore import (MAX_DRAWS, RATIONAL, DeformationParameter, ToleranceConfig, _nan_max,
                     _phi_products, _QStack, _relative, _require_finite, qnum, sample_generic_q,
                     sample_params, sample_u)
-from .rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
+from .rep import _fundamental_rs, _laxes, _spin_factors
 from .rop import POLE_TOL, RMatrix, _eigenvalues, _pole_offsets, _solve
 from .errors import ParameterDomainError, QybeError, SamplerExhausted
 from .tensorrep import ProductSpace, _casimir_sectors
@@ -468,14 +468,13 @@ _SCALE_SLOTS = np.array([[15, 7 - j, 7 - j if name.startswith("k_") else 7 + j]
 _K_SLOTS = np.array([[[2], [13]], [[1], [12]]])
 
 
-def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
-                diagonal: np.ndarray) -> list[dict[str, float]]:
+def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple) -> list[dict[str, float]]:
     """The eight relations of :func:`decomposed_residuals` for R = r[s] at
     u_s on each sample of ``space``: one broadcast matmul of R on each side
     for all relations and samples, and one abs-max over the operands.
     ``gens`` is the :meth:`ProductSpace.chain_pass` read of the
-    :func:`_decomposed_families` at the us and ``diagonal`` the Casimir
-    diagonal of the space, which the Casimir suite reads too.
+    :func:`_decomposed_families` at the us; the Casimirs add the space's
+    Casimir diagonal, which the Casimir suite reads too.
 
     Every relation reads R Y = Z R, the Casimir intertwining relation
     C(-u) R = R Cbar(u) as R Cbar(u) = C(-u) R, whose gap is the same
@@ -513,7 +512,7 @@ def _decomposed(space: ProductSpace, us, r: np.ndarray, gens: tuple,
     flat[:, _K_SLOTS[1], up_down] -= (c2 * (f1.lift[:, :, None] * f2.lower[:, None, :])
                                       ).reshape(count, 1, d)
     # Cbar(u) and C(-u), the Casimirs of Delta-bar at u and Delta at -u, in slots 0 and 14
-    np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], diagonal[:, None], out=ops[:, ::14])
+    np.add(sp[:, 2:0:-1] @ sm[:, 2:0:-1], space._casimir_diagonal[:, None], out=ops[:, ::14])
     ops[:, 15] = r
     gaps = np.abs(r[:, None] @ right - left @ r[:, None]).max(axis=(2, 3))
     scales = np.abs(ops).max(axis=(2, 3))[:, _SCALE_SLOTS].max(axis=2)
@@ -532,24 +531,7 @@ def decomposed_residuals(rm: RMatrix) -> dict[str, float]:
     space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
     us = [rm.u]
     gens = space.chain_pass(form=False, read=_decomposed_families(us))[1]
-    return _decomposed(space, us, rm.matrix[None], gens,
-                       _casimir_diagonals(space.weights, space.qs))[0]
-
-
-def _casimir_residuals(space: ProductSpace, chains: np.ndarray, delta_u: tuple,
-                       diagonal: np.ndarray) -> list[float]:
-    """The worst Casimir residual or m-spread of each sample of ``space`` at
-    its u, unbarred: the largest, or a NaN, of the sector residuals and
-    spreads of its :func:`tensor_casimir` report, all sectors in one stacked
-    pass of :func:`tensorrep._casimir_sectors`, from the chains of the
-    sectors at the samples' u (see :meth:`ProductSpace.chain_pass`), the
-    coproduct Delta at those u and the Casimir diagonal of the space."""
-    sp, sm = delta_u
-    c = sp @ sm + diagonal
-    f1, f2 = space.factors
-    _, resid, spread = _casimir_sectors(c, chains, space.layout.live, f1.ell, f2.ell, space.qs)
-    # max keeps a NaN
-    return np.concatenate([resid, spread], axis=1).max(axis=1).tolist()
+    return _decomposed(space, us, rm.matrix[None], gens)[0]
 
 
 class _PairRun:
@@ -568,13 +550,12 @@ class _PairRun:
     samples' u for the Casimir sectors (when the Casimir suite reads the
     run), conditions both Delta families in one call and gives, from one
     call of the coproduct kernel, every coproduct that the suites read;
-    R(u), and R(-u) for the unitarity suite, from one :func:`rop._solve`
-    call; and the Casimir diagonal.  The run's q values are one
-    :class:`qcore._QStack`, built once, and the samples carry them, so the
-    stream's fixed q (``q``, None where q is drawn) is not read.  At drawn
-    q values the space is orthonormal, at the run's q values; where every
-    sample is at :data:`qcore.RATIONAL` it is the monomial one of the
-    memoised :meth:`ProductSpace.of_spins`.
+    and R(u), and R(-u) for the unitarity suite, from one :func:`rop._solve`
+    call.  The run's q values are one :class:`qcore._QStack`, built once,
+    and the samples carry them, so the stream's fixed q (``q``, None where
+    q is drawn) is not read.  At drawn q values the space is orthonormal, at
+    the run's q values; where every sample is at :data:`qcore.RATIONAL` it
+    is the monomial one of the memoised :meth:`ProductSpace.of_spins`.
     """
 
     def __init__(self, points, records, reads: frozenset, ell1, ell2, q=None):
@@ -618,14 +599,10 @@ class _PairRun:
         r.setflags(write=False)
         return r
 
-    @functools.cached_property
-    def casimir_diagonal(self) -> np.ndarray:
-        return _casimir_diagonals(self.space.weights, self.qs)
-
     def decomposed(self, perturb: float) -> list[dict[str, float]]:
         """The eight decomposed residuals of each sample."""
         r = _perturbed(self.r[:len(self.us)], perturb)
-        return _decomposed(self.space, self.us, r, self.chain_pass[1], self.casimir_diagonal)
+        return _decomposed(self.space, self.us, r, self.chain_pass[1])
 
     def unitarity(self, perturb: float) -> list[float]:
         """The residual of R(u) R(-u) = 1 of each sample, R(u) and R(-u) from
@@ -635,10 +612,14 @@ class _PairRun:
         return _residuals(prod, self.space.layout.identity, prod)
 
     def casimir(self) -> list[float]:
-        """The worst Casimir residual or m-spread of each sample; no R is
-        read, so no perturbation moves it."""
+        """The worst Casimir residual or m-spread of each sample: the largest,
+        or a NaN, of those of its :func:`tensor_casimir` report, from one
+        :func:`tensorrep._casimir_sectors` call; no R is read, so no
+        perturbation moves it."""
         chains, (sp, sm) = self.chain_pass
-        return _casimir_residuals(self.space, chains, (sp[:, 0], sm[:, 0]), self.casimir_diagonal)
+        _, resid, spread = _casimir_sectors(self.space, chains, sp[:, 0], sm[:, 0])
+        # max keeps a NaN
+        return np.concatenate([resid, spread], axis=1).max(axis=1).tolist()
 
 
 @_check

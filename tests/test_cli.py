@@ -68,6 +68,14 @@ def test_a_spin_too_large_for_a_float_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_no_command_is_a_usage_error(capsys):
+    """The command is a required subparser, so argparse itself exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
+
+
 def test_rep_round_trip(tmp_path):
     out = tmp_path / "rep"
     code = main(["rep", "--ell", "1/2", "--q", "0.3+0.4i", "--out", str(out)])

@@ -224,6 +224,25 @@ def test_shift_law_violation_off_the_admissible_set(rng):
     assert exc.value.residual == pytest.approx(0.49214585706302055, rel=1e-12)
 
 
+def test_family_closure_defect_is_one_pair_and_one_ratios_call(rng, monkeypatch):
+    """family_closure_defect builds one _Pairs and evaluates its ratios once,
+    and its defects are, bit for bit, |r^N - 1| of the two family ratios."""
+    one, ratios = cyclic._Pairs.one.__func__, cyclic._Pairs.ratios
+    calls = []
+    monkeypatch.setattr(cyclic._Pairs, "one", classmethod(
+        lambda cls, *args: calls.append("one") or one(cls, *args)))
+    monkeypatch.setattr(cyclic._Pairs, "ratios",
+                        lambda self, *args: calls.append("ratios") or ratios(self, *args))
+    for n in (3, 5, 7, 19):
+        spec1, spec2, u = sample_compatible_params(n, rng)
+        spec2 = dataclasses.replace(spec2, beta=spec2.beta - 0.3)  # an open barred family too
+        calls.clear()
+        got = family_closure_defect(spec1, spec2, u)
+        assert calls == ["one", "ratios"]
+        want = [abs(family_ratio(spec1, spec2, u, barred) ** n - 1) for barred in (False, True)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_first_failing_shift_law_after_the_closed_family(rng):
     """Moving beta2 down and lam2 up by the same amount keeps the unbarred
     family closed and breaks the barred one, so the first failure is a
@@ -814,9 +833,10 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
     cyclic pair call at u = 0.5 where alpha, beta or lam of either spec is
     +-400j, and a q of 1e300 with a log branch of 800.  Where a power of q
     overflows, ParameterDomainError names u on the product space, and the
-    cyclic pair calls name alpha, beta and lam of both specs as well as u.
-    build_lax, fundamental_r and phi_product are in the sweep below, and
-    qnum, which returns what overflows, is left out."""
+    cyclic pair calls name alpha, beta and lam of both specs as well as u;
+    tensor_casimir raises what sectors raises at the same u.  build_lax,
+    fundamental_r and phi_product are in the sweep below, and qnum, which
+    returns what overflows, is left out."""
     q = DeformationParameter.generic(cmath.exp(0.2 + 0.7j))
     space = ProductSpace.of_spins(1, 1, q, "orthonormal")
     s1 = CyclicRepSpec(0.3 + 0.1j, -0.2, 0.1j, 3)
@@ -861,17 +881,22 @@ def test_a_large_u_gives_a_finite_result_or_a_typed_error():
         for name, call in pair_calls.items():
             sweep[name, key] = ((lambda call=call, specs=specs: call(*specs, 0.5)),
                                 _words_of_sample(specs, 0.5))
-    overflows = set()
+    overflows, raised = set(), {}
     for key, (call, sample) in sweep.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 assert _all_finite(call()), key
-            except ParameterDomainError as exc:
-                if str(exc).endswith(f"{sample}: a power of q overflows"):
+            except QybeError as exc:
+                raised[key] = type(exc), str(exc)
+                if (isinstance(exc, ParameterDomainError)
+                        and str(exc).endswith(f"{sample}: a power of q overflows")):
                     overflows.add(key)
-            except QybeError:
-                pass
+    for u in (1000j, -1000j, -300j, 5000, 1e6):
+        assert raised.get(("tensor_casimir", u)) == raised.get(("sectors", u)), u
+    assert raised["tensor_casimir", 1e6] == (
+        ParameterDomainError,
+        "the unbarred family is not finite at u = (1000000+0j): a power of q overflows")
     assert {("coproduct", 1e6), ("family_ratio", -1000j), ("cyclic_R_eigenvalues", 1000j),
             ("shift_prefactor_lower", -1000j), ("eigenstate_family", -1000j)} <= overflows
     for u in (1000j, -1000j, -300j):
@@ -901,6 +926,10 @@ OVERFLOWING_CALLS = {
         0, 0, DeformationParameter.generic(2.0)).sectors(3000),
     "tensor_casimir_5000": lambda: tensor_casimir(_SPACE_FAR, 5000),
     "tensor_casimir_1e6": lambda: tensor_casimir(_SPACE_FAR, 1e6),
+    "family_closure_defect": lambda: family_closure_defect(
+        CyclicRepSpec(0.3 + 0.1j, -0.2, 0.1j, 3), CyclicRepSpec(0.1, 0.4j, -0.3, 3), -165j),
+    "family_closure_defect_7": lambda: family_closure_defect(
+        CyclicRepSpec(0, 0, 0, 7), CyclicRepSpec(0.1, 0, 0.2, 7), -165j),
     "central_elements": lambda: central_elements(_HUGE_ALPHA),
     "build_cyclic_rep": lambda: build_cyclic_rep(_HUGE_ALPHA),
     "build_lax": lambda: build_lax(build_spin_rep(1, _Q_FAR), 5000),

@@ -37,7 +37,7 @@ from qybe.rep import _casimir_diagonals, _fundamental_rs, _laxes, _spin_factors
 from qybe.rop import _top_sector
 from qybe.tensorrep import (CasimirSpectrumReport, SectorEigenvalue, _casimir_sectors,
                             _lowest_weights, _sector_chains, _spin_space, _unit_blocks)
-from qybe.verify import (_casimir_residuals, _decomposed, _decomposed_families, _on_slots,
+from qybe.verify import (_decomposed, _decomposed_families, _on_slots,
                          _PairRun, _regular_point, _residuals, _run, _Suite,
                          check_casimir_spectrum,
                          check_cyclic_centrality, check_cyclic_r_ratio, check_decomposed_ybe,
@@ -205,8 +205,7 @@ def test_stacked_R_and_its_relations_equal_each_sample_alone(pair, basis):
     r_u = _stacked_R(*pair, us, qs, form)
     r_mu = _stacked_R(*pair, [-u for u in us], qs, form)
     relations = _decomposed(space, us, r_u,
-                            space.chain_pass(form=False, read=_decomposed_families(us))[1],
-                            _casimir_diagonals(space.weights, qs))
+                            space.chain_pass(form=False, read=_decomposed_families(us))[1])
     prod = r_u @ r_mu
     for s, (q, u) in enumerate(points):
         alone_u = assemble_R(*pair, u, q, basis=basis)
@@ -302,7 +301,7 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     r = _stacked_R(*pair, us, qs, space.spectral_form())
     gens = space.chain_pass(form=False, read=_decomposed_families(us))[1]
     diagonal = _casimir_diagonals(space.weights, qs)
-    got = _decomposed(space, us, r, gens, diagonal)
+    got = _decomposed(space, us, r, gens)
     assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
     # at q = 1 the barred and unbarred coproducts are the same bits, so the swap changes nothing
     mutant = _stacked_decomposed(space, us, r, gens, diagonal, swap="lower_twisted")
@@ -312,13 +311,13 @@ def test_broadcast_decomposed_relations_equal_the_stacked_formulation(pair, basi
     # operand, and no relation's scale reads it
     f1, f2 = space.factors
     loud = ProductSpace(dataclasses.replace(f1, lift=f1.lift * 1e3), f2)
-    assert _residual_bits(_decomposed(loud, us, r, gens, diagonal)) == _residual_bits(
+    assert _residual_bits(_decomposed(loud, us, r, gens)) == _residual_bits(
         _stacked_decomposed(loud, us, r, gens, diagonal))
 
     # one NaN entry of R: every relation reads R, so every residual of its sample is NaN
     r = r.copy()
     r[count // 2, 1, 0] = np.nan
-    got = _decomposed(space, us, r, gens, diagonal)
+    got = _decomposed(space, us, r, gens)
     assert _residual_bits(got) == _residual_bits(_stacked_decomposed(space, us, r, gens, diagonal))
     assert all(np.isnan(value) for value in got[count // 2].values())
     assert not any(np.isnan(value) for s, row in enumerate(got) if s != count // 2
@@ -355,13 +354,10 @@ def test_a_stack_past_numpy_temporary_elision_keeps_every_slice():
                                alone)[0])
 
 
-def _casimir_reports(space, sectors, delta_u, diagonal):
+def _casimir_reports(space, sectors, delta_u):
     """The tensor_casimir report of each sample of a pass, as tensor_casimir
     builds it from the arrays of _casimir_sectors."""
-    (sp, sm), chains = delta_u, sectors
-    f1, f2 = space.factors
-    rows = _casimir_sectors(sp @ sm + diagonal, chains, space.layout.live, f1.ell, f2.ell,
-                            space.qs)
+    rows = _casimir_sectors(space, sectors, *delta_u)
     return [CasimirSpectrumReport([SectorEigenvalue(n, *entry) for n, entry
                                    in enumerate(zip(*(row[s].tolist() for row in rows)))])
             for s in range(len(space.qs))]
@@ -373,8 +369,8 @@ def test_stacked_casimir_equals_each_sample_alone(pair):
     run = _PairRun(points, None, frozenset({"casimir"}), *pair)
     sectors, (sp, sm) = run.chain_pass
     delta_u = (sp[:, 0], sm[:, 0])
-    reports = _casimir_reports(run.space, sectors, delta_u, run.casimir_diagonal)
-    worst = _casimir_residuals(run.space, sectors, delta_u, run.casimir_diagonal)
+    reports = _casimir_reports(run.space, sectors, delta_u)
+    worst = run.casimir()
     for report, w, (q, u) in zip(reports, worst, points, strict=True):
         alone = tensor_casimir(ProductSpace.of_spins(*pair, q, "orthonormal"), u)
         assert report == alone
@@ -415,8 +411,7 @@ def test_one_family_pass_equals_the_per_family_calls(pair, count):
     for name in ("left", "right"):
         _same(getattr(form, name), getattr(want_form, name))
     _same(sectors, space().chain_pass(("delta", us), form=False)[0])
-    reports = _casimir_reports(run, sectors, (sp[:, 0], sm[:, 0]),
-                               _casimir_diagonals(run.weights, qs))
+    reports = _casimir_reports(run, sectors, (sp[:, 0], sm[:, 0]))
     for s, (q, u) in enumerate(points):
         one = ProductSpace.stack_of_spins(*pair, _QStack.of((q,)), "orthonormal")
         for got, want in zip(one.sectors(u), _sector_chains(sectors[s]), strict=True):
@@ -1082,7 +1077,7 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     only: no R(-u), no sectors; verify casimir assembles no R."""
     built = _spy_on_stacks(monkeypatch)
     calls = []
-    for name in ("_decomposed", "_casimir_residuals", "_solve"):
+    for name in ("_decomposed", "_casimir_sectors", "_solve"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name,
                             lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
@@ -1090,7 +1085,7 @@ def test_a_spin_pair_suite_alone_evaluates_only_its_own_part(suite, monkeypatch)
     assert len(built) == 3
     want = {"ybe": {"_decomposed": 3, "_solve": 3},
             "unitarity": {"_solve": 3 + 1},
-            "casimir": {"_casimir_residuals": 3}}[suite]
+            "casimir": {"_casimir_sectors": 3}}[suite]
     assert {name: calls.count(name) for name in set(calls)} == want
 
 
@@ -1134,14 +1129,14 @@ def test_a_pass_raises_each_suite_error_at_the_suite_place(monkeypatch):
     cfg = ToleranceConfig(sample_count=verify._STACK_SIZE + 1, rng_seed=5)
     calls = []
 
-    def failing_casimir(space, sectors, delta_u, diagonal):
-        calls.append(len(diagonal))  # one Casimir diagonal per sample of the run
+    def failing_casimir(space, sectors, sp, sm):
+        calls.append(len(sp))  # one coproduct per sample of the run
         if len(calls) == 2:  # the second run of the first pair
             raise _Forced("casimir")
-        return real_casimir(space, sectors, delta_u, diagonal)
+        return real_casimir(space, sectors, sp, sm)
 
-    real_casimir = verify._casimir_residuals
-    monkeypatch.setattr(verify, "_casimir_residuals", failing_casimir)
+    real_casimir = verify._casimir_sectors
+    monkeypatch.setattr(verify, "_casimir_sectors", failing_casimir)
     built = _spy_on_stacks(monkeypatch)
     with pytest.raises(_Forced, match="casimir") as raised:
         cli._run_suite("all", cfg, 3, 0.0)

@@ -8,7 +8,8 @@ from qybe import (RATIONAL, CyclicRepSpec, DeformationParameter, build_cyclic_re
                   build_spin_rep, casimir_matrix, qnum, tensor_casimir, weight_reversed)
 from qybe import cyclic, tensorrep
 from qybe.errors import BadSpin, CompletenessFailure, DimensionMismatch, ParameterDomainError
-from qybe.qcore import _QStack, residual, sample_generic_q, sample_params, sample_u
+from qybe.qcore import (_QStack, _qnums, _relative, residual, sample_generic_q,
+                        sample_params, sample_u)
 from qybe.tensorrep import (CasimirSpectrumReport, ProductSpace, SectorEigenvalue,
                             _family_arrays, _lowest_weights, _twisted_terms)
 
@@ -561,9 +562,9 @@ def test_tensor_casimir_keeps_nan_after_finite_vector(q_generic, rng, monkeypatc
     chains = space.chain_pass(("delta", [u]), form=False)[0].copy()
     chains[0, 1, :, 0] = np.nan  # sector 0, after its finite lowest-weight vector
     real = space.chain_pass
-    # the sector pass gives the doctored chains; coproduct's read-only pass is the real one
+    # the pass gives the doctored chains and the real coproduct it reads
     monkeypatch.setattr(space, "chain_pass", lambda sector=None, form=True, read=():
-                        real(form=form, read=read) if sector is None else (chains, None))
+                        (chains, real(form=form, read=read)[1]))
     with np.errstate(invalid="ignore"):
         report = tensor_casimir(space, u)
     assert np.isnan(report.max_residual)
@@ -775,6 +776,57 @@ def test_tensor_casimir_equals_the_per_vector_reference(kind, rng):
             got = [(s.expected, s.max_residual, s.m_spread)
                    for s in tensor_casimir(space, u, kind).sectors]
             assert_close(got, _reference_casimir(space, u, kind))
+
+
+def _two_pass_casimir(space, u, kind):
+    """tensor_casimir as two passes: C from casimir_matrix of the coproduct's
+    read-only pass, the chains from a sector pass, then the sector
+    residuals and spreads from C, in the stacked arithmetic of the kernel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = casimir_matrix(space.coproduct(kind, u))[None]
+    chains = space.chain_pass((kind, [u]), form=False)[0]
+    live = space.layout.live
+    x = np.arange(chains.shape[-1]) - space.factors[0].ell - space.factors[1].ell
+    qn = _qnums(np.array([[x, x - 1]]), space.qs)
+    lam = qn[:, 0] * qn[:, 1]
+    v = chains.swapaxes(-1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = np.matmul(c[:, None, None], v[..., None])[..., 0]
+        gap = np.abs(cv - lam[:, None, :, None] * v).max(axis=3)
+        resid = np.where(live, _relative(gap, np.abs(v).max(axis=3)), 0.0).max(axis=1)
+        rayleigh = np.vecdot(v, cv) / np.vecdot(v, v).real
+        spread = np.where(live, np.abs(rayleigh - rayleigh[:, :1]), 0.0).max(axis=1)
+    return [np.array(row[0]).tobytes() for row in (lam, resid, spread)]
+
+
+def _report_bits(report):
+    return [np.array([getattr(s, name) for s in report.sectors]).tobytes()
+            for name in ("expected", "max_residual", "m_spread")]
+
+
+@pytest.mark.parametrize("basis", ["monomial", "orthonormal"])
+@pytest.mark.parametrize("kind", ["delta", "deltabar"])
+def test_tensor_casimir_is_one_pass_with_the_bits_of_two(kind, basis, rng, monkeypatch):
+    """tensor_casimir makes one chain_pass, which raises the sectors and
+    reads the coproduct, and its report has, bit for bit, the numbers of a
+    coproduct pass and a sector pass, at a drawn q and at q = 1, at a drawn
+    u and at u = +-0.0, for spins 0 to 2."""
+    spins = (0, 0.5, 1, 1.5, 2)
+    for q in (sample_generic_q(rng), RATIONAL):
+        for u in (sample_u(rng), 0.0, -0.0):
+            for ell1 in spins:
+                for ell2 in spins:
+                    space = ProductSpace.stack_of_spins(ell1, ell2, _QStack.of((q,)), basis)
+                    passes = []
+                    real = space.chain_pass
+                    with monkeypatch.context() as patched:
+                        patched.setattr(space, "chain_pass",
+                                        lambda *args, **kwargs: passes.append(args) or real(
+                                            *args, **kwargs))
+                        report = tensor_casimir(space, u, kind)
+                    assert len(passes) == 1
+                    assert _report_bits(report) == _two_pass_casimir(space, u, kind), (
+                        ell1, ell2, q, u)
 
 
 def test_block_layout_is_memoised_and_read_only():

@@ -921,8 +921,7 @@ def _unmerged_decomposed(rm):
     space = ProductSpace.of_spins(rm.ell1, rm.ell2, rm.q, rm.basis_tag)
     cops = [space.coproduct(kind, us[0]) for kind, us in verify._decomposed_families([rm.u])]
     gens = tuple(np.stack([getattr(c, name) for c in cops])[None] for name in ("sp", "sm"))
-    return verify._decomposed(space, [rm.u], rm.matrix[None], gens,
-                              verify._casimir_diagonals(space.weights, space.qs))[0]
+    return verify._decomposed(space, [rm.u], rm.matrix[None], gens)[0]
 
 
 def test_decomposed_residuals_equal_one_residual_per_relation():
